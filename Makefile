@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-record bench-gate experiments fmt vet lint clean
+.PHONY: all build test test-short race cover bench bench-run experiments fmt vet lint clean
 
 all: build test
 
@@ -24,17 +24,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -run xxx ./...
 
-# Machine-readable perf baseline (see docs/OBSERVABILITY.md for the
-# BENCH_*.json schema). bench-record refreshes the committed baseline
-# on the machine of record; bench-gate measures a fresh run and fails
-# on regression past the tolerances (allocs/op has none).
-BENCH_BASELINE ?= BENCH_10.json
-
-bench-record:
-	$(GO) run ./cmd/progmp-bench -record $(BENCH_BASELINE)
-
-bench-gate:
-	$(GO) run ./cmd/progmp-bench -compare $(BENCH_BASELINE)
+# The layered benchmark (BENCHMARK.json, bench/README.md): the record of
+# performance, with the agreement / 0-alloc / conservation / shard-
+# invariance oracles behind its exit status.
+bench-run:
+	bash bench/run.sh
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

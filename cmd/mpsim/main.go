@@ -39,222 +39,189 @@
 //
 //	mpsim -fleet 100000
 //	mpsim -fleet 10000 -shards 4 -xstate -dest-groups 64 -metrics-http :9100
+//
+// The three modes read different flags; a flag set explicitly that the
+// chosen mode would ignore is refused (exit 2) instead of dropped:
+//
+//	every mode   -scheduler -backend -seed
+//	classic      -send -prop -r1 -cc -path -pathmgr -conns -duration
+//	             -guard -xstate -trace -metrics -metrics-interval
+//	             -metrics-out -metrics-http -ctl -pace
+//	-fleet N     -shards -fleet-send -dest-groups -duration -guard
+//	             -xstate -metrics-http
+//	-chaos NAME  (nothing further; scenarios fix paths and workload)
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"progmp"
+	"progmp/cmd/internal/scenario"
 	"progmp/internal/ctl"
 	"progmp/internal/fleet"
 	"progmp/internal/mptcp"
 )
 
-type pathFlags []progmp.Path
-
-func (p *pathFlags) String() string { return fmt.Sprintf("%d paths", len(*p)) }
-
-// Set parses "name:rateBps:delay:lossProb:pref|backup".
-func (p *pathFlags) Set(v string) error {
-	parts := strings.Split(v, ":")
-	if len(parts) != 5 {
-		return fmt.Errorf("path %q: want name:rate:delay:loss:pref|backup", v)
-	}
-	rate, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return fmt.Errorf("path %q: bad rate: %v", v, err)
-	}
-	delay, err := time.ParseDuration(parts[2])
-	if err != nil {
-		return fmt.Errorf("path %q: bad delay: %v", v, err)
-	}
-	loss, err := strconv.ParseFloat(parts[3], 64)
-	if err != nil {
-		return fmt.Errorf("path %q: bad loss: %v", v, err)
-	}
-	backup := false
-	switch parts[4] {
-	case "backup":
-		backup = true
-	case "pref":
-	default:
-		return fmt.Errorf("path %q: last field must be pref or backup", v)
-	}
-	*p = append(*p, progmp.Path{
-		Name: parts[0], RateBps: rate, OneWayDelay: delay, LossProb: loss, Backup: backup,
-	})
-	return nil
+// accepted lists, per mode, the flags the mode reads.
+var accepted = map[string]string{
+	"classic": "scheduler backend seed send prop r1 cc path pathmgr conns duration guard xstate " +
+		"trace metrics metrics-interval metrics-out metrics-http ctl pace",
+	"fleet": "scheduler backend seed fleet shards fleet-send dest-groups duration guard xstate metrics-http",
+	"chaos": "scheduler backend seed chaos",
 }
 
-func main() {
-	var paths pathFlags
-	scheduler := flag.String("scheduler", "minRTT", "built-in scheduler name or a file path")
-	backend := flag.String("backend", "vm", "execution backend: interpreter, compiled, vm")
-	send := flag.Int("send", 1<<20, "bytes to transfer")
-	prop := flag.Int64("prop", 0, "per-packet scheduling intent")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	duration := flag.Duration("duration", 60*time.Second, "simulation horizon")
-	reg1 := flag.Int64("r1", 0, "initial value of register R1")
-	cc := flag.String("cc", "", "congestion control: lia (default), olia, reno")
-	pathmgr := flag.Bool("pathmgr", false, "enable the path manager (failure detection + backup promotion)")
-	trace := flag.String("trace", "", "write a JSONL decision trace of the run to FILE")
-	metrics := flag.Bool("metrics", false, "print the metrics registry after the run")
-	guard := flag.Bool("guard", false, "supervise the scheduler (panic recovery, validation, degradation)")
-	chaos := flag.String("chaos", "", "run a chaos soak instead: scenario name or \"all\" (see -chaos list)")
-	ctlAddr := flag.String("ctl", "", "serve the control plane on ADDR (a Unix socket path, or host:port for TCP) and run live")
-	pace := flag.Float64("pace", 0, "live pacing with -ctl: virtual seconds per wall second (1 = real time, 0 = real time default, <0 = unpaced)")
-	conns := flag.Int("conns", 1, "number of connections (each with its own scheduler instance and metrics registry)")
-	xstate := flag.Bool("xstate", false, "attach every connection to one cross-connection shared-state store (globals G1..G8, per-destination path stats, gget/gset/deststats ctl verbs)")
-	metricsInterval := flag.Duration("metrics-interval", 0, "sample aggregated fleet metrics every D of virtual time")
-	metricsOut := flag.String("metrics-out", "", "write the sampled metrics time-series as JSONL to FILE (implies -metrics-interval 100ms)")
-	metricsHTTP := flag.String("metrics-http", "", "serve the OpenMetrics exposition on host:port")
-	fleetN := flag.Int("fleet", 0, "run a sharded fleet soak with N concurrent connections instead of a single scenario")
-	shards := flag.Int("shards", 0, "fleet shard count (default GOMAXPROCS)")
-	fleetSend := flag.Int("fleet-send", 16<<10, "fleet per-burst transfer size in bytes")
-	destGroups := flag.Int("dest-groups", 0, "fleet destination-identity groups (spreads shared-store records; 0 = one identity per path)")
-	flag.Var(&paths, "path", "path spec name:rateBps:delay:loss:pref|backup (repeatable)")
-	flag.Parse()
+// classicMode is what a classic run does besides the scenario itself:
+// its instruments and the live control plane.
+type classicMode struct {
+	Trace       string
+	Metrics     bool
+	Interval    time.Duration
+	MetricsOut  string
+	MetricsHTTP string
+	Ctl         string
+	Pace        float64
+}
 
-	if *fleetN > 0 {
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main with its streams and exit status as values: 0 done, 1
+// the run failed, 2 the command line was refused.
+func cli(args []string, out, errw io.Writer) int {
+	var sc scenario.Scenario
+	var cm classicMode
+	var fc fleet.Config // the sharded soak's size; runFleet fills in the rest
+	fs := flag.NewFlagSet("mpsim", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	sc.RegisterFlags(fs, 1<<20)
+	fs.BoolVar(&sc.PathMgr, "pathmgr", false, "enable the path manager (failure detection + backup promotion)")
+	fs.IntVar(&sc.Conns, "conns", 1, "number of connections (each with its own scheduler instance and metrics registry)")
+	fs.BoolVar(&sc.XState, "xstate", false, "attach every connection to one cross-connection shared-state store (globals G1..G8, per-destination path stats, gget/gset/deststats ctl verbs)")
+	fs.StringVar(&cm.Trace, "trace", "", "write a JSONL decision trace of the run to FILE")
+	fs.BoolVar(&cm.Metrics, "metrics", false, "print the metrics registry after the run")
+	chaos := fs.String("chaos", "", "run a chaos soak instead: scenario name or \"all\" (see -chaos list)")
+	fs.StringVar(&cm.Ctl, "ctl", "", "serve the control plane on ADDR (a Unix socket path, or host:port for TCP) and run live")
+	fs.Float64Var(&cm.Pace, "pace", 0, "live pacing with -ctl: virtual seconds per wall second (1 = real time, 0 = real time default, <0 = unpaced)")
+	fs.DurationVar(&cm.Interval, "metrics-interval", 0, "sample aggregated fleet metrics every D of virtual time")
+	fs.StringVar(&cm.MetricsOut, "metrics-out", "", "write the sampled metrics time-series as JSONL to FILE (implies -metrics-interval 100ms)")
+	fs.StringVar(&cm.MetricsHTTP, "metrics-http", "", "serve the OpenMetrics exposition on host:port")
+	fs.IntVar(&fc.Conns, "fleet", 0, "run a sharded fleet soak with N concurrent connections instead of a single scenario")
+	fs.IntVar(&fc.Shards, "shards", 0, "fleet shard count (default GOMAXPROCS)")
+	fs.IntVar(&fc.SendBytes, "fleet-send", 16<<10, "fleet per-burst transfer size in bytes")
+	fs.IntVar(&fc.DestGroups, "dest-groups", 0, "fleet destination-identity groups (spreads shared-store records; 0 = one identity per path)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	mode := "classic"
+	if fc.Conns > 0 {
+		mode = "fleet"
+	} else if *chaos != "" {
+		mode = "chaos"
+	}
+	set := map[string]bool{}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if !slices.Contains(strings.Fields(accepted[mode]), f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		fmt.Fprintf(errw, "mpsim: %s mode does not read %s (it accepts: -%s)\n",
+			mode, strings.Join(ignored, ", "), strings.ReplaceAll(accepted[mode], " ", " -"))
+		return 2
+	}
+
+	var err error
+	switch mode {
+	case "fleet":
 		// The 60s scenario default is a fleet-scale eternity; soak for
 		// 2s of virtual time unless -duration was given explicitly.
-		fleetDur := 2 * time.Second
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "duration" {
-				fleetDur = *duration
-			}
-		})
-		if err := runFleet(*scheduler, *backend, *fleetN, *shards, *fleetSend, *destGroups,
-			*seed, fleetDur, *xstate, *guard, *metricsHTTP); err != nil {
-			fmt.Fprintln(os.Stderr, "mpsim:", err)
-			os.Exit(1)
+		if !set["duration"] {
+			sc.Duration = 2 * time.Second
 		}
-		return
-	}
-	if *chaos != "" {
-		if err := runChaos(*chaos, *seed, *scheduler, *backend); err != nil {
-			fmt.Fprintln(os.Stderr, "mpsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	obsCfg := obsOptions{
-		Conns:    *conns,
-		XState:   *xstate,
-		Interval: *metricsInterval,
-		Out:      *metricsOut,
-		HTTP:     *metricsHTTP,
-	}
-	if obsCfg.Out != "" && obsCfg.Interval <= 0 {
-		obsCfg.Interval = 100 * time.Millisecond
-	}
-	if err := run(*scheduler, *backend, *send, *prop, *seed, *duration, *reg1, *cc, *pathmgr, *trace, *metrics, *guard, *ctlAddr, *pace, paths, obsCfg); err != nil {
-		fmt.Fprintln(os.Stderr, "mpsim:", err)
-		os.Exit(1)
-	}
-}
-
-// obsOptions groups the fleet-level knobs: connection count, the
-// shared-state store, time-series sampling, and the exposition
-// endpoint.
-type obsOptions struct {
-	Conns    int
-	XState   bool
-	Interval time.Duration
-	Out      string
-	HTTP     string
-}
-
-// loadScheduler resolves a built-in name or a source file on the
-// chosen backend.
-func loadScheduler(scheduler, backend string) (*progmp.Scheduler, error) {
-	src, ok := progmp.Schedulers[scheduler]
-	if !ok {
-		data, err := os.ReadFile(scheduler)
-		if err != nil {
-			return nil, fmt.Errorf("scheduler %q is neither built-in nor readable: %w", scheduler, err)
-		}
-		src = string(data)
-	}
-	var be progmp.Backend
-	switch backend {
-	case "interpreter":
-		be = progmp.BackendInterpreter
-	case "compiled":
-		be = progmp.BackendCompiled
-	case "vm":
-		be = progmp.BackendVM
+		err = runFleet(&sc, out, fc, cm.MetricsHTTP)
+	case "chaos":
+		err = runChaos(&sc, out, *chaos)
 	default:
-		return nil, fmt.Errorf("unknown backend %q", backend)
+		if cm.MetricsOut != "" && cm.Interval <= 0 {
+			cm.Interval = 100 * time.Millisecond
+		}
+		err = run(&sc, out, cm)
 	}
-	return progmp.LoadSchedulerBackend(scheduler, src, be)
+	if err != nil {
+		fmt.Fprintln(errw, "mpsim:", err)
+		return 1
+	}
+	return 0
 }
 
-// runFleet drives the sharded fleet soak (internal/fleet): n
+// serveMetricsHTTP serves the OpenMetrics exposition of opts.Agg on
+// addr until the returned stop function runs. Aggregate reads each
+// registry with atomic loads, so serving never blocks the simulation.
+func serveMetricsHTTP(addr string, opts ctl.Options, out io.Writer) (stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := ctl.NewServer(opts)
+	go srv.ServeMetricsHTTP(ln)
+	fmt.Fprintf(out, "metrics http    http://%s/metrics\n", ln.Addr())
+	return srv.Close, nil
+}
+
+// runFleet drives the sharded fleet soak (internal/fleet): fc.Conns
 // self-contained connection worlds across per-core shards, optional
 // shared-state store and guard supervision, the OpenMetrics
 // exposition served live off the shard loops' aggregated registries.
-func runFleet(scheduler, backend string, n, shards, sendBytes, destGroups int, seed int64, duration time.Duration, useStore, guard bool, metricsHTTP string) error {
+func runFleet(sc *scenario.Scenario, out io.Writer, fc fleet.Config, metricsHTTP string) error {
+	fc.NewScheduler = func() (mptcp.Scheduler, error) {
+		return scenario.LoadScheduler(sc.Scheduler, sc.Backend)
+	}
 	// Fail fast on a bad scheduler/backend before building 100k worlds.
-	if _, err := loadScheduler(scheduler, backend); err != nil {
+	if _, err := fc.NewScheduler(); err != nil {
 		return err
 	}
-	agg := progmp.NewMetricsAggregator()
-	var store *progmp.SharedStore
-	if useStore {
-		store = progmp.NewSharedStore()
+	fc.Seed = sc.Seed
+	fc.Duration = sc.Duration
+	fc.Program = sc.Scheduler
+	fc.Guard = sc.Guard
+	fc.Agg = progmp.NewMetricsAggregator()
+	if sc.XState {
+		fc.Store = progmp.NewSharedStore()
 	}
 	if metricsHTTP != "" {
-		// Exposition runs off the shard loops: Aggregate reads each
-		// shard registry with atomic loads, so serving during the soak
-		// never blocks a shard.
-		hsrv := ctl.NewServer(ctl.Options{Agg: agg})
-		hln, err := net.Listen("tcp", metricsHTTP)
+		stop, err := serveMetricsHTTP(metricsHTTP, ctl.Options{Agg: fc.Agg}, out)
 		if err != nil {
 			return err
 		}
-		go hsrv.ServeMetricsHTTP(hln)
-		defer hsrv.Close()
-		fmt.Printf("metrics http    http://%s/metrics\n", hln.Addr())
+		defer stop()
 	}
-	res, err := fleet.Run(fleet.Config{
-		Conns:      n,
-		Shards:     shards,
-		Seed:       seed,
-		Duration:   duration,
-		SendBytes:  sendBytes,
-		DestGroups: destGroups,
-		NewScheduler: func() (mptcp.Scheduler, error) {
-			return loadScheduler(scheduler, backend)
-		},
-		Program: scheduler,
-		Guard:   guard,
-		Store:   store,
-		Agg:     agg,
-	})
+	res, err := fleet.Run(fc)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fleet           %d conns, %d shard(s), %v virtual in %v wall\n",
+	fmt.Fprintf(out, "fleet           %d conns, %d shard(s), %v virtual in %v wall\n",
 		res.Conns, res.Shards, res.VirtualDuration, res.Wall.Round(time.Millisecond))
-	fmt.Printf("scheduler       %s (%s backend, shared per shard)\n", scheduler, backend)
-	fmt.Printf("decision p50    %d ns   p99 %d ns\n", res.DecisionP50NS, res.DecisionP99NS)
-	fmt.Printf("delivery p50    %d us   p99 %d us\n", res.DeliveryP50US, res.DeliveryP99US)
-	fmt.Printf("bytes/conn      %d\n", res.BytesPerConn)
-	fmt.Printf("delivered       %d bytes in %d bursts (%d/%d conns fully acked)\n",
+	fmt.Fprintf(out, "scheduler       %s (%s backend, shared per shard)\n", sc.Scheduler, sc.Backend)
+	fmt.Fprintf(out, "decision p50    %d ns   p99 %d ns\n", res.DecisionP50NS, res.DecisionP99NS)
+	fmt.Fprintf(out, "delivery p50    %d us   p99 %d us\n", res.DeliveryP50US, res.DeliveryP99US)
+	fmt.Fprintf(out, "bytes/conn      %d\n", res.BytesPerConn)
+	fmt.Fprintf(out, "delivered       %d bytes in %d bursts (%d/%d conns fully acked)\n",
 		res.DeliveredBytes, res.Bursts, res.Acked, res.Conns)
-	fmt.Printf("events          %d\n", res.Events)
-	if store != nil {
-		fmt.Printf("shared state    epoch %d, %d live dest(s), %d evicted\n",
-			store.Epoch(), store.NumDests(), res.EvictedDests)
+	fmt.Fprintf(out, "events          %d\n", res.Events)
+	if fc.Store != nil {
+		fmt.Fprintf(out, "shared state    epoch %d, %d live dest(s), %d evicted\n",
+			fc.Store.Epoch(), fc.Store.NumDests(), res.EvictedDests)
 	}
 	return nil
 }
@@ -262,29 +229,29 @@ func runFleet(scheduler, backend string, n, shards, sendBytes, destGroups int, s
 // runChaos soaks the scheduler through one (or every) chaos scenario
 // and verifies conservation: every byte delivered exactly once, in
 // order, fully acknowledged.
-func runChaos(scenario string, seed int64, scheduler, backend string) error {
-	names := []string{scenario}
-	if scenario == "all" {
+func runChaos(sc *scenario.Scenario, out io.Writer, name string) error {
+	names := []string{name}
+	if name == "all" {
 		names = progmp.ChaosScenarioNames()
-	} else if scenario == "list" {
+	} else if name == "list" {
 		for _, name := range progmp.ChaosScenarioNames() {
-			fmt.Printf("%-10s %s\n", name, progmp.ChaosScenarioDesc(name))
+			fmt.Fprintf(out, "%-10s %s\n", name, progmp.ChaosScenarioDesc(name))
 		}
 		return nil
 	}
-	sched, err := loadScheduler(scheduler, backend)
+	sched, err := scenario.LoadScheduler(sc.Scheduler, sc.Backend)
 	if err != nil {
 		return err
 	}
 	failed := 0
 	for _, name := range names {
-		res, err := progmp.RunChaos(name, seed, sched)
+		res, err := progmp.RunChaos(name, sc.Seed, sched)
 		if err != nil {
 			failed++
-			fmt.Printf("FAIL %-10s seed=%d: %v\n", name, seed, err)
+			fmt.Fprintf(out, "FAIL %-10s seed=%d: %v\n", name, sc.Seed, err)
 			continue
 		}
-		fmt.Printf("PASS %-10s seed=%d delivered=%d segments=%d fct=%v closed=%d promoted=%d\n",
+		fmt.Fprintf(out, "PASS %-10s seed=%d delivered=%d segments=%d fct=%v closed=%d promoted=%d\n",
 			name, res.Seed, res.DeliveredBytes, res.Segments, res.FCT.Round(time.Millisecond),
 			res.ClosedByManager, res.Promotions)
 	}
@@ -294,269 +261,218 @@ func runChaos(scenario string, seed int64, scheduler, backend string) error {
 	return nil
 }
 
-func run(scheduler, backend string, send int, prop, seed int64, duration time.Duration, reg1 int64, cc string, pathmgr bool, trace string, metrics, guard bool, ctlAddr string, pace float64, paths pathFlags, o obsOptions) error {
-	sched, err := loadScheduler(scheduler, backend)
+// writeFile creates path, hands it to write, and closes it, returning
+// the first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if len(paths) == 0 {
-		paths = pathFlags{
-			{Name: "wifi", RateBps: 3e6, OneWayDelay: 5 * time.Millisecond},
-			{Name: "lte", RateBps: 8e6, OneWayDelay: 20 * time.Millisecond, Backup: true},
-		}
-	}
-	if o.Conns < 1 {
-		o.Conns = 1
-	}
-	nw := progmp.NewNetwork(seed)
-	// -xstate: one store shared by every connection of the run, so
-	// schedulers exchange globals and per-destination path statistics
-	// across connections and the control plane can read and steer them.
-	var store *progmp.SharedStore
-	if o.XState {
-		store = progmp.NewSharedStore()
-	}
-	conn, err := nw.Dial(progmp.ConnConfig{CongestionControl: cc, Store: store}, paths...)
-	if err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	var sup *progmp.Supervisor
-	var fleet *progmp.Fleet
-	if guard {
-		sup = conn.Supervise(sched, progmp.SupervisorConfig{})
-		// The fleet tier: every supervised connection running the same
-		// program counts toward its fleet-quarantine threshold, and the
-		// control plane refuses to reinstall a fleet-blocked program.
-		fleet = nw.NewFleet(progmp.FleetConfig{})
-		if err := conn.JoinFleet(fleet, scheduler); err != nil {
-			return err
-		}
-	} else {
-		conn.SetScheduler(sched)
-	}
+	return f.Close()
+}
+
+// run is the classic mode: sc.Conns connections of the scenario on one
+// network, driven to the horizon (live under -ctl), then the report.
+func run(sc *scenario.Scenario, out io.Writer, cm classicMode) error {
+	w := sc.NewWorld()
+	nw := w.Net
+	// The primary connection carries the run's tracer (the control
+	// plane needs one for its subscribe verb) and, when anything reads
+	// metrics, a registry; every registry feeds one aggregator, so the
+	// ctl metrics-agg verb, the HTTP exposition and the time-series
+	// recorder see the whole run.
 	var tracer *progmp.Tracer
-	var reg *progmp.Metrics
-	if trace != "" || ctlAddr != "" {
-		// The control plane needs a tracer for its subscribe verb.
+	if cm.Trace != "" || cm.Ctl != "" {
 		tracer = progmp.NewTracer(0)
 	}
-	wantFleet := o.Conns > 1 || o.Interval > 0 || o.Out != "" || o.HTTP != ""
-	if metrics || ctlAddr != "" || wantFleet {
-		reg = progmp.NewMetrics()
-	}
-	if tracer != nil || reg != nil {
-		conn.Instrument(tracer, reg)
-	}
-	// The fleet tier: every connection's registry feeds one aggregator,
-	// so the ctl metrics-agg verb, the HTTP exposition and the
-	// time-series recorder see the whole run.
+	var reg *progmp.Metrics
 	var agg *progmp.MetricsAggregator
-	if reg != nil {
+	if cm.Metrics || cm.Ctl != "" || sc.Conns > 1 || cm.Interval > 0 || cm.MetricsHTTP != "" {
+		reg = progmp.NewMetrics()
 		agg = progmp.NewMetricsAggregator()
-		agg.Attach(progmp.MetricsLabels{Conn: "c1", Scheduler: scheduler}, reg)
-		if store != nil {
-			// The store's epochs/gsets/dests counters ride the primary
-			// registry into the fleet aggregation.
-			store.Instrument(reg)
-		}
-	}
-	if pathmgr {
-		conn.EnablePathManager(progmp.PathManagerConfig{PromoteBackupOnDeath: true})
-	}
-	if reg1 != 0 {
-		conn.SetRegister(progmp.R1, reg1)
 	}
 	var delivered int64
 	var fct time.Duration
-	conn.OnDeliver(func(_ int64, size int, at time.Duration) {
-		delivered += int64(size)
-		if delivered >= int64(send) && fct == 0 {
-			fct = at
+	n := max(sc.Conns, 1)
+	conns := make([]*progmp.Conn, 0, n)
+	for i := 1; i <= n; i++ {
+		t, m := tracer, reg
+		if i > 1 {
+			// Secondaries: same scenario, an own labeled registry each.
+			t, m = nil, progmp.NewMetrics()
 		}
-	})
-	nw.At(0, func() { conn.SendWithIntent(send, prop) })
-
-	// Secondary connections (-conns): same paths, a fresh scheduler
-	// instance and an own labeled registry each, same transfer size.
-	extras := make([]*progmp.Conn, 0, o.Conns-1)
-	for i := 2; i <= o.Conns; i++ {
-		xc, err := nw.Dial(progmp.ConnConfig{CongestionControl: cc, Store: store}, paths...)
+		conn, err := sc.Dial(w, t, m)
 		if err != nil {
 			return err
 		}
-		xs, err := loadScheduler(scheduler, backend)
-		if err != nil {
-			return err
+		if agg != nil {
+			agg.Attach(progmp.MetricsLabels{Conn: fmt.Sprintf("c%d", i), Scheduler: sc.Scheduler}, m)
 		}
-		if guard {
-			xc.Supervise(xs, progmp.SupervisorConfig{})
-			if err := xc.JoinFleet(fleet, scheduler); err != nil {
-				return err
+		if i == 1 {
+			if w.Store != nil && reg != nil {
+				// The store's epochs/gsets/dests counters ride the
+				// primary registry into the fleet aggregation.
+				w.Store.Instrument(reg)
 			}
+			conn.OnDeliver(func(_ int64, size int, at time.Duration) {
+				delivered += int64(size)
+				if delivered >= int64(sc.Send) && fct == 0 {
+					fct = at
+				}
+			})
 		} else {
-			xc.SetScheduler(xs)
+			// Teardown wiring: once a secondary transfer fully drains,
+			// the connection leaves the fleet merge — the exposition
+			// stops carrying the finished source instead of serving it
+			// forever — and its shared-store destination references are
+			// released so idle records can be evicted.
+			conn.OnAllAcked(func() {
+				agg.Remove(m)
+				conn.ReleaseDests()
+			})
 		}
-		xreg := progmp.NewMetrics()
-		xc.Instrument(nil, xreg)
-		agg.Attach(progmp.MetricsLabels{Conn: fmt.Sprintf("c%d", i), Scheduler: scheduler}, xreg)
-		// Teardown wiring: once the secondary transfer fully drains, the
-		// connection leaves the fleet merge — the exposition stops
-		// carrying the finished source instead of serving it forever —
-		// and its shared-store destination references are released so
-		// idle records can be evicted.
-		xc.OnAllAcked(func() {
-			agg.Remove(xreg)
-			xc.ReleaseDests()
-		})
-		nw.At(0, func() { xc.SendWithIntent(send, prop) })
-		extras = append(extras, xc)
+		nw.At(0, func() { conn.SendWithIntent(sc.Send, sc.Prop) })
+		conns = append(conns, conn)
 	}
 
 	// Time-series recorder: samples on the virtual clock via a
 	// self-rescheduling event, so it works identically under Run and
 	// RunLive.
 	var series *progmp.MetricsTimeSeries
-	if o.Interval > 0 {
+	if cm.Interval > 0 {
 		series = progmp.NewMetricsTimeSeries(agg, 0)
 		var tick func()
-		next := o.Interval
+		next := cm.Interval
 		tick = func() {
 			series.Sample(nw.Now())
-			next += o.Interval
-			if next <= duration {
+			next += cm.Interval
+			if next <= sc.Duration {
 				nw.At(next, tick)
 			}
 		}
-		nw.At(o.Interval, tick)
+		nw.At(cm.Interval, tick)
 	}
-	if o.HTTP != "" {
-		hsrv := ctl.NewServer(ctl.Options{Network: nw, Agg: agg})
-		hln, err := net.Listen("tcp", o.HTTP)
+	if cm.MetricsHTTP != "" {
+		stop, err := serveMetricsHTTP(cm.MetricsHTTP, ctl.Options{Network: nw, Agg: agg}, out)
 		if err != nil {
 			return err
 		}
-		go hsrv.ServeMetricsHTTP(hln)
-		defer hsrv.Close()
-		fmt.Printf("metrics http    http://%s/metrics\n", hln.Addr())
+		defer stop()
 	}
 
-	if ctlAddr != "" {
-		if err := runWithControlPlane(nw, conn, extras, tracer, reg, agg, fleet, store, ctlAddr, pace, duration); err != nil {
+	if cm.Ctl != "" {
+		srv := ctl.NewServer(ctl.Options{Network: nw, Tracer: tracer, Metrics: reg, Agg: agg, Fleet: w.Fleet, Store: w.Store})
+		srv.Register("mpsim", conns[0])
+		for i, xc := range conns[1:] {
+			srv.Register(fmt.Sprintf("mpsim%d", i+2), xc)
+		}
+		if err := runWithControlPlane(sc, out, liveMode{nw, srv, cm.Ctl, cm.Pace}); err != nil {
 			return err
 		}
 	} else {
-		nw.Run(duration)
+		nw.Run(sc.Duration)
 	}
 
-	fmt.Printf("scheduler       %s (%s backend)\n", scheduler, backend)
-	fmt.Printf("transferred     %d / %d bytes\n", delivered, send)
+	fmt.Fprintf(out, "scheduler       %s (%s backend)\n", sc.Scheduler, sc.Backend)
+	fmt.Fprintf(out, "transferred     %d / %d bytes\n", delivered, sc.Send)
 	if fct > 0 {
-		fmt.Printf("completion time %v\n", fct)
-		fmt.Printf("goodput         %.2f MB/s\n", float64(send)/fct.Seconds()/1e6)
+		fmt.Fprintf(out, "completion time %v\n", fct)
+		fmt.Fprintf(out, "goodput         %.2f MB/s\n", float64(sc.Send)/fct.Seconds()/1e6)
 	} else {
-		fmt.Printf("completion time DID NOT COMPLETE within %v\n", duration)
+		fmt.Fprintf(out, "completion time DID NOT COMPLETE within %v\n", sc.Duration)
 	}
-	fmt.Printf("%-8s %12s %10s %8s %8s %10s\n", "subflow", "bytes", "packets", "retx", "srtt", "cwnd")
-	for _, s := range conn.Subflows() {
-		fmt.Printf("%-8s %12d %10d %8d %8v %10.1f\n",
+	fmt.Fprintf(out, "%-8s %12s %10s %8s %8s %10s\n", "subflow", "bytes", "packets", "retx", "srtt", "cwnd")
+	for _, s := range conns[0].Subflows() {
+		fmt.Fprintf(out, "%-8s %12d %10d %8d %8v %10.1f\n",
 			s.Name, s.BytesSent, s.PktsSent, s.Retransmissions, s.SRTT.Round(time.Millisecond), s.Cwnd)
 	}
-	if sup != nil {
-		fmt.Printf("guard           state=%v strikes=%d panics=%d violations=%d stalls=%d quarantines=%d restores=%d\n",
+	if sup := conns[0].Supervisor(); sup != nil {
+		fmt.Fprintf(out, "guard           state=%v strikes=%d panics=%d violations=%d stalls=%d quarantines=%d restores=%d\n",
 			sup.State(), sup.Strikes(), sup.Panics, sup.Violations, sup.Stalls, sup.Quarantines, sup.Restores)
 	}
-	if tracer != nil && trace != "" {
-		f, err := os.Create(trace)
-		if err != nil {
+	if cm.Trace != "" {
+		events := tracer.Events()
+		if err := writeFile(cm.Trace, func(f io.Writer) error { return progmp.WriteTraceJSONL(f, events) }); err != nil {
 			return err
 		}
-		if err := progmp.WriteTraceJSONL(f, tracer.Events()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace           %s (%d events, %d overwritten)\n", trace, len(tracer.Events()), tracer.Dropped())
+		fmt.Fprintf(out, "trace           %s (%d events, %d overwritten)\n", cm.Trace, len(events), tracer.Dropped())
 	}
-	if len(extras) > 0 {
+	if extras := conns[1:]; len(extras) > 0 {
 		done := 0
 		for _, xc := range extras {
 			if xc.AllAcked() {
 				done++
 			}
 		}
-		fmt.Printf("fleet           %d connections (%d secondary complete)\n", len(extras)+1, done)
+		fmt.Fprintf(out, "fleet           %d connections (%d secondary complete)\n", len(conns), done)
 		// Completed secondaries leave the aggregation (see the teardown
 		// wiring above), so the live-source count proves the exposition
 		// stopped serving finished connections.
-		fmt.Printf("exposition      %d live source(s)\n", agg.NumSources())
+		fmt.Fprintf(out, "exposition      %d live source(s)\n", agg.NumSources())
 	}
-	if store != nil {
-		snap := store.Load()
-		fmt.Printf("shared state    epoch %d, %d destination(s)\n", snap.Epoch, len(snap.Dests))
+	if w.Store != nil {
+		snap := w.Store.Load()
+		fmt.Fprintf(out, "shared state    epoch %d, %d destination(s)\n", snap.Epoch, len(snap.Dests))
 		for i, g := range snap.Globals {
 			if g != 0 {
-				fmt.Printf("  G%d = %d\n", i+1, g)
+				fmt.Fprintf(out, "  G%d = %d\n", i+1, g)
 			}
 		}
-		for _, d := range store.All() {
-			fmt.Printf("  %-10s srtt=%-8v lost=%-5d quar=%-4d delivered=%d samples=%d\n",
+		for _, d := range w.Store.All() {
+			fmt.Fprintf(out, "  %-10s srtt=%-8v lost=%-5d quar=%-4d delivered=%d samples=%d\n",
 				d.Name, time.Duration(d.SRTTUS)*time.Microsecond,
 				d.Lost, d.Quarantines, d.Delivered, d.Samples)
 		}
 	}
 	if series != nil {
-		if o.Out != "" {
-			f, err := os.Create(o.Out)
-			if err != nil {
+		if cm.MetricsOut != "" {
+			if err := writeFile(cm.MetricsOut, series.WriteJSONL); err != nil {
 				return err
 			}
-			if err := series.WriteJSONL(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("metrics series  %s (%d samples, %d overwritten)\n", o.Out, series.Len(), series.Dropped())
+			fmt.Fprintf(out, "metrics series  %s (%d samples, %d overwritten)\n", cm.MetricsOut, series.Len(), series.Dropped())
 		} else {
-			fmt.Printf("metrics series  %d samples retained (%d overwritten)\n", series.Len(), series.Dropped())
+			fmt.Fprintf(out, "metrics series  %d samples retained (%d overwritten)\n", series.Len(), series.Dropped())
 		}
 	}
-	if reg != nil && metrics {
-		fmt.Print(reg.Render())
+	if cm.Metrics {
+		fmt.Fprint(out, reg.Render())
 	}
 	return nil
 }
 
-// runWithControlPlane drives the scenario with RunLive while a ctl
-// server on addr lets a second process (progmpctl) steer it. SIGINT
+// liveMode is a control-plane run: the network to pace, the server
+// steering it, and where and how fast.
+type liveMode struct {
+	nw   *progmp.Network
+	srv  *ctl.Server
+	addr string
+	pace float64
+}
+
+// runWithControlPlane drives the scenario with RunLive while the ctl
+// server on lm.addr lets a second process (progmpctl) steer it. SIGINT
 // and SIGTERM shut the run down gracefully: the server drains (stops
 // accepting, finishes inflight requests, ends subscriptions, flushes
 // the fleet metrics) before the simulation stops.
-func runWithControlPlane(nw *progmp.Network, conn *progmp.Conn, extras []*progmp.Conn, tracer *progmp.Tracer, reg *progmp.Metrics, agg *progmp.MetricsAggregator, fleet *progmp.Fleet, store *progmp.SharedStore, addr string, pace float64, duration time.Duration) error {
-	network := "unix"
-	if !strings.Contains(addr, "/") && strings.Contains(addr, ":") {
-		network = "tcp"
-	}
+func runWithControlPlane(sc *scenario.Scenario, out io.Writer, lm liveMode) error {
+	nw, srv, pace := lm.nw, lm.srv, lm.pace
+	network := ctl.NetworkOf(lm.addr)
 	if network == "unix" {
-		os.Remove(addr) // a stale socket file from a previous run
+		os.Remove(lm.addr) // a stale socket file from a previous run
 	}
-	ln, err := net.Listen(network, addr)
+	ln, err := net.Listen(network, lm.addr)
 	if err != nil {
 		return err
-	}
-	srv := ctl.NewServer(ctl.Options{Network: nw, Tracer: tracer, Metrics: reg, Agg: agg, Fleet: fleet, Store: store})
-	srv.Register("mpsim", conn)
-	for i, xc := range extras {
-		srv.Register(fmt.Sprintf("mpsim%d", i+2), xc)
 	}
 	go srv.Serve(ln)
 	if pace == 0 {
 		pace = 1 // real time, so there is something to steer
 	}
-	fmt.Printf("control plane   %s://%s (pace %gx)\n", network, addr, pace)
+	fmt.Fprintf(out, "control plane   %s://%s (pace %gx)\n", network, lm.addr, pace)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -579,14 +495,14 @@ func runWithControlPlane(nw *progmp.Network, conn *progmp.Conn, extras []*progmp
 			}
 		}
 	}()
-	nw.RunLive(duration, pace)
+	nw.RunLive(sc.Duration, pace)
 	drainPoll.Stop()
 	signal.Stop(sig)
 	close(sig)
 	nw.StopLive()
 	srv.Close()
 	if network == "unix" {
-		os.Remove(addr)
+		os.Remove(lm.addr)
 	}
 	return nil
 }

@@ -1,22 +1,17 @@
 // Command progmp-bench regenerates the paper's evaluation tables and
-// figure series (see DESIGN.md for the experiment index), and records
-// or gates the machine-readable perf baseline (BENCH_*.json).
+// figure series (see DESIGN.md for the experiment index; the output of
+// -exp all is what EXPERIMENTS.md records). Performance is measured by
+// the layered benchmark in bench/ (BENCHMARK.json, bench/README.md),
+// not here.
 //
 // Usage:
 //
 //	progmp-bench -exp all
 //	progmp-bench -exp fig13
-//	progmp-bench -record BENCH_8.json
-//	progmp-bench -compare BENCH_8.json                 # fresh run vs baseline
-//	progmp-bench -compare BENCH_8.json -against f.json # file vs baseline
 //
 // Experiments: fig1, fig9, fig9tp, fig10b, fig10c, fig12, fig13,
 // fig14, upcall, memory, receiver, handover, opportunistic, fairness,
 // probing, targetrtt, all.
-//
-// -compare exits nonzero when any experiment regresses past the
-// tolerances (-ns-tol, -rel-tol; allocation counts have none): the CI
-// perf gate.
 package main
 
 import (
@@ -25,7 +20,6 @@ import (
 	"os"
 	"time"
 
-	"progmp/internal/benchrec"
 	"progmp/internal/core"
 	"progmp/internal/experiments"
 )
@@ -33,74 +27,11 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id (see doc comment)")
 	seed := flag.Int64("seed", 7, "simulation seed")
-	record := flag.String("record", "", "measure and write a bench record to this file")
-	compare := flag.String("compare", "", "baseline record to gate against (exit 1 on regression)")
-	against := flag.String("against", "", "candidate record for -compare (default: measure fresh)")
-	iters := flag.Int("iters", 200000, "execution-overhead iterations for -record/-compare")
-	nsTol := flag.Float64("ns-tol", 0.10, "tolerated relative ns/op growth for -compare")
-	relTol := flag.Float64("rel-tol", 0.10, "tolerated relative vs_native growth for -compare")
 	flag.Parse()
-	if *record != "" || *compare != "" {
-		if err := runBench(*record, *compare, *against, *seed, *iters, benchrec.Thresholds{NsTol: *nsTol, RelTol: *relTol}); err != nil {
-			fmt.Fprintln(os.Stderr, "progmp-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*exp, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "progmp-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// runBench drives the recorder: write a record, gate one against a
-// baseline, or both in one invocation.
-func runBench(record, compare, against string, seed int64, iters int, th benchrec.Thresholds) error {
-	var cand benchrec.Record
-	var have bool
-	if against != "" {
-		var err error
-		cand, err = benchrec.ReadFile(against)
-		if err != nil {
-			return err
-		}
-		have = true
-	}
-	if record != "" || !have {
-		fresh, err := benchrec.Measure(seed, iters)
-		if err != nil {
-			return err
-		}
-		if !have {
-			cand = fresh
-		}
-		if record != "" {
-			if err := benchrec.WriteFile(record, fresh); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d experiments, rev %s)\n", record, len(fresh.Experiments), fresh.GitRev)
-		}
-	}
-	if compare == "" {
-		return nil
-	}
-	base, err := benchrec.ReadFile(compare)
-	if err != nil {
-		return err
-	}
-	regressions := benchrec.Compare(base, cand, th)
-	for _, e := range cand.Experiments {
-		fmt.Printf("%-24s ns/op %10.1f  allocs/op %5.2f  vs_native %5.2f  p99 %6d ns  bytes/conn %6d\n",
-			e.Name, e.NsPerOp, e.AllocsPerOp, e.VsNative, e.P99NS, e.BytesPerConn)
-	}
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-		}
-		return fmt.Errorf("%d perf regression(s) vs %s", len(regressions), compare)
-	}
-	fmt.Printf("perf gate passed vs %s (ns-tol %.0f%%, rel-tol %.0f%%)\n", compare, th.NsTol*100, th.RelTol*100)
-	return nil
 }
 
 func run(exp string, seed int64) error {

@@ -28,127 +28,72 @@ import (
 	"time"
 
 	"progmp"
+	"progmp/cmd/internal/scenario"
 	"progmp/internal/ctl"
 	"progmp/internal/obs"
 )
 
-// scenario describes one replay run.
-type scenario struct {
-	scheduler string
-	backend   string
-	send      int
-	prop      int64
-	seed      int64
-	duration  time.Duration
-	reg1      int64
-	cc        string
-	ringCap   int
-	guard     bool
-	paths     []progmp.Path
-}
-
-type pathFlags []progmp.Path
-
-func (p *pathFlags) String() string { return fmt.Sprintf("%d paths", len(*p)) }
-
-// Set parses "name:rateBps:delay:lossProb:pref|backup" (the mpsim
-// path-spec syntax).
-func (p *pathFlags) Set(v string) error {
-	parts := strings.Split(v, ":")
-	if len(parts) != 5 {
-		return fmt.Errorf("path %q: want name:rate:delay:loss:pref|backup", v)
-	}
-	var rate, loss float64
-	if _, err := fmt.Sscanf(parts[1], "%g", &rate); err != nil {
-		return fmt.Errorf("path %q: bad rate: %v", v, err)
-	}
-	delay, err := time.ParseDuration(parts[2])
-	if err != nil {
-		return fmt.Errorf("path %q: bad delay: %v", v, err)
-	}
-	if _, err := fmt.Sscanf(parts[3], "%g", &loss); err != nil {
-		return fmt.Errorf("path %q: bad loss: %v", v, err)
-	}
-	backup := false
-	switch parts[4] {
-	case "backup":
-		backup = true
-	case "pref":
-	default:
-		return fmt.Errorf("path %q: last field must be pref or backup", v)
-	}
-	*p = append(*p, progmp.Path{
-		Name: parts[0], RateBps: rate, OneWayDelay: delay, LossProb: loss, Backup: backup,
-	})
-	return nil
+// output selects what a replay emits and where.
+type output struct {
+	format  string
+	file    string // "" = stdout
+	kinds   string
+	metrics bool
+	ringCap int
 }
 
 func main() {
-	var paths pathFlags
-	scheduler := flag.String("scheduler", "minRTT", "built-in scheduler name or a file path")
-	backend := flag.String("backend", "vm", "execution backend: interpreter, compiled, vm")
-	send := flag.Int("send", 1<<18, "bytes to transfer")
-	prop := flag.Int64("prop", 0, "per-packet scheduling intent")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	duration := flag.Duration("duration", 60*time.Second, "simulation horizon")
-	reg1 := flag.Int64("r1", 0, "initial value of register R1")
-	cc := flag.String("cc", "", "congestion control: lia (default), olia, reno")
-	ringCap := flag.Int("cap", 0, "trace ring capacity in events (0 = default 65536)")
-	format := flag.String("format", "jsonl", "output format: jsonl, chrome, summary")
-	out := flag.String("o", "", "output file (default stdout)")
-	kinds := flag.String("kinds", "", "comma-separated event kinds to keep (e.g. PUSH,DROP); empty keeps all")
-	metrics := flag.Bool("metrics", false, "append the metrics registry to stderr")
-	guard := flag.Bool("guard", false, "run the scheduler under supervision so GUARD_* transitions appear in the trace")
+	var sc scenario.Scenario
+	var o output
+	sc.RegisterFlags(flag.CommandLine, 1<<18)
+	flag.IntVar(&o.ringCap, "cap", 0, "trace ring capacity in events (0 = default 65536)")
+	flag.StringVar(&o.format, "format", "jsonl", "output format: jsonl, chrome, summary")
+	flag.StringVar(&o.file, "o", "", "output file (default stdout)")
+	flag.StringVar(&o.kinds, "kinds", "", "comma-separated event kinds to keep (e.g. PUSH,DROP); empty keeps all")
+	flag.BoolVar(&o.metrics, "metrics", false, "append the metrics registry to stderr")
 	top := flag.Bool("top", false, "live fleet summary of a running control plane instead of a replay (progmp-top mode)")
 	topAddr := flag.String("s", "/tmp/progmp.sock", "-top: control-plane address (Unix socket path or host:port)")
 	topInterval := flag.Duration("interval", time.Second, "-top: refresh interval")
 	topCount := flag.Int("count", 0, "-top: number of refreshes (0 = until interrupted)")
-	flag.Var(&paths, "path", "path spec name:rateBps:delay:loss:pref|backup (repeatable)")
 	flag.Parse()
 
+	var err error
 	if *top {
-		if err := runTop(*topAddr, *topInterval, *topCount); err != nil {
-			fmt.Fprintln(os.Stderr, "progmp-trace:", err)
-			os.Exit(1)
-		}
-		return
+		err = runTop(*topAddr, *topInterval, *topCount)
+	} else {
+		err = run(&sc, o)
 	}
-	sc := scenario{
-		scheduler: *scheduler, backend: *backend, send: *send, prop: *prop,
-		seed: *seed, duration: *duration, reg1: *reg1, cc: *cc,
-		ringCap: *ringCap, guard: *guard, paths: paths,
-	}
-	if err := run(sc, *format, *out, *kinds, *metrics); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "progmp-trace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(sc scenario, format, out, kinds string, metrics bool) error {
-	tracer, reg, err := replay(sc)
+func run(sc *scenario.Scenario, o output) error {
+	tracer, reg, err := replay(sc, o.ringCap)
 	if err != nil {
 		return err
 	}
 	events := tracer.Events()
-	if kinds != "" {
-		events, err = filterKinds(events, kinds)
+	if o.kinds != "" {
+		events, err = filterKinds(events, o.kinds)
 		if err != nil {
 			return err
 		}
 	}
 	var w io.Writer = os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
+	if o.file != "" {
+		f, err := os.Create(o.file)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		w = f
 	}
-	if err := emit(w, format, events, tracer.Dropped()); err != nil {
+	if err := emit(w, o.format, events, tracer.Dropped()); err != nil {
 		return err
 	}
-	if metrics {
+	if o.metrics {
 		fmt.Fprint(os.Stderr, reg.Render())
 	}
 	return nil
@@ -156,55 +101,16 @@ func run(sc scenario, format, out, kinds string, metrics bool) error {
 
 // replay runs the scenario with tracing and metrics attached and
 // returns the instruments after the simulation drains.
-func replay(sc scenario) (*progmp.Tracer, *progmp.Metrics, error) {
-	src, ok := progmp.Schedulers[sc.scheduler]
-	if !ok {
-		data, err := os.ReadFile(sc.scheduler)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scheduler %q is neither built-in nor readable: %w", sc.scheduler, err)
-		}
-		src = string(data)
-	}
-	var be progmp.Backend
-	switch sc.backend {
-	case "interpreter":
-		be = progmp.BackendInterpreter
-	case "compiled":
-		be = progmp.BackendCompiled
-	case "vm":
-		be = progmp.BackendVM
-	default:
-		return nil, nil, fmt.Errorf("unknown backend %q", sc.backend)
-	}
-	sched, err := progmp.LoadSchedulerBackend(sc.scheduler, src, be)
-	if err != nil {
-		return nil, nil, err
-	}
-	paths := sc.paths
-	if len(paths) == 0 {
-		paths = []progmp.Path{
-			{Name: "wifi", RateBps: 3e6, OneWayDelay: 5 * time.Millisecond},
-			{Name: "lte", RateBps: 8e6, OneWayDelay: 20 * time.Millisecond, Backup: true},
-		}
-	}
-	net := progmp.NewNetwork(sc.seed)
-	conn, err := net.Dial(progmp.ConnConfig{CongestionControl: sc.cc}, paths...)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sc.guard {
-		conn.Supervise(sched, progmp.SupervisorConfig{})
-	} else {
-		conn.SetScheduler(sched)
-	}
-	tracer := progmp.NewTracer(sc.ringCap)
+func replay(sc *scenario.Scenario, ringCap int) (*progmp.Tracer, *progmp.Metrics, error) {
+	tracer := progmp.NewTracer(ringCap)
 	reg := progmp.NewMetrics()
-	conn.Instrument(tracer, reg)
-	if sc.reg1 != 0 {
-		conn.SetRegister(progmp.R1, sc.reg1)
+	w := sc.NewWorld()
+	conn, err := sc.Dial(w, tracer, reg)
+	if err != nil {
+		return nil, nil, err
 	}
-	net.At(0, func() { conn.SendWithIntent(sc.send, sc.prop) })
-	net.Run(sc.duration)
+	w.Net.At(0, func() { conn.SendWithIntent(sc.Send, sc.Prop) })
+	w.Net.Run(sc.Duration)
 	return tracer, reg, nil
 }
 
@@ -313,10 +219,7 @@ func writeSummary(w io.Writer, events []progmp.TraceEvent, dropped uint64) error
 // fleet-aggregated metrics (metrics-agg verb) — totals, hot-path
 // latency quantiles, control-plane self-metrics.
 func runTop(addr string, interval time.Duration, count int) error {
-	network := "unix"
-	if !strings.Contains(addr, "/") && strings.Contains(addr, ":") {
-		network = "tcp"
-	}
+	network := ctl.NetworkOf(addr)
 	c, err := ctl.Dial(network, addr)
 	if err != nil {
 		return fmt.Errorf("connecting to %s://%s: %w", network, addr, err)

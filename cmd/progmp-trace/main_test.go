@@ -8,17 +8,18 @@ import (
 	"time"
 
 	"progmp"
+	"progmp/cmd/internal/scenario"
 	"progmp/internal/obs"
 )
 
-func twoPathScenario(scheduler string) scenario {
-	return scenario{
-		scheduler: scheduler,
-		backend:   "vm",
-		send:      1 << 18,
-		seed:      7,
-		duration:  60 * time.Second,
-		paths: []progmp.Path{
+func twoPathScenario(scheduler string) *scenario.Scenario {
+	return &scenario.Scenario{
+		Scheduler: scheduler,
+		Backend:   "vm",
+		Send:      1 << 18,
+		Seed:      7,
+		Duration:  60 * time.Second,
+		Paths: []progmp.Path{
 			{Name: "wifi", RateBps: 3e6, OneWayDelay: 5 * time.Millisecond},
 			{Name: "lte", RateBps: 8e6, OneWayDelay: 20 * time.Millisecond},
 		},
@@ -31,7 +32,7 @@ func twoPathScenario(scheduler string) scenario {
 // its exec id — to a scheduler execution event in the trace.
 func TestEveryTransmissionAttributable(t *testing.T) {
 	sc := twoPathScenario("minRTT")
-	tracer, _, err := replay(sc)
+	tracer, _, err := replay(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestEveryTransmissionAttributable(t *testing.T) {
 	// Every enqueued segment must have been transmitted (the transfer
 	// completes in 60 virtual seconds) and hence appear as a PUSH.
 	mss := 1460
-	segments := (sc.send + mss - 1) / mss
+	segments := (sc.Send + mss - 1) / mss
 	for seq := 0; seq < segments; seq++ {
 		if !pushedSeqs[int64(seq)] {
 			t.Fatalf("segment %d was never pushed (have %d pushed seqs)", seq, len(pushedSeqs))
@@ -89,7 +90,7 @@ func TestEveryTransmissionAttributable(t *testing.T) {
 // TestRedundantUsesBothSubflows checks that subflow choice is visible
 // in the trace: the redundant scheduler transmits on both paths.
 func TestRedundantUsesBothSubflows(t *testing.T) {
-	tracer, _, err := replay(twoPathScenario("redundant"))
+	tracer, _, err := replay(twoPathScenario("redundant"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRedundantUsesBothSubflows(t *testing.T) {
 // TestSummaryReportsFullAttribution checks the human-readable summary
 // agrees with the acceptance property.
 func TestSummaryReportsFullAttribution(t *testing.T) {
-	tracer, _, err := replay(twoPathScenario("minRTT"))
+	tracer, _, err := replay(twoPathScenario("minRTT"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSummaryReportsFullAttribution(t *testing.T) {
 
 // TestFilterKinds checks the -kinds filter keeps only requested events.
 func TestFilterKinds(t *testing.T) {
-	tracer, _, err := replay(twoPathScenario("minRTT"))
+	tracer, _, err := replay(twoPathScenario("minRTT"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,15 +83,11 @@ func main() {
 }
 
 func run(addr string, connID int, force bool, timeout time.Duration, retries int, args []string) error {
-	network := "unix"
-	if !strings.Contains(addr, "/") && strings.Contains(addr, ":") {
-		network = "tcp"
-	}
 	// The reconnecting client: per-verb deadlines, retry of read-only
 	// verbs across reconnects, circuit breaker when the server stays
 	// down. It dials lazily, so connection errors surface on the call.
 	c := ctl.DialRetry(ctl.RetryOptions{
-		Network:     network,
+		Network:     ctl.NetworkOf(addr),
 		Addr:        addr,
 		CallTimeout: timeout,
 		MaxAttempts: retries,

@@ -68,7 +68,7 @@ func main() {
 // (intent 0) on a lossy network and reports p95 delivery latencies.
 func measure(name, src string) (prioP95, bulkP95 time.Duration, wire int64, err error) {
 	net := progmp.NewNetwork(9)
-	conn, err := net.Dial(progmp.ConnConfig{UncoupledReno: true},
+	conn, err := net.Dial(progmp.ConnConfig{CongestionControl: "reno"},
 		progmp.Path{Name: "p1", RateBps: 2e6, OneWayDelay: 10 * time.Millisecond, LossProb: 0.02},
 		progmp.Path{Name: "p2", RateBps: 2e6, OneWayDelay: 20 * time.Millisecond, LossProb: 0.02},
 	)

@@ -53,6 +53,21 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
+// ParseBackend is the inverse of Backend.String: it resolves a
+// back-end name as every CLI flag and the control protocol spell it
+// ("interp" is the protocol's short form of "interpreter").
+func ParseBackend(name string) (Backend, error) {
+	switch name {
+	case "interpreter", "interp":
+		return BackendInterpreter, nil
+	case "compiled":
+		return BackendCompiled, nil
+	case "vm":
+		return BackendVM, nil
+	}
+	return 0, fmt.Errorf("unknown backend %q (vm, compiled, interpreter)", name)
+}
+
 // Stats are cumulative execution statistics, the analogue of the
 // paper's proc-based debugging and performance interface. They are a
 // snapshot view over the scheduler's metrics registry (package obs),

@@ -234,3 +234,23 @@ func TestLoadRejectsCheckerErrors(t *testing.T) {
 		t.Fatal("Load accepted a program with an undeclared identifier")
 	}
 }
+
+// ParseBackend is the inverse of Backend.String for every back-end,
+// also takes the control protocol's short "interp", and refuses the
+// rest (including String's rendering of an out-of-range value).
+func TestParseBackendRoundTrip(t *testing.T) {
+	for _, be := range []Backend{BackendInterpreter, BackendCompiled, BackendVM} {
+		got, err := ParseBackend(be.String())
+		if err != nil || got != be {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", be.String(), got, err, be)
+		}
+	}
+	if got, err := ParseBackend("interp"); err != nil || got != BackendInterpreter {
+		t.Errorf(`ParseBackend("interp") = %v, %v; want interpreter`, got, err)
+	}
+	for _, name := range []string{"", "VM", "native", Backend(7).String()} {
+		if _, err := ParseBackend(name); err == nil {
+			t.Errorf("ParseBackend(%q) accepted an unknown back-end", name)
+		}
+	}
+}

@@ -40,6 +40,16 @@ type Client struct {
 	done    chan struct{}
 }
 
+// NetworkOf names the transport a control-plane address selects, as
+// every CLI's address flag spells it: host:port is "tcp", anything with
+// a slash (or no colon) is a "unix" socket path.
+func NetworkOf(addr string) string {
+	if !strings.Contains(addr, "/") && strings.Contains(addr, ":") {
+		return "tcp"
+	}
+	return "unix"
+}
+
 // Dial connects to a control-plane server ("unix" + socket path, or
 // "tcp" + host:port).
 func Dial(network, addr string) (*Client, error) {

@@ -160,6 +160,16 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if cr.Name != "redundant" || cr.Backend != "vm" || cr.MemoryBytes <= 0 {
 		t.Fatalf("unexpected compile result: %+v", cr)
 	}
+	// The protocol's backend dialect: omitted means vm (above), and
+	// both spellings of the interpreter are accepted.
+	for be, want := range map[string]string{"interp": "interpreter", "interpreter": "interpreter", "compiled": "compiled", "vm": "vm"} {
+		if cr, err := c.Compile("redundant", "", be); err != nil || cr.Backend != want {
+			t.Fatalf("Compile(backend %q) = %+v, %v; want backend %q", be, cr, err, want)
+		}
+	}
+	if _, err := c.Compile("redundant", "", "jit"); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+		t.Fatalf("Compile(backend jit) error = %v, want unknown backend", err)
+	}
 	if _, err := c.Compile("", "SCHEDULER broken; garbage(", ""); err == nil {
 		t.Fatalf("compiling garbage should fail")
 	}

@@ -13,6 +13,7 @@ import (
 
 	"progmp"
 	"progmp/internal/analysis"
+	"progmp/internal/core"
 	"progmp/internal/obs"
 )
 
@@ -570,9 +571,12 @@ func (se *session) resolveProgram(req Request) (*progmp.Scheduler, string, error
 	} else if name == "" {
 		name = "adhoc"
 	}
-	backend, err := parseBackend(req.Backend)
-	if err != nil {
-		return nil, src, err
+	backend := core.BackendVM // an omitted backend means the default
+	if req.Backend != "" {
+		var err error
+		if backend, err = core.ParseBackend(req.Backend); err != nil {
+			return nil, src, err
+		}
 	}
 	prog, err := progmp.LoadSchedulerBackend(name, src, backend)
 	return prog, src, err
@@ -596,19 +600,6 @@ func rejectDiags(src string, err error) []analysis.Diagnostic {
 		return nil
 	}
 	return rep.Diagnostics
-}
-
-func parseBackend(s string) (progmp.Backend, error) {
-	switch s {
-	case "", "vm":
-		return progmp.BackendVM, nil
-	case "compiled":
-		return progmp.BackendCompiled, nil
-	case "interp", "interpreter":
-		return progmp.BackendInterpreter, nil
-	default:
-		return 0, fmt.Errorf("unknown backend %q (vm, compiled, interpreter)", s)
-	}
 }
 
 // fleetRefusal returns the refusal error when the resolved program is

@@ -44,9 +44,9 @@ func CompensationSweep(backend core.Backend, ratios []float64, runs int) ([]Comp
 			var sumWire float64
 			completed := 0
 			for run := 0; run < runs; run++ {
-				paths := []PathSpec{
-					{Name: "fast", Rate: netsim.ConstantRate(8e6), Delay: fastOneWay},
-					{Name: "slow", Rate: netsim.ConstantRate(8e6), Delay: time.Duration(float64(fastOneWay) * ratio)},
+				paths := []mptcp.SubflowSpec{
+					{Path: netsim.PathConfig{Name: "fast", Rate: netsim.ConstantRate(8e6), Delay: fastOneWay}},
+					{Path: netsim.PathConfig{Name: "slow", Rate: netsim.ConstantRate(8e6), Delay: time.Duration(float64(fastOneWay) * ratio)}},
 				}
 				s, err := NewScenario(int64(run*37+5), mptcp.Config{}, backend, scheduler, paths...)
 				if err != nil {

@@ -57,41 +57,34 @@ func Fairness(ccName string, backend core.Backend, seed int64) (FairnessResult, 
 		// grower instead.
 		RED: &netsim.REDConfig{MinBytes: 12 << 10, MaxBytes: 56 << 10, MaxP: 0.15},
 	})
-	accessLink := func(name string) *netsim.Link {
-		return netsim.NewLink(eng, netsim.PathConfig{
+	access := func(name string) mptcp.SubflowSpec {
+		return mptcp.SubflowSpec{Path: netsim.PathConfig{
 			Name:  name,
 			Rate:  netsim.ConstantRate(125e6),
 			Delay: time.Millisecond,
 			Next:  bottleneck,
-		})
+		}}
 	}
-	sched := func() (mptcp.Scheduler, error) {
-		return core.Load("minRTT", schedlib.MinRTT, backend)
-	}
-
-	mp := mptcp.NewConn(eng, mptcp.Config{CC: cc})
-	for i := 0; i < 2; i++ {
-		if _, err := mp.AddSubflow(mptcp.SubflowConfig{
-			Name: fmt.Sprintf("mp%d", i), Link: accessLink(fmt.Sprintf("mp%d", i)),
-		}); err != nil {
-			return FairnessResult{}, err
+	dial := func(cc mptcp.CongestionControl, paths ...mptcp.SubflowSpec) (*mptcp.Conn, error) {
+		conn, err := mptcp.Dial(eng, mptcp.Config{CC: cc}, paths...)
+		if err != nil {
+			return nil, err
 		}
+		sched, err := core.Load("minRTT", schedlib.MinRTT, backend)
+		if err != nil {
+			return nil, err
+		}
+		conn.SetScheduler(sched)
+		return conn, nil
 	}
-	mpSched, err := sched()
+	mp, err := dial(cc, access("mp0"), access("mp1"))
 	if err != nil {
 		return FairnessResult{}, err
 	}
-	mp.SetScheduler(mpSched)
-
-	tcp := mptcp.NewConn(eng, mptcp.Config{CC: mptcp.Reno{}})
-	if _, err := tcp.AddSubflow(mptcp.SubflowConfig{Name: "tcp", Link: accessLink("tcp")}); err != nil {
-		return FairnessResult{}, err
-	}
-	tcpSched, err := sched()
+	tcp, err := dial(mptcp.Reno{}, access("tcp"))
 	if err != nil {
 		return FairnessResult{}, err
 	}
-	tcp.SetScheduler(tcpSched)
 
 	var mpBytes, tcpBytes int64
 	const warmup = 5 * time.Second

@@ -39,12 +39,12 @@ func HTTP2Sweep(backend core.Backend, extraDelays []time.Duration, seed int64) (
 	page := http2sim.DefaultPage()
 	for _, scheduler := range HTTP2Schedulers {
 		for _, extra := range extraDelays {
-			paths := []PathSpec{
-				{Name: "wifi", Rate: netsim.ConstantRate(3e6), Delay: 5*time.Millisecond + extra/2},
+			paths := []mptcp.SubflowSpec{
+				{Path: netsim.PathConfig{Name: "wifi", Rate: netsim.ConstantRate(3e6), Delay: 5*time.Millisecond + extra/2}},
 				// The preference flag is consumed only by the
 				// preference-aware scheduler; the default baseline
 				// runs with both subflows active.
-				{Name: "lte", Rate: netsim.ConstantRate(6e6), Delay: 20 * time.Millisecond, Backup: scheduler != "minRTT"},
+				{Path: netsim.PathConfig{Name: "lte", Rate: netsim.ConstantRate(6e6), Delay: 20 * time.Millisecond}, Backup: scheduler != "minRTT"},
 			}
 			s, err := NewScenario(seed, mptcp.Config{}, backend, scheduler, paths...)
 			if err != nil {

@@ -28,9 +28,9 @@ type OpportunisticResult struct {
 // window-blocked data, with it the blocking packets are duplicated
 // onto the fast path.
 func Opportunistic(scheduler string, backend core.Backend, seed int64) (OpportunisticResult, error) {
-	paths := []PathSpec{
-		{Name: "fast", Rate: netsim.ConstantRate(4e6), Delay: 5 * time.Millisecond},
-		{Name: "slow", Rate: netsim.ConstantRate(4e6), Delay: 120 * time.Millisecond},
+	paths := []mptcp.SubflowSpec{
+		{Path: netsim.PathConfig{Name: "fast", Rate: netsim.ConstantRate(4e6), Delay: 5 * time.Millisecond}},
+		{Path: netsim.PathConfig{Name: "slow", Rate: netsim.ConstantRate(4e6), Delay: 120 * time.Millisecond}},
 	}
 	// 32 KiB receive buffer ≈ 22 segments: far below the slow path's
 	// bandwidth-delay product, so window blocking dominates.

@@ -52,22 +52,21 @@ func overheadEnv(subflows int) *runtime.Env {
 
 // schedulerFor returns the default scheduler on the requested back-end.
 func schedulerFor(backend string) (mptcp.Scheduler, error) {
-	switch backend {
-	case "native":
+	if backend == "native" {
 		return sched.MinRTT{}, nil
-	case "interpreter":
-		return core.Load("minRTT", schedlib.MinRTT, core.BackendInterpreter)
-	case "compiled":
-		return core.Load("minRTT", schedlib.MinRTT, core.BackendCompiled)
-	case "vm":
-		s, err := core.Load("minRTT", schedlib.MinRTT, core.BackendVM)
-		if err != nil {
-			return nil, err
-		}
-		s.SetSynchronousSpecialization(true)
-		return s, nil
 	}
-	return nil, fmt.Errorf("experiments: unknown backend %q", backend)
+	be, err := core.ParseBackend(backend)
+	if err != nil {
+		return nil, err
+	}
+	s, err := core.Load("minRTT", schedlib.MinRTT, be)
+	if err != nil {
+		return nil, err
+	}
+	if be == core.BackendVM {
+		s.SetSynchronousSpecialization(true)
+	}
+	return s, nil
 }
 
 // ExecutionOverhead reproduces Fig. 9 top: per-execution times of the
@@ -141,8 +140,8 @@ func ThroughputParity(seed int64) ([]ThroughputParityResult, error) {
 			return nil, err
 		}
 		scn, err := NewScenarioWith(seed, mptcp.Config{}, s,
-			PathSpec{Name: "p1", Rate: netsim.ConstantRate(4e6), Delay: 10 * time.Millisecond},
-			PathSpec{Name: "p2", Rate: netsim.ConstantRate(4e6), Delay: 15 * time.Millisecond},
+			mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p1", Rate: netsim.ConstantRate(4e6), Delay: 10 * time.Millisecond}},
+			mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p2", Rate: netsim.ConstantRate(4e6), Delay: 15 * time.Millisecond}},
 		)
 		if err != nil {
 			return nil, err

@@ -39,9 +39,9 @@ func Probing(scheduler string, backend core.Backend, seed int64) (ProbingResult,
 		}
 		return 15 * time.Millisecond
 	}
-	paths := []PathSpec{
-		{Name: "a", Rate: netsim.ConstantRate(4e6), Delay: 10 * time.Millisecond},
-		{Name: "b", Rate: netsim.ConstantRate(4e6), DelayFn: pathBDelay},
+	paths := []mptcp.SubflowSpec{
+		{Path: netsim.PathConfig{Name: "a", Rate: netsim.ConstantRate(4e6), Delay: 10 * time.Millisecond}},
+		{Path: netsim.PathConfig{Name: "b", Rate: netsim.ConstantRate(4e6), DelayFn: pathBDelay}},
 	}
 	s, err := NewScenario(seed, mptcp.Config{}, backend, scheduler, paths...)
 	if err != nil {

@@ -36,8 +36,8 @@ func ReceiverComparison(backend core.Backend, seed int64) ([]ReceiverResult, err
 		var held int64
 		for run := int64(0); run < runs; run++ {
 			s, err := NewScenario(seed+run*131, mptcp.Config{ReceiverMode: mode}, backend, "minRTT",
-				PathSpec{Name: "p1", Rate: netsim.ConstantRate(2e6), Delay: 10 * time.Millisecond, Loss: 0.03},
-				PathSpec{Name: "p2", Rate: netsim.ConstantRate(2e6), Delay: 25 * time.Millisecond, Loss: 0.03},
+				mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p1", Rate: netsim.ConstantRate(2e6), Delay: 10 * time.Millisecond, Loss: netsim.BernoulliLoss{P: 0.03}}},
+				mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p2", Rate: netsim.ConstantRate(2e6), Delay: 25 * time.Millisecond, Loss: netsim.BernoulliLoss{P: 0.03}}},
 			)
 			if err != nil {
 				return nil, err

@@ -17,10 +17,10 @@ var RedundancySchedulers = []string{
 
 // lossyPaths reproduces the Fig. 10b Mininet setup: two subflows with
 // 2% loss each, moderately heterogeneous RTTs.
-func lossyPaths(lossPct float64) []PathSpec {
-	return []PathSpec{
-		{Name: "p1", Rate: netsim.ConstantRate(2e6), Delay: 10 * time.Millisecond, Loss: lossPct},
-		{Name: "p2", Rate: netsim.ConstantRate(2e6), Delay: 20 * time.Millisecond, Loss: lossPct},
+func lossyPaths(lossPct float64) []mptcp.SubflowSpec {
+	return []mptcp.SubflowSpec{
+		{Path: netsim.PathConfig{Name: "p1", Rate: netsim.ConstantRate(2e6), Delay: 10 * time.Millisecond, Loss: netsim.BernoulliLoss{P: lossPct}}},
+		{Path: netsim.PathConfig{Name: "p2", Rate: netsim.ConstantRate(2e6), Delay: 20 * time.Millisecond, Loss: netsim.BernoulliLoss{P: lossPct}}},
 	}
 }
 
@@ -126,7 +126,7 @@ func RedundancyThroughput(backend core.Backend, schedulers []string, seed int64)
 	paths := lossyPaths(0.02)
 	const duration = 10 * time.Second
 
-	goodput := func(scheduler string, pathSubset []PathSpec, bursty bool) (float64, error) {
+	goodput := func(scheduler string, pathSubset []mptcp.SubflowSpec, bursty bool) (float64, error) {
 		s, err := NewScenario(seed, mptcp.Config{CC: mptcp.Reno{}}, backend, scheduler, pathSubset...)
 		if err != nil {
 			return 0, err
@@ -163,7 +163,7 @@ func RedundancyThroughput(backend core.Backend, schedulers []string, seed int64)
 	// scheduler.
 	var singleBest float64
 	for _, p := range paths {
-		g, err := goodput("minRTT", []PathSpec{p}, false)
+		g, err := goodput("minRTT", []mptcp.SubflowSpec{p}, false)
 		if err != nil {
 			return nil, err
 		}

@@ -16,26 +16,16 @@ import (
 	"progmp/internal/schedlib"
 )
 
-// PathSpec describes one simulated path of a scenario.
-type PathSpec struct {
-	Name    string
-	Rate    netsim.RateFunc
-	Delay   time.Duration
-	DelayFn func(time.Duration) time.Duration
-	Loss    float64
-	Backup  bool
-}
-
-// Scenario wires an engine, a connection and its subflows.
+// Scenario is one connection's world: its engine and the connection
+// dialed on it.
 type Scenario struct {
-	Eng   *netsim.Engine
-	Conn  *mptcp.Conn
-	Links []*netsim.Link
+	Eng  *netsim.Engine
+	Conn *mptcp.Conn
 }
 
 // NewScenario builds a connection over the given paths with the named
 // schedlib scheduler.
-func NewScenario(seed int64, cfg mptcp.Config, backend core.Backend, scheduler string, paths ...PathSpec) (*Scenario, error) {
+func NewScenario(seed int64, cfg mptcp.Config, backend core.Backend, scheduler string, paths ...mptcp.SubflowSpec) (*Scenario, error) {
 	src, ok := schedlib.All[scheduler]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scheduler %q", scheduler)
@@ -49,50 +39,34 @@ func NewScenario(seed int64, cfg mptcp.Config, backend core.Backend, scheduler s
 
 // NewScenarioWith builds a scenario around an already-loaded scheduler
 // (any mptcp.Scheduler, including native ones).
-func NewScenarioWith(seed int64, cfg mptcp.Config, sched mptcp.Scheduler, paths ...PathSpec) (*Scenario, error) {
+func NewScenarioWith(seed int64, cfg mptcp.Config, sched mptcp.Scheduler, paths ...mptcp.SubflowSpec) (*Scenario, error) {
 	eng := netsim.NewEngine(seed)
-	conn := mptcp.NewConn(eng, cfg)
-	s := &Scenario{Eng: eng, Conn: conn}
-	for _, p := range paths {
-		var loss netsim.LossModel
-		if p.Loss > 0 {
-			loss = netsim.BernoulliLoss{P: p.Loss}
-		}
-		link := netsim.NewLink(eng, netsim.PathConfig{
-			Name:    p.Name,
-			Rate:    p.Rate,
-			Delay:   p.Delay,
-			DelayFn: p.DelayFn,
-			Loss:    loss,
-		})
-		s.Links = append(s.Links, link)
-		if _, err := conn.AddSubflow(mptcp.SubflowConfig{Name: p.Name, Link: link, Backup: p.Backup}); err != nil {
-			return nil, err
-		}
+	conn, err := mptcp.Dial(eng, cfg, paths...)
+	if err != nil {
+		return nil, err
 	}
 	conn.SetScheduler(sched)
-	return s, nil
+	return &Scenario{Eng: eng, Conn: conn}, nil
 }
 
 // WiFi returns the canonical WiFi path of the motivation setup
 // (Fig. 1): ~3 MB/s fluctuating capacity, 5 ms one-way (≈10 ms RTT).
-func WiFi() PathSpec {
-	return PathSpec{
+func WiFi() mptcp.SubflowSpec {
+	return mptcp.SubflowSpec{Path: netsim.PathConfig{
 		Name:  "wifi",
 		Rate:  netsim.FluctuatingRate(3e6, 0.7e6, 2*time.Second, 1.2e6),
 		Delay: 5 * time.Millisecond,
-	}
+	}}
 }
 
 // LTE returns the canonical LTE path: 8 MB/s, 20 ms one-way
 // (≈40 ms RTT). The backup flag marks it non-preferred (metered).
-func LTE(backup bool) PathSpec {
-	return PathSpec{
-		Name:   "lte",
-		Rate:   netsim.ConstantRate(8e6),
-		Delay:  20 * time.Millisecond,
-		Backup: backup,
-	}
+func LTE(backup bool) mptcp.SubflowSpec {
+	return mptcp.SubflowSpec{Path: netsim.PathConfig{
+		Name:  "lte",
+		Rate:  netsim.ConstantRate(8e6),
+		Delay: 20 * time.Millisecond,
+	}, Backup: backup}
 }
 
 // flowWarmup lets both handshakes complete before a short flow starts,

@@ -193,14 +193,14 @@ type HandoverResult struct {
 func Handover(scheduler string, backend core.Backend, seed int64) (HandoverResult, error) {
 	// The collapse happens early so the bulk transfer spans it.
 	wifiDown := 500 * time.Millisecond
-	wifi := PathSpec{
+	wifi := mptcp.SubflowSpec{Path: netsim.PathConfig{
 		Name: "wifi",
 		Rate: netsim.SteppedRate(
 			netsim.Step{From: 0, Rate: 3e6},
 			netsim.Step{From: wifiDown, Rate: 0}, // association lost
 		),
 		Delay: 5 * time.Millisecond,
-	}
+	}}
 	s, err := NewScenario(seed, mptcp.Config{}, backend, scheduler, wifi, LTE(false))
 	if err != nil {
 		return HandoverResult{}, err

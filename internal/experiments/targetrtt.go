@@ -36,9 +36,9 @@ func TargetRTT(scheduler string, backend core.Backend, seed int64) (TargetRTTRes
 		}
 		return 10 * time.Millisecond
 	}
-	paths := []PathSpec{
-		{Name: "wifi", Rate: netsim.ConstantRate(3e6), DelayFn: wifiDelay},
-		{Name: "lte", Rate: netsim.ConstantRate(6e6), Delay: 20 * time.Millisecond, Backup: true},
+	paths := []mptcp.SubflowSpec{
+		{Path: netsim.PathConfig{Name: "wifi", Rate: netsim.ConstantRate(3e6), DelayFn: wifiDelay}},
+		{Path: netsim.PathConfig{Name: "lte", Rate: netsim.ConstantRate(6e6), Delay: 20 * time.Millisecond}, Backup: true},
 	}
 	s, err := NewScenario(seed, mptcp.Config{}, backend, scheduler, paths...)
 	if err != nil {

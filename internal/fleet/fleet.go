@@ -245,12 +245,7 @@ func Run(cfg Config) (Result, error) {
 	for _, sh := range shards {
 		res.EvictedDests += sh.evicted
 		for _, fc := range sh.conns {
-			sum := ConnSummary{
-				Delivered: fc.conn.Receiver().DeliveredBytes,
-				Segments:  fc.conn.Receiver().DeliveredSegments,
-				Bursts:    fc.bursts,
-				Acked:     fc.conn.AllAcked(),
-			}
+			sum := fc.summary()
 			res.PerConn[fc.idx] = sum
 			res.DeliveredBytes += sum.Delivered
 			res.Bursts += int64(sum.Bursts)
@@ -310,6 +305,18 @@ type fleetConn struct {
 	retired    bool
 }
 
+// summary is the connection's end-of-run accounting; it reads only
+// the world, so it is the same whether a shard or a lone RunUntil drove
+// the engine.
+func (fc *fleetConn) summary() ConnSummary {
+	return ConnSummary{
+		Delivered: fc.conn.Receiver().DeliveredBytes,
+		Segments:  fc.conn.Receiver().DeliveredSegments,
+		Bursts:    fc.bursts,
+		Acked:     fc.conn.AllAcked(),
+	}
+}
+
 // connSeed derives the connection's private seed from the fleet seed
 // and the connection index alone, so shard assignment can never alter
 // a trajectory.
@@ -331,9 +338,6 @@ func buildConn(cfg *Config, idx int, sh *shard) (*fleetConn, error) {
 	eng := netsim.NewEngineCompact(connSeed(cfg.Seed, idx))
 	eng.Instrument(sh.reg)
 	fc := &fleetConn{idx: idx, eng: eng}
-	conn := mptcp.NewConn(eng, mptcp.Config{Store: cfg.Store})
-	fc.conn = conn
-
 	var loss netsim.LossModel
 	if cfg.LossProb > 0 {
 		loss = netsim.BernoulliLoss{P: cfg.LossProb}
@@ -344,18 +348,17 @@ func buildConn(cfg *Config, idx int, sh *shard) (*fleetConn, error) {
 		wifiName = fmt.Sprintf("wifi.g%d", g)
 		lteName = fmt.Sprintf("lte.g%d", g)
 	}
-	wifi := netsim.NewLink(eng, netsim.PathConfig{
-		Name: wifiName, Rate: netsim.ConstantRate(3e6), Delay: 5 * time.Millisecond,
-	})
-	lte := netsim.NewLink(eng, netsim.PathConfig{
-		Name: lteName, Rate: netsim.ConstantRate(8e6), Delay: 20 * time.Millisecond, Loss: loss,
-	})
-	if _, err := conn.AddSubflow(mptcp.SubflowConfig{Name: wifiName, Link: wifi}); err != nil {
+	conn, err := mptcp.Dial(eng, mptcp.Config{Store: cfg.Store},
+		mptcp.SubflowSpec{Path: netsim.PathConfig{
+			Name: wifiName, Rate: netsim.ConstantRate(3e6), Delay: 5 * time.Millisecond,
+		}},
+		mptcp.SubflowSpec{Path: netsim.PathConfig{
+			Name: lteName, Rate: netsim.ConstantRate(8e6), Delay: 20 * time.Millisecond, Loss: loss,
+		}, Backup: true})
+	if err != nil {
 		return nil, err
 	}
-	if _, err := conn.AddSubflow(mptcp.SubflowConfig{Name: lteName, Link: lte, Backup: true}); err != nil {
-		return nil, err
-	}
+	fc.conn = conn
 
 	if cfg.Guard {
 		sup := guard.New(sh.sched, guard.Config{

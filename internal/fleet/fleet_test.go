@@ -254,3 +254,46 @@ func TestViolationReportShardOrderInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestWorldStandaloneEqualsFleet pins the seam a one-connection replay
+// stands on: a connection's world is a function of (config, index)
+// alone, so connection idx rebuilt by itself with the fleet's own
+// builder and driven by one plain RunUntil — no wheel, no slices, no
+// neighbours — ends exactly where the sharded run left it.
+func TestWorldStandaloneEqualsFleet(t *testing.T) {
+	cfg := Config{
+		Conns:        64,
+		Shards:       2,
+		Seed:         7,
+		Duration:     800 * time.Millisecond,
+		SendBytes:    16 << 10,
+		Think:        60 * time.Millisecond,
+		LossProb:     0.02, // exercise the per-connection rng
+		NewScheduler: vmScheduler(t, "minRTT"),
+		Program:      "minRTT",
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{0, 17, 63} {
+		sched, err := cfg.NewScheduler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, err := buildConn(&cfg, idx, newShard(0, &cfg, sched))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc.eng.RunUntil(cfg.Duration)
+		if got := fc.summary(); got != res.PerConn[idx] {
+			t.Errorf("conn %d standalone %+v, in the fleet %+v", idx, got, res.PerConn[idx])
+		}
+		if res.PerConn[idx].Delivered == 0 {
+			t.Errorf("conn %d delivered nothing; the comparison is vacuous", idx)
+		}
+	}
+}

@@ -16,13 +16,6 @@ import (
 // conservation checker attached, so every run asserts the model's core
 // robustness claim — faults make a connection slow, never incorrect.
 
-// SubflowSpec is one subflow of a chaos scenario.
-type SubflowSpec struct {
-	Path    netsim.PathConfig
-	Backup  bool
-	StartAt time.Duration
-}
-
 // ChaosScenario is one reproducible fault pattern. Paths is a builder,
 // not a value, because loss models carry state (Gilbert-Elliott) and
 // every run needs a fresh instance.
@@ -73,35 +66,16 @@ func RunChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResu
 		horizon = 300 * time.Second
 	}
 
-	eng := netsim.NewEngine(seed)
-	conn := NewConn(eng, Config{})
-	for i, spec := range sc.Paths() {
-		link := netsim.NewLink(eng, spec.Path)
-		name := spec.Path.Name
-		if name == "" {
-			name = fmt.Sprintf("p%d", i)
-		}
-		if _, err := conn.AddSubflow(SubflowConfig{
-			Name:    name,
-			Link:    link,
-			Backup:  spec.Backup,
-			StartAt: spec.StartAt,
-		}); err != nil {
-			return res, err
-		}
-	}
+	specs := sc.Paths()
 	if sc.Revive != nil {
 		spec := sc.Revive()
 		spec.StartAt = sc.ReviveAt
-		link := netsim.NewLink(eng, spec.Path)
-		if _, err := conn.AddSubflow(SubflowConfig{
-			Name:    spec.Path.Name,
-			Link:    link,
-			Backup:  spec.Backup,
-			StartAt: spec.StartAt,
-		}); err != nil {
-			return res, err
-		}
+		specs = append(specs, spec)
+	}
+	eng := netsim.NewEngine(seed)
+	conn, err := Dial(eng, Config{}, specs...)
+	if err != nil {
+		return res, err
 	}
 	var s Scheduler
 	if schedFn != nil {

@@ -35,6 +35,35 @@ type SubflowConfig struct {
 	InitialCwnd float64
 }
 
+// SubflowSpec describes one subflow of a connection's world: the path
+// it runs over and how the path manager brings it up.
+type SubflowSpec struct {
+	Path    netsim.PathConfig
+	Backup  bool
+	StartAt time.Duration
+}
+
+// Dial builds a connection's world on eng: the connection, then per
+// spec — in order — a link and the subflow over it, named after the
+// path. It is the one place a world is wired. The order is part of the
+// determinism contract: NewLink neither draws randomness nor schedules
+// events, AddSubflow schedules the establish event, so equal specs on
+// an equally seeded engine reproduce a trajectory exactly.
+func Dial(eng *netsim.Engine, cfg Config, specs ...SubflowSpec) (*Conn, error) {
+	conn := NewConn(eng, cfg)
+	for _, sp := range specs {
+		if _, err := conn.AddSubflow(SubflowConfig{
+			Name:    sp.Path.Name,
+			Link:    netsim.NewLink(eng, sp.Path),
+			Backup:  sp.Backup,
+			StartAt: sp.StartAt,
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return conn, nil
+}
+
 // dupThresh is the FACK-style reordering threshold: a segment is
 // deemed lost once three segments above it have been SACKed.
 const dupThresh = 3

@@ -164,10 +164,9 @@ type Path struct {
 type ConnConfig struct {
 	MSS            int
 	RcvBuf         int
-	UncoupledReno  bool // use per-subflow Reno instead of coupled LIA
 	LegacyReceiver bool // pre-§4.2 receiver behaviour
 	// CongestionControl selects the algorithm by name: "lia"
-	// (default), "olia", or "reno". It overrides UncoupledReno.
+	// (default), "olia", or "reno" (uncoupled per-subflow Reno).
 	CongestionControl string
 	// Store attaches the connection to a cross-connection shared-state
 	// store: its schedulers then read and write the shared globals
@@ -250,14 +249,9 @@ func (n *Network) Dial(cfg ConnConfig, paths ...Path) (*Conn, error) {
 		return nil, fmt.Errorf("progmp: a connection needs at least one path")
 	}
 	mcfg := mptcp.Config{MSS: cfg.MSS, RcvBuf: cfg.RcvBuf, Store: cfg.Store}
-	if cfg.UncoupledReno {
-		mcfg.CC = mptcp.Reno{}
-	}
 	switch cfg.CongestionControl {
-	case "":
-		// Keep the UncoupledReno choice or the LIA default.
-	case "lia":
-		mcfg.CC = mptcp.LIA{}
+	case "", "lia":
+		// The model's default.
 	case "olia":
 		mcfg.CC = mptcp.OLIA{}
 	case "reno":
@@ -268,34 +262,39 @@ func (n *Network) Dial(cfg ConnConfig, paths ...Path) (*Conn, error) {
 	if cfg.LegacyReceiver {
 		mcfg.ReceiverMode = mptcp.ReceiverLegacy
 	}
-	conn := mptcp.NewConn(n.eng, mcfg)
-	for _, p := range paths {
-		rate := p.RateFn
-		if rate == nil {
-			rate = netsim.ConstantRate(p.RateBps)
-		}
-		var loss netsim.LossModel
-		if p.LossProb > 0 {
-			loss = netsim.BernoulliLoss{P: p.LossProb}
-		}
-		link := netsim.NewLink(n.eng, netsim.PathConfig{
+	specs := make([]mptcp.SubflowSpec, len(paths))
+	for i, p := range paths {
+		specs[i] = p.spec()
+	}
+	conn, err := mptcp.Dial(n.eng, mcfg, specs...)
+	if err != nil {
+		return nil, err
+	}
+	return &Conn{inner: conn, net: n}, nil
+}
+
+// spec converts the public path description to the model's.
+func (p Path) spec() mptcp.SubflowSpec {
+	rate := p.RateFn
+	if rate == nil {
+		rate = netsim.ConstantRate(p.RateBps)
+	}
+	var loss netsim.LossModel
+	if p.LossProb > 0 {
+		loss = netsim.BernoulliLoss{P: p.LossProb}
+	}
+	return mptcp.SubflowSpec{
+		Path: netsim.PathConfig{
 			Name:    p.Name,
 			Rate:    rate,
 			Delay:   p.OneWayDelay,
 			DelayFn: p.DelayFn,
 			Jitter:  p.Jitter,
 			Loss:    loss,
-		})
-		if _, err := conn.AddSubflow(mptcp.SubflowConfig{
-			Name:    p.Name,
-			Link:    link,
-			Backup:  p.Backup,
-			StartAt: p.EstablishAt,
-		}); err != nil {
-			return nil, err
-		}
+		},
+		Backup:  p.Backup,
+		StartAt: p.EstablishAt,
 	}
-	return &Conn{inner: conn, net: n}, nil
 }
 
 // SetScheduler installs a loaded scheduler on the connection
