@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-run experiments fmt vet lint clean
+.PHONY: all build test test-short race fuzz cover bench bench-run experiments fmt vet lint clean
 
 all: build test
 
@@ -17,6 +17,13 @@ test-short:
 
 race:
 	$(GO) test -race -short ./...
+
+# Ten seconds of each native fuzz target (go test fuzzes one target of
+# one package at a time).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/lang/
+	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/analysis/
+	$(GO) test -run '^$$' -fuzz FuzzVerifier -fuzztime 10s ./internal/vm/
 
 cover:
 	$(GO) test -cover ./...

@@ -44,6 +44,10 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 		{"compiled", func(t *testing.T) interface{ Exec(*runtime.Env) } {
 			return core.MustLoad("minRTT", schedlib.MinRTT, core.BackendCompiled)
 		}},
+		// A filter chain that passes through a queue-typed variable.
+		{"compiled-queue-variable", func(t *testing.T) interface{ Exec(*runtime.Env) } {
+			return core.MustLoad("queueVar", queueVarSrc, core.BackendCompiled)
+		}},
 		{"vm", func(t *testing.T) interface{ Exec(*runtime.Env) } {
 			s := core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM)
 			s.SetSynchronousSpecialization(true)
@@ -80,6 +84,9 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 		})
 	}
 }
+
+const queueVarSrc = `VAR q = Q.FILTER(p => p.SIZE > 0);
+IF (!SUBFLOWS.EMPTY) { SUBFLOWS.GET(0).PUSH(q.FILTER(p => p.SEQ >= 0).TOP); }`
 
 // execAdapter gives the raw bytecode program the error-free Exec
 // signature the table expects.

@@ -27,7 +27,7 @@ type Compiled struct {
 
 // New compiles a checked program.
 func New(info *types.Info) *Compiled {
-	c := &compiler{info: info}
+	c := &compiler{info: info, queueDefs: make(map[*types.Symbol]lang.Expr)}
 	stmts := make([]stmtFn, len(info.Prog.Stmts))
 	for i, s := range info.Prog.Stmts {
 		stmts[i] = c.compileStmt(s)
@@ -70,7 +70,6 @@ type value struct {
 	pkt  *runtime.PacketView
 	sbf  *runtime.SubflowView
 	list []*runtime.SubflowView
-	q    queueVal
 }
 
 // queueVal is a (possibly filtered) queue value.
@@ -128,6 +127,8 @@ func (q queueVal) top(st *state) *runtime.PacketView {
 
 type compiler struct {
 	info *types.Info
+	// queueDefs maps queue-typed variables to their defining expression.
+	queueDefs map[*types.Symbol]lang.Expr
 }
 
 // ---- Statements ----
@@ -177,8 +178,9 @@ func (c *compiler) compileStmt(s lang.Stmt) stmtFn {
 				return false
 			}
 		case types.PacketQueue:
-			f := c.compileQueue(s.Init)
-			return func(st *state) bool { st.slots[slot] = value{q: f(st)}; return false }
+			// No run-time value: uses resolve through the definition.
+			c.queueDefs[sym] = s.Init
+			return func(*state) bool { return false }
 		}
 		panic(fmt.Sprintf("compile: VAR of type %s", sym.Type))
 	case *lang.ForeachStmt:
@@ -584,89 +586,46 @@ func (c *compiler) compileList(e lang.Expr) listFn {
 
 // ---- Queue expressions ----
 
+// compileQueue compiles a queue expression. Its base queue and filter
+// chain are known at compile time, so the predicate slice is composed
+// once and shared by all executions: no per-execution allocation.
 func (c *compiler) compileQueue(e lang.Expr) queueFn {
+	id, preds := c.resolveQueue(e)
+	return func(st *state) queueVal {
+		return queueVal{base: st.env.Queue(id), preds: preds}
+	}
+}
+
+// resolveQueue walks a queue expression to its base queue and compiled
+// filter chain (outermost last). A queue-typed variable resolves through
+// its single assignment, which is sound because predicates are pure and
+// are evaluated when the queue is scanned, not when it is named.
+func (c *compiler) resolveQueue(e lang.Expr) (runtime.QueueID, []predFn) {
 	switch e := e.(type) {
 	case *lang.EntityExpr:
-		id := e.Kind
-		return func(st *state) queueVal {
-			switch id {
-			case lang.EntityQ:
-				return queueVal{base: st.env.SendQ}
-			case lang.EntityQU:
-				return queueVal{base: st.env.UnackedQ}
-			default:
-				return queueVal{base: st.env.ReinjectQ}
-			}
+		switch e.Kind {
+		case lang.EntityQ:
+			return runtime.QueueSend, nil
+		case lang.EntityQU:
+			return runtime.QueueUnacked, nil
+		case lang.EntityRQ:
+			return runtime.QueueReinject, nil
 		}
 	case *lang.Ident:
-		slot := c.info.Uses[e].Slot
-		return func(st *state) queueVal { return st.slots[slot].q }
+		if def, ok := c.queueDefs[c.info.Uses[e]]; ok {
+			return c.resolveQueue(def)
+		}
 	case *lang.MemberExpr:
-		m := c.info.Members[e]
-		if m.Kind == types.MemberFilter {
-			inner := c.compileQueue(e.Recv)
+		if c.info.Members[e].Kind == types.MemberFilter {
+			id, chain := c.resolveQueue(e.Recv)
 			lam := e.Args[0].(*lang.Lambda)
 			slot := c.info.Defs[lam].Slot
 			body := c.compileBool(lam.Body)
-			pred := func(st *state, p *runtime.PacketView) bool {
+			return id, append(chain, func(st *state, p *runtime.PacketView) bool {
 				st.slots[slot] = value{pkt: p}
 				return body(st)
-			}
-			if staticChainPreds(c.info, e.Recv) {
-				// The receiver chain is statically known (entities and
-				// nested filters only), so the predicate slice can be
-				// composed once at compile time: zero per-execution
-				// allocations.
-				preds := c.staticPreds(e)
-				return func(st *state) queueVal {
-					qv := inner(st)
-					return queueVal{base: qv.base, preds: preds}
-				}
-			}
-			return func(st *state) queueVal {
-				qv := inner(st)
-				preds := make([]predFn, 0, len(qv.preds)+1)
-				preds = append(preds, qv.preds...)
-				preds = append(preds, pred)
-				return queueVal{base: qv.base, preds: preds}
-			}
+			})
 		}
 	}
 	panic(fmt.Sprintf("compile: unhandled queue expression %T (%s)", e, lang.FormatExpr(e)))
-}
-
-// staticChainPreds reports whether a queue expression's filter chain is
-// statically known (entities and nested filters, no variables).
-func staticChainPreds(info *types.Info, e lang.Expr) bool {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		return true
-	case *lang.MemberExpr:
-		if info.Members[e].Kind == types.MemberFilter {
-			return staticChainPreds(info, e.Recv)
-		}
-	}
-	return false
-}
-
-// staticPreds compiles a statically-known filter chain into one shared
-// predicate slice (outermost last). Each lambda is compiled exactly
-// once; the returned slice is immutable and shared by all executions.
-func (c *compiler) staticPreds(e lang.Expr) []predFn {
-	m, ok := e.(*lang.MemberExpr)
-	if !ok {
-		return nil
-	}
-	inner := c.staticPreds(m.Recv)
-	lam := m.Args[0].(*lang.Lambda)
-	slot := c.info.Defs[lam].Slot
-	body := c.compileBool(lam.Body)
-	pred := func(st *state, p *runtime.PacketView) bool {
-		st.slots[slot] = value{pkt: p}
-		return body(st)
-	}
-	out := make([]predFn, 0, len(inner)+1)
-	out = append(out, inner...)
-	out = append(out, pred)
-	return out
 }

@@ -75,6 +75,24 @@ SET(R3, small.TOP.SEQ);`)).Exec(env)
 	if env.Reg(2) != 2 {
 		t.Errorf("R3 = %d, want seq 2", env.Reg(2))
 	}
+
+	// A filter chained onto a queue variable resolves through the
+	// variable's definition at compile time; the interpreter, which
+	// carries the variable as a run-time value, must agree.
+	info := mustInfo(t, `VAR q = Q.FILTER(p => p.SIZE > R4);
+SET(R4, 55);
+SET(R1, q.FILTER(p => p.SEQ >= 1).TOP.SEQ);
+SET(R2, q.COUNT);
+SUBFLOWS.GET(0).PUSH(q.FILTER(p => p.SIZE < 100).POP());
+SET(R3, q.FILTER(p => p.SEQ >= 0).COUNT);`)
+	for seed := int64(0); seed < 50; seed++ {
+		envA, envB := diffEnvPair(seed)
+		interp.New(info).Exec(envA)
+		New(info).Exec(envB)
+		if !reflect.DeepEqual(envA.Actions, envB.Actions) || *envA.Regs != *envB.Regs {
+			t.Fatalf("seed %d: interp %v %v, compiled %v %v", seed, envA.Actions, *envA.Regs, envB.Actions, *envB.Regs)
+		}
+	}
 }
 
 // diffEnvPair builds two identical environments from the same seed so

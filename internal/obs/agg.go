@@ -74,10 +74,6 @@ func (a *Aggregator) Attach(labels Labels, reg *Registry) {
 	a.sources = next
 }
 
-// Detach removes every source backed by reg (e.g. a closed
-// connection). Safe on nil.
-func (a *Aggregator) Detach(reg *Registry) { a.Remove(reg) }
-
 // Remove deregisters every source backed by reg and reports whether
 // any source was removed. Wire it into connection teardown: a finished
 // connection whose registry stays attached keeps riding every fleet

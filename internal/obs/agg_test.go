@@ -64,19 +64,19 @@ func TestAggregatorMergeSemantics(t *testing.T) {
 		t.Fatalf("per-source counters wrong: %+v", snap.Sources)
 	}
 
-	a.Detach(r1)
+	a.Remove(r1)
 	if got := a.NumSources(); got != 1 {
-		t.Fatalf("after Detach NumSources = %d, want 1", got)
+		t.Fatalf("after Remove NumSources = %d, want 1", got)
 	}
 	if got := a.Aggregate().Counters["conn.pushes"]; got != 32 {
-		t.Fatalf("after Detach merged counter = %d, want 32", got)
+		t.Fatalf("after Remove merged counter = %d, want 32", got)
 	}
 }
 
 func TestAggregatorNilSafety(t *testing.T) {
 	var a *Aggregator
 	a.Attach(Labels{Conn: "x"}, NewRegistry())
-	a.Detach(nil)
+	a.Remove(nil)
 	if a.NumSources() != 0 {
 		t.Fatal("nil aggregator has sources")
 	}
@@ -133,7 +133,7 @@ func TestAggregateWithLiveWriters(t *testing.T) {
 		if snap.NumSources < sources {
 			t.Fatalf("aggregate saw %d sources, want >= %d", snap.NumSources, sources)
 		}
-		a.Detach(churn)
+		a.Remove(churn)
 	}
 	close(stop)
 	wg.Wait()

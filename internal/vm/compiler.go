@@ -235,57 +235,12 @@ func (c *comp) subflowCount() int {
 	return dst
 }
 
-// ---- Constant folding ----
-
-// constEval folds pure constant integer expressions at compile time.
-func (c *comp) constEval(e lang.Expr) (int64, bool) {
-	switch e := e.(type) {
-	case *lang.NumberLit:
-		return e.Val, true
-	case *lang.UnaryExpr:
-		if e.Op == lang.MINUS {
-			if v, ok := c.constEval(e.X); ok {
-				return -v, true
-			}
-		}
-	case *lang.BinaryExpr:
-		x, okx := c.constEval(e.X)
-		if !okx {
-			return 0, false
-		}
-		y, oky := c.constEval(e.Y)
-		if !oky {
-			return 0, false
-		}
-		switch e.Op {
-		case lang.PLUS:
-			return x + y, true
-		case lang.MINUS:
-			return x - y, true
-		case lang.STAR:
-			return x * y, true
-		case lang.SLASH:
-			if y == 0 {
-				return 0, true
-			}
-			return x / y, true
-		case lang.PERCENT:
-			if y == 0 {
-				return 0, true
-			}
-			return x % y, true
-		}
-	}
-	return 0, false
-}
-
 // ---- Int expressions ----
 
 func (c *comp) intExpr(e lang.Expr) int {
-	if v, ok := c.constEval(e); ok {
-		return c.imm(v)
-	}
 	switch e := e.(type) {
+	case *lang.NumberLit:
+		return c.imm(e.Val)
 	case *lang.RegExpr:
 		dst := c.newv()
 		c.emit(OpLoadReg, dst, 0, 0, int64(e.Index))
@@ -305,22 +260,7 @@ func (c *comp) intExpr(e lang.Expr) int {
 		x := c.intExpr(e.X)
 		y := c.intExpr(e.Y)
 		dst := c.newv()
-		var op Op
-		switch e.Op {
-		case lang.PLUS:
-			op = OpAdd
-		case lang.MINUS:
-			op = OpSub
-		case lang.STAR:
-			op = OpMul
-		case lang.SLASH:
-			op = OpDiv
-		case lang.PERCENT:
-			op = OpMod
-		default:
-			panic(fmt.Sprintf("vm: unhandled int binary %s", e.Op))
-		}
-		c.emit(op, dst, x, y, 0)
+		c.emit(binaryOp(e.Op), dst, x, y, 0)
 		return dst
 	case *lang.MemberExpr:
 		m := c.info.Members[e]
@@ -385,16 +325,11 @@ func (c *comp) condJumps(e lang.Expr, want bool) []int {
 			}
 			out := c.condJumps(e.X, want)
 			return append(out, c.condJumps(e.Y, want)...)
-		case lang.LT, lang.LTE, lang.GT, lang.GTE:
-			x := c.intExpr(e.X)
-			y := c.intExpr(e.Y)
-			return []int{c.emit(cmpJump(e.Op, want), 0, x, y, 0)}
-		case lang.EQ, lang.NEQ:
-			x := c.anyExpr(e.X)
-			y := c.anyExpr(e.Y)
-			op := OpJeq
-			if (e.Op == lang.EQ) != want {
-				op = OpJne
+		case lang.LT, lang.LTE, lang.GT, lang.GTE, lang.EQ, lang.NEQ:
+			x, y := c.compareOperands(e)
+			op := ops[binaryOp(e.Op)].jump
+			if !want {
+				op = ops[op].inv
 			}
 			return []int{c.emit(op, 0, x, y, 0)}
 		}
@@ -430,31 +365,45 @@ func (c *comp) condJumps(e lang.Expr, want bool) []int {
 	return []int{c.emit(OpJz, 0, v, 0, 0)}
 }
 
-// cmpJump maps an ordering comparison to the fused jump that is taken
-// when the comparison's truth equals want.
-func cmpJump(op lang.Kind, want bool) Op {
-	switch op {
+// binaryOp is the value-producing opcode of a DSL arithmetic or
+// comparison operator; a comparison's branch forms hang off its row in
+// the ISA table.
+func binaryOp(k lang.Kind) Op {
+	switch k {
+	case lang.PLUS:
+		return OpAdd
+	case lang.MINUS:
+		return OpSub
+	case lang.STAR:
+		return OpMul
+	case lang.SLASH:
+		return OpDiv
+	case lang.PERCENT:
+		return OpMod
+	case lang.EQ:
+		return OpEq
+	case lang.NEQ:
+		return OpNe
 	case lang.LT:
-		if want {
-			return OpJlt
-		}
-		return OpJge
+		return OpLt
 	case lang.LTE:
-		if want {
-			return OpJle
-		}
-		return OpJgt
+		return OpLe
 	case lang.GT:
-		if want {
-			return OpJgt
-		}
-		return OpJle
-	default: // lang.GTE
-		if want {
-			return OpJge
-		}
-		return OpJlt
+		return OpGt
+	case lang.GTE:
+		return OpGe
 	}
+	panic(fmt.Sprintf("vm: unhandled binary operator %s", k))
+}
+
+// compareOperands compiles both sides of a comparison: integers for an
+// ordering and, because all value encodings are canonical int64 handles
+// that one integer comparison tells apart, any type for an equality.
+func (c *comp) compareOperands(e *lang.BinaryExpr) (x, y int) {
+	if e.Op == lang.EQ || e.Op == lang.NEQ {
+		return c.anyExpr(e.X), c.anyExpr(e.Y)
+	}
+	return c.intExpr(e.X), c.intExpr(e.Y)
 }
 
 func (c *comp) boolExpr(e lang.Expr) int {
@@ -528,34 +477,10 @@ func (c *comp) boolBinary(e *lang.BinaryExpr) int {
 		c.emit(OpMov, dst, y, 0, 0)
 		c.patch(skip)
 		return dst
-	case lang.LT, lang.LTE, lang.GT, lang.GTE:
-		x := c.intExpr(e.X)
-		y := c.intExpr(e.Y)
+	case lang.LT, lang.LTE, lang.GT, lang.GTE, lang.EQ, lang.NEQ:
+		x, y := c.compareOperands(e)
 		dst := c.newv()
-		var op Op
-		switch e.Op {
-		case lang.LT:
-			op = OpLt
-		case lang.LTE:
-			op = OpLe
-		case lang.GT:
-			op = OpGt
-		default:
-			op = OpGe
-		}
-		c.emit(op, dst, x, y, 0)
-		return dst
-	case lang.EQ, lang.NEQ:
-		// All value encodings are canonical int64 handles, so a single
-		// integer comparison implements every equality.
-		x := c.anyExpr(e.X)
-		y := c.anyExpr(e.Y)
-		dst := c.newv()
-		if e.Op == lang.EQ {
-			c.emit(OpEq, dst, x, y, 0)
-		} else {
-			c.emit(OpNe, dst, x, y, 0)
-		}
+		c.emit(binaryOp(e.Op), dst, x, y, 0)
 		return dst
 	}
 	panic(fmt.Sprintf("vm: unhandled bool binary %s", e.Op))

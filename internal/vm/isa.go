@@ -19,9 +19,11 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"progmp/internal/obs"
+	"progmp/internal/runtime"
 )
 
 // Op is a bytecode opcode.
@@ -122,71 +124,216 @@ const (
 	OpJbc   // if (a >> b) & 1 == 0: pc += K
 	OpJbs   // if (a >> b) & 1 == 1: pc += K
 
+	// Block-entry counter that Profile plants in its private copy of a
+	// program; the compiler never emits it.
+	OpProfile // blockHits[K]++
+
 	opCount
 )
 
-var opNames = [...]string{
-	OpNop:         "nop",
-	OpMovImm:      "movimm",
-	OpMov:         "mov",
-	OpAdd:         "add",
-	OpSub:         "sub",
-	OpMul:         "mul",
-	OpDiv:         "div",
-	OpMod:         "mod",
-	OpNeg:         "neg",
-	OpNot:         "not",
-	OpEq:          "eq",
-	OpNe:          "ne",
-	OpLt:          "lt",
-	OpLe:          "le",
-	OpGt:          "gt",
-	OpGe:          "ge",
-	OpPopcnt:      "popcnt",
-	OpBitSet:      "bitset",
-	OpBitTest:     "bittest",
-	OpJmp:         "jmp",
-	OpJz:          "jz",
-	OpJnz:         "jnz",
-	OpReturn:      "return",
-	OpLoadReg:     "loadreg",
-	OpStoreReg:    "storereg",
-	OpLoadGlobal:  "loadglobal",
-	OpStoreGlobal: "storeglobal",
-	OpSbfCount:    "sbfcount",
-	OpSbfRef:      "sbfref",
-	OpSbfIntProp:  "sbfprop",
-	OpSbfBoolProp: "sbfbool",
-	OpHasWnd:      "haswnd",
-	OpPktProp:     "pktprop",
-	OpSentOn:      "senton",
-	OpQNext:       "qnext",
-	OpPktRef:      "pktref",
-	OpPop:         "pop",
-	OpPush:        "push",
-	OpDrop:        "drop",
-	OpLoadSlot:    "loadslot",
-	OpStoreSlot:   "storeslot",
-	OpJeq:         "jeq",
-	OpJne:         "jne",
-	OpJlt:         "jlt",
-	OpJle:         "jle",
-	OpJgt:         "jgt",
-	OpJge:         "jge",
-	OpJltz:        "jltz",
-	OpJlez:        "jlez",
-	OpJgtz:        "jgtz",
-	OpJgez:        "jgez",
-	OpJsbz:        "jsbz",
-	OpJsbnz:       "jsbnz",
-	OpJbc:         "jbc",
-	OpJbs:         "jbs",
+// kDomain says what an instruction's K field holds, and so which values
+// Verify admits there.
+type kDomain uint8
+
+const (
+	kUnused  kDomain = iota + 1 // ignored
+	kImm                        // any constant
+	kJump                       // offset to an instruction of the program
+	kReg                        // ProgMP register R1..R8
+	kGlobal                     // global register G1..G8
+	kSbfInt                     // subflow integer property
+	kSbfBool                    // subflow boolean property
+	kPktInt                     // packet integer property
+	kQueue                      // queue id
+	kSlot                       // spill slot
+	kBlock                      // profile block counter
+
+	kDomains
+)
+
+// kDomainNames word the verifier's range errors.
+var kDomainNames = [kDomains]string{
+	kJump: "jump target", kReg: "ProgMP register index", kGlobal: "global register index",
+	kSbfInt: "subflow property", kSbfBool: "subflow bool property", kPktInt: "packet property",
+	kQueue: "queue id", kSlot: "spill slot", kBlock: "profile block",
 }
+
+// admits reports whether k is a legal K for an instruction at pc of p.
+func (d kDomain) admits(k int64, p *Program, pc int) bool {
+	var limit int64
+	switch d {
+	case kUnused, kImm:
+		return true
+	case kJump:
+		// An offset large enough to wrap the sum wraps it negative.
+		k, limit = int64(pc)+1+k, int64(len(p.Insns))
+	case kReg:
+		limit = runtime.NumRegisters
+	case kGlobal:
+		limit = runtime.NumGlobals
+	case kSbfInt:
+		limit = int64(runtime.NumSubflowIntProps)
+	case kSbfBool:
+		limit = int64(runtime.NumSubflowBoolProps)
+	case kPktInt:
+		limit = int64(runtime.NumPacketIntProps)
+	case kQueue:
+		limit = int64(runtime.QueueReinject) + 1
+	case kSlot:
+		limit = int64(p.SpillSlots)
+	case kBlock:
+		limit = int64(len(p.blockHits))
+	}
+	return 0 <= k && k < limit
+}
+
+// shape is an instruction's operand layout: how it disassembles and
+// which of Dst/A/B name registers. The format's arguments are
+// (mnemonic, Dst, A, B, K).
+type shape struct {
+	format                    string
+	writesDst, readsA, readsB bool
+	// bIsProp marks B as a subflow boolean property index instead of a
+	// register (K already carries the jump offset).
+	bIsProp bool
+}
+
+var (
+	shBare  = shape{format: "%[1]s"}
+	shD     = shape{format: "%[1]s r%[2]d", writesDst: true}
+	shDImm  = shape{format: "%[1]s r%[2]d, %[5]d", writesDst: true}
+	shDA    = shape{format: "%[1]s r%[2]d, r%[3]d", writesDst: true, readsA: true}
+	shDAB   = shape{format: "%[1]s r%[2]d, r%[3]d, r%[4]d", writesDst: true, readsA: true, readsB: true}
+	shDAP   = shape{format: "%[1]s r%[2]d, r%[3]d, #%[5]d", writesDst: true, readsA: true}
+	shDAQ   = shape{format: "%[1]s r%[2]d, r%[3]d, q%[5]d", writesDst: true, readsA: true}
+	shLoad  = shape{format: "%[1]s r%[2]d, [%[5]d]", writesDst: true}
+	shStore = shape{format: "%[1]s [%[5]d], r%[3]d", readsA: true}
+	shA     = shape{format: "%[1]s r%[3]d", readsA: true}
+	shAB    = shape{format: "%[1]s r%[3]d, r%[4]d", readsA: true, readsB: true}
+	shAQ    = shape{format: "%[1]s r%[3]d, q%[5]d", readsA: true}
+	shJ     = shape{format: "%[1]s %+[5]d"}
+	shAJ    = shape{format: "%[1]s r%[3]d, %+[5]d", readsA: true}
+	shABJ   = shape{format: "%[1]s r%[3]d, r%[4]d, %+[5]d", readsA: true, readsB: true}
+	shAPJ   = shape{format: "%[1]s r%[3]d, #%[4]d, %+[5]d", readsA: true, bIsProp: true}
+	shK     = shape{format: "%[1]s [%[5]d]"}
+)
+
+// opInfo is one row of the ISA table: everything the compiler, the
+// optimizer, the register allocator, the verifier and the disassembler
+// know about an opcode. Program.Exec is the one other statement of
+// opcode semantics; TestOpTableMatchesExec holds the two together.
+type opInfo struct {
+	name string
+	shape
+	k kDomain
+	// effect marks an op that does more than write Dst (actions, stores,
+	// control flow); it survives a dead destination.
+	effect bool
+	// fold computes Dst from constant operands for pure ALU and bit ops;
+	// an operand the shape does not read is passed as 0.
+	fold func(a, b int64) int64
+	// taken decides a conditional jump that tests registers only.
+	taken func(a, b int64) bool
+	// Links of a relational family; OpNop stands for "none".
+	jump   Op // set-form comparison → fused jump taken when it holds
+	inv    Op // conditional jump → jump on the complementary condition
+	mirror Op // two-register jump → same test with A and B swapped
+	zero   Op // two-register jump → single-operand form for B == 0
+}
+
+var ops = [opCount]opInfo{
+	OpNop:    {name: "nop", shape: shBare, k: kUnused},
+	OpMovImm: {name: "movimm", shape: shDImm, k: kImm},
+	OpMov:    {name: "mov", shape: shDA, k: kUnused, fold: func(a, _ int64) int64 { return a }},
+	OpAdd:    {name: "add", shape: shDAB, k: kUnused, fold: func(a, b int64) int64 { return a + b }},
+	OpSub:    {name: "sub", shape: shDAB, k: kUnused, fold: func(a, b int64) int64 { return a - b }},
+	OpMul:    {name: "mul", shape: shDAB, k: kUnused, fold: func(a, b int64) int64 { return a * b }},
+	OpDiv: {name: "div", shape: shDAB, k: kUnused, fold: func(a, b int64) int64 {
+		if b == 0 {
+			return 0
+		}
+		return a / b
+	}},
+	OpMod: {name: "mod", shape: shDAB, k: kUnused, fold: func(a, b int64) int64 {
+		if b == 0 {
+			return 0
+		}
+		return a % b
+	}},
+	OpNeg: {name: "neg", shape: shDA, k: kUnused, fold: func(a, _ int64) int64 { return -a }},
+	OpNot: {name: "not", shape: shDA, k: kUnused, fold: func(a, _ int64) int64 { return b2i(a == 0) }},
+
+	OpEq: {name: "eq", shape: shDAB, k: kUnused, jump: OpJeq, fold: func(a, b int64) int64 { return b2i(a == b) }},
+	OpNe: {name: "ne", shape: shDAB, k: kUnused, jump: OpJne, fold: func(a, b int64) int64 { return b2i(a != b) }},
+	OpLt: {name: "lt", shape: shDAB, k: kUnused, jump: OpJlt, fold: func(a, b int64) int64 { return b2i(a < b) }},
+	OpLe: {name: "le", shape: shDAB, k: kUnused, jump: OpJle, fold: func(a, b int64) int64 { return b2i(a <= b) }},
+	OpGt: {name: "gt", shape: shDAB, k: kUnused, jump: OpJgt, fold: func(a, b int64) int64 { return b2i(a > b) }},
+	OpGe: {name: "ge", shape: shDAB, k: kUnused, jump: OpJge, fold: func(a, b int64) int64 { return b2i(a >= b) }},
+
+	OpPopcnt:  {name: "popcnt", shape: shDA, k: kUnused, fold: func(a, _ int64) int64 { return int64(bits.OnesCount64(uint64(a))) }},
+	OpBitSet:  {name: "bitset", shape: shDAB, k: kUnused, fold: func(a, b int64) int64 { return a | int64(uint64(1)<<uint(b&63)) }},
+	OpBitTest: {name: "bittest", shape: shDAB, k: kUnused, fold: func(a, b int64) int64 { return (a >> uint(b&63)) & 1 }},
+
+	OpJmp:    {name: "jmp", shape: shJ, k: kJump, effect: true},
+	OpJz:     {name: "jz", shape: shAJ, k: kJump, effect: true, inv: OpJnz, taken: func(a, _ int64) bool { return a == 0 }},
+	OpJnz:    {name: "jnz", shape: shAJ, k: kJump, effect: true, inv: OpJz, taken: func(a, _ int64) bool { return a != 0 }},
+	OpReturn: {name: "return", shape: shBare, k: kUnused, effect: true},
+
+	OpLoadReg:     {name: "loadreg", shape: shLoad, k: kReg},
+	OpStoreReg:    {name: "storereg", shape: shStore, k: kReg, effect: true},
+	OpLoadGlobal:  {name: "loadglobal", shape: shLoad, k: kGlobal},
+	OpStoreGlobal: {name: "storeglobal", shape: shStore, k: kGlobal, effect: true},
+
+	OpSbfCount: {name: "sbfcount", shape: shD, k: kUnused},
+	// The handle encoding is pure arithmetic (index + 1), so a constant
+	// index — the unrolled-loop case — folds entirely.
+	OpSbfRef:      {name: "sbfref", shape: shDA, k: kUnused, fold: func(a, _ int64) int64 { return a + 1 }},
+	OpSbfIntProp:  {name: "sbfprop", shape: shDAP, k: kSbfInt},
+	OpSbfBoolProp: {name: "sbfbool", shape: shDAP, k: kSbfBool},
+	OpHasWnd:      {name: "haswnd", shape: shDAB, k: kUnused},
+	OpPktProp:     {name: "pktprop", shape: shDAP, k: kPktInt},
+	OpSentOn:      {name: "senton", shape: shDAB, k: kUnused},
+	OpQNext:       {name: "qnext", shape: shDAQ, k: kQueue},
+	OpPktRef:      {name: "pktref", shape: shDAQ, k: kQueue},
+
+	OpPop:  {name: "pop", shape: shAQ, k: kQueue, effect: true},
+	OpPush: {name: "push", shape: shAB, k: kUnused, effect: true},
+	OpDrop: {name: "drop", shape: shA, k: kUnused, effect: true},
+
+	OpLoadSlot:  {name: "loadslot", shape: shLoad, k: kSlot},
+	OpStoreSlot: {name: "storeslot", shape: shStore, k: kSlot, effect: true},
+
+	OpJeq: {name: "jeq", shape: shABJ, k: kJump, effect: true, inv: OpJne, mirror: OpJeq, zero: OpJz, taken: func(a, b int64) bool { return a == b }},
+	OpJne: {name: "jne", shape: shABJ, k: kJump, effect: true, inv: OpJeq, mirror: OpJne, zero: OpJnz, taken: func(a, b int64) bool { return a != b }},
+	OpJlt: {name: "jlt", shape: shABJ, k: kJump, effect: true, inv: OpJge, mirror: OpJgt, zero: OpJltz, taken: func(a, b int64) bool { return a < b }},
+	OpJle: {name: "jle", shape: shABJ, k: kJump, effect: true, inv: OpJgt, mirror: OpJge, zero: OpJlez, taken: func(a, b int64) bool { return a <= b }},
+	OpJgt: {name: "jgt", shape: shABJ, k: kJump, effect: true, inv: OpJle, mirror: OpJlt, zero: OpJgtz, taken: func(a, b int64) bool { return a > b }},
+	OpJge: {name: "jge", shape: shABJ, k: kJump, effect: true, inv: OpJlt, mirror: OpJle, zero: OpJgez, taken: func(a, b int64) bool { return a >= b }},
+
+	OpJltz: {name: "jltz", shape: shAJ, k: kJump, effect: true, inv: OpJgez, taken: func(a, _ int64) bool { return a < 0 }},
+	OpJlez: {name: "jlez", shape: shAJ, k: kJump, effect: true, inv: OpJgtz, taken: func(a, _ int64) bool { return a <= 0 }},
+	OpJgtz: {name: "jgtz", shape: shAJ, k: kJump, effect: true, inv: OpJlez, taken: func(a, _ int64) bool { return a > 0 }},
+	OpJgez: {name: "jgez", shape: shAJ, k: kJump, effect: true, inv: OpJltz, taken: func(a, _ int64) bool { return a >= 0 }},
+
+	OpJsbz:  {name: "jsbz", shape: shAPJ, k: kJump, effect: true, inv: OpJsbnz},
+	OpJsbnz: {name: "jsbnz", shape: shAPJ, k: kJump, effect: true, inv: OpJsbz},
+	OpJbc:   {name: "jbc", shape: shABJ, k: kJump, effect: true, inv: OpJbs, taken: func(a, b int64) bool { return (a>>uint(b&63))&1 == 0 }},
+	OpJbs:   {name: "jbs", shape: shABJ, k: kJump, effect: true, inv: OpJbc, taken: func(a, b int64) bool { return (a>>uint(b&63))&1 != 0 }},
+
+	OpProfile: {name: "profile", shape: shK, k: kBlock, effect: true},
+}
+
+// isJump reports whether the op transfers control via K. It is asked
+// about unverified bytecode too, where what is no opcode is no jump.
+func isJump(op Op) bool { return op < opCount && ops[op].k == kJump }
+
+// isCondJump reports a jump with a fall-through successor.
+func isCondJump(op Op) bool { return isJump(op) && op != OpJmp }
 
 // String returns the opcode mnemonic.
 func (op Op) String() string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
+	if op < opCount {
+		return ops[op].name
 	}
 	return fmt.Sprintf("op(%d)", int(op))
 }
@@ -201,45 +348,11 @@ type Instr struct {
 
 // String disassembles the instruction.
 func (in Instr) String() string {
-	switch in.Op {
-	case OpNop, OpReturn:
-		return in.Op.String()
-	case OpMovImm:
-		return fmt.Sprintf("%s r%d, %d", in.Op, in.Dst, in.K)
-	case OpMov, OpNeg, OpNot, OpPopcnt:
-		return fmt.Sprintf("%s r%d, r%d", in.Op, in.Dst, in.A)
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpBitSet, OpBitTest, OpHasWnd, OpSentOn:
-		return fmt.Sprintf("%s r%d, r%d, r%d", in.Op, in.Dst, in.A, in.B)
-	case OpJmp:
-		return fmt.Sprintf("%s %+d", in.Op, in.K)
-	case OpJz, OpJnz, OpJltz, OpJlez, OpJgtz, OpJgez:
-		return fmt.Sprintf("%s r%d, %+d", in.Op, in.A, in.K)
-	case OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge, OpJbc, OpJbs:
-		return fmt.Sprintf("%s r%d, r%d, %+d", in.Op, in.A, in.B, in.K)
-	case OpJsbz, OpJsbnz:
-		return fmt.Sprintf("%s r%d, #%d, %+d", in.Op, in.A, in.B, in.K)
-	case OpLoadReg, OpLoadSlot, OpLoadGlobal:
-		return fmt.Sprintf("%s r%d, [%d]", in.Op, in.Dst, in.K)
-	case OpStoreReg, OpStoreSlot, OpStoreGlobal:
-		return fmt.Sprintf("%s [%d], r%d", in.Op, in.K, in.A)
-	case OpSbfCount:
-		return fmt.Sprintf("%s r%d", in.Op, in.Dst)
-	case OpSbfRef:
-		return fmt.Sprintf("%s r%d, r%d", in.Op, in.Dst, in.A)
-	case OpSbfIntProp, OpSbfBoolProp, OpPktProp:
-		return fmt.Sprintf("%s r%d, r%d, #%d", in.Op, in.Dst, in.A, in.K)
-	case OpQNext:
-		return fmt.Sprintf("%s r%d, r%d, q%d", in.Op, in.Dst, in.A, in.K)
-	case OpPktRef:
-		return fmt.Sprintf("%s r%d, r%d, q%d", in.Op, in.Dst, in.A, in.K)
-	case OpPop:
-		return fmt.Sprintf("%s r%d, q%d", in.Op, in.A, in.K)
-	case OpPush:
-		return fmt.Sprintf("%s r%d, r%d", in.Op, in.A, in.B)
-	case OpDrop:
-		return fmt.Sprintf("%s r%d", in.Op, in.A)
+	format := "%s r%d, r%d, r%d, %d"
+	if in.Op < opCount {
+		format = ops[in.Op].format
 	}
-	return fmt.Sprintf("%s r%d, r%d, r%d, %d", in.Op, in.Dst, in.A, in.B, in.K)
+	return fmt.Sprintf(format, in.Op, in.Dst, in.A, in.B, in.K)
 }
 
 // NumPhysRegs is the size of the physical register file. Two registers
@@ -258,6 +371,8 @@ type Program struct {
 	// counts (the "steps" metric). Left nil by default so the hot path
 	// pays only an inlined nil check at exit.
 	StepCounter *obs.Counter
+	// blockHits is where OpProfile counts; nil outside a Profile's copy.
+	blockHits []uint64
 }
 
 // Disassemble renders the program, one instruction per line.

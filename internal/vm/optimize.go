@@ -103,7 +103,7 @@ func hoistConsts(ir []irIns) ([]irIns, bool) {
 				continue
 			}
 		}
-		r := roles[in.op]
+		r := &ops[in.op]
 		if r.readsA && in.a < nv && gknown[in.a] {
 			if cv, ok := canon[gval[in.a]]; ok {
 				in.a = cv
@@ -118,19 +118,6 @@ func hoistConsts(ir []irIns) ([]irIns, bool) {
 	}
 	return out, true
 }
-
-// isJump reports whether the op transfers control via K.
-func isJump(op Op) bool {
-	switch op {
-	case OpJmp, OpJz, OpJnz, OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge,
-		OpJltz, OpJlez, OpJgtz, OpJgez, OpJsbz, OpJsbnz, OpJbc, OpJbs:
-		return true
-	}
-	return false
-}
-
-// isCondJump reports a jump with a fall-through successor.
-func isCondJump(op Op) bool { return isJump(op) && op != OpJmp }
 
 // threadJumps retargets jumps that land on unconditional jumps and
 // drops self-moves.
@@ -222,71 +209,25 @@ func condJumpThread(ir []irIns) bool {
 }
 
 // invCond reports that jump b's condition is the exact complement of
-// jump a's over identical operands, so a taken implies b not taken.
+// conditional jump a's over identical operands, so a taken implies b not
+// taken.
 func invCond(a, b irIns) bool {
-	var inv Op
-	switch a.op {
-	case OpJz:
-		inv = OpJnz
-	case OpJnz:
-		inv = OpJz
-	case OpJeq:
-		inv = OpJne
-	case OpJne:
-		inv = OpJeq
-	case OpJlt:
-		inv = OpJge
-	case OpJge:
-		inv = OpJlt
-	case OpJle:
-		inv = OpJgt
-	case OpJgt:
-		inv = OpJle
-	case OpJltz:
-		inv = OpJgez
-	case OpJgez:
-		inv = OpJltz
-	case OpJlez:
-		inv = OpJgtz
-	case OpJgtz:
-		inv = OpJlez
-	case OpJsbz:
-		inv = OpJsbnz
-	case OpJsbnz:
-		inv = OpJsbz
-	case OpJbc:
-		inv = OpJbs
-	case OpJbs:
-		inv = OpJbc
-	default:
-		return false
-	}
-	if b.op != inv {
-		return false
-	}
-	return condOperandsEqual(a, b)
+	return b.op == ops[a.op].inv && condOperandsEqual(a, b)
 }
 
 // condOperandsEqual compares the condition operands of two jumps with
-// the same (or complementary) opcode. OpJsbz/OpJsbnz carry a property
-// index in B that roles does not describe as a register read, so it is
-// compared explicitly.
+// the same (or complementary) opcode, B also where it is a property
+// index and not a register.
 func condOperandsEqual(a, b irIns) bool {
-	r := roles[a.op]
+	r := &ops[a.op]
 	if r.readsA && a.a != b.a {
 		return false
 	}
-	if r.readsB && a.b != b.b {
-		return false
-	}
-	if (a.op == OpJsbz || a.op == OpJsbnz) && a.b != b.b {
-		return false
-	}
-	return true
+	return !(r.readsB || r.bIsProp) || a.b == b.b
 }
 
 // blockLeaders marks basic-block entry points: instruction 0, every
-// jump target, and every instruction following a jump.
+// jump target, and every instruction following a jump or a return.
 func blockLeaders(ir []irIns) []bool {
 	leader := make([]bool, len(ir)+1)
 	if len(ir) > 0 {
@@ -294,13 +235,12 @@ func blockLeaders(ir []irIns) []bool {
 	}
 	for i, in := range ir {
 		if isJump(in.op) {
-			t := i + 1 + int(in.k)
-			if t >= 0 && t <= len(ir) {
+			if t := i + 1 + int(in.k); t >= 0 && t <= len(ir) {
 				leader[t] = true
 			}
-			if i+1 <= len(ir) {
-				leader[i+1] = true
-			}
+		}
+		if isJump(in.op) || in.op == OpReturn {
+			leader[i+1] = true
 		}
 	}
 	return leader
@@ -310,7 +250,7 @@ func blockLeaders(ir []irIns) []bool {
 func readCounts(ir []irIns, nv int) []int {
 	counts := make([]int, nv)
 	for _, in := range ir {
-		r := roles[in.op]
+		r := &ops[in.op]
 		if r.readsA {
 			counts[in.a]++
 		}
@@ -324,7 +264,7 @@ func readCounts(ir []irIns, nv int) []int {
 func maxVreg(ir []irIns) int {
 	nv := 0
 	for _, in := range ir {
-		r := roles[in.op]
+		r := &ops[in.op]
 		if r.readsA && in.a >= nv {
 			nv = in.a + 1
 		}
@@ -358,7 +298,7 @@ func globalConsts(ir []irIns, nv int) ([]bool, []int64) {
 		firstDef[v] = len(ir)
 	}
 	for i, in := range ir {
-		r := roles[in.op]
+		r := &ops[in.op]
 		if r.readsA && in.a < nv && i < firstRead[in.a] {
 			firstRead[in.a] = i
 		}
@@ -393,9 +333,10 @@ func globalConsts(ir []irIns, nv int) ([]bool, []int64) {
 // constFold propagates constants and folds pure instructions whose
 // operands are all known, turning decided branches into unconditional
 // jumps or no-ops. Constants are tracked block-locally plus globally
-// (single-valued vregs, see globalConsts). Arithmetic replicates the
-// VM exactly: int64 wraparound, and division or modulo by zero yields
-// 0 (no exceptions by design, §3.3).
+// (single-valued vregs, see globalConsts). The arithmetic is the ISA
+// table's fold and taken, which TestOpTableMatchesExec holds to the VM:
+// int64 wraparound, and division or modulo by zero yields 0 (no
+// exceptions by design, §3.3).
 func constFold(ir []irIns) bool {
 	leader := blockLeaders(ir)
 	nv := maxVreg(ir)
@@ -412,200 +353,37 @@ func constFold(ir []irIns) bool {
 		in := &ir[i]
 		var va, vb int64
 		ka, kb := false, false
-		if roles[in.op].readsA && in.a < nv {
+		r := &ops[in.op]
+		if r.readsA && in.a < nv {
 			if known[in.a] {
 				ka, va = true, konst[in.a]
 			} else if gknown[in.a] {
 				ka, va = true, gval[in.a]
 			}
 		}
-		if roles[in.op].readsB && in.b < nv {
+		if r.readsB && in.b < nv {
 			if known[in.b] {
 				kb, vb = true, konst[in.b]
 			} else if gknown[in.b] {
 				kb, vb = true, gval[in.b]
 			}
 		}
-		setConst := func(v int64) {
-			in.op, in.k = OpMovImm, v
+		switch {
+		case (r.readsA && !ka) || (r.readsB && !kb):
+			// An operand is unknown: nothing to decide.
+		case r.fold != nil:
+			in.op, in.k = OpMovImm, r.fold(va, vb)
+			changed = true
+		case r.taken != nil:
+			if r.taken(va, vb) {
+				in.op = OpJmp
+			} else {
+				in.op, in.k = OpNop, 0
+			}
 			changed = true
 		}
-		switch in.op {
-		case OpMovImm:
-			// Recorded below.
-		case OpMov:
-			if ka {
-				setConst(va)
-			}
-		case OpAdd:
-			if ka && kb {
-				setConst(va + vb)
-			}
-		case OpSub:
-			if ka && kb {
-				setConst(va - vb)
-			}
-		case OpMul:
-			if ka && kb {
-				setConst(va * vb)
-			}
-		case OpDiv:
-			if ka && kb {
-				if vb == 0 {
-					setConst(0)
-				} else {
-					setConst(va / vb)
-				}
-			}
-		case OpMod:
-			if ka && kb {
-				if vb == 0 {
-					setConst(0)
-				} else {
-					setConst(va % vb)
-				}
-			}
-		case OpNeg:
-			if ka {
-				setConst(-va)
-			}
-		case OpNot:
-			if ka {
-				setConst(foldB2i(va == 0))
-			}
-		case OpEq:
-			if ka && kb {
-				setConst(foldB2i(va == vb))
-			}
-		case OpNe:
-			if ka && kb {
-				setConst(foldB2i(va != vb))
-			}
-		case OpLt:
-			if ka && kb {
-				setConst(foldB2i(va < vb))
-			}
-		case OpLe:
-			if ka && kb {
-				setConst(foldB2i(va <= vb))
-			}
-		case OpGt:
-			if ka && kb {
-				setConst(foldB2i(va > vb))
-			}
-		case OpGe:
-			if ka && kb {
-				setConst(foldB2i(va >= vb))
-			}
-		case OpPopcnt:
-			if ka {
-				setConst(popcount(va))
-			}
-		case OpBitSet:
-			if ka && kb {
-				setConst(va | int64(uint64(1)<<uint(vb&63)))
-			}
-		case OpBitTest:
-			if ka && kb {
-				setConst((va >> uint(vb&63)) & 1)
-			}
-		case OpSbfRef:
-			// The handle encoding is pure arithmetic (index + 1), so a
-			// constant index — the unrolled-loop case — folds entirely.
-			if ka {
-				setConst(va + 1)
-			}
-		case OpJz:
-			if ka {
-				if va == 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJnz:
-			if ka {
-				if va != 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge:
-			if ka && kb {
-				var take bool
-				switch in.op {
-				case OpJeq:
-					take = va == vb
-				case OpJne:
-					take = va != vb
-				case OpJlt:
-					take = va < vb
-				case OpJle:
-					take = va <= vb
-				case OpJgt:
-					take = va > vb
-				case OpJge:
-					take = va >= vb
-				}
-				if take {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJltz:
-			if ka {
-				if va < 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJlez:
-			if ka {
-				if va <= 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJgtz:
-			if ka {
-				if va > 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJgez:
-			if ka {
-				if va >= 0 {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		case OpJbc, OpJbs:
-			if ka && kb {
-				bit := (va >> uint(vb&63)) & 1
-				if (bit == 0) == (in.op == OpJbc) {
-					in.op = OpJmp
-				} else {
-					in.op, in.k = OpNop, 0
-				}
-				changed = true
-			}
-		}
 		// Update the constant state with this instruction's result.
-		if roles[in.op].writesDst && in.dst < nv {
+		if ops[in.op].writesDst && in.dst < nv {
 			if in.op == OpMovImm {
 				known[in.dst], konst[in.dst] = true, in.k
 			} else {
@@ -614,40 +392,6 @@ func constFold(ir []irIns) bool {
 		}
 	}
 	return changed
-}
-
-func foldB2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// fusedJump maps a comparison opcode to the fused jump taken when the
-// comparison holds (neg false) or when it fails (neg true).
-func fusedJump(op Op, neg bool) (Op, bool) {
-	type pair struct{ pos, neg Op }
-	var p pair
-	switch op {
-	case OpEq:
-		p = pair{OpJeq, OpJne}
-	case OpNe:
-		p = pair{OpJne, OpJeq}
-	case OpLt:
-		p = pair{OpJlt, OpJge}
-	case OpLe:
-		p = pair{OpJle, OpJgt}
-	case OpGt:
-		p = pair{OpJgt, OpJle}
-	case OpGe:
-		p = pair{OpJge, OpJlt}
-	default:
-		return OpNop, false
-	}
-	if neg {
-		return p.neg, true
-	}
-	return p.pos, true
 }
 
 // fuseCompareBranch rewrites `cmp t, a, b; jnz t, L` into a single
@@ -675,7 +419,7 @@ func fuseCompareBranch(ir []irIns) bool {
 		if leader[i+1] {
 			continue
 		}
-		if !roles[def.op].writesDst || def.dst >= nv {
+		if !ops[def.op].writesDst || def.dst >= nv {
 			continue
 		}
 		// t must die at the jump: a later read would miss the value.
@@ -683,25 +427,19 @@ func fuseCompareBranch(ir []irIns) bool {
 		if bitSet(liveOut[j*words:(j+1)*words], def.dst) {
 			continue
 		}
-		switch def.op {
-		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-			op, ok := fusedJump(def.op, jmp.op == OpJz)
-			if !ok {
-				continue
+		switch op := ops[def.op].jump; {
+		case op != OpNop:
+			if jmp.op == OpJz {
+				op = ops[op].inv
 			}
 			jmp.op, jmp.a, jmp.b = op, def.a, def.b
-			def.op, def.k = OpNop, 0
-			changed = true
-		case OpNot:
-			if jmp.op == OpJz {
-				jmp.op = OpJnz
-			} else {
-				jmp.op = OpJz
-			}
-			jmp.a = def.a
-			def.op, def.k = OpNop, 0
-			changed = true
+		case def.op == OpNot:
+			jmp.op, jmp.a = ops[jmp.op].inv, def.a
+		default:
+			continue
 		}
+		def.op, def.k = OpNop, 0
+		changed = true
 	}
 	return changed
 }
@@ -726,7 +464,7 @@ func coalesceMovs(ir []irIns) bool {
 		// Walk back to t's def within the block.
 		for i := j - 1; i >= 0; i-- {
 			in := &ir[i]
-			r := roles[in.op]
+			r := &ops[in.op]
 			if r.writesDst && in.dst == mv.a {
 				// Found the def. Retarget it unless d is used in between
 				// (the scan above already proved it is not).
@@ -743,18 +481,6 @@ func coalesceMovs(ir []irIns) bool {
 		}
 	}
 	return changed
-}
-
-// sideEffectFree reports ops whose only observable effect is writing
-// dst; these may be dropped when the result is dead. Queue and subflow
-// reads are pure — only the action ops, register-file stores, control
-// flow and OpReturn have effects beyond dst.
-func sideEffectFree(op Op) bool {
-	switch op {
-	case OpPop, OpPush, OpDrop, OpStoreReg, OpStoreGlobal, OpStoreSlot, OpReturn:
-		return false
-	}
-	return !isJump(op)
 }
 
 // bitSet reports whether vreg v is present in the bitset.
@@ -799,7 +525,7 @@ func liveSets(ir []irIns, nv int) (liveOut []uint64, words int) {
 			}
 			// liveIn = (liveOut − def) ∪ use.
 			inSet := liveIn[i*words : (i+1)*words]
-			r := roles[in.op]
+			r := &ops[in.op]
 			for w := range inSet {
 				v := out[w]
 				if r.writesDst {
@@ -838,44 +564,15 @@ func zeroCompareJumps(ir []irIns) bool {
 	changed := false
 	for i := range ir {
 		in := &ir[i]
-		switch in.op {
-		case OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge:
-		default:
-			continue
-		}
-		if isZero(in.b) {
-			switch in.op {
-			case OpJeq:
-				in.op = OpJz
-			case OpJne:
-				in.op = OpJnz
-			case OpJlt:
-				in.op = OpJltz
-			case OpJle:
-				in.op = OpJlez
-			case OpJgt:
-				in.op = OpJgtz
-			case OpJge:
-				in.op = OpJgez
-			}
+		switch r := &ops[in.op]; {
+		case r.zero == OpNop:
+			// Not a two-register comparison.
+		case isZero(in.b):
+			in.op = r.zero
 			changed = true
-		} else if isZero(in.a) {
+		case isZero(in.a):
 			// 0 OP b ⇔ b OP' 0 with the comparison mirrored.
-			in.a = in.b
-			switch in.op {
-			case OpJeq:
-				in.op = OpJz
-			case OpJne:
-				in.op = OpJnz
-			case OpJlt:
-				in.op = OpJgtz
-			case OpJle:
-				in.op = OpJgez
-			case OpJgt:
-				in.op = OpJltz
-			case OpJge:
-				in.op = OpJlez
-			}
+			in.a, in.op = in.b, ops[r.mirror].zero
 			changed = true
 		}
 	}
@@ -895,8 +592,8 @@ func deadDefs(ir []irIns) bool {
 	changed := false
 	for i := range ir {
 		in := &ir[i]
-		r := roles[in.op]
-		if in.op == OpNop || !r.writesDst || !sideEffectFree(in.op) {
+		r := &ops[in.op]
+		if !r.writesDst || r.effect {
 			continue
 		}
 		if !bitSet(liveOut[i*words:(i+1)*words], in.dst) {
@@ -935,32 +632,46 @@ func eliminateDead(ir []irIns) ([]irIns, bool) {
 			stack = append(stack, i+1)
 		}
 	}
-	// keep[i] reports survival; newIndex[i] is the compacted position.
+	// newIndex[i] is the compacted position of instruction i, or of the
+	// next survivor when i is dropped: nops at a jump target compact to
+	// the instruction after them.
 	newIndex := make([]int, n+1)
-	kept := 0
+	origin := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		newIndex[i] = kept
+		newIndex[i] = len(origin)
 		if reachable[i] && ir[i].op != OpNop {
-			kept++
+			origin = append(origin, i)
 		}
 	}
-	newIndex[n] = kept
-	if kept == n {
+	newIndex[n] = len(origin)
+	if len(origin) == n {
 		return ir, false
 	}
-	out := make([]irIns, 0, kept)
-	for i := 0; i < n; i++ {
-		if !reachable[i] || ir[i].op == OpNop {
+	out := make([]irIns, len(origin))
+	for pos, i := range origin {
+		out[pos] = ir[i]
+	}
+	relocateJumps(origin, newIndex, func(pos int) *int64 {
+		if isJump(out[pos].op) {
+			return &out[pos].k
+		}
+		return nil
+	})
+	return out, true
+}
+
+// relocateJumps repairs the relative offsets of jumps that a rewrite
+// moved: origin[pos] is the old index of the instruction now at pos (-1
+// for inserted code, which holds no jumps), start[t] is where the code
+// for old instruction t now begins (start[n] is the new end), and
+// offset(pos) points at the K of a jump at pos and is nil otherwise.
+func relocateJumps(origin, start []int, offset func(pos int) *int64) {
+	for pos, i := range origin {
+		if i < 0 {
 			continue
 		}
-		in := ir[i]
-		if isJump(in.op) {
-			oldTarget := i + 1 + int(in.k)
-			// A reachable jump's target is reachable; nops at the
-			// target compact to the next surviving instruction.
-			in.k = int64(newIndex[oldTarget] - len(out) - 1)
+		if k := offset(pos); k != nil {
+			*k = int64(start[i+1+int(*k)] - pos - 1)
 		}
-		out = append(out, in)
 	}
-	return out, true
 }

@@ -8,12 +8,21 @@ import (
 	"progmp/internal/runtime"
 )
 
-// Profile is the result of a counting execution: per-instruction hit
-// counts over one or more runs — the analogue of the paper's
-// proc-based "performance profiling traces based on the control flow
-// representation of the scheduler specification" (§4.1).
+// Profile is the result of counting executions: per-instruction hit
+// counts over one or more runs — the analogue of the paper's proc-based
+// "performance profiling traces based on the control flow
+// representation of the scheduler specification" (§4.1). Counts are
+// taken per basic block, which is exact: a block is entered at its
+// first instruction only and left after its last.
 type Profile struct {
 	prog *Program
+	// counted is prog with an OpProfile in front of every basic block.
+	// Program.Exec runs it, so profiled and plain execution cannot
+	// differ.
+	counted *Program
+	// origin maps a pc of counted to the pc of the same instruction in
+	// prog (-1 at a counter); block maps a pc of prog to its counter.
+	origin, block []int
 	// Hits[i] counts executions of instruction i.
 	Hits []uint64
 	// Steps is the total number of executed instructions.
@@ -24,276 +33,54 @@ type Profile struct {
 
 // NewProfile prepares a profile collector for p.
 func NewProfile(p *Program) *Profile {
-	return &Profile{prog: p, Hits: make([]uint64, len(p.Insns))}
+	n := len(p.Insns)
+	ir := make([]irIns, n)
+	for i, in := range p.Insns {
+		ir[i] = irIns{op: in.Op, k: in.K}
+	}
+	leader := blockLeaders(ir)
+	pr := &Profile{prog: p, block: make([]int, n), Hits: make([]uint64, n)}
+	start := make([]int, n+1)
+	var code []Instr
+	blocks := 0
+	for i, in := range p.Insns {
+		start[i] = len(code)
+		if leader[i] {
+			code = append(code, Instr{Op: OpProfile, K: int64(blocks)})
+			pr.origin = append(pr.origin, -1)
+			blocks++
+		}
+		pr.block[i] = blocks - 1
+		code = append(code, in)
+		pr.origin = append(pr.origin, i)
+	}
+	start[n] = len(code)
+	relocateJumps(pr.origin, start, jumpOffsets(code))
+	counted := *p
+	counted.Insns, counted.StepCounter, counted.blockHits = code, nil, make([]uint64, blocks)
+	pr.counted = &counted
+	return pr
 }
 
 // ExecProfile runs one execution of p against env, accumulating
-// per-instruction counts. It mirrors Program.Exec semantics exactly
-// (same graceful arithmetic, same step budget) but pays the counting
-// overhead, so it is meant for development, not the data path.
+// per-instruction counts. The counters cost time, so it is meant for
+// development, not the data path.
 func (pr *Profile) ExecProfile(env *runtime.Env) error {
-	p := pr.prog
-	if p.SpecializedSubflows >= 0 && len(env.SubflowViews) != p.SpecializedSubflows {
-		return ErrSpecializationMismatch
+	before := len(env.Actions)
+	err := pr.counted.Exec(env)
+	// Decision sites are pcs of the profiled program, not of the copy.
+	for i := before; i < len(env.Actions); i++ {
+		env.Actions[i].Site = int32(pr.origin[env.Actions[i].Site])
 	}
-	var regs [NumPhysRegs]int64
-	var spills []int64
-	if p.SpillSlots > 0 {
-		spills = make([]int64, p.SpillSlots)
+	pr.Steps = 0
+	for i := range pr.Hits {
+		pr.Hits[i] = pr.counted.blockHits[pr.block[i]]
+		pr.Steps += pr.Hits[i]
 	}
-	insns := p.Insns
-	steps := uint64(0)
-	for pc := 0; pc < len(insns); pc++ {
-		steps++
-		pr.Hits[pc]++
-		in := &insns[pc]
-		switch in.Op {
-		case OpNop:
-		case OpMovImm:
-			regs[in.Dst] = in.K
-		case OpMov:
-			regs[in.Dst] = regs[in.A]
-		case OpAdd:
-			regs[in.Dst] = regs[in.A] + regs[in.B]
-		case OpSub:
-			regs[in.Dst] = regs[in.A] - regs[in.B]
-		case OpMul:
-			regs[in.Dst] = regs[in.A] * regs[in.B]
-		case OpDiv:
-			if regs[in.B] == 0 {
-				regs[in.Dst] = 0
-			} else {
-				regs[in.Dst] = regs[in.A] / regs[in.B]
-			}
-		case OpMod:
-			if regs[in.B] == 0 {
-				regs[in.Dst] = 0
-			} else {
-				regs[in.Dst] = regs[in.A] % regs[in.B]
-			}
-		case OpNeg:
-			regs[in.Dst] = -regs[in.A]
-		case OpNot:
-			regs[in.Dst] = b2i(regs[in.A] == 0)
-		case OpEq:
-			regs[in.Dst] = b2i(regs[in.A] == regs[in.B])
-		case OpNe:
-			regs[in.Dst] = b2i(regs[in.A] != regs[in.B])
-		case OpLt:
-			regs[in.Dst] = b2i(regs[in.A] < regs[in.B])
-		case OpLe:
-			regs[in.Dst] = b2i(regs[in.A] <= regs[in.B])
-		case OpGt:
-			regs[in.Dst] = b2i(regs[in.A] > regs[in.B])
-		case OpGe:
-			regs[in.Dst] = b2i(regs[in.A] >= regs[in.B])
-		case OpPopcnt:
-			regs[in.Dst] = popcount(regs[in.A])
-		case OpBitSet:
-			regs[in.Dst] = regs[in.A] | int64(uint64(1)<<uint(regs[in.B]&63))
-		case OpBitTest:
-			regs[in.Dst] = (regs[in.A] >> uint(regs[in.B]&63)) & 1
-		case OpJmp:
-			pc += int(in.K)
-			if in.K < 0 && steps > MaxSteps {
-				goto budget
-			}
-		case OpJz:
-			if regs[in.A] == 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJnz:
-			if regs[in.A] != 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJeq:
-			if regs[in.A] == regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJne:
-			if regs[in.A] != regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJlt:
-			if regs[in.A] < regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJle:
-			if regs[in.A] <= regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJgt:
-			if regs[in.A] > regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJge:
-			if regs[in.A] >= regs[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJltz:
-			if regs[in.A] < 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJlez:
-			if regs[in.A] <= 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJgtz:
-			if regs[in.A] > 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJgez:
-			if regs[in.A] >= 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJsbz:
-			// Mirrors Exec: NULL subflows read every property as false.
-			if sbf := sbfView(env, regs[in.A]); sbf == nil || !sbf.Bools[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJsbnz:
-			if sbf := sbfView(env, regs[in.A]); sbf != nil && sbf.Bools[in.B] {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJbc:
-			if (regs[in.A]>>uint(regs[in.B]&63))&1 == 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpJbs:
-			if (regs[in.A]>>uint(regs[in.B]&63))&1 != 0 {
-				pc += int(in.K)
-				if in.K < 0 && steps > MaxSteps {
-					goto budget
-				}
-			}
-		case OpReturn:
-			pr.Steps += steps
-			pr.Runs++
-			return nil
-		case OpLoadReg:
-			regs[in.Dst] = env.Reg(int(in.K))
-		case OpStoreReg:
-			env.SetReg(int(in.K), regs[in.A])
-		case OpLoadGlobal:
-			regs[in.Dst] = env.Global(int(in.K))
-		case OpStoreGlobal:
-			env.SetGlobal(int(in.K), regs[in.A])
-		case OpSbfCount:
-			regs[in.Dst] = int64(len(env.SubflowViews))
-		case OpSbfRef:
-			regs[in.Dst] = regs[in.A] + 1
-		case OpSbfIntProp:
-			if sbf := sbfView(env, regs[in.A]); sbf != nil {
-				regs[in.Dst] = sbf.Ints[in.K]
-			} else {
-				regs[in.Dst] = 0
-			}
-		case OpSbfBoolProp:
-			if sbf := sbfView(env, regs[in.A]); sbf != nil {
-				regs[in.Dst] = b2i(sbf.Bools[in.K])
-			} else {
-				regs[in.Dst] = 0
-			}
-		case OpHasWnd:
-			regs[in.Dst] = b2i(sbfView(env, regs[in.A]).HasWindowFor(pktView(env, regs[in.B])))
-		case OpPktProp:
-			if p := pktView(env, regs[in.A]); p != nil {
-				regs[in.Dst] = p.Ints[in.K]
-			} else {
-				regs[in.Dst] = 0
-			}
-		case OpSentOn:
-			regs[in.Dst] = b2i(pktView(env, regs[in.A]).SentOn(sbfView(env, regs[in.B])))
-		case OpQNext:
-			// Mirrors Exec: a nil queue reads as exhausted, never a crash.
-			if q := env.Queue(runtime.QueueID(in.K)); q != nil {
-				regs[in.Dst] = int64(q.NextVisible(int(regs[in.A])))
-			} else {
-				regs[in.Dst] = -1
-			}
-		case OpPktRef:
-			regs[in.Dst] = (in.K+1)<<32 | (regs[in.A] + 1)
-		case OpPop:
-			env.Site = int32(pc)
-			env.Pop(runtime.QueueID(in.K), pktView(env, regs[in.A]))
-		case OpPush:
-			env.Site = int32(pc)
-			env.Push(sbfView(env, regs[in.A]), pktView(env, regs[in.B]))
-		case OpDrop:
-			env.Site = int32(pc)
-			env.Drop(pktView(env, regs[in.A]))
-		case OpLoadSlot:
-			regs[in.Dst] = spills[in.K]
-		case OpStoreSlot:
-			spills[in.K] = regs[in.A]
-		default:
-			// Mirrors Exec: executed steps are credited even when the
-			// program faults on an invalid opcode.
-			pr.Steps += steps
-			return fmt.Errorf("vm: invalid opcode %d at pc %d", int(in.Op), pc)
-		}
+	if err == nil {
+		pr.Runs++
 	}
-	pr.Steps += steps
-	pr.Runs++
-	return nil
-budget:
-	pr.Steps += steps
-	return ErrStepBudget
-}
-
-func popcount(v int64) int64 {
-	var n int64
-	u := uint64(v)
-	for u != 0 {
-		u &= u - 1
-		n++
-	}
-	return n
+	return err
 }
 
 // Report renders the profile: every instruction annotated with its hit
@@ -325,11 +112,4 @@ func (pr *Profile) Report() string {
 			100*float64(h.hits)/float64(max(1, int(pr.Steps))), h.idx, pr.prog.Insns[h.idx])
 	}
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

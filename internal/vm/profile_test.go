@@ -7,19 +7,23 @@ import (
 	"testing"
 
 	"progmp/internal/envtest"
+	"progmp/internal/obs"
+	"progmp/internal/runtime"
 )
 
 func TestProfileMatchesExec(t *testing.T) {
-	// The counting loop must be semantically identical to the hot loop
-	// across random programs and environments.
+	// ExecProfile is Exec on a copy with block counters planted: the
+	// copy must decide, step and fail exactly as the program does, and
+	// the counts must add up to the steps Exec reports.
 	rng := rand.New(rand.NewSource(404))
 	for trial := 0; trial < 100; trial++ {
 		src := envtest.GenProgram(rng)
 		info := mustInfo(t, src)
-		p, err := Compile(info, Options{SubflowCount: -1})
+		p, err := Compile(info, Options{SubflowCount: -1, DisableOptimizations: trial%2 == 1})
 		if err != nil {
 			t.Fatalf("compile: %v\n%s", err, src)
 		}
+		p.StepCounter = new(obs.Counter)
 		seed := rng.Int63()
 		envA := envtest.RandomEnv(rand.New(rand.NewSource(seed)))
 		envB := envtest.RandomEnv(rand.New(rand.NewSource(seed)))
@@ -36,9 +40,36 @@ func TestProfileMatchesExec(t *testing.T) {
 		if *envA.Regs != *envB.Regs {
 			t.Fatalf("profiled registers diverge on:\n%s", src)
 		}
-		if pr.Steps == 0 || pr.Runs != 1 {
-			t.Fatalf("profile bookkeeping wrong: steps=%d runs=%d", pr.Steps, pr.Runs)
+		if pr.Steps != uint64(p.StepCounter.Value()) || pr.Runs != 1 {
+			t.Fatalf("profile counts %d steps in %d run(s), Exec %d in 1", pr.Steps, pr.Runs, p.StepCounter.Value())
 		}
+		var sum uint64
+		for _, h := range pr.Hits {
+			sum += h
+		}
+		if sum != pr.Steps || pr.Hits[0] != 1 {
+			t.Fatalf("hits sum to %d, steps %d, entry hit %d time(s)", sum, pr.Steps, pr.Hits[0])
+		}
+	}
+
+	// What Exec refuses, ExecProfile refuses in the same words.
+	p := compileGeneric(t, minRTTSrc)
+	var crowd envtest.EnvSpec
+	for i := 0; i <= runtime.MaxSubflows; i++ {
+		crowd.Subflows = append(crowd.Subflows, envtest.SbfSpec{ID: i})
+	}
+	env := crowd.Build()
+	pr := NewProfile(p)
+	want, got := p.Exec(env), pr.ExecProfile(env)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Errorf("%d subflows: ExecProfile = %v, Exec = %v", len(crowd.Subflows), got, want)
+	}
+	if pr.Runs != 0 || pr.Steps != 0 {
+		t.Errorf("a refused environment was counted: %d run(s), %d steps", pr.Runs, pr.Steps)
+	}
+	bad := &Program{Insns: []Instr{{Op: OpMovImm}, {Op: 200}, {Op: OpReturn}}, SpecializedSubflows: -1}
+	if err := NewProfile(bad).ExecProfile(envtest.TwoSubflowEnv(1)); err == nil {
+		t.Error("ExecProfile ran an invalid opcode")
 	}
 }
 

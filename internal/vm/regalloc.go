@@ -30,69 +30,6 @@ type interval struct {
 	slot       int // assigned spill slot, or -1
 }
 
-// operand roles per opcode: which fields are read and written.
-type opRoles struct {
-	readsA, readsB, writesDst bool
-}
-
-var roles = map[Op]opRoles{
-	OpNop:         {},
-	OpMovImm:      {writesDst: true},
-	OpMov:         {readsA: true, writesDst: true},
-	OpAdd:         {readsA: true, readsB: true, writesDst: true},
-	OpSub:         {readsA: true, readsB: true, writesDst: true},
-	OpMul:         {readsA: true, readsB: true, writesDst: true},
-	OpDiv:         {readsA: true, readsB: true, writesDst: true},
-	OpMod:         {readsA: true, readsB: true, writesDst: true},
-	OpNeg:         {readsA: true, writesDst: true},
-	OpNot:         {readsA: true, writesDst: true},
-	OpEq:          {readsA: true, readsB: true, writesDst: true},
-	OpNe:          {readsA: true, readsB: true, writesDst: true},
-	OpLt:          {readsA: true, readsB: true, writesDst: true},
-	OpLe:          {readsA: true, readsB: true, writesDst: true},
-	OpGt:          {readsA: true, readsB: true, writesDst: true},
-	OpGe:          {readsA: true, readsB: true, writesDst: true},
-	OpPopcnt:      {readsA: true, writesDst: true},
-	OpBitSet:      {readsA: true, readsB: true, writesDst: true},
-	OpBitTest:     {readsA: true, readsB: true, writesDst: true},
-	OpJmp:         {},
-	OpJz:          {readsA: true},
-	OpJnz:         {readsA: true},
-	OpReturn:      {},
-	OpLoadReg:     {writesDst: true},
-	OpStoreReg:    {readsA: true},
-	OpLoadGlobal:  {writesDst: true},
-	OpStoreGlobal: {readsA: true},
-	OpSbfCount:    {writesDst: true},
-	OpSbfRef:      {readsA: true, writesDst: true},
-	OpSbfIntProp:  {readsA: true, writesDst: true},
-	OpSbfBoolProp: {readsA: true, writesDst: true},
-	OpHasWnd:      {readsA: true, readsB: true, writesDst: true},
-	OpPktProp:     {readsA: true, writesDst: true},
-	OpSentOn:      {readsA: true, readsB: true, writesDst: true},
-	OpQNext:       {readsA: true, writesDst: true},
-	OpPktRef:      {readsA: true, writesDst: true},
-	OpPop:         {readsA: true},
-	OpPush:        {readsA: true, readsB: true},
-	OpDrop:        {readsA: true},
-	OpLoadSlot:    {writesDst: true},
-	OpStoreSlot:   {readsA: true},
-	OpJeq:         {readsA: true, readsB: true},
-	OpJne:         {readsA: true, readsB: true},
-	OpJlt:         {readsA: true, readsB: true},
-	OpJle:         {readsA: true, readsB: true},
-	OpJgt:         {readsA: true, readsB: true},
-	OpJge:         {readsA: true, readsB: true},
-	OpJltz:        {readsA: true},
-	OpJlez:        {readsA: true},
-	OpJgtz:        {readsA: true},
-	OpJgez:        {readsA: true},
-	OpJsbz:        {readsA: true}, // B is a property index, not a register
-	OpJsbnz:       {readsA: true},
-	OpJbc:         {readsA: true, readsB: true},
-	OpJbs:         {readsA: true, readsB: true},
-}
-
 // buildIntervals computes conservative live intervals and extends them
 // across backward edges so that values live anywhere inside a loop stay
 // live for the whole loop.
@@ -111,7 +48,7 @@ func buildIntervals(ir []irIns, nv int) []interval {
 		}
 	}
 	for i, in := range ir {
-		r := roles[in.op]
+		r := &ops[in.op]
 		if r.readsA {
 			touch(in.a, i)
 		}
@@ -264,16 +201,21 @@ func allocate(ir []irIns, nv int) ([]Instr, int, error) {
 		locs[iv.vreg] = loc{phys: iv.phys, slot: iv.slot}
 	}
 
-	// Rewrite pass with jump remapping.
-	groupStart := make([]int, len(ir)+1)
-	opPos := make([]int, len(ir))
+	// Rewrite pass: start[i] is where instruction i's code begins (its
+	// spill loads first) and origin names the instruction each emitted
+	// op came from, -1 for spill traffic.
+	start := make([]int, len(ir)+1)
+	var origin []int
 	var out []Instr
+	spill := func(in Instr) {
+		out = append(out, in)
+		origin = append(origin, -1)
+	}
 	for i, in := range ir {
-		groupStart[i] = len(out)
-		r := roles[in.op]
+		start[i] = len(out)
+		r := &ops[in.op]
 		ni := Instr{Op: in.op, K: in.k}
-		if in.op == OpJsbz || in.op == OpJsbnz {
-			// B carries a property index, not a register.
+		if r.bIsProp {
 			ni.B = uint8(in.b)
 		}
 		if r.readsA {
@@ -284,7 +226,7 @@ func allocate(ir []irIns, nv int) ([]Instr, int, error) {
 			if l.phys >= 0 {
 				ni.A = uint8(l.phys)
 			} else {
-				out = append(out, Instr{Op: OpLoadSlot, Dst: scratchA, K: int64(l.slot)})
+				spill(Instr{Op: OpLoadSlot, Dst: scratchA, K: int64(l.slot)})
 				ni.A = scratchA
 			}
 		}
@@ -296,7 +238,7 @@ func allocate(ir []irIns, nv int) ([]Instr, int, error) {
 			if l.phys >= 0 {
 				ni.B = uint8(l.phys)
 			} else {
-				out = append(out, Instr{Op: OpLoadSlot, Dst: scratchB, K: int64(l.slot)})
+				spill(Instr{Op: OpLoadSlot, Dst: scratchB, K: int64(l.slot)})
 				ni.B = scratchB
 			}
 		}
@@ -313,25 +255,26 @@ func allocate(ir []irIns, nv int) ([]Instr, int, error) {
 				storeAfter = &Instr{Op: OpStoreSlot, A: scratchA, K: int64(l.slot)}
 			}
 		}
-		opPos[i] = len(out)
+		if t := i + 1 + int(in.k); isJump(in.op) && (t < 0 || t > len(ir)) {
+			return nil, 0, fmt.Errorf("jump at %d targets out-of-range %d", i, t)
+		}
 		out = append(out, ni)
+		origin = append(origin, i)
 		if storeAfter != nil {
-			out = append(out, *storeAfter)
+			spill(*storeAfter)
 		}
 	}
-	groupStart[len(ir)] = len(out)
-
-	// Fix jump offsets: a jump at old index i with offset k targeted
-	// old index i+1+k; it must now reach the start of that group.
-	for i, in := range ir {
-		if isJump(in.op) {
-			oldTarget := i + 1 + int(in.k)
-			if oldTarget < 0 || oldTarget > len(ir) {
-				return nil, 0, fmt.Errorf("jump at %d targets out-of-range %d", i, oldTarget)
-			}
-			newPos := opPos[i]
-			out[newPos].K = int64(groupStart[oldTarget] - newPos - 1)
-		}
-	}
+	start[len(ir)] = len(out)
+	relocateJumps(origin, start, jumpOffsets(out))
 	return out, nSlots, nil
+}
+
+// jumpOffsets adapts a bytecode sequence to relocateJumps.
+func jumpOffsets(code []Instr) func(pos int) *int64 {
+	return func(pos int) *int64 {
+		if isJump(code[pos].Op) {
+			return &code[pos].K
+		}
+		return nil
+	}
 }

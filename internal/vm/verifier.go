@@ -3,8 +3,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-
-	"progmp/internal/runtime"
 )
 
 // Verification errors.
@@ -33,10 +31,10 @@ func Verify(p *Program) error {
 		return ErrNoReturn
 	}
 	for i, in := range p.Insns {
-		r, known := roles[in.Op]
-		if !known {
+		if in.Op >= opCount {
 			return fmt.Errorf("instruction %d: unknown opcode %d", i, int(in.Op))
 		}
+		r := &ops[in.Op]
 		if r.readsA && int(in.A) >= NumPhysRegs {
 			return fmt.Errorf("instruction %d (%s): source register A out of range", i, in)
 		}
@@ -46,44 +44,11 @@ func Verify(p *Program) error {
 		if r.writesDst && int(in.Dst) >= NumPhysRegs {
 			return fmt.Errorf("instruction %d (%s): destination register out of range", i, in)
 		}
-		switch in.Op {
-		case OpJmp, OpJz, OpJnz, OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge,
-			OpJltz, OpJlez, OpJgtz, OpJgez, OpJsbz, OpJsbnz, OpJbc, OpJbs:
-			target := i + 1 + int(in.K)
-			if target < 0 || target >= n {
-				return fmt.Errorf("instruction %d (%s): jump target %d out of range", i, in, target)
-			}
-			if (in.Op == OpJsbz || in.Op == OpJsbnz) && int(in.B) >= runtime.NumSubflowBoolProps {
-				return fmt.Errorf("instruction %d (%s): subflow bool property out of range", i, in)
-			}
-		case OpLoadReg, OpStoreReg:
-			if in.K < 0 || in.K >= runtime.NumRegisters {
-				return fmt.Errorf("instruction %d (%s): ProgMP register index out of range", i, in)
-			}
-		case OpLoadGlobal, OpStoreGlobal:
-			if in.K < 0 || in.K >= runtime.NumGlobals {
-				return fmt.Errorf("instruction %d (%s): global register index out of range", i, in)
-			}
-		case OpSbfIntProp:
-			if in.K < 0 || int(in.K) >= runtime.NumSubflowIntProps {
-				return fmt.Errorf("instruction %d (%s): subflow property out of range", i, in)
-			}
-		case OpSbfBoolProp:
-			if in.K < 0 || int(in.K) >= runtime.NumSubflowBoolProps {
-				return fmt.Errorf("instruction %d (%s): subflow bool property out of range", i, in)
-			}
-		case OpPktProp:
-			if in.K < 0 || int(in.K) >= runtime.NumPacketIntProps {
-				return fmt.Errorf("instruction %d (%s): packet property out of range", i, in)
-			}
-		case OpQNext, OpPktRef, OpPop:
-			if in.K < 0 || in.K > int64(runtime.QueueReinject) {
-				return fmt.Errorf("instruction %d (%s): queue id out of range", i, in)
-			}
-		case OpLoadSlot, OpStoreSlot:
-			if in.K < 0 || int(in.K) >= p.SpillSlots {
-				return fmt.Errorf("instruction %d (%s): spill slot out of range", i, in)
-			}
+		if r.bIsProp && !kSbfBool.admits(int64(in.B), p, i) {
+			return fmt.Errorf("instruction %d (%s): %s out of range", i, in, kDomainNames[kSbfBool])
+		}
+		if !r.k.admits(in.K, p, i) {
+			return fmt.Errorf("instruction %d (%s): %s out of range", i, in, kDomainNames[r.k])
 		}
 	}
 	return verifyTermination(p)
@@ -109,8 +74,8 @@ func verifyTermination(p *Program) error {
 			return nil
 		case OpJmp:
 			return []int{i + 1 + int(in.K)}
-		case OpJz, OpJnz, OpJeq, OpJne, OpJlt, OpJle, OpJgt, OpJge,
-			OpJltz, OpJlez, OpJgtz, OpJgez, OpJsbz, OpJsbnz, OpJbc, OpJbs:
+		}
+		if isJump(in.Op) {
 			return []int{i + 1, i + 1 + int(in.K)}
 		}
 		if i+1 < n {

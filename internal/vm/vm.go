@@ -291,6 +291,11 @@ func (p *Program) Exec(env *runtime.Env) error {
 			regs[in.Dst] = spills[in.K]
 		case OpStoreSlot:
 			spills[in.K] = regs[in.A]
+		case OpProfile:
+			// Planted by Profile at block entries and not part of the
+			// profiled program, so it is not charged as a step.
+			p.blockHits[in.K]++
+			steps--
 		default:
 			// Credit the executed steps before failing: the steps metric
 			// must account for every dispatched instruction, including

@@ -15,7 +15,7 @@ import (
 	"progmp/internal/runtime"
 )
 
-func mustInfo(t *testing.T, src string) *types.Info {
+func mustInfo(t testing.TB, src string) *types.Info {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
