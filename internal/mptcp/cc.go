@@ -38,6 +38,8 @@ func (Reno) Name() string { return "reno" }
 // OnAck grows the window: slow start below ssthresh, then congestion
 // avoidance (+1 segment per window). Growth only happens while the
 // window is actually used (cwnd validation).
+//
+//progmp:hotpath
 func (Reno) OnAck(_ *Conn, sbf *Subflow) {
 	if !cwndLimited(sbf) {
 		return
@@ -50,6 +52,8 @@ func (Reno) OnAck(_ *Conn, sbf *Subflow) {
 }
 
 // OnLoss halves the window.
+//
+//progmp:hotpath
 func (Reno) OnLoss(_ *Conn, sbf *Subflow) {
 	sbf.ssthresh = sbf.cwnd / 2
 	if sbf.ssthresh < minCwnd {
@@ -59,6 +63,8 @@ func (Reno) OnLoss(_ *Conn, sbf *Subflow) {
 }
 
 // OnRTO collapses the window to one segment.
+//
+//progmp:hotpath
 func (Reno) OnRTO(_ *Conn, sbf *Subflow) {
 	sbf.ssthresh = sbf.cwnd / 2
 	if sbf.ssthresh < minCwnd {
@@ -103,6 +109,8 @@ func (LIA) alpha(conn *Conn) float64 {
 // OnAck applies slow start below ssthresh and the coupled increase
 // min(alpha/cwnd_total, 1/cwnd_i) in congestion avoidance, gated by
 // cwnd validation like Reno.
+//
+//progmp:hotpath
 func (l LIA) OnAck(conn *Conn, sbf *Subflow) {
 	if !cwndLimited(sbf) {
 		return
@@ -128,9 +136,13 @@ func (l LIA) OnAck(conn *Conn, sbf *Subflow) {
 }
 
 // OnLoss halves the subflow window (decrease is uncoupled in LIA).
+//
+//progmp:hotpath
 func (LIA) OnLoss(conn *Conn, sbf *Subflow) { Reno{}.OnLoss(conn, sbf) }
 
 // OnRTO collapses the subflow window.
+//
+//progmp:hotpath
 func (LIA) OnRTO(conn *Conn, sbf *Subflow) { Reno{}.OnRTO(conn, sbf) }
 
 // Compile-time interface checks.

@@ -106,6 +106,7 @@ type Conn struct {
 
 	subflows []*Subflow
 	receiver *Receiver
+	txFree   *txRecord // recycled transmission records, shared by the subflows
 
 	sendQ     *packetList // Q
 	unackedQ  *packetList // transmitted, un-DATA_ACKed (superset of RQ)
@@ -375,7 +376,7 @@ func (c *Conn) AddSubflow(cfg SubflowConfig) (*Subflow, error) {
 	if c.metricsReg != nil {
 		s.instrument(c.metricsReg)
 	}
-	c.eng.At(cfg.StartAt, s.establish)
+	c.eng.Post(cfg.StartAt, s, evEstablish, 0, 0, 0)
 	return s, nil
 }
 
@@ -556,6 +557,7 @@ func (c *Conn) onAck(metaCumAck int64, rwnd int64, s *Subflow) {
 		if c.AllAcked() && c.onAllAcked != nil {
 			cb := c.onAllAcked
 			c.onAllAcked = nil
+			//progmp:ignore hotpath the application's completion callback, once per drained send buffer
 			cb()
 		}
 	}
@@ -567,9 +569,9 @@ func (c *Conn) onAck(metaCumAck int64, rwnd int64, s *Subflow) {
 // (compressed executions, §4.1). Reentrant triggers coalesce.
 //
 // The zero-alloc contract (docs/PERFORMANCE.md) covers snapshot build,
-// scheduler execution and action application; transmission
-// (Subflow.transmit) and the epoch publish (Store.SetGlobals) sit
-// outside it and are suppressed below with reasons.
+// scheduler execution, action application and transmission; the epoch
+// publish (Store.SetGlobals) sits outside it and is suppressed below
+// with its reason.
 //
 //progmp:hotpath
 func (c *Conn) schedule() {
@@ -799,7 +801,6 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 				pkt.consumedGen = gen
 				continue
 			}
-			//progmp:ignore hotpath transmission is outside the zero-alloc contract (docs/PERFORMANCE.md): it crosses into the netsim path and the peer's receive path
 			if sbf.transmit(pkt) {
 				progress = true
 				pkt.consumedGen = gen

@@ -72,7 +72,9 @@ func (l *packetList) pushBack(p *Packet) bool {
 	if l.in[p] {
 		return false
 	}
+	//progmp:ignore hotpath amortized: remove shrinks in place, so cap is retained in steady state
 	l.pkts = append(l.pkts, p)
+	//progmp:ignore hotpath amortized: membership keys come and go with the queue, so bucket space is reused
 	l.in[p] = true
 	l.ver++
 	return true

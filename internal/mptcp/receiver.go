@@ -3,6 +3,7 @@ package mptcp
 import (
 	"time"
 
+	"progmp/internal/netsim"
 	"progmp/internal/obs"
 )
 
@@ -57,6 +58,9 @@ type Receiver struct {
 	nextMetaSeq int64
 	oooMeta     map[int64]rxSeg
 	oooBytes    int
+	// heldBytes is the payload buffered in the subflows' held maps
+	// (legacy mode), kept beside oooBytes so rwnd is O(1).
+	heldBytes int
 
 	perSbf []*sbfRx
 
@@ -136,13 +140,7 @@ func (r *Receiver) addSubflow() {
 // rwnd is the advertised receive window: buffer minus bytes held in
 // reorder queues (the in-order application consumes immediately).
 func (r *Receiver) rwnd() int64 {
-	held := r.oooBytes
-	for _, srx := range r.perSbf {
-		for _, seg := range srx.held {
-			held += seg.size
-		}
-	}
-	w := int64(r.rcvBuf - held)
+	w := int64(r.rcvBuf - r.oooBytes - r.heldBytes)
 	if w < 0 {
 		w = 0
 	}
@@ -151,17 +149,22 @@ func (r *Receiver) rwnd() int64 {
 
 // onData handles one segment arriving on subflow s and returns the
 // acknowledgement through the reverse path.
+//
+//progmp:hotpath
 func (r *Receiver) onData(s *Subflow, sbfSeq, metaSeq int64, size int) {
 	srx := r.perSbf[s.id]
 	duplicate := sbfSeq < srx.nextExpected || srx.receivedHigh[sbfSeq]
 	if !duplicate {
+		//progmp:ignore hotpath amortized: receivedHigh is a sliding window of keys, deleted as nextExpected advances
 		srx.receivedHigh[sbfSeq] = true
 		switch r.mode {
 		case ReceiverOptimized:
 			r.metaProcess(metaSeq, size)
 			r.advanceSbf(srx)
 		case ReceiverLegacy:
+			//progmp:ignore hotpath amortized: held is a sliding window of keys, deleted as the subflow gap closes
 			srx.held[sbfSeq] = rxSeg{metaSeq: metaSeq, size: size}
+			r.heldBytes += size
 			if sbfSeq != srx.nextExpected {
 				// A subflow-level gap keeps this segment in the
 				// subflow out-of-order queue even though the meta
@@ -175,11 +178,7 @@ func (r *Receiver) onData(s *Subflow, sbfSeq, metaSeq int64, size int) {
 	}
 	// Acknowledge with the (possibly advanced) cumulative DATA_ACK and
 	// the current window.
-	metaCumAck := r.nextMetaSeq
-	rwnd := r.rwnd()
-	s.link.Rev.Send(ackSize, func() {
-		s.handleAck(sbfSeq, metaCumAck, rwnd)
-	})
+	s.link.Rev.SendMsg(ackSize, netsim.Msg{To: s, Kind: evAck, A: sbfSeq, B: r.nextMetaSeq, C: r.rwnd()})
 }
 
 // advanceSbf advances the subflow contiguity pointer past received
@@ -199,6 +198,7 @@ func (r *Receiver) drainLegacy(srx *sbfRx) {
 			return
 		}
 		delete(srx.held, srx.nextExpected)
+		r.heldBytes -= seg.size
 		delete(srx.receivedHigh, srx.nextExpected)
 		srx.nextExpected++
 		r.metaProcess(seg.metaSeq, seg.size)
@@ -231,6 +231,7 @@ func (r *Receiver) metaProcess(metaSeq int64, size int) {
 		}
 		return
 	}
+	//progmp:ignore hotpath amortized: oooMeta is a sliding window of keys, deleted as the meta frontier advances
 	r.oooMeta[metaSeq] = rxSeg{metaSeq: metaSeq, size: size}
 	r.oooBytes += size
 	r.mOOODepth.Observe(int64(len(r.oooMeta)))
@@ -243,6 +244,7 @@ func (r *Receiver) deliver(seq int64, size int) {
 	r.mDelivSegs.Add(1)
 	r.conn.trace(obs.EvDeliver, -1, seq, int64(size), 0)
 	if r.onDeliver != nil {
+		//progmp:ignore hotpath the application's read callback: what it does with the bytes is its own cost
 		r.onDeliver(seq, size, r.conn.eng.Now())
 	}
 }

@@ -55,6 +55,10 @@ func runScript(t *testing.T, mode ReceiverMode, script []arrival) ([]delivery, *
 		a := a
 		eng.At(a.at, func() {
 			conn.receiver.onData(conn.subflows[a.sbf], a.sbfSeq, a.metaSeq, segSize)
+			if got, want := conn.receiver.heldBytes, walkHeldBytes(conn.receiver); got != want {
+				t.Errorf("after sbf %d seq %d: running heldBytes = %d, walk over the held maps = %d",
+					a.sbf, a.sbfSeq, got, want)
+			}
 		})
 	}
 	eng.RunUntil(time.Second)
@@ -62,6 +66,18 @@ func runScript(t *testing.T, mode ReceiverMode, script []arrival) ([]delivery, *
 }
 
 const segSize = 1460
+
+// walkHeldBytes sums the subflows' held maps the way rwnd did before it
+// kept a running total.
+func walkHeldBytes(r *Receiver) int {
+	held := 0
+	for _, srx := range r.perSbf {
+		for _, seg := range srx.held {
+			held += seg.size
+		}
+	}
+	return held
+}
 
 func seqs(ds []delivery) []int64 {
 	out := make([]int64, len(ds))

@@ -9,7 +9,11 @@ import (
 )
 
 // txRecord tracks one subflow-level segment until acknowledged.
+// Records are recycled through the connection's free list (Conn.txFree):
+// once a record is SACKed nothing may refer to it any more — release
+// drops it from retxPending for that reason.
 type txRecord struct {
+	next   *txRecord // free-list link
 	pkt    *Packet
 	sbfSeq int64
 	sentAt time.Duration
@@ -81,6 +85,7 @@ type Subflow struct {
 	backup      bool
 	established bool
 	closed      bool
+	inRecovery  bool // loss recovery until sbfSeq >= recoverEnd is SACKed
 
 	// Congestion control state (owned by the CC algorithm).
 	cwnd     float64
@@ -99,9 +104,8 @@ type Subflow struct {
 	rttSum   time.Duration
 
 	// Loss recovery.
-	inRecovery bool
-	recoverEnd int64 // leave recovery once sbfSeq >= recoverEnd SACKed
-	rtoTimer   *netsim.Timer
+	recoverEnd int64
+	rtoTimer   netsim.Timer
 	rtoBackoff int
 
 	// retxPending queues records marked lost awaiting their paced
@@ -116,8 +120,8 @@ type Subflow struct {
 	// kernel.
 	qdiscBytes int64
 
-	// Delivery-rate estimation: acked-bytes samples in a sliding window.
-	rateSamples []rateSample
+	// Delivery-rate estimation: acked bytes over a sliding window.
+	rate rateWindowSum
 
 	// olia is per-subflow state for the OLIA congestion control.
 	olia oliaState
@@ -147,6 +151,50 @@ type rateSample struct {
 
 // rateWindow is the sliding window for THROUGHPUT estimation.
 const rateWindow = time.Second
+
+// rateWindowSum is the byte total of the samples no older than
+// rateWindow: a FIFO ring plus a running sum, so adding a sample,
+// expiring old ones and reading the total are O(1) amortized. The ring
+// is allocated on the first sample and doubles when the window holds
+// more samples than it has room for.
+type rateWindowSum struct {
+	buf   []rateSample // len is zero or a power of two
+	head  int          // index of the oldest sample
+	n     int          // samples held
+	total int          // sum of their bytes
+}
+
+// add records bytes delivered at now.
+func (w *rateWindowSum) add(now time.Duration, bytes int) {
+	if w.n == len(w.buf) {
+		w.grow()
+	}
+	w.buf[(w.head+w.n)&(len(w.buf)-1)] = rateSample{at: now, bytes: bytes}
+	w.n++
+	w.total += bytes
+}
+
+func (w *rateWindowSum) grow() {
+	size := 2 * len(w.buf)
+	if size == 0 {
+		size = 8
+	}
+	//progmp:ignore hotpath amortized: the ring doubles until it holds one window of samples, then never again
+	buf := make([]rateSample, size)
+	for i := 0; i < w.n; i++ {
+		buf[i] = w.buf[(w.head+i)&(len(w.buf)-1)]
+	}
+	w.buf, w.head = buf, 0
+}
+
+// prune expires samples older than rateWindow at now.
+func (w *rateWindowSum) prune(now time.Duration) {
+	for w.n > 0 && w.buf[w.head].at < now-rateWindow {
+		w.total -= w.buf[w.head].bytes
+		w.head = (w.head + 1) & (len(w.buf) - 1)
+		w.n--
+	}
+}
 
 // ID returns the stable subflow id (the SentOnMask bit index).
 func (s *Subflow) ID() int { return s.id }
@@ -203,6 +251,41 @@ const synRetryBase = time.Second
 // maxSynRetries bounds handshake attempts before the subflow gives up.
 const maxSynRetries = 6
 
+// Event kinds a subflow posts to itself through the engine and its
+// link's paths (netsim.Handler). The words are, per kind:
+//
+//	evEstablish   —
+//	evSerialized  wire bytes
+//	evData        sbfSeq, metaSeq, payload size   (at the receiver)
+//	evAck         sbfSeq, meta cumulative ACK, receive window
+//	evRTO         —
+const (
+	evEstablish uint8 = iota + 1
+	evSerialized
+	evData
+	evAck
+	evRTO
+)
+
+// HandleEvent dispatches the subflow's typed events.
+//
+//progmp:hotpath
+func (s *Subflow) HandleEvent(kind uint8, a, b, c int64) {
+	switch kind {
+	case evEstablish:
+		//progmp:ignore hotpath once per subflow: the handshake schedules closures
+		s.establish()
+	case evSerialized:
+		s.onSerialized(a)
+	case evData:
+		s.conn.receiver.onData(s, a, b, int(c))
+	case evAck:
+		s.handleAck(a, b, c)
+	case evRTO:
+		s.onRTO()
+	}
+}
+
 // establish runs the handshake: a SYN over the forward path and its
 // ACK over the reverse path seed the RTT estimate. Lost SYNs are
 // retransmitted with exponential backoff.
@@ -213,7 +296,7 @@ func (s *Subflow) sendSYN(attempt int) {
 		return
 	}
 	synAt := s.conn.eng.Now()
-	var retry *netsim.Timer
+	var retry netsim.Timer
 	if attempt < maxSynRetries {
 		retry = s.conn.eng.After(synRetryBase<<uint(attempt), func() {
 			s.sendSYN(attempt + 1)
@@ -224,9 +307,7 @@ func (s *Subflow) sendSYN(attempt int) {
 			if s.closed || s.established {
 				return
 			}
-			if retry != nil {
-				retry.Stop()
-			}
+			retry.Stop()
 			s.established = true
 			s.rttSample(s.conn.eng.Now() - synAt)
 			s.conn.onSubflowEstablished(s)
@@ -247,10 +328,7 @@ func (s *Subflow) Close() {
 		return
 	}
 	s.closed = true
-	if s.rtoTimer != nil {
-		s.rtoTimer.Stop()
-		s.rtoTimer = nil
-	}
+	s.rtoTimer.Stop()
 	for _, rec := range s.outstanding {
 		if rec.pkt.MetaAcked {
 			continue
@@ -261,14 +339,19 @@ func (s *Subflow) Close() {
 			s.conn.returnToSendQ(rec.pkt)
 		}
 	}
-	s.outstanding = nil
 	s.retxPending = nil
+	for _, rec := range s.outstanding {
+		s.release(rec)
+	}
+	s.outstanding = nil
 	s.conn.onSubflowClosed(s)
 }
 
 // transmit sends pkt on the subflow. It refuses (returning false) when
 // the subflow is unusable or the peer's receive window has no room —
 // the same guard the kernel applies below the scheduler.
+//
+//progmp:hotpath
 func (s *Subflow) transmit(pkt *Packet) bool {
 	if !s.usable() {
 		return false
@@ -277,13 +360,21 @@ func (s *Subflow) transmit(pkt *Packet) bool {
 		return false
 	}
 	s.conn.noteTransmitted(pkt)
-	rec := &txRecord{
+	rec := s.conn.txFree
+	if rec != nil {
+		s.conn.txFree = rec.next
+	} else {
+		//progmp:ignore hotpath amortized: the free list grows only when more segments are outstanding than ever before
+		rec = new(txRecord)
+	}
+	*rec = txRecord{
 		pkt:    pkt,
 		sbfSeq: s.nextSbfSeq,
 		sentAt: s.conn.eng.Now(),
 		size:   pkt.Size,
 	}
 	s.nextSbfSeq++
+	//progmp:ignore hotpath amortized: outstanding shrinks in place, so its capacity is retained
 	s.outstanding = append(s.outstanding, rec)
 	s.sendRecord(rec)
 	pkt.SentOnMask |= 1 << uint(s.id)
@@ -294,31 +385,35 @@ func (s *Subflow) transmit(pkt *Packet) bool {
 
 // sendRecord puts one record on the wire (first transmission or
 // subflow-level retransmission) and maintains the subflow's own qdisc
-// accounting: when the packet finishes serializing and the backlog
-// falls back under the TSQ budget, the scheduler runs again — the
-// kernel's TSQ completion tasklet.
+// accounting; onSerialized undoes it when the packet has left the
+// transmitter.
+//
+//progmp:hotpath
 func (s *Subflow) sendRecord(rec *txRecord) {
 	s.PktsSent++
 	s.BytesSent += int64(rec.size)
 	s.mBytes.Add(int64(rec.size))
-	sbfSeq, metaSeq, size := rec.sbfSeq, rec.pkt.Seq, rec.size
-	wire := int64(size + 40) // 40 bytes of TCP/MPTCP headers
-	accepted := s.link.Fwd.SendTracked(int(wire), func() {
-		s.conn.receiver.onData(s, sbfSeq, metaSeq, size)
-	}, func() {
-		wasThrottled := s.tsqThrottled()
-		s.qdiscBytes -= wire
-		// The kernel's TSQ tasklet re-enters the scheduler when the
-		// flag clears — on the throttled→unthrottled transition, not
-		// on every serialization.
-		if wasThrottled && !s.tsqThrottled() && !s.closed && !s.conn.cfg.DisableTSQWake {
-			s.conn.schedule()
-		}
+	wire := int64(rec.size + 40) // 40 bytes of TCP/MPTCP headers
+	accepted := s.link.Fwd.SendMsg(int(wire), netsim.Msg{
+		To: s, Kind: evData, Serialized: evSerialized,
+		A: rec.sbfSeq, B: rec.pkt.Seq, C: int64(rec.size),
 	})
 	if accepted {
 		s.qdiscBytes += wire
 	}
 	s.armRTO()
+}
+
+// onSerialized is the kernel's TSQ completion tasklet: the packet
+// finished serializing, and when that takes the subflow's backlog back
+// under the TSQ budget the scheduler runs again — on the
+// throttled→unthrottled transition, not on every serialization.
+func (s *Subflow) onSerialized(wire int64) {
+	wasThrottled := s.tsqThrottled()
+	s.qdiscBytes -= wire
+	if wasThrottled && !s.tsqThrottled() && !s.closed && !s.conn.cfg.DisableTSQWake {
+		s.conn.schedule()
+	}
 }
 
 // retransmitRecord resends rec on this subflow (TCP's mandatory
@@ -337,6 +432,8 @@ func (s *Subflow) retransmitRecord(rec *txRecord) {
 
 // handleAck processes a SACK for sbfSeq together with the piggybacked
 // meta-level cumulative DATA_ACK and receive window.
+//
+//progmp:hotpath
 func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 	if s.closed {
 		return
@@ -346,6 +443,7 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 	for i, cand := range s.outstanding {
 		if cand.sbfSeq == sackSbfSeq {
 			rec = cand
+			//progmp:ignore hotpath in-place shrink: len never grows past cap
 			s.outstanding = append(s.outstanding[:i], s.outstanding[i+1:]...)
 			break
 		}
@@ -356,6 +454,7 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 		}
 		if !rec.lost {
 			prev := s.cwnd
+			//progmp:ignore hotpath congestion control is pluggable; Reno and LIA (the default) are hotpath roots of their own
 			s.conn.cc.OnAck(s.conn, s)
 			if s.cwnd != prev {
 				s.trace(obs.EvCwnd, -1, int64(s.cwnd*1000), 0)
@@ -363,6 +462,7 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 		}
 		s.recordDelivered(rec.size)
 		s.rtoBackoff = 0
+		s.release(rec)
 	}
 	if sackSbfSeq > s.highestSacked {
 		s.highestSacked = sackSbfSeq
@@ -377,6 +477,24 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 	s.drainRetx()
 	s.armRTO()
 	s.conn.onAck(metaCumAck, rwnd, s)
+}
+
+// release recycles a record that is no longer outstanding (SACKed, or
+// its subflow closed). A record marked lost may still be
+// queued for its paced retransmission; it leaves that queue here, so
+// retxPending only ever holds outstanding records and a recycled
+// record can never be mistaken for the one that was queued.
+func (s *Subflow) release(rec *txRecord) {
+	if rec.lost {
+		for i, cand := range s.retxPending {
+			if cand == rec {
+				s.unqueueRetx(i)
+				break
+			}
+		}
+	}
+	*rec = txRecord{next: s.conn.txFree}
+	s.conn.txFree = rec
 }
 
 // detectLosses marks and retransmits records overtaken by dupThresh
@@ -401,6 +519,7 @@ func (s *Subflow) markLost(rec *txRecord, isRTO bool) {
 	rec.lost = true
 	s.trace(obs.EvLoss, rec.pkt.Seq, rec.sbfSeq, 0)
 	if st := s.conn.store; st != nil {
+		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
 		st.RecordLoss(s.destID, 1)
 	}
 	first := false
@@ -411,8 +530,10 @@ func (s *Subflow) markLost(rec *txRecord, isRTO bool) {
 		first = true
 		prev := s.cwnd
 		if isRTO {
+			//progmp:ignore hotpath congestion control is pluggable; Reno and LIA (the default) are hotpath roots of their own
 			s.conn.cc.OnRTO(s.conn, s)
 		} else {
+			//progmp:ignore hotpath congestion control is pluggable; Reno and LIA (the default) are hotpath roots of their own
 			s.conn.cc.OnLoss(s.conn, s)
 		}
 		if s.cwnd != prev {
@@ -422,6 +543,7 @@ func (s *Subflow) markLost(rec *txRecord, isRTO bool) {
 	if first || isRTO {
 		s.retransmitRecord(rec)
 	} else {
+		//progmp:ignore hotpath amortized: retxPending shrinks in place, so its capacity is retained
 		s.retxPending = append(s.retxPending, rec)
 	}
 	if !rec.pkt.MetaAcked {
@@ -429,35 +551,33 @@ func (s *Subflow) markLost(rec *txRecord, isRTO bool) {
 	}
 }
 
-// drainRetx sends one paced retransmission, skipping records that were
-// SACKed or whose data was meta-acknowledged in the meantime.
+// drainRetx sends one paced retransmission. Every queued record is
+// still outstanding: release takes a record out of the queue the
+// moment it is SACKed.
 func (s *Subflow) drainRetx() {
-	for len(s.retxPending) > 0 {
-		rec := s.retxPending[0]
-		s.retxPending = s.retxPending[1:]
-		still := false
-		for _, o := range s.outstanding {
-			if o == rec {
-				still = true
-				break
-			}
-		}
-		if !still {
-			continue
-		}
-		s.retransmitRecord(rec)
+	if len(s.retxPending) == 0 {
 		return
 	}
+	rec := s.retxPending[0]
+	s.unqueueRetx(0)
+	s.retransmitRecord(rec)
+}
+
+// unqueueRetx removes retxPending[i] in place, so the queue keeps its
+// capacity.
+func (s *Subflow) unqueueRetx(i int) {
+	copy(s.retxPending[i:], s.retxPending[i+1:])
+	s.retxPending = s.retxPending[:len(s.retxPending)-1]
 }
 
 // armRTO (re)schedules the retransmission timer for the oldest
-// outstanding record.
+// outstanding record, moving the pending timer event in place when
+// there is one.
+//
+//progmp:hotpath
 func (s *Subflow) armRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Stop()
-		s.rtoTimer = nil
-	}
 	if len(s.outstanding) == 0 || s.closed {
+		s.rtoTimer.Stop()
 		return
 	}
 	oldest := s.outstanding[0]
@@ -467,7 +587,11 @@ func (s *Subflow) armRTO() {
 	if deadline < now {
 		deadline = now + rto
 	}
-	s.rtoTimer = s.conn.eng.At(deadline, s.onRTO)
+	if moved, ok := s.conn.eng.Reschedule(s.rtoTimer, deadline); ok {
+		s.rtoTimer = moved
+		return
+	}
+	s.rtoTimer = s.conn.eng.Post(deadline, s, evRTO, 0, 0, 0)
 }
 
 // onRTO fires the retransmission timeout: collapse the window,
@@ -483,6 +607,7 @@ func (s *Subflow) onRTO() {
 	// publish it as a quarantine signal so other connections steering by
 	// XQUAR avoid this destination.
 	if st := s.conn.store; st != nil {
+		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
 		st.RecordQuarantine(s.destID)
 	}
 	s.rtoBackoff++
@@ -531,6 +656,7 @@ func (s *Subflow) rttSample(sample time.Duration) {
 	s.rttSum += sample
 	s.mRTT.Observe(sample.Microseconds())
 	if st := s.conn.store; st != nil {
+		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
 		st.RecordRTT(s.destID, sample.Microseconds())
 	}
 	s.rto = s.srtt + 4*s.rttvar
@@ -540,33 +666,25 @@ func (s *Subflow) rttSample(sample time.Duration) {
 }
 
 // recordDelivered feeds the sliding-window delivery-rate estimator.
+//
+//progmp:hotpath
 func (s *Subflow) recordDelivered(bytes int) {
 	now := s.conn.eng.Now()
-	s.rateSamples = append(s.rateSamples, rateSample{at: now, bytes: bytes})
-	s.pruneRateSamples(now)
+	s.rate.add(now, bytes)
+	s.rate.prune(now)
 	if st := s.conn.store; st != nil {
+		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
 		st.RecordDelivered(s.destID, int64(bytes))
 	}
 }
 
-func (s *Subflow) pruneRateSamples(now time.Duration) {
-	cut := 0
-	for cut < len(s.rateSamples) && s.rateSamples[cut].at < now-rateWindow {
-		cut++
-	}
-	s.rateSamples = s.rateSamples[cut:]
-}
-
 // Throughput estimates the delivery rate in bytes/s over the sliding
 // window.
+//
+//progmp:hotpath
 func (s *Subflow) Throughput() int64 {
-	now := s.conn.eng.Now()
-	s.pruneRateSamples(now)
-	var total int
-	for _, smp := range s.rateSamples {
-		total += smp.bytes
-	}
-	return int64(float64(total) / rateWindow.Seconds())
+	s.rate.prune(s.conn.eng.Now())
+	return int64(float64(s.rate.total) / rateWindow.Seconds())
 }
 
 // queuedSegments approximates segments handed to the subflow but not

@@ -7,52 +7,69 @@
 package netsim
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 
 	"progmp/internal/obs"
 )
 
-// event is one scheduled callback.
+// Handler receives typed events. The kind and the three words mean
+// whatever the poster and the handler agree on; the engine only carries
+// them. Implementations are long-lived or recycled objects (a subflow, a
+// path's flight record), so posting an event to one allocates nothing.
+type Handler interface {
+	HandleEvent(kind uint8, a, b, c int64)
+}
+
+// funcHandler adapts a plain callback to Handler. A func value is
+// pointer-shaped, so the conversion does not box: At/After cost the
+// caller's closure and nothing more.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent(uint8, int64, int64, int64) { f() }
+
+// event is one scheduled delivery of (kind, a, b, c) to h. Events are
+// recycled: the engine owns every event it ever allocated (see
+// Engine.pq), so nothing outside the engine may hold one except through
+// a Timer, which checks seq before touching it.
 type event struct {
 	at  time.Duration
-	seq uint64 // tie-breaker for stable ordering
-	fn  func()
-	// cancelled events stay in the heap but do not fire.
-	cancelled bool
+	seq uint64  // tie-breaker for stable ordering; unique per scheduling
+	h   Handler // nil once cancelled or fired
+	a   int64
+	b   int64
+	c   int64
+	idx int32 // position in the heap while scheduled
+	// kind is the handler's own discriminator.
+	kind uint8
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// Timer names one scheduling of an event and allows cancelling or
+// moving it. The zero Timer is inert. Because events are recycled, a
+// Timer is only ever valid for the scheduling that created it: once
+// that event fired, was stopped or was rescheduled, the Timer's seq no
+// longer matches and every operation through it is a no-op.
+type Timer struct {
+	ev  *event
+	seq uint64
 }
 
-// Timer handles a scheduled event and allows cancellation.
-type Timer struct{ ev *event }
+// pending reports whether the scheduling t names has not fired, been
+// stopped or been superseded yet.
+func (t Timer) pending() bool {
+	return t.ev != nil && t.ev.seq == t.seq && t.ev.h != nil
+}
 
-// Stop cancels the timer; firing a stopped timer is a no-op. Stop is
-// idempotent and safe on an already-fired timer.
+// Stop cancels the timer; a stopped timer does not fire. Stop is
+// idempotent and safe on a zero, fired or recycled timer. The cancelled
+// event keeps its heap slot until its time comes, then returns to the
+// free list unfired.
 //
+//progmp:hotpath
 //progmp:deterministic
-func (t *Timer) Stop() {
-	if t != nil && t.ev != nil {
-		t.ev.cancelled = true
+func (t Timer) Stop() {
+	if t.pending() {
+		t.ev.h = nil
 	}
 }
 
@@ -61,8 +78,17 @@ func (t *Timer) Stop() {
 type Engine struct {
 	now time.Duration
 	seq uint64
-	pq  eventHeap
+	// pq[:n] is a binary min-heap on (at, seq); pq[n:] is the free list:
+	// events that fired or were popped cancelled, waiting to be reused.
+	// Popping moves the root to pq[n] and scheduling takes pq[n] back, so
+	// recycling costs no extra storage and the slice only grows when more
+	// events are pending at once than ever before.
+	pq  []*event
+	n   int
 	rng *rand.Rand
+	// flights is the free list of the paths' per-packet records; it is
+	// engine-wide so that paths chained through Next share one.
+	flights *flight
 
 	// Observability handles (nil-safe no-ops when uninstrumented).
 	mEvents  *obs.Counter
@@ -128,42 +154,156 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 // Rand exposes the engine's deterministic randomness source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// At schedules fn at absolute virtual time t (clamped to now).
+// Post schedules (kind, a, b, c) for delivery to h at absolute virtual
+// time t (clamped to now). It is the allocation-free scheduling
+// primitive: the event comes from the free list.
 //
+//progmp:hotpath
 //progmp:deterministic
-func (e *Engine) At(t time.Duration, fn func()) *Timer {
+func (e *Engine) Post(t time.Duration, h Handler, kind uint8, a, b, c int64) Timer {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
+	var ev *event
+	if e.n < len(e.pq) {
+		ev = e.pq[e.n]
+	} else {
+		//progmp:ignore hotpath amortized: the free list grows only when more events are pending than ever before
+		ev = new(event)
+		//progmp:ignore hotpath amortized: same growth as the event above
+		e.pq = append(e.pq, ev)
+	}
+	*ev = event{at: t, seq: e.seq, h: h, a: a, b: b, c: c, idx: int32(e.n), kind: kind}
 	e.seq++
-	heap.Push(&e.pq, ev)
-	return &Timer{ev: ev}
+	e.n++
+	e.up(int(ev.idx))
+	return Timer{ev: ev, seq: ev.seq}
+}
+
+// At schedules fn at absolute virtual time t (clamped to now).
+//
+//progmp:deterministic
+func (e *Engine) At(t time.Duration, fn func()) Timer {
+	return e.Post(t, funcHandler(fn), 0, 0, 0, 0)
 }
 
 // After schedules fn d after the current time.
 //
 //progmp:deterministic
-func (e *Engine) After(d time.Duration, fn func()) *Timer {
+func (e *Engine) After(d time.Duration, fn func()) Timer {
 	return e.At(e.now+d, fn)
+}
+
+// Reschedule moves a pending timer to absolute virtual time at (clamped
+// to now) and returns the timer that now names it; ok is false, and
+// nothing happened, when t is no longer pending. The event takes a
+// fresh seq, so it orders among same-time events exactly as Stop
+// followed by a new Post would — without leaving a cancelled event
+// behind in the heap.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (e *Engine) Reschedule(t Timer, at time.Duration) (moved Timer, ok bool) {
+	if !t.pending() {
+		return Timer{}, false
+	}
+	if at < e.now {
+		at = e.now
+	}
+	ev := t.ev
+	ev.at, ev.seq = at, e.seq
+	e.seq++
+	e.up(int(ev.idx))
+	e.down(int(ev.idx)) // a no-op when up moved it
+	return Timer{ev: ev, seq: ev.seq}, true
+}
+
+// before is the heap order: by time, then by scheduling order.
+func (x *event) before(y *event) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	return x.seq < y.seq
+}
+
+// up restores the heap after pq[i] may have become smaller.
+func (e *Engine) up(i int) {
+	ev := e.pq[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(e.pq[parent]) {
+			break
+		}
+		e.pq[i] = e.pq[parent]
+		e.pq[i].idx = int32(i)
+		i = parent
+	}
+	e.pq[i] = ev
+	ev.idx = int32(i)
+}
+
+// down restores the heap after pq[i] may have become larger.
+func (e *Engine) down(i int) {
+	ev := e.pq[i]
+	for {
+		child := 2*i + 1
+		if child >= e.n {
+			break
+		}
+		if r := child + 1; r < e.n && e.pq[r].before(e.pq[child]) {
+			child = r
+		}
+		if !e.pq[child].before(ev) {
+			break
+		}
+		e.pq[i] = e.pq[child]
+		e.pq[i].idx = int32(i)
+		i = child
+	}
+	e.pq[i] = ev
+	ev.idx = int32(i)
+}
+
+// pop removes the heap's root and puts it at the head of the free list.
+// The caller reads what it needs from the returned event before
+// scheduling anything: the next Post reuses it.
+func (e *Engine) pop() *event {
+	root := e.pq[0]
+	e.n--
+	if e.n > 0 {
+		e.pq[0] = e.pq[e.n]
+		e.down(0)
+	}
+	e.pq[e.n] = root
+	return root
+}
+
+// dropCancelled recycles cancelled events at the head of the heap, so
+// the root, if any, is the next event that will fire.
+func (e *Engine) dropCancelled() {
+	for e.n > 0 && e.pq[0].h == nil {
+		e.pop()
+	}
 }
 
 // Step fires the next event; it reports false when no events remain.
 //
+//progmp:hotpath
 //progmp:deterministic
 func (e *Engine) Step() bool {
-	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*event)
-		if ev.cancelled {
-			continue
-		}
-		e.now = ev.at
-		e.mEvents.Add(1)
-		e.mPending.Set(int64(len(e.pq)))
-		ev.fn()
-		return true
+	e.dropCancelled()
+	if e.n == 0 {
+		return false
 	}
-	return false
+	ev := e.pop()
+	h, kind, a, b, c := ev.h, ev.kind, ev.a, ev.b, ev.c
+	ev.h = nil // a recycled event must not pin its last handler
+	e.now = ev.at
+	e.mEvents.Add(1)
+	e.mPending.Set(int64(e.n))
+	//progmp:ignore hotpath the one dynamic dispatch of the event loop: the receiver is a long-lived object whose per-segment handlers are hotpath roots of their own; only funcHandler (At/After, the cold-path API) runs arbitrary code
+	h.HandleEvent(kind, a, b, c)
+	return true
 }
 
 // NextEventAt peeks the timestamp of the next live event without
@@ -174,10 +314,8 @@ func (e *Engine) Step() bool {
 //
 //progmp:deterministic
 func (e *Engine) NextEventAt() (at time.Duration, ok bool) {
-	for len(e.pq) > 0 && e.pq[0].cancelled {
-		heap.Pop(&e.pq)
-	}
-	if len(e.pq) == 0 {
+	e.dropCancelled()
+	if e.n == 0 {
 		return 0, false
 	}
 	return e.pq[0].at, true
@@ -197,11 +335,8 @@ func (e *Engine) Run() {
 //progmp:deterministic
 func (e *Engine) RunUntil(deadline time.Duration) {
 	for {
-		// Peek for the next non-cancelled event.
-		for len(e.pq) > 0 && e.pq[0].cancelled {
-			heap.Pop(&e.pq)
-		}
-		if len(e.pq) == 0 || e.pq[0].at > deadline {
+		at, ok := e.NextEventAt()
+		if !ok || at > deadline {
 			break
 		}
 		e.Step()

@@ -230,21 +230,97 @@ func (p *Path) BacklogClearAt(targetBytes int) time.Duration {
 	return now + time.Duration(float64(excess)/rate*float64(time.Second))
 }
 
+// Msg is what a typed send carries to the far end of a path: when the
+// packet arrives, To receives (Kind, A, B, C). A nonzero Serialized
+// additionally delivers (Serialized, size, 0, 0) to To when the packet
+// finishes serializing onto the first hop's wire, regardless of loss.
+// Senders use that for per-flow qdisc accounting — the basis of the
+// TCP-small-queues condition, which counts only the flow's own bytes
+// even on shared links.
+type Msg struct {
+	To         Handler
+	A, B, C    int64
+	Kind       uint8
+	Serialized uint8
+}
+
+// flight is one packet between a path's transmitter and its arrival at
+// the far end: the handler of its arrival event(s). Flights are
+// recycled through the engine's free list.
+type flight struct {
+	p    *Path
+	next *flight // free-list link
+	msg  Msg
+	size int
+	// arrivals still to come: 2 while a duplicate is pending.
+	refs int
+}
+
+// HandleEvent is the packet's arrival: hand it to the next hop when the
+// path is chained, to the message's sink otherwise.
+//
+//progmp:hotpath
+func (f *flight) HandleEvent(uint8, int64, int64, int64) {
+	p, m, size := f.p, f.msg, f.size
+	if f.refs--; f.refs == 0 {
+		f.msg.To = nil
+		f.next, p.eng.flights = p.eng.flights, f
+	}
+	p.DeliveredCount++
+	if p.cfg.Next != nil {
+		p.cfg.Next.SendMsg(size, m)
+		return
+	}
+	//progmp:ignore hotpath dynamic call to the message's sink, a long-lived receiver whose per-segment handlers are hotpath roots of their own
+	m.To.HandleEvent(m.Kind, m.A, m.B, m.C)
+}
+
+// callbacks adapts SendTracked's pair of funcs to one Handler.
+type callbacks struct{ deliver, serialized func() }
+
+const (
+	cbDeliver uint8 = iota + 1
+	cbSerialized
+)
+
+func (c *callbacks) HandleEvent(kind uint8, _, _, _ int64) {
+	if kind == cbSerialized {
+		c.serialized()
+		return
+	}
+	c.deliver()
+}
+
 // Send transmits size bytes and calls deliver at the receiver when the
 // packet survives queueing and loss. It returns false when the packet
 // was tail-dropped at the local queue (the caller observes that only
 // through missing ACKs, like a real stack).
 func (p *Path) Send(size int, deliver func()) bool {
-	return p.SendTracked(size, deliver, nil)
+	return p.SendMsg(size, Msg{To: funcHandler(deliver)})
 }
 
 // SendTracked is Send with an additional serialized callback fired when
 // the packet finishes serializing onto the wire (regardless of loss).
-// Senders use it for per-flow qdisc accounting — the basis of the
-// TCP-small-queues condition, which counts only the flow's own bytes
-// even on shared links.
 func (p *Path) SendTracked(size int, deliver, serialized func()) bool {
+	if serialized == nil {
+		return p.Send(size, deliver)
+	}
+	return p.SendMsg(size, Msg{
+		To:   &callbacks{deliver: deliver, serialized: serialized},
+		Kind: cbDeliver, Serialized: cbSerialized,
+	})
+}
+
+// SendMsg transmits size bytes carrying m; Send and SendTracked are
+// closure-taking adapters over it. It returns false when the packet was
+// tail-dropped at the local queue. In steady state it allocates
+// nothing: events and flights are recycled.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (p *Path) SendMsg(size int, m Msg) bool {
 	now := p.eng.Now()
+	//progmp:ignore hotpath rate curves are pure arithmetic closures captured at path construction
 	rate := p.cfg.Rate(now)
 	if rate <= 0 {
 		p.DroppedQueue++
@@ -276,15 +352,18 @@ func (p *Path) SendTracked(size int, deliver, serialized func()) bool {
 	p.busyUntil = start + txTime
 	p.SentPackets++
 	p.SentBytes += int64(size)
-	if serialized != nil {
-		p.eng.At(p.busyUntil, serialized)
+	if m.Serialized != 0 {
+		p.eng.Post(p.busyUntil, m.To, m.Serialized, int64(size), 0, 0)
+		m.Serialized = 0 // the first hop's business only
 	}
+	//progmp:ignore hotpath loss models are small value types or long-lived state machines drawing from the engine's source
 	if p.cfg.Loss.Lost(p.eng) {
 		p.DroppedLoss++
 		return true // consumed link time, but never arrives
 	}
 	delay := p.cfg.Delay
 	if p.cfg.DelayFn != nil {
+		//progmp:ignore hotpath delay curves are pure arithmetic closures captured at path construction
 		delay = p.cfg.DelayFn(now)
 	}
 	arrival := p.busyUntil + delay
@@ -299,22 +378,23 @@ func (p *Path) SendTracked(size int, deliver, serialized func()) bool {
 		arrival += extra
 		p.ReorderedCount++
 	}
-	arrive := func() {
-		p.DeliveredCount++
-		if p.cfg.Next != nil {
-			p.cfg.Next.Send(size, deliver)
-			return
-		}
-		deliver()
+	f := p.eng.flights
+	if f != nil {
+		p.eng.flights = f.next
+	} else {
+		//progmp:ignore hotpath amortized: the free list grows only when more packets are in flight than ever before
+		f = new(flight)
 	}
-	p.eng.At(arrival, arrive)
+	*f = flight{p: p, msg: m, size: size, refs: 1}
+	p.eng.Post(arrival, f, 0, 0, 0, 0)
 	if p.cfg.DupProb > 0 && p.eng.Rand().Float64() < p.cfg.DupProb {
 		dupDelay := p.cfg.DupDelay
 		if dupDelay <= 0 {
 			dupDelay = 2 * time.Millisecond
 		}
 		p.DuplicatedCount++
-		p.eng.At(arrival+dupDelay, arrive)
+		f.refs++
+		p.eng.Post(arrival+dupDelay, f, 0, 0, 0, 0)
 	}
 	return true
 }

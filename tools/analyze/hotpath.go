@@ -26,6 +26,8 @@ var hotpathAllowFuncs = map[string]bool{
 	"(time.Duration).Microseconds": true,
 	"(time.Duration).Milliseconds": true,
 	"(time.Duration).Seconds":      true,
+	"(*math/rand.Rand).Float64":    true,
+	"(*math/rand.Rand).Int63n":     true,
 	"(*sync.Pool).Get":             true,
 	"(*sync.Pool).Put":             true,
 	"(*sync.Mutex).Lock":           true,
