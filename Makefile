@@ -24,6 +24,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/lang/
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzVerifier -fuzztime 10s ./internal/vm/
+	$(GO) test -run '^$$' -fuzz FuzzBackendsAgree -fuzztime 10s ./internal/semtest/
 
 cover:
 	$(GO) test -cover ./...
@@ -37,9 +38,10 @@ bench:
 bench-run:
 	bash bench/run.sh
 
-# Regenerate every table and figure of the paper's evaluation.
+# Regenerate every table and figure of the paper's evaluation into
+# results.txt (untracked: its fig9 and up-call rows are wall time).
 experiments:
-	$(GO) run ./cmd/progmp-bench -exp all
+	$(GO) run ./cmd/progmp-experiments -exp all | tee results.txt
 
 fmt:
 	gofmt -w .

@@ -1,9 +1,8 @@
 // Allocation regression guards for the Fig. 9 hot path: every
 // scheduler back-end must execute with zero allocations in steady
 // state (the arena owns all snapshot memory; executions only recycle
-// it). CI additionally runs BenchmarkFig09_ExecutionOverhead with
-// -benchmem and fails on any non-zero allocs/op, so both the tests and
-// the benchmarks pin the same contract.
+// it). CI runs these by name and, independently, the layered
+// benchmark's 0-alloc oracle (bench/), so two proofs pin the contract.
 package progmp
 
 import (

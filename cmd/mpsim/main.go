@@ -481,7 +481,7 @@ func runWithControlPlane(sc *scenario.Scenario, out io.Writer, lm liveMode) erro
 			return // run ended on its own
 		}
 		fmt.Fprintf(os.Stderr, "mpsim: %v: draining control plane\n", s)
-		srv.Drain(0)
+		srv.Drain()
 		nw.StopLive()
 	}()
 	// A remote `progmpctl drain` should end the whole process, not just

@@ -1,4 +1,4 @@
-// Command progmp-bench regenerates the paper's evaluation tables and
+// Command progmp-experiments regenerates the paper's evaluation tables and
 // figure series (see DESIGN.md for the experiment index; the output of
 // -exp all is what EXPERIMENTS.md records). Performance is measured by
 // the layered benchmark in bench/ (BENCHMARK.json, bench/README.md),
@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	progmp-bench -exp all
-//	progmp-bench -exp fig13
+//	progmp-experiments -exp all
+//	progmp-experiments -exp fig13
 //
 // Experiments: fig1, fig9, fig9tp, fig10b, fig10c, fig12, fig13,
 // fig14, upcall, memory, receiver, handover, opportunistic, fairness,
@@ -29,7 +29,7 @@ func main() {
 	seed := flag.Int64("seed", 7, "simulation seed")
 	flag.Parse()
 	if err := run(*exp, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "progmp-bench:", err)
+		fmt.Fprintln(os.Stderr, "progmp-experiments:", err)
 		os.Exit(1)
 	}
 }

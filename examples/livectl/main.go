@@ -88,7 +88,7 @@ func main() {
 
 	// Phase 2: playback starts — switch to the target-aware TAP
 	// scheduler and tell it the stream bitrate through R1.
-	if _, err := c.Swap(1, "tap", "", ""); err != nil {
+	if _, err := c.Swap(1, "tap", "", "", false); err != nil {
 		log.Fatal(err)
 	}
 	if err := c.SetReg(1, progmp.R1, 2_000_000); err != nil {
@@ -98,7 +98,7 @@ func main() {
 	streamChunk(c)
 
 	// Phase 3: the latency-critical tail — duplicate every packet.
-	sw, err := c.Swap(1, "redundant", "", "")
+	sw, err := c.Swap(1, "redundant", "", "", false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,33 +25,24 @@ import (
 	"progmp/internal/vm"
 )
 
-// DefaultQueueDepth is the reference queue depth N at which the step
-// bound is evaluated. The language does not bound queue length, so the
-// gate checks the polynomial at a depth generously above what the
-// runtime's send queues hold in practice.
-const DefaultQueueDepth = 1024
+// The reference environment size the step bound is evaluated at: the
+// most subflows the runtime admits, and — the language does not bound
+// queue length — a queue depth generously above what the runtime's send
+// queues hold in practice.
+const (
+	refSubflows   = runtime.MaxSubflows
+	refQueueDepth = 1024
+)
 
 // Options parameterizes an analysis run. The zero value selects the
 // defaults.
 type Options struct {
-	// RefSubflows is the subflow count S the step bound is evaluated
-	// at. Defaults to runtime.MaxSubflows.
-	RefSubflows int64
-	// RefQueueDepth is the queue depth N the step bound is evaluated
-	// at. Defaults to DefaultQueueDepth.
-	RefQueueDepth int64
 	// StepBudget is the execution budget the bound is compared against.
 	// Defaults to vm.MaxSteps.
 	StepBudget int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.RefSubflows <= 0 {
-		o.RefSubflows = runtime.MaxSubflows
-	}
-	if o.RefQueueDepth <= 0 {
-		o.RefQueueDepth = DefaultQueueDepth
-	}
 	if o.StepBudget <= 0 {
 		o.StepBudget = vm.MaxSteps
 	}
@@ -95,20 +86,19 @@ func AnalyzeProgram(info *types.Info, opts Options) (*Report, *Facts) {
 		rep:      &Report{},
 		facts:    &Facts{},
 		vals:     make(map[*types.Symbol]absVal),
-		chainDef: make(map[*types.Symbol]lang.Expr),
 		consumed: make(map[*types.Symbol]bool),
 	}
 	a.run()
 
 	bound := a.costProgram()
 	a.rep.StepBound = bound.String()
-	a.rep.StepBoundAt = bound.eval(opts.RefSubflows, opts.RefQueueDepth)
+	a.rep.StepBoundAt = bound.eval(refSubflows, refQueueDepth)
 	a.facts.Bound = a.rep.StepBound
 	a.facts.BoundAt = a.rep.StepBoundAt
 	if a.rep.StepBoundAt > opts.StepBudget {
 		a.forceDiag(RuleStepBudget, info.Prog.Position(),
 			"worst-case step bound %s = %d at S=%d subflows, N=%d queued packets exceeds the execution budget of %d; the runtime will cut this scheduler off and fall back",
-			a.rep.StepBound, a.rep.StepBoundAt, opts.RefSubflows, opts.RefQueueDepth, opts.StepBudget)
+			a.rep.StepBound, a.rep.StepBoundAt, refSubflows, refQueueDepth, opts.StepBudget)
 	}
 
 	a.rep.applySuppressions(info.Prog.Source)

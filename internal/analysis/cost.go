@@ -170,8 +170,7 @@ var (
 
 // ---- Program cost ----
 
-// costProgram bounds the whole program. Must run after the value walk
-// so queue-variable chains (chainDef) are resolved.
+// costProgram bounds the whole program.
 func (a *analyzer) costProgram() poly {
 	total := constPoly(1)
 	for _, s := range a.info.Prog.Stmts {
@@ -244,37 +243,28 @@ func (a *analyzer) costMember(e *lang.MemberExpr) poly {
 	if m == nil {
 		return recv.addConst(1)
 	}
-	lambdaBody := func() poly {
-		if len(e.Args) == 1 {
-			if lam, ok := e.Args[0].(*lang.Lambda); ok {
-				return a.costExpr(lam.Body)
-			}
-		}
-		return constPoly(1)
-	}
-	switch costKind(m) {
-	case MemberFilterList:
-		// Subflow-list filters are materialized eagerly: one predicate
-		// evaluation per subflow.
-		return recv.add(sTerm.mul(lambdaBody().addConst(2))).addConst(1)
-	case MemberFilterQueue:
-		// Queue filters are lazy: building the chain is O(1); the
-		// predicates are charged where the chain is scanned.
-		return recv.addConst(1)
-	case MemberMinMaxList:
-		return recv.add(sTerm.mul(lambdaBody().addConst(2))).addConst(1)
-	case MemberMinMaxQueue:
-		preds := a.queuePredCost(e.Recv)
-		return recv.add(nTerm.mul(preds.add(lambdaBody()).addConst(2))).addConst(1)
-	case MemberQueueScan:
-		// TOP / POP / COUNT / EMPTY through a filter chain visit up to
-		// N packets, paying every predicate on each. On the bare queue
-		// they are O(1) — except COUNT, which walks the queue.
-		preds := a.queuePredCost(e.Recv)
-		if len(preds) == 1 && preds[term{}] == 0 && e.Name != "COUNT" && e.Name != "BYTES" {
+	// FILTER, MIN and MAX: the checker admitted exactly one lambda.
+	lambdaBody := func() poly { return a.costExpr(e.Args[0].(*lang.Lambda).Body) }
+	minMax := m.Kind == types.MemberMin || m.Kind == types.MemberMax
+	switch {
+	case m.Scan != nil && minMax:
+		return recv.add(nTerm.mul(a.scanPredCost(m.Scan).add(lambdaBody()).addConst(2))).addConst(1)
+	case m.Scan != nil:
+		// TOP / POP / COUNT / BYTES / EMPTY through a filter chain visit
+		// up to N packets, paying every predicate on each. On the bare
+		// queue they are O(1) — except COUNT and BYTES, which walk it.
+		if len(m.Scan.Filters) == 0 && e.Name != "COUNT" && e.Name != "BYTES" {
 			return recv.addConst(2)
 		}
-		return recv.add(nTerm.mul(preds.addConst(1))).addConst(1)
+		return recv.add(nTerm.mul(a.scanPredCost(m.Scan).addConst(1))).addConst(1)
+	case m.Kind == types.MemberFilter && m.RecvType == types.PacketQueue:
+		// Queue filters are lazy: naming the chain is O(1); the
+		// predicates are charged where the chain is scanned.
+		return recv.addConst(1)
+	case m.Kind == types.MemberFilter, minMax:
+		// Subflow-list filters are materialized eagerly and MIN/MAX walk
+		// the list: one lambda evaluation per subflow.
+		return recv.add(sTerm.mul(lambdaBody().addConst(2))).addConst(1)
 	}
 	// Property reads, GET, HAS_WINDOW_FOR, SENT_ON: constant work plus
 	// argument cost.
@@ -285,73 +275,12 @@ func (a *analyzer) costMember(e *lang.MemberExpr) poly {
 	return total
 }
 
-// costMemberKind classifies members for the cost model.
-type costMemberKind int
-
-const (
-	memberOther costMemberKind = iota
-	// MemberFilterList is FILTER over a subflow list.
-	MemberFilterList
-	// MemberFilterQueue is FILTER over a packet queue.
-	MemberFilterQueue
-	// MemberMinMaxList is MIN/MAX over a subflow list.
-	MemberMinMaxList
-	// MemberMinMaxQueue is MIN/MAX over a packet queue.
-	MemberMinMaxQueue
-	// MemberQueueScan is TOP/FIRST/POP/COUNT/BYTES/EMPTY on a packet queue.
-	MemberQueueScan
-)
-
-// costKind folds the checker's member kinds and the receiver type into
-// the five cost-relevant shapes.
-func costKind(m *types.Member) costMemberKind {
-	switch m.Kind {
-	case types.MemberFilter:
-		if m.RecvType == types.PacketQueue {
-			return MemberFilterQueue
-		}
-		return MemberFilterList
-	case types.MemberMin, types.MemberMax:
-		if m.RecvType == types.PacketQueue {
-			return MemberMinMaxQueue
-		}
-		return MemberMinMaxList
-	case types.MemberTop, types.MemberPop, types.MemberEmpty, types.MemberCount, types.MemberBytes:
-		if m.RecvType == types.PacketQueue {
-			return MemberQueueScan
-		}
-		return memberOther
+// scanPredCost sums the predicate-body costs of the FILTER chain a
+// queue scan runs per packet, as the checker resolved it.
+func (a *analyzer) scanPredCost(sc *types.Scan) poly {
+	total := constPoly(0)
+	for _, lam := range sc.Filters {
+		total = total.add(a.costExpr(lam.Body).addConst(1))
 	}
-	return memberOther
-}
-
-// queuePredCost sums the predicate-body costs along the FILTER chain
-// rooted at a queue expression, resolving queue-typed variables to
-// their defining chains (legal because variables are
-// single-assignment and predicates are pure).
-func (a *analyzer) queuePredCost(e lang.Expr) poly {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		return constPoly(0)
-	case *lang.Ident:
-		if sym, ok := a.info.Uses[e]; ok {
-			if def, ok := a.chainDef[sym]; ok {
-				return a.queuePredCost(def)
-			}
-		}
-		return constPoly(0)
-	case *lang.MemberExpr:
-		m := a.info.Members[e]
-		if m != nil && m.Kind == types.MemberFilter && m.RecvType == types.PacketQueue {
-			pred := constPoly(1)
-			if len(e.Args) == 1 {
-				if lam, ok := e.Args[0].(*lang.Lambda); ok {
-					pred = a.costExpr(lam.Body).addConst(1)
-				}
-			}
-			return a.queuePredCost(e.Recv).add(pred)
-		}
-		return constPoly(0)
-	}
-	return constPoly(0)
+	return total
 }

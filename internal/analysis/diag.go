@@ -172,7 +172,7 @@ type Report struct {
 	// S (subflow count) and N (queue depth).
 	StepBound string `json:"step_bound,omitempty"`
 	// StepBoundAt is the bound evaluated at the reference environment
-	// size (Options.RefSubflows and RefQueueDepth), comparable against
+	// size (64 subflows, queue depth 1024), comparable against
 	// the VM step budget.
 	StepBoundAt int64 `json:"step_bound_steps,omitempty"`
 	// Suppressed counts diagnostics silenced by //vet:ignore comments.

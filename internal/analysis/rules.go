@@ -7,9 +7,8 @@ import (
 )
 
 // analyzer carries the state of one analysis run: abstract values per
-// symbol, queue-chain definitions for the cost model, consumption
-// tracking for pop-discard, and the enclosing-loop stack for the
-// loop-invariant duplicate-push rule.
+// symbol, consumption tracking for pop-discard, and the enclosing-loop
+// stack for the loop-invariant duplicate-push rule.
 type analyzer struct {
 	info  *types.Info
 	opts  Options
@@ -17,7 +16,6 @@ type analyzer struct {
 	facts *Facts
 
 	vals     map[*types.Symbol]absVal
-	chainDef map[*types.Symbol]lang.Expr
 	consumed map[*types.Symbol]bool
 	popDecls []popDecl
 	loops    []*loopFrame
@@ -168,10 +166,6 @@ func (a *analyzer) stmt(s lang.Stmt, ps *pathState) (terminated bool) {
 		sym := a.info.Defs[s]
 		if sym != nil {
 			a.vals[sym] = v
-			switch sym.Type {
-			case types.PacketQueue, types.SubflowList:
-				a.chainDef[sym] = s.Init
-			}
 		}
 		r := a.exprRefs(s.Init)
 		if r.pop {

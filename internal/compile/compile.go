@@ -27,7 +27,7 @@ type Compiled struct {
 
 // New compiles a checked program.
 func New(info *types.Info) *Compiled {
-	c := &compiler{info: info, queueDefs: make(map[*types.Symbol]lang.Expr)}
+	c := &compiler{info: info}
 	stmts := make([]stmtFn, len(info.Prog.Stmts))
 	for i, s := range info.Prog.Stmts {
 		stmts[i] = c.compileStmt(s)
@@ -72,9 +72,10 @@ type value struct {
 	list []*runtime.SubflowView
 }
 
-// queueVal is a (possibly filtered) queue value.
-type queueVal struct {
-	base  *runtime.Queue
+// scan is a compiled types.Scan: the base queue and its fused filter
+// chain, composed once and shared by all executions.
+type scan struct {
+	id    runtime.QueueID
 	preds []predFn
 }
 
@@ -89,13 +90,12 @@ type (
 		// safe mid-execution.
 		arena []*runtime.SubflowView
 	}
-	stmtFn  func(*state) bool // true = RETURN unwinding
-	intFn   func(*state) int64
-	boolFn  func(*state) bool
-	pktFn   func(*state) *runtime.PacketView
-	sbfFn   func(*state) *runtime.SubflowView
-	queueFn func(*state) queueVal
-	predFn  func(*state, *runtime.PacketView) bool
+	stmtFn func(*state) bool // true = RETURN unwinding
+	intFn  func(*state) int64
+	boolFn func(*state) bool
+	pktFn  func(*state) *runtime.PacketView
+	sbfFn  func(*state) *runtime.SubflowView
+	predFn func(*state, *runtime.PacketView) bool
 	// listFn yields a subflow list, materialized into the state arena.
 	// Lists are eager (matching the interpreter's FILTER semantics);
 	// consumers loop over the returned slice directly, so no
@@ -105,8 +105,8 @@ type (
 	listFn func(*state) []*runtime.SubflowView
 )
 
-func (q queueVal) each(st *state, yield func(*runtime.PacketView) bool) {
-	q.base.All(func(p *runtime.PacketView) bool {
+func (q *scan) each(st *state, yield func(*runtime.PacketView) bool) {
+	st.env.Queue(q.id).All(func(p *runtime.PacketView) bool {
 		for _, pred := range q.preds {
 			if !pred(st, p) {
 				return true
@@ -116,7 +116,7 @@ func (q queueVal) each(st *state, yield func(*runtime.PacketView) bool) {
 	})
 }
 
-func (q queueVal) top(st *state) *runtime.PacketView {
+func (q *scan) top(st *state) *runtime.PacketView {
 	var res *runtime.PacketView
 	q.each(st, func(p *runtime.PacketView) bool {
 		res = p
@@ -127,8 +127,6 @@ func (q queueVal) top(st *state) *runtime.PacketView {
 
 type compiler struct {
 	info *types.Info
-	// queueDefs maps queue-typed variables to their defining expression.
-	queueDefs map[*types.Symbol]lang.Expr
 }
 
 // ---- Statements ----
@@ -178,8 +176,7 @@ func (c *compiler) compileStmt(s lang.Stmt) stmtFn {
 				return false
 			}
 		case types.PacketQueue:
-			// No run-time value: uses resolve through the definition.
-			c.queueDefs[sym] = s.Init
+			// No run-time value: the checker resolved every use.
 			return func(*state) bool { return false }
 		}
 		panic(fmt.Sprintf("compile: VAR of type %s", sym.Type))
@@ -315,23 +312,23 @@ func (c *compiler) compileInt(e lang.Expr) intFn {
 				return p.Ints[prop]
 			}
 		case types.MemberCount:
-			if m.RecvType == types.SubflowList {
+			if m.Scan == nil {
 				iter := c.compileList(e.Recv)
 				return func(st *state) int64 {
 					return int64(len(iter(st)))
 				}
 			}
-			q := c.compileQueue(e.Recv)
+			q := c.compileQueue(m.Scan)
 			return func(st *state) int64 {
 				var n int64
-				q(st).each(st, func(*runtime.PacketView) bool { n++; return true })
+				q.each(st, func(*runtime.PacketView) bool { n++; return true })
 				return n
 			}
 		case types.MemberBytes:
-			q := c.compileQueue(e.Recv)
+			q := c.compileQueue(m.Scan)
 			return func(st *state) int64 {
 				var n int64
-				q(st).each(st, func(p *runtime.PacketView) bool { n += p.Ints[runtime.PktSize]; return true })
+				q.each(st, func(p *runtime.PacketView) bool { n += p.Ints[runtime.PktSize]; return true })
 				return n
 			}
 		}
@@ -376,14 +373,14 @@ func (c *compiler) compileBool(e lang.Expr) boolFn {
 			arg := c.compileSbf(e.Args[0])
 			return func(st *state) bool { return recv(st).SentOn(arg(st)) }
 		case types.MemberEmpty:
-			if m.RecvType == types.SubflowList {
+			if m.Scan == nil {
 				iter := c.compileList(e.Recv)
 				return func(st *state) bool {
 					return len(iter(st)) == 0
 				}
 			}
-			q := c.compileQueue(e.Recv)
-			return func(st *state) bool { return q(st).top(st) == nil }
+			q := c.compileQueue(m.Scan)
+			return func(st *state) bool { return q.top(st) == nil }
 		}
 	}
 	panic(fmt.Sprintf("compile: unhandled bool expression %T (%s)", e, lang.FormatExpr(e)))
@@ -462,22 +459,21 @@ func (c *compiler) compilePkt(e lang.Expr) pktFn {
 		m := c.info.Members[e]
 		switch m.Kind {
 		case types.MemberTop:
-			q := c.compileQueue(e.Recv)
-			return func(st *state) *runtime.PacketView { return q(st).top(st) }
+			q := c.compileQueue(m.Scan)
+			return func(st *state) *runtime.PacketView { return q.top(st) }
 		case types.MemberPop:
-			q := c.compileQueue(e.Recv)
+			q := c.compileQueue(m.Scan)
 			site := int32(e.Position().Line)
 			return func(st *state) *runtime.PacketView {
-				qv := q(st)
-				p := qv.top(st)
+				p := q.top(st)
 				if p != nil {
 					st.env.Site = site
-					st.env.Pop(qv.base.ID(), p)
+					st.env.Pop(q.id, p)
 				}
 				return p
 			}
 		case types.MemberMin, types.MemberMax:
-			q := c.compileQueue(e.Recv)
+			q := c.compileQueue(m.Scan)
 			lam := e.Args[0].(*lang.Lambda)
 			slot := c.info.Defs[lam].Slot
 			key := c.compileInt(lam.Body)
@@ -485,7 +481,7 @@ func (c *compiler) compilePkt(e lang.Expr) pktFn {
 			return func(st *state) *runtime.PacketView {
 				var best *runtime.PacketView
 				var bestKey int64
-				q(st).each(st, func(p *runtime.PacketView) bool {
+				q.each(st, func(p *runtime.PacketView) bool {
 					st.slots[slot] = value{pkt: p}
 					k := key(st)
 					if best == nil || (max && k > bestKey) || (!max && k < bestKey) {
@@ -573,7 +569,13 @@ func (c *compiler) compileList(e lang.Expr) listFn {
 				start := len(st.arena)
 				for _, sbf := range src {
 					st.slots[slot] = value{sbf: sbf}
-					if pred(st) {
+					// Lists the predicate itself materialized are dead
+					// once it returns; dropping them keeps this list
+					// contiguous.
+					mark := len(st.arena)
+					keep := pred(st)
+					st.arena = st.arena[:mark]
+					if keep {
 						st.arena = append(st.arena, sbf)
 					}
 				}
@@ -586,46 +588,16 @@ func (c *compiler) compileList(e lang.Expr) listFn {
 
 // ---- Queue expressions ----
 
-// compileQueue compiles a queue expression. Its base queue and filter
-// chain are known at compile time, so the predicate slice is composed
-// once and shared by all executions: no per-execution allocation.
-func (c *compiler) compileQueue(e lang.Expr) queueFn {
-	id, preds := c.resolveQueue(e)
-	return func(st *state) queueVal {
-		return queueVal{base: st.env.Queue(id), preds: preds}
-	}
-}
-
-// resolveQueue walks a queue expression to its base queue and compiled
-// filter chain (outermost last). A queue-typed variable resolves through
-// its single assignment, which is sound because predicates are pure and
-// are evaluated when the queue is scanned, not when it is named.
-func (c *compiler) resolveQueue(e lang.Expr) (runtime.QueueID, []predFn) {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		switch e.Kind {
-		case lang.EntityQ:
-			return runtime.QueueSend, nil
-		case lang.EntityQU:
-			return runtime.QueueUnacked, nil
-		case lang.EntityRQ:
-			return runtime.QueueReinject, nil
-		}
-	case *lang.Ident:
-		if def, ok := c.queueDefs[c.info.Uses[e]]; ok {
-			return c.resolveQueue(def)
-		}
-	case *lang.MemberExpr:
-		if c.info.Members[e].Kind == types.MemberFilter {
-			id, chain := c.resolveQueue(e.Recv)
-			lam := e.Args[0].(*lang.Lambda)
-			slot := c.info.Defs[lam].Slot
-			body := c.compileBool(lam.Body)
-			return id, append(chain, func(st *state, p *runtime.PacketView) bool {
-				st.slots[slot] = value{pkt: p}
-				return body(st)
-			})
+// compileQueue compiles a queue scan as the checker resolved it.
+func (c *compiler) compileQueue(sc *types.Scan) *scan {
+	preds := make([]predFn, len(sc.Filters))
+	for i, lam := range sc.Filters {
+		slot := c.info.Defs[lam].Slot
+		body := c.compileBool(lam.Body)
+		preds[i] = func(st *state, p *runtime.PacketView) bool {
+			st.slots[slot] = value{pkt: p}
+			return body(st)
 		}
 	}
-	panic(fmt.Sprintf("compile: unhandled queue expression %T (%s)", e, lang.FormatExpr(e)))
+	return &scan{id: sc.Queue, preds: preds}
 }

@@ -188,7 +188,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if err := c.Send(1, payload, 0); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	sw, err := c.Swap(1, "redundant", "", "")
+	sw, err := c.Swap(1, "redundant", "", "", false)
 	if err != nil {
 		t.Fatalf("Swap: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestSwapOnSupervisedConnection(t *testing.T) {
 	if err := c.Send(1, 1_000_000, 0); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	sw, err := c.Swap(1, "roundRobin", "", "")
+	sw, err := c.Swap(1, "roundRobin", "", "", false)
 	if err != nil {
 		t.Fatalf("Swap: %v", err)
 	}
@@ -349,7 +349,7 @@ func TestConcurrentSubscribersDuringTransfer(t *testing.T) {
 		t.Fatalf("Send: %v", err)
 	}
 	for _, name := range []string{"roundRobin", "redundant", "minRTT"} {
-		if _, err := c.Swap(1, name, "", ""); err != nil {
+		if _, err := c.Swap(1, name, "", "", false); err != nil {
 			t.Fatalf("Swap(%s): %v", name, err)
 		}
 		if err := c.SetReg(1, progmp.R1, 1_000_000); err != nil {
@@ -446,7 +446,7 @@ func TestAnalysisAdmissionGate(t *testing.T) {
 	}
 
 	// ...but swap refuses it, with the same structured findings.
-	_, err = c.Swap(1, "", noPush, "")
+	_, err = c.Swap(1, "", noPush, "", false)
 	if err == nil {
 		t.Fatal("swap of a warning-carrying program should be refused")
 	}
@@ -467,14 +467,14 @@ func TestAnalysisAdmissionGate(t *testing.T) {
 	}
 
 	// Force overrides warnings (never errors).
-	sw, err := c.SwapForce(1, "", noPush, "")
+	sw, err := c.Swap(1, "", noPush, "", true)
 	if err != nil {
-		t.Fatalf("SwapForce: %v", err)
+		t.Fatalf("forced Swap: %v", err)
 	}
 	if sw.Scheduler != "adhoc" {
 		t.Fatalf("forced swap installed %q, want adhoc", sw.Scheduler)
 	}
-	if _, err := c.SwapForce(1, "", "missing.PUSH(Q.TOP);", ""); err == nil {
+	if _, err := c.Swap(1, "", "missing.PUSH(Q.TOP);", "", true); err == nil {
 		t.Fatal("force must not override error-severity findings")
 	}
 }

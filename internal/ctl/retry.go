@@ -126,6 +126,8 @@ func (o *RetryOptions) applyDefaults() {
 // replayed: a transport failure mid-call leaves it unknown whether they
 // took effect, and that judgement belongs to the caller.
 type ReClient struct {
+	verbs // the typed verbs, over Do
+
 	opts RetryOptions
 
 	mu          sync.Mutex
@@ -152,7 +154,7 @@ func DialRetry(opts RetryOptions) *ReClient {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &ReClient{
+	r := &ReClient{
 		opts:          opts,
 		rng:           rand.New(rand.NewSource(seed)),
 		mDials:        opts.Metrics.Counter("ctl.client.dials"),
@@ -164,6 +166,8 @@ func DialRetry(opts RetryOptions) *ReClient {
 		mBreakerOpens: opts.Metrics.Counter("ctl.client.breaker_opens"),
 		gBreakerOpen:  opts.Metrics.Gauge("ctl.client.breaker_open"),
 	}
+	r.verbs = r.Do
+	return r
 }
 
 // Close disconnects the current connection, if any. The ReClient stays
@@ -348,118 +352,6 @@ func (r *ReClient) backoff(i int) time.Duration {
 	jitter := time.Duration(r.rng.Int63n(int64(d)))
 	r.mu.Unlock()
 	return d/2 + jitter
-}
-
-func (r *ReClient) do(req Request, out any) error {
-	raw, err := r.Do(req)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
-}
-
-// ---- Typed verbs, mirroring Client ----
-
-// Ping returns the server's virtual clock.
-func (r *ReClient) Ping() (PingResult, error) {
-	var out PingResult
-	err := r.do(Request{Verb: VerbPing}, &out)
-	return out, err
-}
-
-// List returns the registered connections.
-func (r *ReClient) List() (ListResult, error) {
-	var out ListResult
-	err := r.do(Request{Verb: VerbList}, &out)
-	return out, err
-}
-
-// Schedulers returns the names compile and swap accept.
-func (r *ReClient) Schedulers() ([]string, error) {
-	var out SchedulersResult
-	err := r.do(Request{Verb: VerbSchedulers}, &out)
-	return out.Names, err
-}
-
-// Compile verifies and compiles a scheduler without installing it.
-func (r *ReClient) Compile(name, src, backend string) (CompileResult, error) {
-	var out CompileResult
-	err := r.do(Request{Verb: VerbCompile, Name: name, Src: src, Backend: backend}, &out)
-	return out, err
-}
-
-// Swap hot-swaps the scheduler of connection conn; force overrides the
-// admission and fleet gates.
-func (r *ReClient) Swap(conn int, name, src, backend string, force bool) (SwapResult, error) {
-	var out SwapResult
-	err := r.do(Request{Verb: VerbSwap, Conn: conn, Name: name, Src: src, Backend: backend, Force: force}, &out)
-	return out, err
-}
-
-// GetReg reads scheduler register reg of connection conn.
-func (r *ReClient) GetReg(conn, reg int) (int64, error) {
-	var out RegResult
-	err := r.do(Request{Verb: VerbGetReg, Conn: conn, Reg: reg}, &out)
-	return out.Value, err
-}
-
-// SetReg writes scheduler register reg of connection conn.
-func (r *ReClient) SetReg(conn, reg int, value int64) error {
-	return r.do(Request{Verb: VerbSetReg, Conn: conn, Reg: reg, Value: value}, nil)
-}
-
-// Send enqueues bytes on connection conn with scheduling intent prop.
-func (r *ReClient) Send(conn, bytes int, prop int64) error {
-	return r.do(Request{Verb: VerbSend, Conn: conn, Bytes: bytes, Prop: prop}, nil)
-}
-
-// GGet reads shared-store global register reg (retried: read-only).
-func (r *ReClient) GGet(reg int) (GlobalResult, error) {
-	var out GlobalResult
-	err := r.do(Request{Verb: VerbGGet, Reg: reg}, &out)
-	return out, err
-}
-
-// GSet writes shared-store global register reg. Not replayed on
-// transport failure: a lost response leaves it unknown whether the
-// write published, and a blind replay could clobber a concurrent
-// scheduler GSET with a stale value.
-func (r *ReClient) GSet(reg int, value int64) (GlobalResult, error) {
-	var out GlobalResult
-	err := r.do(Request{Verb: VerbGSet, Reg: reg, Value: value}, &out)
-	return out, err
-}
-
-// DestStats dumps the shared store's per-destination path statistics
-// (retried: read-only).
-func (r *ReClient) DestStats() (DestStatsResult, error) {
-	var out DestStatsResult
-	err := r.do(Request{Verb: VerbDestStats}, &out)
-	return out, err
-}
-
-// Metrics snapshots the server's metrics registry.
-func (r *ReClient) Metrics() (MetricsResult, error) {
-	var out MetricsResult
-	err := r.do(Request{Verb: VerbMetrics}, &out)
-	return out, err
-}
-
-// MetricsAgg fetches the fleet-wide aggregated metrics.
-func (r *ReClient) MetricsAgg(format string) (MetricsAggResult, error) {
-	var out MetricsAggResult
-	err := r.do(Request{Verb: VerbMetricsAgg, Format: format}, &out)
-	return out, err
-}
-
-// Drain asks the server to shut down gracefully.
-func (r *ReClient) Drain() (DrainResult, error) {
-	var out DrainResult
-	err := r.do(Request{Verb: VerbDrain}, &out)
-	return out, err
 }
 
 // Client exposes the live underlying connection for streaming use

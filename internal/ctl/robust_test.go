@@ -327,7 +327,7 @@ func TestFleetRefusalOverCtl(t *testing.T) {
 
 	fleet.Block("redundant")
 
-	if _, err := c.Swap(1, "redundant", "", ""); err == nil || !strings.Contains(err.Error(), "fleet-blocked") {
+	if _, err := c.Swap(1, "redundant", "", "", false); err == nil || !strings.Contains(err.Error(), "fleet-blocked") {
 		t.Fatalf("Swap of blocked program = %v, want fleet-blocked refusal", err)
 	}
 	if _, err := c.Compile("redundant", "", ""); err == nil || !strings.Contains(err.Error(), "fleet-blocked") {
@@ -336,15 +336,15 @@ func TestFleetRefusalOverCtl(t *testing.T) {
 	if got := h.metrics.Counter("ctl.fleet_rejects").Value(); got != 2 {
 		t.Fatalf("ctl.fleet_rejects = %d, want 2", got)
 	}
-	res, err := c.SwapForce(1, "redundant", "", "")
+	res, err := c.Swap(1, "redundant", "", "", true)
 	if err != nil {
-		t.Fatalf("SwapForce past fleet block: %v", err)
+		t.Fatalf("forced Swap past fleet block: %v", err)
 	}
 	if res.Scheduler != "redundant" {
 		t.Fatalf("forced swap installed %q, want redundant", res.Scheduler)
 	}
 	// An unblocked program is unaffected by the gate.
-	if _, err := c.Swap(1, "minRTT", "", ""); err != nil {
+	if _, err := c.Swap(1, "minRTT", "", "", false); err != nil {
 		t.Fatalf("Swap of unblocked program: %v", err)
 	}
 }

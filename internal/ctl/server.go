@@ -20,13 +20,15 @@ import (
 // maxLine bounds one request line (scheduler sources ride inline).
 const maxLine = 4 << 20
 
+// drainTimeout bounds how long Drain waits for inflight requests.
+const drainTimeout = 5 * time.Second
+
 // The robustness defaults; see Options. Negative option values disable
 // the corresponding limit.
 const (
 	DefaultReadIdleTimeout = 2 * time.Minute
 	DefaultWriteTimeout    = 10 * time.Second
 	DefaultMaxInflight     = 64
-	DefaultDrainTimeout    = 5 * time.Second
 )
 
 // Options configures a Server. Network is required. Tracer enables the
@@ -70,16 +72,10 @@ type Options struct {
 	// sessions; beyond it requests are refused with an overload error
 	// (counted as ctl.overloads) instead of queueing without bound.
 	MaxInflight int
-	// MaxRequestBytes caps one request line (default 4 MiB — scheduler
-	// sources ride inline).
-	MaxRequestBytes int
 	// SubEvictDrops is the consecutive-drop budget before a stalled
 	// subscriber is evicted from the tracer (default
 	// obs.DefaultSubscriptionEvictDrops).
 	SubEvictDrops int
-	// DrainTimeout bounds how long Drain waits for inflight requests
-	// (used by the drain verb).
-	DrainTimeout time.Duration
 }
 
 func (o *Options) applyDefaults() {
@@ -94,12 +90,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.MaxInflight == 0 {
 		o.MaxInflight = DefaultMaxInflight
-	}
-	if o.MaxRequestBytes <= 0 {
-		o.MaxRequestBytes = maxLine
-	}
-	if o.DrainTimeout == 0 {
-		o.DrainTimeout = DefaultDrainTimeout
 	}
 }
 
@@ -201,16 +191,13 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Drain shuts the server down gracefully: stop accepting new sessions,
 // refuse new requests (ping, unsubscribe and drain stay answerable),
-// wait until inflight handlers finish — at most
-// Options.DrainTimeout when timeout is 0 — then close every
+// wait until inflight handlers finish — at most drainTimeout — then
+// close every
 // subscription so pump goroutines end and streaming clients see
 // end-of-stream, take a final fleet-metrics snapshot while the sockets
 // are still up, and Close. Idempotent: concurrent and repeated calls
 // join the same drain.
-func (s *Server) Drain(timeout time.Duration) {
-	if timeout <= 0 {
-		timeout = s.opts.DrainTimeout
-	}
+func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
@@ -223,7 +210,7 @@ func (s *Server) Drain(timeout time.Duration) {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(drainTimeout)
 	for s.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -298,14 +285,14 @@ type session struct {
 func (se *session) run() {
 	defer se.teardown()
 	sc := bufio.NewScanner(se.conn)
-	sc.Buffer(make([]byte, 64<<10), se.srv.opts.MaxRequestBytes)
+	sc.Buffer(make([]byte, 64<<10), maxLine)
 	for {
 		se.armReadDeadline()
 		if !sc.Scan() {
 			// A request over the size cap gets told why before the
 			// session dies; idle timeouts and disconnects just end it.
 			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				se.writeError(0, fmt.Errorf("request exceeds %d byte cap", se.srv.opts.MaxRequestBytes))
+				se.writeError(0, fmt.Errorf("request exceeds %d byte cap", maxLine))
 			}
 			return
 		}
@@ -476,7 +463,7 @@ func (se *session) handle(req Request) {
 // handlers; this handler is one of them).
 func (se *session) drain(req Request) {
 	se.writeResult(req.ID, DrainResult{Draining: true})
-	go se.srv.Drain(0)
+	go se.srv.Drain()
 }
 
 func (se *session) ping(req Request) {

@@ -348,8 +348,14 @@ func (g *progGen) sbfListExpr(depth int) string {
 	return fmt.Sprintf("SUBFLOWS.FILTER(%s => %s)", v, g.boolExpr(depth+1, v, ""))
 }
 
+// queueExpr produces a queue-typed expression: an entity or, one time
+// in three when one is in scope, a queue variable; half the time
+// filtered.
 func (g *progGen) queueExpr(depth int) string {
 	base := g.pick("Q", "QU", "RQ")
+	if vars := g.scope["queue"]; len(vars) > 0 && g.rng.Intn(3) == 0 {
+		base = vars[g.rng.Intn(len(vars))]
+	}
 	if g.rng.Intn(2) == 0 {
 		return base
 	}
@@ -379,17 +385,17 @@ func (g *progGen) stmt(depth int) {
 		g.line(depth, "SET(R%d, %s);", 1+g.rng.Intn(8), g.intExpr(0, "", ""))
 		return
 	}
-	switch g.rng.Intn(8) {
+	switch g.rng.Intn(10) {
 	case 0: // IF
 		g.depth++
 		g.line(depth, "IF (%s) {", g.boolExpr(0, "", ""))
-		mark := len(g.scope["int"])
+		mark, qmark := len(g.scope["int"]), len(g.scope["queue"])
 		g.stmt(depth + 1)
-		g.scope["int"] = g.scope["int"][:mark]
+		g.scope["int"], g.scope["queue"] = g.scope["int"][:mark], g.scope["queue"][:qmark]
 		if g.rng.Intn(2) == 0 {
 			g.line(depth, "} ELSE {")
 			g.stmt(depth + 1)
-			g.scope["int"] = g.scope["int"][:mark]
+			g.scope["int"], g.scope["queue"] = g.scope["int"][:mark], g.scope["queue"][:qmark]
 		}
 		g.line(depth, "}")
 		g.depth--
@@ -401,11 +407,15 @@ func (g *progGen) stmt(depth int) {
 		g.depth++
 		v := g.fresh()
 		g.line(depth, "FOREACH (VAR %s IN %s) {", v, g.sbfListExpr(0))
-		switch g.rng.Intn(3) {
+		switch g.rng.Intn(4) {
 		case 0:
 			g.line(depth+1, "%s.PUSH(%s);", v, g.pktExpr(0))
 		case 1:
 			g.line(depth+1, "%s.PUSH(%s.POP());", v, g.pick("Q", "QU", "RQ"))
+		case 2: // a queue variable whose chain depends on the loop variable
+			q, p := g.fresh(), g.fresh()
+			g.line(depth+1, "VAR %s = %s.FILTER(%s => !%s.SENT_ON(%s));", q, g.queueExpr(0), p, p, v)
+			g.line(depth+1, "IF (!%s.EMPTY) { %s.PUSH(%s.TOP); }", q, v, q)
 		default:
 			g.line(depth+1, "SET(R%d, %s.RTT);", 1+g.rng.Intn(8), v)
 		}
@@ -423,6 +433,17 @@ func (g *progGen) stmt(depth int) {
 		g.line(depth, "%s.PUSH(%s);", g.sbfExpr(0), g.pktExpr(0))
 	case 6: // DROP
 		g.line(depth, "DROP(%s.POP());", g.pick("Q", "RQ"))
+	case 7: // VAR queue, for later statements to scan
+		v := g.fresh()
+		g.line(depth, "VAR %s = %s;", v, g.queueExpr(0))
+		g.scope["queue"] = append(g.scope["queue"], v)
+	case 8: // a chain through two variables, the second scanned twice
+		a, b, p := g.fresh(), g.fresh(), g.fresh()
+		g.line(depth, "VAR %s = %s;", a, g.queueExpr(0))
+		g.line(depth, "VAR %s = %s.FILTER(%s => %s);", b, a, p, g.boolExpr(1, "", p))
+		g.line(depth, "SET(R%d, %s.%s);", 1+g.rng.Intn(8), b, g.pick("COUNT", "BYTES"))
+		g.line(depth, "%s.PUSH(%s.%s);", g.sbfExpr(0), b, g.pick("TOP", "POP()"))
+		g.scope["queue"] = append(g.scope["queue"], a, b)
 	default: // RETURN guarded so programs don't trivially end
 		g.depth++
 		g.line(depth, "IF (%s) { RETURN; }", g.boolExpr(0, "", ""))

@@ -46,7 +46,6 @@ func (it *Interpreter) Exec(env *runtime.Env) {
 	for i := range f.slots {
 		f.slots[i] = value{}
 	}
-	f.preds = f.preds[:0]
 	f.sbfLists = f.sbfLists[:0]
 	it.frames.Put(f)
 }
@@ -59,32 +58,17 @@ type value struct {
 	pkt  *runtime.PacketView
 	sbf  *runtime.SubflowView
 	list []*runtime.SubflowView
-	q    queueRef
 }
 
-// queueRef is a (possibly filtered) packet-queue value. Filters are
-// kept as (lambda, slot) pairs and applied lazily (late
-// materialization, §4.1); the pairs live in the frame's predicate
-// arena, so building a filtered queue value never allocates.
-type queueRef struct {
-	base  *runtime.Queue
-	preds []predEntry
-}
-
-// predEntry is one deferred FILTER predicate: evaluate lam.Body with
-// the candidate packet bound to slot.
-type predEntry struct {
-	lam  *lang.Lambda
-	slot int
-}
-
-// qEach visits visible, predicate-matching packets in queue order until
-// fn returns false.
-func (f *frame) qEach(qr queueRef, fn func(*runtime.PacketView) bool) {
-	qr.base.All(func(p *runtime.PacketView) bool {
-		for _, pe := range qr.preds {
-			f.slots[pe.slot] = value{pkt: p}
-			if !f.eval(pe.lam.Body).b {
+// qEach visits the visible packets of sc's queue that pass its filters
+// (late materialization, §4.1), in queue order, until fn returns false.
+// Queue-typed expressions have no run-time value: the checker resolved
+// every scanning member to its types.Scan.
+func (f *frame) qEach(sc *types.Scan, fn func(*runtime.PacketView) bool) {
+	f.env.Queue(sc.Queue).All(func(p *runtime.PacketView) bool {
+		for _, lam := range sc.Filters {
+			f.slots[f.info.Defs[lam].Slot] = value{pkt: p}
+			if !f.eval(lam.Body).b {
 				return true // skip, continue walking
 			}
 		}
@@ -94,9 +78,9 @@ func (f *frame) qEach(qr queueRef, fn func(*runtime.PacketView) bool) {
 }
 
 // qTop returns the first matching packet or nil.
-func (f *frame) qTop(qr queueRef) *runtime.PacketView {
+func (f *frame) qTop(sc *types.Scan) *runtime.PacketView {
 	var res *runtime.PacketView
-	f.qEach(qr, func(p *runtime.PacketView) bool {
+	f.qEach(sc, func(p *runtime.PacketView) bool {
 		res = p
 		return false
 	})
@@ -104,9 +88,9 @@ func (f *frame) qTop(qr queueRef) *runtime.PacketView {
 }
 
 // qCount returns the number of matching packets.
-func (f *frame) qCount(qr queueRef) int64 {
+func (f *frame) qCount(sc *types.Scan) int64 {
 	var n int64
-	f.qEach(qr, func(*runtime.PacketView) bool {
+	f.qEach(sc, func(*runtime.PacketView) bool {
 		n++
 		return true
 	})
@@ -114,9 +98,9 @@ func (f *frame) qCount(qr queueRef) int64 {
 }
 
 // qBytes sums the payload sizes of matching packets (queue.BYTES).
-func (f *frame) qBytes(qr queueRef) int64 {
+func (f *frame) qBytes(sc *types.Scan) int64 {
 	var n int64
-	f.qEach(qr, func(p *runtime.PacketView) bool {
+	f.qEach(sc, func(p *runtime.PacketView) bool {
 		n += p.Ints[runtime.PktSize]
 		return true
 	})
@@ -127,13 +111,12 @@ type frame struct {
 	info  *types.Info
 	env   *runtime.Env
 	slots []value
-	// preds and sbfLists are per-execution arenas for filter chains and
-	// materialized subflow lists. Values produced during an execution
-	// hold capacity-capped sub-slices; entries are write-once, so a
-	// later arena growth (which copies) cannot invalidate them. Both
-	// reset to length zero between executions, keeping their capacity —
-	// in steady state no execution allocates.
-	preds    []predEntry
+	// sbfLists is the per-execution arena for materialized subflow
+	// lists. Values produced during an execution hold capacity-capped
+	// sub-slices; entries are write-once, so a later arena growth (which
+	// copies) cannot invalidate them. It resets to length zero between
+	// executions, keeping its capacity — in steady state no execution
+	// allocates.
 	sbfLists []*runtime.SubflowView
 }
 
@@ -157,8 +140,10 @@ func (f *frame) execStmt(s lang.Stmt) bool {
 			return f.execStmt(s.Else)
 		}
 	case *lang.VarDecl:
-		sym := f.info.Defs[s]
-		f.slots[sym.Slot] = f.eval(s.Init)
+		// A queue variable is an alias the checker resolved: no value.
+		if sym := f.info.Defs[s]; sym.Type != types.PacketQueue {
+			f.slots[sym.Slot] = f.eval(s.Init)
+		}
 	case *lang.ForeachStmt:
 		list := f.eval(s.Iter).list
 		sym := f.info.Defs[s]
@@ -204,15 +189,8 @@ func (f *frame) eval(e lang.Expr) value {
 	case *lang.Ident:
 		return f.slots[f.info.Uses[e].Slot]
 	case *lang.EntityExpr:
-		switch e.Kind {
-		case lang.EntitySubflows:
+		if e.Kind == lang.EntitySubflows {
 			return value{list: f.env.SubflowViews}
-		case lang.EntityQ:
-			return value{q: queueRef{base: f.env.SendQ}}
-		case lang.EntityQU:
-			return value{q: queueRef{base: f.env.UnackedQ}}
-		case lang.EntityRQ:
-			return value{q: queueRef{base: f.env.ReinjectQ}}
 		}
 	case *lang.UnaryExpr:
 		x := f.eval(e.X)
@@ -297,6 +275,9 @@ func (f *frame) valuesEqual(e *lang.BinaryExpr, x, y value) bool {
 
 func (f *frame) evalMember(e *lang.MemberExpr) value {
 	m := f.info.Members[e]
+	if m.Scan != nil {
+		return f.evalScan(e, m)
+	}
 	recv := f.eval(e.Recv)
 	switch m.Kind {
 	case types.MemberSbfInt:
@@ -323,49 +304,36 @@ func (f *frame) evalMember(e *lang.MemberExpr) value {
 	case types.MemberFilter:
 		lam := e.Args[0].(*lang.Lambda)
 		sym := f.info.Defs[lam]
-		if m.RecvType == types.SubflowList {
-			start := len(f.sbfLists)
-			for _, sbf := range recv.list {
-				f.slots[sym.Slot] = value{sbf: sbf}
-				if f.eval(lam.Body).b {
-					//progmp:ignore hotpath amortized: pooled frame retains arena capacity
-					f.sbfLists = append(f.sbfLists, sbf)
-				}
+		start := len(f.sbfLists)
+		for _, sbf := range recv.list {
+			f.slots[sym.Slot] = value{sbf: sbf}
+			// Lists the predicate itself materialized are dead once it
+			// returns; dropping them keeps this list contiguous.
+			mark := len(f.sbfLists)
+			keep := f.eval(lam.Body).b
+			f.sbfLists = f.sbfLists[:mark]
+			if keep {
+				//progmp:ignore hotpath amortized: pooled frame retains arena capacity
+				f.sbfLists = append(f.sbfLists, sbf)
 			}
-			return value{list: f.sbfLists[start:len(f.sbfLists):len(f.sbfLists)]}
 		}
-		// Extend the chain at the arena tail: the receiver's pairs are
-		// copied so chains through queue variables stay intact.
-		qr := recv.q
-		start := len(f.preds)
-		//progmp:ignore hotpath amortized: pooled frame retains arena capacity
-		f.preds = append(f.preds, qr.preds...)
-		//progmp:ignore hotpath amortized: pooled frame retains arena capacity
-		f.preds = append(f.preds, predEntry{lam: lam, slot: sym.Slot})
-		return value{q: queueRef{base: qr.base, preds: f.preds[start:len(f.preds):len(f.preds)]}}
+		return value{list: f.sbfLists[start:len(f.sbfLists):len(f.sbfLists)]}
 	case types.MemberMin, types.MemberMax:
-		return f.evalMinMax(e, m, recv)
-	case types.MemberTop:
-		return value{pkt: f.qTop(recv.q)}
-	case types.MemberPop:
-		p := f.qTop(recv.q)
-		if p != nil {
-			f.env.Site = int32(e.Position().Line)
-			f.env.Pop(recv.q.base.ID(), p)
+		lam := e.Args[0].(*lang.Lambda)
+		sym := f.info.Defs[lam]
+		var best *runtime.SubflowView
+		var bestKey int64
+		for _, sbf := range recv.list {
+			f.slots[sym.Slot] = value{sbf: sbf}
+			if key := f.eval(lam.Body).i; best == nil || better(m, key, bestKey) {
+				best, bestKey = sbf, key
+			}
 		}
-		return value{pkt: p}
+		return value{sbf: best}
 	case types.MemberEmpty:
-		if m.RecvType == types.SubflowList {
-			return value{b: len(recv.list) == 0}
-		}
-		return value{b: f.qTop(recv.q) == nil}
+		return value{b: len(recv.list) == 0}
 	case types.MemberCount:
-		if m.RecvType == types.SubflowList {
-			return value{i: int64(len(recv.list))}
-		}
-		return value{i: f.qCount(recv.q)}
-	case types.MemberBytes:
-		return value{i: f.qBytes(recv.q)}
+		return value{i: int64(len(recv.list))}
 	case types.MemberGet:
 		idx := f.eval(e.Args[0]).i
 		n := int64(len(recv.list))
@@ -380,33 +348,48 @@ func (f *frame) evalMember(e *lang.MemberExpr) value {
 	panic(fmt.Sprintf("interp: unhandled member %s", e.Name))
 }
 
-// evalMinMax selects the element with minimal (or maximal) key; ties
-// resolve to the earliest element, and empty collections yield NULL.
-func (f *frame) evalMinMax(e *lang.MemberExpr, m *types.Member, recv value) value {
-	lam := e.Args[0].(*lang.Lambda)
-	sym := f.info.Defs[lam]
-	max := m.Kind == types.MemberMax
-	if m.RecvType == types.SubflowList {
-		var best *runtime.SubflowView
-		var bestKey int64
-		for _, sbf := range recv.list {
-			f.slots[sym.Slot] = value{sbf: sbf}
-			key := f.eval(lam.Body).i
-			if best == nil || (max && key > bestKey) || (!max && key < bestKey) {
-				best, bestKey = sbf, key
-			}
-		}
-		return value{sbf: best}
+// better reports whether key beats bestKey under MIN or MAX; ties keep
+// the earliest element.
+func better(m *types.Member, key, bestKey int64) bool {
+	if m.Kind == types.MemberMax {
+		return key > bestKey
 	}
-	var best *runtime.PacketView
-	var bestKey int64
-	f.qEach(recv.q, func(p *runtime.PacketView) bool {
-		f.slots[sym.Slot] = value{pkt: p}
-		key := f.eval(lam.Body).i
-		if best == nil || (max && key > bestKey) || (!max && key < bestKey) {
-			best, bestKey = p, key
+	return key < bestKey
+}
+
+// evalScan evaluates a member that walks a packet queue; empty scans
+// yield NULL.
+func (f *frame) evalScan(e *lang.MemberExpr, m *types.Member) value {
+	switch m.Kind {
+	case types.MemberTop:
+		return value{pkt: f.qTop(m.Scan)}
+	case types.MemberPop:
+		p := f.qTop(m.Scan)
+		if p != nil {
+			f.env.Site = int32(e.Position().Line)
+			f.env.Pop(m.Scan.Queue, p)
 		}
-		return true
-	})
-	return value{pkt: best}
+		return value{pkt: p}
+	case types.MemberEmpty:
+		return value{b: f.qTop(m.Scan) == nil}
+	case types.MemberCount:
+		return value{i: f.qCount(m.Scan)}
+	case types.MemberBytes:
+		return value{i: f.qBytes(m.Scan)}
+	case types.MemberMin, types.MemberMax:
+		lam := e.Args[0].(*lang.Lambda)
+		sym := f.info.Defs[lam]
+		var best *runtime.PacketView
+		var bestKey int64
+		f.qEach(m.Scan, func(p *runtime.PacketView) bool {
+			f.slots[sym.Slot] = value{pkt: p}
+			if key := f.eval(lam.Body).i; best == nil || better(m, key, bestKey) {
+				best, bestKey = p, key
+			}
+			return true
+		})
+		return value{pkt: best}
+	}
+	//progmp:ignore hotpath cold panic: the checker sets Scan on these kinds only
+	panic(fmt.Sprintf("interp: unhandled queue member %s", e.Name))
 }

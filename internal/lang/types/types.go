@@ -86,6 +86,21 @@ type Member struct {
 	// determines the element type of the lambda parameter.
 	RecvType Type
 	Result   Type
+	// Scan is set on every member that walks a packet queue (TOP/FIRST,
+	// POP, BYTES, and EMPTY/COUNT/MIN/MAX on a queue receiver): what the
+	// receiver denotes. Back-ends scan it; none evaluates a queue-typed
+	// expression.
+	Scan *Scan
+}
+
+// Scan is the one meaning of a queue-typed expression: a base queue and
+// the FILTER lambdas applied to it, outermost last. A queue variable is
+// an alias for its chain — single assignment and pure predicates make
+// running them when the queue is scanned, not when it is named,
+// indistinguishable.
+type Scan struct {
+	Queue   runtime.QueueID
+	Filters []*lang.Lambda
 }
 
 // ElemType returns the element type of a collection type.
@@ -151,6 +166,8 @@ type checker struct {
 	errs   []error
 	scopes []map[string]*Symbol
 	nSlots int
+	// chains holds the Scan each queue-typed variable stands for.
+	chains map[*Symbol]*Scan
 }
 
 // Check type-checks prog and returns the analysis results.
@@ -163,6 +180,7 @@ func Check(prog *lang.Program) (*Info, error) {
 			Uses:      make(map[*lang.Ident]*Symbol),
 			Members:   make(map[*lang.MemberExpr]*Member),
 		},
+		chains: make(map[*Symbol]*Scan),
 	}
 	c.pushScope()
 	for _, s := range prog.Stmts {
@@ -250,7 +268,10 @@ func (c *checker) checkStmt(s lang.Stmt) {
 		if t == Invalid {
 			t = Int // limit error cascades
 		}
-		c.declare(s, s.Name, t, s.VarPos)
+		sym := c.declare(s, s.Name, t, s.VarPos)
+		if t == PacketQueue {
+			c.chains[sym] = c.scanOf(s.Init)
+		}
 	case *lang.ForeachStmt:
 		t := c.checkExpr(s.Iter, false)
 		if t != SubflowList && t != Invalid {
@@ -373,6 +394,27 @@ func (c *checker) typeExpr(e lang.Expr, effectRoot bool) Type {
 	return Invalid
 }
 
+var entityQueue = [...]runtime.QueueID{
+	lang.EntityQ:  runtime.QueueSend,
+	lang.EntityQU: runtime.QueueUnacked,
+	lang.EntityRQ: runtime.QueueReinject,
+}
+
+// scanOf resolves a well-typed queue expression: an entity, a queue
+// variable, or a FILTER of either.
+func (c *checker) scanOf(e lang.Expr) *Scan {
+	switch e := e.(type) {
+	case *lang.EntityExpr:
+		return &Scan{Queue: entityQueue[e.Kind]}
+	case *lang.Ident:
+		return c.chains[c.info.Uses[e]]
+	case *lang.MemberExpr:
+		in := c.scanOf(e.Recv)
+		return &Scan{Queue: in.Queue, Filters: append(in.Filters[:len(in.Filters):len(in.Filters)], e.Args[0].(*lang.Lambda))}
+	}
+	panic(fmt.Sprintf("types: %s is not a queue expression", lang.FormatExpr(e)))
+}
+
 func (c *checker) typeBinary(e *lang.BinaryExpr) Type {
 	// Equality with NULL gets special handling: NULL adopts the type of
 	// the other operand, which must be a reference type.
@@ -438,6 +480,9 @@ func (c *checker) typeMember(e *lang.MemberExpr, effectRoot bool) Type {
 	}
 	if recvT == Invalid {
 		return Invalid
+	}
+	if recvT == PacketQueue && e.Name != "FILTER" {
+		m.Scan = c.scanOf(e.Recv)
 	}
 
 	// Collection operations shared by subflow lists and packet queues.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"progmp/internal/lang"
+	"progmp/internal/runtime"
 )
 
 func check(t *testing.T, src string) (*Info, error) {
@@ -191,4 +192,76 @@ func TestMustCheckPanicsOnBadProgram(t *testing.T) {
 		}
 	}()
 	MustCheck("VAR x = y;")
+}
+
+// TestScanResolution pins the checker's one resolution of queue-typed
+// expressions: each scanning member's base queue and FILTER lambdas
+// (named by their parameter), outermost last.
+func TestScanResolution(t *testing.T) {
+	type want struct {
+		member string // the scanning member's name, unique in src
+		queue  runtime.QueueID
+		params string // space-joined lambda parameters in filter order
+	}
+	cases := []struct {
+		name, src string
+		want      []want
+	}{
+		{"bare entity", `SUBFLOWS.GET(0).PUSH(RQ.TOP);`,
+			[]want{{"TOP", runtime.QueueReinject, ""}}},
+		{"filter of filter", `SET(R1, QU.FILTER(a => a.SIZE > 0).FILTER(b => b.SEQ > R2).COUNT);`,
+			[]want{{"COUNT", runtime.QueueUnacked, "a b"}}},
+		{"variable of variable", `VAR x = Q.FILTER(a => a.SIZE > 0);
+			VAR y = x.FILTER(b => b.SEQ > 1);
+			SET(R1, y.FILTER(c => c.SIZE < 9).BYTES);`,
+			[]want{{"BYTES", runtime.QueueSend, "a b c"}}},
+		{"outer block variable used in inner block", `VAR x = QU.FILTER(a => a.SIZE > 0);
+			FOREACH (VAR s IN SUBFLOWS) {
+				IF (R1 == 0) { s.PUSH(x.FILTER(b => !b.SENT_ON(s)).MIN(k => k.SEQ)); }
+			}`,
+			[]want{{"MIN", runtime.QueueUnacked, "a b"}}},
+		{"one variable feeding TOP and COUNT", `VAR x = Q.FILTER(a => a.SIZE > R1);
+			IF (x.COUNT > 1) { SUBFLOWS.GET(0).PUSH(x.TOP); }`,
+			[]want{{"COUNT", runtime.QueueSend, "a"}, {"TOP", runtime.QueueSend, "a"}}},
+		{"POP through a variable", `VAR x = RQ.FILTER(a => a.SIZE > 0);
+			VAR p = x.POP();
+			DROP(p);`,
+			[]want{{"POP", runtime.QueueReinject, "a"}}},
+		{"EMPTY and MAX on a queue, none on a list", `VAR l = SUBFLOWS.FILTER(s => !s.LOSSY);
+			IF (!Q.EMPTY AND !l.EMPTY) { l.MAX(s => s.CWND).PUSH(Q.MAX(k => k.SIZE)); }`,
+			[]want{{"EMPTY", runtime.QueueSend, ""}, {"MAX", runtime.QueueSend, ""}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			info := mustCheckOK(t, tc.src)
+			got := map[string]want{}
+			for e, m := range info.Members {
+				if m.Scan == nil {
+					if m.RecvType == PacketQueue && m.Kind != MemberFilter {
+						t.Errorf("%s on a queue has no Scan", e.Name)
+					}
+					continue
+				}
+				if m.RecvType != PacketQueue || m.Kind == MemberFilter {
+					t.Errorf("%s (receiver %s) has a Scan", e.Name, m.RecvType)
+				}
+				var params []string
+				for _, lam := range m.Scan.Filters {
+					params = append(params, lam.Param)
+				}
+				if _, dup := got[e.Name]; dup {
+					t.Fatalf("test source scans through %s twice", e.Name)
+				}
+				got[e.Name] = want{e.Name, m.Scan.Queue, strings.Join(params, " ")}
+			}
+			if len(got) != len(tc.want) {
+				t.Errorf("got %d scanning members %v, want %d", len(got), got, len(tc.want))
+			}
+			for _, w := range tc.want {
+				if got[w.member] != w {
+					t.Errorf("%s: got %+v, want %+v", w.member, got[w.member], w)
+				}
+			}
+		})
+	}
 }

@@ -8,7 +8,7 @@ import (
 // ccConn builds a connection skeleton with n established subflows for
 // unit-testing congestion-control arithmetic without a network.
 func ccConn(n int) *Conn {
-	c := &Conn{cfg: Config{MSS: 1460, MinRTO: 200 * time.Millisecond}}
+	c := &Conn{cfg: Config{MSS: 1460}}
 	for i := 0; i < n; i++ {
 		s := &Subflow{
 			id:          i,

@@ -23,6 +23,13 @@ type Scheduler interface {
 	Exec(env *runtime.Env)
 }
 
+// The TCP constants of every connection (Linux's defaults).
+const (
+	minRTO      = 200 * time.Millisecond // floor of the retransmission timeout
+	initialCwnd = 10                     // segments
+	tsqSegments = 2                      // floor of the TCP-small-queues budget per subflow
+)
+
 // Config holds connection parameters.
 type Config struct {
 	// MSS is the maximum segment payload (default 1460).
@@ -35,13 +42,6 @@ type Config struct {
 	// ReceiverMode selects the legacy two-level queue behaviour or the
 	// optimized §4.2 receiver (default optimized).
 	ReceiverMode ReceiverMode
-	// MinRTO floors the retransmission timeout (default 200 ms).
-	MinRTO time.Duration
-	// InitialCwnd in segments (default 10).
-	InitialCwnd float64
-	// TSQLimitBytes is the TCP-small-queues transmit budget per
-	// subflow (default 2 segments).
-	TSQLimitBytes int
 	// MaxSchedIterations bounds compressed executions per trigger
 	// (default 4096). Setting it to 1 disables compressed executions
 	// (ablation of the §4.1 optimization).
@@ -68,15 +68,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RcvBuf == 0 {
 		c.RcvBuf = 4 << 20
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 10
-	}
-	if c.TSQLimitBytes == 0 {
-		c.TSQLimitBytes = 2 * c.MSS
 	}
 	if c.MaxSchedIterations == 0 {
 		c.MaxSchedIterations = 4096
@@ -346,10 +337,6 @@ func (c *Conn) AddSubflow(cfg SubflowConfig) (*Subflow, error) {
 	}
 	if cfg.Link == nil {
 		return nil, fmt.Errorf("mptcp: subflow %q has no link", cfg.Name)
-	}
-	initialCwnd := cfg.InitialCwnd
-	if initialCwnd == 0 {
-		initialCwnd = c.cfg.InitialCwnd
 	}
 	s := &Subflow{
 		id:            len(c.subflows),

@@ -159,7 +159,7 @@ func TestCongestionWindowDynamics(t *testing.T) {
 	eng, conn := buildConn(t, 1, Config{CC: Reno{}}, "minRTT",
 		testNet{rate: 20e6, delay: 10 * time.Millisecond},
 	)
-	initial := conn.cfg.InitialCwnd
+	initial := float64(initialCwnd)
 	eng.After(0, func() { conn.Send(1<<20, 0) })
 	eng.RunUntil(2 * time.Second)
 	if got := conn.subflows[0].Cwnd(); got <= initial {

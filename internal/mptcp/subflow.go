@@ -35,8 +35,6 @@ type SubflowConfig struct {
 	Backup bool
 	// StartAt is when the path manager establishes the subflow.
 	StartAt time.Duration
-	// InitialCwnd in segments (default 10, like Linux).
-	InitialCwnd float64
 }
 
 // SubflowSpec describes one subflow of a connection's world: the path
@@ -628,7 +626,7 @@ func (s *Subflow) onRTO() {
 func (s *Subflow) currentRTO() time.Duration {
 	rto := s.rto
 	if rto == 0 {
-		rto = s.conn.cfg.MinRTO
+		rto = minRTO
 	}
 	for i := 0; i < s.rtoBackoff && i < 6; i++ {
 		rto *= 2
@@ -660,8 +658,8 @@ func (s *Subflow) rttSample(sample time.Duration) {
 		st.RecordRTT(s.destID, sample.Microseconds())
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.conn.cfg.MinRTO {
-		s.rto = s.conn.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
 }
 
@@ -710,7 +708,7 @@ func (s *Subflow) wireInFlight() int64 {
 // the pacing rate (cwnd·MSS/SRTT), floored at two segments — the
 // kernel's tcp_small_queue_check shape.
 func (s *Subflow) tsqBudget() int {
-	floor := s.conn.cfg.TSQLimitBytes
+	floor := tsqSegments * s.conn.cfg.MSS
 	if s.srtt <= 0 {
 		return floor
 	}

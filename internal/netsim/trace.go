@@ -108,7 +108,7 @@ func (r *Recorder) Percentile(name string, p float64) float64 {
 }
 
 // Table renders series as an aligned text table of (name, count, mean,
-// sum) rows — the progmp-bench summary format.
+// sum) rows — the progmp-experiments summary format.
 func (r *Recorder) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-32s %8s %14s %14s\n", "series", "n", "mean", "sum")

@@ -281,13 +281,6 @@ type Env struct {
 	// program location (source line or bytecode pc) that decided it.
 	Site int32
 
-	// Cached ActionPush count: valid while pushSeen == len(Actions).
-	// Callers that truncate Actions directly (the guard rebuilds the
-	// queue in place) invalidate the cache by changing the length;
-	// PushCount then recounts once and re-caches.
-	pushes   int
-	pushSeen int
-
 	// dirtyGlobals has bit i set when global register i was written this
 	// execution; the substrate batches exactly those back to the store.
 	dirtyGlobals uint32
@@ -328,8 +321,6 @@ func NewEnv(subflows []*SubflowView, sendQ, unackedQ, reinjectQ *Queue, regs *[N
 func (e *Env) Reset() {
 	e.Actions = e.Actions[:0]
 	e.Site = 0
-	e.pushes = 0
-	e.pushSeen = 0
 	e.dirtyGlobals = 0
 	e.SendQ.Reset()
 	e.UnackedQ.Reset()
@@ -431,9 +422,6 @@ func (e *Env) Pop(id QueueID, p *PacketView) bool {
 	}
 	//progmp:ignore hotpath amortized: Actions capacity is retained across executions by BeginExec
 	e.Actions = append(e.Actions, Action{Kind: ActionPop, Queue: id, Packet: p.Handle, Site: e.Site})
-	if e.pushSeen == len(e.Actions)-1 {
-		e.pushSeen = len(e.Actions)
-	}
 	return true
 }
 
@@ -448,10 +436,6 @@ func (e *Env) Push(sbf *SubflowView, p *PacketView) {
 	}
 	//progmp:ignore hotpath amortized: Actions capacity is retained across executions by BeginExec
 	e.Actions = append(e.Actions, Action{Kind: ActionPush, Packet: p.Handle, Subflow: sbf.Handle, Site: e.Site})
-	if e.pushSeen == len(e.Actions)-1 {
-		e.pushes++
-		e.pushSeen = len(e.Actions)
-	}
 }
 
 // Drop records discarding p. Dropping nil is a graceful no-op.
@@ -464,29 +448,17 @@ func (e *Env) Drop(p *PacketView) {
 	}
 	//progmp:ignore hotpath amortized: Actions capacity is retained across executions by BeginExec
 	e.Actions = append(e.Actions, Action{Kind: ActionDrop, Packet: p.Handle, Site: e.Site})
-	if e.pushSeen == len(e.Actions)-1 {
-		e.pushSeen = len(e.Actions)
-	}
 }
 
-// PushCount returns how many ActionPush entries were recorded. The
-// substrate's calling model uses it to decide whether another execution
-// may make progress (compressed executions, §4.1). The count is
-// maintained incrementally; it only falls back to a recount after the
-// Actions slice was modified behind the environment's back.
-//
-//progmp:hotpath
-//progmp:deterministic
+// PushCount counts the ActionPush entries recorded so far. It is a
+// convenience for tests and tools; the substrate learns whether an
+// execution made progress from applying the actions (Conn.schedule).
 func (e *Env) PushCount() int {
-	if e.pushSeen != len(e.Actions) {
-		n := 0
-		for i := range e.Actions {
-			if e.Actions[i].Kind == ActionPush {
-				n++
-			}
+	n := 0
+	for i := range e.Actions {
+		if e.Actions[i].Kind == ActionPush {
+			n++
 		}
-		e.pushes = n
-		e.pushSeen = len(e.Actions)
 	}
-	return e.pushes
+	return n
 }

@@ -107,6 +107,19 @@ SET(R2, fast.COUNT);`
 	}
 }
 
+func TestListFilterInsideListFilterPredicate(t *testing.T) {
+	// FuzzBackendsAgree's first finding: a list the predicate of a list
+	// FILTER materializes must not leak into the outer list (the
+	// interpreter and the closures once interleaved both in one arena
+	// and iterated 2+2·2 subflows here).
+	src := `
+FOREACH (VAR s IN SUBFLOWS.FILTER(a => SUBFLOWS.FILTER(b => TRUE).COUNT > 1)) {
+    s.PUSH(Q.TOP);
+}`
+	got, _ := run(t, src, func() *runtime.Env { return envtest.TwoSubflowEnv(1) })
+	expect(t, got, "PUSH0@0 PUSH0@1")
+}
+
 func TestPopVisibilityAndOrdering(t *testing.T) {
 	src := `
 VAR a = Q.POP();

@@ -42,10 +42,9 @@ func Compile(info *types.Info, opts Options) (*Program, error) {
 		return nil, fmt.Errorf("vm: cannot specialize for %d subflows (max %d)", opts.SubflowCount, runtime.MaxSubflows)
 	}
 	c := &comp{
-		info:      info,
-		syms:      make(map[*types.Symbol]int),
-		queueDefs: make(map[*types.Symbol]lang.Expr),
-		constN:    opts.SubflowCount,
+		info:   info,
+		syms:   make(map[*types.Symbol]int),
+		constN: opts.SubflowCount,
 	}
 	for _, s := range info.Prog.Stmts {
 		c.stmt(s)
@@ -85,12 +84,10 @@ type comp struct {
 	ir   []irIns
 	nv   int
 	// syms maps int/bool/packet/subflow/list symbols to their vreg.
-	syms map[*types.Symbol]int
-	// queueDefs maps queue-typed symbols to their defining expression;
-	// chains are inlined at use sites (single assignment + pure
-	// predicates make this sound).
-	queueDefs map[*types.Symbol]lang.Expr
-	constN    int
+	// Queue-typed symbols have none: the checker resolved every scan
+	// (types.Scan) and the chain is inlined there.
+	syms   map[*types.Symbol]int
+	constN int
 }
 
 func (c *comp) newv() int {
@@ -162,8 +159,6 @@ func (c *comp) stmt(s lang.Stmt) {
 			c.syms[sym] = c.sbfExpr(s.Init)
 		case types.SubflowList:
 			c.syms[sym] = c.listMask(s.Init)
-		case types.PacketQueue:
-			c.queueDefs[sym] = s.Init
 		}
 	case *lang.ForeachStmt:
 		sym := c.info.Defs[s]
@@ -276,15 +271,15 @@ func (c *comp) intExpr(e lang.Expr) int {
 			c.emit(OpPktProp, dst, recv, 0, int64(m.PktInt))
 			return dst
 		case types.MemberCount:
-			if m.RecvType == types.SubflowList {
+			if m.Scan == nil {
 				mask := c.listMask(e.Recv)
 				dst := c.newv()
 				c.emit(OpPopcnt, dst, mask, 0, 0)
 				return dst
 			}
-			return c.queueCount(e.Recv)
+			return c.queueCount(m.Scan)
 		case types.MemberBytes:
-			return c.queueBytes(e.Recv)
+			return c.queueBytes(m.Scan)
 		}
 	}
 	panic(fmt.Sprintf("vm: unhandled int expression %s", lang.FormatExpr(e)))
@@ -347,10 +342,10 @@ func (c *comp) condJumps(e lang.Expr, want bool) []int {
 		if c.info.Members[e].Kind == types.MemberEmpty {
 			// EMPTY is a zero test on the mask or top-packet handle.
 			var v int
-			if c.info.Members[e].RecvType == types.SubflowList {
+			if sc := c.info.Members[e].Scan; sc == nil {
 				v = c.listMask(e.Recv)
 			} else {
-				v = c.queueTop(e.Recv)
+				v = c.queueTop(sc)
 			}
 			if want {
 				return []int{c.emit(OpJz, 0, v, 0, 0)}
@@ -443,14 +438,14 @@ func (c *comp) boolExpr(e lang.Expr) int {
 			c.emit(OpSentOn, dst, recv, arg, 0)
 			return dst
 		case types.MemberEmpty:
-			if m.RecvType == types.SubflowList {
+			if m.Scan == nil {
 				mask := c.listMask(e.Recv)
 				zero := c.imm(0)
 				dst := c.newv()
 				c.emit(OpEq, dst, mask, zero, 0)
 				return dst
 			}
-			top := c.queueTop(e.Recv)
+			top := c.queueTop(m.Scan)
 			zero := c.imm(0)
 			dst := c.newv()
 			c.emit(OpEq, dst, top, zero, 0)
@@ -512,12 +507,11 @@ func (c *comp) pktExpr(e lang.Expr) int {
 		m := c.info.Members[e]
 		switch m.Kind {
 		case types.MemberTop:
-			return c.queueTop(e.Recv)
+			return c.queueTop(m.Scan)
 		case types.MemberPop:
-			top := c.queueTop(e.Recv)
-			qid, _ := c.resolveQueue(e.Recv)
+			top := c.queueTop(m.Scan)
 			skip := c.emit(OpJz, 0, top, 0, 0)
-			c.emit(OpPop, 0, top, 0, int64(qid))
+			c.emit(OpPop, 0, top, 0, int64(m.Scan.Queue))
 			c.patch(skip)
 			return top
 		case types.MemberMin, types.MemberMax:
@@ -661,53 +655,24 @@ func (c *comp) listMask(e lang.Expr) int {
 
 // ---- Queues ----
 
-// resolveQueue walks a queue expression to its base queue id and the
-// filter chain (outermost last). Queue-typed variables resolve through
-// their single assignment.
-func (c *comp) resolveQueue(e lang.Expr) (runtime.QueueID, []*lang.Lambda) {
-	switch e := e.(type) {
-	case *lang.EntityExpr:
-		switch e.Kind {
-		case lang.EntityQ:
-			return runtime.QueueSend, nil
-		case lang.EntityQU:
-			return runtime.QueueUnacked, nil
-		case lang.EntityRQ:
-			return runtime.QueueReinject, nil
-		}
-	case *lang.Ident:
-		def, ok := c.queueDefs[c.info.Uses[e]]
-		if !ok {
-			panic(fmt.Sprintf("vm: queue variable %s has no recorded definition", e.Name))
-		}
-		return c.resolveQueue(def)
-	case *lang.MemberExpr:
-		if c.info.Members[e].Kind == types.MemberFilter {
-			qid, chain := c.resolveQueue(e.Recv)
-			return qid, append(chain, e.Args[0].(*lang.Lambda))
-		}
-	}
-	panic(fmt.Sprintf("vm: unhandled queue expression %s", lang.FormatExpr(e)))
-}
-
 // queueScan emits a loop over the visible, filter-matching packets of a
-// queue expression. body receives the vreg holding the current packet
+// resolved queue scan. body receives the vreg holding the current packet
 // handle and the patch-list for "continue"; returning from body is via
 // emitted jumps. body returns jump indices to patch to the loop end
 // ("break" sites).
-func (c *comp) queueScan(recv lang.Expr, body func(pkt int) (breaks []int)) {
-	qid, chain := c.resolveQueue(recv)
+func (c *comp) queueScan(sc *types.Scan, body func(pkt int) (breaks []int)) {
+	qid := int64(sc.Queue)
 	pos := c.imm(-1)
 	loopStart := c.here()
-	c.emit(OpQNext, pos, pos, 0, int64(qid))
+	c.emit(OpQNext, pos, pos, 0, qid)
 	negative := c.newv()
 	zero := c.imm(0)
 	c.emit(OpLt, negative, pos, zero, 0)
 	jdone := c.emit(OpJnz, 0, negative, 0, 0)
 	pkt := c.newv()
-	c.emit(OpPktRef, pkt, pos, 0, int64(qid))
+	c.emit(OpPktRef, pkt, pos, 0, qid)
 	var continues []int
-	for _, lam := range chain {
+	for _, lam := range sc.Filters {
 		paramSym := c.info.Defs[lam]
 		param, ok := c.syms[paramSym]
 		if !ok {
@@ -730,9 +695,9 @@ func (c *comp) queueScan(recv lang.Expr, body func(pkt int) (breaks []int)) {
 }
 
 // queueTop returns a vreg holding the first matching packet (0 = NULL).
-func (c *comp) queueTop(recv lang.Expr) int {
+func (c *comp) queueTop(sc *types.Scan) int {
 	res := c.imm(0)
-	c.queueScan(recv, func(pkt int) []int {
+	c.queueScan(sc, func(pkt int) []int {
 		c.emit(OpMov, res, pkt, 0, 0)
 		return []int{c.emit(OpJmp, 0, 0, 0, 0)}
 	})
@@ -740,10 +705,10 @@ func (c *comp) queueTop(recv lang.Expr) int {
 }
 
 // queueCount returns a vreg holding the number of matching packets.
-func (c *comp) queueCount(recv lang.Expr) int {
+func (c *comp) queueCount(sc *types.Scan) int {
 	n := c.imm(0)
 	one := c.imm(1)
-	c.queueScan(recv, func(int) []int {
+	c.queueScan(sc, func(int) []int {
 		c.emit(OpAdd, n, n, one, 0)
 		return nil
 	})
@@ -751,9 +716,9 @@ func (c *comp) queueCount(recv lang.Expr) int {
 }
 
 // queueBytes returns a vreg holding the byte total of matching packets.
-func (c *comp) queueBytes(recv lang.Expr) int {
+func (c *comp) queueBytes(sc *types.Scan) int {
 	n := c.imm(0)
-	c.queueScan(recv, func(pkt int) []int {
+	c.queueScan(sc, func(pkt int) []int {
 		sz := c.newv()
 		c.emit(OpPktProp, sz, pkt, 0, int64(runtime.PktSize))
 		c.emit(OpAdd, n, n, sz, 0)
@@ -772,7 +737,7 @@ func (c *comp) queueMinMax(e *lang.MemberExpr, m *types.Member) int {
 	best := c.imm(0)
 	bestKey := c.imm(0)
 	zero := c.imm(0)
-	c.queueScan(e.Recv, func(pkt int) []int {
+	c.queueScan(m.Scan, func(pkt int) []int {
 		c.emit(OpMov, param, pkt, 0, 0)
 		key := c.intExpr(lam.Body)
 		isNull := c.newv()

@@ -1,0 +1,46 @@
+package vm_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"testing"
+
+	"progmp/internal/analysis"
+	"progmp/internal/lang/types"
+	"progmp/internal/schedlib"
+	"progmp/internal/vm"
+)
+
+// corpusBytecodeGolden is the digest of the disassembly of every
+// schedlib.All program at every specialization below plus its analyzer
+// step bound, recorded on the commit before types.Scan replaced the
+// back-ends' private queue-chain resolvers. A refactor of lowering,
+// optimizer, allocator or cost model that claims "bytecode unchanged"
+// passes this test; one that means to change bytecode re-records it and
+// says why.
+const corpusBytecodeGolden = "c9ad03ba5fd0a686f4a7e941900db2ef132143758d30597f6780acefa28b88c7"
+
+func TestCorpusBytecodeGolden(t *testing.T) {
+	names := make([]string, 0, len(schedlib.All))
+	for name := range schedlib.All {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		info := types.MustCheck(schedlib.All[name])
+		rep := analysis.Analyze(info, analysis.Options{})
+		fmt.Fprintf(h, "== %s bound %s = %d\n", name, rep.StepBound, rep.StepBoundAt)
+		for _, n := range []int{-1, 0, 1, 2, 3, 4, 8} {
+			p, err := vm.Compile(info, vm.Options{SubflowCount: n})
+			if err != nil {
+				t.Fatalf("%s @%d: %v", name, n, err)
+			}
+			fmt.Fprintf(h, "-- %d\n%s", n, p.Disassemble())
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != corpusBytecodeGolden {
+		t.Errorf("corpus bytecode digest = %s, want %s", got, corpusBytecodeGolden)
+	}
+}
