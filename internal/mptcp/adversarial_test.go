@@ -62,51 +62,46 @@ func adversarialExec(env *runtime.Env, rng *rand.Rand) {
 	}
 }
 
-// checkQueueInvariants asserts, after one applyActions pass, the
-// structural invariants the scheduling substrate promises regardless
-// of scheduler behaviour: internally consistent packet lists, strict
-// sequence ordering for Q and QU (the sorted inserts binary-search, so
-// a single out-of-order restore would corrupt them), Q/QU
-// disjointness, no acknowledged packet lingering in a queue, and byte
-// conservation — every unacked segment reachable from a queue or an
-// in-flight transmission record.
+// checkQueueInvariants asserts the structural invariants the
+// scheduling substrate promises regardless of scheduler behaviour:
+// the queues partition the packets — each packet's where names the one
+// list that holds it, once — strict sequence ordering for Q and QU (the
+// sorted inserts binary-search, so a single out-of-order restore would
+// corrupt them), no acknowledged packet lingering in a queue or in the
+// window, and byte conservation — every unacked segment reachable from
+// a queue or an in-flight transmission record.
 func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 	t.Helper()
 	lists := []struct {
 		name   string
 		l      *packetList
+		where  place
 		sorted bool
 	}{
-		{"Q", c.sendQ, true},
-		{"QU", c.unackedQ, true},
-		{"RQ", c.reinjectQ, false}, // RQ is loss-ordered, not seq-ordered
+		{"Q", &c.queues[inQ], inQ, true},
+		{"QU", &c.queues[inQU], inQU, true},
+		{"RQ", &c.queues[inRQ], inRQ, false}, // RQ is loss-ordered, not seq-ordered
 	}
+	listed := make(map[*Packet]bool)
 	for _, ent := range lists {
-		if len(ent.l.in) != len(ent.l.pkts) {
-			t.Fatalf("round %d: %s membership map has %d entries for %d packets",
-				round, ent.name, len(ent.l.in), len(ent.l.pkts))
-		}
-		seen := make(map[*Packet]bool, len(ent.l.pkts))
 		for i, p := range ent.l.pkts {
-			if seen[p] {
-				t.Fatalf("round %d: %s holds seq %d twice", round, ent.name, p.Seq)
+			if listed[p] {
+				t.Fatalf("round %d: %s holds seq %d, which a queue already holds", round, ent.name, p.Seq)
 			}
-			seen[p] = true
-			if !ent.l.in[p] {
-				t.Fatalf("round %d: %s seq %d missing from membership map", round, ent.name, p.Seq)
+			listed[p] = true
+			if p.where != ent.where {
+				t.Fatalf("round %d: %s holds seq %d whose where is %d, want %d", round, ent.name, p.Seq, p.where, ent.where)
 			}
 			if p.MetaAcked {
 				t.Fatalf("round %d: %s holds acknowledged seq %d", round, ent.name, p.Seq)
+			}
+			if c.win.at(p.Seq) != p {
+				t.Fatalf("round %d: %s holds seq %d, which the sender window does not", round, ent.name, p.Seq)
 			}
 			if ent.sorted && i > 0 && ent.l.pkts[i-1].Seq >= p.Seq {
 				t.Fatalf("round %d: %s out of order at %d: seq %d before seq %d",
 					round, ent.name, i, ent.l.pkts[i-1].Seq, p.Seq)
 			}
-		}
-	}
-	for _, p := range c.sendQ.pkts {
-		if c.unackedQ.contains(p) {
-			t.Fatalf("round %d: seq %d in both Q and QU", round, p.Seq)
 		}
 	}
 	inFlight := make(map[*Packet]bool)
@@ -120,18 +115,20 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 	// receiver (delivered in order, or buffered out of order awaiting
 	// earlier sequence numbers).
 	receiverHas := func(p *Packet) bool {
-		if p.Seq < c.receiver.nextMetaSeq {
-			return true
-		}
-		_, ok := c.receiver.oooMeta[p.Seq]
-		return ok
+		return p.Seq < c.receiver.ooo.base || c.receiver.ooo.at(p.Seq).received
 	}
-	for _, p := range c.pktBySeq {
-		if p.MetaAcked {
-			continue
+	if end := c.win.base + int64(c.win.len()); end != c.nextSeq {
+		t.Fatalf("round %d: sender window ends at %d, nextSeq is %d", round, end, c.nextSeq)
+	}
+	for seq := c.win.base; seq < c.nextSeq; seq++ {
+		p := c.win.at(seq)
+		if p == nil || p.Seq != seq || p.MetaAcked {
+			t.Fatalf("round %d: sender window holds %+v at seq %d", round, p, seq)
 		}
-		if !c.sendQ.contains(p) && !c.unackedQ.contains(p) &&
-			!c.reinjectQ.contains(p) && !inFlight[p] && !receiverHas(p) {
+		if (p.where != nowhere) != listed[p] {
+			t.Fatalf("round %d: seq %d has where %d but listed = %v", round, seq, p.where, listed[p])
+		}
+		if !listed[p] && !inFlight[p] && !receiverHas(p) {
 			t.Fatalf("round %d: unacked seq %d reachable from no queue, no in-flight record, and not at receiver",
 				round, p.Seq)
 		}

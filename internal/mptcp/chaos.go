@@ -53,9 +53,16 @@ type ChaosResult struct {
 // conservation verdict: nil means every byte was delivered exactly
 // once, in order, and fully acknowledged within the horizon.
 func RunChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResult, error) {
+	res, _, err := runChaos(sc, seed, schedFn)
+	return res, err
+}
+
+// runChaos is RunChaos, also returning the connection it ran so tests
+// can inspect the state the soak ended in.
+func runChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResult, *Conn, error) {
 	res := ChaosResult{Scenario: sc.Name, Seed: seed}
 	if sc.Paths == nil {
-		return res, fmt.Errorf("chaos scenario %q has no paths", sc.Name)
+		return res, nil, fmt.Errorf("chaos scenario %q has no paths", sc.Name)
 	}
 	sendBytes := sc.SendBytes
 	if sendBytes == 0 {
@@ -75,7 +82,7 @@ func RunChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResu
 	eng := netsim.NewEngine(seed)
 	conn, err := Dial(eng, Config{}, specs...)
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
 	var s Scheduler
 	if schedFn != nil {
@@ -98,7 +105,7 @@ func RunChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResu
 	res.AllAcked = conn.AllAcked()
 	res.ClosedByManager = pm.ClosedByManager
 	res.Promotions = pm.Promotions
-	return res, chk.Check(int64(sendBytes))
+	return res, conn, chk.Check(int64(sendBytes))
 }
 
 // wifiPath is the chaotic-scenario baseline path: a moderate-rate,

@@ -15,16 +15,18 @@ var chaosSeeds = []int64{1, 42, 20240805}
 
 // TestChaosMatrix runs every chaos scenario against the native MinRTT
 // scheduler for each seed in the matrix: bytes delivered exactly once,
-// in order, fully acknowledged within the horizon.
+// in order, fully acknowledged within the horizon, the queues a
+// partition of what the sender window still holds.
 func TestChaosMatrix(t *testing.T) {
 	for _, name := range ChaosScenarioNames() {
 		sc := ChaosScenarios[name]
 		for _, seed := range chaosSeeds {
 			t.Run(sc.Name+"/"+itoa(seed), func(t *testing.T) {
-				res, err := RunChaos(sc, seed, nil)
+				res, conn, err := runChaos(sc, seed, nil)
 				if err != nil {
 					t.Fatalf("chaos %s seed %d: %v (result %+v)", sc.Name, seed, err, res)
 				}
+				checkQueueInvariants(t, conn, 0)
 				if res.FCT == 0 {
 					t.Fatalf("chaos %s seed %d: no flow completion recorded", sc.Name, seed)
 				}
@@ -40,12 +42,13 @@ func TestChaosProgMPSchedulers(t *testing.T) {
 	for _, name := range []string{"minRTT", "redundant", "roundRobin"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, err := RunChaos(ChaosScenarios["meltdown"], 7, func() Scheduler {
+			res, conn, err := runChaos(ChaosScenarios["meltdown"], 7, func() Scheduler {
 				return core.MustLoad(name, schedlib.All[name], core.BackendVM)
 			})
 			if err != nil {
 				t.Fatalf("meltdown under %s: %v (result %+v)", name, err, res)
 			}
+			checkQueueInvariants(t, conn, 0)
 		})
 	}
 }

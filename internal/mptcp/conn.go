@@ -80,9 +80,10 @@ func (c *Config) applyDefaults() {
 // Queue invariants presented to schedulers (pairwise disjoint views,
 // §3.1): Q holds never-transmitted segments; QU holds transmitted,
 // unacknowledged segments that are not reinjection candidates; RQ
-// holds suspected-lost segments awaiting reinjection. A successful
-// PUSH moves a segment out of Q (and out of RQ) automatically;
-// cumulative DATA_ACKs remove segments from all queues.
+// holds suspected-lost segments awaiting reinjection. A packet is in at
+// most one of them (Packet.where, written by move alone). A successful
+// PUSH moves a segment into QU automatically; cumulative DATA_ACKs
+// remove segments from all queues and retire them from the window.
 type Conn struct {
 	eng *netsim.Engine
 	cfg Config
@@ -99,13 +100,15 @@ type Conn struct {
 	receiver *Receiver
 	txFree   *txRecord // recycled transmission records, shared by the subflows
 
-	sendQ     *packetList // Q
-	unackedQ  *packetList // transmitted, un-DATA_ACKed (superset of RQ)
-	reinjectQ *packetList // RQ
+	queues [inRQ + 1]packetList // Q, QU and RQ, indexed by place (the slot of nowhere stays empty)
 
-	nextSeq  int64
-	cumAcked int64 // meta seq below which everything is acked
-	rwnd     int64 // latest advertised receive window (bytes)
+	// win holds every packet not yet cumulatively acknowledged, indexed
+	// by sequence number: win.base is the meta sequence number below
+	// which everything is acked, and onAck retires packets as it
+	// advances, so the sender retains O(in-flight + queued) packets.
+	win     ring[*Packet]
+	nextSeq int64
+	rwnd    int64 // latest advertised receive window (bytes)
 	// Sequence-space window accounting (bytes): ackedOffset is the
 	// stream offset below which everything is cumulatively acked;
 	// maxSentEnd is the end offset of the highest segment ever
@@ -114,22 +117,16 @@ type Conn struct {
 	ackedOffset int64
 	maxSentEnd  int64
 	bytesQueued int64 // total bytes enqueued so far (next Offset)
-	pktBySeq    map[int64]*Packet
 
 	// Snapshot arena (§4.1): recycled environment, subflow views and
 	// lazily-materialized queue views. The three sources feed the
-	// arena's queues; lastNow and the last* version stamps decide when
-	// a queue's materialized views survive into the next execution.
+	// arena's queues; lastNow and the lastVer stamps decide when a
+	// queue's materialized views survive into the next execution.
 	arena     *runtime.Arena
-	qSrc      pktSource
-	quSrc     pktSource
-	rqSrc     pktSource
-	quSnap    []*Packet // QU minus RQ members, rebuilt only when stale
+	srcs      [3]pktSource // indexed by runtime.QueueID
+	lastVer   [3]uint64
 	snapValid bool
 	lastNow   time.Duration
-	lastQVer  uint64
-	lastQUVer uint64
-	lastRQVer uint64
 
 	// applyActions bookkeeping, recycled across passes.
 	applyGen   uint64
@@ -174,14 +171,10 @@ type Conn struct {
 func NewConn(eng *netsim.Engine, cfg Config) *Conn {
 	cfg.applyDefaults()
 	c := &Conn{
-		eng:       eng,
-		cfg:       cfg,
-		cc:        cfg.CC,
-		sendQ:     newPacketList(),
-		unackedQ:  newPacketList(),
-		reinjectQ: newPacketList(),
-		pktBySeq:  make(map[int64]*Packet),
-		rwnd:      int64(cfg.RcvBuf),
+		eng:  eng,
+		cfg:  cfg,
+		cc:   cfg.CC,
+		rwnd: int64(cfg.RcvBuf),
 	}
 	c.arena = runtime.NewArena(&c.regs)
 	c.receiver = newReceiver(c, cfg.ReceiverMode, cfg.RcvBuf)
@@ -392,8 +385,8 @@ func (c *Conn) Send(n int, prop int64) {
 		}
 		c.bytesQueued += int64(size)
 		c.nextSeq++
-		c.pktBySeq[pkt.Seq] = pkt
-		c.sendQ.pushBack(pkt)
+		c.win.pushBack(pkt)
+		c.move(pkt, inQ, true)
 		c.TotalEnqueued++
 	}
 	c.mEnqueued.Add(c.nextSeq - firstSeq)
@@ -402,15 +395,19 @@ func (c *Conn) Send(n int, prop int64) {
 }
 
 // QueuedSegments returns the Q length.
-func (c *Conn) QueuedSegments() int { return c.sendQ.len() }
+func (c *Conn) QueuedSegments() int { return c.queues[inQ].len() }
 
-// UnackedSegments returns the number of transmitted, unacked segments.
-func (c *Conn) UnackedSegments() int { return c.unackedQ.len() }
+// UnackedSegments returns the number of transmitted, unacked segments
+// (QU and RQ together).
+func (c *Conn) UnackedSegments() int { return c.queues[inQU].len() + c.queues[inRQ].len() }
+
+// reinjectSegments returns the RQ length.
+func (c *Conn) reinjectSegments() int { return c.queues[inRQ].len() }
 
 // AllAcked reports whether every enqueued byte has been cumulatively
 // acknowledged.
 func (c *Conn) AllAcked() bool {
-	return c.sendQ.len() == 0 && c.unackedQ.len() == 0 && c.nextSeq > 0
+	return c.QueuedSegments() == 0 && c.UnackedSegments() == 0 && c.nextSeq > 0
 }
 
 // OnAllAcked registers a callback fired when the send buffer fully
@@ -488,19 +485,19 @@ func (c *Conn) inFlightElsewhere(pkt *Packet, except *Subflow) bool {
 // scheduler — including ones that never read RQ — will eventually
 // deliver it.
 func (c *Conn) returnToSendQ(pkt *Packet) {
-	c.unackedQ.remove(pkt)
-	c.reinjectQ.remove(pkt)
-	c.insertSendQ(pkt)
+	c.move(pkt, inQ, false)
 	c.schedule()
 }
 
-// addReinject queues pkt for reinjection (it joins RQ unless already
-// acked) and triggers the scheduler (Fig. 4: loss events).
+// addReinject queues pkt for reinjection (it moves to the back of RQ
+// unless already there or acked) and triggers the scheduler (Fig. 4:
+// loss events).
 func (c *Conn) addReinject(pkt *Packet) {
 	if pkt.MetaAcked {
 		return
 	}
-	if c.reinjectQ.pushBack(pkt) {
+	if pkt.where != inRQ {
+		c.move(pkt, inRQ, true)
 		c.mReinjects.Add(1)
 		c.trace(obs.EvReinject, -1, pkt.Seq, 0, 0)
 	}
@@ -526,21 +523,16 @@ func (c *Conn) onAck(metaCumAck int64, rwnd int64, s *Subflow) {
 	c.rwnd = rwnd
 	c.mAcks.Add(1)
 	c.trace(obs.EvAck, int32(s.id), -1, metaCumAck, 0)
-	if metaCumAck > c.cumAcked {
-		for seq := c.cumAcked; seq < metaCumAck; seq++ {
-			pkt := c.pktBySeq[seq]
-			if pkt == nil {
-				continue
-			}
+	if metaCumAck > c.win.base {
+		// The window ends at nextSeq, so an ACK beyond it stops there.
+		for c.win.len() > 0 && c.win.base < metaCumAck {
+			pkt := c.win.popFront()
 			pkt.MetaAcked = true
 			if end := pkt.Offset + int64(pkt.Size); end > c.ackedOffset {
 				c.ackedOffset = end
 			}
-			c.unackedQ.remove(pkt)
-			c.reinjectQ.remove(pkt)
-			c.sendQ.remove(pkt)
+			c.move(pkt, nowhere, false)
 		}
-		c.cumAcked = metaCumAck
 		if c.AllAcked() && c.onAllAcked != nil {
 			cb := c.onAllAcked
 			c.onAllAcked = nil
@@ -652,7 +644,8 @@ func (s *pktSource) MaterializePacket(i int, v *runtime.PacketView) {
 // touches them, and a queue whose substrate is unchanged since the
 // previous execution (same membership and properties — tracked by the
 // packetList version counters — at the same clock) keeps its
-// materialized views entirely.
+// materialized views entirely. The three lists are the three disjoint
+// views, so each queue binds straight from its own list.
 func (c *Conn) buildEnv() *runtime.Env {
 	now := c.eng.Now()
 	sameClock := c.snapValid && now == c.lastNow
@@ -711,33 +704,13 @@ func (c *Conn) buildEnv() *runtime.Env {
 		}
 	}
 
-	c.qSrc = pktSource{pkts: c.sendQ.pkts, now: now}
-	c.arena.BindQueue(runtime.QueueSend, &c.qSrc,
-		len(c.sendQ.pkts), sameClock && c.lastQVer == c.sendQ.ver)
-
-	// QU excludes reinjection candidates (pairwise disjoint views,
-	// §3.1), so its filtered membership depends on both QU and RQ.
-	reuseQU := sameClock && c.lastQUVer == c.unackedQ.ver && c.lastRQVer == c.reinjectQ.ver
-	if !reuseQU {
-		c.quSnap = c.quSnap[:0]
-		for _, p := range c.unackedQ.pkts {
-			if !c.reinjectQ.contains(p) {
-				//progmp:ignore hotpath amortized: quSnap capacity is retained across executions
-				c.quSnap = append(c.quSnap, p)
-			}
-		}
+	for id := runtime.QueueSend; id <= runtime.QueueReinject; id++ {
+		l := &c.queues[placeOf(id)]
+		c.srcs[id] = pktSource{pkts: l.pkts, now: now}
+		c.arena.BindQueue(id, &c.srcs[id], len(l.pkts), sameClock && c.lastVer[id] == l.ver)
+		c.lastVer[id] = l.ver
 	}
-	c.quSrc = pktSource{pkts: c.quSnap, now: now}
-	c.arena.BindQueue(runtime.QueueUnacked, &c.quSrc, len(c.quSnap), reuseQU)
-
-	c.rqSrc = pktSource{pkts: c.reinjectQ.pkts, now: now}
-	c.arena.BindQueue(runtime.QueueReinject, &c.rqSrc,
-		len(c.reinjectQ.pkts), sameClock && c.lastRQVer == c.reinjectQ.ver)
-
 	c.lastNow = now
-	c.lastQVer = c.sendQ.ver
-	c.lastQUVer = c.unackedQ.ver
-	c.lastRQVer = c.reinjectQ.ver
 	c.snapValid = true
 
 	c.arena.BeginExec()
@@ -753,8 +726,8 @@ func (c *Conn) buildEnv() *runtime.Env {
 
 // popEntry records one committed POP for the restore pass.
 type popEntry struct {
-	pkt *Packet
-	q   runtime.QueueID
+	pkt  *Packet
+	from place
 }
 
 // applyActions commits the execution's action queue to the connection
@@ -769,38 +742,33 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 		switch a.Kind {
 		case runtime.ActionPop:
 			pkt := c.pktOf(a.Packet)
-			if pkt == nil || pkt.MetaAcked {
-				continue
+			if pkt == nil || pkt.where != placeOf(a.Queue) {
+				continue // acked, or not in the queue the action names
 			}
-			if c.queueList(a.Queue).remove(pkt) {
-				//progmp:ignore hotpath amortized: popScratch capacity is retained across executions
-				pops = append(pops, popEntry{pkt: pkt, q: a.Queue})
-				c.mPops.Add(1)
-				c.trace(obs.EvPop, -1, pkt.Seq, int64(a.Queue), a.Site)
-			}
+			//progmp:ignore hotpath amortized: popScratch capacity is retained across executions
+			pops = append(pops, popEntry{pkt: pkt, from: pkt.where})
+			c.move(pkt, nowhere, false)
+			c.mPops.Add(1)
+			c.trace(obs.EvPop, -1, pkt.Seq, int64(a.Queue), a.Site)
 		case runtime.ActionPush:
 			pkt := c.pktOf(a.Packet)
 			sbf := c.sbfOf(a.Subflow)
 			if pkt == nil || sbf == nil {
 				continue
 			}
-			if pkt.MetaAcked {
-				pkt.consumedGen = gen
-				continue
-			}
 			if sbf.transmit(pkt) {
 				progress = true
 				pkt.consumedGen = gen
-				// A transmitted segment leaves Q and RQ and is
-				// tracked as unacknowledged. The transmission also
-				// mutated packet properties (SentOnMask, SentCount),
-				// so QU views are stale even when membership did not
-				// change (a redundant re-push of an in-flight
-				// segment); bump the version unconditionally.
-				c.sendQ.remove(pkt)
-				c.reinjectQ.remove(pkt)
-				c.insertUnacked(pkt)
-				c.unackedQ.ver++
+				// A transmitted segment is tracked as unacknowledged,
+				// wherever it was. The transmission also mutated packet
+				// properties (SentOnMask, SentCount), so QU views are
+				// stale even when membership did not change (a
+				// redundant re-push of an in-flight segment); bump the
+				// version unconditionally.
+				if pkt.where != inQU {
+					c.move(pkt, inQU, false)
+				}
+				c.queues[inQU].ver++
 				c.mPushes.Add(1)
 				c.trace(obs.EvPush, int32(sbf.id), pkt.Seq, int64(pkt.Size), a.Site)
 			}
@@ -810,17 +778,26 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 				continue
 			}
 			pkt.consumedGen = gen
-			removed := c.sendQ.remove(pkt) || c.reinjectQ.remove(pkt)
-			if pkt.SentCount == 0 && !c.unackedQ.contains(pkt) && !pkt.MetaAcked {
+			switch {
+			case pkt.SentCount == 0:
 				// Dropping never-transmitted data would lose bytes of
-				// the stream; reinsert (packets must not be lost by
-				// design, §3.3) and count no progress for it.
-				c.insertSendQ(pkt)
-			} else if removed {
-				progress = true
-				c.mDrops.Add(1)
-				c.trace(obs.EvDrop, -1, pkt.Seq, 0, a.Site)
+				// the stream: it stays in Q, or returns there after a
+				// POP (packets must not be lost by design, §3.3), and
+				// counts as no progress.
+				if pkt.where != inQ {
+					c.move(pkt, inQ, false)
+				}
+				continue
+			case pkt.where == inQ: // transmitted before its subflow closed
+				c.move(pkt, nowhere, false)
+			case pkt.where == inRQ: // no reinjection candidate any more, unacknowledged still
+				c.move(pkt, inQU, false)
+			default:
+				continue
 			}
+			progress = true
+			c.mDrops.Add(1)
+			c.trace(obs.EvDrop, -1, pkt.Seq, 0, a.Site)
 		}
 	}
 	// Popped packets that were neither pushed nor dropped return to
@@ -828,12 +805,15 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 	// Reinsertion is by sequence number for every queue: Q and QU are
 	// seq-sorted invariantly (their sorted inserts binary-search), and
 	// a front-insert into the middle pop's former queue would silently
-	// break that ordering.
+	// break that ordering. A reinjection candidate dropped after its POP
+	// is placed as one dropped in RQ would have been.
 	for _, e := range pops {
-		if e.pkt.consumedGen == gen || e.pkt.MetaAcked {
-			continue
+		switch {
+		case e.pkt.consumedGen != gen:
+			c.move(e.pkt, e.from, false)
+		case e.from == inRQ && e.pkt.where == nowhere:
+			c.move(e.pkt, inQU, false)
 		}
-		c.queueList(e.q).insertBySeq(e.pkt)
 	}
 	c.popScratch = pops[:0]
 	// Publish the execution's GSET writes as one batched epoch. Only the
@@ -849,18 +829,27 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 	return progress
 }
 
-// insertUnacked keeps QU ordered by meta sequence number.
-func (c *Conn) insertUnacked(pkt *Packet) {
-	c.unackedQ.insertBySeq(pkt)
+// move takes pkt out of the queue it is in, if any, and puts it into
+// to (nowhere: into none) — at the back, or at its sequence position.
+// It is the only writer of Packet.where.
+func (c *Conn) move(pkt *Packet, to place, back bool) {
+	if pkt.where != nowhere {
+		c.queues[pkt.where].remove(pkt)
+	}
+	pkt.where = to
+	switch {
+	case to == nowhere:
+	case back:
+		c.queues[to].pushBack(pkt)
+	default:
+		c.queues[to].insertBySeq(pkt)
+	}
 }
 
-// insertSendQ reinserts pkt into Q in sequence order.
-func (c *Conn) insertSendQ(pkt *Packet) {
-	c.sendQ.insertBySeq(pkt)
-}
-
+// pktOf resolves a handle to its packet, nil once acknowledged (or
+// never sent: a forged handle indexes outside the window).
 func (c *Conn) pktOf(h runtime.PacketHandle) *Packet {
-	return c.pktBySeq[int64(h)-1]
+	return c.win.at(int64(h) - 1)
 }
 
 func (c *Conn) sbfOf(h runtime.SubflowHandle) *Subflow {
@@ -869,15 +858,4 @@ func (c *Conn) sbfOf(h runtime.SubflowHandle) *Subflow {
 		return nil
 	}
 	return c.subflows[idx]
-}
-
-func (c *Conn) queueList(id runtime.QueueID) *packetList {
-	switch id {
-	case runtime.QueueSend:
-		return c.sendQ
-	case runtime.QueueUnacked:
-		return c.unackedQ
-	default:
-		return c.reinjectQ
-	}
 }

@@ -50,7 +50,7 @@ func (k *ConservationChecker) violate(format string, args ...any) {
 	if len(k.violations) < maxRecordedViolations {
 		k.violations = append(k.violations, fmt.Sprintf(format, args...))
 	} else {
-		k.violations[maxRecordedViolations-1] = fmt.Sprintf("... and more (suppressed)")
+		k.violations[maxRecordedViolations-1] = "... and more (suppressed)"
 	}
 }
 
@@ -68,8 +68,8 @@ func (k *ConservationChecker) Check(wantBytes int64) error {
 		return fmt.Errorf("delivered %d bytes, want exactly %d", k.Bytes, wantBytes)
 	}
 	if !k.conn.AllAcked() {
-		return fmt.Errorf("sender not fully acked: Q=%d QU=%d RQ=%d",
-			k.conn.QueuedSegments(), k.conn.UnackedSegments(), k.conn.reinjectQ.len())
+		return fmt.Errorf("sender not fully acked: Q=%d unacked=%d (RQ=%d)",
+			k.conn.QueuedSegments(), k.conn.UnackedSegments(), k.conn.reinjectSegments())
 	}
 	return nil
 }

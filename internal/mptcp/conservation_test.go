@@ -83,9 +83,9 @@ func TestRandomScenarioConservation(t *testing.T) {
 				trial, scheduler, backend, nPaths, seed, chk.bytes, total)
 		}
 		if !conn.AllAcked() {
-			t.Fatalf("trial %d (%s on %s, %d paths, seed %d): not fully acked (Q=%d QU=%d RQ=%d)",
+			t.Fatalf("trial %d (%s on %s, %d paths, seed %d): not fully acked (Q=%d unacked=%d (RQ=%d))",
 				trial, scheduler, backend, nPaths, seed,
-				conn.QueuedSegments(), conn.UnackedSegments(), conn.reinjectQ.len())
+				conn.QueuedSegments(), conn.UnackedSegments(), conn.reinjectSegments())
 		}
 	}
 }

@@ -77,7 +77,7 @@ func TestBulkTransferTwoSubflows(t *testing.T) {
 	eng.After(0, func() { conn.Send(total, 0) })
 	eng.RunUntil(30 * time.Second)
 	if !conn.AllAcked() {
-		t.Fatalf("transfer incomplete: Q=%d QU=%d RQ=%d", conn.QueuedSegments(), conn.UnackedSegments(), conn.reinjectQ.len())
+		t.Fatalf("transfer incomplete: Q=%d unacked=%d (RQ=%d)", conn.QueuedSegments(), conn.UnackedSegments(), conn.reinjectSegments())
 	}
 	if chk.bytes != total {
 		t.Errorf("delivered %d bytes, want %d", chk.bytes, total)
@@ -108,8 +108,8 @@ func TestTransferCompletesUnderLoss(t *testing.T) {
 			eng.After(0, func() { conn.Send(total, 0) })
 			eng.RunUntil(60 * time.Second)
 			if !conn.AllAcked() {
-				t.Fatalf("transfer incomplete under loss: Q=%d QU=%d RQ=%d",
-					conn.QueuedSegments(), conn.UnackedSegments(), conn.reinjectQ.len())
+				t.Fatalf("transfer incomplete under loss: Q=%d unacked=%d (RQ=%d)",
+					conn.QueuedSegments(), conn.UnackedSegments(), conn.reinjectSegments())
 			}
 			if chk.bytes != total {
 				t.Errorf("delivered %d bytes, want %d (exactly once)", chk.bytes, total)
@@ -205,8 +205,10 @@ func TestReceiveWindowBlocksSender(t *testing.T) {
 	exceeded := false
 	check := func() {
 		var inFlight int64
-		for _, p := range conn.unackedQ.all() {
-			inFlight += int64(p.Size)
+		for _, l := range []*packetList{&conn.queues[inQU], &conn.queues[inRQ]} {
+			for _, p := range l.all() {
+				inFlight += int64(p.Size)
+			}
 		}
 		if inFlight > int64(conn.cfg.RcvBuf) {
 			exceeded = true

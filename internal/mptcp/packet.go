@@ -14,6 +14,8 @@ package mptcp
 import (
 	"sort"
 	"time"
+
+	"progmp/internal/runtime"
 )
 
 // Packet is one meta-level segment. Segments carry a data sequence
@@ -37,6 +39,8 @@ type Packet struct {
 	// acked packets are automatically removed from all queues (§3.1).
 	MetaAcked bool
 
+	// where is the queue holding the packet.
+	where place
 	// consumedGen stamps the applyActions pass (Conn.applyGen) that
 	// pushed or dropped the packet, replacing a per-pass map.
 	consumedGen uint64
@@ -45,11 +49,26 @@ type Packet struct {
 // sentOn reports a prior transmission on the subflow id.
 func (p *Packet) sentOn(id int) bool { return p.SentOnMask&(1<<uint(id)) != 0 }
 
-// packetList is an ordered packet queue with O(1) membership checks,
-// used for Q, QU and RQ. Queues hold each packet at most once.
+// place names the one queue a packet is in. The queues are pairwise
+// disjoint views over one sequence space (§3.1), so membership is a
+// field on the packet; Conn.move is its only writer.
+type place uint8
+
+const (
+	nowhere place = iota // acked, dropped, or popped and not yet restored
+	inQ
+	inQU
+	inRQ
+)
+
+// placeOf is the place of a scheduler-visible queue.
+func placeOf(id runtime.QueueID) place { return place(id) + 1 }
+
+// packetList is the ordered content of one of Q, QU and RQ. Membership
+// lives in Packet.where: callers add a packet that is in no list and
+// remove one that is in this list.
 type packetList struct {
 	pkts []*Packet
-	in   map[*Packet]bool
 	// ver counts membership mutations. The snapshot layer compares it
 	// across scheduler executions to decide whether lazily-materialized
 	// packet views may be reused (incremental snapshot reuse, §4.1);
@@ -58,72 +77,40 @@ type packetList struct {
 	ver uint64
 }
 
-func newPacketList() *packetList {
-	return &packetList{in: make(map[*Packet]bool)}
-}
-
 func (l *packetList) len() int { return len(l.pkts) }
 
-func (l *packetList) contains(p *Packet) bool { return l.in[p] }
-
-// pushBack appends p unless already present, reporting whether it was
-// added.
-func (l *packetList) pushBack(p *Packet) bool {
-	if l.in[p] {
-		return false
-	}
+// pushBack appends p.
+func (l *packetList) pushBack(p *Packet) {
 	//progmp:ignore hotpath amortized: remove shrinks in place, so cap is retained in steady state
 	l.pkts = append(l.pkts, p)
-	//progmp:ignore hotpath amortized: membership keys come and go with the queue, so bucket space is reused
-	l.in[p] = true
 	l.ver++
-	return true
 }
 
-// insertBySeq inserts p at its sequence-ordered position unless already
-// present, reporting whether it was added. On a seq-sorted list this is
-// a sorted insert; reinserting popped-but-unconsumed packets this way
-// (packets must not be lost by design, §3.3) preserves the ordering
-// invariant that the sorted-insert binary searches rely on.
-func (l *packetList) insertBySeq(p *Packet) bool {
-	if l.in[p] {
-		return false
-	}
+// insertBySeq inserts p at its sequence-ordered position. On a
+// seq-sorted list this is a sorted insert; reinserting
+// popped-but-unconsumed packets this way (packets must not be lost by
+// design, §3.3) preserves the ordering invariant that the sorted-insert
+// binary searches rely on.
+func (l *packetList) insertBySeq(p *Packet) {
 	//progmp:ignore hotpath sort.Search's comparator does not escape; the closure stays on the stack
 	idx := sort.Search(len(l.pkts), func(i int) bool { return l.pkts[i].Seq > p.Seq })
 	//progmp:ignore hotpath amortized: reinsertion refills a slot freed by remove, so cap is retained in steady state
 	l.pkts = append(l.pkts, nil)
 	copy(l.pkts[idx+1:], l.pkts[idx:])
 	l.pkts[idx] = p
-	//progmp:ignore hotpath amortized: the key was deleted from this map moments ago, so its bucket space is reused
-	l.in[p] = true
 	l.ver++
-	return true
 }
 
-// remove deletes p, reporting whether it was present.
-func (l *packetList) remove(p *Packet) bool {
-	if !l.in[p] {
-		return false
-	}
-	delete(l.in, p)
+// remove deletes p.
+func (l *packetList) remove(p *Packet) {
 	for i, cand := range l.pkts {
 		if cand == p {
 			//progmp:ignore hotpath in-place shrink: len never grows past cap
 			l.pkts = append(l.pkts[:i], l.pkts[i+1:]...)
 			l.ver++
-			return true
+			return
 		}
 	}
-	return false
-}
-
-// front returns the first packet or nil.
-func (l *packetList) front() *Packet {
-	if len(l.pkts) == 0 {
-		return nil
-	}
-	return l.pkts[0]
 }
 
 // all returns the underlying slice (callers must not mutate).

@@ -72,8 +72,8 @@ func TestThroughputMatchesNaiveSum(t *testing.T) {
 					t.Fatalf("seed %d step %d at %v: Throughput = %d, re-sum = %d", seed, step, now, got, want)
 				}
 			}
-			if s.rate.n != len(ref.samples) {
-				t.Fatalf("seed %d step %d: ring holds %d samples, reference %d", seed, step, s.rate.n, len(ref.samples))
+			if s.rate.samples.len() != len(ref.samples) {
+				t.Fatalf("seed %d step %d: ring holds %d samples, reference %d", seed, step, s.rate.samples.len(), len(ref.samples))
 			}
 		}
 	}

@@ -30,21 +30,12 @@ func (m ReceiverMode) String() string {
 	return "optimized"
 }
 
-// rxSeg is one received segment held in a reorder queue.
+// rxSeg is one received segment in a reorder window; the zero value is
+// a sequence number not received yet.
 type rxSeg struct {
-	metaSeq int64
-	size    int
-}
-
-// sbfRx is per-subflow receive state.
-type sbfRx struct {
-	// nextExpected is the lowest sbfSeq not yet received.
-	nextExpected int64
-	// held buffers out-of-subflow-order segments (legacy mode only).
-	held map[int64]rxSeg
-	// receivedHigh tracks sbfSeqs >= nextExpected already seen, for
-	// duplicate filtering in optimized mode.
-	receivedHigh map[int64]bool
+	metaSeq  int64
+	size     int
+	received bool
 }
 
 // Receiver models the MPTCP receiver: per-subflow receive queues, the
@@ -55,14 +46,22 @@ type Receiver struct {
 	mode   ReceiverMode
 	rcvBuf int
 
-	nextMetaSeq int64
-	oooMeta     map[int64]rxSeg
-	oooBytes    int
-	// heldBytes is the payload buffered in the subflows' held maps
-	// (legacy mode), kept beside oooBytes so rwnd is O(1).
+	// ooo is the meta-level reorder window: its base is the in-order
+	// delivery frontier, and it holds the oooSegs segments (oooBytes of
+	// payload) that arrived above it.
+	ooo      ring[rxSeg]
+	oooSegs  int
+	oooBytes int
+	// heldBytes is the payload the legacy receiver buffers in the
+	// subflows' windows, kept beside oooBytes so rwnd is O(1).
 	heldBytes int
 
-	perSbf []*sbfRx
+	// perSbf holds one receive window per subflow, indexed by sbfSeq: its
+	// base is the lowest sbfSeq not yet received, and it marks the
+	// segments received above that for duplicate filtering — in legacy
+	// mode it also buffers them, out of subflow order, until the gap
+	// closes.
+	perSbf []ring[rxSeg]
 
 	onDeliver func(seq int64, size int, at time.Duration)
 
@@ -82,12 +81,7 @@ type Receiver struct {
 }
 
 func newReceiver(conn *Conn, mode ReceiverMode, rcvBuf int) *Receiver {
-	return &Receiver{
-		conn:    conn,
-		mode:    mode,
-		rcvBuf:  rcvBuf,
-		oooMeta: make(map[int64]rxSeg),
-	}
+	return &Receiver{conn: conn, mode: mode, rcvBuf: rcvBuf}
 }
 
 // Mode returns the configured receiver mode.
@@ -128,14 +122,9 @@ func (r *Receiver) AddDeliveryHook(fn func(seq int64, size int, at time.Duration
 }
 
 // NextMetaSeq exposes the in-order delivery frontier.
-func (r *Receiver) NextMetaSeq() int64 { return r.nextMetaSeq }
+func (r *Receiver) NextMetaSeq() int64 { return r.ooo.base }
 
-func (r *Receiver) addSubflow() {
-	r.perSbf = append(r.perSbf, &sbfRx{
-		held:         make(map[int64]rxSeg),
-		receivedHigh: make(map[int64]bool),
-	})
-}
+func (r *Receiver) addSubflow() { r.perSbf = append(r.perSbf, ring[rxSeg]{}) }
 
 // rwnd is the advertised receive window: buffer minus bytes held in
 // reorder queues (the in-order application consumes immediately).
@@ -152,89 +141,68 @@ func (r *Receiver) rwnd() int64 {
 //
 //progmp:hotpath
 func (r *Receiver) onData(s *Subflow, sbfSeq, metaSeq int64, size int) {
-	srx := r.perSbf[s.id]
-	duplicate := sbfSeq < srx.nextExpected || srx.receivedHigh[sbfSeq]
-	if !duplicate {
-		//progmp:ignore hotpath amortized: receivedHigh is a sliding window of keys, deleted as nextExpected advances
-		srx.receivedHigh[sbfSeq] = true
-		switch r.mode {
-		case ReceiverOptimized:
-			r.metaProcess(metaSeq, size)
-			r.advanceSbf(srx)
-		case ReceiverLegacy:
-			//progmp:ignore hotpath amortized: held is a sliding window of keys, deleted as the subflow gap closes
-			srx.held[sbfSeq] = rxSeg{metaSeq: metaSeq, size: size}
-			r.heldBytes += size
-			if sbfSeq != srx.nextExpected {
-				// A subflow-level gap keeps this segment in the
-				// subflow out-of-order queue even though the meta
-				// socket might already be able to use it.
-				r.HeldByLegacy++
-			}
-			r.drainLegacy(srx)
-		}
-	} else {
+	win := &r.perSbf[s.id]
+	seg := rxSeg{metaSeq: metaSeq, size: size, received: true}
+	switch {
+	case sbfSeq < win.base || win.at(sbfSeq).received:
 		r.DuplicateSegments++
+	case r.mode == ReceiverOptimized:
+		r.metaProcess(seg)
+		if sbfSeq != win.base {
+			win.set(sbfSeq, seg)
+			break
+		}
+		// In subflow order: the contiguity point moves past it and
+		// past what was received above it.
+		win.popFront()
+		for win.at(win.base).received {
+			win.popFront()
+		}
+	case sbfSeq != win.base:
+		// A subflow-level gap keeps this segment in the subflow
+		// out-of-order queue even though the meta socket might
+		// already be able to use it.
+		win.set(sbfSeq, seg)
+		r.heldBytes += size
+		r.HeldByLegacy++
+	default:
+		// In subflow order: push it, and the held segments the gap
+		// kept back, up to the meta socket.
+		win.popFront()
+		r.metaProcess(seg)
+		for next := win.at(win.base); next.received; next = win.at(win.base) {
+			win.popFront()
+			r.heldBytes -= next.size
+			r.metaProcess(next)
+		}
 	}
 	// Acknowledge with the (possibly advanced) cumulative DATA_ACK and
 	// the current window.
-	s.link.Rev.SendMsg(ackSize, netsim.Msg{To: s, Kind: evAck, A: sbfSeq, B: r.nextMetaSeq, C: r.rwnd()})
-}
-
-// advanceSbf advances the subflow contiguity pointer past received
-// segments (bookkeeping shared by both modes).
-func (r *Receiver) advanceSbf(srx *sbfRx) {
-	for srx.receivedHigh[srx.nextExpected] {
-		delete(srx.receivedHigh, srx.nextExpected)
-		srx.nextExpected++
-	}
-}
-
-// drainLegacy pushes in-subflow-order segments up to the meta socket.
-func (r *Receiver) drainLegacy(srx *sbfRx) {
-	for {
-		seg, ok := srx.held[srx.nextExpected]
-		if !ok {
-			return
-		}
-		delete(srx.held, srx.nextExpected)
-		r.heldBytes -= seg.size
-		delete(srx.receivedHigh, srx.nextExpected)
-		srx.nextExpected++
-		r.metaProcess(seg.metaSeq, seg.size)
-	}
+	s.link.Rev.SendMsg(ackSize, netsim.Msg{To: s, Kind: evAck, A: sbfSeq, B: r.ooo.base, C: r.rwnd()})
 }
 
 // metaProcess inserts one segment into the meta-level reorder state
 // and delivers any newly in-order prefix to the application.
-func (r *Receiver) metaProcess(metaSeq int64, size int) {
-	if metaSeq < r.nextMetaSeq {
+func (r *Receiver) metaProcess(seg rxSeg) {
+	if seg.metaSeq < r.ooo.base || r.ooo.at(seg.metaSeq).received {
 		r.DuplicateSegments++
 		return
 	}
-	if _, dup := r.oooMeta[metaSeq]; dup {
-		r.DuplicateSegments++
+	if seg.metaSeq != r.ooo.base {
+		r.ooo.set(seg.metaSeq, seg)
+		r.oooSegs++
+		r.oooBytes += seg.size
+		r.mOOODepth.Observe(int64(r.oooSegs))
 		return
 	}
-	if metaSeq == r.nextMetaSeq {
-		r.deliver(metaSeq, size)
-		r.nextMetaSeq++
-		for {
-			seg, ok := r.oooMeta[r.nextMetaSeq]
-			if !ok {
-				break
-			}
-			delete(r.oooMeta, r.nextMetaSeq)
-			r.oooBytes -= seg.size
-			r.deliver(seg.metaSeq, seg.size)
-			r.nextMetaSeq++
-		}
-		return
+	r.deliver(seg.metaSeq, seg.size)
+	r.ooo.popFront()
+	for next := r.ooo.at(r.ooo.base); next.received; next = r.ooo.at(r.ooo.base) {
+		r.oooSegs--
+		r.oooBytes -= next.size
+		r.deliver(next.metaSeq, next.size)
+		r.ooo.popFront()
 	}
-	//progmp:ignore hotpath amortized: oooMeta is a sliding window of keys, deleted as the meta frontier advances
-	r.oooMeta[metaSeq] = rxSeg{metaSeq: metaSeq, size: size}
-	r.oooBytes += size
-	r.mOOODepth.Observe(int64(len(r.oooMeta)))
 }
 
 func (r *Receiver) deliver(seq int64, size int) {

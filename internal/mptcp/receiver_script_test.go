@@ -41,12 +41,13 @@ func runScript(t *testing.T, mode ReceiverMode, script []arrival) ([]delivery, *
 			t.Fatal(err)
 		}
 	}
-	// Register the packets so meta DATA_ACK processing knows them.
+	// Enqueue the packets so meta DATA_ACK processing retires them from
+	// the real sender window (no scheduler is installed: nothing is sent).
+	var segs int64
 	for _, a := range script {
-		if conn.pktBySeq[a.metaSeq] == nil {
-			conn.pktBySeq[a.metaSeq] = &Packet{Seq: a.metaSeq, Size: segSize}
-		}
+		segs = max(segs, a.metaSeq+1)
 	}
+	conn.Send(int(segs)*segSize, 0)
 	var out []delivery
 	conn.Receiver().OnDeliver(func(seq int64, _ int, at time.Duration) {
 		out = append(out, delivery{metaSeq: seq, at: at})
@@ -56,7 +57,7 @@ func runScript(t *testing.T, mode ReceiverMode, script []arrival) ([]delivery, *
 		eng.At(a.at, func() {
 			conn.receiver.onData(conn.subflows[a.sbf], a.sbfSeq, a.metaSeq, segSize)
 			if got, want := conn.receiver.heldBytes, walkHeldBytes(conn.receiver); got != want {
-				t.Errorf("after sbf %d seq %d: running heldBytes = %d, walk over the held maps = %d",
+				t.Errorf("after sbf %d seq %d: running heldBytes = %d, walk over the subflow windows = %d",
 					a.sbf, a.sbfSeq, got, want)
 			}
 		})
@@ -67,13 +68,16 @@ func runScript(t *testing.T, mode ReceiverMode, script []arrival) ([]delivery, *
 
 const segSize = 1460
 
-// walkHeldBytes sums the subflows' held maps the way rwnd did before it
-// kept a running total.
+// walkHeldBytes sums the segments the legacy receiver holds in the
+// subflows' windows the way rwnd did before it kept a running total.
 func walkHeldBytes(r *Receiver) int {
 	held := 0
-	for _, srx := range r.perSbf {
-		for _, seg := range srx.held {
-			held += seg.size
+	if r.mode == ReceiverLegacy {
+		for i := range r.perSbf {
+			win := &r.perSbf[i]
+			for seq := win.base; seq < win.base+int64(win.len()); seq++ {
+				held += win.at(seq).size
+			}
 		}
 	}
 	return held

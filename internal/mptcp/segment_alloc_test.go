@@ -47,7 +47,7 @@ func TestRecycledRecordLeavesRetxQueue(t *testing.T) {
 	eng.RunUntil(100 * time.Millisecond) // handshake; no scheduler: Send only enqueues
 	s := conn.subflows[0]
 	conn.Send(9*1460, 0)
-	pkts := append([]*Packet(nil), conn.sendQ.all()...)
+	pkts := append([]*Packet(nil), conn.queues[inQ].all()...)
 	for _, pkt := range pkts[:8] {
 		if !s.transmit(pkt) {
 			t.Fatalf("transmit of seq %d refused", pkt.Seq)

@@ -151,46 +151,23 @@ type rateSample struct {
 const rateWindow = time.Second
 
 // rateWindowSum is the byte total of the samples no older than
-// rateWindow: a FIFO ring plus a running sum, so adding a sample,
-// expiring old ones and reading the total are O(1) amortized. The ring
-// is allocated on the first sample and doubles when the window holds
-// more samples than it has room for.
+// rateWindow: a FIFO plus a running sum, so adding a sample, expiring
+// old ones and reading the total are O(1) amortized.
 type rateWindowSum struct {
-	buf   []rateSample // len is zero or a power of two
-	head  int          // index of the oldest sample
-	n     int          // samples held
-	total int          // sum of their bytes
+	samples ring[rateSample]
+	total   int // sum of their bytes
 }
 
 // add records bytes delivered at now.
 func (w *rateWindowSum) add(now time.Duration, bytes int) {
-	if w.n == len(w.buf) {
-		w.grow()
-	}
-	w.buf[(w.head+w.n)&(len(w.buf)-1)] = rateSample{at: now, bytes: bytes}
-	w.n++
+	w.samples.pushBack(rateSample{at: now, bytes: bytes})
 	w.total += bytes
-}
-
-func (w *rateWindowSum) grow() {
-	size := 2 * len(w.buf)
-	if size == 0 {
-		size = 8
-	}
-	//progmp:ignore hotpath amortized: the ring doubles until it holds one window of samples, then never again
-	buf := make([]rateSample, size)
-	for i := 0; i < w.n; i++ {
-		buf[i] = w.buf[(w.head+i)&(len(w.buf)-1)]
-	}
-	w.buf, w.head = buf, 0
 }
 
 // prune expires samples older than rateWindow at now.
 func (w *rateWindowSum) prune(now time.Duration) {
-	for w.n > 0 && w.buf[w.head].at < now-rateWindow {
-		w.total -= w.buf[w.head].bytes
-		w.head = (w.head + 1) & (len(w.buf) - 1)
-		w.n--
+	for w.samples.len() > 0 && w.samples.at(w.samples.base).at < now-rateWindow {
+		w.total -= w.samples.popFront().bytes
 	}
 }
 

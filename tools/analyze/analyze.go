@@ -155,13 +155,18 @@ func (s *Suite) Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			if len(files) == 0 {
 				continue
 			}
-			a.Run(&Pass{
+			for _, sup := range pkg.suppress {
+				sup.used = false
+			}
+			pass := &Pass{
 				Analyzer: a,
 				Suite:    s,
 				Pkg:      pkg,
 				Files:    files,
 				diags:    &diags,
-			})
+			}
+			a.Run(pass)
+			pass.reportStale()
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

@@ -462,6 +462,52 @@ func Reg(r *obs.Registry) {
 	}
 }
 
+// TestStaleSuppressionDiagnostics: a //progmp:ignore that suppressed
+// nothing is a finding of the pass it names — when that pass ran.
+func TestStaleSuppressionDiagnostics(t *testing.T) {
+	const src = `package fixture
+
+import "strconv"
+
+type S struct{ xs []int }
+
+//progmp:hotpath
+func (s *S) Hot(n int) string {
+	//progmp:ignore hotpath amortized: capacity retained
+	s.xs = append(s.xs, n)
+	//progmp:ignore hotpath the construct this vouched for was deleted
+	s.xs[0] = n
+	//progmp:ignore hotpath cold path: pruned at the call, which counts as use
+	return strconv.Itoa(n)
+}
+
+func cold(m map[int]int) {
+	//progmp:ignore hotpath,deterministic no hot path and no deterministic zone reaches this function
+	m[0] = 1
+}
+`
+	cases := []struct {
+		name   string
+		passes []string
+		want   []string
+	}{
+		{"the named pass ran", []string{"hotpath"},
+			[]string{"ignore hotpath suppresses nothing", "ignore hotpath suppresses nothing"}},
+		{"each named pass answers for itself", []string{"hotpath", "deterministic"},
+			[]string{"ignore hotpath suppresses nothing", "ignore deterministic suppresses nothing", "ignore hotpath suppresses nothing"}},
+		{"a pass that did not run reports nothing", []string{"epochsafe"}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			diags := runFixture(t, tc.passes, src)
+			expect(t, diags, tc.want...)
+			if len(diags) > 0 && diags[0].Pos.Line != 11 {
+				t.Errorf("first stale suppression reported at line %d, want 11 (the comment)", diags[0].Pos.Line)
+			}
+		})
+	}
+}
+
 // TestRepositoryIsAnalyzeClean is the self-check: `go test ./tools/...`
 // fails if any package in the module has an outstanding finding, so the
 // tree cannot drift from the invariants between CI runs.

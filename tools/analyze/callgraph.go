@@ -56,7 +56,9 @@ func resolveCall(info *types.Info, call *ast.CallExpr) (callKind, *types.Func, *
 				if types.IsInterface(sel.Recv()) {
 					return callInterface, fn, nil
 				}
-				return callStatic, fn, nil
+				// A method of an instantiated generic type is declared,
+				// annotated and walked once, as its generic origin.
+				return callStatic, fn.Origin(), nil
 			}
 			return callDynamic, nil, nil // func-typed field
 		}

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -115,15 +116,24 @@ func (s *Suite) TypeDirectives(tn *types.TypeName) Directives {
 	return s.typeDirs[tn]
 }
 
-// collectSuppressions indexes //progmp:ignore comments:
+// A suppression is one //progmp:ignore comment:
 //
 //	//progmp:ignore <pass>[,<pass>...] [reason]
 //	//progmp:ignore * [reason]
 //
-// A suppression covers diagnostics reported on its own line and on
-// the following line (for standalone comments above a statement).
-func collectSuppressions(fset *token.FileSet, files []*ast.File) map[string]map[int]map[string]bool {
-	out := map[string]map[int]map[string]bool{}
+// It covers diagnostics reported on its own line and on the following
+// line (for standalone comments above a statement).
+type suppression struct {
+	pos    token.Position
+	passes []string // "*" names every pass
+	// used: the pass now running over the package found something
+	// here to suppress (Suite.Run clears it before each pass).
+	used bool
+}
+
+// collectSuppressions lists the //progmp:ignore comments of files.
+func collectSuppressions(fset *token.FileSet, files []*ast.File) []*suppression {
+	var out []*suppression
 	for _, f := range files {
 		for _, g := range f.Comments {
 			for _, c := range g.List {
@@ -135,35 +145,31 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) map[string]map[
 				if len(fields) == 0 {
 					continue
 				}
-				pos := fset.Position(c.Pos())
-				lines := out[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					out[pos.Filename] = lines
-				}
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					passes := lines[line]
-					if passes == nil {
-						passes = map[string]bool{}
-						lines[line] = passes
-					}
-					for _, name := range strings.Split(fields[0], ",") {
-						if name == "*" {
-							passes[""] = true
-						} else {
-							passes[name] = true
-						}
-					}
-				}
+				out = append(out, &suppression{
+					pos:    fset.Position(c.Pos()),
+					passes: strings.Split(fields[0], ","),
+				})
 			}
 		}
 	}
 	return out
 }
 
+// suppressed reports whether a suppression for pass covers pos, and
+// marks every one that does as used.
 func (p *Package) suppressed(pass string, pos token.Position) bool {
-	passes := p.suppress[pos.Filename][pos.Line]
-	return passes[""] || passes[pass]
+	covered := false
+	for _, s := range p.suppress {
+		if s.pos.Filename != pos.Filename || (s.pos.Line != pos.Line && s.pos.Line+1 != pos.Line) {
+			continue
+		}
+		for _, name := range s.passes {
+			if name == pass || name == "*" {
+				s.used, covered = true, true
+			}
+		}
+	}
+	return covered
 }
 
 // suppressedAt reports whether a suppression for pass covers the
@@ -171,4 +177,26 @@ func (p *Package) suppressed(pass string, pos token.Position) bool {
 // diagnostic and the walk below a vouched-for call site.
 func (p *Pass) suppressedAt(pos token.Pos) bool {
 	return p.Pkg.suppressed(p.Analyzer.Name, p.Suite.Fset.Position(pos))
+}
+
+// reportStale reports, as findings of the pass that just ran, the
+// suppressions naming it that suppressed nothing: the code they vouched
+// for is gone or no longer needs the waiver, and a waiver nobody
+// answers for would silently cover the next construct written there.
+func (p *Pass) reportStale() {
+	inspected := map[string]bool{}
+	for _, f := range p.Files {
+		inspected[p.Pkg.fileName(f)] = true
+	}
+	for _, s := range p.Pkg.suppress {
+		for _, name := range s.passes {
+			if name == p.Analyzer.Name && inspected[s.pos.Filename] && !s.used {
+				*p.diags = append(*p.diags, Diagnostic{
+					Pos:     s.pos,
+					Pass:    name,
+					Message: fmt.Sprintf("//progmp:ignore %s suppresses nothing: delete it", name),
+				})
+			}
+		}
+	}
 }

@@ -50,10 +50,8 @@ type Package struct {
 	ExternalTest bool
 
 	fset *token.FileSet
-	// suppress maps filename -> line -> pass names ("" = every pass)
-	// covered by a //progmp:ignore comment on that line or the line
-	// above the construct.
-	suppress map[string]map[int]map[string]bool
+	// suppress lists the package's //progmp:ignore comments.
+	suppress []*suppression
 }
 
 func (p *Package) fileName(f *ast.File) string {
