@@ -68,8 +68,9 @@ func adversarialExec(env *runtime.Env, rng *rand.Rand) {
 // list that holds it, once — strict sequence ordering for Q and QU (the
 // sorted inserts binary-search, so a single out-of-order restore would
 // corrupt them), no acknowledged packet lingering in a queue or in the
-// window, and byte conservation — every unacked segment reachable from
-// a queue or an in-flight transmission record.
+// window, every subflow's send window consistent (checkSendWindow), and
+// byte conservation — every unacked segment reachable from a queue or
+// an in-flight transmission record.
 func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 	t.Helper()
 	lists := []struct {
@@ -106,8 +107,9 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 	}
 	inFlight := make(map[*Packet]bool)
 	for _, s := range c.subflows {
-		for _, rec := range s.outstanding {
-			inFlight[rec.pkt] = true
+		checkSendWindow(t, s)
+		for seq := s.sent.base; seq < s.sent.end(); seq++ {
+			inFlight[s.sent.at(seq).pkt] = true
 		}
 	}
 	// A segment may legally vanish from the sender's queues before the

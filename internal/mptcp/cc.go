@@ -23,9 +23,9 @@ const minCwnd = 2
 // application-limited sender whose window is far from full must not
 // grow it further, or an idle-then-bursty flow would accumulate an
 // arbitrarily large, never-validated window. It runs after the ACKed
-// segment left the outstanding list, so that segment is counted back.
+// segment left the send window, so that segment is counted back.
 func cwndLimited(sbf *Subflow) bool {
-	return float64(len(sbf.outstanding))+1 >= sbf.cwnd-1
+	return float64(sbf.nOut)+1 >= sbf.cwnd-1
 }
 
 // Reno is uncoupled per-subflow NewReno: each subflow behaves like an
@@ -87,13 +87,10 @@ func (LIA) Name() string { return "lia" }
 func (LIA) alpha(conn *Conn) float64 {
 	var total, maxTerm, sumTerm float64
 	for _, s := range conn.subflows {
-		if !s.established || s.closed {
+		if !s.usable() {
 			continue
 		}
-		rtt := s.srtt.Seconds()
-		if rtt <= 0 {
-			rtt = 0.001
-		}
+		rtt := rttSeconds(s)
 		total += s.cwnd
 		if t := s.cwnd / (rtt * rtt); t > maxTerm {
 			maxTerm = t
@@ -121,7 +118,7 @@ func (l LIA) OnAck(conn *Conn, sbf *Subflow) {
 	}
 	var total float64
 	for _, s := range conn.subflows {
-		if s.established && !s.closed {
+		if s.usable() {
 			total += s.cwnd
 		}
 	}

@@ -17,10 +17,7 @@ func ccConn(n int) *Conn {
 			cwnd:        10,
 			ssthresh:    5, // force congestion avoidance
 			srtt:        20 * time.Millisecond,
-		}
-		// Make the window look fully used so cwnd validation passes.
-		for j := 0; j < 10; j++ {
-			s.outstanding = append(s.outstanding, &txRecord{})
+			nOut:        10, // the window looks fully used, so cwnd validation passes
 		}
 		c.subflows = append(c.subflows, s)
 	}
@@ -68,7 +65,7 @@ func TestRenoLossAndRTO(t *testing.T) {
 func TestCwndValidationBlocksIdleGrowth(t *testing.T) {
 	c := ccConn(1)
 	s := c.subflows[0]
-	s.outstanding = s.outstanding[:2] // window mostly unused
+	s.nOut = 2 // window mostly unused
 	before := s.cwnd
 	Reno{}.OnAck(c, s)
 	if s.cwnd != before {
@@ -118,9 +115,8 @@ func TestOLIAShiftsTowardBestPath(t *testing.T) {
 	good.cwnd = 8
 	bad.olia.sinceLoss = 1 << 10
 	bad.cwnd = 16
-	paths := activeSubflows(c)
-	aGood := OLIA{}.alpha(paths, good)
-	aBad := OLIA{}.alpha(paths, bad)
+	aGood := OLIA{}.alpha(c, good)
+	aBad := OLIA{}.alpha(c, bad)
 	if aGood <= 0 {
 		t.Errorf("alpha(good) = %v, want positive", aGood)
 	}

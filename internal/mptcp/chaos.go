@@ -169,7 +169,7 @@ var ChaosScenarios = map[string]ChaosScenario{
 		Desc: "silent subflow death (blackout), path-manager teardown, later revival",
 		Paths: func() []SubflowSpec {
 			// The blackout hits while plenty of data is still queued, so
-			// the dying subflow has outstanding segments for the path
+			// the dying subflow has un-SACKed segments for the path
 			// manager's no-progress detector to observe.
 			dying := netsim.ChaosSpec{Blackout: &netsim.BlackoutLoss{From: 150 * time.Millisecond}}
 			return []SubflowSpec{

@@ -98,7 +98,6 @@ type Conn struct {
 
 	subflows []*Subflow
 	receiver *Receiver
-	txFree   *txRecord // recycled transmission records, shared by the subflows
 
 	queues [inRQ + 1]packetList // Q, QU and RQ, indexed by place (the slot of nowhere stays empty)
 
@@ -120,13 +119,9 @@ type Conn struct {
 
 	// Snapshot arena (§4.1): recycled environment, subflow views and
 	// lazily-materialized queue views. The three sources feed the
-	// arena's queues; lastNow and the lastVer stamps decide when a
-	// queue's materialized views survive into the next execution.
-	arena     *runtime.Arena
-	srcs      [3]pktSource // indexed by runtime.QueueID
-	lastVer   [3]uint64
-	snapValid bool
-	lastNow   time.Duration
+	// arena's queues.
+	arena *runtime.Arena
+	srcs  [3]pktSource // indexed by runtime.QueueID
 
 	// applyActions bookkeeping, recycled across passes.
 	applyGen   uint64
@@ -465,15 +460,15 @@ func (c *Conn) noteTransmitted(pkt *Packet) {
 	}
 }
 
-// inFlightElsewhere reports whether pkt has an outstanding
+// inFlightElsewhere reports whether pkt has an un-SACKed
 // transmission on a live subflow other than except.
 func (c *Conn) inFlightElsewhere(pkt *Packet, except *Subflow) bool {
 	for _, s := range c.subflows {
 		if s == except || !s.usable() {
 			continue
 		}
-		for _, rec := range s.outstanding {
-			if rec.pkt == pkt {
+		for seq := s.sent.base; seq < s.sent.end(); seq++ {
+			if s.sent.slot(seq).pkt == pkt {
 				return true
 			}
 		}
@@ -641,14 +636,10 @@ func (s *pktSource) MaterializePacket(i int, v *runtime.PacketView) {
 // immutable for the execution; side effects are collected in the action
 // queue. The snapshot is allocation-free in steady state: views live in
 // the connection's arena and materialize lazily as the scheduler
-// touches them, and a queue whose substrate is unchanged since the
-// previous execution (same membership and properties — tracked by the
-// packetList version counters — at the same clock) keeps its
-// materialized views entirely. The three lists are the three disjoint
-// views, so each queue binds straight from its own list.
+// touches them. The three lists are the three disjoint views, so each
+// queue binds straight from its own list.
 func (c *Conn) buildEnv() *runtime.Env {
 	now := c.eng.Now()
-	sameClock := c.snapValid && now == c.lastNow
 	rwndFree := c.rwndFreeBytes()
 
 	// One epoch-consistent store snapshot per execution: every X-property
@@ -688,7 +679,7 @@ func (c *Conn) buildEnv() *runtime.Env {
 		v.Ints[runtime.SbfQueued] = s.queuedSegments()
 		v.Ints[runtime.SbfThroughput] = s.Throughput()
 		v.Ints[runtime.SbfMSS] = int64(c.cfg.MSS)
-		v.Ints[runtime.SbfLostSkbs] = s.lostPending()
+		v.Ints[runtime.SbfLostSkbs] = int64(s.nLost)
 		v.Ints[runtime.SbfRTO] = s.currentRTO().Microseconds()
 		v.Bools[runtime.SbfLossy] = s.inRecovery
 		v.Bools[runtime.SbfTSQThrottled] = s.tsqThrottled()
@@ -707,11 +698,8 @@ func (c *Conn) buildEnv() *runtime.Env {
 	for id := runtime.QueueSend; id <= runtime.QueueReinject; id++ {
 		l := &c.queues[placeOf(id)]
 		c.srcs[id] = pktSource{pkts: l.pkts, now: now}
-		c.arena.BindQueue(id, &c.srcs[id], len(l.pkts), sameClock && c.lastVer[id] == l.ver)
-		c.lastVer[id] = l.ver
+		c.arena.BindQueue(id, &c.srcs[id], len(l.pkts), false)
 	}
-	c.lastNow = now
-	c.snapValid = true
 
 	c.arena.BeginExec()
 	env := c.arena.Env()
@@ -760,15 +748,10 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 				progress = true
 				pkt.consumedGen = gen
 				// A transmitted segment is tracked as unacknowledged,
-				// wherever it was. The transmission also mutated packet
-				// properties (SentOnMask, SentCount), so QU views are
-				// stale even when membership did not change (a
-				// redundant re-push of an in-flight segment); bump the
-				// version unconditionally.
+				// wherever it was.
 				if pkt.where != inQU {
 					c.move(pkt, inQU, false)
 				}
-				c.queues[inQU].ver++
 				c.mPushes.Add(1)
 				c.trace(obs.EvPush, int32(sbf.id), pkt.Seq, int64(pkt.Size), a.Site)
 			}

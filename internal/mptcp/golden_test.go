@@ -79,6 +79,43 @@ var goldenShapes = []goldenShape{
 		cfg: Config{ReceiverMode: ReceiverLegacy}, specs: chaosPaths, want: 0x26843a321e6c1683},
 }
 
+// goldenChaos pins two chaos soaks (native MinRTT, seed 42, path
+// manager attached) by their outcome and per-subflow counters. In
+// sbfdeath the path manager closes a subflow with data outstanding, so
+// it reaches Close, inFlightElsewhere and RTOs over a full window,
+// which none of the shapes above do; meltdown adds bursty loss, flaps
+// and reordering. Recorded on commit c262091, before the send window
+// became a ring.
+var goldenChaos = []struct {
+	scenario string
+	want     uint64
+}{
+	{"sbfdeath", 0xe79ac3e1b61621fa},
+	{"meltdown", 0x464fc1a0bf443b08},
+}
+
+// fnv is an FNV-1a digest over 64-bit words.
+type fnv uint64
+
+func newFNV() fnv { return 14695981039346656037 }
+
+func (d *fnv) mix(v uint64) {
+	for i := 0; i < 8; i++ {
+		*d = (*d ^ fnv(v&0xff)) * 1099511628211
+		v >>= 8
+	}
+}
+
+// mixSubflows adds each subflow's transmission counters.
+func (d *fnv) mixSubflows(conn *Conn) {
+	for _, s := range conn.Subflows() {
+		d.mix(uint64(s.PktsSent))
+		d.mix(uint64(s.Retransmissions))
+		d.mix(uint64(s.RTOs))
+		d.mix(uint64(s.LossEpisodes))
+	}
+}
+
 // runGolden drives one shape to its final ACK and returns the FNV-1a
 // digest of every (seq, deliveredAt), the final-ACK time, the fired
 // event count and each subflow's transmission counters.
@@ -91,14 +128,8 @@ func runGolden(t *testing.T, g goldenShape) uint64 {
 	}
 	conn.SetScheduler(core.MustLoad(g.scheduler, schedlib.All[g.scheduler], core.BackendCompiled))
 
-	const offset, prime = 14695981039346656037, 1099511628211
-	digest := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			digest = (digest ^ (v & 0xff)) * prime
-			v >>= 8
-		}
-	}
+	digest := newFNV()
+	mix := digest.mix
 	chk := &deliveryChecker{t: t}
 	chk.attach(conn)
 	conn.Receiver().AddDeliveryHook(func(seq int64, _ int, at time.Duration) {
@@ -123,24 +154,37 @@ func runGolden(t *testing.T, g goldenShape) uint64 {
 	}
 	mix(uint64(eng.Now()))
 	mix(uint64(events))
-	for _, s := range conn.Subflows() {
-		mix(uint64(s.PktsSent))
-		mix(uint64(s.Retransmissions))
-		mix(uint64(s.RTOs))
-		mix(uint64(s.LossEpisodes))
-	}
-	return digest
+	digest.mixSubflows(conn)
+	return uint64(digest)
 }
 
 // TestTransferDigestGolden is the substrate's trajectory safety net: a
 // rewrite of netsim's event representation or of mptcp's per-segment
 // bookkeeping must reproduce every delivery time, the event count and
-// the retransmission counters of these five transfers exactly.
+// the retransmission counters of these five transfers exactly, and the
+// outcome and counters of the chaos soaks.
 func TestTransferDigestGolden(t *testing.T) {
 	for _, g := range goldenShapes {
 		t.Run(g.name, func(t *testing.T) {
 			if got := runGolden(t, g); got != g.want {
 				t.Errorf("%s: trajectory digest %#x, want %#x", g.name, got, g.want)
+			}
+		})
+	}
+	for _, g := range goldenChaos {
+		t.Run("chaos_"+g.scenario, func(t *testing.T) {
+			res, conn, err := runChaos(ChaosScenarios[g.scenario], 42, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest := newFNV()
+			digest.mix(uint64(res.FCT))
+			digest.mix(uint64(res.Segments))
+			digest.mix(uint64(res.ClosedByManager))
+			digest.mix(uint64(res.Promotions))
+			digest.mixSubflows(conn)
+			if got := uint64(digest); got != g.want {
+				t.Errorf("%s: chaos digest %#x, want %#x", g.scenario, got, g.want)
 			}
 		})
 	}

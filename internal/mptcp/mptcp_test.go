@@ -246,6 +246,39 @@ func TestSubflowCloseReinjection(t *testing.T) {
 	}
 }
 
+// TestCloseReinjectsOnlyWhatAnotherSubflowCarries pins how Close sorts
+// its un-SACKed segments: one with a copy in flight on another live
+// subflow becomes a reinjection candidate (RQ), one that the closing
+// subflow alone carried returns to Q.
+func TestCloseReinjectsOnlyWhatAnotherSubflowCarries(t *testing.T) {
+	eng := netsim.NewEngine(1)
+	path := func(name string) SubflowSpec {
+		return SubflowSpec{Path: netsim.PathConfig{Name: name, Rate: netsim.ConstantRate(1e6), Delay: 10 * time.Millisecond}}
+	}
+	conn, err := Dial(eng, Config{}, path("a"), path("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(100 * time.Millisecond) // handshakes; no scheduler: Send only enqueues
+	a, b := conn.subflows[0], conn.subflows[1]
+	conn.Send(4*1460, 0)
+	pkts := append([]*Packet(nil), conn.queues[inQ].all()...)
+	for _, pkt := range pkts {
+		a.transmit(pkt)
+	}
+	b.transmit(pkts[1])
+	b.transmit(pkts[3])
+	a.Close()
+	for i, want := range []place{inQ, inRQ, inQ, inRQ} {
+		if got := pkts[i].where; got != want {
+			t.Errorf("seq %d is in queue %d after its subflow closed, want %d", pkts[i].Seq, got, want)
+		}
+	}
+	if a.InFlight() != 0 || b.InFlight() != 2 {
+		t.Errorf("in flight after the close: a %d, b %d; want 0 and 2", a.InFlight(), b.InFlight())
+	}
+}
+
 func TestRedundantSchedulerDuplicatesThinFlow(t *testing.T) {
 	eng, conn := buildConn(t, 1, Config{}, "redundant",
 		testNet{rate: 4e6, delay: 10 * time.Millisecond},

@@ -40,8 +40,16 @@ func (st *oliaState) interLoss() int64 {
 	return st.prevInterval
 }
 
+// oliaMetric is l_r² / rtt_r, which OLIA's best paths maximize.
+func oliaMetric(s *Subflow) float64 {
+	l := float64(s.olia.interLoss())
+	return l * l / rttSeconds(s)
+}
+
 // OnAck applies slow start below ssthresh and the OLIA coupled
 // increase in congestion avoidance.
+//
+//progmp:hotpath
 func (o OLIA) OnAck(conn *Conn, sbf *Subflow) {
 	sbf.olia.sinceLoss += int64(conn.cfg.MSS)
 	if !cwndLimited(sbf) {
@@ -51,74 +59,68 @@ func (o OLIA) OnAck(conn *Conn, sbf *Subflow) {
 		sbf.cwnd++
 		return
 	}
-	paths := activeSubflows(conn)
-	if len(paths) == 0 {
-		return
-	}
-	// Σ_p w_p/rtt_p over active paths.
+	// Σ_p w_p/rtt_p over the usable paths.
 	var denom float64
-	for _, p := range paths {
-		denom += p.cwnd / rttSeconds(p)
+	for _, p := range conn.subflows {
+		if p.usable() {
+			denom += p.cwnd / rttSeconds(p)
+		}
 	}
 	if denom <= 0 {
 		return
 	}
 	rtt := rttSeconds(sbf)
 	inc := (sbf.cwnd / (rtt * rtt)) / (denom * denom)
-	inc += o.alpha(paths, sbf) / sbf.cwnd
+	inc += o.alpha(conn, sbf) / sbf.cwnd
 	sbf.cwnd += inc
 	if sbf.cwnd < minCwnd {
 		sbf.cwnd = minCwnd
 	}
 }
 
-// alpha computes OLIA's α_r over the active path set.
-func (OLIA) alpha(paths []*Subflow, sbf *Subflow) float64 {
-	n := float64(len(paths))
+// alpha computes OLIA's α_r over the usable paths.
+func (OLIA) alpha(conn *Conn, sbf *Subflow) float64 {
+	// n paths; the best maximize oliaMetric, the max-window ones cwnd.
+	var n, bestMetric, maxW float64
+	for _, p := range conn.subflows {
+		if p.usable() {
+			n++
+			bestMetric = max(bestMetric, oliaMetric(p))
+			maxW = max(maxW, p.cwnd)
+		}
+	}
 	if n <= 1 {
 		return 0
 	}
-	// Best paths: maximal l_r² / rtt_r.
-	var bestMetric float64
-	for _, p := range paths {
-		l := float64(p.olia.interLoss())
-		if m := l * l / rttSeconds(p); m > bestMetric {
-			bestMetric = m
-		}
-	}
-	// Max-window paths.
-	var maxW float64
-	for _, p := range paths {
-		if p.cwnd > maxW {
-			maxW = p.cwnd
-		}
-	}
-	isBest := func(p *Subflow) bool {
-		l := float64(p.olia.interLoss())
-		return l*l/rttSeconds(p) >= bestMetric*0.999
-	}
-	isMaxW := func(p *Subflow) bool { return p.cwnd >= maxW*0.999 }
+	isBest := oliaMetric(sbf) >= bestMetric*0.999
+	isMaxW := sbf.cwnd >= maxW*0.999
 	// Collected: best paths whose window is not maximal.
-	var collected, maxWCount int
-	for _, p := range paths {
-		if isBest(p) && !isMaxW(p) {
+	var collected, maxWCount float64
+	for _, p := range conn.subflows {
+		if !p.usable() {
+			continue
+		}
+		pMaxW := p.cwnd >= maxW*0.999
+		if !pMaxW && oliaMetric(p) >= bestMetric*0.999 {
 			collected++
 		}
-		if isMaxW(p) {
+		if pMaxW {
 			maxWCount++
 		}
 	}
 	switch {
-	case collected > 0 && isBest(sbf) && !isMaxW(sbf):
-		return 1 / (n * float64(collected))
-	case collected > 0 && isMaxW(sbf):
-		return -1 / (n * float64(maxWCount))
+	case collected > 0 && isBest && !isMaxW:
+		return 1 / (n * collected)
+	case collected > 0 && isMaxW:
+		return -1 / (n * maxWCount)
 	default:
 		return 0
 	}
 }
 
 // OnLoss halves the window and rolls the inter-loss interval.
+//
+//progmp:hotpath
 func (OLIA) OnLoss(conn *Conn, sbf *Subflow) {
 	sbf.olia.prevInterval = sbf.olia.sinceLoss
 	sbf.olia.sinceLoss = 0
@@ -126,21 +128,12 @@ func (OLIA) OnLoss(conn *Conn, sbf *Subflow) {
 }
 
 // OnRTO collapses the window and rolls the inter-loss interval.
+//
+//progmp:hotpath
 func (OLIA) OnRTO(conn *Conn, sbf *Subflow) {
 	sbf.olia.prevInterval = sbf.olia.sinceLoss
 	sbf.olia.sinceLoss = 0
 	Reno{}.OnRTO(conn, sbf)
-}
-
-// activeSubflows lists established, open subflows.
-func activeSubflows(conn *Conn) []*Subflow {
-	var out []*Subflow
-	for _, s := range conn.subflows {
-		if s.established && !s.closed {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // rttSeconds returns a floor-guarded SRTT in seconds.

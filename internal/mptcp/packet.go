@@ -69,12 +69,6 @@ func placeOf(id runtime.QueueID) place { return place(id) + 1 }
 // remove one that is in this list.
 type packetList struct {
 	pkts []*Packet
-	// ver counts membership mutations. The snapshot layer compares it
-	// across scheduler executions to decide whether lazily-materialized
-	// packet views may be reused (incremental snapshot reuse, §4.1);
-	// property-only mutations that keep membership intact must bump it
-	// explicitly (see Conn.applyActions).
-	ver uint64
 }
 
 func (l *packetList) len() int { return len(l.pkts) }
@@ -83,7 +77,6 @@ func (l *packetList) len() int { return len(l.pkts) }
 func (l *packetList) pushBack(p *Packet) {
 	//progmp:ignore hotpath amortized: remove shrinks in place, so cap is retained in steady state
 	l.pkts = append(l.pkts, p)
-	l.ver++
 }
 
 // insertBySeq inserts p at its sequence-ordered position. On a
@@ -98,7 +91,6 @@ func (l *packetList) insertBySeq(p *Packet) {
 	l.pkts = append(l.pkts, nil)
 	copy(l.pkts[idx+1:], l.pkts[idx:])
 	l.pkts[idx] = p
-	l.ver++
 }
 
 // remove deletes p.
@@ -107,7 +99,6 @@ func (l *packetList) remove(p *Packet) {
 		if cand == p {
 			//progmp:ignore hotpath in-place shrink: len never grows past cap
 			l.pkts = append(l.pkts[:i], l.pkts[i+1:]...)
-			l.ver++
 			return
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // subflows. Compared to the scheduling decision, the path manager has
 // relaxed time constraints").
 type PathManagerConfig struct {
-	// DeadAfter closes a subflow that has outstanding data but made no
+	// DeadAfter closes a subflow that has unacknowledged data but made no
 	// acknowledgement progress for this long (default 3 s).
 	DeadAfter time.Duration
 	// CheckInterval is the health-check period (default 500 ms).
@@ -86,7 +86,7 @@ func (pm *PathManager) check() {
 			pm.lastMove[i] = now
 			continue
 		}
-		if len(s.outstanding) == 0 {
+		if s.nOut == 0 {
 			// Idle subflows are healthy by definition.
 			pm.lastMove[i] = now
 			continue

@@ -1,9 +1,10 @@
 package mptcp
 
 // ring is a window [base, base+n) over a dense, forward-moving index:
-// the one store for per-sequence state. The sender's packets, both
-// levels of receiver reordering and the delivery-rate samples are all
-// "the element for number i, until everything below it is retired",
+// the one store for per-sequence state. The sender's packets, each
+// subflow's send window, both levels of receiver reordering and the
+// delivery-rate samples are all "the element for number i, until
+// everything below it is retired",
 // which is what TCP's own windows are. The zero value is an empty
 // window at index 0 and owns no memory until the first store; elements
 // inside the window that were never stored read as the zero T.
@@ -19,11 +20,14 @@ const ringMinCap = 16
 
 func (r *ring[T]) len() int { return r.n }
 
+// end is the index one past the window.
+func (r *ring[T]) end() int64 { return r.base + int64(r.n) }
+
 func (r *ring[T]) slot(i int64) *T { return &r.buf[int(i)&(len(r.buf)-1)] }
 
 // at returns the element at index i, the zero T outside the window.
 func (r *ring[T]) at(i int64) T {
-	if i < r.base || i >= r.base+int64(r.n) {
+	if i < r.base || i >= r.end() {
 		var zero T
 		return zero
 	}
@@ -46,7 +50,7 @@ func (r *ring[T]) set(i int64, v T) {
 }
 
 // pushBack stores v at the index one past the window.
-func (r *ring[T]) pushBack(v T) { r.set(r.base+int64(r.n), v) }
+func (r *ring[T]) pushBack(v T) { r.set(r.end(), v) }
 
 // popFront retires index base and returns what it held. On an empty
 // window only base moves, so the window follows a frontier that advances
@@ -73,7 +77,7 @@ func (r *ring[T]) grow(need int) {
 	old := *r
 	//progmp:ignore hotpath amortized: a window doubles until it holds its peak occupancy, then never again
 	r.buf = make([]T, size)
-	for i := old.base; i < old.base+int64(old.n); i++ {
+	for i := old.base; i < old.end(); i++ {
 		*r.slot(i) = *old.slot(i)
 	}
 }

@@ -1,6 +1,7 @@
 package mptcp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,33 +10,47 @@ import (
 	"progmp/internal/schedlib"
 )
 
-// checkRetxQueue asserts what release guarantees about a subflow's
-// paced-retransmission queue: every queued record is outstanding,
-// marked lost, and queued once.
-func checkRetxQueue(t *testing.T, s *Subflow) {
+// checkSendWindow asserts the invariants of a subflow's send window:
+// nOut and nLost count its live and its live-and-lost slots, the front
+// slot is live unless the window is empty, and only live, lost segments
+// are queued for their paced retransmission.
+func checkSendWindow(t *testing.T, s *Subflow) {
 	t.Helper()
-	for i, rec := range s.retxPending {
-		for _, earlier := range s.retxPending[:i] {
-			if earlier == rec {
-				t.Fatalf("subflow %d: record sbfSeq %d queued twice for retransmission", s.id, rec.sbfSeq)
+	live, lost := 0, 0
+	for seq := s.sent.base; seq < s.sent.end(); seq++ {
+		rec := s.sent.at(seq)
+		if rec.pkt != nil {
+			live++
+			if rec.lost {
+				lost++
 			}
 		}
-		outstanding := false
-		for _, o := range s.outstanding {
-			outstanding = outstanding || o == rec
+		if rec.queued && (rec.pkt == nil || !rec.lost) {
+			t.Fatalf("subflow %d: sbfSeq %d queued for retransmission (live=%v lost=%v)", s.id, seq, rec.pkt != nil, rec.lost)
 		}
-		if !outstanding || !rec.lost {
-			t.Fatalf("subflow %d: retxPending holds record sbfSeq %d (outstanding=%v lost=%v)",
-				s.id, rec.sbfSeq, outstanding, rec.lost)
-		}
+	}
+	if live != s.nOut || lost != s.nLost {
+		t.Fatalf("subflow %d: window holds %d live / %d lost segments, counters say %d / %d", s.id, live, lost, s.nOut, s.nLost)
+	}
+	if s.sent.len() > 0 && s.sent.at(s.sent.base).pkt == nil {
+		t.Fatalf("subflow %d: window [%d,%d) starts at a SACKed slot", s.id, s.sent.base, s.sent.end())
 	}
 }
 
-// TestRecycledRecordLeavesRetxQueue is the hazard of recycling
-// txRecords: a record queued for its paced retransmission and then
-// SACKed goes back to the free list, and the next transmission reuses
-// the same memory. If the stale pointer were still queued, drainRetx
-// would take the new segment for the lost one and retransmit it.
+// queuedRetx lists the sbfSeqs queued for a paced retransmission.
+func queuedRetx(s *Subflow) []int64 {
+	var seqs []int64
+	for seq := s.sent.base; seq < s.sent.end(); seq++ {
+		if s.sent.at(seq).queued {
+			seqs = append(seqs, seq)
+		}
+	}
+	return seqs
+}
+
+// TestRecycledRecordLeavesRetxQueue: a segment queued for its paced
+// retransmission and then SACKed must leave the queue — it is never
+// retransmitted, and the next transmission is not taken for it.
 func TestRecycledRecordLeavesRetxQueue(t *testing.T) {
 	eng := netsim.NewEngine(1)
 	conn, err := Dial(eng, Config{}, SubflowSpec{Path: netsim.PathConfig{
@@ -56,48 +71,40 @@ func TestRecycledRecordLeavesRetxQueue(t *testing.T) {
 	// A SACK far ahead marks sbfSeq 0..4 lost at once: 0 goes out as the
 	// fast retransmit, 1 as this ACK's paced one, 2..4 stay queued.
 	s.handleAck(7, 0, conn.rwnd)
-	checkRetxQueue(t, s)
-	if got := len(s.retxPending); got != 3 {
-		t.Fatalf("retxPending holds %d records after the first SACK, want 3", got)
+	checkSendWindow(t, s)
+	if got := queuedRetx(s); !slices.Equal(got, []int64{2, 3, 4}) {
+		t.Fatalf("sbfSeqs %v queued after the first SACK, want [2 3 4]", got)
 	}
-	queued := s.retxPending[1] // sbfSeq 3
-	if queued.sbfSeq != 3 {
-		t.Fatalf("second queued record has sbfSeq %d, want 3", queued.sbfSeq)
-	}
-	// Its original transmission arrives after all: SACKed while queued.
+	// The original transmission of sbfSeq 3 arrives after all: SACKed
+	// while queued. This ACK's paced retransmission is sbfSeq 2.
 	s.handleAck(3, 0, conn.rwnd)
-	checkRetxQueue(t, s)
-	for _, rec := range s.retxPending {
-		if rec == queued {
-			t.Fatal("a SACKed record is still queued for retransmission")
-		}
+	checkSendWindow(t, s)
+	if got := queuedRetx(s); !slices.Equal(got, []int64{4}) {
+		t.Fatalf("sbfSeqs %v queued after sbfSeq 3 was SACKed, want [4]", got)
 	}
 	retxBefore := s.Retransmissions
+	fresh := s.sent.end()
 	if !s.transmit(pkts[8]) {
 		t.Fatal("transmit of the ninth segment refused")
-	}
-	fresh := s.outstanding[len(s.outstanding)-1]
-	if fresh != queued {
-		t.Fatalf("the SACKed record was not reused; the test needs it to be")
 	}
 	// Drain whatever is still legitimately queued (sbfSeq 4).
 	s.handleAck(6, 0, conn.rwnd)
 	s.handleAck(5, 0, conn.rwnd)
-	checkRetxQueue(t, s)
-	if fresh.sbfRetx || fresh.lost {
-		t.Fatalf("the reused record (sbfSeq %d) was retransmitted as if it were the lost one", fresh.sbfSeq)
+	checkSendWindow(t, s)
+	if rec := s.sent.at(fresh); rec.pkt != pkts[8] || rec.sbfRetx || rec.lost {
+		t.Fatalf("the ninth segment (sbfSeq %d) was retransmitted as if it were the SACKed one", fresh)
 	}
 	if got := s.Retransmissions - retxBefore; got != 1 {
-		t.Fatalf("%d retransmissions after the reuse, want 1 (sbfSeq 4 only)", got)
+		t.Fatalf("%d retransmissions after the SACK, want 1 (sbfSeq 4 only)", got)
 	}
 }
 
 // segmentPathConn is a two-path connection under minRTT on the VM,
-// established and warmed up by one bulk write.
-func segmentPathConn(t *testing.T, loss float64) (*netsim.Engine, *Conn) {
+// established.
+func segmentPathConn(t *testing.T, cfg Config, loss float64) (*netsim.Engine, *Conn) {
 	t.Helper()
 	eng := netsim.NewEngine(5)
-	conn, err := Dial(eng, Config{},
+	conn, err := Dial(eng, cfg,
 		SubflowSpec{Path: goldenPath("a", 3e6, 5*time.Millisecond, loss)},
 		SubflowSpec{Path: goldenPath("b", 8e6, 20*time.Millisecond, loss)},
 	)
@@ -131,7 +138,7 @@ func sendAndDrain(t *testing.T, eng *netsim.Engine, conn *Conn, n int) {
 func TestSegmentPathAllocs(t *testing.T) {
 	const mss = 1460
 	t.Run("clean", func(t *testing.T) {
-		eng, conn := segmentPathConn(t, 0)
+		eng, conn := segmentPathConn(t, Config{}, 0)
 		sendAndDrain(t, eng, conn, 512*mss)
 		for i := 0; i < 64; i++ {
 			sendAndDrain(t, eng, conn, mss)
@@ -142,31 +149,36 @@ func TestSegmentPathAllocs(t *testing.T) {
 		}
 	})
 	// With loss the same path also runs loss detection, fast and paced
-	// retransmission, RTO firing and meta-level reinjection.
-	t.Run("lossy", func(t *testing.T) {
-		const burst = 24
-		eng, conn := segmentPathConn(t, 0.01)
-		for i := 0; i < 200; i++ {
-			sendAndDrain(t, eng, conn, burst*mss)
-		}
-		n := testing.AllocsPerRun(500, func() {
-			sendAndDrain(t, eng, conn, burst*mss)
-			for _, s := range conn.subflows {
-				checkRetxQueue(t, s)
+	// retransmission, RTO firing and meta-level reinjection; under OLIA
+	// congestion avoidance also runs its coupled increase on every ACK.
+	lossy := func(cc CongestionControl) func(*testing.T) {
+		return func(t *testing.T) {
+			const burst = 24
+			eng, conn := segmentPathConn(t, Config{CC: cc}, 0.01)
+			for i := 0; i < 200; i++ {
+				sendAndDrain(t, eng, conn, burst*mss)
 			}
-		})
-		if n > burst {
-			t.Fatalf("%d segments with 1%% loss allocate %.0f objects; want at most %d (their Packets)", burst, n, burst)
+			n := testing.AllocsPerRun(500, func() {
+				sendAndDrain(t, eng, conn, burst*mss)
+				for _, s := range conn.subflows {
+					checkSendWindow(t, s)
+				}
+			})
+			if n > burst {
+				t.Fatalf("%d segments with 1%% loss allocate %.0f objects; want at most %d (their Packets)", burst, n, burst)
+			}
+			var retx, rtos, episodes int64
+			for _, s := range conn.subflows {
+				retx += s.Retransmissions
+				rtos += s.RTOs
+				episodes += s.LossEpisodes
+			}
+			if retx == 0 || rtos == 0 || episodes == 0 {
+				t.Fatalf("the lossy case did not exercise recovery: %d retransmissions, %d RTOs, %d episodes", retx, rtos, episodes)
+			}
+			t.Logf("%d retransmissions, %d RTOs, %d loss episodes", retx, rtos, episodes)
 		}
-		var retx, rtos, episodes int64
-		for _, s := range conn.subflows {
-			retx += s.Retransmissions
-			rtos += s.RTOs
-			episodes += s.LossEpisodes
-		}
-		if retx == 0 || rtos == 0 || episodes == 0 {
-			t.Fatalf("the lossy case did not exercise recovery: %d retransmissions, %d RTOs, %d episodes", retx, rtos, episodes)
-		}
-		t.Logf("%d retransmissions, %d RTOs, %d loss episodes", retx, rtos, episodes)
-	})
+	}
+	t.Run("lossy", lossy(nil))
+	t.Run("olia", lossy(OLIA{}))
 }

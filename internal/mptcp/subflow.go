@@ -8,22 +8,24 @@ import (
 	"progmp/internal/obs"
 )
 
-// txRecord tracks one subflow-level segment until acknowledged.
-// Records are recycled through the connection's free list (Conn.txFree):
-// once a record is SACKed nothing may refer to it any more — release
-// drops it from retxPending for that reason.
+// txRecord is one subflow-level segment in its subflow's send window,
+// from its first transmission until it is SACKed. Its sbfSeq is its
+// index in the window and its size is pkt.Size; a SACKed slot is the
+// zero txRecord.
 type txRecord struct {
-	next   *txRecord // free-list link
 	pkt    *Packet
-	sbfSeq int64
 	sentAt time.Duration
-	size   int
 	// sbfRetx marks subflow-level retransmissions (Karn's algorithm:
 	// no RTT sample from retransmitted segments).
 	sbfRetx bool
 	// lost marks SACK/RTO loss suspicion; the segment was or will be
 	// retransmitted on this subflow and reinjected via RQ.
 	lost bool
+	// queued marks a lost segment awaiting its paced subflow-level
+	// retransmission (one per incoming ACK during recovery, like
+	// NewReno), so bursts of drops do not blast retransmissions into a
+	// still-full bottleneck queue.
+	queued bool
 }
 
 // SubflowConfig describes one subflow of a connection.
@@ -89,10 +91,12 @@ type Subflow struct {
 	cwnd     float64
 	ssthresh float64
 
-	// Transmission state.
-	nextSbfSeq    int64
-	outstanding   []*txRecord // un-SACKed records, ordered by sbfSeq
-	highestSacked int64       // highest SACKed sbfSeq (-1 initially)
+	// Transmission state. sent is the send window, indexed by sbfSeq:
+	// its base is the oldest un-SACKed segment and its end the next
+	// sbfSeq to send. nOut counts its live slots, nLost those marked lost.
+	sent          ring[txRecord]
+	nOut, nLost   int
+	highestSacked int64 // highest SACKed sbfSeq (-1 initially)
 
 	// RTT estimation (RFC 6298).
 	srtt     time.Duration
@@ -105,12 +109,6 @@ type Subflow struct {
 	recoverEnd int64
 	rtoTimer   netsim.Timer
 	rtoBackoff int
-
-	// retxPending queues records marked lost awaiting their paced
-	// subflow-level retransmission (one per incoming ACK during
-	// recovery, like NewReno) so bursts of drops do not blast
-	// retransmissions into a still-full bottleneck queue.
-	retxPending []*txRecord
 
 	// qdiscBytes is this subflow's own unserialized backlog at the
 	// link — the quantity the TCP-small-queues condition gates on.
@@ -190,7 +188,7 @@ func (s *Subflow) Cwnd() float64 { return s.cwnd }
 func (s *Subflow) SRTT() time.Duration { return s.srtt }
 
 // InFlight returns the number of un-SACKed segments.
-func (s *Subflow) InFlight() int { return len(s.outstanding) }
+func (s *Subflow) InFlight() int { return s.nOut }
 
 // SetBackup changes the backup flag (path-manager operation).
 func (s *Subflow) SetBackup(b bool) { s.backup = b }
@@ -304,21 +302,19 @@ func (s *Subflow) Close() {
 	}
 	s.closed = true
 	s.rtoTimer.Stop()
-	for _, rec := range s.outstanding {
-		if rec.pkt.MetaAcked {
+	for seq, end := s.sent.base, s.sent.end(); seq < end; seq++ {
+		pkt := s.sent.at(seq).pkt
+		if pkt == nil || pkt.MetaAcked {
 			continue
 		}
-		if s.conn.inFlightElsewhere(rec.pkt, s) {
-			s.conn.addReinject(rec.pkt)
+		if s.conn.inFlightElsewhere(pkt, s) {
+			s.conn.addReinject(pkt)
 		} else {
-			s.conn.returnToSendQ(rec.pkt)
+			s.conn.returnToSendQ(pkt)
 		}
 	}
-	s.retxPending = nil
-	for _, rec := range s.outstanding {
-		s.release(rec)
-	}
-	s.outstanding = nil
+	s.sent = ring[txRecord]{base: s.sent.end()}
+	s.nOut, s.nLost = 0, 0
 	s.conn.onSubflowClosed(s)
 }
 
@@ -335,43 +331,30 @@ func (s *Subflow) transmit(pkt *Packet) bool {
 		return false
 	}
 	s.conn.noteTransmitted(pkt)
-	rec := s.conn.txFree
-	if rec != nil {
-		s.conn.txFree = rec.next
-	} else {
-		//progmp:ignore hotpath amortized: the free list grows only when more segments are outstanding than ever before
-		rec = new(txRecord)
-	}
-	*rec = txRecord{
-		pkt:    pkt,
-		sbfSeq: s.nextSbfSeq,
-		sentAt: s.conn.eng.Now(),
-		size:   pkt.Size,
-	}
-	s.nextSbfSeq++
-	//progmp:ignore hotpath amortized: outstanding shrinks in place, so its capacity is retained
-	s.outstanding = append(s.outstanding, rec)
-	s.sendRecord(rec)
+	now, seq := s.conn.eng.Now(), s.sent.end()
+	s.sent.pushBack(txRecord{pkt: pkt, sentAt: now})
+	s.nOut++
+	s.sendRecord(seq, pkt)
 	pkt.SentOnMask |= 1 << uint(s.id)
 	pkt.SentCount++
-	pkt.LastSentAt = rec.sentAt
+	pkt.LastSentAt = now
 	return true
 }
 
-// sendRecord puts one record on the wire (first transmission or
-// subflow-level retransmission) and maintains the subflow's own qdisc
-// accounting; onSerialized undoes it when the packet has left the
-// transmitter.
+// sendRecord puts segment seq, carrying pkt, on the wire (first
+// transmission or subflow-level retransmission) and maintains the
+// subflow's own qdisc accounting; onSerialized undoes it when the
+// packet has left the transmitter.
 //
 //progmp:hotpath
-func (s *Subflow) sendRecord(rec *txRecord) {
+func (s *Subflow) sendRecord(seq int64, pkt *Packet) {
 	s.PktsSent++
-	s.BytesSent += int64(rec.size)
-	s.mBytes.Add(int64(rec.size))
-	wire := int64(rec.size + 40) // 40 bytes of TCP/MPTCP headers
+	s.BytesSent += int64(pkt.Size)
+	s.mBytes.Add(int64(pkt.Size))
+	wire := int64(pkt.Size + 40) // 40 bytes of TCP/MPTCP headers
 	accepted := s.link.Fwd.SendMsg(int(wire), netsim.Msg{
 		To: s, Kind: evData, Serialized: evSerialized,
-		A: rec.sbfSeq, B: rec.pkt.Seq, C: int64(rec.size),
+		A: seq, B: pkt.Seq, C: int64(pkt.Size),
 	})
 	if accepted {
 		s.qdiscBytes += wire
@@ -391,18 +374,19 @@ func (s *Subflow) onSerialized(wire int64) {
 	}
 }
 
-// retransmitRecord resends rec on this subflow (TCP's mandatory
+// retransmitRecord resends segment seq on this subflow (TCP's mandatory
 // subflow-level retransmission; the subflow byte stream must stay
 // complete regardless of meta-level reinjection).
-func (s *Subflow) retransmitRecord(rec *txRecord) {
+func (s *Subflow) retransmitRecord(seq int64) {
 	if s.closed {
 		return
 	}
+	rec := s.sent.slot(seq)
 	rec.sbfRetx = true
 	rec.sentAt = s.conn.eng.Now()
 	s.Retransmissions++
 	s.mRetx.Add(1)
-	s.sendRecord(rec)
+	s.sendRecord(seq, rec.pkt)
 }
 
 // handleAck processes a SACK for sbfSeq together with the piggybacked
@@ -413,31 +397,29 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 	if s.closed {
 		return
 	}
-	// Locate and remove the SACKed record.
-	var rec *txRecord
-	for i, cand := range s.outstanding {
-		if cand.sbfSeq == sackSbfSeq {
-			rec = cand
-			//progmp:ignore hotpath in-place shrink: len never grows past cap
-			s.outstanding = append(s.outstanding[:i], s.outstanding[i+1:]...)
-			break
+	if rec := s.sent.at(sackSbfSeq); rec.pkt != nil {
+		// Retire the slot, and the SACKed slots below the oldest live one.
+		*s.sent.slot(sackSbfSeq) = txRecord{}
+		s.nOut--
+		if rec.lost {
+			s.nLost--
 		}
-	}
-	if rec != nil {
+		for s.sent.len() > 0 && s.sent.slot(s.sent.base).pkt == nil {
+			s.sent.popFront()
+		}
 		if !rec.sbfRetx {
 			s.rttSample(s.conn.eng.Now() - rec.sentAt)
 		}
 		if !rec.lost {
 			prev := s.cwnd
-			//progmp:ignore hotpath congestion control is pluggable; Reno and LIA (the default) are hotpath roots of their own
+			//progmp:ignore hotpath congestion control is pluggable; Reno, LIA (the default) and OLIA are hotpath roots of their own
 			s.conn.cc.OnAck(s.conn, s)
 			if s.cwnd != prev {
 				s.trace(obs.EvCwnd, -1, int64(s.cwnd*1000), 0)
 			}
 		}
-		s.recordDelivered(rec.size)
+		s.recordDelivered(rec.pkt.Size)
 		s.rtoBackoff = 0
-		s.release(rec)
 	}
 	if sackSbfSeq > s.highestSacked {
 		s.highestSacked = sackSbfSeq
@@ -454,45 +436,39 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 	s.conn.onAck(metaCumAck, rwnd, s)
 }
 
-// release recycles a record that is no longer outstanding (SACKed, or
-// its subflow closed). A record marked lost may still be
-// queued for its paced retransmission; it leaves that queue here, so
-// retxPending only ever holds outstanding records and a recycled
-// record can never be mistaken for the one that was queued.
-func (s *Subflow) release(rec *txRecord) {
-	if rec.lost {
-		for i, cand := range s.retxPending {
-			if cand == rec {
-				s.unqueueRetx(i)
-				break
-			}
-		}
-	}
-	*rec = txRecord{next: s.conn.txFree}
-	s.conn.txFree = rec
-}
+// The loops below walk the window by sbfSeq up to an end fixed when
+// they start, and hold no *txRecord across markLost or addReinject:
+// both reach Conn.schedule, which may transmit on this subflow and
+// re-house the window.
 
-// detectLosses marks and retransmits records overtaken by dupThresh
+// detectLosses marks and retransmits segments overtaken by dupThresh
 // SACKs above them.
 func (s *Subflow) detectLosses() {
-	for _, rec := range s.outstanding {
-		if rec.lost {
-			continue
-		}
-		if s.highestSacked-rec.sbfSeq >= dupThresh {
-			s.markLost(rec, false)
+	for seq, end := s.sent.base, s.sent.end(); seq < end && s.highestSacked-seq >= dupThresh; seq++ {
+		if rec := s.sent.at(seq); rec.pkt != nil && !rec.lost {
+			s.markLost(seq, false)
 		}
 	}
 }
 
-// markLost handles one lost record: congestion response (once per
+// suspect marks the live segment rec lost.
+func (s *Subflow) suspect(rec *txRecord) {
+	if !rec.lost {
+		rec.lost = true
+		s.nLost++
+	}
+}
+
+// markLost handles one lost segment: congestion response (once per
 // episode), a paced subflow-level retransmission, and meta-level
 // reinjection via RQ. The first loss of an episode retransmits
 // immediately (fast retransmit); further losses queue and go out one
 // per subsequent ACK (NewReno-style pacing).
-func (s *Subflow) markLost(rec *txRecord, isRTO bool) {
-	rec.lost = true
-	s.trace(obs.EvLoss, rec.pkt.Seq, rec.sbfSeq, 0)
+func (s *Subflow) markLost(seq int64, isRTO bool) {
+	rec := s.sent.slot(seq)
+	s.suspect(rec)
+	pkt := rec.pkt
+	s.trace(obs.EvLoss, pkt.Seq, seq, 0)
 	if st := s.conn.store; st != nil {
 		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
 		st.RecordLoss(s.destID, 1)
@@ -500,15 +476,15 @@ func (s *Subflow) markLost(rec *txRecord, isRTO bool) {
 	first := false
 	if !s.inRecovery {
 		s.inRecovery = true
-		s.recoverEnd = s.nextSbfSeq
+		s.recoverEnd = s.sent.end()
 		s.LossEpisodes++
 		first = true
 		prev := s.cwnd
 		if isRTO {
-			//progmp:ignore hotpath congestion control is pluggable; Reno and LIA (the default) are hotpath roots of their own
+			//progmp:ignore hotpath congestion control is pluggable; Reno, LIA (the default) and OLIA are hotpath roots of their own
 			s.conn.cc.OnRTO(s.conn, s)
 		} else {
-			//progmp:ignore hotpath congestion control is pluggable; Reno and LIA (the default) are hotpath roots of their own
+			//progmp:ignore hotpath congestion control is pluggable; Reno, LIA (the default) and OLIA are hotpath roots of their own
 			s.conn.cc.OnLoss(s.conn, s)
 		}
 		if s.cwnd != prev {
@@ -516,48 +492,45 @@ func (s *Subflow) markLost(rec *txRecord, isRTO bool) {
 		}
 	}
 	if first || isRTO {
-		s.retransmitRecord(rec)
+		s.retransmitRecord(seq)
 	} else {
-		//progmp:ignore hotpath amortized: retxPending shrinks in place, so its capacity is retained
-		s.retxPending = append(s.retxPending, rec)
+		rec.queued = true
 	}
-	if !rec.pkt.MetaAcked {
-		s.conn.addReinject(rec.pkt)
+	if !pkt.MetaAcked {
+		s.conn.addReinject(pkt)
 	}
 }
 
-// drainRetx sends one paced retransmission. Every queued record is
-// still outstanding: release takes a record out of the queue the
-// moment it is SACKed.
+// drainRetx sends one paced retransmission: the oldest queued segment.
+// A SACK zeroes its slot, so a SACKed segment is never queued. Only
+// detectLosses queues, and only below its dupThresh bound; highestSacked
+// never falls, so the scan stops at that same bound rather than walking
+// a window of fast-retransmitted or RTO-suspected slots.
 func (s *Subflow) drainRetx() {
-	if len(s.retxPending) == 0 {
-		return
+	if s.nLost == 0 {
+		return // only lost segments are queued
 	}
-	rec := s.retxPending[0]
-	s.unqueueRetx(0)
-	s.retransmitRecord(rec)
-}
-
-// unqueueRetx removes retxPending[i] in place, so the queue keeps its
-// capacity.
-func (s *Subflow) unqueueRetx(i int) {
-	copy(s.retxPending[i:], s.retxPending[i+1:])
-	s.retxPending = s.retxPending[:len(s.retxPending)-1]
+	for seq := s.sent.base; seq < s.sent.end() && s.highestSacked-seq >= dupThresh; seq++ {
+		if rec := s.sent.slot(seq); rec.queued {
+			rec.queued = false
+			s.retransmitRecord(seq)
+			return
+		}
+	}
 }
 
 // armRTO (re)schedules the retransmission timer for the oldest
-// outstanding record, moving the pending timer event in place when
+// un-SACKed segment, moving the pending timer event in place when
 // there is one.
 //
 //progmp:hotpath
 func (s *Subflow) armRTO() {
-	if len(s.outstanding) == 0 || s.closed {
+	if s.nOut == 0 || s.closed {
 		s.rtoTimer.Stop()
 		return
 	}
-	oldest := s.outstanding[0]
 	rto := s.currentRTO()
-	deadline := oldest.sentAt + rto
+	deadline := s.sent.slot(s.sent.base).sentAt + rto
 	now := s.conn.eng.Now()
 	if deadline < now {
 		deadline = now + rto
@@ -570,14 +543,15 @@ func (s *Subflow) armRTO() {
 }
 
 // onRTO fires the retransmission timeout: collapse the window,
-// retransmit the oldest record, reinject everything outstanding.
+// retransmit the oldest segment, reinject everything un-SACKed.
 func (s *Subflow) onRTO() {
-	if s.closed || len(s.outstanding) == 0 {
+	if s.closed || s.nOut == 0 {
 		return
 	}
+	oldest := s.sent.base
 	s.RTOs++
 	s.mRTOs.Add(1)
-	s.trace(obs.EvRTO, s.outstanding[0].pkt.Seq, int64(s.rtoBackoff), 0)
+	s.trace(obs.EvRTO, s.sent.slot(oldest).pkt.Seq, int64(s.rtoBackoff), 0)
 	// An RTO is the strongest path-degradation signal the sender sees;
 	// publish it as a quarantine signal so other connections steering by
 	// XQUAR avoid this destination.
@@ -587,11 +561,10 @@ func (s *Subflow) onRTO() {
 	}
 	s.rtoBackoff++
 	s.inRecovery = false // force a fresh congestion response
-	oldest := s.outstanding[0]
 	s.markLost(oldest, true)
-	for _, rec := range s.outstanding[1:] {
-		if !rec.pkt.MetaAcked {
-			rec.lost = true
+	for seq, end := oldest+1, s.sent.end(); seq < end; seq++ {
+		if rec := s.sent.slot(seq); rec.pkt != nil && !rec.pkt.MetaAcked {
+			s.suspect(rec)
 			s.conn.addReinject(rec.pkt)
 		}
 	}
@@ -664,21 +637,21 @@ func (s *Subflow) Throughput() int64 {
 
 // queuedSegments approximates segments handed to the subflow but not
 // yet serialized onto the wire (the QUEUED property). Together with
-// wireInFlight it partitions the outstanding segments, so
-// CWND > SKBS_IN_FLIGHT + QUEUED gates on the total outstanding count
+// wireInFlight it partitions the un-SACKed segments, so
+// CWND > SKBS_IN_FLIGHT + QUEUED gates on their total count
 // without double counting.
 func (s *Subflow) queuedSegments() int64 {
 	q := s.qdiscBytes / int64(s.conn.cfg.MSS)
-	if n := int64(len(s.outstanding)); q > n {
+	if n := int64(s.nOut); q > n {
 		q = n
 	}
 	return q
 }
 
-// wireInFlight is the number of outstanding segments already on the
+// wireInFlight is the number of un-SACKed segments already on the
 // wire (the SKBS_IN_FLIGHT property).
 func (s *Subflow) wireInFlight() int64 {
-	return int64(len(s.outstanding)) - s.queuedSegments()
+	return int64(s.nOut) - s.queuedSegments()
 }
 
 // tsqBudget is the TCP-small-queues transmit budget: roughly 1 ms of
@@ -701,17 +674,6 @@ func (s *Subflow) tsqBudget() int {
 // own unserialized backlog exceeds the TSQ budget.
 func (s *Subflow) tsqThrottled() bool {
 	return s.qdiscBytes > int64(s.tsqBudget())
-}
-
-// lostPending counts records currently marked lost and un-SACKed.
-func (s *Subflow) lostPending() int64 {
-	var n int64
-	for _, rec := range s.outstanding {
-		if rec.lost {
-			n++
-		}
-	}
-	return n
 }
 
 // avgRTT returns the long-run mean RTT.

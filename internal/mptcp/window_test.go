@@ -64,10 +64,14 @@ func TestSenderRetainsOnlyTheWindow(t *testing.T) {
 	}
 	for i := range rx.perSbf {
 		win, s := &rx.perSbf[i], conn.subflows[i]
-		if win.len() != 0 || win.base != s.nextSbfSeq {
-			t.Errorf("subflow %s receive window is [%d,+%d) after %d transmissions", s.name, win.base, win.len(), s.nextSbfSeq)
+		if win.len() != 0 || win.base != s.sent.end() {
+			t.Errorf("subflow %s receive window is [%d,+%d) after %d transmissions", s.name, win.base, win.len(), s.sent.end())
+		}
+		if s.sent.len() != 0 {
+			t.Errorf("subflow %s send window holds [%d,%d) after the final ACK", s.name, s.sent.base, s.sent.end())
 		}
 		caps["receive window of "+s.name] = len(win.buf)
+		caps["send window of "+s.name] = len(s.sent.buf)
 	}
 	for name, c := range caps {
 		if c > limit {

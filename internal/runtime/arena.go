@@ -11,17 +11,11 @@ package runtime
 // Lifecycle per execution:
 //
 //	views := a.BindSubflows(n)   // fill every field of every view
-//	a.BindQueue(QueueSend, src, qLen, reuseQ)
+//	a.BindQueue(QueueSend, src, qLen, false)
 //	a.BindQueue(QueueUnacked, ...)
 //	a.BindQueue(QueueReinject, ...)
 //	a.BeginExec()                // resets actions + pop state, O(1)
 //	sched.Exec(a.Env())
-//
-// The reuse flag of BindQueue implements incremental snapshot reuse
-// across compressed executions (§4.1): when the caller can prove the
-// substrate behind a queue is unchanged since the previous bind (same
-// membership, same properties, same clock), already-materialized views
-// survive and the next execution pays nothing to re-view them.
 type Arena struct {
 	env      Env
 	regs     [NumRegisters]int64 // used when the caller passes nil regs
@@ -79,11 +73,8 @@ func (a *Arena) BindSubflows(n int) []*SubflowView {
 }
 
 // BindQueue points queue id at a source of n packets for the next
-// execution. reuse asserts that the substrate behind src is unchanged
-// since the previous bind of this queue — same packets in the same
-// order with the same property values — letting already-materialized
-// views carry over; pass false whenever in doubt. A length change
-// always invalidates regardless of reuse.
+// execution; views materialize afresh from src. reuse is ignored: it
+// remains only because the benchmark's probes pass it.
 //
 //progmp:hotpath
 //progmp:deterministic
@@ -91,7 +82,7 @@ func (a *Arena) BindQueue(id QueueID, src QueueSource, n int, reuse bool) {
 	if id < QueueSend || id > QueueReinject {
 		return
 	}
-	a.queues[id].bind(id, src, n, reuse)
+	a.queues[id].bind(id, src, n)
 }
 
 // BeginExec readies the environment for one execution: the action queue

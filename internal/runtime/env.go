@@ -69,17 +69,11 @@ func NewQueue(id QueueID, pkts []*PacketView) *Queue {
 }
 
 // bind points the queue at a source of n packets for the next
-// execution. When reuse is true the caller asserts the substrate
-// content behind the source is unchanged since the previous bind, so
-// already-materialized views stay valid; otherwise every view is
-// invalidated (lazily — no memory is touched here). Pop state is always
-// per-execution and is cleared separately by Reset.
-func (q *Queue) bind(id QueueID, src QueueSource, n int, reuse bool) {
+// execution and invalidates every view (lazily — no memory is touched
+// here). Pop state is per-execution and is cleared separately by Reset.
+func (q *Queue) bind(id QueueID, src QueueSource, n int) {
 	q.id = id
 	q.src = src
-	if n != q.n {
-		reuse = false
-	}
 	if n > len(q.store) {
 		// Grow the backing arrays. Views from earlier executions keep
 		// pointing into the old store, which is fine: snapshots are only
@@ -98,18 +92,14 @@ func (q *Queue) bind(id QueueID, src QueueSource, n int, reuse bool) {
 			q.store[i].pos = int32(i)
 		}
 		q.gen = 1
-		q.matMark = 0
-		reuse = false
 	}
 	q.n = n
-	if !reuse {
-		q.matMark++
-		if q.matMark == 0 { // wraparound: marks in matGen could collide
-			for i := range q.matGen {
-				q.matGen[i] = 0
-			}
-			q.matMark = 1
+	q.matMark++
+	if q.matMark == 0 { // wraparound: marks in matGen could collide
+		for i := range q.matGen {
+			q.matGen[i] = 0
 		}
+		q.matMark = 1
 	}
 }
 
