@@ -85,7 +85,11 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 	}
 	listed := make(map[*Packet]bool)
 	for _, ent := range lists {
-		for i, p := range ent.l.pkts {
+		live := ent.l.all()
+		if i, p := straySlot(ent.l); p != nil {
+			t.Fatalf("round %d: %s slot %d, outside its live range [%d,%d), holds seq %d", round, ent.name, i, ent.l.head, len(ent.l.pkts), p.Seq)
+		}
+		for i, p := range live {
 			if listed[p] {
 				t.Fatalf("round %d: %s holds seq %d, which a queue already holds", round, ent.name, p.Seq)
 			}
@@ -99,9 +103,9 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 			if c.win.at(p.Seq) != p {
 				t.Fatalf("round %d: %s holds seq %d, which the sender window does not", round, ent.name, p.Seq)
 			}
-			if ent.sorted && i > 0 && ent.l.pkts[i-1].Seq >= p.Seq {
+			if ent.sorted && i > 0 && live[i-1].Seq >= p.Seq {
 				t.Fatalf("round %d: %s out of order at %d: seq %d before seq %d",
-					round, ent.name, i, ent.l.pkts[i-1].Seq, p.Seq)
+					round, ent.name, i, live[i-1].Seq, p.Seq)
 			}
 		}
 	}

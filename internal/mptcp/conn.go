@@ -606,18 +606,18 @@ func (c *Conn) schedule() {
 	}
 }
 
-// pktSource materializes packet views from a substrate packet slice,
-// frozen for one execution (the substrate only mutates in applyActions,
-// after the execution finished).
+// pktSource materializes packet views from one of the lists, frozen
+// for one execution (the substrate only mutates in applyActions, after
+// the execution finished).
 type pktSource struct {
-	pkts []*Packet
-	now  time.Duration
+	l   *packetList
+	now time.Duration
 }
 
 // MaterializePacket fills v from packet i; every exported field is
 // overwritten because views are recycled across executions.
 func (s *pktSource) MaterializePacket(i int, v *runtime.PacketView) {
-	p := s.pkts[i]
+	p := s.l.pkts[s.l.head+i]
 	v.Handle = runtime.PacketHandle(p.Seq + 1)
 	v.SentOnMask = p.SentOnMask
 	v.Ints[runtime.PktSize] = int64(p.Size)
@@ -697,8 +697,8 @@ func (c *Conn) buildEnv() *runtime.Env {
 
 	for id := runtime.QueueSend; id <= runtime.QueueReinject; id++ {
 		l := &c.queues[placeOf(id)]
-		c.srcs[id] = pktSource{pkts: l.pkts, now: now}
-		c.arena.BindQueue(id, &c.srcs[id], len(l.pkts), false)
+		c.srcs[id] = pktSource{l: l, now: now}
+		c.arena.BindQueue(id, &c.srcs[id], l.len(), false)
 	}
 
 	c.arena.BeginExec()
@@ -817,7 +817,7 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 // It is the only writer of Packet.where.
 func (c *Conn) move(pkt *Packet, to place, back bool) {
 	if pkt.where != nowhere {
-		c.queues[pkt.where].remove(pkt)
+		c.queues[pkt.where].remove(pkt, pkt.where != inRQ)
 	}
 	pkt.where = to
 	switch {

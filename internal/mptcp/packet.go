@@ -12,7 +12,6 @@
 package mptcp
 
 import (
-	"sort"
 	"time"
 
 	"progmp/internal/runtime"
@@ -64,45 +63,108 @@ const (
 // placeOf is the place of a scheduler-visible queue.
 func placeOf(id runtime.QueueID) place { return place(id) + 1 }
 
-// packetList is the ordered content of one of Q, QU and RQ. Membership
-// lives in Packet.where: callers add a packet that is in no list and
-// remove one that is in this list.
+// packetList is the ordered content of one of Q, QU and RQ: a deque
+// over a slice whose live content is pkts[head:]. Every slot outside
+// it is nil, so a drained list keeps no packet reachable. Positions the
+// scheduler sees index the live content, so head never shows.
+// Membership lives in Packet.where: callers add a packet that is in no
+// list and remove one that is in this list.
 type packetList struct {
 	pkts []*Packet
+	head int
 }
 
-func (l *packetList) len() int { return len(l.pkts) }
+func (l *packetList) len() int { return len(l.pkts) - l.head }
+
+// all returns the live content (callers must not mutate).
+func (l *packetList) all() []*Packet { return l.pkts[l.head:] }
+
+// search returns the live position of the first packet whose sequence
+// number is above seq, by sort.Search's bisection written out. On RQ,
+// which is loss-ordered rather than seq-sorted, it still lands where
+// that bisection lands, so a restore into RQ goes where it always went.
+func (l *packetList) search(seq int64) int {
+	live := l.all()
+	i, j := 0, len(live)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if live[h].Seq <= seq {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// extend adds a nil slot at the back. A full backing array whose free
+// front is at least as long as the live content is compacted instead
+// of grown: the copy moves no more packets than front removals freed
+// slots since head was last 0, so it is amortized O(1) per removal.
+func (l *packetList) extend() {
+	if len(l.pkts) == cap(l.pkts) && l.head > 0 && l.head >= l.len() {
+		n := copy(l.pkts, l.pkts[l.head:])
+		clear(l.pkts[n:])
+		l.pkts, l.head = l.pkts[:n], 0
+	}
+	//progmp:ignore hotpath amortized: grows only while the live content fills more than half the array, so cap stops at its high-water mark
+	l.pkts = append(l.pkts, nil)
+}
 
 // pushBack appends p.
 func (l *packetList) pushBack(p *Packet) {
-	//progmp:ignore hotpath amortized: remove shrinks in place, so cap is retained in steady state
-	l.pkts = append(l.pkts, p)
+	l.extend()
+	l.pkts[len(l.pkts)-1] = p
 }
 
-// insertBySeq inserts p at its sequence-ordered position. On a
-// seq-sorted list this is a sorted insert; reinserting
-// popped-but-unconsumed packets this way (packets must not be lost by
-// design, §3.3) preserves the ordering invariant that the sorted-insert
-// binary searches rely on.
+// insertBySeq inserts p at its sequence-ordered position, shifting the
+// shorter side. On a seq-sorted list this is a sorted insert;
+// reinserting popped-but-unconsumed packets this way (packets must not
+// be lost by design, §3.3) preserves the ordering invariant that the
+// binary searches rely on. Restoring a popped head refills the slot its
+// pop vacated, in O(1).
 func (l *packetList) insertBySeq(p *Packet) {
-	//progmp:ignore hotpath sort.Search's comparator does not escape; the closure stays on the stack
-	idx := sort.Search(len(l.pkts), func(i int) bool { return l.pkts[i].Seq > p.Seq })
-	//progmp:ignore hotpath amortized: reinsertion refills a slot freed by remove, so cap is retained in steady state
-	l.pkts = append(l.pkts, nil)
-	copy(l.pkts[idx+1:], l.pkts[idx:])
-	l.pkts[idx] = p
+	i := l.search(p.Seq)
+	if l.head > 0 && i < l.len()-i {
+		l.head--
+		copy(l.pkts[l.head:], l.pkts[l.head+1:l.head+1+i])
+		l.pkts[l.head+i] = p
+		return
+	}
+	l.extend()
+	at := l.head + i
+	copy(l.pkts[at+1:], l.pkts[at:])
+	l.pkts[at] = p
 }
 
-// remove deletes p.
-func (l *packetList) remove(p *Packet) {
-	for i, cand := range l.pkts {
-		if cand == p {
-			//progmp:ignore hotpath in-place shrink: len never grows past cap
-			l.pkts = append(l.pkts[:i], l.pkts[i+1:]...)
-			return
+// remove deletes p, shifting the shorter side and clearing the slot it
+// vacates. A seq-sorted list (Q, QU) finds p by bisection, RQ by a
+// scan; removing the head is O(1).
+func (l *packetList) remove(p *Packet, sorted bool) {
+	live := l.all()
+	i := 0
+	switch {
+	case len(live) > 0 && live[0] == p: // a transmission from Q, most ACKs of QU
+	case sorted:
+		i = l.search(p.Seq - 1)
+	default:
+		for i < len(live) && live[i] != p {
+			i++
 		}
 	}
+	if i == len(live) || live[i] != p {
+		return
+	}
+	if i < len(live)-1-i {
+		copy(live[1:], live[:i])
+		live[0] = nil
+		l.head++
+	} else {
+		copy(live[i:], live[i+1:])
+		live[len(live)-1] = nil
+		l.pkts = l.pkts[:len(l.pkts)-1]
+	}
+	if l.head == len(l.pkts) {
+		l.pkts, l.head = l.pkts[:0], 0
+	}
 }
-
-// all returns the underlying slice (callers must not mutate).
-func (l *packetList) all() []*Packet { return l.pkts }

@@ -54,6 +54,13 @@ func TestSenderRetainsOnlyTheWindow(t *testing.T) {
 	if rx.ooo.len() != 0 || rx.ooo.base != conn.nextSeq || rx.oooSegs != 0 || rx.oooBytes != 0 || rx.heldBytes != 0 {
 		t.Errorf("meta reorder window is [%d,+%d) holding %d segments, %d+%d bytes", rx.ooo.base, rx.ooo.len(), rx.oooSegs, rx.oooBytes, rx.heldBytes)
 	}
+	// A vacated list slot is cleared, so a drained list keeps no
+	// acknowledged packet reachable through its backing array.
+	for name, l := range map[string]*packetList{"Q": &conn.queues[inQ], "QU": &conn.queues[inQU], "RQ": &conn.queues[inRQ]} {
+		if i, p := straySlot(l); p != nil {
+			t.Errorf("%s slot %d of %d still points at seq %d after the final ACK", name, i, cap(l.pkts), p.Seq)
+		}
+	}
 	limit := 4 * peak
 	caps := map[string]int{
 		"sender window":       len(conn.win.buf),
