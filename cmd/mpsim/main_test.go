@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/chaos.golden from this run")
 
 // mpsim runs the CLI in-process and returns its exit status and
 // streams.
@@ -66,6 +70,29 @@ func TestFleet(t *testing.T) {
 		"scheduler       minRTT (vm backend, shared per shard)",
 		"decision p50    ", "delivery p50    ", "bytes/conn      ",
 		"shared state    epoch ")
+}
+
+// TestChaosGolden pins `mpsim -chaos all -seed 42` byte for byte: every
+// scenario's delivery, segment count, FCT and path-manager outcome.
+// Regenerate with `go test -run TestChaosGolden -update`.
+func TestChaosGolden(t *testing.T) {
+	status, out, errOut := mpsim("-chaos", "all", "-seed", "42")
+	if status != 0 {
+		t.Fatalf("exit %d: %s", status, errOut)
+	}
+	golden := filepath.Join("testdata", "chaos.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("chaos soak drifted from %s (rerun with -update if intended)\nwant:\n%s\ngot:\n%s", golden, want, out)
+	}
 }
 
 func TestChaos(t *testing.T) {

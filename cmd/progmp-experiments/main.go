@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -28,13 +29,14 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see doc comment)")
 	seed := flag.Int64("seed", 7, "simulation seed")
 	flag.Parse()
-	if err := run(*exp, *seed); err != nil {
+	if err := run(os.Stdout, *exp, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "progmp-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, seed int64) error {
+// run writes experiment exp ("all" for every one) at seed to w.
+func run(w io.Writer, exp string, seed int64) error {
 	all := exp == "all"
 	backend := core.BackendVM
 	any := false
@@ -43,13 +45,13 @@ func run(exp string, seed int64) error {
 			return false
 		}
 		any = true
-		fmt.Printf("\n=== %s — %s ===\n", id, title)
+		fmt.Fprintf(w, "\n=== %s — %s ===\n", id, title)
 		return true
 	}
 
 	if all || exp == "fig1" || exp == "fig13" {
 		any = true
-		fmt.Printf("\n=== fig1+fig13 — interactive streaming: default vs backup vs TAP (Fig. 1, Fig. 13) ===\n")
+		fmt.Fprintf(w, "\n=== fig1+fig13 — interactive streaming: default vs backup vs TAP (Fig. 1, Fig. 13) ===\n")
 		var rs []experiments.StreamingResult
 		for _, v := range []experiments.StreamingVariant{
 			experiments.StreamingDefault, experiments.StreamingBackup, experiments.StreamingTAP,
@@ -60,42 +62,42 @@ func run(exp string, seed int64) error {
 			}
 			rs = append(rs, r)
 		}
-		fmt.Print(experiments.FormatStreaming(rs))
+		fmt.Fprint(w, experiments.FormatStreaming(rs))
 	}
 	if section("fig9", "runtime overhead per scheduling decision (Fig. 9 top)") {
 		rs, err := experiments.ExecutionOverhead(200000)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatOverhead(rs))
+		fmt.Fprint(w, experiments.FormatOverhead(rs))
 	}
 	if section("fig9tp", "throughput parity across back-ends (Fig. 9 bottom)") {
 		rs, err := experiments.ThroughputParity(seed)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatParity(rs))
+		fmt.Fprint(w, experiments.FormatParity(rs))
 	}
 	if section("fig10b", "redundancy flavors: FCT vs flow size, 2% loss (Fig. 10b)") {
 		points, err := experiments.RedundancyFCT(backend, []int{8, 16, 32, 64, 128, 256, 512}, experiments.RedundancySchedulers, 16)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatFCT(points, experiments.RedundancySchedulers))
+		fmt.Fprint(w, experiments.FormatFCT(points, experiments.RedundancySchedulers))
 	}
 	if section("fig10c", "redundancy flavors: normalized throughput (Fig. 10c)") {
 		points, err := experiments.RedundancyThroughput(backend, experiments.RedundancySchedulers, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatThroughput(points))
+		fmt.Fprint(w, experiments.FormatThroughput(points))
 	}
 	if section("fig12", "flow-end compensation vs RTT ratio (Fig. 12)") {
 		points, err := experiments.CompensationSweep(backend, []float64{1, 1.5, 2, 3, 4, 6, 8}, 8)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatCompensation(points))
+		fmt.Fprint(w, experiments.FormatCompensation(points))
 	}
 	if section("fig14", "HTTP/2-aware scheduling (Fig. 14)") {
 		delays := []time.Duration{0, 20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond, 80 * time.Millisecond}
@@ -103,14 +105,14 @@ func run(exp string, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatHTTP2(points))
+		fmt.Fprint(w, experiments.FormatHTTP2(points))
 	}
 	if section("upcall", "in-stack execution vs userspace up-call (§4.1)") {
 		r, err := experiments.UpcallOverhead(100000)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("direct   %8.0f ns/decision\nupcall   %8.0f ns/decision\nfactor   %8.1fx\n",
+		fmt.Fprintf(w, "direct   %8.0f ns/decision\nupcall   %8.0f ns/decision\nfactor   %8.1fx\n",
 			r.DirectNsPerOp, r.UpcallNsPerOp, r.Factor)
 	}
 	if section("memory", "scheduler memory footprints (§4.3)") {
@@ -118,9 +120,9 @@ func run(exp string, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-14s %14s %14s\n", "scheduler", "program B", "instance B")
+		fmt.Fprintf(w, "%-14s %14s %14s\n", "scheduler", "program B", "instance B")
 		for _, r := range rs {
-			fmt.Printf("%-14s %14d %14d\n", r.Scheduler, r.ProgramBytes, r.InstanceBytes)
+			fmt.Fprintf(w, "%-14s %14d %14d\n", r.Scheduler, r.ProgramBytes, r.InstanceBytes)
 		}
 	}
 	if section("receiver", "legacy vs optimized receiver (§4.2)") {
@@ -128,9 +130,9 @@ func run(exp string, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %18s %14s %14s\n", "mode", "mean delivery", "fct", "held segs")
+		fmt.Fprintf(w, "%-10s %18s %14s %14s\n", "mode", "mean delivery", "fct", "held segs")
 		for _, r := range rs {
-			fmt.Printf("%-10v %18v %14v %14d\n", r.Mode, r.MeanDeliveryLatency.Round(time.Microsecond), r.FCT.Round(time.Microsecond), r.HeldSegments)
+			fmt.Fprintf(w, "%-10v %18v %14v %14d\n", r.Mode, r.MeanDeliveryLatency.Round(time.Microsecond), r.FCT.Round(time.Microsecond), r.HeldSegments)
 		}
 	}
 	if section("handover", "WiFi→LTE handover (§5.2)") {
@@ -139,7 +141,7 @@ func run(exp string, seed int64) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-16s interruption %10v   fct %10v   completed %v\n",
+			fmt.Fprintf(w, "%-16s interruption %10v   fct %10v   completed %v\n",
 				r.Scheduler, r.Interruption.Round(time.Millisecond), r.FCT.Round(time.Millisecond), r.Completed)
 		}
 	}
@@ -149,7 +151,7 @@ func run(exp string, seed int64) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-22s fct %10v   goodput %6.2f MB/s   completed %v\n",
+			fmt.Fprintf(w, "%-22s fct %10v   goodput %6.2f MB/s   completed %v\n",
 				r.Scheduler, r.FCT.Round(time.Millisecond), r.Goodput/1e6, r.Completed)
 		}
 	}
@@ -159,7 +161,7 @@ func run(exp string, seed int64) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-6s mptcp %6.2f MB/s   tcp %6.2f MB/s   ratio %5.2f\n",
+			fmt.Fprintf(w, "%-6s mptcp %6.2f MB/s   tcp %6.2f MB/s   ratio %5.2f\n",
 				r.CC, r.MPTCPGoodput/1e6, r.TCPGoodput/1e6, r.Ratio)
 		}
 	}
@@ -169,7 +171,7 @@ func run(exp string, seed int64) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-16s mean response %10v   fast-path share %5.0f%%   responses %d\n",
+			fmt.Fprintf(w, "%-16s mean response %10v   fast-path share %5.0f%%   responses %d\n",
 				r.Scheduler, r.MeanResponse.Round(time.Millisecond), r.FastPathShare*100, r.Responses)
 		}
 	}
@@ -179,7 +181,7 @@ func run(exp string, seed int64) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-12s mean %10v   p95 %10v   lte bytes %10d   responses %d\n",
+			fmt.Fprintf(w, "%-12s mean %10v   p95 %10v   lte bytes %10d   responses %d\n",
 				r.Scheduler, r.MeanResponse.Round(time.Millisecond), r.P95Response.Round(time.Millisecond), r.LTEBytes, r.Responses)
 		}
 	}

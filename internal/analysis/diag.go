@@ -79,8 +79,8 @@ const (
 	// packet never change across FOREACH iterations (warning).
 	RuleDupPush = "dup-push"
 	// RulePopDiscard flags VAR x = queue.POP() where x is never pushed
-	// or dropped: the pop's only observable effect is queue reordering
-	// via the restore path (warning).
+	// or dropped: the pop commits nothing, so its only effect is hiding
+	// the packet for the rest of the execution (warning).
 	RulePopDiscard = "pop-discard"
 	// RuleDeadBranch flags an IF condition that is provably constant,
 	// or a FOREACH over a provably empty list (warning).

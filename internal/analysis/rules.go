@@ -120,7 +120,7 @@ func (a *analyzer) run() {
 	for _, pd := range a.popDecls {
 		if !a.consumed[pd.sym] {
 			a.forceDiag(RulePopDiscard, pd.pos,
-				"popped packet %s is never pushed or dropped; the POP only reorders the queue via the restore path", pd.sym.Name)
+				"popped packet %s is never pushed or dropped; the POP only hides it for the rest of this execution", pd.sym.Name)
 		}
 	}
 	if !a.sawRQ {

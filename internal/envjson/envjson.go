@@ -99,7 +99,7 @@ func Build(spec Spec) (*runtime.Env, error) {
 		}
 		views = append(views, v)
 	}
-	mk := func(id runtime.QueueID, specs []PacketSpec) (*runtime.Queue, error) {
+	mk := func(specs []PacketSpec) ([]*runtime.PacketView, error) {
 		var pkts []*runtime.PacketView
 		for _, p := range specs {
 			pv := &runtime.PacketView{Handle: runtime.PacketHandle(p.Seq + 1)}
@@ -123,17 +123,17 @@ func Build(spec Spec) (*runtime.Env, error) {
 			}
 			pkts = append(pkts, pv)
 		}
-		return runtime.NewQueue(id, pkts), nil
+		return pkts, nil
 	}
-	q, err := mk(runtime.QueueSend, spec.Q)
+	q, err := mk(spec.Q)
 	if err != nil {
 		return nil, err
 	}
-	qu, err := mk(runtime.QueueUnacked, spec.QU)
+	qu, err := mk(spec.QU)
 	if err != nil {
 		return nil, err
 	}
-	rq, err := mk(runtime.QueueReinject, spec.RQ)
+	rq, err := mk(spec.RQ)
 	if err != nil {
 		return nil, err
 	}

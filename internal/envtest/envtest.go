@@ -125,19 +125,15 @@ func (s EnvSpec) Build() *runtime.Env {
 	for i, spec := range s.Subflows {
 		sbfs[i] = NewSubflow(spec)
 	}
-	mk := func(id runtime.QueueID, specs []PktSpec) *runtime.Queue {
+	mk := func(specs []PktSpec) []*runtime.PacketView {
 		pkts := make([]*runtime.PacketView, len(specs))
 		for i, p := range specs {
 			pkts[i] = NewPacket(p)
 		}
-		return runtime.NewQueue(id, pkts)
+		return pkts
 	}
 	regs := s.Regs
-	return runtime.NewEnv(sbfs,
-		mk(runtime.QueueSend, s.Q),
-		mk(runtime.QueueUnacked, s.QU),
-		mk(runtime.QueueReinject, s.RQ),
-		&regs)
+	return runtime.NewEnv(sbfs, mk(s.Q), mk(s.QU), mk(s.RQ), &regs)
 }
 
 // TwoSubflowEnv is a canonical two-subflow environment (fast 10 ms WiFi

@@ -328,9 +328,7 @@ func syntheticEnv() *runtime.Env {
 	var regs [runtime.NumRegisters]int64
 	return runtime.NewEnv(
 		[]*runtime.SubflowView{view},
-		runtime.NewQueue(runtime.QueueSend, []*runtime.PacketView{pv}),
-		runtime.NewQueue(runtime.QueueUnacked, nil),
-		runtime.NewQueue(runtime.QueueReinject, nil),
+		[]*runtime.PacketView{pv}, nil, nil,
 		&regs,
 	)
 }

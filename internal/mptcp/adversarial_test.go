@@ -16,8 +16,7 @@ import (
 // pops packets and then abandons, pushes, or drops them at random —
 // including pushes without a preceding pop, drops of never-transmitted
 // data, and redundant re-pushes — so applyActions has to exercise
-// every commit and restore path, in particular the seq-ordered
-// reinsertion of popped-but-unconsumed packets.
+// every commit path, and leave every abandoned pop where it was.
 func adversarialExec(env *runtime.Env, rng *rand.Rand) {
 	type visible struct {
 		v *runtime.PacketView
@@ -41,7 +40,7 @@ func adversarialExec(env *runtime.Env, rng *rand.Rand) {
 			break
 		}
 		switch rng.Intn(7) {
-		case 0, 1: // pop and abandon → must be restored in seq order
+		case 0, 1: // pop and abandon → must stay where it was
 			env.Pop(ent.q, ent.v)
 		case 2: // pop then push
 			env.Pop(ent.q, ent.v)
@@ -55,7 +54,7 @@ func adversarialExec(env *runtime.Env, rng *rand.Rand) {
 		case 4: // pop then drop
 			env.Pop(ent.q, ent.v)
 			env.Drop(ent.v)
-		case 5: // drop in place; never-sent data must bounce back to Q
+		case 5: // drop in place; never-sent data must stay in Q
 			env.Drop(ent.v)
 		default: // leave it alone
 		}
@@ -66,7 +65,7 @@ func adversarialExec(env *runtime.Env, rng *rand.Rand) {
 // scheduling substrate promises regardless of scheduler behaviour:
 // the queues partition the packets — each packet's where names the one
 // list that holds it, once — strict sequence ordering for Q and QU (the
-// sorted inserts binary-search, so a single out-of-order restore would
+// sorted inserts binary-search, so a single out-of-order insert would
 // corrupt them), no acknowledged packet lingering in a queue or in the
 // window, every subflow's send window consistent (checkSendWindow), and
 // byte conservation — every unacked segment reachable from a queue or

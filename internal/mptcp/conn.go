@@ -118,14 +118,8 @@ type Conn struct {
 	bytesQueued int64 // total bytes enqueued so far (next Offset)
 
 	// Snapshot arena (§4.1): recycled environment, subflow views and
-	// lazily-materialized queue views. The three sources feed the
-	// arena's queues.
+	// lazily-materialized queue views, each queue bound to its list.
 	arena *runtime.Arena
-	srcs  [3]pktSource // indexed by runtime.QueueID
-
-	// applyActions bookkeeping, recycled across passes.
-	applyGen   uint64
-	popScratch []popEntry
 
 	scheduling   bool
 	schedPending bool
@@ -606,32 +600,6 @@ func (c *Conn) schedule() {
 	}
 }
 
-// pktSource materializes packet views from one of the lists, frozen
-// for one execution (the substrate only mutates in applyActions, after
-// the execution finished).
-type pktSource struct {
-	l   *packetList
-	now time.Duration
-}
-
-// MaterializePacket fills v from packet i; every exported field is
-// overwritten because views are recycled across executions.
-func (s *pktSource) MaterializePacket(i int, v *runtime.PacketView) {
-	p := s.l.pkts[s.l.head+i]
-	v.Handle = runtime.PacketHandle(p.Seq + 1)
-	v.SentOnMask = p.SentOnMask
-	v.Ints[runtime.PktSize] = int64(p.Size)
-	v.Ints[runtime.PktSeq] = p.Seq
-	v.Ints[runtime.PktProp] = p.Prop
-	v.Ints[runtime.PktSentCount] = int64(p.SentCount)
-	v.Ints[runtime.PktAgeUS] = (s.now - p.EnqueuedAt).Microseconds()
-	if p.SentCount > 0 {
-		v.Ints[runtime.PktLastSentUS] = (s.now - p.LastSentAt).Microseconds()
-	} else {
-		v.Ints[runtime.PktLastSentUS] = -1
-	}
-}
-
 // buildEnv snapshots the scheduling environment (§3.1). Properties are
 // immutable for the execution; side effects are collected in the action
 // queue. The snapshot is allocation-free in steady state: views live in
@@ -697,8 +665,8 @@ func (c *Conn) buildEnv() *runtime.Env {
 
 	for id := runtime.QueueSend; id <= runtime.QueueReinject; id++ {
 		l := &c.queues[placeOf(id)]
-		c.srcs[id] = pktSource{l: l, now: now}
-		c.arena.BindQueue(id, &c.srcs[id], l.len(), false)
+		l.now = now
+		c.arena.BindQueue(id, l, l.len(), false)
 	}
 
 	c.arena.BeginExec()
@@ -712,19 +680,13 @@ func (c *Conn) buildEnv() *runtime.Env {
 	return env
 }
 
-// popEntry records one committed POP for the restore pass.
-type popEntry struct {
-	pkt  *Packet
-	from place
-}
-
 // applyActions commits the execution's action queue to the connection
 // state and reports whether the scheduler made progress (transmitted
-// or deliberately dropped something).
+// or deliberately dropped something). A POP commits nothing: a packet
+// leaves its queue when a PUSH transmits it or a DROP moves it, so a
+// popped packet that is neither stays where it was (graceful: no
+// packet loss on scheduler mistakes).
 func (c *Conn) applyActions(env *runtime.Env) bool {
-	pops := c.popScratch[:0]
-	c.applyGen++
-	gen := c.applyGen
 	progress := false
 	for _, a := range env.Actions {
 		switch a.Kind {
@@ -733,9 +695,6 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 			if pkt == nil || pkt.where != placeOf(a.Queue) {
 				continue // acked, or not in the queue the action names
 			}
-			//progmp:ignore hotpath amortized: popScratch capacity is retained across executions
-			pops = append(pops, popEntry{pkt: pkt, from: pkt.where})
-			c.move(pkt, nowhere, false)
 			c.mPops.Add(1)
 			c.trace(obs.EvPop, -1, pkt.Seq, int64(a.Queue), a.Site)
 		case runtime.ActionPush:
@@ -746,7 +705,6 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 			}
 			if sbf.transmit(pkt) {
 				progress = true
-				pkt.consumedGen = gen
 				// A transmitted segment is tracked as unacknowledged,
 				// wherever it was.
 				if pkt.where != inQU {
@@ -760,16 +718,11 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 			if pkt == nil {
 				continue
 			}
-			pkt.consumedGen = gen
 			switch {
 			case pkt.SentCount == 0:
-				// Dropping never-transmitted data would lose bytes of
-				// the stream: it stays in Q, or returns there after a
-				// POP (packets must not be lost by design, §3.3), and
-				// counts as no progress.
-				if pkt.where != inQ {
-					c.move(pkt, inQ, false)
-				}
+				// Dropping never-transmitted data would lose bytes of the
+				// stream: it stays in Q (packets must not be lost by
+				// design, §3.3) and counts as no progress.
 				continue
 			case pkt.where == inQ: // transmitted before its subflow closed
 				c.move(pkt, nowhere, false)
@@ -783,22 +736,6 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 			c.trace(obs.EvDrop, -1, pkt.Seq, 0, a.Site)
 		}
 	}
-	// Popped packets that were neither pushed nor dropped return to
-	// their queue (graceful: no packet loss on scheduler mistakes).
-	// Reinsertion is by sequence number for every queue: Q and QU are
-	// seq-sorted invariantly (their sorted inserts binary-search), and
-	// a front-insert into the middle pop's former queue would silently
-	// break that ordering. A reinjection candidate dropped after its POP
-	// is placed as one dropped in RQ would have been.
-	for _, e := range pops {
-		switch {
-		case e.pkt.consumedGen != gen:
-			c.move(e.pkt, e.from, false)
-		case e.from == inRQ && e.pkt.where == nowhere:
-			c.move(e.pkt, inQU, false)
-		}
-	}
-	c.popScratch = pops[:0]
 	// Publish the execution's GSET writes as one batched epoch. Only the
 	// dirty registers land, so concurrent connections writing disjoint
 	// globals do not clobber each other.

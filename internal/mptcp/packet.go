@@ -40,9 +40,6 @@ type Packet struct {
 
 	// where is the queue holding the packet.
 	where place
-	// consumedGen stamps the applyActions pass (Conn.applyGen) that
-	// pushed or dropped the packet, replacing a per-pass map.
-	consumedGen uint64
 }
 
 // sentOn reports a prior transmission on the subflow id.
@@ -54,7 +51,7 @@ func (p *Packet) sentOn(id int) bool { return p.SentOnMask&(1<<uint(id)) != 0 }
 type place uint8
 
 const (
-	nowhere place = iota // acked, dropped, or popped and not yet restored
+	nowhere place = iota // acked, or dropped from Q after a transmission
 	inQ
 	inQU
 	inRQ
@@ -69,9 +66,36 @@ func placeOf(id runtime.QueueID) place { return place(id) + 1 }
 // scheduler sees index the live content, so head never shows.
 // Membership lives in Packet.where: callers add a packet that is in no
 // list and remove one that is in this list.
+//
+// The list is also the runtime.QueueSource its queue binds to:
+// Conn.buildEnv stamps now, and the list does not change until the
+// execution's actions are applied.
 type packetList struct {
 	pkts []*Packet
 	head int
+	now  time.Duration
+}
+
+// MaterializePacket fills v from packet i of the live content, as of
+// now; every exported field is overwritten because views are recycled
+// across executions.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (l *packetList) MaterializePacket(i int, v *runtime.PacketView) {
+	p := l.pkts[l.head+i]
+	v.Handle = runtime.PacketHandle(p.Seq + 1)
+	v.SentOnMask = p.SentOnMask
+	v.Ints[runtime.PktSize] = int64(p.Size)
+	v.Ints[runtime.PktSeq] = p.Seq
+	v.Ints[runtime.PktProp] = p.Prop
+	v.Ints[runtime.PktSentCount] = int64(p.SentCount)
+	v.Ints[runtime.PktAgeUS] = (l.now - p.EnqueuedAt).Microseconds()
+	if p.SentCount > 0 {
+		v.Ints[runtime.PktLastSentUS] = (l.now - p.LastSentAt).Microseconds()
+	} else {
+		v.Ints[runtime.PktLastSentUS] = -1
+	}
 }
 
 func (l *packetList) len() int { return len(l.pkts) - l.head }
@@ -80,9 +104,7 @@ func (l *packetList) len() int { return len(l.pkts) - l.head }
 func (l *packetList) all() []*Packet { return l.pkts[l.head:] }
 
 // search returns the live position of the first packet whose sequence
-// number is above seq, by sort.Search's bisection written out. On RQ,
-// which is loss-ordered rather than seq-sorted, it still lands where
-// that bisection lands, so a restore into RQ goes where it always went.
+// number is above seq, by sort.Search's bisection written out.
 func (l *packetList) search(seq int64) int {
 	live := l.all()
 	i, j := 0, len(live)
@@ -118,11 +140,9 @@ func (l *packetList) pushBack(p *Packet) {
 }
 
 // insertBySeq inserts p at its sequence-ordered position, shifting the
-// shorter side. On a seq-sorted list this is a sorted insert;
-// reinserting popped-but-unconsumed packets this way (packets must not
-// be lost by design, §3.3) preserves the ordering invariant that the
-// binary searches rely on. Restoring a popped head refills the slot its
-// pop vacated, in O(1).
+// shorter side, which preserves the ordering invariant that the binary
+// searches rely on. Inserting before the head of a list whose front has
+// a free slot fills that slot, in O(1).
 func (l *packetList) insertBySeq(p *Packet) {
 	i := l.search(p.Seq)
 	if l.head > 0 && i < l.len()-i {

@@ -40,12 +40,12 @@ func seqsOf(ps []*Packet) []int64 {
 
 // TestPacketListMatchesReferenceModel drives packetList and a plain
 // slice with one seeded random script: appends of rising sequence
-// numbers, sequence-ordered inserts at the front (restoring a popped
-// head while head > 0), middle and back, and removals at the front,
-// middle and back, in phases that fill the list, slide it forward
-// through compactions and drain it to empty.
-// Odd seeds run the list the way RQ is run — loss-ordered, removed by
-// scan — where an insert must still land where sort.Search lands.
+// numbers, sequence-ordered inserts at the front (a packet returning
+// ahead of the head while head > 0), middle and back, and removals at
+// the front, middle and back, in phases that fill the list, slide it
+// forward through compactions and drain it to empty.
+// Odd seeds run the list loss-ordered and removed by scan, as RQ is,
+// where an insert must still land where sort.Search lands.
 // Every step the live range must equal the reference and every other
 // slot must be nil.
 func TestPacketListMatchesReferenceModel(t *testing.T) {
@@ -66,7 +66,7 @@ func TestPacketListMatchesReferenceModel(t *testing.T) {
 		// add appends p or inserts it by sequence number, and checks
 		// that an addition through extend compacts a full array exactly
 		// when its free front is at least as long as its live content,
-		// and otherwise moves head only to restore a popped head.
+		// and otherwise moves head only to insert ahead of the head.
 		add := func(p *Packet, push bool) {
 			i := len(ref)
 			if !push {
@@ -105,8 +105,8 @@ func TestPacketListMatchesReferenceModel(t *testing.T) {
 			// Each 2500 steps fill the list, slide it (appends and head
 			// removals at about the same rate, as Q and QU run) long
 			// enough to reach the end of its array, and drain it. The
-			// weights are of append, transmission at the back,
-			// POP-and-restore of the head, reinsertion, removal.
+			// weights are of append, transmission at the back, removal
+			// and reinsertion of the head, reinsertion, removal.
 			mode := 0
 			switch phase := step % 2500; {
 			case phase >= 1700:
@@ -179,8 +179,8 @@ func TestPacketListMatchesReferenceModel(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		head := l.pkts[l.head]
-		l.remove(head, true) // POP
-		l.insertBySeq(head)  // and its restore
+		l.remove(head, true) // out of Q
+		l.insertBySeq(head)  // and back ahead of the new head
 		l.remove(head, true) // transmitted
 		mid := l.all()[l.len()/2]
 		l.remove(mid, true)

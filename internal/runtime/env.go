@@ -1,12 +1,13 @@
 package runtime
 
-// QueueSource materializes packet views on demand. A queue bound to a
-// source (see Arena.BindQueue) starts each execution with no view
-// contents at all; the first access to a position fills the recycled
-// view from the substrate. MaterializePacket must overwrite every
-// exported field of v (views are pooled, so stale fields from an
-// earlier snapshot are still present) and must describe a substrate
-// that does not change for the remainder of the execution.
+// QueueSource materializes packet views on demand. A bound queue (see
+// Arena.BindQueue) starts each execution with no view contents at all;
+// the first access to a position fills the recycled view from the
+// source. MaterializePacket must overwrite every exported field of v
+// (views are pooled, so stale fields from an earlier snapshot are still
+// present) and must describe a substrate that does not change for the
+// remainder of the execution. The unexported fields are the queue's:
+// it stamps them after the fill, so a source may assign v whole.
 type QueueSource interface {
 	// MaterializePacket fills v with packet i's current state. The
 	// directive is a proof obligation on every implementation: queue
@@ -27,27 +28,21 @@ type QueueSource interface {
 // consistent with the programming model (a popped packet is no longer
 // visible to subsequent TOP/POP/FILTER evaluations).
 //
-// A queue operates in one of two modes. The eager mode (NewQueue) wraps
-// a fully built []*PacketView. The arena mode (Arena.BindQueue) owns
-// recycled view storage and fills views lazily from a QueueSource as
-// Top/All/NextVisible/At touch positions — the paper's late
+// A queue owns recycled view storage and fills views lazily from its
+// QueueSource as Top/All/At touch positions — the paper's late
 // materialization (§4.1), which makes a snapshot whose packets are never
 // inspected cost nothing beyond the bind itself.
 //
-// All per-execution state (pop marks, materialization marks) is kept in
-// generation-stamped arrays: Reset and rebinding bump a counter instead
-// of clearing memory, so the steady-state cost of starting an execution
-// is O(1) per queue, not O(packets).
+// All per-execution state is generation-stamped: a view is filled when
+// its mat equals matMark, a position popped when its popGen equals gen.
+// Reset and rebinding bump a counter instead of clearing memory, so the
+// steady-state cost of starting an execution is O(1) per queue, not
+// O(packets).
 type Queue struct {
-	id   QueueID
-	n    int           // snapshot length
-	pkts []*PacketView // views for positions [0, n); may have extra capacity
-
-	// Arena mode: recycled view storage and the lazy-fill bookkeeping.
-	// src == nil means eager mode (views arrived fully built).
+	id      QueueID
+	n       int // snapshot length
 	src     QueueSource
-	store   []PacketView
-	matGen  []uint32 // matGen[i] == matMark → store[i] is filled
+	store   []PacketView // views for positions [0, n); may have extra capacity
 	matMark uint32
 
 	// Pop bookkeeping: popGen[i] == gen → position i consumed.
@@ -55,17 +50,6 @@ type Queue struct {
 	popGen  []uint32
 	nPopped int
 	topHint int // all positions < topHint are consumed
-}
-
-// NewQueue wraps a packet snapshot slice as an eager queue view. The
-// slice is not copied; the substrate must not mutate it during
-// execution.
-func NewQueue(id QueueID, pkts []*PacketView) *Queue {
-	q := &Queue{id: id, n: len(pkts), pkts: pkts, gen: 1, popGen: make([]uint32, len(pkts))}
-	for i, p := range pkts {
-		p.pos = int32(i)
-	}
-	return q
 }
 
 // bind points the queue at a source of n packets for the next
@@ -82,22 +66,14 @@ func (q *Queue) bind(id QueueID, src QueueSource, n int) {
 		//progmp:ignore hotpath cold growth: backing arrays are recycled once sized for the queue
 		q.store = make([]PacketView, newCap)
 		//progmp:ignore hotpath cold growth: backing arrays are recycled once sized for the queue
-		q.pkts = make([]*PacketView, newCap)
-		//progmp:ignore hotpath cold growth: backing arrays are recycled once sized for the queue
-		q.matGen = make([]uint32, newCap)
-		//progmp:ignore hotpath cold growth: backing arrays are recycled once sized for the queue
 		q.popGen = make([]uint32, newCap)
-		for i := range q.store {
-			q.pkts[i] = &q.store[i]
-			q.store[i].pos = int32(i)
-		}
 		q.gen = 1
 	}
 	q.n = n
 	q.matMark++
-	if q.matMark == 0 { // wraparound: marks in matGen could collide
-		for i := range q.matGen {
-			q.matGen[i] = 0
+	if q.matMark == 0 { // wraparound: marks on the views could collide
+		for i := range q.store {
+			q.store[i].mat = 0
 		}
 		q.matMark = 1
 	}
@@ -191,10 +167,10 @@ func (q *Queue) At(i int) *PacketView {
 	if i < 0 || i >= q.n {
 		return nil
 	}
-	p := q.pkts[i]
-	if q.src != nil && q.matGen[i] != q.matMark {
+	p := &q.store[i]
+	if p.mat != q.matMark {
 		q.src.MaterializePacket(i, p)
-		q.matGen[i] = q.matMark
+		p.pos, p.mat = int32(i), q.matMark
 	}
 	return p
 }
@@ -219,9 +195,9 @@ func (q *Queue) NextVisible(after int) int {
 
 // PopPacket marks p as consumed and returns whether it was visible.
 // It supports popping from the middle of the queue, which the kernel
-// runtime implements with the augmented queue_position pointer. The
-// common case — a view owned by this queue — is O(1) via the view's
-// recorded position; a foreign view degrades to a scan.
+// runtime implements with the augmented queue_position pointer, in O(1)
+// via the view's recorded position. A view this queue does not own is
+// not visible in it.
 //
 //progmp:hotpath
 //progmp:deterministic
@@ -230,19 +206,7 @@ func (q *Queue) PopPacket(p *PacketView) bool {
 		return false
 	}
 	i := int(p.pos)
-	if i < 0 || i >= q.n || q.pkts[i] != p {
-		i = -1
-		for j := 0; j < q.n; j++ {
-			if q.pkts[j] == p {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return false
-		}
-	}
-	if q.popped(i) {
+	if i < 0 || i >= q.n || &q.store[i] != p || q.popped(i) {
 		return false
 	}
 	q.popGen[i] = q.gen
@@ -276,30 +240,26 @@ type Env struct {
 	dirtyGlobals uint32
 }
 
-// NewEnv assembles an environment. Any nil queue is replaced by an
-// empty one so back-ends never need nil checks.
-func NewEnv(subflows []*SubflowView, sendQ, unackedQ, reinjectQ *Queue, regs *[NumRegisters]int64) *Env {
-	if sendQ == nil {
-		sendQ = NewQueue(QueueSend, nil)
+// NewEnv assembles an environment over its own Arena from fully built
+// views: the queues copy sendQ, unackedQ and reinjectQ view by view as
+// the scheduler touches them, so the caller's views stay untouched. A
+// nil queue is empty; nil regs gives the environment a private
+// register file.
+func NewEnv(subflows []*SubflowView, sendQ, unackedQ, reinjectQ []*PacketView, regs *[NumRegisters]int64) *Env {
+	a := NewArena(regs)
+	a.env.SubflowViews = subflows
+	for id, views := range [...][]*PacketView{sendQ, unackedQ, reinjectQ} {
+		a.BindQueue(QueueID(id), sliceSource(views), len(views), false)
 	}
-	if unackedQ == nil {
-		unackedQ = NewQueue(QueueUnacked, nil)
-	}
-	if reinjectQ == nil {
-		reinjectQ = NewQueue(QueueReinject, nil)
-	}
-	if regs == nil {
-		regs = new([NumRegisters]int64)
-	}
-	return &Env{
-		SubflowViews: subflows,
-		SendQ:        sendQ,
-		UnackedQ:     unackedQ,
-		ReinjectQ:    reinjectQ,
-		Regs:         regs,
-		Globals:      new([NumGlobals]int64),
-	}
+	return a.Env()
 }
+
+// sliceSource is the QueueSource of NewEnv: views built up front.
+type sliceSource []*PacketView
+
+//progmp:hotpath
+//progmp:deterministic
+func (s sliceSource) MaterializePacket(i int, v *PacketView) { *v = *s[i] }
 
 // Reset clears the action queue and pop state for re-execution of the
 // same snapshot (overhead benchmarks, compressed executions).

@@ -5,10 +5,11 @@
 // It mirrors §3.1 of the paper: the environment exposes the sending queue
 // Q, the in-flight queue QU, the reinjection queue RQ, and the set of
 // subflows — all as immutable snapshots for the duration of one scheduler
-// execution. Side effects (PUSH, POP, DROP) are collected in an action
-// queue and applied by the substrate after the execution, preserving the
-// visible semantics of the programming model while decoupling evaluation
-// from packet movement (§4.1).
+// execution. Side effects are collected in an action queue and applied
+// by the substrate after the execution, decoupling evaluation from
+// packet movement (§4.1): a PUSH transmits and a DROP discards, while a
+// POP only hides the packet from the rest of its execution, so a popped
+// packet that is neither pushed nor dropped stays where it was.
 package runtime
 
 import "fmt"
@@ -181,11 +182,12 @@ type PacketView struct {
 	// SentOnMask has bit i set when the packet was transmitted on the
 	// subflow with ID i.
 	SentOnMask uint64
-	// pos is the view's position inside its owning queue snapshot,
-	// maintained by Queue so PopPacket runs in O(1). A view shared
-	// between queues falls back to a linear scan in the non-owning
-	// queue (the position check is an identity comparison).
+	// pos is the view's position in the queue whose storage holds it,
+	// and mat that queue's materialization mark when it was filled.
+	// Queue.At stamps both after its source fills the view, so PopPacket
+	// runs in O(1) and the view is filled at most once per bind.
 	pos int32
+	mat uint32
 }
 
 // SentOn reports whether the packet was ever transmitted on sbf.

@@ -16,8 +16,11 @@ func pkts(n int) []*PacketView {
 	return out
 }
 
+// sendQ returns the send queue of an environment holding views in Q.
+func sendQ(views []*PacketView) *Queue { return NewEnv(nil, views, nil, nil, nil).SendQ }
+
 func TestQueueTopPopOrder(t *testing.T) {
-	q := NewQueue(QueueSend, pkts(3))
+	q := sendQ(pkts(3))
 	if q.Len() != 3 || q.Empty() {
 		t.Fatalf("fresh queue: len=%d empty=%v", q.Len(), q.Empty())
 	}
@@ -40,7 +43,7 @@ func TestQueueTopPopOrder(t *testing.T) {
 }
 
 func TestQueuePopMiddle(t *testing.T) {
-	q := NewQueue(QueueSend, pkts(3))
+	q := sendQ(pkts(3))
 	middle := q.At(1)
 	if !q.PopPacket(middle) {
 		t.Fatal("middle pop failed")
@@ -56,7 +59,7 @@ func TestQueuePopMiddle(t *testing.T) {
 }
 
 func TestQueueNextVisible(t *testing.T) {
-	q := NewQueue(QueueSend, pkts(4))
+	q := sendQ(pkts(4))
 	q.PopPacket(q.At(0))
 	q.PopPacket(q.At(2))
 	var order []int
@@ -69,7 +72,7 @@ func TestQueueNextVisible(t *testing.T) {
 }
 
 func TestQueueReset(t *testing.T) {
-	q := NewQueue(QueueSend, pkts(2))
+	q := sendQ(pkts(2))
 	q.PopPacket(q.At(0))
 	q.Reset()
 	if q.Len() != 2 {
@@ -78,7 +81,7 @@ func TestQueueReset(t *testing.T) {
 }
 
 func TestQueueAllEarlyStop(t *testing.T) {
-	q := NewQueue(QueueSend, pkts(5))
+	q := sendQ(pkts(5))
 	count := 0
 	q.All(func(*PacketView) bool {
 		count++
@@ -92,7 +95,7 @@ func TestQueueAllEarlyStop(t *testing.T) {
 func TestEnvActionsAndRegisters(t *testing.T) {
 	sbf := &SubflowView{Handle: 7}
 	sbf.Ints[SbfID] = 0
-	env := NewEnv([]*SubflowView{sbf}, NewQueue(QueueSend, pkts(2)), nil, nil, nil)
+	env := NewEnv([]*SubflowView{sbf}, pkts(2), nil, nil, nil)
 	p := env.SendQ.Top()
 	if !env.Pop(QueueSend, p) {
 		t.Fatal("Pop failed")
@@ -153,7 +156,7 @@ func TestSentOnAndWindow(t *testing.T) {
 func TestQueuePopProperty(t *testing.T) {
 	f := func(popIdx []uint8) bool {
 		const n = 10
-		q := NewQueue(QueueSend, pkts(n))
+		q := sendQ(pkts(n))
 		popped := map[int]bool{}
 		for _, raw := range popIdx {
 			i := int(raw) % n
@@ -179,6 +182,61 @@ func TestQueuePopProperty(t *testing.T) {
 	}
 }
 
+// wholeSource fills a view by assigning it whole, as a source built on
+// a struct literal does, and counts its fills.
+type wholeSource struct{ fills *int }
+
+func (s wholeSource) MaterializePacket(i int, v *PacketView) {
+	*s.fills++
+	*v = PacketView{Handle: PacketHandle(i + 1)}
+	v.Ints[PktSeq] = int64(i)
+}
+
+// A source that overwrites the queue's own fields still pops in O(1)
+// at every position: At stamps the position after the fill. Each
+// position is filled once per bind, and a view the queue does not own
+// is refused with no action recorded.
+func TestQueueOwnsItsViews(t *testing.T) {
+	const n = 9
+	fills := 0
+	a := NewArena(nil)
+	a.BindQueue(QueueSend, wholeSource{&fills}, n, false)
+	a.BindQueue(QueueUnacked, wholeSource{&fills}, 1, false)
+	a.BeginExec()
+	env, q := a.Env(), a.Env().SendQ
+	for _, i := range []int{4, 0, 8, 1, 7, 2, 6, 3, 5} {
+		v := q.At(i)
+		if v.pos != int32(i) || v.mat != q.matMark {
+			t.Fatalf("At(%d) stamped pos %d mat %d, want %d and %d", i, v.pos, v.mat, i, q.matMark)
+		}
+		if !env.Pop(QueueSend, v) {
+			t.Fatalf("pop at position %d refused", i)
+		}
+	}
+	if q.Len() != 0 || len(env.Actions) != n || fills != n {
+		t.Fatalf("after popping all: len %d, %d actions, %d fills; want 0, %d, %d", q.Len(), len(env.Actions), fills, n, n)
+	}
+
+	env.Reset()
+	q.At(0)
+	if fills != n {
+		t.Errorf("Reset refilled a view: %d fills, want %d", fills, n)
+	}
+	foreign := NewEnv(nil, pkts(n), nil, nil, nil).SendQ.At(0)
+	if env.Pop(QueueSend, foreign) || env.Pop(QueueSend, env.UnackedQ.At(0)) || env.Pop(QueueUnacked, q.At(0)) {
+		t.Error("a queue popped a view it does not own")
+	}
+	if len(env.Actions) != 0 || q.Len() != n {
+		t.Errorf("refused pops recorded %d actions and left len %d", len(env.Actions), q.Len())
+	}
+
+	a.BindQueue(QueueSend, wholeSource{&fills}, n, false)
+	q.At(0)
+	if fills != n+2 { // UnackedQ.At(0) above, and this refill
+		t.Errorf("a rebind did not refill: %d fills, want %d", fills, n+2)
+	}
+}
+
 func TestStringers(t *testing.T) {
 	if QueueSend.String() != "Q" || QueueUnacked.String() != "QU" || QueueReinject.String() != "RQ" {
 		t.Error("queue names wrong")
@@ -195,7 +253,7 @@ func TestStringers(t *testing.T) {
 }
 
 func TestEnvQueueLookupAndDrop(t *testing.T) {
-	env := NewEnv(nil, NewQueue(QueueSend, pkts(1)), NewQueue(QueueUnacked, nil), NewQueue(QueueReinject, nil), nil)
+	env := NewEnv(nil, pkts(1), nil, nil, nil)
 	if env.Queue(QueueSend) != env.SendQ || env.Queue(QueueUnacked) != env.UnackedQ || env.Queue(QueueReinject) != env.ReinjectQ {
 		t.Errorf("Queue lookup broken")
 	}

@@ -152,8 +152,8 @@ VAR phantom = Q.FILTER(p => FALSE).TOP;
 IF (phantom == NULL) { SET(R3, 1); }
 SET(R4, phantom.SIZE);`
 	got, env := run(t, src, func() *runtime.Env { return envtest.TwoSubflowEnv(1) })
-	// The POP happens (and the packet is restored by the substrate at
-	// apply time); the PUSH to NULL does not.
+	// The POP happens (and commits nothing at apply time, so the packet
+	// stays in Q); the PUSH to NULL does not.
 	expect(t, got, "POP0(Q)")
 	if env.Reg(0) != 0 || env.Reg(1) != 1 || env.Reg(2) != 1 || env.Reg(3) != 0 {
 		t.Errorf("registers = %v, want [0 1 1 0 ...]", env.Regs[:4])
