@@ -29,10 +29,10 @@
 //
 // ADDR is a Unix socket path (default /tmp/progmp.sock) or host:port
 // for TCP. -conn selects the target connection from `list` (default 1).
-// Calls are deadline-bounded (-timeout overrides the per-verb defaults)
-// and read-only verbs are retried across reconnects (-retries bounds
-// the attempts); a server that stays down trips a circuit breaker and
-// fails fast.
+// Calls are deadline-bounded: each verb has its own deadline, and
+// -timeout, when set, overrides it for every verb. Read-only verbs are
+// retried across reconnects (-retries bounds the attempts); a server
+// that stays down trips a circuit breaker and fails fast.
 //
 // Example against a live mpsim (second terminal):
 //
@@ -63,7 +63,7 @@ func main() {
 	addr := flag.String("s", "/tmp/progmp.sock", "server address: Unix socket path or host:port")
 	connID := flag.Int("conn", 1, "target connection id (see list)")
 	force := flag.Bool("force", false, "swap: install despite static-analyzer warnings or a fleet block")
-	timeout := flag.Duration("timeout", 0, "per-call deadline (0 = per-verb defaults)")
+	timeout := flag.Duration("timeout", 0, "per-call deadline, overriding every verb's own (0 = per-verb deadlines, < 0 = none)")
 	retries := flag.Int("retries", 0, "attempts for read-only verbs across reconnects (0 = default)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: progmpctl [-s ADDR] [-conn N] <command> [args]\n")

@@ -152,6 +152,15 @@ func (c *Client) Call(req Request) (json.RawMessage, error) {
 // effect, so only idempotent verbs should be retried after one (the
 // retry layer enforces exactly that).
 func (c *Client) CallCtx(ctx context.Context, req Request) (json.RawMessage, error) {
+	return c.roundTrip(ctx, req, nil)
+}
+
+// roundTrip sends req under a fresh id and waits for its response or
+// for ctx to end. sent, if set, runs under the client lock with ok true
+// as the call registers, and with ok false if the call is then
+// abandoned (write failure, refusal, ctx ended); readLoop cleans up
+// after a dead connection instead.
+func (c *Client) roundTrip(ctx context.Context, req Request, sent func(id uint64, ok bool)) (json.RawMessage, error) {
 	req.ID = c.nextID.Add(1)
 	ch := make(chan Response, 1)
 	c.mu.Lock()
@@ -161,11 +170,20 @@ func (c *Client) CallCtx(ctx context.Context, req Request) (json.RawMessage, err
 		return nil, err
 	}
 	c.pending[req.ID] = ch
+	if sent != nil {
+		sent(req.ID, true)
+	}
 	c.mu.Unlock()
-	if err := c.writeRequest(req); err != nil {
+	abandon := func() {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
+		if sent != nil {
+			sent(req.ID, false)
+		}
 		c.mu.Unlock()
+	}
+	if err := c.writeRequest(req); err != nil {
+		abandon()
 		return nil, fmt.Errorf("ctl: write failed: %v: %w", err, ErrDisconnected)
 	}
 	select {
@@ -177,6 +195,7 @@ func (c *Client) CallCtx(ctx context.Context, req Request) (json.RawMessage, err
 			return nil, err
 		}
 		if !resp.OK {
+			abandon()
 			if len(resp.Diags) > 0 {
 				return nil, &DiagError{Msg: "ctl: " + resp.Error, Diags: resp.Diags}
 			}
@@ -184,9 +203,7 @@ func (c *Client) CallCtx(ctx context.Context, req Request) (json.RawMessage, err
 		}
 		return resp.Result, nil
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
+		abandon()
 		return nil, fmt.Errorf("ctl: %s: %w", req.Verb, ctx.Err())
 	}
 }
@@ -243,15 +260,10 @@ func (s *Stream) Err() error {
 	return nil
 }
 
-// unsubscribeTimeout bounds the unsubscribe round-trip issued by
-// Stream.Close: against a stalled server the local stream must still
-// close promptly rather than wedging the caller.
-const unsubscribeTimeout = 2 * time.Second
-
 // Close ends the subscription. The local stream is torn down
-// immediately; the server-side unsubscribe is bounded by
-// unsubscribeTimeout, and a server that cannot answer (stalled, gone)
-// surfaces as the returned error while the stream stays closed.
+// immediately; the server-side unsubscribe is bounded by that verb's
+// deadline, so against a stalled or vanished server the stream still
+// closes promptly and the failure surfaces as the returned error.
 func (s *Stream) Close() error {
 	var err error
 	s.closed.Do(func() {
@@ -263,7 +275,7 @@ func (s *Stream) Close() error {
 		}
 		s.c.mu.Unlock()
 		if live {
-			_, err = s.c.CallTimeout(Request{Verb: VerbUnsubscribe, Sub: s.id}, unsubscribeTimeout)
+			_, err = s.c.CallTimeout(Request{Verb: VerbUnsubscribe, Sub: s.id}, verbTable[VerbUnsubscribe].timeout)
 			// The server may have ended the subscription on its side
 			// (eviction) in the instant before our unsubscribe landed;
 			// the stream is down either way, so that race is not an
@@ -295,48 +307,20 @@ func (c *Client) SubscribeCtx(ctx context.Context, conn int, kinds []string, buf
 		buf = obs.DefaultSubscriptionBuffer
 	}
 	req := Request{Verb: VerbSubscribe, Conn: conn, Kinds: kinds, Buf: buf}
-	req.ID = c.nextID.Add(1)
-	st := &Stream{c: c, id: req.ID, ch: make(chan obs.JSONLEvent, buf)}
-	ch := make(chan Response, 1)
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.pending[req.ID] = ch
+	st := &Stream{c: c, ch: make(chan obs.JSONLEvent, buf)}
 	// Register the stream before sending so no frame between the ack
 	// and our return is lost.
-	c.subs[req.ID] = st
-	c.mu.Unlock()
-	fail := func() {
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		if _, live := c.subs[req.ID]; live {
-			delete(c.subs, req.ID)
+	_, err := c.roundTrip(ctx, req, func(id uint64, ok bool) {
+		if ok {
+			st.id = id
+			c.subs[id] = st
+		} else if _, live := c.subs[id]; live {
+			delete(c.subs, id)
 			close(st.ch)
 		}
-		c.mu.Unlock()
-	}
-	if err := c.writeRequest(req); err != nil {
-		fail()
+	})
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			return nil, err
-		}
-		if !resp.OK {
-			fail()
-			return nil, fmt.Errorf("ctl: %s", resp.Error)
-		}
-		return st, nil
-	case <-ctx.Done():
-		fail()
-		return nil, fmt.Errorf("ctl: subscribe: %w", ctx.Err())
-	}
+	return st, nil
 }

@@ -24,6 +24,7 @@ package ctl
 
 import (
 	"encoding/json"
+	"time"
 
 	"progmp"
 	"progmp/internal/analysis"
@@ -49,6 +50,42 @@ const (
 	VerbGSet        = "gset"        // write a shared-store global register
 	VerbDestStats   = "deststats"   // dump per-destination shared path statistics
 )
+
+// verb is everything the package knows about one verb besides its
+// constant and typed client method.
+type verb struct {
+	// serve answers a request; the dispatcher writes what it returns.
+	serve func(*session, Request) (any, error)
+	// idempotent verbs are read-only: the retry layer may replay them
+	// on a fresh connection after a transport failure or timeout.
+	idempotent bool
+	// always verbs bypass the draining and overload refusals.
+	always bool
+	// timeout bounds one ReClient attempt unless CallTimeout is set
+	// (0: DefaultCallTimeout). Compile and swap run the analyzer and
+	// the code generator, so they get room.
+	timeout time.Duration
+}
+
+// verbTable is the vocabulary: one row per verb.
+var verbTable = map[string]verb{
+	VerbPing:        {serve: (*session).ping, idempotent: true, always: true, timeout: 2 * time.Second},
+	VerbList:        {serve: (*session).list, idempotent: true, timeout: 2 * time.Second},
+	VerbSchedulers:  {serve: (*session).schedulers, idempotent: true, timeout: 2 * time.Second},
+	VerbCompile:     {serve: (*session).compile, idempotent: true, timeout: 10 * time.Second},
+	VerbSwap:        {serve: (*session).swap, timeout: 10 * time.Second},
+	VerbGetReg:      {serve: (*session).getReg, idempotent: true, timeout: 2 * time.Second},
+	VerbSetReg:      {serve: (*session).setReg, timeout: 2 * time.Second},
+	VerbSend:        {serve: (*session).send, timeout: 5 * time.Second},
+	VerbMetrics:     {serve: (*session).metrics, idempotent: true, timeout: 5 * time.Second},
+	VerbMetricsAgg:  {serve: (*session).metricsAgg, idempotent: true, timeout: 5 * time.Second},
+	VerbSubscribe:   {serve: (*session).subscribe},
+	VerbUnsubscribe: {serve: (*session).unsubscribe, always: true, timeout: 2 * time.Second},
+	VerbDrain:       {serve: (*session).drain, always: true, timeout: 5 * time.Second},
+	VerbGGet:        {serve: (*session).gget, idempotent: true, timeout: 2 * time.Second},
+	VerbGSet:        {serve: (*session).gset, timeout: 2 * time.Second},
+	VerbDestStats:   {serve: (*session).destStats, idempotent: true, timeout: 2 * time.Second},
+}
 
 // Request is one client→server line. Verbs read only the fields they
 // need: Conn names a registered connection (list order, 1-based);
@@ -95,8 +132,9 @@ type Response struct {
 	Diags []analysis.Diagnostic `json:"diags,omitempty"`
 }
 
-// DiagError is the client-side form of a refusal that carried
-// structured diagnostics.
+// DiagError is a refusal that carries structured diagnostics: a
+// handler returns one to have them written as Response.Diags, and a
+// Client call returns one when a response carried them.
 type DiagError struct {
 	Msg   string
 	Diags []analysis.Diagnostic

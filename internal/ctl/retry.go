@@ -25,12 +25,7 @@ var ErrCircuitOpen = errors.New("ctl: circuit open")
 // cannot change state either way. Compile counts: it verifies and
 // compiles without installing.
 func IdempotentVerb(verb string) bool {
-	switch verb {
-	case VerbPing, VerbList, VerbSchedulers, VerbGetReg, VerbMetrics, VerbMetricsAgg, VerbCompile,
-		VerbGGet, VerbDestStats:
-		return true
-	}
-	return false
+	return verbTable[verb].idempotent
 }
 
 // The retry-layer defaults; see RetryOptions.
@@ -43,26 +38,6 @@ const (
 	DefaultBreakerCooldown = 2 * time.Second
 )
 
-// defaultVerbTimeouts is the per-verb call deadline table: cheap reads
-// answer fast or not at all; compile and swap run the analyzer and the
-// code generator, so they get room.
-var defaultVerbTimeouts = map[string]time.Duration{
-	VerbPing:       2 * time.Second,
-	VerbList:       2 * time.Second,
-	VerbSchedulers: 2 * time.Second,
-	VerbGetReg:     2 * time.Second,
-	VerbSetReg:     2 * time.Second,
-	VerbSend:       5 * time.Second,
-	VerbMetrics:    5 * time.Second,
-	VerbMetricsAgg: 5 * time.Second,
-	VerbCompile:    10 * time.Second,
-	VerbSwap:       10 * time.Second,
-	VerbDrain:      5 * time.Second,
-	VerbGGet:       2 * time.Second,
-	VerbGSet:       2 * time.Second,
-	VerbDestStats:  2 * time.Second,
-}
-
 // RetryOptions tunes a ReClient. Network and Addr are required; zero
 // values elsewhere select the defaults above.
 type RetryOptions struct {
@@ -70,11 +45,10 @@ type RetryOptions struct {
 	Network string
 	Addr    string
 
-	// CallTimeout bounds one call attempt when the verb has no entry in
-	// VerbTimeouts or the default table (<= -1 disables deadlines).
+	// CallTimeout bounds every call attempt, whatever the verb (< 0
+	// disables deadlines). Zero selects each verb's own deadline, or
+	// DefaultCallTimeout for a verb without one.
 	CallTimeout time.Duration
-	// VerbTimeouts overrides the per-verb deadline table.
-	VerbTimeouts map[string]time.Duration
 	// MaxAttempts is how many times an idempotent call is attempted in
 	// total across reconnects (non-idempotent verbs always get exactly
 	// one attempt).
@@ -97,9 +71,6 @@ type RetryOptions struct {
 }
 
 func (o *RetryOptions) applyDefaults() {
-	if o.CallTimeout == 0 {
-		o.CallTimeout = DefaultCallTimeout
-	}
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = DefaultMaxAttempts
 	}
@@ -200,13 +171,13 @@ func (r *ReClient) BreakerOpen() bool {
 
 // timeoutFor resolves the deadline for one attempt of verb.
 func (r *ReClient) timeoutFor(verb string) time.Duration {
-	if d, ok := r.opts.VerbTimeouts[verb]; ok {
+	if r.opts.CallTimeout != 0 {
+		return r.opts.CallTimeout
+	}
+	if d := verbTable[verb].timeout; d > 0 {
 		return d
 	}
-	if d, ok := defaultVerbTimeouts[verb]; ok && r.opts.CallTimeout == DefaultCallTimeout {
-		return d
-	}
-	return r.opts.CallTimeout
+	return DefaultCallTimeout
 }
 
 // transportFailure classifies an error as "the request may not have

@@ -536,11 +536,7 @@ func TestCtlChaosSoak(t *testing.T) {
 					defer wg.Done()
 					rc := ctl.DialRetry(ctl.RetryOptions{
 						Network: "unix", Addr: proxy.Addr(),
-						CallTimeout: 500 * time.Millisecond,
-						VerbTimeouts: map[string]time.Duration{
-							ctl.VerbPing: 500 * time.Millisecond,
-							ctl.VerbList: 500 * time.Millisecond,
-						},
+						CallTimeout:  500 * time.Millisecond,
 						MaxAttempts:  4,
 						BackoffBase:  2 * time.Millisecond,
 						BackoffMax:   20 * time.Millisecond,

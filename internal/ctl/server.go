@@ -367,28 +367,27 @@ func (se *session) write(resp Response) error {
 	return err
 }
 
+// writeError answers id with err, attaching the analyzer's findings
+// when err is a *DiagError.
 func (se *session) writeError(id uint64, err error) {
-	se.write(Response{ID: id, Error: err.Error()})
-}
-
-func (se *session) writeResult(id uint64, result any) {
-	raw, err := json.Marshal(result)
-	if err != nil {
-		se.writeError(id, err)
-		return
+	resp := Response{ID: id, Error: err.Error()}
+	var de *DiagError
+	if errors.As(err, &de) {
+		resp.Diags = de.Diags
 	}
-	se.write(Response{ID: id, OK: true, Result: raw})
+	se.write(resp)
 }
 
-// handle dispatches one request, feeding the server's self-metrics:
-// ctl.requests counts verbs handled, ctl.request_ns times the handler
-// (for subscribe, the acknowledgement; event frames stream on their own
+// handle dispatches one request through its verbTable row and writes
+// the one response, feeding the server's self-metrics: ctl.requests
+// counts verbs handled, ctl.request_ns times the handler (for
+// subscribe, the acknowledgement; event frames stream on their own
 // goroutine). Three layers of hardening wrap the dispatch: a panic in
 // any handler is recovered and answered as an internal error (counted
 // as ctl.panics) instead of killing the process; requests beyond
 // MaxInflight are refused with an overload error (ctl.overloads); and
-// once Drain has begun, only ping, unsubscribe and drain itself are
-// still answerable.
+// once Drain has begun, only the rows marked always are still
+// answerable.
 func (se *session) handle(req Request) {
 	srv := se.srv
 	srv.mRequests.Add(1)
@@ -402,11 +401,8 @@ func (se *session) handle(req Request) {
 		t0 := time.Now()
 		defer func() { srv.mRequestNS.Observe(int64(time.Since(t0))) }()
 	}
-	switch req.Verb {
-	case VerbPing, VerbUnsubscribe, VerbDrain:
-		// Always answerable: liveness, cleanup, and the drain trigger
-		// itself bypass both the draining refusal and the inflight cap.
-	default:
+	v, known := verbTable[req.Verb]
+	if !v.always {
 		if srv.Draining() {
 			se.writeError(req.ID, fmt.Errorf("server draining"))
 			return
@@ -417,83 +413,69 @@ func (se *session) handle(req Request) {
 			return
 		}
 	}
+	// The answer is written before this decrement, which is what Drain
+	// waits on: a drain acknowledgement reaches the wire before the
+	// drain tears the session down.
 	srv.inflight.Add(1)
 	defer srv.inflight.Add(-1)
-	switch req.Verb {
-	case VerbPing:
-		se.ping(req)
-	case VerbList:
-		se.list(req)
-	case VerbSchedulers:
-		se.schedulers(req)
-	case VerbCompile:
-		se.compile(req)
-	case VerbSwap:
-		se.swap(req)
-	case VerbGetReg:
-		se.getReg(req)
-	case VerbSetReg:
-		se.setReg(req)
-	case VerbSend:
-		se.send(req)
-	case VerbMetrics:
-		se.metrics(req)
-	case VerbMetricsAgg:
-		se.metricsAgg(req)
-	case VerbGGet:
-		se.gget(req)
-	case VerbGSet:
-		se.gset(req)
-	case VerbDestStats:
-		se.destStats(req)
-	case VerbSubscribe:
-		se.subscribe(req)
-	case VerbUnsubscribe:
-		se.unsubscribe(req)
-	case VerbDrain:
-		se.drain(req)
-	default:
+	if !known {
 		se.writeError(req.ID, fmt.Errorf("unknown verb %q", req.Verb))
+		return
 	}
-}
-
-// drain acknowledges first — the drain will tear this session down, so
-// the acknowledgement must be on the wire before it starts — then runs
-// the server drain off this goroutine (the drain waits for inflight
-// handlers; this handler is one of them).
-func (se *session) drain(req Request) {
-	se.writeResult(req.ID, DrainResult{Draining: true})
-	go se.srv.Drain()
-}
-
-func (se *session) ping(req Request) {
-	var now int64
-	if err := se.srv.opts.Network.Do(func() {
-		now = se.srv.opts.Network.Now().Microseconds()
-	}); err != nil {
+	res, err := v.serve(se, req)
+	var raw []byte
+	if err == nil {
+		raw, err = json.Marshal(res)
+	}
+	if err != nil {
 		se.writeError(req.ID, err)
 		return
 	}
-	se.writeResult(req.ID, PingResult{NowUS: now})
+	se.write(Response{ID: req.ID, OK: true, Result: raw})
+	if s, ok := res.(subscribed); ok {
+		go s.pump()
+	}
 }
 
-func (se *session) list(req Request) {
+// onSim runs fn on the simulation goroutine and returns the injection
+// error, else fn's own.
+func (se *session) onSim(fn func() error) error {
+	var err error
+	if doErr := se.srv.opts.Network.Do(func() { err = fn() }); doErr != nil {
+		return doErr
+	}
+	return err
+}
+
+// drain starts the server drain off this goroutine: Drain waits for
+// inflight handlers, and this handler is one of them until its
+// acknowledgement is written.
+func (se *session) drain(Request) (any, error) {
+	go se.srv.Drain()
+	return DrainResult{Draining: true}, nil
+}
+
+func (se *session) ping(Request) (any, error) {
+	var res PingResult
+	err := se.onSim(func() error {
+		res.NowUS = se.srv.opts.Network.Now().Microseconds()
+		return nil
+	})
+	return res, err
+}
+
+func (se *session) list(Request) (any, error) {
 	se.srv.mu.Lock()
 	conns := append([]namedConn(nil), se.srv.conns...)
 	se.srv.mu.Unlock()
-	var out ListResult
-	if err := se.srv.opts.Network.Do(func() {
+	out := ListResult{Conns: []ConnInfo{}}
+	err := se.onSim(func() error {
 		for i, nc := range conns {
 			out.Conns = append(out.Conns, connInfo(i+1, nc))
 		}
-	}); err != nil {
-		se.writeError(req.ID, err)
-		return
-	}
-	if out.Conns == nil {
-		out.Conns = []ConnInfo{}
-	}
-	se.writeResult(req.ID, out)
+		return nil
+	})
+	return out, err
 }
 
 // connInfo snapshots one connection; call on the simulation goroutine.
@@ -531,62 +513,49 @@ func connInfo(id int, nc namedConn) ConnInfo {
 	return info
 }
 
-func (se *session) schedulers(req Request) {
+func (se *session) schedulers(Request) (any, error) {
 	var names []string
 	for name := range se.srv.opts.Sources {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	se.writeResult(req.ID, SchedulersResult{Names: names})
+	return SchedulersResult{Names: names}, nil
 }
 
 // resolveProgram turns a request's Src/Name/Backend fields into a
-// compiled, verified scheduler. Pure CPU: safe off the sim goroutine.
-// The resolved source text is returned alongside so handlers can run
-// the analyzer for structured diagnostics when loading fails.
-func (se *session) resolveProgram(req Request) (*progmp.Scheduler, string, error) {
+// compiled, verified scheduler that compile and swap may accept. Pure
+// CPU: safe off the sim goroutine. A source that fails to load is
+// refused with the analyzer's findings on it.
+func (se *session) resolveProgram(req Request) (*progmp.Scheduler, error) {
 	name, src := req.Name, req.Src
 	if src == "" {
 		if name == "" {
-			return nil, "", fmt.Errorf("compile needs name or src")
+			return nil, fmt.Errorf("compile needs name or src")
 		}
 		var ok bool
 		src, ok = se.srv.opts.Sources[name]
 		if !ok {
-			return nil, "", fmt.Errorf("unknown scheduler %q", name)
+			return nil, fmt.Errorf("unknown scheduler %q", name)
 		}
 	} else if name == "" {
 		name = "adhoc"
 	}
 	backend := core.BackendVM // an omitted backend means the default
+	var prog *progmp.Scheduler
+	var err error
 	if req.Backend != "" {
-		var err error
-		if backend, err = core.ParseBackend(req.Backend); err != nil {
-			return nil, src, err
+		backend, err = core.ParseBackend(req.Backend)
+	}
+	if err == nil {
+		prog, err = progmp.LoadSchedulerBackend(name, src, backend)
+	}
+	if err != nil {
+		if rep := analysis.AnalyzeSource(src, analysis.Options{}); len(rep.Diagnostics) > 0 {
+			return nil, &DiagError{Msg: err.Error(), Diags: rep.Diagnostics}
 		}
+		return nil, err
 	}
-	prog, err := progmp.LoadSchedulerBackend(name, src, backend)
-	return prog, src, err
-}
-
-// writeReject refuses a request with the analyzer's structured
-// diagnostics attached to the error response.
-func (se *session) writeReject(id uint64, err error, diags []analysis.Diagnostic) {
-	se.write(Response{ID: id, Error: err.Error(), Diags: diags})
-}
-
-// rejectDiags extracts the diagnostics to attach to a failed
-// compile/swap: the structured report when the front end or analyzer
-// refused the source, nil for transport-level failures.
-func rejectDiags(src string, err error) []analysis.Diagnostic {
-	if src == "" || err == nil {
-		return nil
-	}
-	rep := analysis.AnalyzeSource(src, analysis.Options{})
-	if len(rep.Diagnostics) == 0 {
-		return nil
-	}
-	return rep.Diagnostics
+	return prog, se.fleetRefusal(prog, req.Force)
 }
 
 // fleetRefusal returns the refusal error when the resolved program is
@@ -604,18 +573,13 @@ func (se *session) fleetRefusal(prog *progmp.Scheduler, force bool) error {
 		prog.Name())
 }
 
-func (se *session) compile(req Request) {
-	prog, src, err := se.resolveProgram(req)
+func (se *session) compile(req Request) (any, error) {
+	prog, err := se.resolveProgram(req)
 	if err != nil {
-		se.writeReject(req.ID, err, rejectDiags(src, err))
-		return
-	}
-	if err := se.fleetRefusal(prog, req.Force); err != nil {
-		se.writeError(req.ID, err)
-		return
+		return nil, err
 	}
 	rep := prog.AnalysisReport()
-	se.writeResult(req.ID, CompileResult{
+	return CompileResult{
 		Name:           prog.Name(),
 		Backend:        prog.Backend().String(),
 		MemoryBytes:    prog.MemoryFootprint(),
@@ -623,39 +587,32 @@ func (se *session) compile(req Request) {
 		Warnings:       rep.Warnings(),
 		StepBound:      rep.StepBound,
 		StepBoundSteps: rep.StepBoundAt,
-	})
+	}, nil
 }
 
-func (se *session) swap(req Request) {
+func (se *session) swap(req Request) (any, error) {
 	nc, err := se.lookupConn(req)
 	if err != nil {
-		se.writeError(req.ID, err)
-		return
+		return nil, err
 	}
-	prog, src, err := se.resolveProgram(req)
+	prog, err := se.resolveProgram(req)
 	if err != nil {
-		se.writeReject(req.ID, err, rejectDiags(src, err))
-		return
-	}
-	if err := se.fleetRefusal(prog, req.Force); err != nil {
-		se.writeError(req.ID, err)
-		return
+		return nil, err
 	}
 	// The admission gate: programs carrying analyzer warnings are not
 	// installed on a live connection unless the caller forces it.
 	if rep := prog.AnalysisReport(); !rep.Clean() && !req.Force {
-		se.writeReject(req.ID,
-			fmt.Errorf("scheduler %q refused by admission gate: %d analyzer warning(s); set force to install anyway",
+		return nil, &DiagError{
+			Msg: fmt.Sprintf("scheduler %q refused by admission gate: %d analyzer warning(s); set force to install anyway",
 				prog.Name(), rep.Warnings()),
-			rep.Diagnostics)
-		return
+			Diags: rep.Diagnostics,
+		}
 	}
 	var res SwapResult
-	if err := se.srv.opts.Network.Do(func() {
-		var prev progmp.SchedulerInfo
-		prev, err = nc.conn.HotSwap(prog)
+	err = se.onSim(func() error {
+		prev, err := nc.conn.HotSwap(prog)
 		if err != nil {
-			return
+			return err
 		}
 		cur := nc.conn.SchedulerInfo()
 		res = SwapResult{
@@ -665,15 +622,9 @@ func (se *session) swap(req Request) {
 			Supervised:    cur.Supervised,
 			PrevScheduler: prev.Name,
 		}
-	}); err != nil {
-		se.writeError(req.ID, err)
-		return
-	}
-	if err != nil {
-		se.writeError(req.ID, err)
-		return
-	}
-	se.writeResult(req.ID, res)
+		return nil
+	})
+	return res, err
 }
 
 func (se *session) lookupConn(req Request) (namedConn, error) {
@@ -684,74 +635,53 @@ func (se *session) lookupConn(req Request) (namedConn, error) {
 	return se.srv.lookup(id)
 }
 
-func (se *session) getReg(req Request) {
+func (se *session) getReg(req Request) (any, error) {
 	nc, err := se.lookupConn(req)
 	if err != nil {
-		se.writeError(req.ID, err)
-		return
+		return nil, err
 	}
-	var v int64
-	if err := se.srv.opts.Network.Do(func() {
-		v = nc.conn.Register(req.Reg)
-	}); err != nil {
-		se.writeError(req.ID, err)
-		return
-	}
-	se.writeResult(req.ID, RegResult{Reg: req.Reg, Value: v})
+	res := RegResult{Reg: req.Reg}
+	err = se.onSim(func() error {
+		res.Value = nc.conn.Register(req.Reg)
+		return nil
+	})
+	return res, err
 }
 
-func (se *session) setReg(req Request) {
+func (se *session) setReg(req Request) (any, error) {
 	nc, err := se.lookupConn(req)
 	if err != nil {
-		se.writeError(req.ID, err)
-		return
+		return nil, err
 	}
-	var setErr error
-	if err := se.srv.opts.Network.Do(func() {
-		setErr = nc.conn.SetRegister(req.Reg, req.Value)
-	}); err != nil {
-		se.writeError(req.ID, err)
-		return
-	}
-	if setErr != nil {
-		se.writeError(req.ID, setErr)
-		return
-	}
-	se.writeResult(req.ID, RegResult{Reg: req.Reg, Value: req.Value})
+	return RegResult{Reg: req.Reg, Value: req.Value},
+		se.onSim(func() error { return nc.conn.SetRegister(req.Reg, req.Value) })
 }
 
-func (se *session) send(req Request) {
+func (se *session) send(req Request) (any, error) {
 	nc, err := se.lookupConn(req)
 	if err != nil {
-		se.writeError(req.ID, err)
-		return
+		return nil, err
 	}
 	if req.Bytes <= 0 {
-		se.writeError(req.ID, fmt.Errorf("send needs bytes > 0"))
-		return
+		return nil, fmt.Errorf("send needs bytes > 0")
 	}
-	if err := se.srv.opts.Network.Do(func() {
+	return struct{}{}, se.onSim(func() error {
 		nc.conn.SendWithIntent(req.Bytes, req.Prop)
-	}); err != nil {
-		se.writeError(req.ID, err)
-		return
-	}
-	se.writeResult(req.ID, struct{}{})
+		return nil
+	})
 }
 
-func (se *session) metrics(req Request) {
+func (se *session) metrics(Request) (any, error) {
 	if se.srv.opts.Metrics == nil {
-		se.writeError(req.ID, fmt.Errorf("metrics not attached"))
-		return
+		return nil, fmt.Errorf("metrics not attached")
 	}
-	se.writeResult(req.ID, se.srv.opts.Metrics.Snapshot())
+	return se.srv.opts.Metrics.Snapshot(), nil
 }
 
-func (se *session) metricsAgg(req Request) {
+func (se *session) metricsAgg(req Request) (any, error) {
 	agg := se.srv.opts.Agg
 	if agg == nil {
-		se.writeError(req.ID, fmt.Errorf("metrics aggregator not attached"))
-		return
+		return nil, fmt.Errorf("metrics aggregator not attached")
 	}
 	// Registries are read with atomic loads, so aggregation runs off the
 	// simulation goroutine without a Network.Do round-trip.
@@ -763,73 +693,74 @@ func (se *session) metricsAgg(req Request) {
 	case "text":
 		res.Text = obs.RenderOpenMetrics(snap)
 	default:
-		se.writeError(req.ID, fmt.Errorf("unknown metrics format %q (json, text)", req.Format))
-		return
+		return nil, fmt.Errorf("unknown metrics format %q (json, text)", req.Format)
 	}
-	se.writeResult(req.ID, res)
+	return res, nil
 }
 
-// sharedStore resolves the attached store for the shared-state verbs.
-func (se *session) sharedStore(id uint64) *progmp.SharedStore {
+// sharedStore resolves the attached store for the shared-state verbs
+// and, for those that address a global register (addressed), checks
+// the register index.
+func (se *session) sharedStore(req Request, addressed bool) (*progmp.SharedStore, error) {
 	st := se.srv.opts.Store
-	if st == nil {
-		se.writeError(id, fmt.Errorf("shared-state store not attached"))
+	switch {
+	case st == nil:
+		return nil, fmt.Errorf("shared-state store not attached")
+	case addressed && (req.Reg < 0 || req.Reg >= progmp.NumSharedGlobals):
+		return nil, fmt.Errorf("global register %d out of range (have 0..%d)", req.Reg, progmp.NumSharedGlobals-1)
 	}
-	return st
+	return st, nil
 }
 
 // gget reads one shared global register. The store snapshot is one
 // atomic load, so the value and the epoch it belongs to are coherent
 // without touching the simulation goroutine.
-func (se *session) gget(req Request) {
-	st := se.sharedStore(req.ID)
-	if st == nil {
-		return
-	}
-	if req.Reg < 0 || req.Reg >= progmp.NumSharedGlobals {
-		se.writeError(req.ID, fmt.Errorf("global register %d out of range (have 0..%d)", req.Reg, progmp.NumSharedGlobals-1))
-		return
+func (se *session) gget(req Request) (any, error) {
+	st, err := se.sharedStore(req, true)
+	if err != nil {
+		return nil, err
 	}
 	snap := st.Load()
-	se.writeResult(req.ID, GlobalResult{Reg: req.Reg, Value: snap.Globals[req.Reg], Epoch: snap.Epoch})
+	return GlobalResult{Reg: req.Reg, Value: snap.Globals[req.Reg], Epoch: snap.Epoch}, nil
 }
 
 // gset writes one shared global register and reports the epoch the
 // write published, so a client can watch its own write become visible
 // to every store-attached scheduler.
-func (se *session) gset(req Request) {
-	st := se.sharedStore(req.ID)
-	if st == nil {
-		return
-	}
-	if req.Reg < 0 || req.Reg >= progmp.NumSharedGlobals {
-		se.writeError(req.ID, fmt.Errorf("global register %d out of range (have 0..%d)", req.Reg, progmp.NumSharedGlobals-1))
-		return
+func (se *session) gset(req Request) (any, error) {
+	st, err := se.sharedStore(req, true)
+	if err != nil {
+		return nil, err
 	}
 	st.SetGlobal(req.Reg, req.Value)
-	se.writeResult(req.ID, GlobalResult{Reg: req.Reg, Value: req.Value, Epoch: st.Epoch()})
+	return GlobalResult{Reg: req.Reg, Value: req.Value, Epoch: st.Epoch()}, nil
 }
 
 // destStats dumps the per-destination path statistics of one store
 // epoch, name-sorted for stable presentation.
-func (se *session) destStats(req Request) {
-	st := se.sharedStore(req.ID)
-	if st == nil {
-		return
+func (se *session) destStats(req Request) (any, error) {
+	st, err := se.sharedStore(req, false)
+	if err != nil {
+		return nil, err
 	}
 	snap := st.Load()
-	dests := append([]progmp.DestStats(nil), snap.Dests...)
+	dests := append([]progmp.DestStats{}, snap.Dests...)
 	sort.Slice(dests, func(i, j int) bool { return dests[i].Name < dests[j].Name })
-	if dests == nil {
-		dests = []progmp.DestStats{}
-	}
-	se.writeResult(req.ID, DestStatsResult{Epoch: snap.Epoch, Dests: dests})
+	return DestStatsResult{Epoch: snap.Epoch, Dests: dests}, nil
 }
 
-func (se *session) subscribe(req Request) {
+// subscribed is subscribe's answer: the acknowledgement, and the pump
+// that streams the event frames. The dispatcher starts the pump only
+// once the acknowledgement is written, so the client sees the ack
+// before the first frame.
+type subscribed struct {
+	SubscribeResult
+	pump func()
+}
+
+func (se *session) subscribe(req Request) (any, error) {
 	if se.srv.opts.Tracer == nil {
-		se.writeError(req.ID, fmt.Errorf("tracing not attached"))
-		return
+		return nil, fmt.Errorf("tracing not attached")
 	}
 	var kinds map[obs.EventKind]bool
 	if len(req.Kinds) > 0 {
@@ -837,8 +768,7 @@ func (se *session) subscribe(req Request) {
 		for _, name := range req.Kinds {
 			k, ok := obs.KindFromString(name)
 			if !ok {
-				se.writeError(req.ID, fmt.Errorf("unknown event kind %q", name))
-				return
+				return nil, fmt.Errorf("unknown event kind %q", name)
 			}
 			kinds[k] = true
 		}
@@ -847,30 +777,26 @@ func (se *session) subscribe(req Request) {
 	if req.Conn != 0 {
 		nc, err := se.srv.lookup(req.Conn)
 		if err != nil {
-			se.writeError(req.ID, err)
-			return
+			return nil, err
 		}
 		connFilter = nc.conn.Inner().TraceConnID()
 	}
 	sub := se.srv.opts.Tracer.SubscribeEvict(req.Buf, se.srv.opts.SubEvictDrops)
 	se.smu.Lock()
+	var err error
 	if se.subs == nil { // session tearing down
-		se.smu.Unlock()
-		sub.Close()
-		se.writeError(req.ID, fmt.Errorf("session closing"))
-		return
+		err = fmt.Errorf("session closing")
+	} else if _, dup := se.subs[req.ID]; dup {
+		err = fmt.Errorf("subscription %d already active", req.ID)
+	} else {
+		se.subs[req.ID] = sub
 	}
-	if _, dup := se.subs[req.ID]; dup {
-		se.smu.Unlock()
-		sub.Close()
-		se.writeError(req.ID, fmt.Errorf("subscription %d already active", req.ID))
-		return
-	}
-	se.subs[req.ID] = sub
 	se.smu.Unlock()
-	// Ack before the first frame so the client sees them in order.
-	se.writeResult(req.ID, SubscribeResult{Sub: req.ID})
-	go func() {
+	if err != nil {
+		sub.Close()
+		return nil, err
+	}
+	return subscribed{SubscribeResult{Sub: req.ID}, func() {
 		for ev := range sub.Events() {
 			if kinds != nil && !kinds[ev.Kind] {
 				continue
@@ -897,20 +823,17 @@ func (se *session) subscribe(req Request) {
 		if active && sub.Evicted() {
 			se.writeError(req.ID, fmt.Errorf("subscription evicted: subscriber fell %d events behind", sub.Dropped()))
 		}
-	}()
+	}}, nil
 }
 
-func (se *session) unsubscribe(req Request) {
+func (se *session) unsubscribe(req Request) (any, error) {
 	se.smu.Lock()
 	sub, ok := se.subs[req.Sub]
-	if ok {
-		delete(se.subs, req.Sub)
-	}
+	delete(se.subs, req.Sub)
 	se.smu.Unlock()
 	if !ok {
-		se.writeError(req.ID, fmt.Errorf("no subscription %d", req.Sub))
-		return
+		return nil, fmt.Errorf("no subscription %d", req.Sub)
 	}
 	sub.Close()
-	se.writeResult(req.ID, struct{}{})
+	return struct{}{}, nil
 }

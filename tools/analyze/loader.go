@@ -262,6 +262,28 @@ func (s *Suite) Import(path string) (*types.Package, error) {
 	return s.std.Import(path)
 }
 
+// xtestImporter is the importer of an external foo_test package: as
+// with the go tool, its import of foo sees foo's in-package _test.go
+// files too, so exported test helpers declared there resolve.
+type xtestImporter struct {
+	*Suite
+	under string // foo's import path
+}
+
+func (im xtestImporter) Import(path string) (*types.Package, error) {
+	if path != im.under {
+		return im.Suite.Import(path)
+	}
+	pkg, err := im.loadTarget(path)
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("no Go files in %s", path)
+	}
+	return pkg.Types, nil
+}
+
 // loadPackage type-checks the pure variant of the package at the
 // import path — non-test files only, the view importers get. Returns
 // nil when the directory has no buildable non-test files.
@@ -458,8 +480,12 @@ func (s *Suite) checkFiles(path, dir string, files []*ast.File, xtest bool) (*Pa
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	var errs []error
+	var imp types.Importer = s
+	if xtest {
+		imp = xtestImporter{s, strings.TrimSuffix(path, "_test")}
+	}
 	conf := types.Config{
-		Importer: s,
+		Importer: imp,
 		Error: func(err error) {
 			errs = append(errs, err)
 		},
