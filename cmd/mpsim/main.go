@@ -416,13 +416,14 @@ func run(sc *scenario.Scenario, out io.Writer, cm classicMode) error {
 	}
 	if w.Store != nil {
 		snap := w.Store.Load()
-		fmt.Fprintf(out, "shared state    epoch %d, %d destination(s)\n", snap.Epoch, len(snap.Dests))
+		dests := snap.All()
+		fmt.Fprintf(out, "shared state    epoch %d, %d destination(s)\n", snap.Epoch, len(dests))
 		for i, g := range snap.Globals {
 			if g != 0 {
 				fmt.Fprintf(out, "  G%d = %d\n", i+1, g)
 			}
 		}
-		for _, d := range w.Store.All() {
+		for _, d := range dests {
 			fmt.Fprintf(out, "  %-10s srtt=%-8v lost=%-5d quar=%-4d delivered=%d samples=%d\n",
 				d.Name, time.Duration(d.SRTTUS)*time.Microsecond,
 				d.Lost, d.Quarantines, d.Delivered, d.Samples)

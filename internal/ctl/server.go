@@ -736,7 +736,7 @@ func (se *session) gset(req Request) (any, error) {
 	return GlobalResult{Reg: req.Reg, Value: req.Value, Epoch: st.Epoch()}, nil
 }
 
-// destStats dumps the per-destination path statistics of one store
+// destStats dumps the live per-destination path statistics of one store
 // epoch, name-sorted for stable presentation.
 func (se *session) destStats(req Request) (any, error) {
 	st, err := se.sharedStore(req, false)
@@ -744,9 +744,7 @@ func (se *session) destStats(req Request) (any, error) {
 		return nil, err
 	}
 	snap := st.Load()
-	dests := append([]progmp.DestStats{}, snap.Dests...)
-	sort.Slice(dests, func(i, j int) bool { return dests[i].Name < dests[j].Name })
-	return DestStatsResult{Epoch: snap.Epoch, Dests: dests}, nil
+	return DestStatsResult{Epoch: snap.Epoch, Dests: snap.All()}, nil
 }
 
 // subscribed is subscribe's answer: the acknowledgement, and the pump

@@ -126,6 +126,51 @@ func TestSharedStateVerbs(t *testing.T) {
 	}
 }
 
+// deststats lists live records only. A destination released and swept
+// by EvictIdle leaves a zeroed slot in the snapshot for the next
+// registration to reuse; that slot is not a destination. Regression:
+// deststats used to copy every slot, so a swept one showed up as a
+// nameless zero row.
+func TestDestStatsSkipsEvictedSlots(t *testing.T) {
+	st := progmp.NewSharedStore()
+	gone, kept := st.DestID("gone"), st.DestID("kept")
+	st.RecordRTT(gone, 1000)
+	st.RecordRTT(kept, 2000)
+	st.ReleaseDest(gone)
+	if n := st.EvictIdle(0); n != 1 {
+		t.Fatalf("EvictIdle(0) evicted %d, want 1", n)
+	}
+	srv := ctl.NewServer(ctl.Options{Store: st})
+	sock := filepath.Join(t.TempDir(), "ctl.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := ctl.Dial("unix", sock)
+	if err != nil {
+		t.Fatalf("ctl.Dial: %v", err)
+	}
+	defer c.Close()
+
+	res, err := c.DestStats()
+	if err != nil {
+		t.Fatalf("DestStats: %v", err)
+	}
+	for _, d := range res.Dests {
+		if d.Name == "" {
+			t.Fatalf("deststats lists an evicted slot as a nameless row: %+v", res.Dests)
+		}
+	}
+	if len(res.Dests) != 1 || res.Dests[0].Name != "kept" || res.Dests[0].SRTTUS != 2000 {
+		t.Fatalf("deststats = %+v, want the one live record kept", res.Dests)
+	}
+	if res.Epoch != st.Epoch() {
+		t.Fatalf("deststats epoch %d, store at %d", res.Epoch, st.Epoch())
+	}
+}
+
 // A server without a store refuses the shared-state verbs with a clear
 // error instead of panicking or answering garbage.
 func TestSharedStateVerbsWithoutStore(t *testing.T) {

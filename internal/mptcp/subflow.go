@@ -282,7 +282,10 @@ func (s *Subflow) sendSYN(attempt int) {
 			}
 			retry.Stop()
 			s.established = true
-			s.rttSample(s.conn.eng.Now() - synAt)
+			rttUS := s.rttSample(s.conn.eng.Now() - synAt)
+			if st := s.conn.store; st != nil {
+				st.RecordRTT(s.destID, rttUS)
+			}
 			s.conn.onSubflowEstablished(s)
 		})
 	})
@@ -407,8 +410,9 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 		for s.sent.len() > 0 && s.sent.slot(s.sent.base).pkt == nil {
 			s.sent.popFront()
 		}
+		var rttUS int64 // Karn's rule: no sample from a retransmitted slot
 		if !rec.sbfRetx {
-			s.rttSample(s.conn.eng.Now() - rec.sentAt)
+			rttUS = s.rttSample(s.conn.eng.Now() - rec.sentAt)
 		}
 		if !rec.lost {
 			prev := s.cwnd
@@ -419,6 +423,10 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 			}
 		}
 		s.recordDelivered(rec.pkt.Size)
+		if st := s.conn.store; st != nil {
+			//progmp:ignore hotpath store publication is outside the per-segment contract: one epoch per ACK copies the snapshot root and one part by design; no store, no call
+			st.RecordAck(s.destID, rttUS, int64(rec.pkt.Size))
+		}
 		s.rtoBackoff = 0
 	}
 	if sackSbfSeq > s.highestSacked {
@@ -470,7 +478,7 @@ func (s *Subflow) markLost(seq int64, isRTO bool) {
 	pkt := rec.pkt
 	s.trace(obs.EvLoss, pkt.Seq, seq, 0)
 	if st := s.conn.store; st != nil {
-		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
+		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish copies the snapshot root and one part by design; no store, no call
 		st.RecordLoss(s.destID, 1)
 	}
 	first := false
@@ -556,7 +564,7 @@ func (s *Subflow) onRTO() {
 	// publish it as a quarantine signal so other connections steering by
 	// XQUAR avoid this destination.
 	if st := s.conn.store; st != nil {
-		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
+		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish copies the snapshot root and one part by design; no store, no call
 		st.RecordQuarantine(s.destID)
 	}
 	s.rtoBackoff++
@@ -584,8 +592,9 @@ func (s *Subflow) currentRTO() time.Duration {
 	return rto
 }
 
-// rttSample updates the RFC 6298 estimators.
-func (s *Subflow) rttSample(sample time.Duration) {
+// rttSample updates the RFC 6298 estimators and returns the sample in
+// µs, for the caller to publish to the shared store.
+func (s *Subflow) rttSample(sample time.Duration) int64 {
 	if sample <= 0 {
 		sample = time.Microsecond
 	}
@@ -603,14 +612,11 @@ func (s *Subflow) rttSample(sample time.Duration) {
 	s.rttCount++
 	s.rttSum += sample
 	s.mRTT.Observe(sample.Microseconds())
-	if st := s.conn.store; st != nil {
-		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
-		st.RecordRTT(s.destID, sample.Microseconds())
-	}
 	s.rto = s.srtt + 4*s.rttvar
 	if s.rto < minRTO {
 		s.rto = minRTO
 	}
+	return sample.Microseconds()
 }
 
 // recordDelivered feeds the sliding-window delivery-rate estimator.
@@ -620,10 +626,6 @@ func (s *Subflow) recordDelivered(bytes int) {
 	now := s.conn.eng.Now()
 	s.rate.add(now, bytes)
 	s.rate.prune(now)
-	if st := s.conn.store; st != nil {
-		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish clones the snapshot by design; no store, no call
-		st.RecordDelivered(s.destID, int64(bytes))
-	}
 }
 
 // Throughput estimates the delivery rate in bytes/s over the sliding

@@ -14,14 +14,22 @@
 //
 // Concurrency model: RCU-style epoch snapshots. All state lives in an
 // immutable Snapshot published through an atomic pointer. Writers
-// serialize on a mutex, clone the current snapshot, mutate the clone,
-// bump the epoch, and publish with a single atomic store. Readers —
-// the scheduler hot path among them — perform one atomic load and then
-// read plain memory: wait-free, zero allocations, and torn reads are
-// structurally impossible because a snapshot is never mutated after
-// publication. Within one snapshot every value belongs to the same
-// epoch, so a scheduler execution sees a coherent cross-connection
-// view, exactly like its per-connection environment snapshot.
+// serialize on a mutex, copy what they change, bump the epoch, and
+// publish with a single atomic store. Readers — the scheduler hot path
+// among them — perform one atomic load and then read plain memory:
+// wait-free, zero allocations, and torn reads are structurally
+// impossible because a snapshot is never mutated after publication.
+// Within one snapshot every value belongs to the same epoch, so a
+// scheduler execution sees a coherent cross-connection view, exactly
+// like its per-connection environment snapshot.
+//
+// A snapshot is a root — epoch, globals, slot count — plus a fixed
+// fan-out of numParts parts holding the destination records. A write
+// copies the root and only the parts it touches: a globals write the
+// root alone, a statistics write the root and one part. Untouched parts
+// are shared with earlier epochs, which is safe because no published
+// part is ever written. Publish cost thus grows with the table size
+// divided by numParts, not with the table size.
 //
 // Destination names are interned to dense indices at subflow-establish
 // time (DestID); the hot path addresses statistics by index, never by
@@ -41,6 +49,13 @@ import (
 // rttAlpha is the EWMA weight (1/8, RFC 6298 style) used when merging
 // RTT samples from different connections into the shared estimate.
 const rttAlpha = 8
+
+// numParts is a snapshot's destination fan-out: slot id lives in part
+// id >> shift, so a record write copies about 1/numParts of the table.
+// It trades the root's size (one slice header per part, copied by every
+// write) against the part's (copied by every record write); at the 64
+// destinations of a 32-group fleet the two are about equal.
+const numParts = 16
 
 // DestStats is the per-destination statistic record inside a snapshot.
 // Fields are plain values: a published snapshot is immutable, so they
@@ -74,12 +89,23 @@ type Snapshot struct {
 	Epoch uint64
 	// Globals is the shared global register file G1..G8.
 	Globals [runtime.NumGlobals]int64
-	// Dests holds per-destination statistics, indexed by the dense ids
-	// DestID hands out. Evicted slots are zeroed (Name == "") and
-	// reused by later registrations, so the slice length tracks the
+
+	// The destination slots, indexed by the dense ids DestID hands out:
+	// slot id is parts[id>>shift][id&(1<<shift-1)], and every part but
+	// the last holding a slot is full. Evicted slots are zeroed
+	// (Name == "") and reused by later registrations, so n tracks the
 	// peak live destination count rather than the cumulative churn.
-	Dests []DestStats
+	n     int
+	shift uint
+	parts [numParts][]DestStats
+	// owned marks the parts an unpublished snapshot has already copied
+	// for its write; meaningless once published.
+	owned uint32
 }
+
+// Len returns the number of destination slots, evicted ones included:
+// every id below it resolves through Stats.
+func (s *Snapshot) Len() int { return s.n }
 
 // Stats returns the statistics for destination id, or nil when the id
 // is unknown to this epoch (registered after the snapshot published).
@@ -87,10 +113,67 @@ type Snapshot struct {
 //progmp:hotpath
 //progmp:deterministic
 func (s *Snapshot) Stats(id int) *DestStats {
-	if s == nil || id < 0 || id >= len(s.Dests) {
+	if s == nil || id < 0 || id >= s.n {
 		return nil
 	}
-	return &s.Dests[id]
+	return &s.parts[id>>s.shift][id&(1<<s.shift-1)]
+}
+
+// All returns a copy of every live destination record of this epoch
+// (evicted slots are skipped), sorted by name for stable output.
+// Intended for the control plane and tests, not the hot path.
+func (s *Snapshot) All() []DestStats {
+	out := make([]DestStats, 0, s.n)
+	for _, part := range s.parts {
+		for _, d := range part {
+			if d.Name != "" {
+				out = append(out, d)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// slot returns a writable pointer to slot id of s, a snapshot not yet
+// published. The part holding it is copied first unless s already owns
+// it, so a sweep over many slots copies each part once.
+//
+//progmp:publish
+func (s *Snapshot) slot(id int) *DestStats {
+	p := id >> s.shift
+	if s.owned&(1<<p) == 0 {
+		s.parts[p] = append([]DestStats(nil), s.parts[p]...)
+		s.owned |= 1 << p
+	}
+	return &s.parts[p][id&(1<<s.shift-1)]
+}
+
+// grow appends one zero slot to s, a snapshot not yet published, and
+// returns it. When every part is full it first regroups: each part
+// doubles in capacity, absorbing its neighbour, so the table stays
+// numParts wide. Regrouping copies the whole table, but only a
+// registration can trigger it, once per doubling of the slot count.
+//
+//progmp:publish
+func (s *Snapshot) grow() *DestStats {
+	if s.n == numParts<<s.shift {
+		var parts [numParts][]DestStats
+		for q := 0; q < numParts/2; q++ {
+			a := s.parts[2*q]
+			parts[q] = append(a[:len(a):len(a)], s.parts[2*q+1]...)
+		}
+		s.parts = parts
+		s.shift++
+		s.owned = 1<<numParts - 1
+	}
+	id := s.n
+	s.n++
+	p := id >> s.shift
+	part := s.parts[p]
+	s.parts[p] = append(part[:len(part):len(part)], DestStats{})
+	s.owned |= 1 << p
+	return s.slot(id)
 }
 
 // Store is the shared-state store. The zero value is not ready; use
@@ -100,7 +183,7 @@ type Store struct {
 	snap atomic.Pointer[Snapshot]
 	ids  map[string]int // destination name → dense index
 
-	// Eviction bookkeeping, indexed like Snapshot.Dests. refs counts
+	// Eviction bookkeeping, indexed by destination slot. refs counts
 	// live DestID acquisitions (released by ReleaseDest); lastUse is
 	// the epoch of the most recent acquire/release/feed; free lists
 	// evicted slots available for reuse.
@@ -155,32 +238,16 @@ func (s *Store) publish(next *Snapshot) {
 	s.mEpochs.Add(1)
 }
 
-// clone copies the current snapshot into a fresh one the caller may
-// mutate before publish. Callers hold s.mu.
+// clone copies the current snapshot's root into a fresh one the caller
+// may mutate before publish. Its parts are still the published epoch's:
+// records are written only through slot and grow, which copy a part
+// first. Callers hold s.mu.
 //
 //progmp:publish
 func (s *Store) clone() *Snapshot {
-	cur := s.snap.Load()
-	next := &Snapshot{Globals: cur.Globals}
-	if len(cur.Dests) > 0 {
-		next.Dests = make([]DestStats, len(cur.Dests))
-		copy(next.Dests, cur.Dests)
-	}
-	return next
-}
-
-// cloneGlobalsOnly copies the current snapshot for a write that only
-// touches the global register file. Dests is aliased, not copied:
-// published snapshots are immutable, so an epoch that leaves every
-// destination record untouched may share the previous epoch's backing
-// array. This keeps the per-GSET publish cost independent of the number
-// of tracked destinations. Callers hold s.mu and must not write through
-// next.Dests.
-//
-//progmp:publish
-func (s *Store) cloneGlobalsOnly() *Snapshot {
-	cur := s.snap.Load()
-	return &Snapshot{Globals: cur.Globals, Dests: cur.Dests}
+	next := *s.snap.Load()
+	next.owned = 0
+	return &next
 }
 
 // ---- Global registers ----
@@ -209,7 +276,7 @@ func (s *Store) SetGlobal(i int, v int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.cloneGlobalsOnly()
+	next := s.clone()
 	next.Globals[i] = v
 	s.publish(next)
 	s.mGSets.Add(1)
@@ -226,7 +293,7 @@ func (s *Store) SetGlobals(dirty uint32, vals *[runtime.NumGlobals]int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.cloneGlobalsOnly()
+	next := s.clone()
 	n := 0
 	for i := 0; i < runtime.NumGlobals; i++ {
 		if dirty&(1<<uint(i)) != 0 {
@@ -262,10 +329,10 @@ func (s *Store) DestID(name string) int {
 	if n := len(s.free); n > 0 {
 		id = s.free[n-1]
 		s.free = s.free[:n-1]
-		next.Dests[id] = DestStats{Name: name}
+		*next.slot(id) = DestStats{Name: name}
 	} else {
-		id = len(next.Dests)
-		next.Dests = append(next.Dests, DestStats{Name: name})
+		id = next.n
+		*next.grow() = DestStats{Name: name}
 		s.refs = append(s.refs, 0)
 		s.lastUse = append(s.lastUse, 0)
 	}
@@ -324,7 +391,7 @@ func (s *Store) EvictIdle(idleEpochs uint64) int {
 	sort.Ints(victims)
 	next := s.clone()
 	for _, id := range victims {
-		next.Dests[id] = DestStats{}
+		*next.slot(id) = DestStats{}
 		s.free = append(s.free, id)
 	}
 	s.publish(next)
@@ -350,40 +417,67 @@ func (s *Store) NumDests() int {
 
 // ---- Statistics feeds ----
 
-// mutateDest clones, applies fn to destination id's record, and
-// publishes. Unknown ids are ignored.
+// mutateDest applies fn to destination id's record in a new epoch that
+// copies the root and the one part holding it, and publishes. Unknown
+// ids are ignored.
 //
 //progmp:publish
 func (s *Store) mutateDest(id int, fn func(*DestStats)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.clone()
-	if id < 0 || id >= len(next.Dests) {
+	if id < 0 || id >= s.snap.Load().n {
 		return
 	}
-	fn(&next.Dests[id])
+	next := s.clone()
+	fn(next.slot(id))
 	s.publish(next)
 	s.lastUse[id] = next.Epoch
 }
 
 // RecordRTT merges one RTT sample (µs) into destination id's shared
-// smoothed estimate: the first sample seeds it, later samples blend in
-// with weight 1/8 (RFC 6298 style), so estimates from many connections
-// converge without any one dominating.
+// smoothed estimate; non-positive samples are ignored.
 //
 //progmp:publish
 func (s *Store) RecordRTT(id int, rttUS int64) {
 	if rttUS <= 0 {
 		return
 	}
+	s.mutateDest(id, func(d *DestStats) { d.mergeRTT(rttUS) })
+}
+
+// RecordAck folds one acknowledgement into destination id in one epoch:
+// the RTT sample it yielded (µs; 0 when Karn's rule withheld it) as
+// RecordRTT merges it, and the bytes it delivered. An input <= 0 is
+// ignored, and nothing publishes when both are.
+//
+//progmp:publish
+func (s *Store) RecordAck(id int, rttUS, bytes int64) {
+	if rttUS <= 0 && bytes <= 0 {
+		return
+	}
 	s.mutateDest(id, func(d *DestStats) {
-		if d.Samples == 0 {
-			d.SRTTUS = rttUS
-		} else {
-			d.SRTTUS += (rttUS - d.SRTTUS) / rttAlpha
+		if rttUS > 0 {
+			d.mergeRTT(rttUS)
 		}
-		d.Samples++
+		if bytes > 0 {
+			d.Delivered += bytes
+		}
 	})
+}
+
+// mergeRTT blends one RTT sample into the shared estimate: the first
+// sample seeds it, later samples blend in with weight 1/8 (RFC 6298
+// style), so estimates from many connections converge without any one
+// dominating.
+//
+//progmp:publish
+func (d *DestStats) mergeRTT(rttUS int64) {
+	if d.Samples == 0 {
+		d.SRTTUS = rttUS
+	} else {
+		d.SRTTUS += (rttUS - d.SRTTUS) / rttAlpha
+	}
+	d.Samples++
 }
 
 // RecordLoss counts n loss events on destination id.
@@ -396,16 +490,6 @@ func (s *Store) RecordLoss(id int, n int64) {
 	s.mutateDest(id, func(d *DestStats) { d.Lost += n })
 }
 
-// RecordDelivered adds bytes to destination id's delivered counter.
-//
-//progmp:publish
-func (s *Store) RecordDelivered(id int, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	s.mutateDest(id, func(d *DestStats) { d.Delivered += bytes })
-}
-
 // RecordQuarantine counts one quarantine signal on destination id.
 //
 //progmp:publish
@@ -415,23 +499,12 @@ func (s *Store) RecordQuarantine(id int) {
 
 // ---- Inspection ----
 
-// All returns a copy of every live destination record of the current
-// epoch (evicted slots are skipped), sorted by name for stable output.
-// Intended for the control plane and tests, not the hot path.
-func (s *Store) All() []DestStats {
-	snap := s.Load()
-	out := make([]DestStats, 0, len(snap.Dests))
-	for _, d := range snap.Dests {
-		if d.Name != "" {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// All returns the current epoch's live destination records, name-sorted
+// (see Snapshot.All).
+func (s *Store) All() []DestStats { return s.Load().All() }
 
 // String summarizes the store for diagnostics.
 func (s *Store) String() string {
 	snap := s.Load()
-	return fmt.Sprintf("xstate{epoch %d, %d dests}", snap.Epoch, len(snap.Dests))
+	return fmt.Sprintf("xstate{epoch %d, %d dests}", snap.Epoch, snap.Len())
 }

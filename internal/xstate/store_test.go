@@ -1,9 +1,13 @@
 package xstate
 
 import (
+	"fmt"
+	goruntime "runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"progmp/internal/obs"
 	"progmp/internal/runtime"
@@ -87,7 +91,7 @@ func TestDestRegistryAndStats(t *testing.T) {
 	}
 
 	s.RecordLoss(lte, 3)
-	s.RecordDelivered(lte, 1500)
+	s.RecordAck(lte, 0, 1500)
 	s.RecordQuarantine(lte)
 	d := s.Load().Stats(lte)
 	if d.Lost != 3 || d.Delivered != 1500 || d.Quarantines != 1 {
@@ -127,41 +131,57 @@ func TestSnapshotImmutable(t *testing.T) {
 
 // TestEpochConsistencyStress hammers the store with concurrent writers
 // while readers assert snapshot coherence: within one loaded snapshot
-// the two globals written together must always agree, and per-dest
-// statistics must be monotone across loads. Run under -race this is
-// the torn-snapshot detector demanded by the epoch model.
+// the two globals written together must always agree, every destination
+// registered before the load must resolve, and per-dest statistics must
+// be monotone across loads. The writers register more than 3·numParts
+// destinations as they go, so the table regroups under the readers. Run
+// under -race this is the torn-snapshot detector demanded by the epoch
+// model.
 func TestEpochConsistencyStress(t *testing.T) {
 	s := NewStore()
-	id := s.DestID("wifi")
+	shared := s.DestID("wifi")
 	const (
 		writers    = 4
 		readers    = 4
 		iterations = 2000
+		perWriter  = 4 * numParts / writers // 4·numParts+1 destinations in all
 	)
-	var wg sync.WaitGroup
+	// registered counts completed DestID calls. Slots are handed out
+	// densely in publish order and nothing is evicted, so a snapshot
+	// loaded after k completions holds every id below k.
+	var registered atomic.Int64
+	registered.Store(1)
+	var writing, reading sync.WaitGroup
+	var done atomic.Bool // readers load until every writer has finished
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writing.Done()
 			var vals [runtime.NumGlobals]int64
+			own := []int{shared}
 			for i := 0; i < iterations; i++ {
+				if i%(iterations/perWriter) == 0 {
+					own = append(own, s.DestID(fmt.Sprintf("w%d.%d", w, i)))
+					registered.Add(1)
+				}
 				// Invariant under test: G1 and G2 are always published
 				// together with G2 == -G1.
 				v := int64(w*iterations + i + 1)
 				vals[0], vals[1] = v, -v
 				s.SetGlobals(0b11, &vals)
-				s.RecordRTT(id, 1000+int64(i%100))
-				s.RecordDelivered(id, 100)
+				s.RecordAck(shared, 1000+int64(i%100), 100)
+				s.RecordAck(own[i%len(own)], 0, 100)
 			}
 		}(w)
 	}
 	for r := 0; r < readers; r++ {
-		wg.Add(1)
+		reading.Add(1)
 		go func() {
-			defer wg.Done()
+			defer reading.Done()
 			var lastEpoch uint64
-			var lastDelivered int64
-			for i := 0; i < iterations*writers; i++ {
+			var lastDelivered []int64
+			for !done.Load() {
+				k := int(registered.Load())
 				snap := s.Load()
 				if snap.Globals[0] != -snap.Globals[1] {
 					t.Errorf("torn snapshot: G1=%d G2=%d in epoch %d",
@@ -173,20 +193,30 @@ func TestEpochConsistencyStress(t *testing.T) {
 					return
 				}
 				lastEpoch = snap.Epoch
-				d := snap.Stats(id)
-				if d == nil {
-					t.Errorf("registered destination vanished")
-					return
+				for len(lastDelivered) < k {
+					lastDelivered = append(lastDelivered, 0)
 				}
-				if d.Delivered < lastDelivered {
-					t.Errorf("delivered went backwards: %d after %d", d.Delivered, lastDelivered)
-					return
+				for id := 0; id < k; id++ {
+					d := snap.Stats(id)
+					if d == nil {
+						t.Errorf("destination %d registered before epoch %d does not resolve in it (%d slots)", id, snap.Epoch, snap.Len())
+						return
+					}
+					if d.Delivered < lastDelivered[id] {
+						t.Errorf("dest %d: delivered went backwards: %d after %d", id, d.Delivered, lastDelivered[id])
+						return
+					}
+					lastDelivered[id] = d.Delivered
 				}
-				lastDelivered = d.Delivered
 			}
 		}()
 	}
-	wg.Wait()
+	writing.Wait()
+	done.Store(true)
+	reading.Wait()
+	if n := s.Load().Len(); n <= 3*numParts {
+		t.Fatalf("%d destinations registered, want > %d to force regroups", n, 3*numParts)
+	}
 }
 
 // TestLoadZeroAlloc proves the reader side — what the scheduler hot
@@ -283,7 +313,7 @@ func TestDestEvictionUnderChurn(t *testing.T) {
 	if n := s.NumDests(); n != 0 {
 		t.Fatalf("steady-state dests = %d after full sweep, want 0", n)
 	}
-	if got := len(s.Load().Dests); got > 16 {
+	if got := s.Load().Len(); got > 16 {
 		t.Fatalf("snapshot slice grew to %d slots under churn of %d, want <= 16 (slot reuse)", got, churn)
 	}
 
@@ -300,45 +330,133 @@ func TestDestEvictionUnderChurn(t *testing.T) {
 
 func destName(i int) string { return "churn-" + strconv.Itoa(i) }
 
-// TestGlobalsOnlyPublishAliasesDests pins the globals-fast-path
-// representation choice: an epoch that only writes the register file
-// shares the previous epoch's Dests backing array (snapshots are
-// immutable, so aliasing is safe), while a destination write still
-// clones. Regression: SetGlobal/SetGlobals used to copy every record,
-// making a GSET publish O(destinations).
+// TestGlobalsOnlyPublishAliasesDests pins the copy-on-write layout: an
+// epoch that only writes the register file shares every destination
+// part with the previous epoch (snapshots are immutable, so aliasing is
+// safe), and a destination write copies the one part it touches while
+// sharing the rest. Regression: SetGlobal/SetGlobals used to copy every
+// record, making a GSET publish O(destinations).
 func TestGlobalsOnlyPublishAliasesDests(t *testing.T) {
 	s := NewStore()
-	for i := 0; i < 64; i++ {
+	const n = 64
+	for i := 0; i < n; i++ {
 		s.DestID("dest" + strconv.Itoa(i))
 	}
 	before := s.Load()
+	shared := func(a, b *Snapshot, id int) bool { return a.Stats(id) == b.Stats(id) }
 	s.SetGlobal(0, 1)
-	after := s.Load()
-	if len(after.Dests) == 0 || &after.Dests[0] != &before.Dests[0] {
-		t.Fatalf("globals-only publish cloned Dests (epoch %d -> %d)", before.Epoch, after.Epoch)
-	}
 	var vals [runtime.NumGlobals]int64
 	vals[3] = 9
 	s.SetGlobals(1<<3, &vals)
-	if got := s.Load(); &got.Dests[0] != &before.Dests[0] {
-		t.Fatalf("batched globals publish cloned Dests")
+	after := s.Load()
+	for id := 0; id < n; id++ {
+		if !shared(before, after, id) {
+			t.Fatalf("globals-only publishes copied dest %d's part (epoch %d -> %d)", id, before.Epoch, after.Epoch)
+		}
 	}
-	// A destination write must still clone: the new epoch's records
-	// change, and the already-published snapshot must not see that.
+	// A destination write copies its own part, so the already-published
+	// snapshot never sees it, and shares every other part.
 	id, _ := s.LookupDest("dest0")
 	s.RecordRTT(id, 5000)
 	cur := s.Load()
-	if &cur.Dests[0] == &before.Dests[0] {
-		t.Fatalf("destination write aliased the published snapshot's Dests")
+	for other := 0; other < n; other++ {
+		samePart := other>>cur.shift == id>>cur.shift
+		if shared(before, cur, other) == samePart {
+			t.Fatalf("after a write to dest %d, dest %d shared=%v, want %v (part size %d)",
+				id, other, !samePart, samePart, 1<<cur.shift)
+		}
 	}
 	if before.Stats(id).SRTTUS != 0 {
 		t.Fatalf("published snapshot mutated by a later destination write")
 	}
 
-	// The publish cost is a snapshot header, independent of how many
+	// The publish cost is a snapshot root, independent of how many
 	// destinations the store tracks.
 	allocs := testing.AllocsPerRun(100, func() { s.SetGlobal(1, 2) })
 	if allocs > 2 {
-		t.Fatalf("globals-only publish costs %.0f allocs/op with 64 dests, want <= 2", allocs)
+		t.Fatalf("globals-only publish costs %.0f allocs/op with %d dests, want <= 2", allocs, n)
+	}
+}
+
+// TestDestPublishCopiesOnePart bounds a statistics publish: the root
+// plus the one part of about n/numParts records it touches, whatever
+// the table size, in at most two allocations. Copying the whole table
+// costs 56 B per destination, 3.6 KB at 64.
+func TestDestPublishCopiesOnePart(t *testing.T) {
+	root, rec := unsafe.Sizeof(Snapshot{}), unsafe.Sizeof(DestStats{})
+	for _, n := range []int{64, 1024} {
+		s := NewStore()
+		for i := 0; i < n; i++ {
+			s.DestID("dest" + strconv.Itoa(i))
+		}
+		i := 0
+		publish := func() {
+			s.RecordRTT(i%n, int64(1000+i))
+			i++
+		}
+		if allocs := testing.AllocsPerRun(100, publish); allocs > 2 {
+			t.Errorf("%d dests: RecordRTT costs %.0f allocs, want <= 2", n, allocs)
+		}
+		const runs = 1000
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		for k := 0; k < runs; k++ {
+			publish()
+		}
+		goruntime.ReadMemStats(&after)
+		perPublish := (after.TotalAlloc - before.TotalAlloc) / runs
+		// The allocator rounds each block up to its size class: allow a
+		// quarter on top of the exact root + part.
+		want := uint64(root + uintptr((n+numParts-1)/numParts)*rec)
+		if perPublish > want*5/4 {
+			t.Errorf("%d dests: RecordRTT allocates %d B per publish, want <= %d (root %d B + %d records of %d B, plus size-class slack)",
+				n, perPublish, want*5/4, root, (n+numParts-1)/numParts, rec)
+		}
+		if n == 64 && perPublish > 1024 {
+			t.Errorf("64 dests: RecordRTT allocates %d B per publish, want <= 1 KB", perPublish)
+		}
+	}
+}
+
+// TestRecordAckMatchesTwoWrites pins RecordAck to the pair of writes it
+// replaced on the ACK path — RecordRTT, then a Delivered increment that
+// ignores non-positive byte counts — with one epoch for the pair, or
+// none when both inputs are ignored.
+func TestRecordAckMatchesTwoWrites(t *testing.T) {
+	for _, prior := range []int64{0, 20000} { // unseeded, and an estimate to blend into
+		for _, c := range []struct{ rtt, bytes int64 }{
+			{12000, 1500}, {0, 1500}, {-5, 1500}, {12000, 0}, {12000, -1}, {0, 0}, {-1, -1},
+		} {
+			two, one := NewStore(), NewStore()
+			id := two.DestID("d")
+			one.DestID("d")
+			two.RecordRTT(id, prior)
+			one.RecordRTT(id, prior)
+
+			two.RecordRTT(id, c.rtt)
+			want := *two.Load().Stats(id)
+			if c.bytes > 0 {
+				want.Delivered += c.bytes
+			}
+			e0 := one.Epoch()
+			one.RecordAck(id, c.rtt, c.bytes)
+			if got := *one.Load().Stats(id); got != want {
+				t.Errorf("prior %d, RecordAck(%d, %d) = %+v, want %+v", prior, c.rtt, c.bytes, got, want)
+			}
+			wantEpochs := uint64(1)
+			if c.rtt <= 0 && c.bytes <= 0 {
+				wantEpochs = 0
+			}
+			if got := one.Epoch() - e0; got != wantEpochs {
+				t.Errorf("prior %d, RecordAck(%d, %d) published %d epochs, want %d", prior, c.rtt, c.bytes, got, wantEpochs)
+			}
+		}
+	}
+	s := NewStore()
+	s.DestID("d")
+	e0 := s.Epoch()
+	s.RecordAck(99, 1000, 1500)
+	if s.Epoch() != e0 {
+		t.Errorf("RecordAck on an unknown id published an epoch")
 	}
 }
