@@ -45,7 +45,7 @@ func (s *Scenario) RegisterFlags(fs *flag.FlagSet, defaultSend int) {
 	fs.DurationVar(&s.Duration, "duration", 60*time.Second, "simulation horizon")
 	fs.Int64Var(&s.R1, "r1", 0, "initial value of register R1")
 	fs.StringVar(&s.CC, "cc", "", "congestion control: lia (default), olia, reno")
-	fs.BoolVar(&s.Guard, "guard", false, "supervise the scheduler (panic recovery, validation, degradation; GUARD_* transitions are traced)")
+	fs.BoolVar(&s.Guard, "guard", false, "supervise the scheduler (panic recovery, strikes on refused actions, degradation; GUARD_* transitions are traced)")
 	fs.Func("path", "path spec name:rateBps:delay:loss:pref|backup (repeatable)", func(v string) error {
 		p, err := ParsePath(v)
 		if err == nil {

@@ -7,7 +7,7 @@
 //	      -path wifi:3e6:5ms:0:pref -path lte:8e6:20ms:0.01:backup
 //
 // With -guard the scheduler runs under supervision (panic recovery,
-// action validation, stall detection, graceful degradation to native
+// strikes on refused actions, stall detection, graceful degradation to native
 // MinRTT). With -chaos the normal scenario is replaced by a seeded
 // fault-injection soak:
 //

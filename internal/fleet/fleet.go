@@ -87,11 +87,11 @@ type Config struct {
 	// Program names the scheduler for guard fleet enrollment and
 	// aggregator labels.
 	Program string
-	// Guard supervises every connection (panic recovery, validation,
-	// quarantine) and enrolls it in a per-shard guard.Fleet. Note that
-	// fleet-wide blocking couples connections within a shard, so
-	// guarded runs are deterministic per shard count, not across shard
-	// counts.
+	// Guard supervises every connection (panic recovery, strikes on
+	// refused actions, quarantine) and enrolls it in a per-shard
+	// guard.Fleet. Note that fleet-wide blocking couples connections
+	// within a shard, so guarded runs are deterministic per shard count,
+	// not across shard counts.
 	Guard bool
 	// Store attaches the cross-connection shared-state store to every
 	// connection; shard loops sweep idle destination records out of it

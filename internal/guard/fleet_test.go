@@ -177,10 +177,13 @@ func TestFleetLiftAfterCleanWindow(t *testing.T) {
 		}
 	}
 
-	// Clean trial executions re-promote to active.
+	// Clean trial executions re-promote to active. Without a connection
+	// the test settles each execution itself, as Conn.schedule does.
 	for _, sup := range r.sups {
 		for j := 0; j < sup.cfg.TrialExecs; j++ {
-			sup.Exec(freshEnv())
+			env := freshEnv()
+			sup.Exec(env)
+			sup.Applied(env, 0)
 		}
 	}
 	for i, sup := range r.sups {

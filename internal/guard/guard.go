@@ -11,9 +11,9 @@
 //     execution's actions;
 //   - a scheduler can emit forged actions (out-of-range subflow
 //     handles, packets not in the claimed queue) by appending to the
-//     action queue directly — the Supervisor validates every action
-//     against the environment snapshot before it reaches the
-//     connection;
+//     action queue directly — the connection refuses them as it
+//     applies the queue (mptcp.Conn.applyActions is the one validator),
+//     and the Supervisor strikes on the count it refused;
 //   - a scheduler can simply stall: never PUSH while Q is nonempty and
 //     a subflow has congestion-window headroom. With nothing in flight
 //     there is no ACK clock left to re-trigger scheduling, so the
@@ -71,29 +71,6 @@ func (s State) String() string {
 		return "probation"
 	}
 	return fmt.Sprintf("State(%d)", int(s))
-}
-
-// StrikeReason classifies why a strike was recorded.
-type StrikeReason int
-
-// The strike taxonomy.
-const (
-	StrikePanic     StrikeReason = iota // execution panicked
-	StrikeBadAction                     // invalid actions stripped
-	StrikeStall                         // no actions despite available work
-)
-
-// String names the reason.
-func (r StrikeReason) String() string {
-	switch r {
-	case StrikePanic:
-		return "panic"
-	case StrikeBadAction:
-		return "bad-action"
-	case StrikeStall:
-		return "stall"
-	}
-	return fmt.Sprintf("StrikeReason(%d)", int(r))
 }
 
 // Config tunes a Supervisor. The zero value is usable: native MinRTT
@@ -162,10 +139,12 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Supervisor wraps a scheduler with panic recovery, action validation,
-// stall detection and graceful degradation. It implements the same
-// Exec interface as the scheduler it wraps, so it installs on a
-// connection like any scheduler. A Supervisor belongs to exactly one
+// Supervisor wraps a scheduler with panic recovery, strikes on the
+// actions the connection refused, stall detection and graceful
+// degradation. It implements the same Exec interface as the scheduler
+// it wraps, so it installs on a connection like any scheduler, and the
+// connection settles each execution through its Applied method once
+// the actions are applied. A Supervisor belongs to exactly one
 // connection: it keeps per-connection strike state, and the simulation
 // model is single-threaded per engine.
 type Supervisor struct {
@@ -275,124 +254,58 @@ func (s *Supervisor) Swap(newInner, fallback Scheduler) {
 	s.gState.Set(int64(StateActive))
 }
 
-// Exec runs one supervised scheduler execution.
+// Exec runs one supervised scheduler execution: the user scheduler
+// under panic recovery, or the fallback while quarantined. A panic
+// discards the execution's actions and strikes; if the strike
+// quarantines, the fallback serves the same environment. Everything
+// else about the execution is settled by Applied, once the connection
+// has judged its actions.
 func (s *Supervisor) Exec(env *runtime.Env) {
 	if s.state == StateQuarantined {
-		s.execFallback(env)
+		run(s.cfg.Fallback, env) // its behaviour never counts against the user program
 		return
 	}
-	before := len(env.Actions)
-	if panicked := s.runInner(env); panicked {
-		env.Actions = env.Actions[:before]
+	if r := run(s.inner, env); r != nil {
+		s.lastPanic = fmt.Sprint(r)
 		s.Panics++
 		s.mPanics.Add(1)
 		s.event(obs.EvGuardPanic, 0)
 		s.strike(env)
-	} else if stripped := s.validate(env, before); stripped > 0 {
-		s.Violations += int64(stripped)
-		s.mViolations.Add(int64(stripped))
-		s.event(obs.EvGuardBadAction, int64(stripped))
-		s.strike(env)
+	}
+}
+
+// Applied settles an execution after the connection applied it:
+// refused is how many of its actions the connection refused
+// (mptcp.Conn.applyActions is the one judge of actions). Refusals are
+// bad-action strikes, a clean execution counts toward probation, and
+// an execution whose every action was refused counts as one without
+// actions for stall detection. It reports whether this execution
+// quarantined the user scheduler: the connection then runs another
+// iteration of the same scheduling pass, which the fallback serves.
+func (s *Supervisor) Applied(env *runtime.Env, refused int) (again bool) {
+	if s.state == StateQuarantined {
+		return false // the fallback served the execution
+	}
+	if refused > 0 {
+		s.Violations += int64(refused)
+		s.mViolations.Add(int64(refused))
+		s.event(obs.EvGuardBadAction, int64(refused))
+		s.strike(nil)
 	} else if s.state == StateProbation {
 		s.trialClean++
 		if s.trialClean >= s.cfg.TrialExecs {
 			s.restore()
 		}
 	}
-	s.noteStallProgress(env, before)
-}
-
-// runInner executes the user scheduler, converting panics into a
-// reported condition.
-func (s *Supervisor) runInner(env *runtime.Env) (panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			s.lastPanic = fmt.Sprint(r)
-		}
-	}()
-	s.inner.Exec(env)
-	return false
-}
-
-// execFallback runs the trusted fallback (still panic-safe, but its
-// behaviour never counts against the user program).
-func (s *Supervisor) execFallback(env *runtime.Env) {
-	before := len(env.Actions)
-	defer func() {
-		if r := recover(); r != nil {
-			env.Actions = env.Actions[:before]
-		}
-	}()
-	s.cfg.Fallback.Exec(env)
-}
-
-// validate checks every action the execution emitted against the
-// environment snapshot and strips invalid ones in place, returning how
-// many were removed. The connection would reject most of these
-// gracefully anyway; validating here turns silent misbehaviour into an
-// observable, strikeable condition before it reaches the connection.
-func (s *Supervisor) validate(env *runtime.Env, before int) (stripped int) {
-	if len(env.Actions) == before {
-		return 0
-	}
-	sbfs := make(map[runtime.SubflowHandle]bool, len(env.SubflowViews))
-	for _, v := range env.SubflowViews {
-		sbfs[v.Handle] = true
-	}
-	inQueue := func(id runtime.QueueID, h runtime.PacketHandle) bool {
-		q := env.Queue(id)
-		for i := 0; ; i++ {
-			p := q.At(i)
-			if p == nil {
-				return false
-			}
-			if p.Handle == h {
-				return true
-			}
-		}
-	}
-	inAnyQueue := func(h runtime.PacketHandle) bool {
-		return inQueue(runtime.QueueSend, h) ||
-			inQueue(runtime.QueueUnacked, h) ||
-			inQueue(runtime.QueueReinject, h)
-	}
-	kept := env.Actions[:before]
-	for _, a := range env.Actions[before:] {
-		ok := false
-		switch a.Kind {
-		case runtime.ActionPush:
-			ok = sbfs[a.Subflow] && inAnyQueue(a.Packet)
-		case runtime.ActionPop:
-			ok = inQueue(a.Queue, a.Packet)
-		case runtime.ActionDrop:
-			ok = inAnyQueue(a.Packet)
-		}
-		if ok {
-			kept = append(kept, a)
-		} else {
-			stripped++
-		}
-	}
-	env.Actions = kept
-	return stripped
-}
-
-// noteStallProgress updates the stall run after an execution: zero
-// actions while work is available extends the run (arming the watchdog
-// so the next observation happens even without an ACK clock); anything
-// else resets it.
-func (s *Supervisor) noteStallProgress(env *runtime.Env, before int) {
 	if s.state == StateQuarantined {
-		// A strike during this execution quarantined the scheduler and
-		// already ran the fallback; stall accounting restarts on the
-		// next trial.
-		s.stallRun = 0
-		return
+		return true
 	}
-	if len(env.Actions) > before || !workAvailable(env) {
+	// Stall detection: no unrefused action while work is available
+	// extends the run, arming the watchdog so the next observation
+	// happens even without an ACK clock; anything else resets it.
+	if len(env.Actions) > refused || !env.WorkAvailable() {
 		s.stallRun = 0
-		return
+		return false
 	}
 	s.stallRun++
 	if s.stallRun >= s.cfg.StallExecs {
@@ -400,45 +313,29 @@ func (s *Supervisor) noteStallProgress(env *runtime.Env, before int) {
 		s.Stalls++
 		s.mStalls.Add(1)
 		s.event(obs.EvGuardStall, int64(s.cfg.StallExecs))
-		s.strike(env)
+		s.strike(nil)
 		if s.state == StateQuarantined {
-			return
+			return true
 		}
 		// Not yet quarantined: keep the pump alive so the next stall
 		// run is observed even with no transport event left to trigger
 		// the scheduler.
 	}
 	s.armWatchdog()
+	return false
 }
 
-// workAvailable reports the stall precondition: Q is nonempty and some
-// subflow could transmit now — non-backup, not TSQ-throttled, not in
-// loss recovery, congestion window not exhausted. Backup subflows count
-// only when no non-backup subflow exists at all (the availability shape
-// of the default scheduler).
-func workAvailable(env *runtime.Env) bool {
-	if env.SendQ.Empty() {
-		return false
-	}
-	anyNonBackup := false
-	for _, v := range env.SubflowViews {
-		if !v.Bools[runtime.SbfIsBackup] {
-			anyNonBackup = true
-			break
+// run executes sched and recovers a panic, discarding the execution's
+// actions and returning the recovered value (nil without a panic).
+func run(sched Scheduler, env *runtime.Env) (r any) {
+	before := len(env.Actions)
+	defer func() {
+		if r = recover(); r != nil {
+			env.Actions = env.Actions[:before]
 		}
-	}
-	for _, v := range env.SubflowViews {
-		if anyNonBackup && v.Bools[runtime.SbfIsBackup] {
-			continue
-		}
-		if v.Bools[runtime.SbfTSQThrottled] || v.Bools[runtime.SbfLossy] {
-			continue
-		}
-		if v.Ints[runtime.SbfCwnd] > v.Ints[runtime.SbfSkbsInFlight]+v.Ints[runtime.SbfQueued] {
-			return true
-		}
-	}
-	return false
+	}()
+	sched.Exec(env)
+	return nil
 }
 
 // armWatchdog schedules a wake so the stalled connection is re-examined
@@ -456,7 +353,10 @@ func (s *Supervisor) armWatchdog() {
 
 // strike records one strike and quarantines the user scheduler once
 // MaxStrikes accumulate. During probation a single strike
-// re-quarantines immediately.
+// re-quarantines immediately. A quarantine hands env, when not nil, to
+// the fallback: the panic path serves the execution that struck with
+// it, while Applied passes nil because the connection has already
+// applied that execution.
 func (s *Supervisor) strike(env *runtime.Env) {
 	s.strikes++
 	if s.state == StateProbation || s.strikes >= s.cfg.MaxStrikes {
@@ -490,10 +390,9 @@ func (s *Supervisor) quarantine(env *runtime.Env) {
 		// this and sibling supervisors.
 		s.fleet.noteQuarantine(s.fleetProgram, s)
 	}
-	// Serve the triggering execution with the fallback so the
-	// connection makes progress in the same scheduling pass that
-	// degraded it.
-	s.execFallback(env)
+	if env != nil {
+		run(s.cfg.Fallback, env)
+	}
 }
 
 // beginProbation puts the user scheduler on trial after the quarantine

@@ -333,42 +333,6 @@ func syntheticEnv() *runtime.Env {
 	)
 }
 
-func TestValidateStripsOnlyInvalidActions(t *testing.T) {
-	env := syntheticEnv()
-	sup := New(&staller{}, Config{})
-	valid := runtime.Action{Kind: runtime.ActionPush, Packet: 1, Subflow: 1}
-	env.Actions = append(env.Actions,
-		valid,
-		runtime.Action{Kind: runtime.ActionPush, Packet: 1, Subflow: 7},                 // no such subflow
-		runtime.Action{Kind: runtime.ActionPush, Packet: 42, Subflow: 1},                // no such packet
-		runtime.Action{Kind: runtime.ActionPop, Queue: runtime.QueueUnacked, Packet: 1}, // wrong queue
-		runtime.Action{Kind: runtime.ActionDrop, Packet: 9000},                          // no such packet
-	)
-	stripped := sup.validate(env, 0)
-	if stripped != 4 {
-		t.Errorf("stripped %d actions, want 4", stripped)
-	}
-	if len(env.Actions) != 1 || env.Actions[0] != valid {
-		t.Errorf("surviving actions %v, want only the valid push", env.Actions)
-	}
-}
-
-func TestWorkAvailable(t *testing.T) {
-	env := syntheticEnv()
-	if !workAvailable(env) {
-		t.Error("nonempty Q + cwnd headroom must report work available")
-	}
-	env.SubflowViews[0].Bools[runtime.SbfTSQThrottled] = true
-	if workAvailable(env) {
-		t.Error("TSQ-throttled subflow must not count as available")
-	}
-	env.SubflowViews[0].Bools[runtime.SbfTSQThrottled] = false
-	env.SubflowViews[0].Ints[runtime.SbfSkbsInFlight] = 10
-	if workAvailable(env) {
-		t.Error("exhausted cwnd must not count as available")
-	}
-}
-
 // TestQuarantineCarriesAdmissionWarnings is the analyzer/supervisor
 // composition: a DSL scheduler that the static-analysis admission gate
 // flagged (no-push) but that was installed anyway must, when the
@@ -423,5 +387,48 @@ func TestQuarantineCarriesAdmissionWarnings(t *testing.T) {
 	}
 	if !sawQuarantine {
 		t.Fatal("no quarantine event in the trace")
+	}
+}
+
+// fillCounter is a QueueSource of n packets that counts the views it
+// fills.
+type fillCounter struct {
+	base, fills int
+}
+
+func (f *fillCounter) MaterializePacket(i int, v *runtime.PacketView) {
+	f.fills++
+	*v = runtime.PacketView{Handle: runtime.PacketHandle(f.base + i + 1)}
+	v.Ints[runtime.PktSize] = 1460
+}
+
+// pushQUTop retransmits QU's head on the first subflow.
+type pushQUTop struct{}
+
+func (pushQUTop) Exec(env *runtime.Env) { env.Push(env.SubflowViews[0], env.UnackedQ.Top()) }
+
+// TestGuardedExecMaterializesOnlyWhatTheSchedulerRead pins the late
+// materialization of the snapshot (§4.1) under supervision: a
+// scheduler that reads QU's head costs one view fill, however long Q
+// is. The supervisor does not look at the queues on its own.
+func TestGuardedExecMaterializesOnlyWhatTheSchedulerRead(t *testing.T) {
+	arena := runtime.NewArena(nil)
+	views := arena.BindSubflows(1)
+	*views[0] = runtime.SubflowView{Handle: 1}
+	views[0].Ints[runtime.SbfCwnd] = 10
+	q := &fillCounter{base: 100}
+	qu := &fillCounter{base: 0}
+	arena.BindQueue(runtime.QueueSend, q, 10000, false)
+	arena.BindQueue(runtime.QueueUnacked, qu, 100, false)
+	arena.BindQueue(runtime.QueueReinject, &fillCounter{}, 0, false)
+	arena.BeginExec()
+	env := arena.Env()
+
+	New(pushQUTop{}, Config{}).Exec(env)
+	if len(env.Actions) != 1 || env.Actions[0].Packet != 1 {
+		t.Fatalf("actions %+v, want one PUSH of QU's head", env.Actions)
+	}
+	if fills := q.fills + qu.fills; fills != 1 {
+		t.Errorf("a supervised execution that reads QU.TOP filled %d views (Q %d, QU %d), want 1", fills, q.fills, qu.fills)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"progmp/internal/core"
+	"progmp/internal/guard"
 	"progmp/internal/netsim"
 	"progmp/internal/obs"
 	"progmp/internal/runtime"
@@ -277,5 +278,55 @@ func TestInstrumentedScheduleZeroAlloc(t *testing.T) {
 	}
 	if a := reg.Histogram("conn.sched_apply_ns"); a.Count() != h.Count() {
 		t.Fatalf("apply histogram count %d != exec count %d", a.Count(), h.Count())
+	}
+}
+
+// dropQUHead runs its scheduler, then drops QU's head: an action the
+// connection applies as a graceful non-effect, so every execution ends
+// with an action for the supervisor to settle.
+type dropQUHead struct{ Scheduler }
+
+func (d dropQUHead) Exec(env *runtime.Env) {
+	d.Scheduler.Exec(env)
+	env.Drop(env.UnackedQ.Top())
+}
+
+// TestSupervisedScheduleZeroAlloc is the supervised variant of
+// TestScheduleSteadyStateZeroAlloc: with a guard.Supervisor installed,
+// the pass additionally recovers panics around the execution and hands
+// the refusal count to the supervisor after the apply, and must still
+// allocate nothing per trigger.
+func TestSupervisedScheduleZeroAlloc(t *testing.T) {
+	eng := netsim.NewEngine(3)
+	conn := NewConn(eng, Config{})
+	for _, name := range []string{"a", "b"} {
+		link := netsim.NewLink(eng, netsim.PathConfig{
+			Name: name, Rate: netsim.ConstantRate(10e6), Delay: 20 * time.Millisecond,
+		})
+		if _, err := conn.AddSubflow(SubflowConfig{Name: name, Link: link}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := core.MustLoad("minRTT", schedlib.All["minRTT"], core.BackendVM)
+	s.SetSynchronousSpecialization(true)
+	sup := guard.New(dropQUHead{s}, guard.Config{
+		Now:   eng.Now,
+		After: func(d time.Duration, fn func()) { eng.After(d, fn) },
+		Wake:  conn.Kick,
+	})
+	conn.SetScheduler(sup)
+	eng.RunUntil(10 * time.Millisecond)
+
+	conn.Send(1<<20, 0)
+	for i := 0; i < 64; i++ {
+		conn.Kick()
+	}
+	execs := conn.SchedulerExecutions
+	if n := testing.AllocsPerRun(200, conn.Kick); n != 0 {
+		t.Fatalf("supervised scheduling pass allocates %.1f times per trigger, want 0", n)
+	}
+	if conn.SchedulerExecutions <= execs || sup.Violations != 0 || sup.State() != guard.StateActive {
+		t.Fatalf("executions %d → %d, violations %d, state %v: the supervised pass did not run clean",
+			execs, conn.SchedulerExecutions, sup.Violations, sup.State())
 	}
 }

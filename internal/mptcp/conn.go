@@ -90,8 +90,13 @@ type Conn struct {
 	cc  CongestionControl
 
 	sched Scheduler
-	regs  [runtime.NumRegisters]int64
-	store *xstate.Store
+	// applied is sched's Applied method (guard.Supervisor has one), nil
+	// when it has none. After each execution's apply it learns how many
+	// actions applyActions refused; true asks for another iteration of
+	// the pass, at the same virtual time, on a fresh snapshot.
+	applied func(env *runtime.Env, refused int) (again bool)
+	regs    [runtime.NumRegisters]int64
+	store   *xstate.Store
 	// destsReleased latches ReleaseDests so teardown paths may call it
 	// from several places without double-releasing store references.
 	destsReleased bool
@@ -125,9 +130,11 @@ type Conn struct {
 	schedPending bool
 	// Scheduler swap deferred to the execution boundary (see
 	// SetScheduler): applied at the top of the next schedule iteration
-	// so no execution observes a half-installed program.
-	pendingSched    Scheduler
+	// so no execution observes a half-installed program. The flag sits
+	// with the other two so the three share a word: Conn must stay
+	// within 632 B, its 640 B size class less the 8 B malloc header.
 	hasPendingSched bool
+	pendingSched    Scheduler
 
 	// Observability (nil when not instrumented; every handle below is
 	// nil-safe, so the uninstrumented data path pays one nil check).
@@ -263,7 +270,7 @@ func (c *Conn) SetScheduler(s Scheduler) {
 		return
 	}
 	swapped := c.sched != nil && s != nil && c.sched != s
-	c.sched = s
+	c.install(s)
 	if swapped {
 		c.trace(obs.EvSchedSwap, -1, -1, 0, 0)
 		c.schedule()
@@ -274,11 +281,23 @@ func (c *Conn) SetScheduler(s Scheduler) {
 // boundary inside schedule().
 func (c *Conn) applyPendingSched() {
 	prev := c.sched
-	c.sched = c.pendingSched
+	c.install(c.pendingSched)
 	c.pendingSched = nil
 	c.hasPendingSched = false
 	if prev != nil && c.sched != nil && prev != c.sched {
 		c.trace(obs.EvSchedSwap, -1, -1, 1, 0)
+	}
+}
+
+// install makes s the scheduler and resolves its Applied method.
+func (c *Conn) install(s Scheduler) {
+	c.sched = s
+	c.applied = nil
+	if h, ok := s.(interface {
+		Applied(*runtime.Env, int) bool
+	}); ok {
+		//progmp:ignore hotpath once per install, not per execution: the bound method is resolved here so the pass calls one word
+		c.applied = h.Applied
 	}
 }
 
@@ -573,6 +592,7 @@ func (c *Conn) schedule() {
 			c.trace(obs.EvExecStart, -1, -1, int64(iter), 0)
 		}
 		var progress bool
+		var refused int
 		if c.mExecNS != nil {
 			// time.Now/Since are allocation-free, so the instrumented
 			// hot path stays 0 allocs/op (benchmark-gated).
@@ -582,13 +602,17 @@ func (c *Conn) schedule() {
 			c.SchedulerExecutions++
 			c.mExecs.Add(1)
 			t1 := time.Now()
-			progress = c.applyActions(env)
+			progress, refused = c.applyActions(env)
 			c.mApplyNS.Observe(int64(time.Since(t1)))
 		} else {
 			c.sched.Exec(env)
 			c.SchedulerExecutions++
 			c.mExecs.Add(1)
-			progress = c.applyActions(env)
+			progress, refused = c.applyActions(env)
+		}
+		//progmp:ignore hotpath guard.Supervisor.Applied, allocation-free in steady state (TestSupervisedScheduleZeroAlloc)
+		if c.applied != nil && c.applied(env, refused) {
+			c.schedPending = true
 		}
 		if c.tracer != nil {
 			c.trace(obs.EvExecEnd, -1, -1, int64(len(env.Actions)), 0)
@@ -681,26 +705,41 @@ func (c *Conn) buildEnv() *runtime.Env {
 }
 
 // applyActions commits the execution's action queue to the connection
-// state and reports whether the scheduler made progress (transmitted
-// or deliberately dropped something). A POP commits nothing: a packet
-// leaves its queue when a PUSH transmits it or a DROP moves it, so a
-// popped packet that is neither stays where it was (graceful: no
-// packet loss on scheduler mistakes).
-func (c *Conn) applyActions(env *runtime.Env) bool {
-	progress := false
+// state. It reports whether the scheduler made progress (transmitted
+// or deliberately dropped something) and how many actions it refused.
+// A POP commits nothing: a packet leaves its queue when a PUSH
+// transmits it or a DROP moves it, so a popped packet that is neither
+// stays where it was (graceful: no packet loss on scheduler mistakes).
+//
+// It is the one validator of actions. Judged against each packet's
+// place when the execution began, it refuses a handle that resolves to
+// no packet (acked or forged), a PUSH to a missing or unusable subflow,
+// a POP naming a queue the packet was not in, a DROP of a packet in no
+// queue, and an unknown kind. Graceful non-effects are not refusals: a
+// DROP of never-sent data or of a QU packet, a PUSH the receive window
+// holds back.
+func (c *Conn) applyActions(env *runtime.Env) (progress bool, refused int) {
+	pass := uint32(c.SchedulerExecutions)
 	for _, a := range env.Actions {
+		pkt := c.pktOf(a.Packet)
+		if pkt == nil {
+			refused++
+			continue
+		}
 		switch a.Kind {
 		case runtime.ActionPop:
-			pkt := c.pktOf(a.Packet)
-			if pkt == nil || pkt.where != placeOf(a.Queue) {
-				continue // acked, or not in the queue the action names
+			if pkt.placeAt(pass) != placeOf(a.Queue) {
+				refused++
+			}
+			if pkt.where != placeOf(a.Queue) {
+				continue // not in the queue the action names (any more)
 			}
 			c.mPops.Add(1)
 			c.trace(obs.EvPop, -1, pkt.Seq, int64(a.Queue), a.Site)
 		case runtime.ActionPush:
-			pkt := c.pktOf(a.Packet)
 			sbf := c.sbfOf(a.Subflow)
-			if pkt == nil || sbf == nil {
+			if sbf == nil || !sbf.usable() {
+				refused++
 				continue
 			}
 			if sbf.transmit(pkt) {
@@ -714,11 +753,10 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 				c.trace(obs.EvPush, int32(sbf.id), pkt.Seq, int64(pkt.Size), a.Site)
 			}
 		case runtime.ActionDrop:
-			pkt := c.pktOf(a.Packet)
-			if pkt == nil {
-				continue
-			}
 			switch {
+			case pkt.placeAt(pass) == nowhere:
+				refused++
+				continue
 			case pkt.SentCount == 0:
 				// Dropping never-transmitted data would lose bytes of the
 				// stream: it stays in Q (packets must not be lost by
@@ -734,6 +772,8 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 			progress = true
 			c.mDrops.Add(1)
 			c.trace(obs.EvDrop, -1, pkt.Seq, 0, a.Site)
+		default:
+			refused++
 		}
 	}
 	// Publish the execution's GSET writes as one batched epoch. Only the
@@ -746,13 +786,17 @@ func (c *Conn) applyActions(env *runtime.Env) bool {
 			env.ClearDirtyGlobals()
 		}
 	}
-	return progress
+	return progress, refused
 }
 
 // move takes pkt out of the queue it is in, if any, and puts it into
 // to (nowhere: into none) — at the back, or at its sequence position.
-// It is the only writer of Packet.where.
+// It is the only writer of Packet.where, and it stamps where the
+// packet was before its first move of the current execution.
 func (c *Conn) move(pkt *Packet, to place, back bool) {
+	if pass := uint32(c.SchedulerExecutions); pkt.leftPass != pass {
+		pkt.left, pkt.leftPass = pkt.where, pass
+	}
 	if pkt.where != nowhere {
 		c.queues[pkt.where].remove(pkt, pkt.where != inRQ)
 	}

@@ -40,6 +40,21 @@ type Packet struct {
 
 	// where is the queue holding the packet.
 	where place
+	// left is where the packet was when execution leftPass (the
+	// truncated Conn.SchedulerExecutions) began, if it moved since. A
+	// stamp repeats after 2^32 executions: a packet would have to sit
+	// in the window unmoved that long to be misjudged.
+	left     place
+	leftPass uint32
+}
+
+// placeAt returns where p was when execution pass began: applyActions
+// judges an action by it, though an earlier action may have moved p.
+func (p *Packet) placeAt(pass uint32) place {
+	if p.leftPass == pass {
+		return p.left
+	}
+	return p.where
 }
 
 // sentOn reports a prior transmission on the subflow id.

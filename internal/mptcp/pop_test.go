@@ -45,7 +45,8 @@ func popRig(t *testing.T) *Conn {
 func applyExec(c *Conn, exec func(env *runtime.Env)) bool {
 	env := c.buildEnv()
 	exec(env)
-	return c.applyActions(env)
+	progress, _ := c.applyActions(env)
+	return progress
 }
 
 // queueSeqs renders the sequence numbers in Q, QU and RQ, in order.

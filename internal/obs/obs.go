@@ -49,7 +49,7 @@ const (
 	// Robustness events (package guard and the core fallback path).
 	EvSchedFallback   // generic-VM fallback execution itself failed (actions discarded)
 	EvGuardPanic      // supervised scheduler panicked (execution discarded)
-	EvGuardBadAction  // supervisor stripped invalid actions (Aux = count)
+	EvGuardBadAction  // the connection refused actions of an execution (Aux = count)
 	EvGuardStall      // stall strike: work available, no actions for K executions
 	EvGuardQuarantine // user scheduler quarantined (Aux = probation backoff in µs, Site = analyzer warnings at admission)
 	EvGuardProbe      // probation began: user scheduler on trial

@@ -400,6 +400,40 @@ func (e *Env) Drop(p *PacketView) {
 	e.Actions = append(e.Actions, Action{Kind: ActionDrop, Packet: p.Handle, Site: e.Site})
 }
 
+// WorkAvailable reports whether some subflow could transmit now: Q is
+// nonempty and a subflow that is not TSQ-throttled and not in loss
+// recovery has congestion-window headroom. Backup subflows count only
+// when no non-backup subflow exists at all (the availability shape of
+// the default scheduler). A scheduler that emits nothing while this
+// holds is stalling.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (e *Env) WorkAvailable() bool {
+	if e.SendQ.Empty() {
+		return false
+	}
+	anyNonBackup := false
+	for _, v := range e.SubflowViews {
+		if !v.Bools[SbfIsBackup] {
+			anyNonBackup = true
+			break
+		}
+	}
+	for _, v := range e.SubflowViews {
+		if anyNonBackup && v.Bools[SbfIsBackup] {
+			continue
+		}
+		if v.Bools[SbfTSQThrottled] || v.Bools[SbfLossy] {
+			continue
+		}
+		if v.Ints[SbfCwnd] > v.Ints[SbfSkbsInFlight]+v.Ints[SbfQueued] {
+			return true
+		}
+	}
+	return false
+}
+
 // PushCount counts the ActionPush entries recorded so far. It is a
 // convenience for tests and tools; the substrate learns whether an
 // execution made progress from applying the actions (Conn.schedule).

@@ -279,3 +279,37 @@ func TestStringersOutOfRange(t *testing.T) {
 		t.Errorf("out-of-range stringers must still render")
 	}
 }
+
+func TestWorkAvailable(t *testing.T) {
+	view := &SubflowView{Handle: 1}
+	view.Ints[SbfCwnd] = 10
+	env := NewEnv([]*SubflowView{view}, pkts(1), nil, nil, nil)
+	if !env.WorkAvailable() {
+		t.Error("nonempty Q + cwnd headroom must report work available")
+	}
+	view.Bools[SbfTSQThrottled] = true
+	if env.WorkAvailable() {
+		t.Error("TSQ-throttled subflow must not count as available")
+	}
+	view.Bools[SbfTSQThrottled] = false
+	view.Ints[SbfSkbsInFlight] = 10
+	if env.WorkAvailable() {
+		t.Error("exhausted cwnd must not count as available")
+	}
+	// A backup subflow with headroom counts only when it is the only
+	// kind there is.
+	backup := &SubflowView{Handle: 2}
+	backup.Ints[SbfCwnd] = 10
+	backup.Bools[SbfIsBackup] = true
+	env.SubflowViews = []*SubflowView{view, backup}
+	if env.WorkAvailable() {
+		t.Error("a backup subflow must not count while a non-backup one exists")
+	}
+	env.SubflowViews = []*SubflowView{backup}
+	if !env.WorkAvailable() {
+		t.Error("a lone backup subflow with headroom must count as available")
+	}
+	if NewEnv([]*SubflowView{backup}, nil, nil, nil, nil).WorkAvailable() {
+		t.Error("an empty Q must not report work available")
+	}
+}

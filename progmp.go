@@ -604,8 +604,9 @@ func (c *Conn) MetricsReport() string { return c.inner.Metrics().Render() }
 
 // ---- Scheduler supervision (graceful degradation) ----
 
-// Supervisor wraps a scheduler with panic recovery, action validation,
-// stall detection and graceful degradation to a trusted fallback; see
+// Supervisor wraps a scheduler with panic recovery, strikes on the
+// actions the connection refused, stall detection and graceful
+// degradation to a trusted fallback; see
 // internal/guard and docs/ROBUSTNESS.md.
 type Supervisor = guard.Supervisor
 
@@ -631,7 +632,8 @@ const (
 type SchedulerExec = guard.Scheduler
 
 // Supervise installs s under supervision: panics are recovered,
-// invalid actions stripped, stalls detected, and on repeated strikes
+// actions the connection refused counted, stalls detected, and on
+// repeated strikes
 // the connection degrades to the fallback scheduler (native MinRTT by
 // default) with exponential-backoff probation. The supervisor's clock,
 // watchdog and wake hooks are wired to the simulated network. Call
