@@ -43,7 +43,7 @@
 // The three modes read different flags; a flag set explicitly that the
 // chosen mode would ignore is refused (exit 2) instead of dropped:
 //
-//	every mode   -scheduler -backend -seed
+//	every mode   -scheduler -backend -seed -cpuprofile -memprofile
 //	classic      -send -prop -r1 -cc -path -pathmgr -conns -duration
 //	             -guard -xstate -trace -metrics -metrics-interval
 //	             -metrics-out -metrics-http -ctl -pace
@@ -59,6 +59,8 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"syscall"
@@ -73,10 +75,11 @@ import (
 
 // accepted lists, per mode, the flags the mode reads.
 var accepted = map[string]string{
-	"classic": "scheduler backend seed send prop r1 cc path pathmgr conns duration guard xstate " +
-		"trace metrics metrics-interval metrics-out metrics-http ctl pace",
-	"fleet": "scheduler backend seed fleet shards fleet-send dest-groups duration guard xstate metrics-http",
-	"chaos": "scheduler backend seed chaos",
+	"classic": "scheduler backend seed cpuprofile memprofile send prop r1 cc path pathmgr conns duration " +
+		"guard xstate trace metrics metrics-interval metrics-out metrics-http ctl pace",
+	"fleet": "scheduler backend seed cpuprofile memprofile fleet shards fleet-send dest-groups duration " +
+		"guard xstate metrics-http",
+	"chaos": "scheduler backend seed cpuprofile memprofile chaos",
 }
 
 // classicMode is what a classic run does besides the scenario itself:
@@ -117,6 +120,8 @@ func cli(args []string, out, errw io.Writer) int {
 	fs.IntVar(&fc.Shards, "shards", 0, "fleet shard count (default GOMAXPROCS)")
 	fs.IntVar(&fc.SendBytes, "fleet-send", 16<<10, "fleet per-burst transfer size in bytes")
 	fs.IntVar(&fc.DestGroups, "dest-groups", 0, "fleet destination-identity groups (spreads shared-store records; 0 = one identity per path)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to FILE")
+	memProfile := fs.String("memprofile", "", "write a heap profile to FILE when the run ends")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -141,7 +146,11 @@ func cli(args []string, out, errw io.Writer) int {
 		return 2
 	}
 
-	var err error
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(errw, "mpsim:", err)
+		return 1
+	}
 	switch mode {
 	case "fleet":
 		// The 60s scenario default is a fleet-scale eternity; soak for
@@ -158,11 +167,51 @@ func cli(args []string, out, errw io.Writer) int {
 		}
 		err = run(&sc, out, cm)
 	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintln(errw, "mpsim:", err)
 		return 1
 	}
 	return 0
+}
+
+// startProfiles starts a CPU profile into cpuFile and returns the
+// function that ends it and writes a heap profile into memFile. Either
+// name may be empty to skip that profile.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memFile == "" {
+			return nil
+		}
+		f, err := os.Create(memFile)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the profile reports live heap as of the last GC
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("heap profile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }
 
 // serveMetricsHTTP serves the OpenMetrics exposition of opts.Agg on

@@ -72,6 +72,26 @@ func TestFleet(t *testing.T) {
 		"shared state    epoch ")
 }
 
+// TestProfiles: a fleet run writes the CPU and heap profiles it was
+// asked for.
+func TestProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	status, _, errOut := mpsim("-fleet", "20", "-shards", "1", "-duration", "200ms", "-cpuprofile", cpu, "-memprofile", mem)
+	if status != 0 {
+		t.Fatalf("exit %d: %s", status, errOut)
+	}
+	for _, name := range []string{cpu, mem} {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", name)
+		}
+	}
+}
+
 // TestChaosGolden pins `mpsim -chaos all -seed 42` byte for byte: every
 // scenario's delivery, segment count, FCT and path-manager outcome.
 // Regenerate with `go test -run TestChaosGolden -update`.

@@ -285,10 +285,16 @@ func topFrame(c *ctl.Client) (string, error) {
 			fmt.Fprintf(&b, "  %-24s %12d\n", name, v)
 		}
 	}
-	for _, name := range []string{"conn.sched_exec_ns", "conn.sched_apply_ns", "ctl.request_ns"} {
-		if h, ok := snap.Hists[name]; ok && h.Count > 0 {
-			fmt.Fprintf(&b, "  %-24s n=%-9d p50=%-7d p99=%-7d p999=%d ns\n",
-				name, h.Count, h.P50, h.P99, h.P999)
+	// A connection times one scheduler execution in 16, so the two
+	// conn histograms count a sample, not every execution.
+	for _, hist := range []struct{ name, note string }{
+		{"conn.sched_exec_ns", " (1 in 16 sampled)"},
+		{"conn.sched_apply_ns", " (1 in 16 sampled)"},
+		{"ctl.request_ns", ""},
+	} {
+		if h, ok := snap.Hists[hist.name]; ok && h.Count > 0 {
+			fmt.Fprintf(&b, "  %-24s n=%-9d p50=%-7d p99=%-7d p999=%d ns%s\n",
+				hist.name, h.Count, h.P50, h.P99, h.P999, hist.note)
 		}
 	}
 	return b.String(), nil

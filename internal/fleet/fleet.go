@@ -167,7 +167,8 @@ type Result struct {
 	// (links, queues, engine, receiver), measured across construction.
 	BytesPerConn int64
 	// DecisionP50NS/P99NS are fleet quantiles of the scheduler
-	// decision latency (wall ns per execution, conn.sched_exec_ns).
+	// decision latency (wall ns per execution, conn.sched_exec_ns),
+	// sampled on one execution in 16 of each shard's execution count.
 	DecisionP50NS, DecisionP99NS int64
 	// DeliveryP50US/P99US are fleet quantiles of delivery latency:
 	// virtual µs from burst enqueue to each in-order delivery.

@@ -240,9 +240,12 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 
 // TestInstrumentedScheduleZeroAlloc is the metrics-on variant of
 // TestScheduleSteadyStateZeroAlloc: with a registry attached, the
-// scheduling block additionally reads the clock and feeds the
+// scheduling block additionally times one execution in 16 into the
 // conn.sched_exec_ns / conn.sched_apply_ns latency histograms, and must
-// still allocate nothing per trigger.
+// still allocate nothing per trigger. The timed executions are exactly
+// those whose conn.sched_execs count timedExec picks, so over the
+// measured window the histograms advance by the picked counts the
+// counter passes.
 func TestInstrumentedScheduleZeroAlloc(t *testing.T) {
 	eng := netsim.NewEngine(4)
 	conn := NewConn(eng, Config{})
@@ -265,13 +268,24 @@ func TestInstrumentedScheduleZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		conn.Kick()
 	}
-	execs := reg.Counter("conn.sched_execs").Value()
+	execs := reg.Counter("conn.sched_execs")
+	h := reg.Histogram("conn.sched_exec_ns")
+	execs0, count0 := execs.Value(), h.Count()
 	if n := testing.AllocsPerRun(200, conn.Kick); n != 0 {
 		t.Fatalf("instrumented scheduling pass allocates %.1f times per trigger, want 0", n)
 	}
-	h := reg.Histogram("conn.sched_exec_ns")
-	if h.Count() <= execs {
-		t.Fatalf("exec latency histogram did not advance: count %d, execs before %d", h.Count(), execs)
+	execs1 := execs.Value()
+	var want int64
+	for n := execs0 + 1; n <= execs1; n++ {
+		if timedExec(n) {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatalf("window ran %d executions and timed none of them", execs1-execs0)
+	}
+	if got := h.Count() - count0; got != want {
+		t.Fatalf("exec latency histogram advanced by %d over executions %d..%d, want %d", got, execs0+1, execs1, want)
 	}
 	if h.Quantile(0.50) <= 0 {
 		t.Fatalf("exec latency p50 = %d, want > 0", h.Quantile(0.50))

@@ -30,6 +30,28 @@ const (
 	tsqSegments = 2                      // floor of the TCP-small-queues budget per subflow
 )
 
+// execSampleShift sets the share of scheduler executions an
+// instrumented connection times: one in 1<<execSampleShift (16).
+const execSampleShift = 4
+
+// timedExec reports whether an instrumented connection times the
+// execution that took count n on its registry's conn.sched_execs
+// counter. The counts fall into aligned blocks of 16, and each block
+// times the one execution at an offset hashed from the block index.
+// Every connection of a registry increments that counter, so the timed
+// executions interleave the connections; the hashed offset keeps them
+// from locking onto a fixed point of the scheduling passes, as a
+// multiple-of-16 rule does when passes repeat the same shape
+// (DESIGN.md, "Sampled decision latency").
+//
+//progmp:hotpath
+//progmp:deterministic
+func timedExec(n int64) bool {
+	const mask = 1<<execSampleShift - 1
+	i := uint64(n - 1)
+	return i&mask == netsim.Mix64(i>>execSampleShift)&mask
+}
+
 // Config holds connection parameters.
 type Config struct {
 	// MSS is the maximum segment payload (default 1460).
@@ -152,8 +174,9 @@ type Conn struct {
 	mEnqueued  *obs.Counter
 	mRegOOB    *obs.Counter
 	// Hot-path latency histograms (ns): scheduler execution and action
-	// application. Timed only when resolved, so the uninstrumented path
-	// pays one nil check and no clock reads.
+	// application, sampled on one execution in 16 of the shared
+	// conn.sched_execs count (timedExec). Timed only when resolved, so
+	// the uninstrumented path pays one nil check and no clock reads.
 	mExecNS  *obs.Histogram
 	mApplyNS *obs.Histogram
 
@@ -593,21 +616,20 @@ func (c *Conn) schedule() {
 		}
 		var progress bool
 		var refused int
-		if c.mExecNS != nil {
-			// time.Now/Since are allocation-free, so the instrumented
-			// hot path stays 0 allocs/op (benchmark-gated).
+		c.SchedulerExecutions++
+		if n := c.mExecs.Inc(); c.mExecNS != nil && timedExec(n) {
+			// time.Now is allocation-free, so the instrumented hot path
+			// stays 0 allocs/op (benchmark-gated). t1 ends the execution
+			// and starts the apply, so both histograms count alike.
 			t0 := time.Now()
 			c.sched.Exec(env)
-			c.mExecNS.Observe(int64(time.Since(t0)))
-			c.SchedulerExecutions++
-			c.mExecs.Add(1)
 			t1 := time.Now()
 			progress, refused = c.applyActions(env)
-			c.mApplyNS.Observe(int64(time.Since(t1)))
+			t2 := time.Now()
+			c.mExecNS.Observe(int64(t1.Sub(t0)))
+			c.mApplyNS.Observe(int64(t2.Sub(t1)))
 		} else {
 			c.sched.Exec(env)
-			c.SchedulerExecutions++
-			c.mExecs.Add(1)
 			progress, refused = c.applyActions(env)
 		}
 		//progmp:ignore hotpath guard.Supervisor.Applied, allocation-free in steady state (TestSupervisedScheduleZeroAlloc)

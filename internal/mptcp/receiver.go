@@ -121,9 +121,6 @@ func (r *Receiver) AddDeliveryHook(fn func(seq int64, size int, at time.Duration
 	}
 }
 
-// NextMetaSeq exposes the in-order delivery frontier.
-func (r *Receiver) NextMetaSeq() int64 { return r.ooo.base }
-
 func (r *Receiver) addSubflow() { r.perSbf = append(r.perSbf, ring[rxSeg]{}) }
 
 // rwnd is the advertised receive window: buffer minus bytes held in

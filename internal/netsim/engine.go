@@ -132,6 +132,7 @@ func (s *splitmix64) Seed(seed int64) { s.state = uint64(seed) }
 // Mix64 advances one splitmix64 step from seed: a cheap, well-mixed
 // way to derive independent per-connection seeds from a fleet seed.
 //
+//progmp:hotpath
 //progmp:deterministic
 func Mix64(seed uint64) uint64 {
 	s := splitmix64{state: seed}

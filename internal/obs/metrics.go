@@ -24,6 +24,19 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
+// Inc increments the counter by one and returns the new count, so a
+// caller can key a sampling decision on the shared count. Safe on nil
+// (returns 0).
+//
+//progmp:hotpath
+//progmp:deterministic
+func (c *Counter) Inc() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Add(1)
+}
+
 // Value returns the current count. Safe on nil (returns 0).
 //
 //progmp:hotpath

@@ -162,7 +162,10 @@ func TestRegistryAndRender(t *testing.T) {
 	if c != reg.Counter("a.count") {
 		t.Fatal("counter handle not stable")
 	}
-	c.Add(3)
+	c.Add(2)
+	if n := c.Inc(); n != 3 {
+		t.Fatalf("Inc after Add(2) returned %d, want the new count 3", n)
+	}
 	reg.Gauge("b.gauge").Set(-2)
 	h := reg.Histogram("c.hist")
 	for _, v := range []int64{1, 2, 3, 100} {
@@ -186,6 +189,9 @@ func TestRegistryAndRender(t *testing.T) {
 func TestNilMetricsAreNoOps(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x").Add(1)
+	if n := reg.Counter("x").Inc(); n != 0 {
+		t.Fatalf("nil counter Inc = %d", n)
+	}
 	reg.Gauge("x").Set(1)
 	reg.Histogram("x").Observe(1)
 	if got := reg.Counter("x").Value(); got != 0 {
