@@ -25,6 +25,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzVerifier -fuzztime 10s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzBackendsAgree -fuzztime 10s ./internal/semtest/
+	$(GO) test -run '^$$' -fuzz FuzzQuiescence -fuzztime 10s ./internal/semtest/
 
 cover:
 	$(GO) test -cover ./...

@@ -13,7 +13,8 @@
 //
 //	-all    lint every built-in scheduler from the corpus
 //	-json   machine-readable output (one JSON object per target)
-//	-v      also show info-level diagnostics and step bounds
+//	-v      also show info-level diagnostics, step bounds and
+//	        quiescence certificates
 //
 // Exit status: 0 when every target is clean (errors and warnings both
 // count as findings; infos do not), 1 when any finding is reported,
@@ -50,10 +51,12 @@ type target struct {
 	Src  string
 }
 
-// result pairs a target with its report for -json output.
+// result pairs a target with its report and its quiescence
+// certificate for -json output.
 type result struct {
-	Target string           `json:"target"`
-	Report *analysis.Report `json:"report"`
+	Target     string           `json:"target"`
+	Report     *analysis.Report `json:"report"`
+	Quiescence string           `json:"quiescence,omitempty"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -61,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.SetOutput(stderr)
 	all := fl.Bool("all", false, "lint every built-in scheduler from the corpus")
 	asJSON := fl.Bool("json", false, "machine-readable output")
-	verbose := fl.Bool("v", false, "also show info-level diagnostics and step bounds")
+	verbose := fl.Bool("v", false, "also show info-level diagnostics, step bounds and quiescence certificates")
 	fl.Usage = func() {
 		fmt.Fprintf(stderr, "usage: progmp-vet [flags] [file.progmp|dir|builtin:NAME ...]\n")
 		fl.PrintDefaults()
@@ -86,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rep := analysis.AnalyzeSource(tgt.Src, analysis.Options{})
 		findings += rep.Errors() + rep.Warnings()
 		if *asJSON {
-			results = append(results, result{Target: tgt.Name, Report: rep})
+			results = append(results, result{Target: tgt.Name, Report: rep, Quiescence: rep.Quiescence.String()})
 			continue
 		}
 		for _, d := range rep.Diagnostics {
@@ -98,6 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *verbose {
 			fmt.Fprintf(stdout, "%s: step bound %s (%d steps at reference size)\n",
 				tgt.Name, rep.StepBound, rep.StepBoundAt)
+			fmt.Fprintf(stdout, "%s: quiescent when %s\n", tgt.Name, rep.Quiescence.String())
 			if rep.Suppressed > 0 {
 				fmt.Fprintf(stdout, "%s: %d diagnostic(s) suppressed\n", tgt.Name, rep.Suppressed)
 			}

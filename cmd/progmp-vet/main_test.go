@@ -28,6 +28,18 @@ func TestBuiltinClean(t *testing.T) {
 	}
 }
 
+func TestVerbosePrintsCertificate(t *testing.T) {
+	_, stdout, _ := runVet(t, "-v", "builtin:jointFlow", "builtin:roundRobin")
+	for _, want := range []string{
+		"builtin:jointFlow: quiescent when none(avail) ∨ (Q.EMPTY ∧ RQ.EMPTY)\n",
+		"builtin:roundRobin: quiescent when never\n",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("-v output lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
 func TestAllBuiltinsClean(t *testing.T) {
 	code, stdout, stderr := runVet(t, "-all")
 	if code != 0 {

@@ -89,6 +89,7 @@ func AnalyzeProgram(info *types.Info, opts Options) (*Report, *Facts) {
 		consumed: make(map[*types.Symbol]bool),
 	}
 	a.run()
+	a.rep.Quiescence = Quiescence(info)
 
 	bound := a.costProgram()
 	a.rep.StepBound = bound.String()

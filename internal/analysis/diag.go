@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"progmp/internal/runtime"
 )
 
 // Severity grades a diagnostic. Errors reject a program at load time,
@@ -177,6 +179,11 @@ type Report struct {
 	StepBoundAt int64 `json:"step_bound_steps,omitempty"`
 	// Suppressed counts diagnostics silenced by //vet:ignore comments.
 	Suppressed int `json:"suppressed,omitempty"`
+	// Quiescence is the program's quiescence certificate: substrate
+	// facts under which it provably emits no action and writes no
+	// register or global, so the connection may skip it. One without
+	// terms never holds.
+	Quiescence runtime.Certificate `json:"-"`
 }
 
 // Count returns the number of diagnostics at exactly severity sev.

@@ -156,6 +156,9 @@ type Scheduler struct {
 	// infos that did not block loading but are surfaced through tooling
 	// (progmp-vet, ctl compile, the guard's quarantine trace).
 	report *analysis.Report
+	// cert is the report's quiescence certificate, stamped on every Env
+	// the scheduler executes (see Exec).
+	cert *runtime.Certificate
 }
 
 type fallbackErr struct{ err error }
@@ -185,6 +188,9 @@ func Load(name, src string, backend Backend) (*Scheduler, error) {
 		compiling: make(map[int]bool),
 		metrics:   obs.NewRegistry(),
 		report:    report,
+	}
+	if report.Quiescence.N > 0 {
+		s.cert = &report.Quiescence
 	}
 	s.specialized.Store(new([runtime.MaxSubflows + 1]*vm.Program))
 	s.mExecutions = s.metrics.Counter(MetricExecutions)
@@ -252,6 +258,9 @@ func (s *Scheduler) SetSynchronousSpecialization(on bool) {
 }
 
 // Exec runs one scheduler execution against env and updates statistics.
+// It stamps the program's quiescence certificate on env: the
+// connection checks the stamp before its next snapshot and skips the
+// execution while the certificate holds.
 //
 //progmp:hotpath
 //progmp:deterministic
@@ -265,6 +274,7 @@ func (s *Scheduler) Exec(env *runtime.Env) {
 	case BackendVM:
 		s.execVM(env)
 	}
+	env.Cert = s.cert
 	s.mExecutions.Add(1)
 	for _, a := range env.Actions[before:] {
 		switch a.Kind {

@@ -152,8 +152,11 @@ func TwoSubflowEnv(n int) *runtime.Env {
 }
 
 // RandomEnv generates a random but well-formed environment: up to 5
-// subflows, up to 8 packets per queue, random registers. Deterministic
-// given rng.
+// subflows, up to 8 packets per queue, random registers. One
+// environment in three is biased toward quiescence: each queue is
+// emptied with probability 1/2 and each congestion window filled with
+// probability 3/4, the states a quiescence certificate speaks about.
+// Deterministic given rng.
 func RandomEnv(rng *rand.Rand) *runtime.Env {
 	spec := EnvSpec{}
 	nSbf := rng.Intn(5)
@@ -203,10 +206,24 @@ func RandomEnv(rng *rand.Rand) *runtime.Env {
 	for i := range spec.Regs {
 		spec.Regs[i] = int64(rng.Intn(200) - 100)
 	}
-	env := spec.Build()
-	for i := range env.Globals {
-		env.Globals[i] = int64(rng.Intn(200) - 100)
+	var globals [runtime.NumGlobals]int64
+	for i := range globals {
+		globals[i] = int64(rng.Intn(200) - 100)
 	}
+	if rng.Intn(3) == 0 {
+		for _, q := range []*[]PktSpec{&spec.Q, &spec.QU, &spec.RQ} {
+			if rng.Intn(2) == 0 {
+				*q = nil
+			}
+		}
+		for i := range spec.Subflows {
+			if sf := &spec.Subflows[i]; rng.Intn(4) != 0 {
+				sf.InFlight = sf.Cwnd
+			}
+		}
+	}
+	env := spec.Build()
+	*env.Globals = globals
 	return env
 }
 
@@ -336,12 +353,26 @@ func (g *progGen) sbfExpr(depth int) string {
 	}
 }
 
+// sbfListExpr produces a subflow list: SUBFLOWS, or SUBFLOWS filtered
+// by a random predicate or by a conjunction of the availability atoms
+// (¬TSQ_THROTTLED, ¬LOSSY, window headroom, ¬IS_BACKUP) in random
+// order, the filters a quiescence certificate is stated over.
 func (g *progGen) sbfListExpr(depth int) string {
-	if g.rng.Intn(2) == 0 {
-		return "SUBFLOWS"
-	}
 	v := g.fresh()
-	return fmt.Sprintf("SUBFLOWS.FILTER(%s => %s)", v, g.boolExpr(depth+1, v, ""))
+	switch g.rng.Intn(3) {
+	case 0:
+		return "SUBFLOWS"
+	case 1:
+		return fmt.Sprintf("SUBFLOWS.FILTER(%s => %s)", v, g.boolExpr(depth+1, v, ""))
+	}
+	atoms := []string{
+		"!" + v + ".TSQ_THROTTLED",
+		"!" + v + ".LOSSY",
+		v + ".CWND > " + v + ".SKBS_IN_FLIGHT + " + v + ".QUEUED",
+		"!" + v + ".IS_BACKUP",
+	}
+	g.rng.Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
+	return fmt.Sprintf("SUBFLOWS.FILTER(%s => %s)", v, strings.Join(atoms[:1+g.rng.Intn(len(atoms))], " AND "))
 }
 
 // queueExpr produces a queue-typed expression: an entity or, one time

@@ -202,6 +202,11 @@ func TestAdversarialActionsPreserveInvariants(t *testing.T) {
 	}
 }
 
+// busyMinRTT is minRTT plus a register write on every execution: the
+// analyzer can certify no fact assignment quiescent, so every trigger
+// runs an execution even with both windows full.
+const busyMinRTT = schedlib.MinRTT + "SET(R6, R6 + 1);\n"
+
 // TestScheduleSteadyStateZeroAlloc pins the full per-trigger
 // scheduling block — snapshot build, scheduler execution, action
 // apply — at zero allocations once the connection's arena and
@@ -209,7 +214,8 @@ func TestAdversarialActionsPreserveInvariants(t *testing.T) {
 // the congestion window is exhausted (data queued, acks withheld), so
 // every Kick runs a real execution over populated queues without
 // transmitting; this is exactly the hot path the lazy snapshot arena
-// exists for.
+// exists for. The program is busyMinRTT: minRTT's certificate would
+// skip every one of these executions.
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	eng := netsim.NewEngine(3)
 	conn := NewConn(eng, Config{})
@@ -221,7 +227,7 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := core.MustLoad("minRTT", schedlib.All["minRTT"], core.BackendVM)
+	s := core.MustLoad("busyMinRTT", busyMinRTT, core.BackendVM)
 	s.SetSynchronousSpecialization(true)
 	conn.SetScheduler(s)
 	eng.RunUntil(10 * time.Millisecond)
@@ -245,7 +251,8 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 // still allocate nothing per trigger. The timed executions are exactly
 // those whose conn.sched_execs count timedExec picks, so over the
 // measured window the histograms advance by the picked counts the
-// counter passes.
+// counter passes. Like its uninstrumented twin it runs busyMinRTT, so
+// the window's triggers execute.
 func TestInstrumentedScheduleZeroAlloc(t *testing.T) {
 	eng := netsim.NewEngine(4)
 	conn := NewConn(eng, Config{})
@@ -257,7 +264,7 @@ func TestInstrumentedScheduleZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := core.MustLoad("minRTT", schedlib.All["minRTT"], core.BackendVM)
+	s := core.MustLoad("busyMinRTT", busyMinRTT, core.BackendVM)
 	s.SetSynchronousSpecialization(true)
 	conn.SetScheduler(s)
 	reg := obs.NewRegistry()
@@ -292,6 +299,39 @@ func TestInstrumentedScheduleZeroAlloc(t *testing.T) {
 	}
 	if a := reg.Histogram("conn.sched_apply_ns"); a.Count() != h.Count() {
 		t.Fatalf("apply histogram count %d != exec count %d", a.Count(), h.Count())
+	}
+}
+
+// TestSkippedScheduleZeroAlloc is the quiescent variant of
+// TestScheduleSteadyStateZeroAlloc: under minRTT with both windows full
+// the certificate holds, so a trigger checks the connection's facts,
+// builds no snapshot, executes nothing and allocates nothing.
+func TestSkippedScheduleZeroAlloc(t *testing.T) {
+	eng := netsim.NewEngine(3)
+	conn := NewConn(eng, Config{})
+	for _, name := range []string{"a", "b"} {
+		link := netsim.NewLink(eng, netsim.PathConfig{
+			Name: name, Rate: netsim.ConstantRate(10e6), Delay: 20 * time.Millisecond,
+		})
+		if _, err := conn.AddSubflow(SubflowConfig{Name: name, Link: link}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := core.MustLoad("minRTT", schedlib.All["minRTT"], core.BackendVM)
+	s.SetSynchronousSpecialization(true)
+	conn.SetScheduler(s)
+	eng.RunUntil(10 * time.Millisecond)
+
+	conn.Send(1<<20, 0)
+	for i := 0; i < 64; i++ {
+		conn.Kick()
+	}
+	execs := conn.SchedulerExecutions
+	if n := testing.AllocsPerRun(200, conn.Kick); n != 0 {
+		t.Fatalf("skipped scheduling pass allocates %.1f times per trigger, want 0", n)
+	}
+	if conn.SchedulerExecutions != execs {
+		t.Fatalf("executions %d → %d: full windows under minRTT should skip every trigger", execs, conn.SchedulerExecutions)
 	}
 }
 

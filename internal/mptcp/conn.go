@@ -14,6 +14,16 @@ import (
 // run against an environment snapshot. core.Scheduler (ProgMP programs
 // on any back-end) and the native reference schedulers in package
 // sched both implement it.
+//
+// The connection relies on one contract: an execution's effects — its
+// actions and its register and global writes — are a function of the
+// Env and the registers. A core.Scheduler stamps its program's
+// quiescence certificate on the Env (runtime.Env.Cert), and the
+// connection skips the executions the certificate proves inert, so a
+// wrapper that passes the Env to a stamping scheduler takes its
+// certificate on: a wrapper that acts beyond it must clear Env.Cert,
+// and one that switches programs by itself must install them through
+// SetScheduler or be supervised (a supervised connection never skips).
 type Scheduler interface {
 	// Exec runs one scheduler execution. The directive is a proof
 	// obligation on every implementation: Conn.schedule invokes it on
@@ -312,9 +322,11 @@ func (c *Conn) applyPendingSched() {
 	}
 }
 
-// install makes s the scheduler and resolves its Applied method.
+// install makes s the scheduler and resolves its Applied method. The
+// previous program's quiescence certificate goes with it.
 func (c *Conn) install(s Scheduler) {
 	c.sched = s
+	c.arena.Env().Cert = nil
 	c.applied = nil
 	if h, ok := s.(interface {
 		Applied(*runtime.Env, int) bool
@@ -609,6 +621,18 @@ func (c *Conn) schedule() {
 			}
 		}
 		c.schedPending = false
+		// Quiescence: the last execution stamped its program's
+		// certificate, and while it holds on the connection's facts the
+		// program provably does nothing, so the pass ends here without
+		// a snapshot. A supervised connection runs every execution: its
+		// guard counts them.
+		if cert := c.arena.Env().Cert; cert != nil && c.applied == nil && cert.Holds(c.facts()) {
+			if VerifyQuiescence != nil {
+				//progmp:ignore hotpath test-only: VerifyQuiescence is set by tests alone
+				c.verifyQuiet()
+			}
+			return
+		}
 		env := c.buildEnv()
 		if c.tracer != nil {
 			c.curExec = c.tracer.NextExecID()

@@ -116,6 +116,19 @@ func (d *fnv) mixSubflows(conn *Conn) {
 	}
 }
 
+// feed posts the shape's writes on eng and returns their total.
+func (g goldenShape) feed(eng *netsim.Engine, conn *Conn) int {
+	if g.chunk == 0 {
+		eng.At(0, func() { conn.Send(g.bulk, 0) })
+		return g.bulk
+	}
+	n := int(g.virtual / g.period)
+	for i := 0; i < n; i++ {
+		eng.At(time.Duration(i)*g.period, func() { conn.Send(g.chunk, 0) })
+	}
+	return n * g.chunk
+}
+
 // runGolden drives one shape to its final ACK and returns the FNV-1a
 // digest of every (seq, deliveredAt), the final-ACK time, the fired
 // event count and each subflow's transmission counters.
@@ -136,16 +149,7 @@ func runGolden(t *testing.T, g goldenShape) uint64 {
 		mix(uint64(seq))
 		mix(uint64(at))
 	})
-	total := g.bulk
-	if g.chunk > 0 {
-		n := int(g.virtual / g.period)
-		total = n * g.chunk
-		for i := 0; i < n; i++ {
-			eng.At(time.Duration(i)*g.period, func() { conn.Send(g.chunk, 0) })
-		}
-	} else {
-		eng.At(0, func() { conn.Send(g.bulk, 0) })
-	}
+	total := g.feed(eng, conn)
 	events := 0
 	for deadline := g.virtual + 60*time.Second; !conn.AllAcked() || chk.bytes < int64(total); events++ {
 		if !eng.Step() || eng.Now() > deadline {

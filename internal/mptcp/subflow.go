@@ -673,9 +673,11 @@ func (s *Subflow) tsqBudget() int {
 }
 
 // tsqThrottled models the TCP-small-queues condition: the subflow's
-// own unserialized backlog exceeds the TSQ budget.
+// own unserialized backlog exceeds the TSQ budget. The budget is never
+// below its floor, so a backlog within the floor is decided without
+// the pacing arithmetic; every trigger asks (Conn.facts).
 func (s *Subflow) tsqThrottled() bool {
-	return s.qdiscBytes > int64(s.tsqBudget())
+	return s.qdiscBytes > int64(tsqSegments*s.conn.cfg.MSS) && s.qdiscBytes > int64(s.tsqBudget())
 }
 
 // avgRTT returns the long-run mean RTT.

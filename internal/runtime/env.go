@@ -230,6 +230,12 @@ type Env struct {
 	// touches this local array, keeping the hot path allocation-free.
 	Globals *[NumGlobals]int64
 	Actions []Action
+	// Cert is the quiescence certificate of the program that executed
+	// on this Env since its last Reset (nil: none, or not stamped). The
+	// stamp rides on the Env, so it reaches the substrate through any
+	// wrapper that passes the Env on; a wrapper that adds actions of its
+	// own must clear it.
+	Cert *Certificate
 	// Site is the current decision site; back-ends set it immediately
 	// before emitting an action so the recorded Action carries the
 	// program location (source line or bytecode pc) that decided it.
@@ -271,6 +277,7 @@ func (s sliceSource) MaterializePacket(i int, v *PacketView) { *v = *s[i] }
 func (e *Env) Reset() {
 	e.Actions = e.Actions[:0]
 	e.Site = 0
+	e.Cert = nil
 	e.dirtyGlobals = 0
 	e.SendQ.Reset()
 	e.UnackedQ.Reset()
@@ -400,39 +407,14 @@ func (e *Env) Drop(p *PacketView) {
 	e.Actions = append(e.Actions, Action{Kind: ActionDrop, Packet: p.Handle, Site: e.Site})
 }
 
-// WorkAvailable reports whether some subflow could transmit now: Q is
-// nonempty and a subflow that is not TSQ-throttled and not in loss
-// recovery has congestion-window headroom. Backup subflows count only
-// when no non-backup subflow exists at all (the availability shape of
-// the default scheduler). A scheduler that emits nothing while this
-// holds is stalling.
+// WorkAvailable reports whether some subflow could transmit now (see
+// Facts.WorkAvailable): the guard's stall predicate, on the facts a
+// quiescence certificate is checked over. A scheduler that emits
+// nothing while this holds is stalling.
 //
 //progmp:hotpath
 //progmp:deterministic
-func (e *Env) WorkAvailable() bool {
-	if e.SendQ.Empty() {
-		return false
-	}
-	anyNonBackup := false
-	for _, v := range e.SubflowViews {
-		if !v.Bools[SbfIsBackup] {
-			anyNonBackup = true
-			break
-		}
-	}
-	for _, v := range e.SubflowViews {
-		if anyNonBackup && v.Bools[SbfIsBackup] {
-			continue
-		}
-		if v.Bools[SbfTSQThrottled] || v.Bools[SbfLossy] {
-			continue
-		}
-		if v.Ints[SbfCwnd] > v.Ints[SbfSkbsInFlight]+v.Ints[SbfQueued] {
-			return true
-		}
-	}
-	return false
-}
+func (e *Env) WorkAvailable() bool { return e.Facts().WorkAvailable() }
 
 // PushCount counts the ActionPush entries recorded so far. It is a
 // convenience for tests and tools; the substrate learns whether an

@@ -313,3 +313,34 @@ func TestWorkAvailable(t *testing.T) {
 		t.Error("an empty Q must not report work available")
 	}
 }
+
+func TestFactsQuantifyOverSubflows(t *testing.T) {
+	lossyPrimary := SubflowAtoms(false, true, false, 10, 3) // ¬TSQ, headroom, primary
+	fullBackup := SubflowAtoms(false, false, true, 10, 10)  // ¬TSQ, ¬LOSSY
+	f := QueueFacts(true, false, true).WithSubflow(lossyPrimary).WithSubflow(fullBackup)
+	for _, c := range []struct {
+		m    Atoms
+		some bool
+	}{
+		{0, true},
+		{AtomNotTSQ | AtomHeadroom | AtomPrimary, true},
+		{AtomNotTSQ | AtomNotLossy, true},
+		{AtomNotLossy | AtomHeadroom, false},
+		{AtomsAvail, false},
+		{AtomPrimary, true},
+	} {
+		if f.Some(c.m) != c.some {
+			t.Errorf("some(%v) = %v, want %v", c.m, !c.some, c.some)
+		}
+	}
+	if f&FactQEmpty == 0 || f&FactQUEmpty != 0 || f&FactRQEmpty == 0 {
+		t.Errorf("queue facts %#x: want Q and RQ empty, QU not", f&7)
+	}
+	cert := Certificate{N: 2, Terms: [MaxTerms]Term{
+		{Set: FactQUEmpty},
+		{Set: FactRQEmpty, Clear: SomeFact(AtomsAvail)},
+	}}
+	if !cert.Holds(f) || cert.Holds(f|SomeFact(AtomsAvail)) || (*Certificate)(nil).Holds(f) {
+		t.Errorf("%v: holds on %#x, not with an available subflow, and never when nil", &cert, f)
+	}
+}
