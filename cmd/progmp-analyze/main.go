@@ -2,7 +2,7 @@
 // passes (tools/analyze) over Go packages: the Go-side counterpart of
 // progmp-vet. Where progmp-vet gates scheduler programs, this gates
 // the engine underneath them — hot-path allocation freedom,
-// deterministic-zone hygiene, epoch/RCU write discipline, and the obs
+// deterministic-zone hygiene, shared-state write sections, and the obs
 // conventions.
 //
 // Usage:

@@ -712,8 +712,8 @@ func (se *session) sharedStore(req Request, addressed bool) (*progmp.SharedStore
 	return st, nil
 }
 
-// gget reads one shared global register. The store snapshot is one
-// atomic load, so the value and the epoch it belongs to are coherent
+// gget reads one shared global register. Load copies one epoch out of
+// the store, so the value and the epoch it belongs to are coherent
 // without touching the simulation goroutine.
 func (se *session) gget(req Request) (any, error) {
 	st, err := se.sharedStore(req, true)
@@ -726,14 +726,16 @@ func (se *session) gget(req Request) (any, error) {
 
 // gset writes one shared global register and reports the epoch the
 // write published, so a client can watch its own write become visible
-// to every store-attached scheduler.
+// to every store-attached scheduler. The epoch is the write's own, not
+// a re-read: writes that land after it (a live simulation's ACKs) do
+// not move it.
 func (se *session) gset(req Request) (any, error) {
 	st, err := se.sharedStore(req, true)
 	if err != nil {
 		return nil, err
 	}
-	st.SetGlobal(req.Reg, req.Value)
-	return GlobalResult{Reg: req.Reg, Value: req.Value, Epoch: st.Epoch()}, nil
+	epoch := st.SetGlobal(req.Reg, req.Value)
+	return GlobalResult{Reg: req.Reg, Value: req.Value, Epoch: epoch}, nil
 }
 
 // destStats dumps the live per-destination path statistics of one store

@@ -4,6 +4,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,6 +60,76 @@ func startSharedHarness(t *testing.T) (*ctl.Client, *progmp.SharedStore, string)
 		<-done
 	})
 	return client, st, sock
+}
+
+// TestGSetReportsItsOwnEpoch: gset answers with the epoch its own
+// write published while a feeder writes the store concurrently. Every
+// sampled snapshot at or after a gset's epoch shows that gset's value
+// (until the next gset's epoch), and none before it does.
+func TestGSetReportsItsOwnEpoch(t *testing.T) {
+	c, st, _ := startSharedHarness(t)
+	const reg = 5 // no scheduler of the harness writes G6
+	id := st.DestID("feeder")
+	stop := make(chan struct{})
+	var feeding sync.WaitGroup
+	feeding.Add(1)
+	go func() {
+		defer feeding.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st.RecordAck(id, 1000+int64(i%50), 1460)
+		}
+	}()
+	type sample struct {
+		epoch uint64
+		value int64
+	}
+	sampled := make(chan []sample)
+	go func() {
+		var out []sample
+		for {
+			select {
+			case <-stop:
+				sampled <- out
+				return
+			default:
+			}
+			snap := st.Load()
+			out = append(out, sample{snap.Epoch, snap.Globals[reg]})
+		}
+	}()
+	const rounds = 40
+	epochs := make([]uint64, rounds)
+	for r := range epochs {
+		res, err := c.GSet(reg, int64(r+1))
+		if err != nil {
+			close(stop)
+			t.Fatalf("GSet round %d: %v", r, err)
+		}
+		epochs[r] = res.Epoch
+	}
+	close(stop)
+	samples := <-sampled
+	feeding.Wait()
+	for _, s := range samples {
+		var want int64 // before the first gset's epoch G6 is still 0
+		for r, e := range epochs {
+			if s.epoch >= e {
+				want = int64(r + 1)
+			}
+		}
+		if s.value != want {
+			t.Fatalf("snapshot at epoch %d shows G%d = %d, want %d (gset epochs %v)", s.epoch, reg+1, s.value, want, epochs)
+		}
+	}
+	if len(samples) == 0 {
+		t.Fatal("no snapshot sampled")
+	}
+	t.Logf("%d snapshots sampled over %d gsets, epochs %d..%d", len(samples), rounds, epochs[0], epochs[rounds-1])
 }
 
 // The shared-state verbs end to end over a Unix socket: gset publishes

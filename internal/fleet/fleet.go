@@ -19,7 +19,7 @@
 //   - A shard is one goroutine. It never touches another shard's
 //     connections, so connection code runs exactly as single-threaded
 //     as it does under a lone netsim engine. Cross-shard coupling
-//     happens only through the xstate store's epoch snapshots and the
+//     happens only through the xstate store's seqlocked table and the
 //     obs Aggregator's atomics, both designed for concurrent readers.
 //   - Shards batch: instead of one goroutine per connection (100k
 //     goroutines, each mostly idle) the wheel files each connection at

@@ -680,14 +680,6 @@ func (c *Conn) buildEnv() *runtime.Env {
 	now := c.eng.Now()
 	rwndFree := c.rwndFreeBytes()
 
-	// One epoch-consistent store snapshot per execution: every X-property
-	// and global read below sees the same coherent version. The load is a
-	// single atomic pointer read — no locks, no allocations.
-	var snap *xstate.Snapshot
-	if c.store != nil {
-		snap = c.store.Load()
-	}
-
 	// Subflow views are small and volatile (cwnd, RTT, in-flight move
 	// with every event), so they are always refilled.
 	n := 0
@@ -723,14 +715,6 @@ func (c *Conn) buildEnv() *runtime.Env {
 		v.Bools[runtime.SbfTSQThrottled] = s.tsqThrottled()
 		v.Bools[runtime.SbfIsBackup] = s.backup
 		v.Ints[runtime.SbfLinkQueued] = int64(s.link.Fwd.QueuedBytes())
-		if snap != nil {
-			if d := snap.Stats(s.destID); d != nil {
-				v.Ints[runtime.SbfXRTT] = d.SRTTUS
-				v.Ints[runtime.SbfXLost] = d.Lost
-				v.Ints[runtime.SbfXDelivered] = d.Delivered
-				v.Ints[runtime.SbfXQuar] = d.Quarantines
-			}
-		}
 	}
 
 	for id := runtime.QueueSend; id <= runtime.QueueReinject; id++ {
@@ -741,13 +725,32 @@ func (c *Conn) buildEnv() *runtime.Env {
 
 	c.arena.BeginExec()
 	env := c.arena.Env()
-	if snap != nil {
-		// Seed the execution-local global file from the store snapshot.
-		// Without a store the arena array persists across executions, so
-		// globals degrade to connection-local registers.
-		*env.Globals = snap.Globals
+	if c.store != nil {
+		// Without a store the arena's global file persists across
+		// executions, so globals degrade to connection-local registers.
+		c.copyShared(views, env.Globals)
 	}
 	return env
+}
+
+// copyShared copies the shared store's part of the environment — the
+// X-properties of every bound subflow view and the global register
+// file — inside one read section, and redoes the whole copy when a
+// write overlapped it, so the execution sees one coherent epoch. The
+// read takes no lock, allocates nothing and writes no shared memory.
+func (c *Conn) copyShared(views []*runtime.SubflowView, globals *[runtime.NumGlobals]int64) {
+	st := c.store
+	for {
+		seq := st.ReadBegin()
+		for _, v := range views {
+			v.Ints[runtime.SbfXRTT], v.Ints[runtime.SbfXLost], v.Ints[runtime.SbfXDelivered], v.Ints[runtime.SbfXQuar] =
+				st.ReadDest(c.subflows[v.Handle-1].destID)
+		}
+		st.ReadGlobals(globals)
+		if st.ReadValid(seq) {
+			return
+		}
+	}
 }
 
 // applyActions commits the execution's action queue to the connection
@@ -827,7 +830,6 @@ func (c *Conn) applyActions(env *runtime.Env) (progress bool, refused int) {
 	// globals do not clobber each other.
 	if c.store != nil {
 		if dirty := env.DirtyGlobals(); dirty != 0 {
-			//progmp:ignore hotpath epoch publish is outside the zero-alloc contract: SetGlobals clones a snapshot per epoch by design
 			c.store.SetGlobals(dirty, env.Globals)
 			env.ClearDirtyGlobals()
 		}

@@ -8,6 +8,7 @@ import (
 	"progmp/internal/core"
 	"progmp/internal/netsim"
 	"progmp/internal/schedlib"
+	"progmp/internal/xstate"
 )
 
 // checkSendWindow asserts the invariants of a subflow's send window:
@@ -181,4 +182,29 @@ func TestSegmentPathAllocs(t *testing.T) {
 	}
 	t.Run("lossy", lossy(nil))
 	t.Run("olia", lossy(OLIA{}))
+	// A store-attached connection also feeds the shared store on every
+	// ACK, loss and RTO. The writes land in place, so its segments cost
+	// no more than a store-less connection's, clean and lossy alike.
+	t.Run("store", func(t *testing.T) {
+		perBurst := func(cfg Config, loss float64, burst int) float64 {
+			eng, conn := segmentPathConn(t, cfg, loss)
+			for i := 0; i < 200; i++ {
+				sendAndDrain(t, eng, conn, burst*mss)
+			}
+			return testing.AllocsPerRun(500, func() { sendAndDrain(t, eng, conn, burst*mss) })
+		}
+		for _, c := range []struct {
+			loss  float64
+			burst int
+		}{{0, 1}, {0.01, 24}} {
+			st := xstate.NewStore()
+			without, with := perBurst(Config{}, c.loss, c.burst), perBurst(Config{Store: st}, c.loss, c.burst)
+			if with > without {
+				t.Errorf("%d segments at %.0f%% loss allocate %.0f objects with a store, %.0f without", c.burst, 100*c.loss, with, without)
+			}
+			if st.Epoch() == 0 {
+				t.Errorf("%.0f%% loss: the store-attached connection wrote nothing to its store", 100*c.loss)
+			}
+		}
+	})
 }

@@ -424,7 +424,6 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 		}
 		s.recordDelivered(rec.pkt.Size)
 		if st := s.conn.store; st != nil {
-			//progmp:ignore hotpath store publication is outside the per-segment contract: one epoch per ACK copies the snapshot root and one part by design; no store, no call
 			st.RecordAck(s.destID, rttUS, int64(rec.pkt.Size))
 		}
 		s.rtoBackoff = 0
@@ -478,7 +477,6 @@ func (s *Subflow) markLost(seq int64, isRTO bool) {
 	pkt := rec.pkt
 	s.trace(obs.EvLoss, pkt.Seq, seq, 0)
 	if st := s.conn.store; st != nil {
-		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish copies the snapshot root and one part by design; no store, no call
 		st.RecordLoss(s.destID, 1)
 	}
 	first := false
@@ -564,7 +562,6 @@ func (s *Subflow) onRTO() {
 	// publish it as a quarantine signal so other connections steering by
 	// XQUAR avoid this destination.
 	if st := s.conn.store; st != nil {
-		//progmp:ignore hotpath store publication is outside the per-segment contract: an epoch publish copies the snapshot root and one part by design; no store, no call
 		st.RecordQuarantine(s.destID)
 	}
 	s.rtoBackoff++

@@ -135,11 +135,19 @@ func TestJointFlowShiftsTrafficOffDegradedPath(t *testing.T) {
 	}
 }
 
+// busyJointFlow is jointFlow plus a global read and a register write on
+// every execution: the analyzer can certify no fact assignment
+// quiescent, so every trigger runs an execution that reads the
+// X-properties and G1 even with both windows full.
+const busyJointFlow = schedlib.JointFlow + "SET(R6, R6 + G1);\n"
+
 // TestScheduleZeroAllocWithStore extends the steady-state zero-alloc
 // contract to a store-attached connection: the scheduling pass now
-// additionally loads the shared snapshot, seeds the global register
-// file and fills the X-properties, and must still allocate nothing.
-// (Store *writes* ride the ACK/loss paths, not this one.)
+// additionally copies the X-properties and the global register file
+// out of the store inside a read section, and must still allocate
+// nothing. (Store *writes* ride the ACK/loss paths, not this one.)
+// Every measured trigger must execute: R6 accumulates G1 once per
+// execution, so it proves the global reached the program.
 func TestScheduleZeroAllocWithStore(t *testing.T) {
 	eng := netsim.NewEngine(3)
 	st := xstate.NewStore()
@@ -152,23 +160,34 @@ func TestScheduleZeroAllocWithStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := core.MustLoad("jointFlow", schedlib.All["jointFlow"], core.BackendVM)
+	s := core.MustLoad("busyJointFlow", busyJointFlow, core.BackendVM)
 	s.SetSynchronousSpecialization(true)
 	conn.SetScheduler(s)
 	eng.RunUntil(10 * time.Millisecond)
 
 	// Park the connection cwnd-exhausted (data queued, acks withheld)
 	// with populated shared state, so every Kick is a real execution
-	// reading the store snapshot.
-	st.SetGlobal(0, 42)
+	// reading the store.
+	const g1 = 42
+	st.SetGlobal(0, g1)
 	st.RecordRTT(st.DestID("a"), 12000)
 	st.RecordLoss(st.DestID("b"), 3)
 	conn.Send(1<<20, 0)
 	for i := 0; i < 64; i++ { // warm pools, specialization, scratch
 		conn.Kick()
 	}
-	if n := testing.AllocsPerRun(200, conn.Kick); n != 0 {
+	execs0, r60 := conn.SchedulerExecutions, conn.Register(5)
+	const runs = 200
+	if n := testing.AllocsPerRun(runs, conn.Kick); n != 0 {
 		t.Fatalf("store-attached scheduling pass allocates %.1f times per trigger, want 0", n)
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	execs := conn.SchedulerExecutions - execs0
+	if execs < runs+1 {
+		t.Fatalf("%d executions in %d triggers: the measured pass did not execute", execs, runs+1)
+	}
+	if got, want := conn.Register(5)-r60, g1*int64(execs); got != want {
+		t.Fatalf("R6 advanced by %d over %d executions, want %d (G1 = %d each)", got, execs, want, g1)
 	}
 }
 

@@ -224,7 +224,7 @@ type Env struct {
 	ReinjectQ    *Queue
 	Regs         *[NumRegisters]int64
 	// Globals is the execution-local copy of the shared global register
-	// file (G1..G8). The substrate fills it from a store snapshot before
+	// file (G1..G8). The substrate copies it out of the store before
 	// an execution and publishes the registers marked in the dirty mask
 	// back to the store afterwards; the scheduler itself only ever
 	// touches this local array, keeping the hot path allocation-free.

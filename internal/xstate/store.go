@@ -12,24 +12,24 @@
 //     that *other* connections have observed degrading ("More Than The
 //     Sum Of Its Parts": sharing path state across MPTCP connections).
 //
-// Concurrency model: RCU-style epoch snapshots. All state lives in an
-// immutable Snapshot published through an atomic pointer. Writers
-// serialize on a mutex, copy what they change, bump the epoch, and
-// publish with a single atomic store. Readers — the scheduler hot path
-// among them — perform one atomic load and then read plain memory:
-// wait-free, zero allocations, and torn reads are structurally
-// impossible because a snapshot is never mutated after publication.
-// Within one snapshot every value belongs to the same epoch, so a
-// scheduler execution sees a coherent cross-connection view, exactly
-// like its per-connection environment snapshot.
+// Concurrency model: one table written in place under a sequence
+// counter (a seqlock). The globals are eight atomic words and each
+// destination is a cell of five atomic counters. Writers serialize on a
+// mutex and run each write in a section that makes the sequence odd,
+// mutates the table in place, and makes it even again; the epoch is
+// half the sequence, so every write advances it by exactly one.
+// Readers — the scheduler hot path among them — copy what they read
+// inside a read section and redo the copy if the sequence moved while
+// they read: no lock, no allocation, no write to shared memory, and a
+// copy that validates belongs to one epoch. A scheduler execution thus
+// sees a coherent cross-connection view, exactly like its
+// per-connection environment snapshot.
 //
-// A snapshot is a root — epoch, globals, slot count — plus a fixed
-// fan-out of numParts parts holding the destination records. A write
-// copies the root and only the parts it touches: a globals write the
-// root alone, a statistics write the root and one part. Untouched parts
-// are shared with earlier epochs, which is safe because no published
-// part is ever written. Publish cost thus grows with the table size
-// divided by numParts, not with the table size.
+// Destination names sit in a slice that is replaced, never written,
+// on register or evict; the cell array is replaced only when it grows.
+// Cold readers (the control plane, summaries, tests) call Load for an
+// immutable Snapshot, which the store builds inside a read section and
+// reuses while the epoch stands still.
 //
 // Destination names are interned to dense indices at subflow-establish
 // time (DestID); the hot path addresses statistics by index, never by
@@ -38,6 +38,7 @@ package xstate
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,16 +51,13 @@ import (
 // RTT samples from different connections into the shared estimate.
 const rttAlpha = 8
 
-// numParts is a snapshot's destination fan-out: slot id lives in part
-// id >> shift, so a record write copies about 1/numParts of the table.
-// It trades the root's size (one slice header per part, copied by every
-// write) against the part's (copied by every record write); at the 64
-// destinations of a 32-group fleet the two are about equal.
-const numParts = 16
+// minCells is the cell array's first size; it doubles from there, so a
+// table of 2^k destinations holds no spare cell.
+const minCells = 4
 
-// DestStats is the per-destination statistic record inside a snapshot.
-// Fields are plain values: a published snapshot is immutable, so they
-// may be read without synchronization.
+// DestStats is one destination's statistic record, as a Snapshot holds
+// it. A snapshot is immutable once Load returns it, so the fields may
+// be read without synchronization.
 //
 //progmp:epochshared
 type DestStats struct {
@@ -79,109 +77,87 @@ type DestStats struct {
 	Samples int64 `json:"samples"`
 }
 
-// Snapshot is one immutable epoch of the store. Readers obtained it
-// from Store.Load and may read any field freely; they must never write.
+// Snapshot is one epoch of the store, copied out by Store.Load.
+// Readers may read any field freely; they must never write, because
+// Load hands the same snapshot to every caller of its epoch.
 //
 //progmp:epochshared
 type Snapshot struct {
-	// Epoch increments on every published write. Two loads returning
-	// the same epoch are the identical snapshot.
+	// Epoch increments on every write. Two loads returning the same
+	// epoch return the identical snapshot.
 	Epoch uint64
 	// Globals is the shared global register file G1..G8.
 	Globals [runtime.NumGlobals]int64
 
-	// The destination slots, indexed by the dense ids DestID hands out:
-	// slot id is parts[id>>shift][id&(1<<shift-1)], and every part but
-	// the last holding a slot is full. Evicted slots are zeroed
-	// (Name == "") and reused by later registrations, so n tracks the
-	// peak live destination count rather than the cumulative churn.
-	n     int
-	shift uint
-	parts [numParts][]DestStats
-	// owned marks the parts an unpublished snapshot has already copied
-	// for its write; meaningless once published.
-	owned uint32
+	// dests holds the destination slots, indexed by the dense ids
+	// DestID hands out. Evicted slots are zero (Name == "") until a
+	// later registration reuses them, so the slot count tracks the peak
+	// live destination count rather than the cumulative churn.
+	dests []DestStats
 }
 
 // Len returns the number of destination slots, evicted ones included:
 // every id below it resolves through Stats.
-func (s *Snapshot) Len() int { return s.n }
+func (s *Snapshot) Len() int { return len(s.dests) }
 
 // Stats returns the statistics for destination id, or nil when the id
-// is unknown to this epoch (registered after the snapshot published).
-//
-//progmp:hotpath
-//progmp:deterministic
+// is unknown to this epoch (registered after the snapshot was taken).
 func (s *Snapshot) Stats(id int) *DestStats {
-	if s == nil || id < 0 || id >= s.n {
+	if s == nil || id < 0 || id >= len(s.dests) {
 		return nil
 	}
-	return &s.parts[id>>s.shift][id&(1<<s.shift-1)]
+	return &s.dests[id]
 }
 
 // All returns a copy of every live destination record of this epoch
 // (evicted slots are skipped), sorted by name for stable output.
 // Intended for the control plane and tests, not the hot path.
 func (s *Snapshot) All() []DestStats {
-	out := make([]DestStats, 0, s.n)
-	for _, part := range s.parts {
-		for _, d := range part {
-			if d.Name != "" {
-				out = append(out, d)
-			}
+	out := make([]DestStats, 0, len(s.dests))
+	for _, d := range s.dests {
+		if d.Name != "" {
+			out = append(out, d)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// slot returns a writable pointer to slot id of s, a snapshot not yet
-// published. The part holding it is copied first unless s already owns
-// it, so a sweep over many slots copies each part once.
+// cell is one destination's statistics as the store holds them:
+// counters written in place inside write sections and copied out
+// inside read sections.
 //
-//progmp:publish
-func (s *Snapshot) slot(id int) *DestStats {
-	p := id >> s.shift
-	if s.owned&(1<<p) == 0 {
-		s.parts[p] = append([]DestStats(nil), s.parts[p]...)
-		s.owned |= 1 << p
-	}
-	return &s.parts[p][id&(1<<s.shift-1)]
+//progmp:epochshared
+type cell struct {
+	srtt, lost, delivered, quarantines, samples atomic.Int64
 }
 
-// grow appends one zero slot to s, a snapshot not yet published, and
-// returns it. When every part is full it first regroups: each part
-// doubles in capacity, absorbing its neighbour, so the table stays
-// numParts wide. Regrouping copies the whole table, but only a
-// registration can trigger it, once per doubling of the slot count.
+// table is everything a lock-free reader may touch.
 //
-//progmp:publish
-func (s *Snapshot) grow() *DestStats {
-	if s.n == numParts<<s.shift {
-		var parts [numParts][]DestStats
-		for q := 0; q < numParts/2; q++ {
-			a := s.parts[2*q]
-			parts[q] = append(a[:len(a):len(a)], s.parts[2*q+1]...)
-		}
-		s.parts = parts
-		s.shift++
-		s.owned = 1<<numParts - 1
-	}
-	id := s.n
-	s.n++
-	p := id >> s.shift
-	part := s.parts[p]
-	s.parts[p] = append(part[:len(part):len(part)], DestStats{})
-	s.owned |= 1 << p
-	return s.slot(id)
+//progmp:epochshared
+type table struct {
+	// seq is odd while a write section is open; the epoch is seq/2.
+	seq     atomic.Uint64
+	globals [runtime.NumGlobals]atomic.Int64
+	// cells holds at least one cell per destination slot; it is
+	// replaced, inside a write section, only when it grows.
+	cells atomic.Pointer[[]cell]
+	// names holds one name per destination slot ("" once evicted); it
+	// is replaced, never written, on register or evict.
+	names atomic.Pointer[[]string]
 }
 
 // Store is the shared-state store. The zero value is not ready; use
 // NewStore.
 type Store struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[Snapshot]
-	ids  map[string]int // destination name → dense index
+	t table
+
+	// view caches a snapshot Load built, reused while its epoch is
+	// current.
+	view atomic.Pointer[Snapshot]
+
+	mu  sync.Mutex     // serializes writers
+	ids map[string]int // destination name → dense index
 
 	// Eviction bookkeeping, indexed by destination slot. refs counts
 	// live DestID acquisitions (released by ReleaseDest); lastUse is
@@ -197,15 +173,19 @@ type Store struct {
 	mDests  *obs.Gauge
 }
 
-// NewStore creates an empty store at epoch 0.
+// NewStore creates an empty store at epoch 0. It publishes the empty
+// table before any reader can see the store.
+//
+//progmp:publish
 func NewStore() *Store {
 	s := &Store{ids: make(map[string]int)}
-	s.snap.Store(&Snapshot{})
+	s.t.cells.Store(new([]cell))
+	s.t.names.Store(new([]string))
 	return s
 }
 
 // Instrument registers the store's metrics with reg (nil-safe):
-// xstate.epochs (published writes), xstate.gsets (global-register
+// xstate.epochs (write sections), xstate.gsets (global-register
 // writes), xstate.dests (destinations tracked).
 func (s *Store) Instrument(reg *obs.Registry) {
 	s.mu.Lock()
@@ -216,39 +196,126 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	s.mDests.Set(int64(len(s.ids)))
 }
 
-// Load returns the current snapshot: one atomic load, safe from any
-// goroutine, never nil. The caller must treat it as read-only.
+// ---- Write sections ----
+
+// beginWrite opens a write section: the sequence turns odd, so every
+// read section that overlaps the write retries. Callers hold s.mu.
+//
+//progmp:publish
+func (s *Store) beginWrite() { s.t.seq.Add(1) }
+
+// endWrite closes the write section beginWrite opened and returns the
+// epoch it published. Callers hold s.mu.
+//
+//progmp:publish
+func (s *Store) endWrite() uint64 {
+	s.mEpochs.Add(1)
+	return s.t.seq.Add(1) / 2
+}
+
+// ---- Read sections ----
+
+// ReadBegin opens a read section and returns the sequence ReadValid
+// checks it against, waiting out a write section in progress.
 //
 //progmp:hotpath
 //progmp:deterministic
+func (s *Store) ReadBegin() uint64 {
+	for {
+		if seq := s.t.seq.Load(); seq&1 == 0 {
+			return seq
+		}
+		goruntime.Gosched()
+	}
+}
+
+// ReadValid reports whether the read section opened at seq saw no
+// write: only then is what it copied one epoch, and otherwise the
+// caller redoes the whole copy.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (s *Store) ReadValid(seq uint64) bool { return s.t.seq.Load() == seq }
+
+// ReadDest copies destination id's cross-connection properties (the
+// scheduler's XRTT, XLOST, XDELIVERED and XQUAR) inside a read
+// section. An unknown id reads zeros.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (s *Store) ReadDest(id int) (srttUS, lost, delivered, quarantines int64) {
+	cells := *s.t.cells.Load()
+	if id < 0 || id >= len(cells) {
+		return 0, 0, 0, 0
+	}
+	c := &cells[id]
+	return c.srtt.Load(), c.lost.Load(), c.delivered.Load(), c.quarantines.Load()
+}
+
+// ReadGlobals copies the global register file into g inside a read
+// section.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (s *Store) ReadGlobals(g *[runtime.NumGlobals]int64) {
+	for i := range g {
+		g[i] = s.t.globals[i].Load()
+	}
+}
+
+// Load returns the current epoch as an immutable snapshot, safe from
+// any goroutine, never nil. The snapshot is copied out inside a read
+// section and shared with every later Load until the next write, so
+// the caller must treat it as read-only. It is for cold readers; the
+// scheduler hot path copies what it reads with ReadBegin, ReadDest,
+// ReadGlobals and ReadValid.
 func (s *Store) Load() *Snapshot {
-	return s.snap.Load()
+	if cur := s.view.Load(); cur != nil && cur.Epoch == s.Epoch() {
+		return cur
+	}
+	// Racing Loads may cache an older epoch over a newer one; the
+	// epoch check above then only misses once more.
+	next := s.copyOut()
+	s.view.Store(next)
+	return next
 }
 
-// Epoch returns the current epoch.
-func (s *Store) Epoch() uint64 { return s.Load().Epoch }
-
-// publish installs next as the new snapshot. Callers hold s.mu and
-// must have fully initialized next (no further writes after this).
+// copyOut builds a snapshot of one epoch inside a read section.
 //
 //progmp:publish
-func (s *Store) publish(next *Snapshot) {
-	next.Epoch = s.snap.Load().Epoch + 1
-	s.snap.Store(next)
-	s.mEpochs.Add(1)
+func (s *Store) copyOut() *Snapshot {
+	next := &Snapshot{}
+	for {
+		seq := s.ReadBegin()
+		names, cells := *s.t.names.Load(), *s.t.cells.Load()
+		if len(names) > len(cells) {
+			continue // a registration overlapped the two loads
+		}
+		if cap(next.dests) < len(names) {
+			next.dests = make([]DestStats, len(names))
+		}
+		next.dests = next.dests[:len(names)]
+		for id, name := range names {
+			c := &cells[id]
+			next.dests[id] = DestStats{
+				Name:        name,
+				SRTTUS:      c.srtt.Load(),
+				Lost:        c.lost.Load(),
+				Delivered:   c.delivered.Load(),
+				Quarantines: c.quarantines.Load(),
+				Samples:     c.samples.Load(),
+			}
+		}
+		s.ReadGlobals(&next.Globals)
+		if s.ReadValid(seq) {
+			next.Epoch = seq / 2
+			return next
+		}
+	}
 }
 
-// clone copies the current snapshot's root into a fresh one the caller
-// may mutate before publish. Its parts are still the published epoch's:
-// records are written only through slot and grow, which copy a part
-// first. Callers hold s.mu.
-//
-//progmp:publish
-func (s *Store) clone() *Snapshot {
-	next := *s.snap.Load()
-	next.owned = 0
-	return &next
-}
+// Epoch returns the current epoch: the number of completed writes.
+func (s *Store) Epoch() uint64 { return s.t.seq.Load() / 2 }
 
 // ---- Global registers ----
 
@@ -257,7 +324,7 @@ func (s *Store) Global(i int) int64 {
 	if i < 0 || i >= runtime.NumGlobals {
 		return 0
 	}
-	return s.Load().Globals[i]
+	return s.t.globals[i].Load()
 }
 
 // Globals returns the whole global register file of the current epoch.
@@ -265,51 +332,58 @@ func (s *Store) Globals() [runtime.NumGlobals]int64 {
 	return s.Load().Globals
 }
 
-// SetGlobal writes global register i (0-based) and publishes a new
-// epoch. Out-of-range writes are graceful no-ops (no exceptions by
-// design, matching the register semantics of the model).
+// SetGlobal writes global register i (0-based) in one write section and
+// returns the epoch that section published. Out-of-range writes are
+// graceful no-ops (no exceptions by design, matching the register
+// semantics of the model) and return the current epoch.
 //
 //progmp:publish
-func (s *Store) SetGlobal(i int, v int64) {
+//progmp:hotpath
+func (s *Store) SetGlobal(i int, v int64) uint64 {
 	if i < 0 || i >= runtime.NumGlobals {
-		return
+		return s.Epoch()
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := s.clone()
-	next.Globals[i] = v
-	s.publish(next)
+	s.beginWrite()
+	s.t.globals[i].Store(v)
+	e := s.endWrite()
 	s.mGSets.Add(1)
+	s.mu.Unlock()
+	return e
 }
 
 // SetGlobals applies every write marked in the dirty bitmask (bit i ↔
-// register i) from vals in one published epoch. It is the batched form
-// the substrate uses to publish a scheduler execution's GSETs.
+// register i) from vals in one write section and returns the epoch it
+// published; an empty mask writes nothing and returns the current
+// epoch. It is the batched form the substrate uses to publish a
+// scheduler execution's GSETs.
 //
 //progmp:publish
-func (s *Store) SetGlobals(dirty uint32, vals *[runtime.NumGlobals]int64) {
+//progmp:hotpath
+func (s *Store) SetGlobals(dirty uint32, vals *[runtime.NumGlobals]int64) uint64 {
 	if dirty == 0 || vals == nil {
-		return
+		return s.Epoch()
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := s.clone()
+	s.beginWrite()
 	n := 0
 	for i := 0; i < runtime.NumGlobals; i++ {
 		if dirty&(1<<uint(i)) != 0 {
-			next.Globals[i] = vals[i]
+			s.t.globals[i].Store(vals[i])
 			n++
 		}
 	}
-	s.publish(next)
+	e := s.endWrite()
 	s.mGSets.Add(int64(n))
+	s.mu.Unlock()
+	return e
 }
 
 // ---- Destination registry ----
 
 // DestID interns a destination name, returning its dense index. The
-// first caller for a name registers it (publishing a new epoch with a
-// zero record); later callers get the same index. Each call acquires
+// first caller for a name registers it (one write, with zero
+// statistics); later callers get the same index. Each call acquires
 // one reference; pair it with ReleaseDest at teardown or the record is
 // pinned forever and EvictIdle can never reclaim it. Indices are
 // stable while referenced; an evicted slot may be reassigned to a
@@ -321,28 +395,55 @@ func (s *Store) DestID(name string) int {
 	defer s.mu.Unlock()
 	if id, ok := s.ids[name]; ok {
 		s.refs[id]++
-		s.lastUse[id] = s.snap.Load().Epoch
+		s.lastUse[id] = s.Epoch()
 		return id
 	}
-	next := s.clone()
+	old := *s.t.names.Load()
 	var id int
 	if n := len(s.free); n > 0 {
 		id = s.free[n-1]
 		s.free = s.free[:n-1]
-		*next.slot(id) = DestStats{Name: name}
 	} else {
-		id = next.n
-		*next.grow() = DestStats{Name: name}
+		id = len(old)
 		s.refs = append(s.refs, 0)
 		s.lastUse = append(s.lastUse, 0)
 	}
+	names := make([]string, max(len(old), id+1))
+	copy(names, old)
+	names[id] = name
+	s.beginWrite()
+	if cells := *s.t.cells.Load(); id >= len(cells) {
+		grown := make([]cell, max(minCells, 2*len(cells)))
+		for i := range cells {
+			grown[i].copyFrom(&cells[i])
+		}
+		s.t.cells.Store(&grown)
+	} else {
+		cells[id].reset()
+	}
+	s.t.names.Store(&names)
+	s.lastUse[id] = s.endWrite()
 	s.ids[name] = id
 	s.refs[id] = 1
-	s.publish(next)
-	s.lastUse[id] = next.Epoch
 	s.mDests.Set(int64(len(s.ids)))
 	return id
 }
+
+// copyFrom copies o's counters into c inside a write section.
+//
+//progmp:publish
+func (c *cell) copyFrom(o *cell) {
+	c.srtt.Store(o.srtt.Load())
+	c.lost.Store(o.lost.Load())
+	c.delivered.Store(o.delivered.Load())
+	c.quarantines.Store(o.quarantines.Load())
+	c.samples.Store(o.samples.Load())
+}
+
+// reset zeroes c inside a write section.
+//
+//progmp:publish
+func (c *cell) reset() { c.copyFrom(&cell{}) }
 
 // ReleaseDest drops one reference to destination id (acquired by
 // DestID). The record and its statistics stay readable until EvictIdle
@@ -359,24 +460,24 @@ func (s *Store) ReleaseDest(id int) {
 	if s.refs[id] > 0 {
 		s.refs[id]--
 	}
-	s.lastUse[id] = s.snap.Load().Epoch
+	s.lastUse[id] = s.Epoch()
 }
 
 // EvictIdle reclaims every unreferenced destination whose last use is
 // at least idleEpochs epochs old, returning the number evicted. One
-// epoch publishes for the whole sweep (none when nothing qualifies).
-// Evicted slots are zeroed in the snapshot and queued for reuse by the
-// next registration, bounding fleet-scale memory under destination
-// churn: without eviction every interned name lives for the store's
-// lifetime. Victims are processed in index order so churn workloads
-// reuse slots deterministically.
+// write covers the whole sweep (none when nothing qualifies). Evicted
+// slots are zeroed and queued for reuse by the next registration,
+// bounding fleet-scale memory under destination churn: without
+// eviction every interned name lives for the store's lifetime. Victims
+// are processed in index order so churn workloads reuse slots
+// deterministically.
 //
 //progmp:publish
 //progmp:deterministic
 func (s *Store) EvictIdle(idleEpochs uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.snap.Load().Epoch
+	cur := s.Epoch()
 	var victims []int
 	//progmp:ignore deterministic iteration order is invisible: victims are sorted before any effect
 	for name, id := range s.ids {
@@ -389,12 +490,16 @@ func (s *Store) EvictIdle(idleEpochs uint64) int {
 		return 0
 	}
 	sort.Ints(victims)
-	next := s.clone()
+	names := append([]string(nil), *s.t.names.Load()...)
+	cells := *s.t.cells.Load()
+	s.beginWrite()
 	for _, id := range victims {
-		*next.slot(id) = DestStats{}
+		names[id] = ""
+		cells[id].reset()
 		s.free = append(s.free, id)
 	}
-	s.publish(next)
+	s.t.names.Store(&names)
+	s.endWrite()
 	s.mDests.Set(int64(len(s.ids)))
 	return len(victims)
 }
@@ -417,52 +522,55 @@ func (s *Store) NumDests() int {
 
 // ---- Statistics feeds ----
 
-// mutateDest applies fn to destination id's record in a new epoch that
-// copies the root and the one part holding it, and publishes. Unknown
-// ids are ignored.
+// beginDest opens a write section on destination id's cell and returns
+// it, or returns nil, opening nothing, for an unknown id. Callers hold
+// s.mu and close the section with endDest.
 //
 //progmp:publish
-func (s *Store) mutateDest(id int, fn func(*DestStats)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id < 0 || id >= s.snap.Load().n {
-		return
+//progmp:hotpath
+func (s *Store) beginDest(id int) *cell {
+	if id < 0 || id >= len(s.refs) {
+		return nil
 	}
-	next := s.clone()
-	fn(next.slot(id))
-	s.publish(next)
-	s.lastUse[id] = next.Epoch
+	s.beginWrite()
+	return &(*s.t.cells.Load())[id]
 }
+
+// endDest closes the write section beginDest opened on id.
+//
+//progmp:publish
+//progmp:hotpath
+func (s *Store) endDest(id int) { s.lastUse[id] = s.endWrite() }
 
 // RecordRTT merges one RTT sample (µs) into destination id's shared
 // smoothed estimate; non-positive samples are ignored.
 //
 //progmp:publish
-func (s *Store) RecordRTT(id int, rttUS int64) {
-	if rttUS <= 0 {
-		return
-	}
-	s.mutateDest(id, func(d *DestStats) { d.mergeRTT(rttUS) })
-}
+//progmp:hotpath
+func (s *Store) RecordRTT(id int, rttUS int64) { s.RecordAck(id, rttUS, 0) }
 
-// RecordAck folds one acknowledgement into destination id in one epoch:
+// RecordAck folds one acknowledgement into destination id in one write:
 // the RTT sample it yielded (µs; 0 when Karn's rule withheld it) as
 // RecordRTT merges it, and the bytes it delivered. An input <= 0 is
-// ignored, and nothing publishes when both are.
+// ignored, and nothing is written when both are.
 //
 //progmp:publish
+//progmp:hotpath
 func (s *Store) RecordAck(id int, rttUS, bytes int64) {
 	if rttUS <= 0 && bytes <= 0 {
 		return
 	}
-	s.mutateDest(id, func(d *DestStats) {
+	s.mu.Lock()
+	if c := s.beginDest(id); c != nil {
 		if rttUS > 0 {
-			d.mergeRTT(rttUS)
+			c.mergeRTT(rttUS)
 		}
 		if bytes > 0 {
-			d.Delivered += bytes
+			c.delivered.Add(bytes)
 		}
-	})
+		s.endDest(id)
+	}
+	s.mu.Unlock()
 }
 
 // mergeRTT blends one RTT sample into the shared estimate: the first
@@ -471,30 +579,44 @@ func (s *Store) RecordAck(id int, rttUS, bytes int64) {
 // dominating.
 //
 //progmp:publish
-func (d *DestStats) mergeRTT(rttUS int64) {
-	if d.Samples == 0 {
-		d.SRTTUS = rttUS
+//progmp:hotpath
+func (c *cell) mergeRTT(rttUS int64) {
+	if n := c.samples.Load(); n == 0 {
+		c.srtt.Store(rttUS)
 	} else {
-		d.SRTTUS += (rttUS - d.SRTTUS) / rttAlpha
+		srtt := c.srtt.Load()
+		c.srtt.Store(srtt + (rttUS-srtt)/rttAlpha)
 	}
-	d.Samples++
+	c.samples.Add(1)
 }
 
 // RecordLoss counts n loss events on destination id.
 //
 //progmp:publish
+//progmp:hotpath
 func (s *Store) RecordLoss(id int, n int64) {
 	if n <= 0 {
 		return
 	}
-	s.mutateDest(id, func(d *DestStats) { d.Lost += n })
+	s.mu.Lock()
+	if c := s.beginDest(id); c != nil {
+		c.lost.Add(n)
+		s.endDest(id)
+	}
+	s.mu.Unlock()
 }
 
 // RecordQuarantine counts one quarantine signal on destination id.
 //
 //progmp:publish
+//progmp:hotpath
 func (s *Store) RecordQuarantine(id int) {
-	s.mutateDest(id, func(d *DestStats) { d.Quarantines++ })
+	s.mu.Lock()
+	if c := s.beginDest(id); c != nil {
+		c.quarantines.Add(1)
+		s.endDest(id)
+	}
+	s.mu.Unlock()
 }
 
 // ---- Inspection ----

@@ -2,12 +2,10 @@ package xstate
 
 import (
 	"fmt"
-	goruntime "runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"progmp/internal/obs"
 	"progmp/internal/runtime"
@@ -130,13 +128,14 @@ func TestSnapshotImmutable(t *testing.T) {
 }
 
 // TestEpochConsistencyStress hammers the store with concurrent writers
-// while readers assert snapshot coherence: within one loaded snapshot
-// the two globals written together must always agree, every destination
-// registered before the load must resolve, and per-dest statistics must
-// be monotone across loads. The writers register more than 3·numParts
-// destinations as they go, so the table regroups under the readers. Run
-// under -race this is the torn-snapshot detector demanded by the epoch
-// model.
+// while readers assert read-section coherence, half of them through the
+// hot read section the scheduler uses and half through Load: within one
+// read the two globals written together must always agree, every
+// destination registered before the read must resolve, and per-dest
+// delivered counts must be monotone across reads. The writers register
+// more than 16·minCells destinations as they go, so the cell array
+// grows four times and more under the readers. Run under -race this is
+// the torn-read detector demanded by the epoch model.
 func TestEpochConsistencyStress(t *testing.T) {
 	s := NewStore()
 	shared := s.DestID("wifi")
@@ -144,15 +143,15 @@ func TestEpochConsistencyStress(t *testing.T) {
 		writers    = 4
 		readers    = 4
 		iterations = 2000
-		perWriter  = 4 * numParts / writers // 4·numParts+1 destinations in all
+		perWriter  = 16 * minCells / writers // 16·minCells+1 destinations in all
 	)
 	// registered counts completed DestID calls. Slots are handed out
-	// densely in publish order and nothing is evicted, so a snapshot
-	// loaded after k completions holds every id below k.
+	// densely in write order and nothing is evicted, so a read that
+	// starts after k completions sees every id below k.
 	var registered atomic.Int64
 	registered.Store(1)
 	var writing, reading sync.WaitGroup
-	var done atomic.Bool // readers load until every writer has finished
+	var done atomic.Bool // readers read until every writer has finished
 	for w := 0; w < writers; w++ {
 		writing.Add(1)
 		go func(w int) {
@@ -164,7 +163,7 @@ func TestEpochConsistencyStress(t *testing.T) {
 					own = append(own, s.DestID(fmt.Sprintf("w%d.%d", w, i)))
 					registered.Add(1)
 				}
-				// Invariant under test: G1 and G2 are always published
+				// Invariant under test: G1 and G2 are always written
 				// together with G2 == -G1.
 				v := int64(w*iterations + i + 1)
 				vals[0], vals[1] = v, -v
@@ -174,39 +173,78 @@ func TestEpochConsistencyStress(t *testing.T) {
 			}
 		}(w)
 	}
+	// A reader's view of one read: the epoch (0 for a hot read, which
+	// has none), the globals, and each destination's delivered count
+	// (-1 for an id that does not resolve).
+	type view struct {
+		epoch     uint64
+		g         [runtime.NumGlobals]int64
+		delivered []int64
+	}
+	hot := func(k int, v *view) {
+		for {
+			seq := s.ReadBegin()
+			s.ReadGlobals(&v.g)
+			cells := len(*s.t.cells.Load())
+			for id := 0; id < k; id++ {
+				v.delivered[id] = -1
+				if id < cells {
+					_, _, v.delivered[id], _ = s.ReadDest(id)
+				}
+			}
+			if s.ReadValid(seq) {
+				return
+			}
+		}
+	}
+	cold := func(k int, v *view) {
+		snap := s.Load()
+		v.epoch, v.g = snap.Epoch, snap.Globals
+		for id := 0; id < k; id++ {
+			v.delivered[id] = -1
+			if d := snap.Stats(id); d != nil {
+				v.delivered[id] = d.Delivered
+			}
+		}
+	}
 	for r := 0; r < readers; r++ {
+		read := hot
+		if r%2 == 1 {
+			read = cold
+		}
 		reading.Add(1)
 		go func() {
 			defer reading.Done()
 			var lastEpoch uint64
 			var lastDelivered []int64
+			var v view
 			for !done.Load() {
 				k := int(registered.Load())
-				snap := s.Load()
-				if snap.Globals[0] != -snap.Globals[1] {
-					t.Errorf("torn snapshot: G1=%d G2=%d in epoch %d",
-						snap.Globals[0], snap.Globals[1], snap.Epoch)
-					return
-				}
-				if snap.Epoch < lastEpoch {
-					t.Errorf("epoch went backwards: %d after %d", snap.Epoch, lastEpoch)
-					return
-				}
-				lastEpoch = snap.Epoch
 				for len(lastDelivered) < k {
 					lastDelivered = append(lastDelivered, 0)
+					v.delivered = append(v.delivered, 0)
 				}
+				read(k, &v)
+				if v.g[0] != -v.g[1] {
+					t.Errorf("torn read: G1=%d G2=%d (epoch %d)", v.g[0], v.g[1], v.epoch)
+					return
+				}
+				if v.epoch < lastEpoch {
+					t.Errorf("epoch went backwards: %d after %d", v.epoch, lastEpoch)
+					return
+				}
+				lastEpoch = v.epoch
 				for id := 0; id < k; id++ {
-					d := snap.Stats(id)
-					if d == nil {
-						t.Errorf("destination %d registered before epoch %d does not resolve in it (%d slots)", id, snap.Epoch, snap.Len())
+					d := v.delivered[id]
+					if d < 0 {
+						t.Errorf("destination %d registered before the read does not resolve in it (epoch %d)", id, v.epoch)
 						return
 					}
-					if d.Delivered < lastDelivered[id] {
-						t.Errorf("dest %d: delivered went backwards: %d after %d", id, d.Delivered, lastDelivered[id])
+					if d < lastDelivered[id] {
+						t.Errorf("dest %d: delivered went backwards: %d after %d", id, d, lastDelivered[id])
 						return
 					}
-					lastDelivered[id] = d.Delivered
+					lastDelivered[id] = d
 				}
 			}
 		}()
@@ -214,28 +252,38 @@ func TestEpochConsistencyStress(t *testing.T) {
 	writing.Wait()
 	done.Store(true)
 	reading.Wait()
-	if n := s.Load().Len(); n <= 3*numParts {
-		t.Fatalf("%d destinations registered, want > %d to force regroups", n, 3*numParts)
+	if n := s.Load().Len(); n <= 16*minCells {
+		t.Fatalf("%d destinations registered, want > %d to force the cell array to grow", n, 16*minCells)
 	}
 }
 
-// TestLoadZeroAlloc proves the reader side — what the scheduler hot
-// path does every execution — allocates nothing.
+// TestLoadZeroAlloc proves the reader side — the read section the
+// scheduler hot path opens every execution, and a Load of an epoch
+// already copied out — allocates nothing.
 func TestLoadZeroAlloc(t *testing.T) {
 	s := NewStore()
 	id := s.DestID("wifi")
 	s.RecordRTT(id, 12345)
 	s.SetGlobal(2, 7)
 	var sink int64
+	var g [runtime.NumGlobals]int64
 	allocs := testing.AllocsPerRun(1000, func() {
-		snap := s.Load()
-		sink += snap.Globals[2]
-		if d := snap.Stats(id); d != nil {
-			sink += d.SRTTUS + d.Lost + d.Delivered + d.Quarantines
+		for {
+			seq := s.ReadBegin()
+			rtt, lost, delivered, quar := s.ReadDest(id)
+			s.ReadGlobals(&g)
+			if s.ReadValid(seq) {
+				sink += g[2] + rtt + lost + delivered + quar
+				break
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("store read path allocates: %v allocs/op", allocs)
+		t.Fatalf("store read section allocates: %v allocs/op", allocs)
+	}
+	s.Load()
+	if allocs := testing.AllocsPerRun(1000, func() { sink += int64(s.Load().Epoch) }); allocs != 0 {
+		t.Fatalf("Load of an unchanged epoch allocates: %v allocs/op", allocs)
 	}
 	_ = sink
 }
@@ -330,91 +378,61 @@ func TestDestEvictionUnderChurn(t *testing.T) {
 
 func destName(i int) string { return "churn-" + strconv.Itoa(i) }
 
-// TestGlobalsOnlyPublishAliasesDests pins the copy-on-write layout: an
-// epoch that only writes the register file shares every destination
-// part with the previous epoch (snapshots are immutable, so aliasing is
-// safe), and a destination write copies the one part it touches while
-// sharing the rest. Regression: SetGlobal/SetGlobals used to copy every
-// record, making a GSET publish O(destinations).
-func TestGlobalsOnlyPublishAliasesDests(t *testing.T) {
-	s := NewStore()
-	const n = 64
-	for i := 0; i < n; i++ {
-		s.DestID("dest" + strconv.Itoa(i))
-	}
-	before := s.Load()
-	shared := func(a, b *Snapshot, id int) bool { return a.Stats(id) == b.Stats(id) }
-	s.SetGlobal(0, 1)
-	var vals [runtime.NumGlobals]int64
-	vals[3] = 9
-	s.SetGlobals(1<<3, &vals)
-	after := s.Load()
-	for id := 0; id < n; id++ {
-		if !shared(before, after, id) {
-			t.Fatalf("globals-only publishes copied dest %d's part (epoch %d -> %d)", id, before.Epoch, after.Epoch)
-		}
-	}
-	// A destination write copies its own part, so the already-published
-	// snapshot never sees it, and shares every other part.
-	id, _ := s.LookupDest("dest0")
-	s.RecordRTT(id, 5000)
-	cur := s.Load()
-	for other := 0; other < n; other++ {
-		samePart := other>>cur.shift == id>>cur.shift
-		if shared(before, cur, other) == samePart {
-			t.Fatalf("after a write to dest %d, dest %d shared=%v, want %v (part size %d)",
-				id, other, !samePart, samePart, 1<<cur.shift)
-		}
-	}
-	if before.Stats(id).SRTTUS != 0 {
-		t.Fatalf("published snapshot mutated by a later destination write")
-	}
-
-	// The publish cost is a snapshot root, independent of how many
-	// destinations the store tracks.
-	allocs := testing.AllocsPerRun(100, func() { s.SetGlobal(1, 2) })
-	if allocs > 2 {
-		t.Fatalf("globals-only publish costs %.0f allocs/op with %d dests, want <= 2", allocs, n)
-	}
-}
-
-// TestDestPublishCopiesOnePart bounds a statistics publish: the root
-// plus the one part of about n/numParts records it touches, whatever
-// the table size, in at most two allocations. Copying the whole table
-// costs 56 B per destination, 3.6 KB at 64.
-func TestDestPublishCopiesOnePart(t *testing.T) {
-	root, rec := unsafe.Sizeof(Snapshot{}), unsafe.Sizeof(DestStats{})
-	for _, n := range []int{64, 1024} {
+// TestStoreWritesAllocateNothing holds every statistics and globals
+// write to the zero-alloc contract of the paths that feed it (the ACK,
+// loss, RTO and GSET paths): a write mutates the table in place, so it
+// allocates nothing at 1 destination or at 64.
+func TestStoreWritesAllocateNothing(t *testing.T) {
+	for _, n := range []int{1, 64} {
 		s := NewStore()
 		for i := 0; i < n; i++ {
 			s.DestID("dest" + strconv.Itoa(i))
 		}
+		var vals [runtime.NumGlobals]int64
 		i := 0
-		publish := func() {
-			s.RecordRTT(i%n, int64(1000+i))
-			i++
+		for _, w := range []struct {
+			name  string
+			write func()
+		}{
+			{"SetGlobal", func() { s.SetGlobal(i%runtime.NumGlobals, int64(i)) }},
+			{"SetGlobals", func() { vals[1] = int64(i); s.SetGlobals(0b11, &vals) }},
+			{"RecordRTT", func() { s.RecordRTT(i%n, int64(1000+i)) }},
+			{"RecordAck", func() { s.RecordAck(i%n, int64(1000+i), 1460) }},
+			{"RecordLoss", func() { s.RecordLoss(i%n, 1) }},
+			{"RecordQuarantine", func() { s.RecordQuarantine(i % n) }},
+		} {
+			e0 := s.Epoch()
+			allocs := testing.AllocsPerRun(100, func() { w.write(); i++ })
+			if allocs != 0 {
+				t.Errorf("%d dests: %s costs %.0f allocs, want 0", n, w.name, allocs)
+			}
+			if s.Epoch() == e0 {
+				t.Errorf("%d dests: %s wrote nothing", n, w.name)
+			}
 		}
-		if allocs := testing.AllocsPerRun(100, publish); allocs > 2 {
-			t.Errorf("%d dests: RecordRTT costs %.0f allocs, want <= 2", n, allocs)
-		}
-		const runs = 1000
-		var before, after goruntime.MemStats
-		goruntime.ReadMemStats(&before)
-		for k := 0; k < runs; k++ {
-			publish()
-		}
-		goruntime.ReadMemStats(&after)
-		perPublish := (after.TotalAlloc - before.TotalAlloc) / runs
-		// The allocator rounds each block up to its size class: allow a
-		// quarter on top of the exact root + part.
-		want := uint64(root + uintptr((n+numParts-1)/numParts)*rec)
-		if perPublish > want*5/4 {
-			t.Errorf("%d dests: RecordRTT allocates %d B per publish, want <= %d (root %d B + %d records of %d B, plus size-class slack)",
-				n, perPublish, want*5/4, root, (n+numParts-1)/numParts, rec)
-		}
-		if n == 64 && perPublish > 1024 {
-			t.Errorf("64 dests: RecordRTT allocates %d B per publish, want <= 1 KB", perPublish)
-		}
+	}
+}
+
+// TestWriteReportsItsEpoch: SetGlobal and SetGlobals return the epoch
+// their write published — the one whose snapshot first shows the value
+// — and a write that writes nothing returns the current epoch.
+func TestWriteReportsItsEpoch(t *testing.T) {
+	s := NewStore()
+	s.DestID("d")
+	s.RecordAck(0, 1000, 1)
+	if e := s.SetGlobal(4, 9); e != s.Epoch() || s.Load().Globals[4] != 9 {
+		t.Fatalf("SetGlobal returned epoch %d; store at %d with G5 = %d", e, s.Epoch(), s.Load().Globals[4])
+	}
+	vals := [runtime.NumGlobals]int64{1, 2}
+	if e := s.SetGlobals(0b10, &vals); e != s.Epoch() {
+		t.Fatalf("SetGlobals returned epoch %d, store at %d", e, s.Epoch())
+	}
+	e := s.Epoch()
+	if got := s.SetGlobals(0, &vals); got != e || s.Epoch() != e {
+		t.Fatalf("empty SetGlobals returned %d and moved the epoch to %d, want %d", got, s.Epoch(), e)
+	}
+	if got := s.SetGlobal(-1, 1); got != e || s.Epoch() != e {
+		t.Fatalf("out-of-range SetGlobal returned %d and moved the epoch to %d, want %d", got, s.Epoch(), e)
 	}
 }
 

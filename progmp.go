@@ -489,9 +489,9 @@ func (c *Conn) Inner() *mptcp.Conn { return c.inner }
 // shared by every attached connection, plus per-destination path
 // statistics — smoothed RTT, losses, delivered bytes, quarantine
 // signals — keyed by path name, so one connection can steer around a
-// path another connection observed degrading. Readers get immutable
-// epoch snapshots (one atomic load, zero allocations); safe for
-// concurrent use from any goroutine.
+// path another connection observed degrading. Writes land in place,
+// one epoch each; Load returns an immutable snapshot of one epoch.
+// Safe for concurrent use from any goroutine.
 type SharedStore = xstate.Store
 
 // SharedSnapshot is one immutable epoch of a SharedStore.

@@ -14,10 +14,13 @@
 //	               wall clocks, global randomness, map iteration or
 //	               GOMAXPROCS-dependent constructs — mechanizing the
 //	               fleet shard-invariance contract (docs/FLEET.md).
-//	epochsafe      types marked //progmp:epochshared (the xstate RCU
-//	               snapshots) may only be written inside functions
-//	               marked //progmp:publish, and a struct field must not
-//	               mix sync/atomic access with plain access.
+//	epochsafe      state of types marked //progmp:epochshared (the
+//	               xstate seqlock table and the snapshots it copies
+//	               out) may only be written, plainly or by a mutating
+//	               sync/atomic method, inside functions marked
+//	               //progmp:publish (write sections), and a struct
+//	               field must not mix sync/atomic access with plain
+//	               access.
 //	eventkind      obs.Event composite literals must set Kind.
 //	metricname     metric names are dot-separated lower_snake.
 //	metrickind     one metric name, one metric kind per package.
@@ -78,7 +81,7 @@ var Analyzers = []*Analyzer{
 	},
 	{
 		Name: "epochsafe",
-		Doc:  "//progmp:epochshared state is written only in //progmp:publish functions",
+		Doc:  "//progmp:epochshared state is written only in //progmp:publish write sections",
 		Run:  runEpochSafe,
 	},
 	{

@@ -390,6 +390,75 @@ func Mixed(s *S) {
 `,
 			want: []string{"accessed via sync/atomic elsewhere"},
 		},
+		{
+			name: "plain read of an atomically written field",
+			src: `package fixture
+
+import "sync/atomic"
+
+type S struct{ n int64 }
+
+func Bump(s *S) { atomic.AddInt64(&s.n, 1) }
+
+func Peek(s *S) int64 { return s.n }
+`,
+			want: []string{"accessed via sync/atomic elsewhere"},
+		},
+		{
+			name: "atomic write to a shared cell outside a write section",
+			src: `package fixture
+
+import "sync/atomic"
+
+//progmp:epochshared
+type cell struct{ n atomic.Int64 }
+
+func Bump(c *cell) { c.n.Add(1) }
+`,
+			want: []string{"write to epoch-shared cell outside a //progmp:publish function"},
+		},
+		{
+			name: "atomic write through a shared value behind a pointer",
+			src: `package fixture
+
+import "sync/atomic"
+
+//progmp:epochshared
+type table struct {
+	seq   atomic.Uint64
+	cells atomic.Pointer[[]int64]
+}
+
+type Store struct{ t table }
+
+func Open(s *Store) { s.t.seq.Add(1) }
+
+func Swap(s *Store, c []int64) { s.t.cells.Store(&c) }
+`,
+			want: []string{"write to epoch-shared table", "write to epoch-shared table"},
+		},
+		{
+			name: "atomic writes in a write section and atomic reads anywhere pass",
+			src: `package fixture
+
+import "sync/atomic"
+
+//progmp:epochshared
+type cell struct{ n atomic.Int64 }
+
+//progmp:publish
+func Bump(c *cell) { c.n.Add(1) }
+
+func Read(cs []cell, i int) int64 { return cs[i].n.Load() }
+
+func Local() int64 {
+	var own cell
+	own.n.Store(3)
+	return own.n.Load()
+}
+`,
+			want: nil,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,9 +15,9 @@ import (
 //
 //	//progmp:hotpath        function must be allocation-free
 //	//progmp:deterministic  function must avoid nondeterminism sources
-//	//progmp:epochshared    type is RCU-published shared state
-//	//progmp:publish        function is an epoch publish path (may
-//	//                      write epochshared fields)
+//	//progmp:epochshared    type is shared state lock-free readers copy
+//	//progmp:publish        function is a write section (may write
+//	//                      epochshared state)
 //
 // On an interface method the directive is a proof obligation for
 // every implementation and a grant for callers: a hot path may call

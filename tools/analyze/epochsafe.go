@@ -6,21 +6,30 @@ import (
 	"go/types"
 )
 
-// runEpochSafe enforces the RCU/epoch discipline on shared state:
+// atomicWrites are the sync/atomic methods that mutate their receiver.
+var atomicWrites = map[string]bool{
+	"Store": true, "Add": true, "Swap": true, "CompareAndSwap": true, "And": true, "Or": true,
+}
+
+// runEpochSafe enforces the write-section discipline on shared state
+// (the xstate seqlock table and the snapshots it copies out):
 //
-//  1. Fields of a //progmp:epochshared type may only be written
-//     through a pointer inside a function annotated //progmp:publish
-//     (the serialized clone-and-publish path). Published snapshots
-//     are immutable; any other pointer write is a data race with
-//     lock-free readers. Writes to by-value copies are fine and are
-//     not flagged.
+//  1. State of a //progmp:epochshared type may only be written, through
+//     a pointer, inside a function annotated //progmp:publish (a write
+//     section, or the one-time build of a snapshot before it is
+//     handed out). A write is a plain assignment or increment, or a
+//     mutating sync/atomic method (Store, Add, Swap, CompareAndSwap,
+//     And, Or) on an atomic value held in such state. Any other write
+//     races with lock-free readers. Writes to by-value copies are fine
+//     and are not flagged.
 //
 //  2. A struct field must not mix sync/atomic access with plain
-//     writes: if &x.f is passed to an atomic function anywhere in the
-//     package, every plain write to f is flagged.
+//     access: if &x.f is passed to an atomic function anywhere in the
+//     package, every plain read or write of f is flagged.
 func runEpochSafe(p *Pass) {
-	writes := map[*types.Var][]ast.Expr{} // plain writes per field
-	atomics := map[*types.Var]bool{}      // fields used via sync/atomic
+	plain := map[*types.Var][]ast.Expr{}      // plain accesses per field
+	atomics := map[*types.Var]bool{}          // fields used via sync/atomic
+	viaAtomic := map[*ast.SelectorExpr]bool{} // the x.f of each atomic &x.f
 
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
@@ -35,18 +44,20 @@ func runEpochSafe(p *Pass) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
 						p.checkSharedWrite(lhs, inPublish)
-						if f := p.fieldOf(lhs); f != nil {
-							writes[f] = append(writes[f], lhs)
-						}
 					}
 				case *ast.IncDecStmt:
 					p.checkSharedWrite(n.X, inPublish)
-					if f := p.fieldOf(n.X); f != nil {
-						writes[f] = append(writes[f], n.X)
-					}
 				case *ast.CallExpr:
-					if f := p.atomicArgField(n); f != nil {
-						atomics[f] = true
+					if sel := p.atomicArgField(n); sel != nil {
+						viaAtomic[sel] = true
+						atomics[p.fieldOf(sel)] = true
+					}
+					if recv := p.atomicWriteRecv(n); recv != nil {
+						p.checkSharedWrite(recv, inPublish)
+					}
+				case *ast.SelectorExpr:
+					if f := p.fieldOf(n); f != nil {
+						plain[f] = append(plain[f], n)
 					}
 				}
 				return true
@@ -55,8 +66,10 @@ func runEpochSafe(p *Pass) {
 	}
 
 	for f := range atomics {
-		for _, w := range writes[f] {
-			p.Reportf(w.Pos(), "field %s is accessed via sync/atomic elsewhere in this package; plain write races with it", f.Name())
+		for _, x := range plain[f] {
+			if sel, _ := x.(*ast.SelectorExpr); !viaAtomic[sel] {
+				p.Reportf(x.Pos(), "field %s is accessed via sync/atomic elsewhere in this package; plain access races with it", f.Name())
+			}
 		}
 	}
 }
@@ -83,13 +96,17 @@ func (p *Pass) sharedWriteTarget(lhs ast.Expr) *types.TypeName {
 			return tn
 		}
 	case *ast.SelectorExpr:
-		// base.f = v writes shared state when base is a pointer to
-		// (or a chain rooted in a pointer to) an epochshared type.
+		// base.f = v writes shared state when base is a pointer to an
+		// epochshared type, or an epochshared value that itself lives
+		// behind a pointer (or a chain rooted in either).
 		if t := info.TypeOf(e.X); t != nil {
 			if ptr, ok := t.Underlying().(*types.Pointer); ok {
 				if tn := p.epochSharedNamed(ptr.Elem()); tn != nil {
 					return tn
 				}
+			}
+			if tn := p.epochSharedNamed(t); tn != nil && p.behindPointer(e.X) {
+				return tn
 			}
 		}
 		return p.sharedWriteTarget(e.X)
@@ -111,6 +128,28 @@ func (p *Pass) sharedWriteTarget(lhs ast.Expr) *types.TypeName {
 		return p.sharedWriteTarget(e.X)
 	}
 	return nil
+}
+
+// behindPointer reports whether x denotes memory reached through a
+// pointer dereference or a slice element, rather than a variable (a
+// by-value copy) of its own.
+func (p *Pass) behindPointer(x ast.Expr) bool {
+	info := p.Pkg.Info
+	switch e := ast.Unparen(x).(type) {
+	case *ast.StarExpr:
+		return true
+	case *ast.SelectorExpr:
+		if _, ok := info.TypeOf(e.X).Underlying().(*types.Pointer); ok {
+			return true
+		}
+		return p.behindPointer(e.X)
+	case *ast.IndexExpr:
+		if _, ok := info.TypeOf(e.X).Underlying().(*types.Slice); ok {
+			return true
+		}
+		return p.behindPointer(e.X)
+	}
+	return false
 }
 
 func (p *Pass) epochSharedNamed(t types.Type) *types.TypeName {
@@ -143,9 +182,9 @@ func (p *Pass) fieldOf(lhs ast.Expr) *types.Var {
 	return v
 }
 
-// atomicArgField reports the struct field whose address is passed to
-// a sync/atomic function in this call, if any.
-func (p *Pass) atomicArgField(call *ast.CallExpr) *types.Var {
+// atomicArgField returns the x.f whose address is passed to a
+// sync/atomic function in this call, if any.
+func (p *Pass) atomicArgField(call *ast.CallExpr) *ast.SelectorExpr {
 	kind, callee, _ := resolveCall(p.Pkg.Info, call)
 	if kind != callStatic || callee.Pkg() == nil || callee.Pkg().Path() != "sync/atomic" {
 		return nil
@@ -155,9 +194,26 @@ func (p *Pass) atomicArgField(call *ast.CallExpr) *types.Var {
 		if !ok || u.Op != token.AND {
 			continue
 		}
-		if f := p.fieldOf(u.X); f != nil {
-			return f
+		if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok && p.fieldOf(sel) != nil {
+			return sel
 		}
 	}
 	return nil
+}
+
+// atomicWriteRecv returns the receiver of a mutating sync/atomic method
+// call (v.Store(x), v.Add(1), ...), if call is one.
+func (p *Pass) atomicWriteRecv(call *ast.CallExpr) ast.Expr {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	kind, callee, _ := resolveCall(p.Pkg.Info, call)
+	if kind != callStatic || callee.Pkg() == nil || callee.Pkg().Path() != "sync/atomic" || !atomicWrites[callee.Name()] {
+		return nil
+	}
+	if s, ok := p.Pkg.Info.Selections[sel]; !ok || s.Kind() != types.MethodVal {
+		return nil
+	}
+	return sel.X
 }
