@@ -48,9 +48,7 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 			return core.MustLoad("queueVar", queueVarSrc, core.BackendCompiled)
 		}},
 		{"vm", func(t *testing.T) interface{ Exec(*runtime.Env) } {
-			s := core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM)
-			s.SetSynchronousSpecialization(true)
-			return s
+			return core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM)
 		}},
 		{"vm-raw", func(t *testing.T) interface{ Exec(*runtime.Env) } {
 			info, err := checkSource(schedlib.MinRTT)

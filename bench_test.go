@@ -71,9 +71,7 @@ func BenchmarkFig09_ExecutionOverhead(b *testing.B) {
 			benchExec(b, core.MustLoad("minRTT", schedlib.MinRTT, core.BackendCompiled), sbf)
 		})
 		b.Run("vm/"+itoa(sbf), func(b *testing.B) {
-			s := core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM)
-			s.SetSynchronousSpecialization(true)
-			benchExec(b, s, sbf)
+			benchExec(b, core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM), sbf)
 		})
 		b.Run("vm-raw/"+itoa(sbf), func(b *testing.B) {
 			// The bare bytecode program without the core wrapper's
@@ -449,13 +447,10 @@ func BenchmarkAblation_TSQWake(b *testing.B) {
 // per iteration with instrumentation off and fully on.
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("exec-off", func(b *testing.B) {
-		s := core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM)
-		s.SetSynchronousSpecialization(true)
-		benchExec(b, s, 2)
+		benchExec(b, core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM), 2)
 	})
 	b.Run("exec-steps", func(b *testing.B) {
 		s := core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM)
-		s.SetSynchronousSpecialization(true)
 		s.EnableStepMetrics()
 		benchExec(b, s, 2)
 	})

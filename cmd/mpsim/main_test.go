@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -112,6 +114,44 @@ func TestChaosGolden(t *testing.T) {
 	}
 	if out != string(want) {
 		t.Errorf("chaos soak drifted from %s (rerun with -update if intended)\nwant:\n%s\ngot:\n%s", golden, want, out)
+	}
+}
+
+// TestTraceReplaysByteForByte: a decision trace is a function of the
+// seed alone. Every DSL back-end stamps the same decision sites (the
+// source line of the PUSH/POP/DROP), and a VM specialization compiles
+// in line, so neither the back-end nor the number of threads may
+// change a byte of the JSONL file.
+func TestTraceReplaysByteForByte(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	dir := t.TempDir()
+	for _, sched := range []string{"minRTT", "roundRobin", "redundant"} {
+		var ref []byte
+		var refName string
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, backend := range []string{"vm", "compiled", "interpreter"} {
+				name := fmt.Sprintf("%s-%s-%d.jsonl", sched, backend, procs)
+				trace := filepath.Join(dir, name)
+				status, _, errOut := mpsim("-scheduler", sched, "-backend", backend, "-seed", "7", "-duration", "1s", "-trace", trace)
+				if status != 0 {
+					t.Fatalf("%s: exit %d: %s", name, status, errOut)
+				}
+				got, err := os.ReadFile(trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					if len(got) == 0 {
+						t.Fatalf("%s: empty trace", name)
+					}
+					ref, refName = got, name
+				} else if !bytes.Equal(got, ref) {
+					t.Errorf("%s differs from %s", name, refName)
+				}
+			}
+		}
 	}
 }
 

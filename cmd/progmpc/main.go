@@ -201,7 +201,6 @@ func benchScheduler(name, src string, env *runtime.Env) error {
 		if err != nil {
 			return err
 		}
-		s.SetSynchronousSpecialization(true)
 		// Warm up (compiles the VM specialization).
 		for i := 0; i < 1000; i++ {
 			env.Reset()

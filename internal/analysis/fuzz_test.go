@@ -173,7 +173,7 @@ IF (none.EMPTY) {
 				t.Fatalf("program #%d: marker in analyzer-proven dead branch executed\nsource:\n%s\nmarked:\n%s\nregs %v vs %v",
 					i, src, markedSrc, *origEnv.Regs, *markEnv.Regs)
 			}
-			if !envtest.SameActions(envtest.StripSites(origEnv.Actions), envtest.StripSites(markEnv.Actions)) {
+			if !envtest.SameActions(origEnv.Actions, markEnv.Actions) {
 				t.Fatalf("program #%d: dead-branch marker changed actions\nsource:\n%s", i, src)
 			}
 		}

@@ -4,6 +4,12 @@
 // named schedulers for reuse across connections, caches VM programs
 // specialized for a constant subflow count with generic fallback, and
 // exposes proc-style execution statistics (§4.1 of the paper).
+//
+// Unlike the paper's JIT, which compiles a specialization concurrently
+// in a separate thread, a specialization miss here compiles in line
+// and runs the new program in the same execution: in virtual time the
+// compile costs nothing either way, and the in-line miss keeps every
+// run's decisions and traces reproducible.
 package core
 
 import (
@@ -77,9 +83,10 @@ type Stats struct {
 	Pushes     int64
 	Pops       int64
 	Drops      int64
-	// GenericExecs counts VM executions that ran the generic program
-	// because no specialization was available yet (or specialization
-	// fell back); Executions - GenericExecs is the specialization hit
+	// GenericExecs counts VM executions that ran the generic program:
+	// more subflows than runtime.MaxSubflows, a specialization that
+	// failed to compile, or a specialized execution that failed and
+	// fell back. Executions - GenericExecs is the specialization hit
 	// count. Always 0 on the non-VM back-ends.
 	GenericExecs int64
 	// FallbackErrors counts executions where even the generic program
@@ -116,20 +123,15 @@ type Scheduler struct {
 	compiled *compile.Compiled
 	vmProg   *vm.Program // generic (unspecialized)
 
-	// Specialization cache: subflow count → compiled program. A miss
-	// runs the generic program and kicks off background compilation,
-	// mirroring the paper's concurrent JIT ("the compilation is
-	// executed concurrently in a separate thread, therefore not
-	// harming network performance"). The cache is an immutable array
-	// indexed by subflow count, swapped atomically on every install
-	// (copy-on-write), so the execution fast path is one lock-free
-	// load plus an array index; mu serializes writers and the
-	// compiling set only.
+	// Specialization cache: subflow count → compiled program, one slot
+	// per count. A miss compiles in line under mu and installs the
+	// program with one Store, so the execution fast path is one
+	// lock-free load and each count compiles exactly once.
 	mu          sync.Mutex
-	specialized atomic.Pointer[[runtime.MaxSubflows + 1]*vm.Program]
-	compiling   map[int]bool
-	// specializeSync forces synchronous specialization (tests).
-	specializeSync bool
+	specialized [runtime.MaxSubflows + 1]atomic.Pointer[vm.Program]
+	// stepCounting (guarded by mu) wires mSteps into every program
+	// specialized after EnableStepMetrics.
+	stepCounting bool
 
 	// metrics is the scheduler's registry (§4.1 proc interface);
 	// the hot path touches only the pre-resolved handles below.
@@ -141,7 +143,7 @@ type Scheduler struct {
 	mGenericExec  *obs.Counter
 	mSpecialized  *obs.Counter
 	mFallbackErrs *obs.Counter
-	stepCounting  atomic.Bool
+	mSteps        *obs.Counter
 
 	// Optional trace sink for execution faults. Set before traffic
 	// starts (like EnableStepMetrics); nil leaves fault tracing off.
@@ -182,17 +184,15 @@ func Load(name, src string, backend Backend) (*Scheduler, error) {
 		return nil, fmt.Errorf("core: %w", &analysis.RejectError{Name: name, Report: report})
 	}
 	s := &Scheduler{
-		name:      name,
-		info:      info,
-		backend:   backend,
-		compiling: make(map[int]bool),
-		metrics:   obs.NewRegistry(),
-		report:    report,
+		name:    name,
+		info:    info,
+		backend: backend,
+		metrics: obs.NewRegistry(),
+		report:  report,
 	}
 	if report.Quiescence.N > 0 {
 		s.cert = &report.Quiescence
 	}
-	s.specialized.Store(new([runtime.MaxSubflows + 1]*vm.Program))
 	s.mExecutions = s.metrics.Counter(MetricExecutions)
 	s.mPushes = s.metrics.Counter(MetricPushes)
 	s.mPops = s.metrics.Counter(MetricPops)
@@ -200,6 +200,7 @@ func Load(name, src string, backend Backend) (*Scheduler, error) {
 	s.mGenericExec = s.metrics.Counter(MetricGenericExecs)
 	s.mSpecialized = s.metrics.Counter(MetricSpecCompiled)
 	s.mFallbackErrs = s.metrics.Counter(MetricFallbackErrors)
+	s.mSteps = s.metrics.Counter(MetricSteps)
 	switch backend {
 	case BackendInterpreter:
 		s.interp = interp.New(info)
@@ -248,14 +249,11 @@ func (s *Scheduler) AnalysisReport() *analysis.Report { return s.report }
 // scheduler was flagged before it ever ran.
 func (s *Scheduler) AdmissionWarnings() int { return s.report.Warnings() }
 
-// SetSynchronousSpecialization forces specialization to happen inline
-// rather than in a background goroutine. Used by tests and benchmarks
-// that need deterministic behaviour.
-func (s *Scheduler) SetSynchronousSpecialization(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.specializeSync = on
-}
+// SetSynchronousSpecialization does nothing: specialization always
+// compiles in line.
+//
+// Deprecated: callers can drop the call.
+func (s *Scheduler) SetSynchronousSpecialization(bool) {}
 
 // Exec runs one scheduler execution against env and updates statistics.
 // It stamps the program's quiescence certificate on env: the
@@ -291,13 +289,13 @@ func (s *Scheduler) Exec(env *runtime.Env) {
 func (s *Scheduler) execVM(env *runtime.Env) {
 	n := len(env.SubflowViews)
 	// Lock-free fast path: in steady state every execution is a hit in
-	// the immutable specialization cache.
+	// the specialization cache.
 	var prog *vm.Program
 	if n <= runtime.MaxSubflows {
-		prog = s.specialized.Load()[n]
+		prog = s.specialized[n].Load()
 	}
 	if prog == nil {
-		//progmp:ignore hotpath,deterministic cold miss path: deterministic runs use specializeSync; async installs change when the specialized program lands, never its semantics
+		//progmp:ignore hotpath cold miss path: compiles once per program and subflow count
 		prog = s.specializationMiss(n)
 	}
 	if prog == nil {
@@ -330,30 +328,31 @@ func (s *Scheduler) execVM(env *runtime.Env) {
 	}
 }
 
-// specializationMiss handles the slow path of execVM: it re-checks the
-// cache under the writer lock and kicks off compilation for n (inline
-// when synchronous specialization is forced). It returns the program to
-// run, or nil to use the generic one.
+// specializationMiss handles the slow path of execVM: under mu it
+// re-checks the slot for n and, if it is still empty, compiles and
+// installs the specialization, so a concurrent misser waits for the
+// program instead of running the generic one. It returns the program
+// to run, or nil to use the generic one (n out of range or a failed
+// compile).
 func (s *Scheduler) specializationMiss(n int) *vm.Program {
 	if n < 0 || n > runtime.MaxSubflows {
 		return nil
 	}
 	s.mu.Lock()
-	if prog := s.specialized.Load()[n]; prog != nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if prog := s.specialized[n].Load(); prog != nil {
 		return prog
 	}
-	if !s.compiling[n] {
-		s.compiling[n] = true
-		if s.specializeSync {
-			s.mu.Unlock()
-			s.specialize(n)
-			return s.specialized.Load()[n]
-		}
-		go s.specialize(n)
+	p, err := vm.Compile(s.info, vm.Options{SubflowCount: n})
+	if err != nil {
+		return nil
 	}
-	s.mu.Unlock()
-	return nil
+	if s.stepCounting {
+		p.StepCounter = s.mSteps
+	}
+	s.specialized[n].Store(p)
+	s.mSpecialized.Add(1)
+	return p
 }
 
 // noteFallbackError records a generic-program execution failure in the
@@ -388,31 +387,6 @@ func (s *Scheduler) InstrumentTrace(t *obs.Tracer, now func() time.Duration) {
 	s.traceNow = now
 }
 
-func (s *Scheduler) specialize(n int) {
-	p, err := vm.Compile(s.info, vm.Options{SubflowCount: n})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.compiling, n)
-	if err == nil {
-		if s.stepCounting.Load() {
-			p.StepCounter = s.metrics.Counter(MetricSteps)
-		}
-		s.installSpecialized(n, p)
-		s.mSpecialized.Add(1)
-	}
-}
-
-// installSpecialized publishes count → p with a copy-on-write swap.
-// Callers must hold mu.
-func (s *Scheduler) installSpecialized(n int, p *vm.Program) {
-	if n < 0 || n > runtime.MaxSubflows {
-		return
-	}
-	next := *s.specialized.Load()
-	next[n] = p
-	s.specialized.Store(&next)
-}
-
 // Metrics exposes the scheduler's metrics registry (the §4.1
 // proc-style statistics surface).
 func (s *Scheduler) Metrics() *obs.Registry { return s.metrics }
@@ -422,16 +396,15 @@ func (s *Scheduler) Metrics() *obs.Registry { return s.metrics }
 // pays only an inlined nil check. Call it before traffic starts:
 // wiring the counter while executions are in flight is racy.
 func (s *Scheduler) EnableStepMetrics() {
-	s.stepCounting.Store(true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	steps := s.metrics.Counter(MetricSteps)
+	s.stepCounting = true
 	if s.vmProg != nil {
-		s.vmProg.StepCounter = steps
+		s.vmProg.StepCounter = s.mSteps
 	}
-	for _, p := range s.specialized.Load() {
-		if p != nil {
-			p.StepCounter = steps
+	for i := range s.specialized {
+		if p := s.specialized[i].Load(); p != nil {
+			p.StepCounter = s.mSteps
 		}
 	}
 }
@@ -445,7 +418,7 @@ func (s *Scheduler) Stats() Stats {
 		Drops:          s.mDrops.Value(),
 		GenericExecs:   s.mGenericExec.Value(),
 		FallbackErrors: s.mFallbackErrs.Value(),
-		Steps:          s.metrics.Counter(MetricSteps).Value(),
+		Steps:          s.mSteps.Value(),
 	}
 }
 
@@ -457,8 +430,8 @@ func (s *Scheduler) MemoryFootprint() int {
 	total += s.info.NumSlots * 16
 	if s.vmProg != nil {
 		total += len(s.vmProg.Insns) * int(unsafe.Sizeof(vm.Instr{}))
-		for _, p := range s.specialized.Load() {
-			if p != nil {
+		for i := range s.specialized {
+			if p := s.specialized[i].Load(); p != nil {
 				total += len(p.Insns) * int(unsafe.Sizeof(vm.Instr{}))
 			}
 		}

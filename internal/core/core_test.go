@@ -27,7 +27,6 @@ func TestLoadRejectsBadPrograms(t *testing.T) {
 func TestSchedulerExecAndStats(t *testing.T) {
 	for _, backend := range []Backend{BackendInterpreter, BackendCompiled, BackendVM} {
 		s := MustLoad("minRTT", minRTT, backend)
-		s.SetSynchronousSpecialization(true)
 		env := envtest.TwoSubflowEnv(3)
 		s.Exec(env)
 		s.Exec(env)
@@ -43,7 +42,6 @@ func TestSchedulerExecAndStats(t *testing.T) {
 
 func TestVMSpecializationCacheAndFallback(t *testing.T) {
 	s := MustLoad("minRTT", minRTT, BackendVM)
-	s.SetSynchronousSpecialization(true)
 	// Execute with 2 subflows (specializes for 2), then 0 subflows
 	// (specializes for 0): both must behave correctly.
 	env2 := envtest.TwoSubflowEnv(1)
@@ -57,8 +55,8 @@ func TestVMSpecializationCacheAndFallback(t *testing.T) {
 		t.Errorf("0-subflow exec must not push")
 	}
 	nSpecialized := 0
-	for _, p := range s.specialized.Load() {
-		if p != nil {
+	for n := range s.specialized {
+		if s.specialized[n].Load() != nil {
 			nSpecialized++
 		}
 	}
@@ -125,13 +123,20 @@ func TestConcurrentExecIsSafe(t *testing.T) {
 	if got := s.Stats().Executions; got != 1600 {
 		t.Errorf("executions = %d, want 1600", got)
 	}
+	// Concurrent missers wait for the one in-line compile instead of
+	// running the generic program.
+	if got := s.Metrics().Counter(MetricSpecCompiled).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricSpecCompiled, got)
+	}
+	if got := s.Stats().GenericExecs; got != 0 {
+		t.Errorf("GenericExecs = %d, want 0", got)
+	}
 }
 
 func TestStatusReport(t *testing.T) {
 	s := MustLoad("rr", `VAR sbfs = SUBFLOWS;
 IF (R1 >= sbfs.COUNT) { SET(R1, 0); }
 IF (!Q.EMPTY) { sbfs.GET(R1).PUSH(Q.POP()); SET(R1, R1 + 1); }`, BackendVM)
-	s.SetSynchronousSpecialization(true)
 	s.Exec(envtest.TwoSubflowEnv(2))
 	rep := s.StatusReport()
 	for _, want := range []string{"scheduler rr", "backend          vm", "executions       1", "R1(rw)", "bytecode", "specialized[2]"} {
@@ -148,18 +153,16 @@ IF (!Q.EMPTY) { sbfs.GET(R1).PUSH(Q.POP()); SET(R1, R1 + 1); }`, BackendVM)
 	}
 }
 
-// TestFallbackErrorsObservable sabotages the generic VM program with an
-// infinite loop so its execution exhausts the step budget, then checks
-// the failure is counted, traced and surfaced — not silently swallowed.
+// TestFallbackErrorsObservable sabotages both the two-subflow
+// specialization and the generic VM program with an infinite loop, so
+// the specialized execution and its generic fallback both exhaust the
+// step budget, then checks the failure is counted, traced and surfaced
+// — not silently swallowed.
 func TestFallbackErrorsObservable(t *testing.T) {
 	s := MustLoad("minRTT", minRTT, BackendVM)
-	s.vmProg = &vm.Program{
-		Insns:               []vm.Instr{{Op: vm.OpJmp, K: -1}},
-		SpecializedSubflows: -1,
-	}
-	// Pretend specialization for two subflows is perpetually in flight
-	// so execVM keeps taking the generic path deterministically.
-	s.compiling[2] = true
+	loop := []vm.Instr{{Op: vm.OpJmp, K: -1}}
+	s.vmProg = &vm.Program{Insns: loop, SpecializedSubflows: -1}
+	s.specialized[2].Store(&vm.Program{Insns: loop, SpecializedSubflows: 2})
 	tracer := obs.NewTracer(16)
 	s.InstrumentTrace(tracer, func() time.Duration { return 7 * time.Millisecond })
 

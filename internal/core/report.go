@@ -53,9 +53,8 @@ func (s *Scheduler) StatusReport() string {
 	if s.vmProg != nil {
 		fmt.Fprintf(&b, "  bytecode         %d instructions, %d spill slots (generic)\n",
 			len(s.vmProg.Insns), s.vmProg.SpillSlots)
-		specialized := s.specialized.Load()
-		for n, p := range specialized {
-			if p != nil {
+		for n := range s.specialized {
+			if p := s.specialized[n].Load(); p != nil {
 				fmt.Fprintf(&b, "  specialized[%d]   %d instructions\n", n, len(p.Insns))
 			}
 		}

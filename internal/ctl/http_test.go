@@ -76,8 +76,10 @@ func startFleetHarness(t *testing.T) (*ctl.Client, *progmp.MetricsAggregator, st
 	return client, agg, "http://" + hln.Addr().String()
 }
 
-// waitForExecs polls until both connections' schedulers have executed,
-// so aggregated metrics have real data behind them.
+// waitForExecs polls until both connections' schedulers have executed
+// and each has a timed execution in its conn.sched_exec_ns histogram
+// (sampled, one execution in 16), so aggregated metrics and latency
+// quantiles have real data behind them.
 func waitForExecs(t *testing.T, client *ctl.Client) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -88,7 +90,7 @@ func waitForExecs(t *testing.T, client *ctl.Client) {
 		}
 		ready := 0
 		for _, src := range res.Snapshot.Sources {
-			if src.Labels.Conn != "" && src.Snap.Counters["conn.sched_execs"] > 0 {
+			if src.Labels.Conn != "" && src.Snap.Hists["conn.sched_exec_ns"].Count > 0 {
 				ready++
 			}
 		}

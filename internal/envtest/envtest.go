@@ -478,22 +478,11 @@ func (g *progGen) stmt(depth int) {
 	}
 }
 
-// StripSites returns a copy of actions with the decision-site metadata
-// zeroed. Sites are intentionally back-end-specific (source lines for
-// the interpreter and compiled closures, bytecode pcs for the VM), so
-// differential tests comparing semantics across back-ends must ignore
-// them.
-func StripSites(actions []runtime.Action) []runtime.Action {
-	out := make([]runtime.Action, len(actions))
-	copy(out, actions)
-	for i := range out {
-		out[i].Site = 0
-	}
-	return out
-}
-
-// SameActions reports semantic action-queue equality, ignoring the
-// back-end-specific decision sites.
+// SameActions reports action-queue equality ignoring decision sites.
+// Every DSL back-end stamps the source line as the site, so DSL
+// back-ends compare with slices.Equal; this is for comparisons where
+// the sites legitimately differ: native Go schedulers stamp site 0,
+// and a rewritten source moves its lines.
 func SameActions(a, b []runtime.Action) bool {
 	if len(a) != len(b) {
 		return false

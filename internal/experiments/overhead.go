@@ -63,9 +63,6 @@ func schedulerFor(backend string) (mptcp.Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	if be == core.BackendVM {
-		s.SetSynchronousSpecialization(true)
-	}
 	return s, nil
 }
 

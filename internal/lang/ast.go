@@ -335,6 +335,8 @@ func formatStmt(b *strings.Builder, s Stmt, depth int) {
 
 // FormatExpr renders an expression as source text (fully parenthesized
 // for binary operations, so precedence never needs reconstructing).
+//
+//progmp:deterministic
 func FormatExpr(e Expr) string {
 	switch e := e.(type) {
 	case *NumberLit:

@@ -228,7 +228,6 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	s := core.MustLoad("busyMinRTT", busyMinRTT, core.BackendVM)
-	s.SetSynchronousSpecialization(true)
 	conn.SetScheduler(s)
 	eng.RunUntil(10 * time.Millisecond)
 
@@ -265,7 +264,6 @@ func TestInstrumentedScheduleZeroAlloc(t *testing.T) {
 		}
 	}
 	s := core.MustLoad("busyMinRTT", busyMinRTT, core.BackendVM)
-	s.SetSynchronousSpecialization(true)
 	conn.SetScheduler(s)
 	reg := obs.NewRegistry()
 	conn.Instrument(nil, reg)
@@ -318,7 +316,6 @@ func TestSkippedScheduleZeroAlloc(t *testing.T) {
 		}
 	}
 	s := core.MustLoad("minRTT", schedlib.All["minRTT"], core.BackendVM)
-	s.SetSynchronousSpecialization(true)
 	conn.SetScheduler(s)
 	eng.RunUntil(10 * time.Millisecond)
 
@@ -362,7 +359,6 @@ func TestSupervisedScheduleZeroAlloc(t *testing.T) {
 		}
 	}
 	s := core.MustLoad("minRTT", schedlib.All["minRTT"], core.BackendVM)
-	s.SetSynchronousSpecialization(true)
 	sup := guard.New(dropQUHead{s}, guard.Config{
 		Now:   eng.Now,
 		After: func(d time.Duration, fn func()) { eng.After(d, fn) },

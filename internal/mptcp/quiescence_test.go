@@ -55,7 +55,6 @@ func TestCertifiedTriggersAreInert(t *testing.T) {
 	backends := []core.Backend{core.BackendInterpreter, core.BackendCompiled, core.BackendVM}
 	for i, name := range names {
 		s := core.MustLoad(name, schedlib.All[name], backends[i%len(backends)])
-		s.SetSynchronousSpecialization(true)
 		before := checked()
 		for _, g := range shapes {
 			eng := netsim.NewEngine(g.seed)

@@ -113,7 +113,6 @@ func segmentPathConn(t *testing.T, cfg Config, loss float64) (*netsim.Engine, *C
 		t.Fatal(err)
 	}
 	s := core.MustLoad("minRTT", schedlib.All["minRTT"], core.BackendVM)
-	s.SetSynchronousSpecialization(true)
 	conn.SetScheduler(s)
 	eng.RunUntil(100 * time.Millisecond)
 	return eng, conn

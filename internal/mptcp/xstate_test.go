@@ -161,7 +161,6 @@ func TestScheduleZeroAllocWithStore(t *testing.T) {
 		}
 	}
 	s := core.MustLoad("busyJointFlow", busyJointFlow, core.BackendVM)
-	s.SetSynchronousSpecialization(true)
 	conn.SetScheduler(s)
 	eng.RunUntil(10 * time.Millisecond)
 

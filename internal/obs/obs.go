@@ -130,11 +130,11 @@ type Event struct {
 	// Sbf is the subflow id, -1 when not applicable.
 	Sbf int32
 	// Site is the decision site inside the scheduler program that
-	// recorded the action: the source line for the interpreter and
-	// compiled back-ends, the bytecode pc for the VM, 0 for native
-	// schedulers. Only PUSH/POP/DROP events carry a site, with one
-	// reuse: GUARD_QUARANTINE carries the static analyzer's warning
-	// count at admission (supervision events have no program counter).
+	// recorded the action: the source line of the PUSH/POP/DROP on
+	// every DSL back-end, 0 for native schedulers. Only PUSH/POP/DROP
+	// events carry a site, with one reuse: GUARD_QUARANTINE carries the
+	// static analyzer's warning count at admission (supervision events
+	// have no source line).
 	Site int32
 	Kind EventKind
 }

@@ -238,7 +238,7 @@ type Env struct {
 	Cert *Certificate
 	// Site is the current decision site; back-ends set it immediately
 	// before emitting an action so the recorded Action carries the
-	// program location (source line or bytecode pc) that decided it.
+	// source line that decided it.
 	Site int32
 
 	// dirtyGlobals has bit i set when global register i was written this

@@ -259,8 +259,8 @@ type Action struct {
 	Packet  PacketHandle  // packet involved (zero value invalid)
 	Subflow SubflowHandle // for ActionPush: target subflow
 	// Site is the decision site inside the scheduler program that
-	// recorded the action: the source line for the interpreter and
-	// compiled back-ends, the bytecode pc for the VM, 0 for native
-	// schedulers. Stamped from Env.Site; consumed by decision tracing.
+	// recorded the action: the source line of the PUSH/POP/DROP on
+	// every DSL back-end, 0 for native schedulers. Stamped from
+	// Env.Site; consumed by decision tracing.
 	Site int32
 }

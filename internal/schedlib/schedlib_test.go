@@ -1,6 +1,7 @@
 package schedlib
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestCorpusBackendAgreement(t *testing.T) {
 			it.Exec(envI)
 			cc.Exec(envC)
 			bc.Exec(envV)
-			if !envtest.SameActions(envI.Actions, envC.Actions) || !envtest.SameActions(envI.Actions, envV.Actions) {
+			if !slices.Equal(envI.Actions, envC.Actions) || !slices.Equal(envI.Actions, envV.Actions) {
 				t.Errorf("%s env %d: backend divergence\ninterp:   %v\ncompiled: %v\nvm:       %v",
 					name, i, envI.Actions, envC.Actions, envV.Actions)
 			}

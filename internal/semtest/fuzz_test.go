@@ -2,6 +2,7 @@ package semtest
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"progmp/internal/compile"
@@ -71,11 +72,11 @@ func FuzzBackendsAgree(f *testing.F) {
 			be.exec(env)
 			if ref == nil {
 				ref = env
-			} else if !envtest.SameActions(ref.Actions, env.Actions) || *ref.Regs != *env.Regs ||
+			} else if !slices.Equal(ref.Actions, env.Actions) || *ref.Regs != *env.Regs ||
 				*ref.Globals != *env.Globals || ref.DirtyGlobals() != env.DirtyGlobals() {
 				t.Fatalf("%s diverges from interp on (prog %d, env %d):\n%s\nactions %v vs %v\nregs %v vs %v\nglobals %v vs %v",
 					be.name, progSeed, envSeed, src,
-					envtest.StripSites(env.Actions), envtest.StripSites(ref.Actions),
+					env.Actions, ref.Actions,
 					*env.Regs, *ref.Regs, *env.Globals, *ref.Globals)
 			}
 			if raceEnabled || be.mayAlloc {

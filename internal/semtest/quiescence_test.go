@@ -113,7 +113,7 @@ func checkQuiescence(t *testing.T, progSeed, envSeed int64) string {
 		be.exec(env)
 		if len(env.Actions) != 0 || *env.Regs != regs || *env.Globals != globals || env.DirtyGlobals() != 0 {
 			t.Fatalf("%s acted on (prog %d, env %d) although %v holds on facts %#x:\n%s\nactions %v\nregs %v → %v\nglobals %v → %v (dirty %#x)",
-				be.name, progSeed, envSeed, cert.String(), facts, src, envtest.StripSites(env.Actions),
+				be.name, progSeed, envSeed, cert.String(), facts, src, env.Actions,
 				regs, *env.Regs, globals, *env.Globals, env.DirtyGlobals())
 		}
 	}

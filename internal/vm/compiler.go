@@ -9,9 +9,12 @@ import (
 )
 
 // irIns is an instruction over unlimited virtual registers, produced by
-// the cross-compiler and consumed by the register allocator.
+// the cross-compiler and consumed by the register allocator. line is
+// the source line of a PUSH, POP or DROP (Instr.Line); it sits beside
+// op, in what would otherwise be padding.
 type irIns struct {
 	op   Op
+	line int32
 	dst  int
 	a, b int
 	k    int64
@@ -37,6 +40,8 @@ type Options struct {
 }
 
 // Compile lowers a checked program to verified bytecode.
+//
+//progmp:deterministic
 func Compile(info *types.Info, opts Options) (*Program, error) {
 	if opts.SubflowCount >= 0 && opts.SubflowCount > runtime.MaxSubflows {
 		return nil, fmt.Errorf("vm: cannot specialize for %d subflows (max %d)", opts.SubflowCount, runtime.MaxSubflows)
@@ -185,10 +190,10 @@ func (c *comp) stmt(s lang.Stmt) {
 	case *lang.PushStmt:
 		target := c.sbfExpr(s.Target)
 		arg := c.pktExpr(s.Arg)
-		c.emit(OpPush, 0, target, arg, 0)
+		c.ir[c.emit(OpPush, 0, target, arg, 0)].line = int32(s.PushAt.Line)
 	case *lang.DropStmt:
 		arg := c.pktExpr(s.Arg)
-		c.emit(OpDrop, 0, arg, 0, 0)
+		c.ir[c.emit(OpDrop, 0, arg, 0, 0)].line = int32(s.DropPos.Line)
 	case *lang.ReturnStmt:
 		c.emit(OpReturn, 0, 0, 0, 0)
 	default:
@@ -511,7 +516,7 @@ func (c *comp) pktExpr(e lang.Expr) int {
 		case types.MemberPop:
 			top := c.queueTop(m.Scan)
 			skip := c.emit(OpJz, 0, top, 0, 0)
-			c.emit(OpPop, 0, top, 0, int64(m.Scan.Queue))
+			c.ir[c.emit(OpPop, 0, top, 0, int64(m.Scan.Queue))].line = int32(e.Position().Line)
 			c.patch(skip)
 			return top
 		case types.MemberMin, types.MemberMax:

@@ -338,11 +338,14 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", int(op))
 }
 
-// Instr is one fixed-width instruction.
+// Instr is one fixed-width instruction. Line is the source line of a
+// PUSH, POP or DROP, which Exec stamps as the action's decision site;
+// it rides in what would otherwise be padding, so an Instr stays 16 B.
 type Instr struct {
 	Op   Op
 	Dst  uint8
 	A, B uint8
+	Line int32
 	K    int64
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"progmp/internal/envtest"
 	"progmp/internal/runtime"
@@ -84,6 +85,15 @@ func TestOpTableMatchesExec(t *testing.T) {
 	// each other's inverse.
 	if ops[OpJsbz].inv != OpJsbnz || ops[OpJsbnz].inv != OpJsbz {
 		t.Error("jsbz and jsbnz are not linked as inverses")
+	}
+}
+
+// The decision-site line rides in the padding between the operand
+// bytes and K; growing an instruction past 16 B would cost every
+// dispatch a wider load.
+func TestInstrIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 16", got)
 	}
 }
 

@@ -20,9 +20,8 @@ type Profile struct {
 	// Program.Exec runs it, so profiled and plain execution cannot
 	// differ.
 	counted *Program
-	// origin maps a pc of counted to the pc of the same instruction in
-	// prog (-1 at a counter); block maps a pc of prog to its counter.
-	origin, block []int
+	// block maps a pc of prog to its counter.
+	block []int
 	// Hits[i] counts executions of instruction i.
 	Hits []uint64
 	// Steps is the total number of executed instructions.
@@ -41,21 +40,24 @@ func NewProfile(p *Program) *Profile {
 	leader := blockLeaders(ir)
 	pr := &Profile{prog: p, block: make([]int, n), Hits: make([]uint64, n)}
 	start := make([]int, n+1)
+	// origin maps a pc of the counted code to the pc of the same
+	// instruction in p (-1 at a counter).
+	var origin []int
 	var code []Instr
 	blocks := 0
 	for i, in := range p.Insns {
 		start[i] = len(code)
 		if leader[i] {
 			code = append(code, Instr{Op: OpProfile, K: int64(blocks)})
-			pr.origin = append(pr.origin, -1)
+			origin = append(origin, -1)
 			blocks++
 		}
 		pr.block[i] = blocks - 1
 		code = append(code, in)
-		pr.origin = append(pr.origin, i)
+		origin = append(origin, i)
 	}
 	start[n] = len(code)
-	relocateJumps(pr.origin, start, jumpOffsets(code))
+	relocateJumps(origin, start, jumpOffsets(code))
 	counted := *p
 	counted.Insns, counted.StepCounter, counted.blockHits = code, nil, make([]uint64, blocks)
 	pr.counted = &counted
@@ -66,12 +68,7 @@ func NewProfile(p *Program) *Profile {
 // per-instruction counts. The counters cost time, so it is meant for
 // development, not the data path.
 func (pr *Profile) ExecProfile(env *runtime.Env) error {
-	before := len(env.Actions)
 	err := pr.counted.Exec(env)
-	// Decision sites are pcs of the profiled program, not of the copy.
-	for i := before; i < len(env.Actions); i++ {
-		env.Actions[i].Site = int32(pr.origin[env.Actions[i].Site])
-	}
 	pr.Steps = 0
 	for i := range pr.Hits {
 		pr.Hits[i] = pr.counted.blockHits[pr.block[i]]

@@ -214,7 +214,7 @@ func allocate(ir []irIns, nv int) ([]Instr, int, error) {
 	for i, in := range ir {
 		start[i] = len(out)
 		r := &ops[in.op]
-		ni := Instr{Op: in.op, K: in.k}
+		ni := Instr{Op: in.op, Line: in.line, K: in.k}
 		if r.bIsProp {
 			ni.B = uint8(in.b)
 		}

@@ -279,13 +279,13 @@ func (p *Program) Exec(env *runtime.Env) error {
 		case OpPktRef:
 			regs[in.Dst] = (in.K+1)<<32 | (regs[in.A] + 1)
 		case OpPop:
-			env.Site = int32(pc)
+			env.Site = in.Line
 			env.Pop(runtime.QueueID(in.K), pktView(env, regs[in.A]))
 		case OpPush:
-			env.Site = int32(pc)
+			env.Site = in.Line
 			env.Push(sbfView(env, regs[in.A]), pktView(env, regs[in.B]))
 		case OpDrop:
-			env.Site = int32(pc)
+			env.Site = in.Line
 			env.Drop(pktView(env, regs[in.A]))
 		case OpLoadSlot:
 			regs[in.Dst] = spills[in.K]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestVMSpecializedMatchesGeneric(t *testing.T) {
 			if err := special.Exec(envB); err != nil {
 				t.Fatalf("specialized Exec: %v", err)
 			}
-			if !envtest.SameActions(envA.Actions, envB.Actions) {
+			if !slices.Equal(envA.Actions, envB.Actions) {
 				t.Fatalf("specialized diverges from generic:\n%s\ngeneric:     %v\nspecialized: %v", src, envA.Actions, envB.Actions)
 			}
 			if *envA.Regs != *envB.Regs {
@@ -335,10 +336,10 @@ func TestDifferentialThreeWay(t *testing.T) {
 
 // actionsEquivalent compares action queues. The VM records the same
 // actions in the same order; handles must match exactly because both
-// sides read the same envtest-built snapshots. Decision sites are
-// back-end-specific and ignored.
+// sides read the same envtest-built snapshots, and so must decision
+// sites, which every back-end stamps as the source line.
 func actionsEquivalent(a, b *runtime.Env) bool {
-	return envtest.SameActions(a.Actions, b.Actions)
+	return slices.Equal(a.Actions, b.Actions)
 }
 
 func TestMustCompilePanics(t *testing.T) {
