@@ -268,6 +268,8 @@ func runFleet(sc *scenario.Scenario, out io.Writer, fc fleet.Config, metricsHTTP
 	fmt.Fprintf(out, "delivered       %d bytes in %d bursts (%d/%d conns fully acked)\n",
 		res.DeliveredBytes, res.Bursts, res.Acked, res.Conns)
 	fmt.Fprintf(out, "events          %d\n", res.Events)
+	visits := fc.Agg.Aggregate().Counters["fleet.visits"]
+	fmt.Fprintf(out, "visits          %d (%.2f per conn)\n", visits, float64(visits)/float64(res.Conns))
 	if fc.Store != nil {
 		fmt.Fprintf(out, "shared state    epoch %d, %d live dest(s), %d evicted\n",
 			fc.Store.Epoch(), fc.Store.NumDests(), res.EvictedDests)

@@ -70,7 +70,7 @@ func TestFleet(t *testing.T) {
 	wantLines(t, out,
 		"fleet           20 conns, 2 shard(s), 200ms virtual",
 		"scheduler       minRTT (vm backend, shared per shard)",
-		"decision p50    ", "delivery p50    ", "bytes/conn      ",
+		"decision p50    ", "delivery p50    ", "bytes/conn      ", "visits          ",
 		"shared state    epoch ")
 }
 

@@ -23,9 +23,13 @@
 //     obs Aggregator's atomics, both designed for concurrent readers.
 //   - Shards batch: instead of one goroutine per connection (100k
 //     goroutines, each mostly idle) the wheel files each connection at
-//     the slice of its next engine event and the loop services only
-//     the due batch per slice, advancing each serviced engine with one
-//     RunUntil call.
+//     the window of its next engine event and the loop services only
+//     the due batch per window, advancing each serviced engine with
+//     one RunUntil call.
+//   - The window comes from coupling. Without a store or a guard no
+//     world can see another, so a shard runs each world to the horizon
+//     in one visit; with either, the worlds advance in lock-step 5 ms
+//     windows (Config.applyDefaults is the one place the rule lives).
 //
 // See docs/FLEET.md for the architecture and soak-mode usage.
 package fleet
@@ -63,11 +67,6 @@ type Config struct {
 	// burst (default 100 ms). Connection starts are staggered across
 	// one Think period to avoid a synchronized thundering herd.
 	Think time.Duration
-	// Slice is the wheel's batching quantum (default 5 ms of virtual
-	// time). Smaller slices service connections closer to their event
-	// times per pass; larger slices amortize loop overhead. Per-
-	// connection trajectories do not depend on it.
-	Slice time.Duration
 	// LossProb applies Bernoulli loss to the secondary path of every
 	// connection world (default 0).
 	LossProb float64
@@ -82,7 +81,10 @@ type Config struct {
 	DestGroups int
 	// NewScheduler builds one scheduler instance per shard (a shard is
 	// single-threaded, so its connections share the instance; VM
-	// programs execute statelessly). Required.
+	// programs execute statelessly). Required. The instance must keep
+	// no decision state across connections (DSL programs keep their
+	// registers on the Conn): shard-count invariance assumes it, and so
+	// does running an uncoupled shard's worlds one after another.
 	NewScheduler func() (mptcp.Scheduler, error)
 	// Program names the scheduler for guard fleet enrollment and
 	// aggregator labels.
@@ -105,6 +107,10 @@ type Config struct {
 	// Conservation attaches a ConservationChecker to every connection
 	// and collects violations into the result (tests, CI smoke).
 	Conservation bool
+
+	// slice is the shard's service window: how far one visit advances
+	// a world. applyDefaults derives it; in-package tests override it.
+	slice time.Duration
 }
 
 func (c *Config) applyDefaults() error {
@@ -129,8 +135,13 @@ func (c *Config) applyDefaults() error {
 	if c.Think <= 0 {
 		c.Think = 100 * time.Millisecond
 	}
-	if c.Slice <= 0 {
-		c.Slice = 5 * time.Millisecond
+	if c.slice <= 0 {
+		// Worlds couple only through the store and the guard; without
+		// either, the order they run in is invisible.
+		c.slice = 5 * time.Millisecond
+		if c.Store == nil && !c.Guard {
+			c.slice = c.Duration
+		}
 	}
 	return nil
 }

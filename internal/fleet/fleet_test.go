@@ -68,17 +68,27 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestSliceSizeInvariance: the wheel's batching quantum is a
-// performance knob, never a semantic one.
+// TestSliceSizeInvariance: for an uncoupled fleet the service window
+// is a performance knob, never a semantic one. The derived window (the
+// whole horizon: one visit per world) matches 1 ms and 20 ms windows in
+// every per-connection result, the fleet totals, and the merged
+// counters and delivery histogram.
 func TestSliceSizeInvariance(t *testing.T) {
-	run := func(slice time.Duration) Result {
+	type outcome struct {
+		res      Result
+		counters [3]int64
+		delivery [64]int64
+	}
+	run := func(slice time.Duration) outcome {
+		agg := obs.NewAggregator()
 		res, err := Run(Config{
 			Conns:        16,
 			Shards:       2,
 			Seed:         11,
 			Duration:     500 * time.Millisecond,
-			Slice:        slice,
+			slice:        slice,
 			NewScheduler: vmScheduler(t, "minRTT"),
+			Agg:          agg,
 			Conservation: true,
 		})
 		if err != nil {
@@ -87,16 +97,78 @@ func TestSliceSizeInvariance(t *testing.T) {
 		if len(res.ConservationViolations) > 0 {
 			t.Fatalf("slice %v: conservation violated: %v", slice, res.ConservationViolations)
 		}
-		return res
-	}
-	a, b := run(time.Millisecond), run(20*time.Millisecond)
-	if a.DeliveredBytes != b.DeliveredBytes {
-		t.Fatalf("slice size changed delivery: 1ms %d bytes, 20ms %d bytes", a.DeliveredBytes, b.DeliveredBytes)
-	}
-	for i := range a.PerConn {
-		if a.PerConn[i] != b.PerConn[i] {
-			t.Fatalf("conn %d diverges across slice sizes: %+v vs %+v", i, a.PerConn[i], b.PerConn[i])
+		snap := agg.Aggregate()
+		return outcome{
+			res: res,
+			counters: [3]int64{snap.Counters["engine.events"],
+				snap.Counters["conn.sched_execs"], snap.Counters["conn.pushes"]},
+			delivery: snap.Hists["fleet.delivery_us"].Buckets,
 		}
+	}
+	base := run(0)
+	if base.res.DeliveredBytes == 0 || base.counters[1] == 0 {
+		t.Fatalf("derived window: nothing ran (%d bytes, %d executions)", base.res.DeliveredBytes, base.counters[1])
+	}
+	for _, slice := range []time.Duration{time.Millisecond, 20 * time.Millisecond} {
+		got := run(slice)
+		a, b := got.res, base.res
+		if a.DeliveredBytes != b.DeliveredBytes || a.Events != b.Events ||
+			a.DeliveryP50US != b.DeliveryP50US || a.DeliveryP99US != b.DeliveryP99US {
+			t.Fatalf("slice %v: delivered %d, events %d, delivery p50/p99 %d/%d us; derived window: %d, %d, %d/%d",
+				slice, a.DeliveredBytes, a.Events, a.DeliveryP50US, a.DeliveryP99US,
+				b.DeliveredBytes, b.Events, b.DeliveryP50US, b.DeliveryP99US)
+		}
+		for i := range b.PerConn {
+			if a.PerConn[i] != b.PerConn[i] {
+				t.Fatalf("conn %d diverges: slice %v %+v, derived window %+v", i, slice, a.PerConn[i], b.PerConn[i])
+			}
+		}
+		if got.counters != base.counters {
+			t.Fatalf("slice %v: engine.events, conn.sched_execs, conn.pushes = %v; derived window %v",
+				slice, got.counters, base.counters)
+		}
+		if got.delivery != base.delivery {
+			t.Fatalf("slice %v: merged fleet.delivery_us buckets differ from the derived window's", slice)
+		}
+	}
+}
+
+// TestUncoupledFleetVisitsEachWorldOnce pins the window rule through
+// the fleet.visits counter: with nothing coupling the worlds, a shard
+// advances each to the horizon in one RunUntil; a store or a guard
+// couples them, so they advance in lock-step windows and are visited
+// many times.
+func TestUncoupledFleetVisitsEachWorldOnce(t *testing.T) {
+	visits := func(store *xstate.Store, guard bool) int64 {
+		agg := obs.NewAggregator()
+		// Think 60 ms staggers every first burst inside the horizon.
+		res, err := Run(Config{
+			Conns:        40,
+			Shards:       2,
+			Seed:         3,
+			Duration:     300 * time.Millisecond,
+			Think:        60 * time.Millisecond,
+			NewScheduler: vmScheduler(t, "minRTT"),
+			Store:        store,
+			Guard:        guard,
+			Agg:          agg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DeliveredBytes == 0 {
+			t.Fatal("nothing delivered")
+		}
+		return agg.Aggregate().Counters["fleet.visits"]
+	}
+	if v := visits(nil, false); v != 40 {
+		t.Errorf("uncoupled fleet: %d visits for 40 connections, want one each", v)
+	}
+	if v := visits(xstate.NewStore(), false); v <= 40 {
+		t.Errorf("store-attached fleet: %d visits for 40 connections, want lock-step windows (more than one each)", v)
+	}
+	if v := visits(nil, true); v <= 40 {
+		t.Errorf("guarded fleet: %d visits for 40 connections, want lock-step windows (more than one each)", v)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // wheelBuckets is the hashed timing wheel's bucket count (power of
-// two). With the default 5 ms slice the wheel spans 1.28 s per wrap;
-// entries further out simply keep their absolute due slice and ride
-// the wrap (classic hashed wheel semantics).
+// two). With a coupled fleet's 5 ms slice the wheel spans 1.28 s per
+// wrap; entries further out simply keep their absolute due slice and
+// ride the wrap (classic hashed wheel semantics). An uncoupled fleet's
+// one slice spans the horizon, so every world is due in slice 1.
 const wheelBuckets = 256
 
 // evictEvery is how many slices pass between shared-store idle sweeps
@@ -99,6 +100,7 @@ type shard struct {
 	reg      *obs.Registry
 	mDelivUS *obs.Histogram
 	mRetired *obs.Counter
+	mVisits  *obs.Counter
 	gConns   *obs.Gauge
 	fleet    *guard.Fleet
 
@@ -112,9 +114,10 @@ func newShard(id int, cfg *Config, sched mptcp.Scheduler) *shard {
 		sched: sched,
 		reg:   obs.NewRegistry(),
 	}
-	sh.w.slice = cfg.Slice
+	sh.w.slice = cfg.slice
 	sh.mDelivUS = sh.reg.Histogram("fleet.delivery_us")
 	sh.mRetired = sh.reg.Counter("fleet.retired")
+	sh.mVisits = sh.reg.Counter("fleet.visits")
 	sh.gConns = sh.reg.Gauge("fleet.conns")
 	if cfg.Guard {
 		sh.fleet = guard.NewFleet(guard.FleetConfig{})
@@ -138,13 +141,14 @@ func (sh *shard) retire(fc *fleetConn) {
 }
 
 // run drives the shard's connections to the horizon: per slice, pop
-// the due batch off the wheel, advance each engine with one RunUntil,
-// and re-file each at its next event.
+// the due batch off the wheel, advance each engine with one RunUntil
+// (a visit), and re-file each at its next event. When the slice is the
+// horizon, that is one visit per world in connection order.
 //
 //progmp:deterministic
 func (sh *shard) run() {
 	sh.gConns.Set(int64(len(sh.conns)))
-	horizon, slice := sh.cfg.Duration, sh.cfg.Slice
+	horizon, slice := sh.cfg.Duration, sh.cfg.slice
 	for i, fc := range sh.conns {
 		if at, ok := fc.eng.NextEventAt(); ok {
 			sh.w.schedule(int32(i), sh.w.sliceOf(at))
@@ -163,6 +167,7 @@ func (sh *shard) run() {
 		for _, ci := range ready {
 			fc := sh.conns[ci]
 			fc.eng.RunUntil(now)
+			sh.mVisits.Add(1)
 			if at, ok := fc.eng.NextEventAt(); ok {
 				if at <= horizon {
 					sh.w.schedule(ci, sh.w.sliceOf(at))
