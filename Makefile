@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzVerifier -fuzztime 10s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzBackendsAgree -fuzztime 10s ./internal/semtest/
 	$(GO) test -run '^$$' -fuzz FuzzQuiescence -fuzztime 10s ./internal/semtest/
+	$(GO) test -run '^$$' -fuzz FuzzQueueModel -fuzztime 10s ./internal/runtime/
 
 cover:
 	$(GO) test -cover ./...

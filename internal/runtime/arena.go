@@ -2,11 +2,12 @@ package runtime
 
 // Arena owns one connection's reusable snapshot storage: the Env, the
 // subflow view storage, and the three queue views with their lazy
-// materialization buffers. One scheduler execution in steady state
-// costs zero heap allocations — every structure below is recycled with
-// generation counters instead of reallocation, and backing arrays only
-// ever grow (at bind time, never mid-execution, so view pointers handed
-// to a running scheduler stay stable).
+// materialization pages. One scheduler execution in steady state costs
+// zero heap allocations — every structure below is recycled with
+// generation counters instead of reallocation. Subflow storage grows
+// only at bind time; a queue allocates a page of views the first time
+// an execution touches one of its positions, and pages never move, so
+// view pointers handed to a running scheduler stay stable.
 //
 // Lifecycle per execution:
 //

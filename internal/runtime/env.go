@@ -28,28 +28,42 @@ type QueueSource interface {
 // consistent with the programming model (a popped packet is no longer
 // visible to subsequent TOP/POP/FILTER evaluations).
 //
-// A queue owns recycled view storage and fills views lazily from its
-// QueueSource as Top/All/At touch positions — the paper's late
-// materialization (§4.1), which makes a snapshot whose packets are never
-// inspected cost nothing beyond the bind itself.
+// A queue fills views lazily from its QueueSource as Top/All/At touch
+// positions — the paper's late materialization (§4.1). The views live
+// in pages of pageSize positions, and a page is allocated the first
+// time the scheduler touches one of its positions, so a snapshot costs
+// the pages its execution touched, in time and in memory, whatever the
+// queue's length. Pages never move: a view pointer stays valid for the
+// whole execution, even when a later At allocates another page.
 //
 // All per-execution state is generation-stamped: a view is filled when
-// its mat equals matMark, a position popped when its popGen equals gen.
-// Reset and rebinding bump a counter instead of clearing memory, so the
-// steady-state cost of starting an execution is O(1) per queue, not
-// O(packets).
+// its mat equals matMark, a position popped when its page's pop stamp
+// equals gen. Reset and rebinding bump a counter instead of clearing
+// memory, so the steady-state cost of starting an execution is O(1)
+// per queue, not O(packets).
 type Queue struct {
 	id      QueueID
 	n       int // snapshot length
 	src     QueueSource
-	store   []PacketView // views for positions [0, n); may have extra capacity
+	pages   []*viewPage // pages[i>>pageShift] holds position i; nil until touched
 	matMark uint32
-
-	// Pop bookkeeping: popGen[i] == gen → position i consumed.
-	gen     uint32
-	popGen  []uint32
+	gen     uint32 // a page's pop[j] == gen → its position j consumed
 	nPopped int
 	topHint int // all positions < topHint are consumed
+}
+
+// A queue's views live in pages of pageSize consecutive positions.
+const (
+	pageShift = 4
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// viewPage holds the views of pageSize consecutive positions and their
+// pop stamps.
+type viewPage struct {
+	v   [pageSize]PacketView
+	pop [pageSize]uint32
 }
 
 // bind points the queue at a source of n packets for the next
@@ -58,25 +72,30 @@ type Queue struct {
 func (q *Queue) bind(id QueueID, src QueueSource, n int) {
 	q.id = id
 	q.src = src
-	if n > len(q.store) {
-		// Grow the backing arrays. Views from earlier executions keep
-		// pointing into the old store, which is fine: snapshots are only
-		// referenced within their own execution.
-		newCap := n + n/2 + 8
-		//progmp:ignore hotpath cold growth: backing arrays are recycled once sized for the queue
-		q.store = make([]PacketView, newCap)
-		//progmp:ignore hotpath cold growth: backing arrays are recycled once sized for the queue
-		q.popGen = make([]uint32, newCap)
-		q.gen = 1
-	}
 	q.n = n
 	q.matMark++
 	if q.matMark == 0 { // wraparound: marks on the views could collide
-		for i := range q.store {
-			q.store[i].mat = 0
+		for _, pg := range q.pages {
+			if pg != nil {
+				for j := range pg.v {
+					pg.v[j].mat = 0
+				}
+			}
 		}
 		q.matMark = 1
 	}
+}
+
+// page returns the page holding position i, or nil when the scheduler
+// has touched none of its positions yet.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (q *Queue) page(i int) *viewPage {
+	if pi := uint(i) >> pageShift; pi < uint(len(q.pages)) {
+		return q.pages[pi]
+	}
+	return nil
 }
 
 // ID returns the queue's identity.
@@ -97,11 +116,19 @@ func (q *Queue) Len() int { return q.n - q.nPopped }
 //progmp:deterministic
 func (q *Queue) Empty() bool { return q.Len() == 0 }
 
-// popped reports whether position i was consumed this execution.
+// popped reports whether position i was consumed this execution. The
+// pop stamps are read only after a pop, so a scan of an execution that
+// popped nothing never loads them.
 //
 //progmp:hotpath
 //progmp:deterministic
-func (q *Queue) popped(i int) bool { return q.popGen[i] == q.gen }
+func (q *Queue) popped(i int) bool {
+	if q.nPopped == 0 {
+		return false
+	}
+	pg := q.page(i)
+	return pg != nil && pg.pop[i&pageMask] == q.gen
+}
 
 // Top returns the first visible packet, or nil when empty. The scan
 // cursor only ever advances (pops are irrevocable within an execution),
@@ -146,9 +173,11 @@ func (q *Queue) All(fn func(*PacketView) bool) {
 //progmp:deterministic
 func (q *Queue) Reset() {
 	q.gen++
-	if q.gen == 0 { // wraparound: stamps in popGen could collide
-		for i := range q.popGen {
-			q.popGen[i] = 0
+	if q.gen == 0 { // wraparound: pop stamps on the pages could collide
+		for _, pg := range q.pages {
+			if pg != nil {
+				pg.pop = [pageSize]uint32{}
+			}
 		}
 		q.gen = 1
 	}
@@ -167,12 +196,35 @@ func (q *Queue) At(i int) *PacketView {
 	if i < 0 || i >= q.n {
 		return nil
 	}
-	p := &q.store[i]
+	pg := q.page(i)
+	if pg == nil {
+		return q.atNewPage(i)
+	}
+	p := &pg.v[i&pageMask]
 	if p.mat != q.matMark {
 		q.src.MaterializePacket(i, p)
 		p.pos, p.mat = int32(i), q.matMark
 	}
 	return p
+}
+
+// atNewPage is At for a position on a page no execution has touched:
+// it allocates the page, then reads the position through At. It stays
+// out of line so that At's path to a page that exists adds one bounds
+// check and one load to a flat array's, and no register spills.
+//
+//progmp:hotpath
+//progmp:deterministic
+//go:noinline
+func (q *Queue) atNewPage(i int) *PacketView {
+	pi := i >> pageShift
+	if pi >= len(q.pages) {
+		//progmp:ignore hotpath once per doubling of the highest page a queue ever exposes
+		q.pages = append(q.pages, make([]*viewPage, pi+1-len(q.pages))...)
+	}
+	//progmp:ignore hotpath once per 16 positions a queue ever exposes: pages are recycled by every later bind
+	q.pages[pi] = new(viewPage)
+	return q.At(i)
 }
 
 // NextVisible returns the position of the first not-yet-popped packet
@@ -181,11 +233,7 @@ func (q *Queue) At(i int) *PacketView {
 //progmp:hotpath
 //progmp:deterministic
 func (q *Queue) NextVisible(after int) int {
-	i := after + 1
-	if i < q.topHint {
-		i = q.topHint // everything below the hint is consumed
-	}
-	for ; i < q.n; i++ {
+	for i := max(after+1, q.topHint); i < q.n; i++ { // everything below the hint is consumed
 		if !q.popped(i) {
 			return i
 		}
@@ -197,21 +245,27 @@ func (q *Queue) NextVisible(after int) int {
 // It supports popping from the middle of the queue, which the kernel
 // runtime implements with the augmented queue_position pointer, in O(1)
 // via the view's recorded position. A view this queue does not own is
-// not visible in it.
+// not visible in it, and neither is one it filled for an earlier bind
+// and has not filled again since: that view describes a packet of a
+// snapshot the current execution does not see.
 //
 //progmp:hotpath
 //progmp:deterministic
 func (q *Queue) PopPacket(p *PacketView) bool {
-	if p == nil {
+	// A view of this queue carrying the current mark was filled by At
+	// this bind, so its position is in range; a foreign view that
+	// carries it fails the identity check below.
+	if p == nil || p.mat != q.matMark {
 		return false
 	}
-	i := int(p.pos)
-	if i < 0 || i >= q.n || &q.store[i] != p || q.popped(i) {
-		return false
+	if pg := q.page(int(p.pos)); pg != nil {
+		if j := p.pos & pageMask; &pg.v[j] == p && pg.pop[j] != q.gen {
+			pg.pop[j] = q.gen
+			q.nPopped++
+			return true
+		}
 	}
-	q.popGen[i] = q.gen
-	q.nPopped++
-	return true
+	return false
 }
 
 // Env is the complete execution environment for one scheduler run:

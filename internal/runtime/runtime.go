@@ -185,7 +185,8 @@ type PacketView struct {
 	// pos is the view's position in the queue whose storage holds it,
 	// and mat that queue's materialization mark when it was filled.
 	// Queue.At stamps both after its source fills the view, so PopPacket
-	// runs in O(1) and the view is filled at most once per bind.
+	// runs in O(1) and refuses a view from an earlier bind, and the view
+	// is filled at most once per bind.
 	pos int32
 	mat uint32
 }
