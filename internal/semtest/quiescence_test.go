@@ -81,7 +81,7 @@ func checkQuiescence(t *testing.T, progSeed, envSeed int64) string {
 	if err != nil {
 		t.Fatalf("generated program does not check: %v\n%s", err, src)
 	}
-	cert := analysis.Quiescence(info)
+	cert := analysis.Analyze(info, analysis.Options{}).Quiescence
 	newEnv := func() *runtime.Env { return envtest.RandomEnv(rand.New(rand.NewSource(envSeed))) }
 	env := newEnv()
 	facts := env.Facts()
