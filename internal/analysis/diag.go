@@ -170,8 +170,8 @@ type Report struct {
 	// Diagnostics is sorted by position, then rule id. Suppressed
 	// diagnostics are removed (and counted in Suppressed).
 	Diagnostics []Diagnostic `json:"diagnostics,omitempty"`
-	// StepBound is the static worst-case step count as a polynomial in
-	// S (subflow count) and N (queue depth).
+	// StepBound is the static worst-case VM step count as a polynomial
+	// in S (subflow count) and N (the deepest queue's depth).
 	StepBound string `json:"step_bound,omitempty"`
 	// StepBoundAt is the bound evaluated at the reference environment
 	// size (64 subflows, queue depth 1024), comparable against
