@@ -54,7 +54,7 @@ vet:
 
 # Project-specific static analysis: the DSL admission gate over the
 # scheduler corpus and shipped examples, then the Go invariant passes
-# (hotpath / deterministic / epochsafe / conventions — see
+# (hotpath / deterministic / epochsafe / conventions / testonly — see
 # docs/ANALYSIS.md "Go-side invariant passes").
 lint:
 	$(GO) run ./cmd/progmp-vet -all examples/schedulers

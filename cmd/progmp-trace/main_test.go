@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -44,9 +45,13 @@ func TestEveryTransmissionAttributable(t *testing.T) {
 	if err := emit(&buf, "jsonl", tracer.Events(), 0); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := obs.ParseJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var parsed []obs.JSONLEvent
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var ev obs.JSONLEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, ev)
 	}
 
 	execStarts := map[uint64]bool{}

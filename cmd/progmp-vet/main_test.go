@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"progmp"
 	"progmp/internal/analysis"
+	"progmp/internal/envjson"
+	"progmp/internal/schedlib"
 )
 
 func runVet(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -156,5 +160,96 @@ func TestExamplesShipClean(t *testing.T) {
 	code, stdout, stderr := runVet(t, dir)
 	if code != 0 {
 		t.Fatalf("shipped examples must vet clean: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}
+
+// writeEnv writes env-example's environment to a file and returns its
+// path.
+func writeEnv(t *testing.T) string {
+	t.Helper()
+	code, stdout, stderr := runVet(t, "env-example")
+	if code != 0 {
+		t.Fatalf("env-example: exit %d, stderr %q", code, stderr)
+	}
+	if _, err := envjson.Parse([]byte(stdout)); err != nil {
+		t.Fatalf("env-example does not parse: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "env.json")
+	if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestVerbList(t *testing.T) {
+	code, stdout, _ := runVet(t, "list")
+	names := strings.Fields(stdout)
+	if code != 0 || len(names) != len(schedlib.All) || !sort.StringsAreSorted(names) {
+		t.Fatalf("list: exit %d, %d names (want %d, sorted):\n%s", code, len(names), len(schedlib.All), stdout)
+	}
+}
+
+func TestVerbFmtIsIdempotent(t *testing.T) {
+	code, once, stderr := runVet(t, "fmt", "builtin:minRTT")
+	if code != 0 || once == "" {
+		t.Fatalf("fmt: exit %d, stderr %q", code, stderr)
+	}
+	path := filepath.Join(t.TempDir(), "minrtt.progmp")
+	if err := os.WriteFile(path, []byte(once), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, twice, _ := runVet(t, "fmt", path); twice != once {
+		t.Errorf("fmt of fmt output differs:\n%s\n---\n%s", once, twice)
+	}
+}
+
+// disasm prints the generic program's bytecode, the text of
+// progmp.Disassemble.
+func TestVerbDisasm(t *testing.T) {
+	want, err := progmp.Disassemble(schedlib.All["minRTT"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runVet(t, "disasm", "builtin:minRTT")
+	if code != 0 || stdout != want {
+		t.Fatalf("disasm: exit %d, stderr %q, output differs from progmp.Disassemble:\n%s", code, stderr, stdout)
+	}
+	if !strings.HasPrefix(stdout, "   0: movimm r0, 1\n") {
+		t.Errorf("disasm does not start at instruction 0:\n%s", stdout)
+	}
+}
+
+// On the example environment minRTT pops Q's head and pushes it on
+// subflow 0, and touches no register.
+func TestVerbExec(t *testing.T) {
+	code, stdout, stderr := runVet(t, "exec", "builtin:minRTT", writeEnv(t))
+	want := " 0: POP  seq 0      from Q\n 1: PUSH seq 0      on subflow 0\n"
+	if code != 0 || stdout != want {
+		t.Fatalf("exec: exit %d, stderr %q, output:\n%s\nwant:\n%s", code, stderr, stdout, want)
+	}
+}
+
+func TestVerbProfile(t *testing.T) {
+	code, stdout, stderr := runVet(t, "profile", "builtin:minRTT", writeEnv(t))
+	if code != 0 || !strings.HasPrefix(stdout, "1 run(s), ") || !strings.Contains(stdout, "0: movimm r0, 1\n") {
+		t.Fatalf("profile: exit %d, stderr %q, output:\n%s", code, stderr, stdout)
+	}
+}
+
+func TestVerbErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"exec", "builtin:minRTT"}, 2, "usage: progmp-vet exec PROGRAM ENV.json"},
+		{[]string{"list", "extra"}, 2, "usage: progmp-vet list"},
+		{[]string{"disasm", "builtin:nope"}, 1, `unknown built-in scheduler "nope"`},
+		{[]string{"exec", "builtin:minRTT", "missing.json"}, 1, "missing.json"},
+	} {
+		code, _, stderr := runVet(t, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want %d and %q", tc.args, code, stderr, tc.code, tc.want)
+		}
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -60,37 +61,57 @@ import (
 )
 
 func main() {
-	addr := flag.String("s", "/tmp/progmp.sock", "server address: Unix socket path or host:port")
-	connID := flag.Int("conn", 1, "target connection id (see list)")
-	force := flag.Bool("force", false, "swap: install despite static-analyzer warnings or a fleet block")
-	timeout := flag.Duration("timeout", 0, "per-call deadline, overriding every verb's own (0 = per-verb deadlines, < 0 = none)")
-	retries := flag.Int("retries", 0, "attempts for read-only verbs across reconnects (0 = default)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: progmpctl [-s ADDR] [-conn N] <command> [args]\n")
-		fmt.Fprintf(os.Stderr, "commands: ping list schedulers compile swap getreg setreg gget gset deststats send metrics metrics-agg drain watch\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := run(*addr, *connID, *force, *timeout, *retries, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, "progmpctl:", err)
-		printDiags(err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(addr string, connID int, force bool, timeout time.Duration, retries int, args []string) error {
+// options are progmpctl's flags.
+type options struct {
+	addr    string
+	connID  int
+	force   bool
+	timeout time.Duration
+	retries int
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fl := flag.NewFlagSet("progmpctl", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	fl.StringVar(&o.addr, "s", "/tmp/progmp.sock", "server address: Unix socket path or host:port")
+	fl.IntVar(&o.connID, "conn", 1, "target connection id (see list)")
+	fl.BoolVar(&o.force, "force", false, "swap: install despite static-analyzer warnings or a fleet block")
+	fl.DurationVar(&o.timeout, "timeout", 0, "per-call deadline, overriding every verb's own (0 = per-verb deadlines, < 0 = none)")
+	fl.IntVar(&o.retries, "retries", 0, "attempts for read-only verbs across reconnects (0 = default)")
+	fl.Usage = func() {
+		fmt.Fprintf(stderr, "usage: progmpctl [-s ADDR] [-conn N] <command> [args]\n")
+		fmt.Fprintf(stderr, "commands: ping list schedulers compile swap getreg setreg gget gset deststats send metrics metrics-agg drain watch\n")
+		fl.PrintDefaults()
+	}
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	if fl.NArg() == 0 {
+		fl.Usage()
+		return 2
+	}
+	if err := command(o, fl.Args(), stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "progmpctl:", err)
+		printDiags(stderr, err)
+		return 1
+	}
+	return 0
+}
+
+// command runs one verb, printing its result to w.
+func command(o options, args []string, w, stderr io.Writer) error {
 	// The reconnecting client: per-verb deadlines, retry of read-only
 	// verbs across reconnects, circuit breaker when the server stays
 	// down. It dials lazily, so connection errors surface on the call.
 	c := ctl.DialRetry(ctl.RetryOptions{
-		Network:     ctl.NetworkOf(addr),
-		Addr:        addr,
-		CallTimeout: timeout,
-		MaxAttempts: retries,
+		Network:     ctl.NetworkOf(o.addr),
+		Addr:        o.addr,
+		CallTimeout: o.timeout,
+		MaxAttempts: o.retries,
 	})
 	defer c.Close()
 
@@ -101,14 +122,14 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if err != nil {
 			return err
 		}
-		fmt.Printf("ok, virtual time %v\n", time.Duration(res.NowUS)*time.Microsecond)
+		fmt.Fprintf(w, "ok, virtual time %v\n", time.Duration(res.NowUS)*time.Microsecond)
 		return nil
 	case "list":
 		res, err := c.List()
 		if err != nil {
 			return err
 		}
-		printList(res)
+		printList(w, res)
 		return nil
 	case "schedulers":
 		names, err := c.Schedulers()
@@ -116,7 +137,7 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 			return err
 		}
 		for _, name := range names {
-			fmt.Println(name)
+			fmt.Fprintln(w, name)
 		}
 		return nil
 	case "compile":
@@ -128,15 +149,15 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if err != nil {
 			return err
 		}
-		fmt.Printf("ok: %s on %s backend, %d bytes resident\n", res.Name, res.Backend, res.MemoryBytes)
+		fmt.Fprintf(w, "ok: %s on %s backend, %d bytes resident\n", res.Name, res.Backend, res.MemoryBytes)
 		if res.StepBound != "" {
-			fmt.Printf("step bound: %s (%d steps at reference size)\n", res.StepBound, res.StepBoundSteps)
+			fmt.Fprintf(w, "step bound: %s (%d steps at reference size)\n", res.StepBound, res.StepBoundSteps)
 		}
 		for _, d := range res.Diagnostics {
-			fmt.Printf("%s: %s\n", res.Name, d)
+			fmt.Fprintf(w, "%s: %s\n", res.Name, d)
 		}
 		if res.Warnings > 0 {
-			fmt.Printf("%d warning(s): swap will refuse this program without -force\n", res.Warnings)
+			fmt.Fprintf(w, "%d warning(s): swap will refuse this program without -force\n", res.Warnings)
 		}
 		return nil
 	case "swap":
@@ -144,7 +165,7 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if err != nil {
 			return err
 		}
-		res, err := c.Swap(connID, name, src, backend, force)
+		res, err := c.Swap(o.connID, name, src, backend, o.force)
 		if err != nil {
 			return err
 		}
@@ -152,7 +173,7 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if res.Supervised {
 			state = " (supervised)"
 		}
-		fmt.Printf("conn %d: %s -> %s on %s backend%s\n",
+		fmt.Fprintf(w, "conn %d: %s -> %s on %s backend%s\n",
 			res.Conn, res.PrevScheduler, res.Scheduler, res.Backend, state)
 		return nil
 	case "getreg":
@@ -163,11 +184,11 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if err != nil {
 			return err
 		}
-		v, err := c.GetReg(connID, reg)
+		v, err := c.GetReg(o.connID, reg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("R%d = %d\n", reg+1, v)
+		fmt.Fprintf(w, "R%d = %d\n", reg+1, v)
 		return nil
 	case "setreg":
 		if len(rest) != 2 {
@@ -181,10 +202,10 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if err != nil {
 			return fmt.Errorf("bad value %q: %v", rest[1], err)
 		}
-		if err := c.SetReg(connID, reg, v); err != nil {
+		if err := c.SetReg(o.connID, reg, v); err != nil {
 			return err
 		}
-		fmt.Printf("R%d = %d\n", reg+1, v)
+		fmt.Fprintf(w, "R%d = %d\n", reg+1, v)
 		return nil
 	case "gget":
 		if len(rest) != 1 {
@@ -198,7 +219,7 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if err != nil {
 			return err
 		}
-		fmt.Printf("G%d = %d (epoch %d)\n", res.Reg+1, res.Value, res.Epoch)
+		fmt.Fprintf(w, "G%d = %d (epoch %d)\n", res.Reg+1, res.Value, res.Epoch)
 		return nil
 	case "gset":
 		if len(rest) != 2 {
@@ -216,16 +237,16 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if err != nil {
 			return err
 		}
-		fmt.Printf("G%d = %d (epoch %d)\n", res.Reg+1, res.Value, res.Epoch)
+		fmt.Fprintf(w, "G%d = %d (epoch %d)\n", res.Reg+1, res.Value, res.Epoch)
 		return nil
 	case "deststats":
 		res, err := c.DestStats()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("epoch %d, %d destination(s)\n", res.Epoch, len(res.Dests))
+		fmt.Fprintf(w, "epoch %d, %d destination(s)\n", res.Epoch, len(res.Dests))
 		for _, d := range res.Dests {
-			fmt.Printf("  %-10s srtt=%-8v lost=%-5d quar=%-4d delivered=%d samples=%d\n",
+			fmt.Fprintf(w, "  %-10s srtt=%-8v lost=%-5d quar=%-4d delivered=%d samples=%d\n",
 				d.Name, time.Duration(d.SRTTUS)*time.Microsecond,
 				d.Lost, d.Quarantines, d.Delivered, d.Samples)
 		}
@@ -244,17 +265,17 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 				return fmt.Errorf("bad prop %q: %v", rest[1], err)
 			}
 		}
-		if err := c.Send(connID, n, prop); err != nil {
+		if err := c.Send(o.connID, n, prop); err != nil {
 			return err
 		}
-		fmt.Printf("queued %d bytes (prop %d)\n", n, prop)
+		fmt.Fprintf(w, "queued %d bytes (prop %d)\n", n, prop)
 		return nil
 	case "metrics":
 		snap, err := c.Metrics()
 		if err != nil {
 			return err
 		}
-		printMetrics(snap)
+		printMetrics(w, snap)
 		return nil
 	case "metrics-agg":
 		format := ""
@@ -267,7 +288,7 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 			if err != nil {
 				return err
 			}
-			fmt.Print(res.Text)
+			fmt.Fprint(w, res.Text)
 		case "", "json":
 			res, err := c.MetricsAgg("json")
 			if err != nil {
@@ -277,7 +298,7 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 			if err != nil {
 				return err
 			}
-			fmt.Println(string(buf))
+			fmt.Fprintln(w, string(buf))
 		default:
 			return fmt.Errorf("metrics-agg: unknown format %q (json, text)", format)
 		}
@@ -286,10 +307,10 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 		if _, err := c.Drain(); err != nil {
 			return err
 		}
-		fmt.Println("draining: server stops accepting, finishes inflight requests, then shuts down")
+		fmt.Fprintln(w, "draining: server stops accepting, finishes inflight requests, then shuts down")
 		return nil
 	case "watch":
-		return watch(c, connID, rest)
+		return watch(c, o.connID, rest, w, stderr)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
@@ -297,13 +318,13 @@ func run(addr string, connID int, force bool, timeout time.Duration, retries int
 
 // printDiags renders the analyzer's structured findings when a
 // compile or swap was refused.
-func printDiags(err error) {
+func printDiags(w io.Writer, err error) {
 	var de *ctl.DiagError
 	if !errors.As(err, &de) {
 		return
 	}
 	for _, d := range de.Diags {
-		fmt.Fprintf(os.Stderr, "  %s\n", d)
+		fmt.Fprintf(w, "  %s\n", d)
 	}
 }
 
@@ -363,7 +384,7 @@ func parseGlobal(s string) (int, error) {
 	return n, nil
 }
 
-func printList(res ctl.ListResult) {
+func printList(w io.Writer, res ctl.ListResult) {
 	for _, ci := range res.Conns {
 		sched := ci.Scheduler
 		if ci.Backend != "" {
@@ -372,7 +393,7 @@ func printList(res ctl.ListResult) {
 		if ci.Supervised {
 			sched += " guarded:" + ci.GuardState
 		}
-		fmt.Printf("conn %d %-10s sched=%s queued=%d unacked=%d allAcked=%v\n",
+		fmt.Fprintf(w, "conn %d %-10s sched=%s queued=%d unacked=%d allAcked=%v\n",
 			ci.ID, ci.Name, sched, ci.QueuedSegs, ci.UnackedSegs, ci.AllAcked)
 		var regs []string
 		for i, v := range ci.Registers {
@@ -381,7 +402,7 @@ func printList(res ctl.ListResult) {
 			}
 		}
 		if len(regs) > 0 {
-			fmt.Printf("  registers %s\n", strings.Join(regs, " "))
+			fmt.Fprintf(w, "  registers %s\n", strings.Join(regs, " "))
 		}
 		for _, sf := range ci.Subflows {
 			state := "established"
@@ -394,21 +415,21 @@ func printList(res ctl.ListResult) {
 			if sf.Backup {
 				state += ",backup"
 			}
-			fmt.Printf("  %-8s %-18s srtt=%-8v cwnd=%-6.1f sent=%d pkts=%d retx=%d tput=%dB/s\n",
+			fmt.Fprintf(w, "  %-8s %-18s srtt=%-8v cwnd=%-6.1f sent=%d pkts=%d retx=%d tput=%dB/s\n",
 				sf.Name, state, time.Duration(sf.SRTTUS)*time.Microsecond,
 				sf.Cwnd, sf.BytesSent, sf.PktsSent, sf.Retransmissions, sf.ThroughputBps)
 		}
 	}
 }
 
-func printMetrics(snap ctl.MetricsResult) {
+func printMetrics(w io.Writer, snap ctl.MetricsResult) {
 	var names []string
 	for name := range snap.Counters {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("counter %-40s %d\n", name, snap.Counters[name])
+		fmt.Fprintf(w, "counter %-40s %d\n", name, snap.Counters[name])
 	}
 	names = names[:0]
 	for name := range snap.Gauges {
@@ -416,7 +437,7 @@ func printMetrics(snap ctl.MetricsResult) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("gauge   %-40s %d\n", name, snap.Gauges[name])
+		fmt.Fprintf(w, "gauge   %-40s %d\n", name, snap.Gauges[name])
 	}
 	names = names[:0]
 	for name := range snap.Hists {
@@ -425,7 +446,7 @@ func printMetrics(snap ctl.MetricsResult) {
 	sort.Strings(names)
 	for _, name := range names {
 		h := snap.Hists[name]
-		fmt.Printf("hist    %-40s count=%d mean=%.1f p50=%d p99=%d\n",
+		fmt.Fprintf(w, "hist    %-40s count=%d mean=%.1f p50=%d p99=%d\n",
 			name, h.Count, h.Mean, h.P50, h.P99)
 	}
 }
@@ -433,7 +454,7 @@ func printMetrics(snap ctl.MetricsResult) {
 // watch streams trace events as JSONL until interrupted. Streaming
 // needs the live underlying connection; if it dies mid-watch the stream
 // ends (rerun to resubscribe through a fresh connection).
-func watch(rc *ctl.ReClient, connID int, kinds []string) error {
+func watch(rc *ctl.ReClient, connID int, kinds []string, w, stderr io.Writer) error {
 	c, err := rc.Client()
 	if err != nil {
 		return err
@@ -445,7 +466,7 @@ func watch(rc *ctl.ReClient, connID int, kinds []string) error {
 	defer stream.Close()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	for {
 		select {
 		case ev, ok := <-stream.Events():
@@ -459,7 +480,7 @@ func watch(rc *ctl.ReClient, connID int, kinds []string) error {
 			}
 		case <-sig:
 			if n := stream.Dropped(); n > 0 {
-				fmt.Fprintf(os.Stderr, "progmpctl: %d events dropped\n", n)
+				fmt.Fprintf(stderr, "progmpctl: %d events dropped\n", n)
 			}
 			return nil
 		}

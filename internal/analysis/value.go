@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"math"
-
-	"progmp/internal/lang/types"
-)
+import "math"
 
 // The value domain of the abstract interpreter: integer intervals with
 // saturating arithmetic, three-valued booleans, three-valued nullness
@@ -165,16 +161,6 @@ type absVal struct {
 	b     boolVal  // Bool
 	null  nullness // Packet, Subflow
 	empty boolVal  // SubflowList, PacketQueue: provably empty?
-}
-
-// unknownVal is the top element for a given type.
-func unknownVal(t types.Type) absVal {
-	v := absVal{iv: fullRange}
-	switch t {
-	case types.Subflow, types.Packet:
-		v.null = nUnknown
-	}
-	return v
 }
 
 func intVal(iv interval) absVal { return absVal{iv: iv} }

@@ -30,7 +30,7 @@ func TestCompiledMinRTT(t *testing.T) {
 	New(mustInfo(t, `IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) {
 		SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP());
 	}`)).Exec(env)
-	if n := env.PushCount(); n != 1 {
+	if n := envtest.PushCount(env); n != 1 {
 		t.Fatalf("push count = %d, want 1", n)
 	}
 	if env.Actions[1].Subflow != env.SubflowViews[0].Handle {

@@ -13,9 +13,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,10 +148,6 @@ type Scheduler struct {
 	tracer   *obs.Tracer
 	traceNow func() time.Duration
 
-	// lastFallbackErr retains the most recent fallback failure for
-	// diagnostics (the proc-style error surface).
-	lastFallbackErr atomic.Pointer[fallbackErr]
-
 	// report is the static-analysis report from admission: warnings and
 	// infos that did not block loading but are surfaced through tooling
 	// (progmp-vet, ctl compile, the guard's quarantine trace).
@@ -162,8 +156,6 @@ type Scheduler struct {
 	// the scheduler executes (see Exec).
 	cert *runtime.Certificate
 }
-
-type fallbackErr struct{ err error }
 
 // Load parses, type-checks and compiles a scheduler specification for
 // the given back-end.
@@ -219,6 +211,8 @@ func Load(name, src string, backend Backend) (*Scheduler, error) {
 }
 
 // MustLoad loads or panics; for embedded specifications.
+//
+//progmp:ignore testonly the tests of seven packages share it; envtest cannot, because core imports packages whose tests import envtest
 func MustLoad(name, src string, backend Backend) *Scheduler {
 	s, err := Load(name, src, backend)
 	if err != nil {
@@ -232,12 +226,6 @@ func (s *Scheduler) Name() string { return s.name }
 
 // Backend returns the execution back-end.
 func (s *Scheduler) Backend() Backend { return s.backend }
-
-// Info exposes the type-checked program (for tooling).
-func (s *Scheduler) Info() *types.Info { return s.info }
-
-// Source returns the original specification text.
-func (s *Scheduler) Source() string { return s.info.Prog.Source }
 
 // AnalysisReport returns the static-analysis report recorded at
 // admission (never nil for a loaded scheduler).
@@ -253,6 +241,8 @@ func (s *Scheduler) AdmissionWarnings() int { return s.report.Warnings() }
 // compiles in line.
 //
 // Deprecated: callers can drop the call.
+//
+//progmp:ignore testonly only bench/ calls it; ROADMAP item 3 drops those calls, then this goes
 func (s *Scheduler) SetSynchronousSpecialization(bool) {}
 
 // Exec runs one scheduler execution against env and updates statistics.
@@ -305,7 +295,7 @@ func (s *Scheduler) execVM(env *runtime.Env) {
 		// fast path pays no extra bookkeeping.
 		s.mGenericExec.Add(1)
 	}
-	if err := prog.Exec(env); err != nil {
+	if prog.Exec(env) != nil {
 		// Specialization mismatch or step-budget overrun: fall back to
 		// the generic program ("returns to the original version").
 		env.Actions = env.Actions[:0]
@@ -313,17 +303,17 @@ func (s *Scheduler) execVM(env *runtime.Env) {
 			// The generic program itself failed; re-running it would
 			// fail identically, so record the fault and execute nothing.
 			//progmp:ignore hotpath,deterministic cold fault path: executions only fail on budget overrun or mismatch
-			s.noteFallbackError(err)
+			s.noteFallbackError()
 			return
 		}
 		s.mGenericExec.Add(1)
-		if err := s.vmProg.Exec(env); err != nil {
+		if s.vmProg.Exec(env) != nil {
 			// The safety net failed too. Discard the partial action
 			// queue (termination guarantee: a failed execution has no
 			// effects) and surface the fault instead of swallowing it.
 			env.Actions = env.Actions[:0]
 			//progmp:ignore hotpath,deterministic cold fault path: double execution failure
-			s.noteFallbackError(err)
+			s.noteFallbackError()
 		}
 	}
 }
@@ -356,11 +346,9 @@ func (s *Scheduler) specializationMiss(n int) *vm.Program {
 }
 
 // noteFallbackError records a generic-program execution failure in the
-// sched.fallback_errors metric, the fault trace (when attached) and the
-// last-error diagnostic slot.
-func (s *Scheduler) noteFallbackError(err error) {
+// sched.fallback_errors metric and the fault trace (when attached).
+func (s *Scheduler) noteFallbackError() {
 	s.mFallbackErrs.Add(1)
-	s.lastFallbackErr.Store(&fallbackErr{err: err})
 	if t := s.tracer; t != nil {
 		var at time.Duration
 		if s.traceNow != nil {
@@ -368,15 +356,6 @@ func (s *Scheduler) noteFallbackError(err error) {
 		}
 		t.Record(obs.Event{At: at, Kind: obs.EvSchedFallback, Seq: -1, Sbf: -1})
 	}
-}
-
-// LastFallbackError returns the most recent generic-program execution
-// failure, or nil when every execution succeeded.
-func (s *Scheduler) LastFallbackError() error {
-	if fe := s.lastFallbackErr.Load(); fe != nil {
-		return fe.err
-	}
-	return nil
 }
 
 // InstrumentTrace attaches a trace sink (and virtual clock) for
@@ -387,14 +366,12 @@ func (s *Scheduler) InstrumentTrace(t *obs.Tracer, now func() time.Duration) {
 	s.traceNow = now
 }
 
-// Metrics exposes the scheduler's metrics registry (the §4.1
-// proc-style statistics surface).
-func (s *Scheduler) Metrics() *obs.Registry { return s.metrics }
-
 // EnableStepMetrics turns on per-execution VM instruction counting
 // into the MetricSteps counter. Off by default so the VM exit path
 // pays only an inlined nil check. Call it before traffic starts:
 // wiring the counter while executions are in flight is racy.
+//
+//progmp:ignore testonly only bench/ calls it (vm.steps_per_decision); ROADMAP item 3 decides its fate
 func (s *Scheduler) EnableStepMetrics() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -410,6 +387,8 @@ func (s *Scheduler) EnableStepMetrics() {
 }
 
 // Stats returns a snapshot of the cumulative statistics.
+//
+//progmp:ignore testonly only bench/ reads it (vm.steps_per_decision); ROADMAP item 3 decides its fate
 func (s *Scheduler) Stats() Stats {
 	return Stats{
 		Executions:     s.mExecutions.Value(),
@@ -447,74 +426,4 @@ func (s *Scheduler) MemoryFootprint() int {
 // paper reports 328 B per instantiation (§4.3).
 func InstanceFootprint() int {
 	return runtime.NumRegisters*8 + 264
-}
-
-// ---- Registry ----
-
-// ErrNotFound reports a lookup of an unknown scheduler name.
-var ErrNotFound = errors.New("core: scheduler not found")
-
-// ErrExists reports loading a scheduler under a name already taken.
-var ErrExists = errors.New("core: scheduler already loaded")
-
-// Registry holds loaded schedulers by name so applications can reuse
-// them across connections "to reduce compilation overhead" (§3.2).
-// The zero value is ready to use.
-type Registry struct {
-	mu sync.RWMutex
-	m  map[string]*Scheduler
-}
-
-// Load parses and registers a scheduler under name. Loading an
-// already-registered name fails with ErrExists.
-func (r *Registry) Load(name, src string, backend Backend) (*Scheduler, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.m[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	s, err := Load(name, src, backend)
-	if err != nil {
-		return nil, err
-	}
-	if r.m == nil {
-		r.m = make(map[string]*Scheduler)
-	}
-	r.m[name] = s
-	return s, nil
-}
-
-// Get returns the scheduler registered under name.
-func (r *Registry) Get(name string) (*Scheduler, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.m[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return s, nil
-}
-
-// Remove unregisters name. Connections already using the scheduler
-// keep their reference.
-func (r *Registry) Remove(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.m[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(r.m, name)
-	return nil
-}
-
-// Names lists registered scheduler names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.m))
-	for name := range r.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,12 +44,12 @@ func TestVMSpecializationCacheAndFallback(t *testing.T) {
 	// (specializes for 0): both must behave correctly.
 	env2 := envtest.TwoSubflowEnv(1)
 	s.Exec(env2)
-	if env2.PushCount() != 1 {
-		t.Errorf("2-subflow exec pushed %d, want 1", env2.PushCount())
+	if envtest.PushCount(env2) != 1 {
+		t.Errorf("2-subflow exec pushed %d, want 1", envtest.PushCount(env2))
 	}
 	env0 := envtest.EnvSpec{Q: []envtest.PktSpec{{Seq: 0}}}.Build()
 	s.Exec(env0)
-	if env0.PushCount() != 0 {
+	if envtest.PushCount(env0) != 0 {
 		t.Errorf("0-subflow exec must not push")
 	}
 	nSpecialized := 0
@@ -76,35 +74,6 @@ func TestMemoryFootprint(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	var r Registry
-	if _, err := r.Load("a", minRTT, BackendCompiled); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if _, err := r.Load("a", minRTT, BackendCompiled); !errors.Is(err, ErrExists) {
-		t.Errorf("duplicate Load = %v, want ErrExists", err)
-	}
-	if _, err := r.Get("a"); err != nil {
-		t.Errorf("Get: %v", err)
-	}
-	if _, err := r.Get("missing"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get missing = %v, want ErrNotFound", err)
-	}
-	if _, err := r.Load("b", minRTT, BackendVM); err != nil {
-		t.Fatalf("Load b: %v", err)
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v, want [a b]", names)
-	}
-	if err := r.Remove("a"); err != nil {
-		t.Errorf("Remove: %v", err)
-	}
-	if err := r.Remove("a"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double Remove = %v, want ErrNotFound", err)
-	}
-}
-
 func TestConcurrentExecIsSafe(t *testing.T) {
 	s := MustLoad("minRTT", minRTT, BackendVM)
 	done := make(chan struct{})
@@ -125,31 +94,11 @@ func TestConcurrentExecIsSafe(t *testing.T) {
 	}
 	// Concurrent missers wait for the one in-line compile instead of
 	// running the generic program.
-	if got := s.Metrics().Counter(MetricSpecCompiled).Value(); got != 1 {
+	if got := s.metrics.Counter(MetricSpecCompiled).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricSpecCompiled, got)
 	}
 	if got := s.Stats().GenericExecs; got != 0 {
 		t.Errorf("GenericExecs = %d, want 0", got)
-	}
-}
-
-func TestStatusReport(t *testing.T) {
-	s := MustLoad("rr", `VAR sbfs = SUBFLOWS;
-IF (R1 >= sbfs.COUNT) { SET(R1, 0); }
-IF (!Q.EMPTY) { sbfs.GET(R1).PUSH(Q.POP()); SET(R1, R1 + 1); }`, BackendVM)
-	s.Exec(envtest.TwoSubflowEnv(2))
-	rep := s.StatusReport()
-	for _, want := range []string{"scheduler rr", "backend          vm", "executions       1", "R1(rw)", "bytecode", "specialized[2]"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
-		}
-	}
-	var reg Registry
-	if _, err := reg.Load("a", minRTT, BackendCompiled); err != nil {
-		t.Fatal(err)
-	}
-	if all := reg.ReportAll(); !strings.Contains(all, "scheduler a") {
-		t.Errorf("ReportAll missing scheduler a:\n%s", all)
 	}
 }
 
@@ -175,9 +124,6 @@ func TestFallbackErrorsObservable(t *testing.T) {
 	st := s.Stats()
 	if st.FallbackErrors != 1 {
 		t.Errorf("FallbackErrors = %d, want 1", st.FallbackErrors)
-	}
-	if err := s.LastFallbackError(); !errors.Is(err, vm.ErrStepBudget) {
-		t.Errorf("LastFallbackError = %v, want ErrStepBudget", err)
 	}
 	found := false
 	for _, ev := range tracer.Events() {
@@ -221,12 +167,6 @@ func TestLoadKeepsAdmissionWarnings(t *testing.T) {
 	}
 	if s.AdmissionWarnings() == 0 {
 		t.Errorf("no-push scheduler admitted without warnings:\n%s", s.AnalysisReport())
-	}
-	if !strings.Contains(s.StatusReport(), "step bound") {
-		t.Error("StatusReport missing step bound line")
-	}
-	if !strings.Contains(s.StatusReport(), "analysis") {
-		t.Error("StatusReport missing analysis summary line")
 	}
 }
 

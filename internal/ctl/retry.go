@@ -154,21 +154,6 @@ func (r *ReClient) Close() error {
 	return nil
 }
 
-// ConsecFails returns the current consecutive transport-failure count
-// (zero after any success).
-func (r *ReClient) ConsecFails() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.consecFails
-}
-
-// BreakerOpen reports whether calls are currently failing fast.
-func (r *ReClient) BreakerOpen() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return time.Now().Before(r.openUntil)
-}
-
 // timeoutFor resolves the deadline for one attempt of verb.
 func (r *ReClient) timeoutFor(verb string) time.Duration {
 	if r.opts.CallTimeout != 0 {

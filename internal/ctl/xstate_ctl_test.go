@@ -153,7 +153,7 @@ func TestSharedStateVerbs(t *testing.T) {
 	if got.Value != 99 || got.Epoch < set.Epoch {
 		t.Fatalf("GGet = %+v, want value 99 at epoch >= %d", got, set.Epoch)
 	}
-	if v := st.Global(0); v != 99 {
+	if v := st.Load().Globals[0]; v != 99 {
 		t.Fatalf("store global 0 = %d after ctl gset, want 99", v)
 	}
 
@@ -284,7 +284,7 @@ func TestSharedStateVerbsOverReClient(t *testing.T) {
 	if _, err := rc.GSet(3, 7); err != nil {
 		t.Fatalf("ReClient GSet: %v", err)
 	}
-	if v := st.Global(3); v != 7 {
+	if v := st.Load().Globals[3]; v != 7 {
 		t.Fatalf("store global 3 = %d after ReClient gset, want 7", v)
 	}
 	if _, err := rc.DestStats(); err != nil {

@@ -1,5 +1,5 @@
 // Package envjson parses JSON descriptions of scheduler execution
-// environments, powering the `progmpc exec` developer tool: scheduler
+// environments, powering the `progmp-vet exec` developer tool: scheduler
 // authors describe a situation (subflows, queues, registers), run a
 // specification against it, and inspect the resulting actions — the
 // workflow the paper's tutorial teaches on https://progmp.net.
@@ -162,7 +162,7 @@ func FormatActions(env *runtime.Env) string {
 	return b.String()
 }
 
-// Example returns a documented starting environment for `progmpc exec`.
+// Example returns a documented starting environment for `progmp-vet exec`.
 func Example() string {
 	return `{
   "subflows": [

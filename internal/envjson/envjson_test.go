@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"progmp/internal/core"
+	"progmp/internal/envtest"
 	"progmp/internal/runtime"
 	"progmp/internal/schedlib"
 )
@@ -64,7 +65,7 @@ func TestExampleDrivesScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Exec(env)
-	if env.PushCount() != 1 {
+	if envtest.PushCount(env) != 1 {
 		t.Fatalf("example env did not produce a scheduling decision: %v", env.Actions)
 	}
 	out := FormatActions(env)

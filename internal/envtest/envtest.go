@@ -496,3 +496,14 @@ func SameActions(a, b []runtime.Action) bool {
 	}
 	return true
 }
+
+// PushCount counts the ActionPush entries env has recorded.
+func PushCount(env *runtime.Env) int {
+	n := 0
+	for i := range env.Actions {
+		if env.Actions[i].Kind == runtime.ActionPush {
+			n++
+		}
+	}
+	return n
+}

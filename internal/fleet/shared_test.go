@@ -47,7 +47,7 @@ func TestSharedFleetDigest(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "loss %.2f: events %d, delivered %d in %d bursts, %d acked, delivery p50 %d us p99 %d us, per-conn fnv %#x\n",
 			loss, res.Events, res.DeliveredBytes, res.Bursts, res.Acked, res.DeliveryP50US, res.DeliveryP99US, h.Sum64())
-		for _, d := range store.All() {
+		for _, d := range store.Load().All() {
 			fmt.Fprintf(&b, "  %-9s srtt %d us, lost %d, delivered %d, quarantines %d, samples %d\n",
 				d.Name, d.SRTTUS, d.Lost, d.Delivered, d.Quarantines, d.Samples)
 		}

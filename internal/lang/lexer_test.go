@@ -28,7 +28,7 @@ func TestTokenizeBasicScheduler(t *testing.T) {
 	}
 	got := kinds(toks)
 	if len(got) != len(want) {
-		t.Fatalf("token count = %d, want %d\n%s", len(got), len(want), FormatTokens(toks))
+		t.Fatalf("token count = %d, want %d\n%v", len(got), len(want), toks)
 	}
 	for i := range want {
 		if got[i] != want[i] {

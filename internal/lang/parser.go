@@ -54,16 +54,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses src and panics on error; for tests and embedded
-// scheduler specifications that are compile-time constants.
-func MustParse(src string) *Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(fmt.Sprintf("lang.MustParse: %v", err))
-	}
-	return prog
-}
-
 func (p *parser) cur() Token { return p.toks[p.pos] }
 
 func (p *parser) next() Token {

@@ -205,15 +205,6 @@ RETURN;`,
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse should panic on invalid source")
-		}
-	}()
-	MustParse("VAR x = ;")
-}
-
 func TestParseIntegerOverflow(t *testing.T) {
 	_, err := Parse("VAR x = 99999999999999999999999999;")
 	if err == nil {

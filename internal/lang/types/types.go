@@ -194,17 +194,6 @@ func Check(prog *lang.Program) (*Info, error) {
 	return c.info, nil
 }
 
-// MustCheck parses and checks src, panicking on error. Intended for
-// compile-time-constant scheduler specifications and tests.
-func MustCheck(src string) *Info {
-	prog := lang.MustParse(src)
-	info, err := Check(prog)
-	if err != nil {
-		panic(fmt.Sprintf("types.MustCheck: %v", err))
-	}
-	return info
-}
-
 func (c *checker) errorf(pos lang.Pos, format string, args ...any) {
 	c.errs = append(c.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 }

@@ -185,15 +185,6 @@ func TestCheckScopesAllowSiblingBranches(t *testing.T) {
 	mustCheckOK(t, src)
 }
 
-func TestMustCheckPanicsOnBadProgram(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustCheck should panic")
-		}
-	}()
-	MustCheck("VAR x = y;")
-}
-
 // TestScanResolution pins the checker's one resolution of queue-typed
 // expressions: each scanning member's base queue and FILTER lambdas
 // (named by their parameter), outermost last.

@@ -217,9 +217,6 @@ func (c *Conn) Store() *xstate.Store { return c.store }
 // Engine returns the simulation engine.
 func (c *Conn) Engine() *netsim.Engine { return c.eng }
 
-// Config returns the connection configuration.
-func (c *Conn) Config() Config { return c.cfg }
-
 // Receiver returns the peer model.
 func (c *Conn) Receiver() *Receiver { return c.receiver }
 

@@ -274,8 +274,8 @@ func TestCloseReinjectsOnlyWhatAnotherSubflowCarries(t *testing.T) {
 			t.Errorf("seq %d is in queue %d after its subflow closed, want %d", pkts[i].Seq, got, want)
 		}
 	}
-	if a.InFlight() != 0 || b.InFlight() != 2 {
-		t.Errorf("in flight after the close: a %d, b %d; want 0 and 2", a.InFlight(), b.InFlight())
+	if a.nOut != 0 || b.nOut != 2 {
+		t.Errorf("in flight after the close: a %d, b %d; want 0 and 2", a.nOut, b.nOut)
 	}
 }
 

@@ -57,9 +57,6 @@ func (p *Packet) placeAt(pass uint32) place {
 	return p.where
 }
 
-// sentOn reports a prior transmission on the subflow id.
-func (p *Packet) sentOn(id int) bool { return p.SentOnMask&(1<<uint(id)) != 0 }
-
 // place names the one queue a packet is in. The queues are pairwise
 // disjoint views over one sequence space (§3.1), so membership is a
 // field on the packet; Conn.move is its only writer.

@@ -84,9 +84,6 @@ func newReceiver(conn *Conn, mode ReceiverMode, rcvBuf int) *Receiver {
 	return &Receiver{conn: conn, mode: mode, rcvBuf: rcvBuf}
 }
 
-// Mode returns the configured receiver mode.
-func (r *Receiver) Mode() ReceiverMode { return r.mode }
-
 // instrument resolves the receiver's metric handles from reg.
 func (r *Receiver) instrument(reg *obs.Registry) {
 	r.mDelivBytes = reg.Counter("recv.delivered_bytes")

@@ -57,8 +57,8 @@ func TestNativeMinRTTPicksFastAvailable(t *testing.T) {
 		Q: []envtest.PktSpec{{Seq: 0}},
 	}.Build()
 	MinRTT{}.Exec(env)
-	if env.PushCount() != 1 {
-		t.Fatalf("pushes = %d, want 1", env.PushCount())
+	if envtest.PushCount(env) != 1 {
+		t.Fatalf("pushes = %d, want 1", envtest.PushCount(env))
 	}
 	if env.Actions[1].Subflow != env.SubflowViews[1].Handle {
 		t.Errorf("picked wrong subflow")
@@ -146,5 +146,87 @@ func TestNativeSchedulersZeroAlloc(t *testing.T) {
 				t.Fatalf("%s: %.1f allocs per execution, want 0", tc.name, allocs)
 			}
 		})
+	}
+}
+
+// RoundRobin is the native cyclic scheduler (semantically equivalent
+// to schedlib.RoundRobin; the rotating index lives in R8).
+type RoundRobin struct{}
+
+// Exec runs one scheduling decision.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (RoundRobin) Exec(env *runtime.Env) {
+	// Select the k-th eligible subflow by scanning twice instead of
+	// collecting eligibles into a slice: a per-execution []*SubflowView
+	// here allocated on every decision (caught by progmp-analyze).
+	var n int64
+	for _, s := range env.SubflowViews {
+		if !s.Bools[runtime.SbfTSQThrottled] && !s.Bools[runtime.SbfLossy] {
+			n++
+		}
+	}
+	const reg = 7 // R8
+	if env.Reg(reg) >= n {
+		env.SetReg(reg, 0)
+	}
+	if env.SendQ.Empty() {
+		return
+	}
+	idx := env.Reg(reg)
+	if n > 0 {
+		want := ((idx % n) + n) % n
+		var seen int64
+		for _, s := range env.SubflowViews {
+			if s.Bools[runtime.SbfTSQThrottled] || s.Bools[runtime.SbfLossy] {
+				continue
+			}
+			if seen == want {
+				if s.Ints[runtime.SbfCwnd] > s.Ints[runtime.SbfSkbsInFlight]+s.Ints[runtime.SbfQueued] {
+					pkt := env.SendQ.Top()
+					env.Pop(runtime.QueueSend, pkt)
+					env.Push(s, pkt)
+				}
+				break
+			}
+			seen++
+		}
+	}
+	env.SetReg(reg, idx+1)
+}
+
+// Redundant is the native full-redundancy scheduler (semantically
+// equivalent to schedlib.Redundant).
+type Redundant struct{}
+
+// Exec runs one scheduling decision.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (Redundant) Exec(env *runtime.Env) {
+	for _, sbf := range env.SubflowViews {
+		// The redundant scheduler gates on the congestion window only
+		// (§5.1); TSQ is a default-scheduler refinement (footnote 2).
+		if sbf.Bools[runtime.SbfLossy] || sbf.Ints[runtime.SbfCwnd] <= sbf.Ints[runtime.SbfSkbsInFlight]+sbf.Ints[runtime.SbfQueued] {
+			continue
+		}
+		var unsent *runtime.PacketView
+		env.UnackedQ.All(func(p *runtime.PacketView) bool {
+			if !p.SentOn(sbf) {
+				unsent = p
+				return false
+			}
+			return true
+		})
+		if unsent != nil {
+			env.Push(sbf, unsent)
+			continue
+		}
+		fresh := env.SendQ.Top()
+		if fresh != nil {
+			env.Pop(runtime.QueueSend, fresh)
+			env.Push(sbf, fresh)
+		}
 	}
 }

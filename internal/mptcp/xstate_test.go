@@ -90,7 +90,7 @@ func TestJointFlowShiftsTrafficOffDegradedPath(t *testing.T) {
 			t.Fatalf("conn1 conservation: %v", err)
 		}
 		var lost int64
-		for _, d := range st.All() {
+		for _, d := range st.Load().All() {
 			if d.Name == "lte" {
 				lost = d.Lost
 			}
@@ -224,7 +224,7 @@ IF (!Q.EMPTY AND !avail.EMPTY) {
 	eng.After(50*time.Millisecond, func() { c2.Send(64<<10, 0) })
 	eng.RunUntil(5 * time.Second)
 
-	if got := st.Global(0); got != 7 {
+	if got := st.Load().Globals[0]; got != 7 {
 		t.Fatalf("store G1 = %d, want 7 (writer's GSET not published)", got)
 	}
 	if got := c2.Register(0); got != 7 {

@@ -190,12 +190,6 @@ func NewPath(eng *Engine, cfg PathConfig) *Path {
 	return &Path{eng: eng, cfg: cfg}
 }
 
-// Name returns the configured path name.
-func (p *Path) Name() string { return p.cfg.Name }
-
-// Config returns the path configuration.
-func (p *Path) Config() PathConfig { return p.cfg }
-
 // QueuedBytes reports the transmit backlog in bytes at the current
 // rate (an approximation during rate changes).
 //
@@ -212,22 +206,6 @@ func (p *Path) QueuedBytes() int {
 		return p.cfg.QueueBytes
 	}
 	return int(float64(p.busyUntil-now) / float64(time.Second) * rate)
-}
-
-// BacklogClearAt estimates the virtual time when the transmit backlog
-// will have drained to at most targetBytes (now when already below).
-func (p *Path) BacklogClearAt(targetBytes int) time.Duration {
-	now := p.eng.Now()
-	excess := p.QueuedBytes() - targetBytes
-	if excess <= 0 {
-		return now
-	}
-	rate := p.cfg.Rate(now)
-	if rate <= 0 {
-		// A dead link never drains; report a distant deadline.
-		return now + time.Hour
-	}
-	return now + time.Duration(float64(excess)/rate*float64(time.Second))
 }
 
 // Msg is what a typed send carries to the far end of a path: when the
@@ -301,6 +279,8 @@ func (p *Path) Send(size int, deliver func()) bool {
 
 // SendTracked is Send with an additional serialized callback fired when
 // the packet finishes serializing onto the wire (regardless of loss).
+//
+//progmp:ignore testonly only bench/ calls it (netsim.path_send_ns); ROADMAP item 3 retargets that probe
 func (p *Path) SendTracked(size int, deliver, serialized func()) bool {
 	if serialized == nil {
 		return p.Send(size, deliver)

@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -17,10 +15,6 @@ type Sample struct {
 // measurement half of the experiment harness).
 type Recorder struct {
 	series map[string][]Sample
-	// names caches the sorted series names; recording a new series
-	// invalidates it, so hot Record calls on existing series stay
-	// append-only and Names is O(1) between series additions.
-	names []string
 }
 
 // NewRecorder returns an empty recorder.
@@ -30,28 +24,11 @@ func NewRecorder() *Recorder {
 
 // Record appends a sample to the named series.
 func (r *Recorder) Record(name string, at time.Duration, value float64) {
-	if _, ok := r.series[name]; !ok {
-		r.names = nil
-	}
 	r.series[name] = append(r.series[name], Sample{At: at, Value: value})
 }
 
 // Series returns the samples of one series (in recording order).
 func (r *Recorder) Series(name string) []Sample { return r.series[name] }
-
-// Names lists recorded series, sorted. The list is cached until a new
-// series appears (callers must not mutate it).
-func (r *Recorder) Names() []string {
-	if r.names == nil && len(r.series) > 0 {
-		names := make([]string, 0, len(r.series))
-		for n := range r.series {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		r.names = names
-	}
-	return r.names
-}
 
 // Sum totals a series' values.
 func (r *Recorder) Sum(name string) float64 {
@@ -105,15 +82,4 @@ func (r *Recorder) Percentile(name string, p float64) float64 {
 	sort.Float64s(vals)
 	idx := int(p * float64(len(vals)-1))
 	return vals[idx]
-}
-
-// Table renders series as an aligned text table of (name, count, mean,
-// sum) rows — the progmp-experiments summary format.
-func (r *Recorder) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %8s %14s %14s\n", "series", "n", "mean", "sum")
-	for _, name := range r.Names() {
-		fmt.Fprintf(&b, "%-32s %8d %14.2f %14.2f\n", name, len(r.series[name]), r.Mean(name), r.Sum(name))
-	}
-	return b.String()
 }

@@ -172,10 +172,9 @@ func TestHistogramBucketMergeGolden(t *testing.T) {
 		t.Fatalf("merge count/sum = %d/%d, want %d/%d",
 			agg.Count, agg.Sum, union.Count(), union.Sum())
 	}
-	want := union.Buckets()
 	for i := 0; i < NumHistBuckets; i++ {
-		if agg.Buckets[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d", i, agg.Buckets[i], want[i])
+		if want := union.buckets[i].Load(); agg.Buckets[i] != want {
+			t.Fatalf("bucket %d = %d, want %d", i, agg.Buckets[i], want)
 		}
 	}
 	for _, q := range []struct {

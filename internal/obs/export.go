@@ -52,22 +52,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// ParseJSONL decodes a JSONL event stream (the inverse of WriteJSONL),
-// for tooling that filters or summarizes saved traces.
-func ParseJSONL(r io.Reader) ([]JSONLEvent, error) {
-	var out []JSONLEvent
-	dec := json.NewDecoder(r)
-	for {
-		var ev JSONLEvent
-		if err := dec.Decode(&ev); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-}
-
 // chromeEvent is one entry of the Chrome trace_event JSON array
 // (the "JSON Array Format" consumed by chrome://tracing and Perfetto).
 type chromeEvent struct {

@@ -190,19 +190,6 @@ func quantileOf(buckets *[histBuckets]int64, n int64, q float64) int64 {
 	return 1<<63 - 1
 }
 
-// Buckets copies the current bucket counts (bucket 0 holds values
-// <= 0, bucket i holds [2^(i-1), 2^i)). Safe on nil (returns zeros).
-func (h *Histogram) Buckets() [histBuckets]int64 {
-	var out [histBuckets]int64
-	if h == nil {
-		return out
-	}
-	for i := range out {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
 // NumHistBuckets exposes the histogram bucket count to consumers that
 // merge or expose raw buckets (the aggregator, the OpenMetrics
 // exporter).

@@ -239,17 +239,17 @@ type Subscription struct {
 	dropped     atomic.Uint64
 	evicted     atomic.Bool
 	consecDrops int  // guarded by t.mu; reset by any successful send
-	evictAfter  int  // immutable after Subscribe; 0 disables eviction
+	evictAfter  int  // immutable after SubscribeEvict; 0 disables eviction
 	closed      bool // guarded by t.mu
 }
 
-// DefaultSubscriptionBuffer is the channel depth used when Subscribe is
+// DefaultSubscriptionBuffer is the channel depth used when SubscribeEvict is
 // asked for a non-positive buffer.
 const DefaultSubscriptionBuffer = 4096
 
 // DefaultSubscriptionEvictDrops is how many consecutive drops (with not
 // a single frame delivered in between) evict a subscriber when
-// SubscribeEvict is asked for a non-positive threshold. Combined with
+// SubscribeEvict is asked for a zero threshold. Combined with
 // the buffer it means an evicted subscriber sat on a full queue for
 // buffer+threshold events without consuming one — stalled, not slow.
 // The threshold is deliberately large: a fast-forwarded simulation can
@@ -259,20 +259,14 @@ const DefaultSubscriptionBuffer = 4096
 // does within a second or two of simulated traffic.
 const DefaultSubscriptionEvictDrops = 1 << 20
 
-// Subscribe attaches a live event feed with the given channel buffer
-// (<= 0 selects DefaultSubscriptionBuffer) and the default eviction
-// threshold. The caller must drain Events() promptly or accept drops,
-// and must Close the subscription when done. Safe on nil (returns nil;
-// a nil *Subscription is a no-op whose Events channel is nil).
-func (t *Tracer) Subscribe(buf int) *Subscription {
-	return t.SubscribeEvict(buf, 0)
-}
-
-// SubscribeEvict is Subscribe with an explicit eviction threshold:
-// after evictAfter consecutive drops the subscription is closed by the
-// tracer (<= 0 selects DefaultSubscriptionEvictDrops; a negative
-// threshold of -1 disables eviction entirely for callers that prefer
-// unbounded dropping).
+// SubscribeEvict attaches a live event feed with the given channel
+// buffer (<= 0 selects DefaultSubscriptionBuffer). After evictAfter
+// consecutive drops the subscription is closed by the tracer (0
+// selects DefaultSubscriptionEvictDrops; a negative value disables eviction entirely
+// for callers that prefer unbounded dropping). The caller must drain
+// Events() promptly or accept drops, and must Close the subscription
+// when done. Safe on nil (returns nil; a nil *Subscription is a no-op
+// whose Events channel is nil).
 func (t *Tracer) SubscribeEvict(buf, evictAfter int) *Subscription {
 	if t == nil {
 		return nil
@@ -361,25 +355,6 @@ func (t *Tracer) RegisterConn() int32 {
 	return t.connSeq.Add(1)
 }
 
-// Cap returns the ring capacity.
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
-}
-
-// Total returns how many events were ever recorded, including ones the
-// ring has since overwritten.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Dropped returns how many events were overwritten by ring wraparound.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
@@ -414,14 +389,4 @@ func (t *Tracer) Events() []Event {
 	copy(out, t.buf[start:])
 	copy(out[cap64-start:], t.buf[:start])
 	return out
-}
-
-// Reset discards all retained events (capacity is kept).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total = 0
 }

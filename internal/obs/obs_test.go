@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +15,7 @@ func TestRingWraparound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Record(Event{Kind: EvPush, Seq: int64(i)})
 	}
-	if got := tr.Total(); got != 10 {
+	if got := tr.total; got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
 	}
 	if got := tr.Dropped(); got != 6 {
@@ -43,20 +45,14 @@ func TestRingPartiallyFilled(t *testing.T) {
 	if len(evs) != 3 {
 		t.Fatalf("retained %d events, want 3", len(evs))
 	}
-	tr.Reset()
-	if got := len(tr.Events()); got != 0 {
-		t.Fatalf("after Reset retained %d events, want 0", got)
-	}
 }
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Record(Event{Kind: EvPush})
-	if tr.NextExecID() != 0 || tr.RegisterConn() != 0 || tr.Cap() != 0 ||
-		tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.NextExecID() != 0 || tr.RegisterConn() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer methods must be no-ops")
 	}
-	tr.Reset()
 }
 
 func TestConcurrentRecord(t *testing.T) {
@@ -75,7 +71,7 @@ func TestConcurrentRecord(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := tr.Total(); got != goroutines*per {
+	if got := tr.total; got != goroutines*per {
 		t.Fatalf("Total = %d, want %d", got, goroutines*per)
 	}
 	if got := len(tr.Events()); got != 1<<10 {
@@ -304,5 +300,21 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	if single.Quantile(1.1) != single.Quantile(1) {
 		t.Fatalf("Quantile(1.1) = %d, want Quantile(1) = %d",
 			single.Quantile(1.1), single.Quantile(1))
+	}
+}
+
+// ParseJSONL decodes a JSONL event stream (the inverse of WriteJSONL),
+// for tooling that filters or summarizes saved traces.
+func ParseJSONL(r io.Reader) ([]JSONLEvent, error) {
+	var out []JSONLEvent
+	dec := json.NewDecoder(r)
+	for {
+		var ev JSONLEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, err
+		}
+		out = append(out, ev)
 	}
 }

@@ -8,7 +8,7 @@ import (
 func TestSubscriptionReceivesEvents(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Record(Event{Kind: EvPush, Seq: 0}) // pre-subscribe: not delivered
-	sub := tr.Subscribe(8)
+	sub := tr.SubscribeEvict(8, 0)
 	defer sub.Close()
 	for i := 1; i <= 3; i++ {
 		tr.Record(Event{Kind: EvPush, Seq: int64(i)})
@@ -26,7 +26,7 @@ func TestSubscriptionReceivesEvents(t *testing.T) {
 
 func TestSubscriptionDropsWhenFull(t *testing.T) {
 	tr := NewTracer(16)
-	sub := tr.Subscribe(2)
+	sub := tr.SubscribeEvict(2, 0)
 	defer sub.Close()
 	for i := 0; i < 10; i++ {
 		tr.Record(Event{Kind: EvAck, Seq: int64(i)})
@@ -42,7 +42,7 @@ func TestSubscriptionDropsWhenFull(t *testing.T) {
 
 func TestSubscriptionCloseStopsDeliveryAndIsIdempotent(t *testing.T) {
 	tr := NewTracer(16)
-	sub := tr.Subscribe(4)
+	sub := tr.SubscribeEvict(4, 0)
 	tr.Record(Event{Kind: EvPush, Seq: 1})
 	sub.Close()
 	sub.Close() // idempotent
@@ -77,7 +77,7 @@ func TestSubscriptionConcurrentRecordAndClose(t *testing.T) {
 		subscribers.Add(1)
 		go func() {
 			defer subscribers.Done()
-			sub := tr.Subscribe(16)
+			sub := tr.SubscribeEvict(16, 0)
 			defer sub.Close()
 			for {
 				select {
@@ -95,7 +95,7 @@ func TestSubscriptionConcurrentRecordAndClose(t *testing.T) {
 
 func TestNilSubscriptionIsNoOp(t *testing.T) {
 	var tr *Tracer
-	sub := tr.Subscribe(8)
+	sub := tr.SubscribeEvict(8, 0)
 	if sub != nil {
 		t.Fatal("nil tracer must hand out a nil subscription")
 	}

@@ -107,8 +107,8 @@ func TestEnvActionsAndRegisters(t *testing.T) {
 	if len(env.Actions) != 2 {
 		t.Fatalf("actions = %v, want pop+push only", env.Actions)
 	}
-	if env.PushCount() != 1 {
-		t.Errorf("PushCount = %d, want 1", env.PushCount())
+	if env.Actions[1].Kind != ActionPush {
+		t.Errorf("second action = %v, want a push", env.Actions[1])
 	}
 	env.SetReg(3, 42)
 	if env.Reg(3) != 42 {
@@ -260,8 +260,8 @@ func TestEnvQueueLookupAndDrop(t *testing.T) {
 	if env.Queue(QueueID(9)) != nil {
 		t.Errorf("unknown queue id must be nil")
 	}
-	if env.SendQ.ID() != QueueSend {
-		t.Errorf("queue ID accessor wrong")
+	if env.SendQ.id != QueueSend {
+		t.Errorf("SendQ has the wrong queue id")
 	}
 	env.Drop(env.SendQ.Top())
 	if len(env.Actions) != 1 || env.Actions[0].Kind != ActionDrop {

@@ -74,16 +74,6 @@ func Compile(info *types.Info, opts Options) (*Program, error) {
 	return prog, nil
 }
 
-// MustCompile compiles with the generic (unspecialized) options and
-// panics on error; for embedded specifications and tests.
-func MustCompile(info *types.Info) *Program {
-	p, err := Compile(info, Options{SubflowCount: -1})
-	if err != nil {
-		panic(fmt.Sprintf("vm.MustCompile: %v", err))
-	}
-	return p
-}
-
 type comp struct {
 	info *types.Info
 	ir   []irIns

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"progmp/internal/analysis"
+	"progmp/internal/lang"
 	"progmp/internal/lang/types"
 	"progmp/internal/schedlib"
 	"progmp/internal/vm"
@@ -31,7 +32,14 @@ func TestCorpusBytecodeGolden(t *testing.T) {
 	sort.Strings(names)
 	h := sha256.New()
 	for _, name := range names {
-		info := types.MustCheck(schedlib.All[name])
+		prog, err := lang.Parse(schedlib.All[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		info, err := types.Check(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		rep := analysis.Analyze(info, analysis.Options{})
 		fmt.Fprintf(h, "== %s bound %s = %d\n", name, rep.StepBound, rep.StepBoundAt)
 		for _, n := range []int{-1, 0, 1, 2, 3, 4, 8} {

@@ -48,8 +48,8 @@ func TestVMMinRTT(t *testing.T) {
 	if err := p.Exec(env); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
-	if env.PushCount() != 1 {
-		t.Fatalf("push count = %d, want 1\n%s", env.PushCount(), p.Disassemble())
+	if envtest.PushCount(env) != 1 {
+		t.Fatalf("push count = %d, want 1\n%s", envtest.PushCount(env), p.Disassemble())
 	}
 	if env.Actions[1].Subflow != env.SubflowViews[0].Handle {
 		t.Errorf("pushed on wrong subflow\n%s", p.Disassemble())
@@ -340,15 +340,6 @@ func TestDifferentialThreeWay(t *testing.T) {
 // sites, which every back-end stamps as the source line.
 func actionsEquivalent(a, b *runtime.Env) bool {
 	return slices.Equal(a.Actions, b.Actions)
-}
-
-func TestMustCompilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustCompile should panic on nil info program")
-		}
-	}()
-	MustCompile(nil)
 }
 
 func TestVerifyQueueIDs(t *testing.T) {

@@ -97,17 +97,8 @@ type Snapshot struct {
 }
 
 // Len returns the number of destination slots, evicted ones included:
-// every id below it resolves through Stats.
+// every id below it names a record.
 func (s *Snapshot) Len() int { return len(s.dests) }
-
-// Stats returns the statistics for destination id, or nil when the id
-// is unknown to this epoch (registered after the snapshot was taken).
-func (s *Snapshot) Stats(id int) *DestStats {
-	if s == nil || id < 0 || id >= len(s.dests) {
-		return nil
-	}
-	return &s.dests[id]
-}
 
 // All returns a copy of every live destination record of this epoch
 // (evicted slots are skipped), sorted by name for stable output.
@@ -319,19 +310,6 @@ func (s *Store) Epoch() uint64 { return s.t.seq.Load() / 2 }
 
 // ---- Global registers ----
 
-// Global reads global register i (0-based); out of range reads 0.
-func (s *Store) Global(i int) int64 {
-	if i < 0 || i >= runtime.NumGlobals {
-		return 0
-	}
-	return s.t.globals[i].Load()
-}
-
-// Globals returns the whole global register file of the current epoch.
-func (s *Store) Globals() [runtime.NumGlobals]int64 {
-	return s.Load().Globals
-}
-
 // SetGlobal writes global register i (0-based) in one write section and
 // returns the epoch that section published. Out-of-range writes are
 // graceful no-ops (no exceptions by design, matching the register
@@ -504,15 +482,6 @@ func (s *Store) EvictIdle(idleEpochs uint64) int {
 	return len(victims)
 }
 
-// LookupDest returns the dense index for name without registering it;
-// ok is false when the name is unknown.
-func (s *Store) LookupDest(name string) (id int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok = s.ids[name]
-	return id, ok
-}
-
 // NumDests returns the number of registered destinations.
 func (s *Store) NumDests() int {
 	s.mu.Lock()
@@ -620,10 +589,6 @@ func (s *Store) RecordQuarantine(id int) {
 }
 
 // ---- Inspection ----
-
-// All returns the current epoch's live destination records, name-sorted
-// (see Snapshot.All).
-func (s *Store) All() []DestStats { return s.Load().All() }
 
 // String summarizes the store for diagnostics.
 func (s *Store) String() string {

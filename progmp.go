@@ -54,9 +54,6 @@ const (
 // Scheduler is a loaded, executable scheduler program.
 type Scheduler = core.Scheduler
 
-// Registry holds named schedulers for reuse across connections.
-type Registry = core.Registry
-
 // Register indices for SetRegister (the language spells them R1..R8).
 const (
 	R1 = iota

@@ -24,6 +24,8 @@
 //	eventkind      obs.Event composite literals must set Kind.
 //	metricname     metric names are dot-separated lower_snake.
 //	metrickind     one metric name, one metric kind per package.
+//	testonly       every exported identifier under internal/ has a use
+//	               in the module's non-test code.
 //
 // The last three migrated here from tools/lint; they now resolve the
 // obs types and Registry methods through go/types, so aliased
@@ -99,6 +101,12 @@ var Analyzers = []*Analyzer{
 		Name:      "metrickind",
 		Doc:       "one metric name, one metric kind per package",
 		Run:       runMetricKind,
+		SkipTests: true,
+	},
+	{
+		Name:      "testonly",
+		Doc:       "exported identifiers under internal/ are used by non-test code of the module",
+		Run:       runTestonly,
 		SkipTests: true,
 	},
 }

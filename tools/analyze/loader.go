@@ -36,6 +36,7 @@ type Suite struct {
 	loading  map[string]bool
 	funcDirs map[*types.Func]Directives
 	typeDirs map[*types.TypeName]Directives
+	useIdx   *useIndex // built by the testonly pass on first use
 }
 
 // A Package is one type-checked package (primary files plus
@@ -186,9 +187,7 @@ func (s *Suite) expandPatterns(patterns []string) ([]string, error) {
 			if !d.IsDir() {
 				return nil
 			}
-			name := d.Name()
-			if path != pat && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
+			if path != pat && skipDir(d.Name()) {
 				return filepath.SkipDir
 			}
 			add(path)
@@ -200,6 +199,12 @@ func (s *Suite) expandPatterns(patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+// skipDir reports whether a walk skips the directory named name.
+func skipDir(name string) bool {
+	return strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+		name == "testdata" || name == "vendor"
 }
 
 func hasGoFiles(dir string) bool {
