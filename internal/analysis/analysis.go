@@ -44,6 +44,7 @@ const (
 type Options struct {
 	// StepBudget is the execution budget the bound is compared against.
 	// Defaults to vm.MaxSteps.
+	//progmp:ignore testonly bench/load.go builds analysis.Options (ROADMAP item 3), and TestCostRespectsOptions needs a budget of 10
 	StepBudget int64
 }
 

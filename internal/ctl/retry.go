@@ -56,17 +56,23 @@ type RetryOptions struct {
 	// BackoffBase is the delay before the second attempt; it doubles
 	// per attempt up to BackoffMax, each delay jittered uniformly in
 	// [d/2, 3d/2) so a fleet of clients does not reconnect in lockstep.
+	//progmp:ignore testonly TestReClientReconnect, TestCtlChaosSoak and TestSharedStateVerbsOverReClient need backoffs of a few ms; 50 ms ships
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	//progmp:ignore testonly TestReClientReconnect and TestCtlChaosSoak cap the backoff at 50 ms and 20 ms; 2 s ships
+	BackoffMax time.Duration
 	// BreakerFails consecutive transport failures open the circuit:
 	// calls fail fast with ErrCircuitOpen for BreakerCooldown, after
 	// which one dial probes the server again (half-open).
-	BreakerFails    int
+	//progmp:ignore testonly TestReClientBreaker opens the breaker at 2 failures and the reconnect tests keep it shut; 5 ships
+	BreakerFails int
+	//progmp:ignore testonly TestReClientBreaker needs a 200 ms cooldown; 2 s ships
 	BreakerCooldown time.Duration
 
 	// Metrics receives the ctl.client.* self-metrics (nil: none).
+	//progmp:ignore testonly TestReClientBreaker and TestReClientReconnect read the client metrics; progmpctl attaches none
 	Metrics *progmp.Metrics
 	// Seed makes the backoff jitter reproducible (0: time-seeded).
+	//progmp:ignore testonly the ReClient tests seed the jitter to replay a retry sequence; a time seed ships
 	Seed int64
 }
 

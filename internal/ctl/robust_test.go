@@ -315,7 +315,7 @@ func TestSubscriberEvictionEndToEnd(t *testing.T) {
 // override contract as the analyzer admission gate.
 func TestFleetRefusalOverCtl(t *testing.T) {
 	// No After hook: an operator block stays in force for the whole test.
-	fleet := guard.NewFleet(progmp.FleetConfig{CleanWindow: time.Hour})
+	fleet := guard.NewFleet(guard.FleetConfig{})
 	h := startRobustHarness(t, 11, func(o *ctl.Options) { o.Fleet = fleet })
 	defer h.teardown()
 

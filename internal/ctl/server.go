@@ -35,8 +35,8 @@ const (
 // subscribe verb, Metrics the metrics verb; either may be nil. Agg
 // enables the metrics-agg verb and the HTTP exposition endpoint: the
 // fleet aggregator the embedder attaches its per-connection registries
-// to. Sources is the scheduler corpus available by name to compile and
-// swap (nil selects progmp.Schedulers, the paper's corpus).
+// to. Compile and swap name programs of progmp.Schedulers, the paper's
+// corpus.
 //
 // The remaining knobs harden the server against slow, dead or hostile
 // peers; zero values select the defaults above, negative values disable
@@ -46,7 +46,6 @@ type Options struct {
 	Tracer  *progmp.Tracer
 	Metrics *progmp.Metrics
 	Agg     *obs.Aggregator
-	Sources map[string]string
 
 	// Fleet, when set, gates compile and swap: programs currently
 	// fleet-blocked (quarantined on too many connections) are refused
@@ -63,25 +62,26 @@ type Options struct {
 	// ReadIdleTimeout disconnects a session that sends nothing for this
 	// long. Sessions with an active subscription are exempt — a watch
 	// client legitimately never writes again.
+	//progmp:ignore testonly TestCtlChaosSoak needs a 1 s idle limit; 2 min ships
 	ReadIdleTimeout time.Duration
 	// WriteTimeout bounds every response or event-frame write; a peer
 	// that stops reading is disconnected rather than wedging a handler
 	// or pump goroutine forever.
+	//progmp:ignore testonly TestSubscriberEvictionEndToEnd and TestCtlChaosSoak need write limits under 1 s; 10 s ships
 	WriteTimeout time.Duration
 	// MaxInflight bounds concurrently handled requests across all
 	// sessions; beyond it requests are refused with an overload error
 	// (counted as ctl.overloads) instead of queueing without bound.
+	//progmp:ignore testonly TestOverloadRefusal needs a limit of 1; 64 ships
 	MaxInflight int
 	// SubEvictDrops is the consecutive-drop budget before a stalled
 	// subscriber is evicted from the tracer (default
 	// obs.DefaultSubscriptionEvictDrops).
+	//progmp:ignore testonly TestSubscriberEvictionEndToEnd and TestCtlChaosSoak evict after 64 and 1024 drops; 1<<20 ships
 	SubEvictDrops int
 }
 
 func (o *Options) applyDefaults() {
-	if o.Sources == nil {
-		o.Sources = progmp.Schedulers
-	}
 	if o.ReadIdleTimeout == 0 {
 		o.ReadIdleTimeout = DefaultReadIdleTimeout
 	}
@@ -515,7 +515,7 @@ func connInfo(id int, nc namedConn) ConnInfo {
 
 func (se *session) schedulers(Request) (any, error) {
 	var names []string
-	for name := range se.srv.opts.Sources {
+	for name := range progmp.Schedulers {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -533,7 +533,7 @@ func (se *session) resolveProgram(req Request) (*progmp.Scheduler, error) {
 			return nil, fmt.Errorf("compile needs name or src")
 		}
 		var ok bool
-		src, ok = se.srv.opts.Sources[name]
+		src, ok = progmp.Schedulers[name]
 		if !ok {
 			return nil, fmt.Errorf("unknown scheduler %q", name)
 		}

@@ -164,7 +164,7 @@ func wireFull(t *testing.T, out *bytes.Buffer) {
 	metrics := progmp.NewMetrics()
 	agg := progmp.NewMetricsAggregator()
 	agg.Attach(progmp.MetricsLabels{}, metrics)
-	fleet := guard.NewFleet(progmp.FleetConfig{CleanWindow: time.Hour})
+	fleet := guard.NewFleet(guard.FleetConfig{})
 	fleet.Block("roundRobin")
 	srv := NewServer(Options{
 		Network: nw, Tracer: tracer, Metrics: metrics, Agg: agg,

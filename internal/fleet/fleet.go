@@ -66,9 +66,11 @@ type Config struct {
 	// Think is the idle gap between a burst's final ACK and the next
 	// burst (default 100 ms). Connection starts are staggered across
 	// one Think period to avoid a synchronized thundering herd.
+	//progmp:ignore testonly only bench/ sets it (bench/fleet.go, bench/probes.go); ROADMAP item 3 retargets the bench
 	Think time.Duration
 	// LossProb applies Bernoulli loss to the secondary path of every
 	// connection world (default 0).
+	//progmp:ignore testonly TestSharedFleetDigest runs its golden (testdata/shared.golden) at three loss rates; 0 ships
 	LossProb float64
 	// DestGroups spreads connections across that many distinct
 	// destination identities per path (subflow names "wifi.gN" /
@@ -106,6 +108,7 @@ type Config struct {
 	Agg *obs.Aggregator
 	// Conservation attaches a ConservationChecker to every connection
 	// and collects violations into the result (tests, CI smoke).
+	//progmp:ignore testonly only bench/ and the fleet tests set it (bench/fleet.go); ROADMAP item 3 retargets the bench
 	Conservation bool
 
 	// slice is the shard's service window: how far one visit advances

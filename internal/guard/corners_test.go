@@ -47,7 +47,7 @@ func TestGuardCorners(t *testing.T) {
 	}
 	a, b := sbfs[0], sbfs[1]
 	inner := &scripted{}
-	sup := New(inner, Config{MaxStrikes: 1 << 20, StallExecs: 1 << 20})
+	sup := New(inner, Config{})
 	conn.SetScheduler(sup)
 	eng.RunUntil(100 * time.Millisecond) // establish both subflows
 	if !a.Established() || !b.Established() {

@@ -8,7 +8,7 @@ import (
 // ccConn builds a connection skeleton with n established subflows for
 // unit-testing congestion-control arithmetic without a network.
 func ccConn(n int) *Conn {
-	c := &Conn{cfg: Config{MSS: 1460}}
+	c := &Conn{}
 	for i := 0; i < n; i++ {
 		s := &Subflow{
 			id:          i,
@@ -137,7 +137,7 @@ func TestOLIAInterLossTracking(t *testing.T) {
 		t.Errorf("interLoss = %d, want the previous interval", s.olia.interLoss())
 	}
 	OLIA{}.OnAck(c, s)
-	if s.olia.sinceLoss != int64(c.cfg.MSS) {
+	if s.olia.sinceLoss != int64(mss) {
 		t.Errorf("sinceLoss = %d, want one MSS", s.olia.sinceLoss)
 	}
 }

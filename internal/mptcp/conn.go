@@ -62,10 +62,11 @@ func timedExec(n int64) bool {
 	return i&mask == netsim.Mix64(i>>execSampleShift)&mask
 }
 
+// mss is the maximum segment payload.
+const mss = 1460
+
 // Config holds connection parameters.
 type Config struct {
-	// MSS is the maximum segment payload (default 1460).
-	MSS int
 	// CC is the congestion-control algorithm (default LIA).
 	CC CongestionControl
 	// RcvBuf is the receiver buffer bounding the receive window
@@ -77,10 +78,12 @@ type Config struct {
 	// MaxSchedIterations bounds compressed executions per trigger
 	// (default 4096). Setting it to 1 disables compressed executions
 	// (ablation of the §4.1 optimization).
+	//progmp:ignore testonly the compressed-executions ablation row of EXPERIMENTS.md sets it to 1 (BenchmarkAblation_CompressedExecutions)
 	MaxSchedIterations int
 	// DisableTSQWake suppresses the TSQ-drain scheduler trigger so
 	// scheduling becomes purely ACK-clocked (ablation of the trigger
 	// model, Fig. 4).
+	//progmp:ignore testonly the TSQ-drain trigger ablation row of EXPERIMENTS.md sets it (BenchmarkAblation_TSQWake)
 	DisableTSQWake bool
 	// Store attaches a cross-connection shared-state store: schedulers
 	// gain the global registers G1..G8 and the per-destination path
@@ -92,9 +95,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
 	if c.CC == nil {
 		c.CC = LIA{}
 	}
@@ -411,7 +411,7 @@ func (c *Conn) Send(n int, prop int64) {
 	now := c.eng.Now()
 	firstSeq, bytes := c.nextSeq, int64(n)
 	for n > 0 {
-		size := c.cfg.MSS
+		size := mss
 		if n < size {
 			size = n
 		}
@@ -705,7 +705,7 @@ func (c *Conn) buildEnv() *runtime.Env {
 		v.Ints[runtime.SbfSkbsInFlight] = s.wireInFlight()
 		v.Ints[runtime.SbfQueued] = s.queuedSegments()
 		v.Ints[runtime.SbfThroughput] = s.Throughput()
-		v.Ints[runtime.SbfMSS] = int64(c.cfg.MSS)
+		v.Ints[runtime.SbfMSS] = mss
 		v.Ints[runtime.SbfLostSkbs] = int64(s.nLost)
 		v.Ints[runtime.SbfRTO] = s.currentRTO().Microseconds()
 		v.Bools[runtime.SbfLossy] = s.inRecovery

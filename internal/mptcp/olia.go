@@ -51,7 +51,7 @@ func oliaMetric(s *Subflow) float64 {
 //
 //progmp:hotpath
 func (o OLIA) OnAck(conn *Conn, sbf *Subflow) {
-	sbf.olia.sinceLoss += int64(conn.cfg.MSS)
+	sbf.olia.sinceLoss += mss
 	if !cwndLimited(sbf) {
 		return
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"progmp/internal/guard"
 	"progmp/internal/netsim"
 	"progmp/internal/runtime"
 )
@@ -67,33 +66,30 @@ func referenceValidate(env *runtime.Env, before int) (stripped int) {
 // execution already moved. Before returning it computes what the
 // reference validator would strike, minus the one intended difference:
 // a PUSH on a live subflow of a packet that is in no queue but still in
-// the send window is transmitted, not refused. The next execution (or
-// the test, after the run) checks the supervisor's Violations delta
-// against that expectation.
+// the send window is transmitted, not refused. Its Applied method, which
+// the connection calls with the count it refused, checks that count
+// against the expectation.
 type auditor struct {
 	t    *testing.T
 	c    *Conn
-	sup  *guard.Supervisor
 	rng  *rand.Rand
 	seen []runtime.PacketHandle
 	// dropped holds the handles of sent packets the auditor dropped
 	// from Q: in no queue, and in the send window until acknowledged.
 	dropped []runtime.PacketHandle
 
-	armed          bool
-	want, lastViol int64
+	want           int
 	execs, corners int
 	refused        int64
 }
 
-func (a *auditor) settle() {
-	if !a.armed {
-		return
+// Applied settles the execution that just ran: the connection refused
+// refused of its actions.
+func (a *auditor) Applied(_ *runtime.Env, refused int) bool {
+	if refused != a.want {
+		a.t.Fatalf("execution %d: %d refused, want %d", a.execs, refused, a.want)
 	}
-	a.armed = false
-	if got := a.sup.Violations - a.lastViol; got != a.want {
-		a.t.Fatalf("execution %d: %d violations, want %d", a.execs, got, a.want)
-	}
+	return false
 }
 
 func (a *auditor) remember(p *runtime.PacketView) {
@@ -115,7 +111,6 @@ func (a *auditor) stale() runtime.PacketHandle {
 }
 
 func (a *auditor) Exec(env *runtime.Env) {
-	a.settle()
 	a.execs++
 	rng := a.rng
 	a.remember(env.SendQ.Top())
@@ -215,10 +210,8 @@ func (a *auditor) Exec(env *runtime.Env) {
 		}
 	}
 	a.corners += corners
-	a.want = int64(ref - corners)
-	a.refused += a.want
-	a.lastViol = a.sup.Violations
-	a.armed = true
+	a.want = ref - corners
+	a.refused += int64(a.want)
 }
 
 func inAnySnapshotQueue(env *runtime.Env, h runtime.PacketHandle) bool {
@@ -236,7 +229,7 @@ func inAnySnapshotQueue(env *runtime.Env, h runtime.PacketHandle) bool {
 // TestRefusalsMatchReferenceValidator is the differential between the
 // connection's refusal count and the reference validator: over 20
 // seeded lossy two-path transfers with reinjection traffic and a
-// subflow that closes mid-transfer, every execution's Violations delta
+// subflow that closes mid-transfer, every execution's refusal count
 // equals the reference's count, except for the stale PUSHes of
 // unacknowledged packets in no queue, which the connection transmits.
 func TestRefusalsMatchReferenceValidator(t *testing.T) {
@@ -259,24 +252,10 @@ func TestRefusalsMatchReferenceValidator(t *testing.T) {
 			sbfs = append(sbfs, s)
 		}
 		a := &auditor{t: t, c: conn, rng: rand.New(rand.NewSource(seed))}
-		a.sup = guard.New(a, guard.Config{
-			MaxStrikes: 1 << 30,
-			StallExecs: 1 << 30,
-			Now:        eng.Now,
-			After:      func(d time.Duration, fn func()) { eng.After(d, fn) },
-			Wake:       conn.Kick,
-		})
-		conn.SetScheduler(a.sup)
+		conn.SetScheduler(a)
 		eng.After(0, func() { conn.Send(256<<10, 0) })
 		eng.At(time.Duration(100+seed*10)*time.Millisecond, sbfs[0].Close)
 		eng.RunUntil(3 * time.Second)
-		a.settle()
-		if a.sup.Panics != 0 || a.sup.Quarantines != 0 {
-			t.Fatalf("seed %d: %d panics, %d quarantines; the auditor must run every execution", seed, a.sup.Panics, a.sup.Quarantines)
-		}
-		if a.sup.Violations != a.refused {
-			t.Fatalf("seed %d: %d violations in all, the executions expected %d", seed, a.sup.Violations, a.refused)
-		}
 		execs += a.execs
 		corners += a.corners
 		refused += a.refused

@@ -634,7 +634,7 @@ func (s *Subflow) Throughput() int64 {
 // CWND > SKBS_IN_FLIGHT + QUEUED gates on their total count
 // without double counting.
 func (s *Subflow) queuedSegments() int64 {
-	q := s.qdiscBytes / int64(s.conn.cfg.MSS)
+	q := s.qdiscBytes / mss
 	if n := int64(s.nOut); q > n {
 		q = n
 	}
@@ -651,11 +651,11 @@ func (s *Subflow) wireInFlight() int64 {
 // the pacing rate (cwnd·MSS/SRTT), floored at two segments — the
 // kernel's tcp_small_queue_check shape.
 func (s *Subflow) tsqBudget() int {
-	floor := tsqSegments * s.conn.cfg.MSS
+	floor := tsqSegments * mss
 	if s.srtt <= 0 {
 		return floor
 	}
-	pacing := s.cwnd * float64(s.conn.cfg.MSS) / s.srtt.Seconds() // bytes/s
+	pacing := s.cwnd * mss / s.srtt.Seconds() // bytes/s
 	budget := int(pacing * 0.001)
 	if budget < floor {
 		budget = floor
@@ -668,7 +668,7 @@ func (s *Subflow) tsqBudget() int {
 // below its floor, so a backlog within the floor is decided without
 // the pacing arithmetic; every trigger asks (Conn.facts).
 func (s *Subflow) tsqThrottled() bool {
-	return s.qdiscBytes > int64(tsqSegments*s.conn.cfg.MSS) && s.qdiscBytes > int64(s.tsqBudget())
+	return s.qdiscBytes > tsqSegments*mss && s.qdiscBytes > int64(s.tsqBudget())
 }
 
 // avgRTT returns the long-run mean RTT.

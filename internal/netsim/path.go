@@ -145,7 +145,8 @@ type PathConfig struct {
 	// DupProb delivers each surviving packet a second time, DupDelay
 	// after the first copy (chaos: middlebox or retransmission-race
 	// duplication the receiver must suppress).
-	DupProb  float64
+	DupProb float64
+	//progmp:ignore testonly TestTransferDigestGolden's chaos path sets 1 ms; 2 ms ships
 	DupDelay time.Duration // default 2 ms
 	// ReorderProb delays a surviving packet by an extra ReorderBy, so
 	// later packets overtake it (chaos: severe reordering beyond what

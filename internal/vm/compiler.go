@@ -36,6 +36,7 @@ type Options struct {
 	SubflowCount int
 	// DisableOptimizations skips the IR passes (jump threading,
 	// dead-code elimination); for ablation measurements only.
+	//progmp:ignore testonly the VM IR optimizer ablation row of EXPERIMENTS.md sets it (BenchmarkAblation_VMOptimizer)
 	DisableOptimizations bool
 }
 
