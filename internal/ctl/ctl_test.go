@@ -52,7 +52,7 @@ func startHarness(t *testing.T, supervised bool) *harness {
 		t.Fatalf("LoadScheduler: %v", err)
 	}
 	if supervised {
-		conn.Supervise(sched, progmp.SupervisorConfig{})
+		conn.Supervise(sched)
 	} else {
 		conn.SetScheduler(sched)
 	}

@@ -92,7 +92,7 @@ func runChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResu
 		s = sched.MinRTT{}
 	}
 	conn.SetScheduler(s)
-	pm := NewPathManager(conn, PathManagerConfig{PromoteBackupOnDeath: true})
+	pm := NewPathManager(conn)
 	chk := NewConservationChecker(conn)
 	conn.OnAllAcked(func() { res.FCT = eng.Now() })
 
