@@ -73,10 +73,12 @@ type value struct {
 }
 
 // scan is a compiled types.Scan: the base queue and its fused filter
-// chain, composed once and shared by all executions.
+// chain, composed once and shared by all executions. notSentOn is the
+// compiled Scan.NotSentOn, nil when the chain has none.
 type scan struct {
-	id    runtime.QueueID
-	preds []predFn
+	id        runtime.QueueID
+	preds     []predFn
+	notSentOn sbfFn
 }
 
 type (
@@ -106,7 +108,11 @@ type (
 )
 
 func (q *scan) each(st *state, yield func(*runtime.PacketView) bool) {
-	st.env.Queue(q.id).All(func(p *runtime.PacketView) bool {
+	queue, after := st.env.Queue(q.id), -1
+	if q.notSentOn != nil {
+		after = queue.SkipSent(q.notSentOn(st))
+	}
+	queue.All(after, func(p *runtime.PacketView) bool {
 		for _, pred := range q.preds {
 			if !pred(st, p) {
 				return true
@@ -599,5 +605,9 @@ func (c *compiler) compileQueue(sc *types.Scan) *scan {
 			return body(st)
 		}
 	}
-	return &scan{id: sc.Queue, preds: preds}
+	q := &scan{id: sc.Queue, preds: preds}
+	if sc.NotSentOn != nil {
+		q.notSentOn = c.compileSbf(sc.NotSentOn)
+	}
+	return q
 }

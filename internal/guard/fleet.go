@@ -293,7 +293,7 @@ func (s *Supervisor) FleetLift() {
 		s.fallback = s.blockSavedFallback
 		s.blockSavedFallback = nil
 	}
-	s.beginProbation()
+	s.beginProbation(s.probationGen)
 }
 
 // ReEnroll re-registers the supervisor under a new program name with

@@ -17,13 +17,17 @@ import (
 // never strikes for stalling).
 type switchable struct {
 	bad   bool
+	push  bool // push Q's head on the first subflow
 	execs int
 }
 
-func (s *switchable) Exec(*runtime.Env) {
+func (s *switchable) Exec(env *runtime.Env) {
 	s.execs++
 	if s.bad {
 		panic("poison program")
+	}
+	if s.push && len(env.SubflowViews) > 0 {
+		env.Push(env.SubflowViews[0], env.SendQ.Top())
 	}
 }
 

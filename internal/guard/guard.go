@@ -56,7 +56,8 @@ const (
 	StateQuarantined
 	// StateProbation runs the user scheduler on trial: one strike
 	// re-quarantines it with doubled backoff, trialExecs clean
-	// executions re-promote it to StateActive.
+	// executions (no refusal, and an action or no work to do)
+	// re-promote it to StateActive.
 	StateProbation
 )
 
@@ -92,8 +93,10 @@ const (
 	// every re-quarantine up to maxBackoff.
 	probationAfter = 500 * time.Millisecond
 	maxBackoff     = 30 * time.Second
-	// trialExecs consecutive clean probation executions re-promote the
-	// user scheduler.
+	// trialExecs clean probation executions re-promote the user
+	// scheduler. An execution is clean when the connection refused none
+	// of its actions and it either acted or had no work to do: one that
+	// leaves available work undone proves nothing.
 	trialExecs = 8
 )
 
@@ -134,6 +137,10 @@ type Supervisor struct {
 	backoff     time.Duration
 	trialClean  int
 	watchdogSet bool
+	// probationGen stamps each armed probation timer. Swap, restore and
+	// every quarantine bump it, so a timer armed before one of them
+	// fires into a stale stamp and is ignored.
+	probationGen uint64
 
 	// Fleet enrollment (nil/"" when the supervisor stands alone). The
 	// fleet is notified on every quarantine and may force-block this
@@ -218,6 +225,7 @@ func (s *Supervisor) Swap(newInner, fallback Scheduler) {
 	s.stallRun = 0
 	s.trialClean = 0
 	s.backoff = probationAfter
+	s.probationGen++
 	s.gState.Set(int64(StateActive))
 }
 
@@ -245,19 +253,21 @@ func (s *Supervisor) Exec(env *runtime.Env) {
 // (mptcp.Conn.applyActions is the one judge of actions). Refusals are
 // bad-action strikes, a clean execution counts toward probation, and
 // an execution whose every action was refused counts as one without
-// actions for stall detection. It reports whether this execution
+// actions: with work available it is idle, which extends the stall run
+// and does not count toward probation. It reports whether this execution
 // quarantined the user scheduler: the connection then runs another
 // iteration of the same scheduling pass, which the fallback serves.
 func (s *Supervisor) Applied(env *runtime.Env, refused int) (again bool) {
 	if s.state == StateQuarantined {
 		return false // the fallback served the execution
 	}
+	idle := len(env.Actions) <= refused && env.WorkAvailable()
 	if refused > 0 {
 		s.Violations += int64(refused)
 		s.mViolations.Add(int64(refused))
 		s.event(obs.EvGuardBadAction, int64(refused))
 		s.strike(nil)
-	} else if s.state == StateProbation {
+	} else if s.state == StateProbation && !idle {
 		s.trialClean++
 		if s.trialClean >= trialExecs {
 			s.restore()
@@ -269,7 +279,7 @@ func (s *Supervisor) Applied(env *runtime.Env, refused int) (again bool) {
 	// Stall detection: no unrefused action while work is available
 	// extends the run, arming the watchdog so the next observation
 	// happens even without an ACK clock; anything else resets it.
-	if len(env.Actions) > refused || !env.WorkAvailable() {
+	if !idle {
 		s.stallRun = 0
 		return false
 	}
@@ -344,8 +354,10 @@ func (s *Supervisor) quarantine(env *runtime.Env) {
 	backoff := s.backoff
 	s.eventSite(obs.EvGuardQuarantine, backoff.Microseconds(), admissionWarnings(s.inner))
 	s.backoff = min(2*s.backoff, maxBackoff)
+	s.probationGen++
 	if s.cfg.After != nil {
-		s.cfg.After(backoff, s.beginProbation)
+		gen := s.probationGen
+		s.cfg.After(backoff, func() { s.beginProbation(gen) })
 	}
 	if s.fleet != nil {
 		// May escalate to a fleet block, which re-enters FleetBlock on
@@ -358,10 +370,12 @@ func (s *Supervisor) quarantine(env *runtime.Env) {
 }
 
 // beginProbation puts the user scheduler on trial after the quarantine
-// backoff elapses. A fleet-blocked supervisor stays quarantined: only
+// backoff elapses; gen is the probationGen the timer was armed with,
+// and a timer armed before the latest Swap, restore or quarantine is
+// ignored. A fleet-blocked supervisor stays quarantined: only
 // FleetLift (the fleet's clean-window timer) re-arms probation.
-func (s *Supervisor) beginProbation() {
-	if s.state != StateQuarantined || s.fleetBlocked {
+func (s *Supervisor) beginProbation(gen uint64) {
+	if gen != s.probationGen || s.state != StateQuarantined || s.fleetBlocked {
 		return
 	}
 	s.state = StateProbation
@@ -380,6 +394,7 @@ func (s *Supervisor) restore() {
 	s.state = StateActive
 	s.strikes = 0
 	s.trialClean = 0
+	s.probationGen++
 	s.Restores++
 	s.mRestores.Add(1)
 	s.gState.Set(int64(StateActive))

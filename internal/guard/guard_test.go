@@ -104,6 +104,11 @@ func TestStallingSchedulerDegradesAndCompletes(t *testing.T) {
 	if inner.execs == 0 {
 		t.Error("inner scheduler never executed")
 	}
+	// Its probation executions leave the queued data unsent, so none of
+	// them is clean: it never earns its way back.
+	if sup.Restores != 0 {
+		t.Errorf("a scheduler that never pushes was restored %d times", sup.Restores)
+	}
 }
 
 func TestForgedActionsStrippedAndCompletes(t *testing.T) {
@@ -294,6 +299,28 @@ func TestSwapResetsSupervisionState(t *testing.T) {
 	}
 	if sup.Inner() != Scheduler(good) {
 		t.Fatal("Swap did not install the new program")
+	}
+}
+
+// TestSwapDisarmsProbationTimer: the probation timer of a quarantine
+// that a swap ended must not end a later quarantine early. Quarantined
+// at 0 ms (timer due at 500 ms), swapped at 100 ms and quarantined
+// again at 400 ms with the reset 500 ms backoff, the supervisor stays
+// quarantined through 600 ms and goes on probation at 900 ms.
+func TestSwapDisarmsProbationTimer(t *testing.T) {
+	r := newPolicyRig(freshEnv)
+	r.quarantine()
+	r.eng.RunUntil(100 * time.Millisecond)
+	r.sup.Swap(r.inner, nil)
+	r.eng.RunUntil(400 * time.Millisecond)
+	r.quarantine()
+	r.eng.RunUntil(600 * time.Millisecond)
+	if got := r.sup.State(); got != StateQuarantined {
+		t.Fatalf("at 600 ms: state %v, want quarantined (the swapped-out quarantine's timer fired)", got)
+	}
+	r.eng.RunUntil(900 * time.Millisecond)
+	if got := r.sup.State(); got != StateProbation {
+		t.Fatalf("at 900 ms: state %v, want probation", got)
 	}
 }
 

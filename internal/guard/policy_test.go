@@ -147,6 +147,33 @@ func TestShippedSupervisorPolicy(t *testing.T) {
 				t.Errorf("Restores = %d, want 1", r.sup.Restores)
 			}
 		}},
+		{"idle probation executions do not count toward the 8", syntheticEnv, func(t *testing.T, r *policyRig) {
+			r.quarantine()
+			r.inner.bad = false
+			r.eng.RunUntil(500 * time.Millisecond)
+			if r.sup.State() != StateProbation {
+				t.Fatalf("at 500 ms: state %v, want probation", r.sup.State())
+			}
+			// Work is available and the program does nothing: eight
+			// such executions are no trial.
+			for i := 1; i <= 8; i++ {
+				r.exec()
+			}
+			if got := r.sup.State(); got != StateProbation {
+				t.Fatalf("after 8 idle executions: state %v, want probation", got)
+			}
+			r.inner.push = true
+			for i := 1; i <= 8; i++ {
+				r.exec()
+				want := StateProbation
+				if i == 8 {
+					want = StateActive
+				}
+				if got := r.sup.State(); got != want {
+					t.Fatalf("after pushing execution %d: state %v, want %v", i, got, want)
+				}
+			}
+		}},
 		{"a stall strike after 32 empty executions", syntheticEnv, func(t *testing.T, r *policyRig) {
 			for i := 1; i <= 32; i++ {
 				r.exec()

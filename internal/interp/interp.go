@@ -63,9 +63,11 @@ type value struct {
 // qEach visits the visible packets of sc's queue that pass its filters
 // (late materialization, §4.1), in queue order, until fn returns false.
 // Queue-typed expressions have no run-time value: the checker resolved
-// every scanning member to its types.Scan.
+// every scanning member to its types.Scan. The walk is the literal one
+// from the head, ignoring Scan.NotSentOn: the compiled back-ends start
+// past the sent prefix, and the fuzzers hold them to this reference.
 func (f *frame) qEach(sc *types.Scan, fn func(*runtime.PacketView) bool) {
-	f.env.Queue(sc.Queue).All(func(p *runtime.PacketView) bool {
+	f.env.Queue(sc.Queue).All(-1, func(p *runtime.PacketView) bool {
 		for _, lam := range sc.Filters {
 			f.slots[f.info.Defs[lam].Slot] = value{pkt: p}
 			if !f.eval(lam.Body).b {

@@ -101,6 +101,13 @@ type Member struct {
 type Scan struct {
 	Queue   runtime.QueueID
 	Filters []*lang.Lambda
+	// NotSentOn is x when a filter of the chain is !p.SENT_ON(x) with x
+	// an identifier bound outside the lambda, else nil. Every packet of
+	// the base queue's leading run sent on x fails the scan, so a
+	// back-end may start the scan past that run
+	// (runtime.Queue.SkipSent): predicates are pure, so the skipped
+	// evaluations have no effect to miss.
+	NotSentOn *lang.Ident
 }
 
 // ElemType returns the element type of a collection type.
@@ -399,9 +406,40 @@ func (c *checker) scanOf(e lang.Expr) *Scan {
 		return c.chains[c.info.Uses[e]]
 	case *lang.MemberExpr:
 		in := c.scanOf(e.Recv)
-		return &Scan{Queue: in.Queue, Filters: append(in.Filters[:len(in.Filters):len(in.Filters)], e.Args[0].(*lang.Lambda))}
+		lam := e.Args[0].(*lang.Lambda)
+		sc := &Scan{Queue: in.Queue, Filters: append(in.Filters[:len(in.Filters):len(in.Filters)], lam), NotSentOn: in.NotSentOn}
+		if sc.NotSentOn == nil {
+			sc.NotSentOn = c.notSentOn(lam)
+		}
+		return sc
 	}
 	panic(fmt.Sprintf("types: %s is not a queue expression", lang.FormatExpr(e)))
+}
+
+// notSentOn returns x when lam is p => !p.SENT_ON(x) with x an
+// identifier bound outside lam, else nil.
+func (c *checker) notSentOn(lam *lang.Lambda) *lang.Ident {
+	not, ok := lam.Body.(*lang.UnaryExpr)
+	if !ok || not.Op != lang.NOT {
+		return nil
+	}
+	call, ok := not.X.(*lang.MemberExpr)
+	if !ok {
+		return nil
+	}
+	if m := c.info.Members[call]; m == nil || m.Kind != MemberSentOn {
+		return nil
+	}
+	param := c.info.Defs[lam]
+	recv, ok := call.Recv.(*lang.Ident)
+	if !ok || c.info.Uses[recv] != param {
+		return nil
+	}
+	x, ok := call.Args[0].(*lang.Ident)
+	if !ok || c.info.Uses[x] == nil || c.info.Uses[x] == param {
+		return nil
+	}
+	return x
 }
 
 func (c *checker) typeBinary(e *lang.BinaryExpr) Type {

@@ -186,41 +186,52 @@ func TestCheckScopesAllowSiblingBranches(t *testing.T) {
 }
 
 // TestScanResolution pins the checker's one resolution of queue-typed
-// expressions: each scanning member's base queue and FILTER lambdas
-// (named by their parameter), outermost last.
+// expressions: each scanning member's base queue, FILTER lambdas (named
+// by their parameter), outermost last, and the x of a !p.SENT_ON(x)
+// filter whose x is an identifier from outside the lambda.
 func TestScanResolution(t *testing.T) {
 	type want struct {
-		member string // the scanning member's name, unique in src
-		queue  runtime.QueueID
-		params string // space-joined lambda parameters in filter order
+		member    string // the scanning member's name, unique in src
+		queue     runtime.QueueID
+		params    string // space-joined lambda parameters in filter order
+		notSentOn string // Scan.NotSentOn's name, "" when nil
 	}
 	cases := []struct {
 		name, src string
 		want      []want
 	}{
 		{"bare entity", `SUBFLOWS.GET(0).PUSH(RQ.TOP);`,
-			[]want{{"TOP", runtime.QueueReinject, ""}}},
+			[]want{{"TOP", runtime.QueueReinject, "", ""}}},
 		{"filter of filter", `SET(R1, QU.FILTER(a => a.SIZE > 0).FILTER(b => b.SEQ > R2).COUNT);`,
-			[]want{{"COUNT", runtime.QueueUnacked, "a b"}}},
+			[]want{{"COUNT", runtime.QueueUnacked, "a b", ""}}},
 		{"variable of variable", `VAR x = Q.FILTER(a => a.SIZE > 0);
 			VAR y = x.FILTER(b => b.SEQ > 1);
 			SET(R1, y.FILTER(c => c.SIZE < 9).BYTES);`,
-			[]want{{"BYTES", runtime.QueueSend, "a b c"}}},
+			[]want{{"BYTES", runtime.QueueSend, "a b c", ""}}},
 		{"outer block variable used in inner block", `VAR x = QU.FILTER(a => a.SIZE > 0);
 			FOREACH (VAR s IN SUBFLOWS) {
 				IF (R1 == 0) { s.PUSH(x.FILTER(b => !b.SENT_ON(s)).MIN(k => k.SEQ)); }
 			}`,
-			[]want{{"MIN", runtime.QueueUnacked, "a b"}}},
+			[]want{{"MIN", runtime.QueueUnacked, "a b", "s"}}},
+		{"not sent on a loop variable", `FOREACH (VAR s IN SUBFLOWS) { s.PUSH(QU.FILTER(p => !p.SENT_ON(s)).TOP); }`,
+			[]want{{"TOP", runtime.QueueUnacked, "p", "s"}}},
+		{"SENT_ON not negated, or on no identifier", `SET(R1, QU.FILTER(p => p.SENT_ON(SUBFLOWS.GET(0))).COUNT);
+			SET(R2, RQ.FILTER(q => !q.SENT_ON(SUBFLOWS.GET(0))).BYTES);`,
+			[]want{{"COUNT", runtime.QueueUnacked, "p", ""}, {"BYTES", runtime.QueueReinject, "q", ""}}},
+		{"not sent through variables, behind another filter", `VAR v = SUBFLOWS.GET(0);
+			VAR x = Q.FILTER(a => a.SIZE > 0).FILTER(b => !b.SENT_ON(v));
+			SET(R1, x.FILTER(c => c.SEQ > 1).COUNT);`,
+			[]want{{"COUNT", runtime.QueueSend, "a b c", "v"}}},
 		{"one variable feeding TOP and COUNT", `VAR x = Q.FILTER(a => a.SIZE > R1);
 			IF (x.COUNT > 1) { SUBFLOWS.GET(0).PUSH(x.TOP); }`,
-			[]want{{"COUNT", runtime.QueueSend, "a"}, {"TOP", runtime.QueueSend, "a"}}},
+			[]want{{"COUNT", runtime.QueueSend, "a", ""}, {"TOP", runtime.QueueSend, "a", ""}}},
 		{"POP through a variable", `VAR x = RQ.FILTER(a => a.SIZE > 0);
 			VAR p = x.POP();
 			DROP(p);`,
-			[]want{{"POP", runtime.QueueReinject, "a"}}},
+			[]want{{"POP", runtime.QueueReinject, "a", ""}}},
 		{"EMPTY and MAX on a queue, none on a list", `VAR l = SUBFLOWS.FILTER(s => !s.LOSSY);
 			IF (!Q.EMPTY AND !l.EMPTY) { l.MAX(s => s.CWND).PUSH(Q.MAX(k => k.SIZE)); }`,
-			[]want{{"EMPTY", runtime.QueueSend, ""}, {"MAX", runtime.QueueSend, ""}}},
+			[]want{{"EMPTY", runtime.QueueSend, "", ""}, {"MAX", runtime.QueueSend, "", ""}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,7 +254,11 @@ func TestScanResolution(t *testing.T) {
 				if _, dup := got[e.Name]; dup {
 					t.Fatalf("test source scans through %s twice", e.Name)
 				}
-				got[e.Name] = want{e.Name, m.Scan.Queue, strings.Join(params, " ")}
+				notSentOn := ""
+				if m.Scan.NotSentOn != nil {
+					notSentOn = m.Scan.NotSentOn.Name
+				}
+				got[e.Name] = want{e.Name, m.Scan.Queue, strings.Join(params, " "), notSentOn}
 			}
 			if len(got) != len(tc.want) {
 				t.Errorf("got %d scanning members %v, want %d", len(got), got, len(tc.want))

@@ -62,15 +62,34 @@ func adversarialExec(env *runtime.Env, rng *rand.Rand) {
 	}
 }
 
+// checkSkipSent asks QU where a scan filtering !p.SENT_ON(s) starts,
+// for every subflow view s, and fails unless the answer is the position
+// before the first packet a literal walk from the head finds not sent
+// on s. The asks move the sent cursors, which checkQueueInvariants then
+// holds to their invariant through the round's hostile actions.
+func checkSkipSent(t *testing.T, env *runtime.Env, round int) {
+	t.Helper()
+	for _, s := range env.SubflowViews {
+		want := -1
+		for env.UnackedQ.At(want+1) != nil && env.UnackedQ.At(want+1).SentOn(s) {
+			want++
+		}
+		if got := env.UnackedQ.SkipSent(s); got != want {
+			t.Fatalf("round %d: QU SkipSent(subflow %d) = %d, a walk from the head says %d", round, s.Ints[runtime.SbfID], got, want)
+		}
+	}
+}
+
 // checkQueueInvariants asserts the structural invariants the
 // scheduling substrate promises regardless of scheduler behaviour:
 // the queues partition the packets — each packet's where names the one
 // list that holds it, once — strict sequence ordering for Q and QU (the
 // sorted inserts binary-search, so a single out-of-order insert would
 // corrupt them), no acknowledged packet lingering in a queue or in the
-// window, every subflow's send window consistent (checkSendWindow), and
-// byte conservation — every unacked segment reachable from a queue or
-// an in-flight transmission record.
+// window, every subflow's send window consistent (checkSendWindow), the
+// sent cursors' invariant (sent.go), and byte conservation — every
+// unacked segment reachable from a queue or an in-flight transmission
+// record.
 func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 	t.Helper()
 	lists := []struct {
@@ -109,6 +128,7 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 			}
 		}
 	}
+	checkSentCursors(t, c, round)
 	inFlight := make(map[*Packet]bool)
 	for _, s := range c.subflows {
 		checkSendWindow(t, s)
@@ -178,6 +198,7 @@ func TestAdversarialActionsPreserveInvariants(t *testing.T) {
 			send(rng.Intn(16*1460) + 1)
 		}
 		env := conn.buildEnv()
+		checkSkipSent(t, env, round)
 		adversarialExec(env, rng)
 		conn.applyActions(env)
 		checkQueueInvariants(t, conn, round)

@@ -137,6 +137,10 @@ type Conn struct {
 	receiver *Receiver
 
 	queues [inRQ + 1]packetList // Q, QU and RQ, indexed by place (the slot of nowhere stays empty)
+	// sentAsked has bit i set once a program asked which QU packets
+	// subflow i carried (unackedSource.SentPrefix); from then on QU
+	// keeps that subflow's sent cursor through every insert.
+	sentAsked uint64
 
 	// win holds every packet not yet cumulatively acknowledged, indexed
 	// by sequence number: win.base is the meta sequence number below
@@ -717,7 +721,11 @@ func (c *Conn) buildEnv() *runtime.Env {
 	for id := runtime.QueueSend; id <= runtime.QueueReinject; id++ {
 		l := &c.queues[placeOf(id)]
 		l.now = now
-		c.arena.BindQueue(id, l, l.len(), false)
+		var src runtime.QueueSource = l
+		if id == runtime.QueueUnacked {
+			src = (*unackedSource)(c)
+		}
+		c.arena.BindQueue(id, src, l.len(), false)
 	}
 
 	c.arena.BeginExec()
@@ -852,6 +860,9 @@ func (c *Conn) move(pkt *Packet, to place, back bool) {
 		c.queues[to].pushBack(pkt)
 	default:
 		c.queues[to].insertBySeq(pkt)
+	}
+	if c.sentAsked != 0 && to == inQU {
+		c.lowerSentCursors(pkt)
 	}
 }
 

@@ -193,3 +193,37 @@ func TestTransferDigestGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestRedundantStepsGolden pins the VM work of a fixed transfer the
+// benchmark's redundant_4path resembles: the redundant program on the
+// four paths, 25 000 B every 10 ms for 2 s, run to the final ACK. Both
+// counts are deterministic, so a lowering change shows here exactly,
+// under no timing noise: the executions must not move (what the
+// program decides does not change) while the steps may fall. Recorded
+// when a scan with a !p.SENT_ON(sbf) filter began past the packets sent
+// on sbf; before that, when every such scan walked QU from its head,
+// the same 13 188 executions ran 4 794 326 steps.
+func TestRedundantStepsGolden(t *testing.T) {
+	const wantExecs, wantSteps = 13_188, 772_100
+	eng := netsim.NewEngine(7)
+	conn, err := Dial(eng, Config{}, fourPaths(eng)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := core.MustLoad("redundant", schedlib.All["redundant"], core.BackendVM)
+	sched.EnableStepMetrics()
+	conn.SetScheduler(sched)
+	g := goldenShape{chunk: 25000, period: 10 * time.Millisecond, virtual: 2 * time.Second}
+	g.feed(eng, conn)
+	eng.RunUntil(g.virtual)
+	for deadline := g.virtual + 60*time.Second; !conn.AllAcked(); {
+		if !eng.Step() || eng.Now() > deadline {
+			t.Fatalf("transfer incomplete at %v", eng.Now())
+		}
+	}
+	execs, steps := conn.SchedulerExecutions, sched.Stats().Steps
+	t.Logf("%d executions, %d VM steps (%.1f per execution)", execs, steps, float64(steps)/float64(execs))
+	if execs != wantExecs || steps != wantSteps {
+		t.Errorf("%d executions, %d steps; want %d, %d", execs, steps, wantExecs, wantSteps)
+	}
+}

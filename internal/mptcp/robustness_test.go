@@ -45,7 +45,7 @@ func TestBlackoutRTOBackoffCycle(t *testing.T) {
 
 	// Mid-blackout the timeout must have backed off at least twice
 	// (MinRTO 200 ms: RTO fires around 0.4 s, 0.8 s, 1.6 s, ...).
-	var midBackoff int
+	var midBackoff int32
 	var midRTOs int64
 	eng.At(2500*time.Millisecond, func() {
 		midBackoff = darkSbf.rtoBackoff
@@ -53,7 +53,7 @@ func TestBlackoutRTOBackoffCycle(t *testing.T) {
 	})
 	// Well after recovery the first SACK on the dark subflow must have
 	// reset the backoff.
-	var lateBackoff = -1
+	var lateBackoff int32 = -1
 	eng.At(8*time.Second, func() { lateBackoff = darkSbf.rtoBackoff })
 
 	eng.RunUntil(120 * time.Second)

@@ -212,7 +212,7 @@ func (Redundant) Exec(env *runtime.Env) {
 			continue
 		}
 		var unsent *runtime.PacketView
-		env.UnackedQ.All(func(p *runtime.PacketView) bool {
+		env.UnackedQ.All(-1, func(p *runtime.PacketView) bool {
 			if !p.SentOn(sbf) {
 				unsent = p
 				return false

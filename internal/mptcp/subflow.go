@@ -86,6 +86,9 @@ type Subflow struct {
 	established bool
 	closed      bool
 	inRecovery  bool // loss recovery until sbfSeq >= recoverEnd is SACKed
+	// rtoBackoff counts the RTOs since the last SACK (loss recovery);
+	// it shares the flags' word.
+	rtoBackoff int32
 
 	// Congestion control state (owned by the CC algorithm).
 	cwnd     float64
@@ -108,7 +111,6 @@ type Subflow struct {
 	// Loss recovery.
 	recoverEnd int64
 	rtoTimer   netsim.Timer
-	rtoBackoff int
 
 	// qdiscBytes is this subflow's own unserialized backlog at the
 	// link — the quantity the TCP-small-queues condition gates on.
@@ -125,6 +127,11 @@ type Subflow struct {
 	// destID is the shared-state store's interned destination id for
 	// this subflow's path (-1 when no store is attached).
 	destID int
+
+	// sentCursor is this subflow's sent cursor in QU: once a program
+	// has asked about the subflow (Conn.sentAsked), every QU packet
+	// with a lower Seq was sent on it (see sent.go).
+	sentCursor int64
 
 	// Stats.
 	BytesSent       int64
@@ -577,7 +584,7 @@ func (s *Subflow) currentRTO() time.Duration {
 	if rto == 0 {
 		rto = minRTO
 	}
-	for i := 0; i < s.rtoBackoff && i < 6; i++ {
+	for i := int32(0); i < s.rtoBackoff && i < 6; i++ {
 		rto *= 2
 	}
 	return rto

@@ -18,6 +18,19 @@ type QueueSource interface {
 	MaterializePacket(i int, v *PacketView)
 }
 
+// SentSource is a QueueSource that can say how far a scan whose filter
+// is !p.SENT_ON(s) may skip: every packet before the first one not sent
+// on s fails that filter. A source that is not one is scanned from its
+// head.
+type SentSource interface {
+	// SentPrefix returns how many leading packets of the source were
+	// transmitted on the subflow with ID id (0 <= id < MaxSubflows).
+	//
+	//progmp:hotpath
+	//progmp:deterministic
+	SentPrefix(id int) int
+}
+
 // Queue is the snapshot of one packet queue presented to a scheduler
 // execution. The underlying packet slice is ordered by (meta) sequence
 // number, oldest first, exactly as the kernel's sk_write_queue would be
@@ -140,15 +153,16 @@ func (q *Queue) Top() *PacketView {
 	return q.At(q.topHint)
 }
 
-// All calls fn for every visible packet in order; fn returning false
-// stops the walk. This is the primitive the declarative operations
-// (FILTER/MIN/MAX) build on; views materialize only as the walk
-// reaches them, so an early stop leaves the tail untouched.
+// All calls fn for every visible packet after position after (start
+// with -1), in order; fn returning false stops the walk. This is the
+// primitive the declarative operations (FILTER/MIN/MAX) build on;
+// views materialize only as the walk reaches them, so an early stop
+// leaves the tail untouched.
 //
 //progmp:hotpath
 //progmp:deterministic
-func (q *Queue) All(fn func(*PacketView) bool) {
-	for i := q.topHint; i < q.n; i++ {
+func (q *Queue) All(after int, fn func(*PacketView) bool) {
+	for i := max(after+1, q.topHint); i < q.n; i++ {
 		if q.popped(i) {
 			continue
 		}
@@ -235,6 +249,30 @@ func (q *Queue) NextVisible(after int) int {
 	return -1
 }
 
+// SkipSent returns the position before the first packet of the
+// snapshot not sent on sbf: where a scan whose filter is
+// !p.SENT_ON(sbf) starts, since every packet before it fails that
+// filter. It is -1, skipping nothing, for a NULL subflow or one whose
+// ID no packet carries (SENT_ON is false for both) and for a source
+// that is no SentSource. Pops do not matter: the scan's NextVisible
+// steps over them.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (q *Queue) SkipSent(sbf *SubflowView) int {
+	if sbf == nil {
+		return -1
+	}
+	id := sbf.Ints[SbfID]
+	if id < 0 || id >= MaxSubflows {
+		return -1
+	}
+	if s, ok := q.src.(SentSource); ok {
+		return s.SentPrefix(int(id)) - 1
+	}
+	return -1
+}
+
 // PopPacket marks p as consumed and returns whether it was visible.
 // It supports popping from the middle of the queue, which the kernel
 // runtime implements with the augmented queue_position pointer, in O(1)
@@ -314,6 +352,18 @@ type sliceSource []*PacketView
 //progmp:hotpath
 //progmp:deterministic
 func (s sliceSource) MaterializePacket(i int, v *PacketView) { *v = *s[i] }
+
+// SentPrefix answers by a plain walk from the head.
+//
+//progmp:hotpath
+//progmp:deterministic
+func (s sliceSource) SentPrefix(id int) int {
+	n := 0
+	for n < len(s) && s[n].SentOnMask&(1<<uint(id)) != 0 {
+		n++
+	}
+	return n
+}
 
 // Reset clears the action queue and pop state for re-execution of the
 // same snapshot (overhead benchmarks, compressed executions).

@@ -17,7 +17,7 @@ const (
 	opAt             // At(i), i from arg, in range or not
 	opTop            // Top
 	opNext           // NextVisible(after), after from arg
-	opAll            // All, stopping after arg%(n+2)+1 visits
+	opAll            // All after position op>>3%(n+3)-2, stopping after arg%(n+2)+1 visits
 	opPop            // Env.Pop of a view held since any earlier op
 	opReset          // Env.Reset: re-execute the same snapshot
 	opForeign        // hold a view of another queue
@@ -187,9 +187,16 @@ func (h *queueHarness) step(op, arg byte) {
 			h.t.Fatalf("NextVisible(%d) = %d, want %d", after, got, want)
 		}
 	case opAll:
-		stop, vis := int(arg)%(n+2)+1, h.m.visible()
+		// op's high bits say after which position the walk starts.
+		after, stop := int(op>>3)%(n+3)-2, int(arg)%(n+2)+1
+		var vis []int
+		for _, i := range h.m.visible() {
+			if i > after {
+				vis = append(vis, i)
+			}
+		}
 		visited := 0
-		h.q.All(func(v *PacketView) bool {
+		h.q.All(after, func(v *PacketView) bool {
 			if visited == len(vis) {
 				h.t.Fatalf("All visited more than the %d visible positions", len(vis))
 			}
@@ -256,6 +263,7 @@ func FuzzQueueModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{opBind, 1, opTop, 0, opPop, 0, opTop, 0, opNext, 3, opAll, 9})
 	f.Add([]byte{opBind, 2 | 40<<2, opAt, 200, opAt, 17, opPop, 1, opAll, 3, opReset, 0, opPop, 0, opNext, 2})
+	f.Add([]byte{opBind, 2 | 8<<2, opAt, 5, opPop, 0, opAll | 9<<3, 30, opAll | 1<<3, 4})
 	f.Add([]byte{opBind, 6, opAt, 5, opBind, 6, opPop, 0, opAt, 5, opPop, 0, opForeign, 4, opPop, 2, opForeign, 1, opPop, 3})
 	f.Add([]byte{opBind, 10, opTop, 0, opPop, 0, opBind | opJump, 10, opBind, 10, opBind, 10, opTop, 0, opPop, 1, opReset | opJump, 0, opReset, 0, opReset, 0, opAll, 200})
 	f.Fuzz(func(t *testing.T, ops []byte) {

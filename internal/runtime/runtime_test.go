@@ -49,7 +49,7 @@ func TestQueuePopMiddle(t *testing.T) {
 		t.Fatal("middle pop failed")
 	}
 	var seen []int64
-	q.All(func(p *PacketView) bool {
+	q.All(-1, func(p *PacketView) bool {
 		seen = append(seen, p.Ints[PktSeq])
 		return true
 	})
@@ -83,7 +83,7 @@ func TestQueueReset(t *testing.T) {
 func TestQueueAllEarlyStop(t *testing.T) {
 	q := sendQ(pkts(5))
 	count := 0
-	q.All(func(*PacketView) bool {
+	q.All(-1, func(*PacketView) bool {
 		count++
 		return count < 2
 	})

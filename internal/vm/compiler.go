@@ -655,10 +655,17 @@ func (c *comp) listMask(e lang.Expr) int {
 // resolved queue scan. body receives the vreg holding the current packet
 // handle and the patch-list for "continue"; returning from body is via
 // emitted jumps. body returns jump indices to patch to the loop end
-// ("break" sites).
+// ("break" sites). A scan with a !p.SENT_ON(x) filter starts past the
+// packets sent on x (OpQSkipSent) instead of at -1.
 func (c *comp) queueScan(sc *types.Scan, body func(pkt int) (breaks []int)) {
 	qid := int64(sc.Queue)
-	pos := c.imm(-1)
+	var pos int
+	if sc.NotSentOn != nil {
+		pos = c.newv()
+		c.emit(OpQSkipSent, pos, c.sbfExpr(sc.NotSentOn), 0, qid)
+	} else {
+		pos = c.imm(-1)
+	}
 	loopStart := c.here()
 	c.emit(OpQNext, pos, pos, 0, qid)
 	negative := c.newv()

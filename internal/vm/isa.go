@@ -84,6 +84,7 @@ const (
 	OpSentOn      // dst = packet(a).SentOn(subflow(b))
 	OpQNext       // dst = next visible position in queue K strictly after position a (start with a = -1); -1 when exhausted
 	OpPktRef      // dst = packet handle for queue K, position a
+	OpQSkipSent   // dst = position in queue K before its first packet not sent on subflow(a); -1 to skip nothing
 
 	// Side effects (recorded in the action queue).
 	OpPop  // pop packet(a) from queue K
@@ -295,6 +296,7 @@ var ops = [opCount]opInfo{
 	OpSentOn:      {name: "senton", shape: shDAB, k: kUnused},
 	OpQNext:       {name: "qnext", shape: shDAQ, k: kQueue},
 	OpPktRef:      {name: "pktref", shape: shDAQ, k: kQueue},
+	OpQSkipSent:   {name: "qskipsent", shape: shDAQ, k: kQueue},
 
 	OpPop:  {name: "pop", shape: shAQ, k: kQueue, effect: true},
 	OpPush: {name: "push", shape: shAB, k: kUnused, effect: true},

@@ -278,6 +278,12 @@ func (p *Program) Exec(env *runtime.Env) error {
 			}
 		case OpPktRef:
 			regs[in.Dst] = (in.K+1)<<32 | (regs[in.A] + 1)
+		case OpQSkipSent:
+			if q := env.Queue(runtime.QueueID(in.K)); q != nil {
+				regs[in.Dst] = int64(q.SkipSent(sbfView(env, regs[in.A])))
+			} else {
+				regs[in.Dst] = -1
+			}
 		case OpPop:
 			env.Site = in.Line
 			env.Pop(runtime.QueueID(in.K), pktView(env, regs[in.A]))
