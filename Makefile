@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQuiescence -fuzztime 10s ./internal/semtest/
 	$(GO) test -run '^$$' -fuzz FuzzQueueModel -fuzztime 10s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz FuzzSentCursor -fuzztime 10s ./internal/mptcp/
+	$(GO) test -run '^$$' -fuzz FuzzSendWindow -fuzztime 10s ./internal/mptcp/
 
 cover:
 	$(GO) test -cover ./...

@@ -78,9 +78,6 @@ func ParseBackend(name string) (Backend, error) {
 // which keeps the authoritative counters.
 type Stats struct {
 	Executions int64
-	Pushes     int64
-	Pops       int64
-	Drops      int64
 	// GenericExecs counts VM executions that ran the generic program:
 	// more subflows than runtime.MaxSubflows, a specialization that
 	// failed to compile, or a specialized execution that failed and
@@ -100,9 +97,6 @@ type Stats struct {
 // Metric names used by the per-scheduler registry.
 const (
 	MetricExecutions     = "sched.executions"
-	MetricPushes         = "sched.pushes"
-	MetricPops           = "sched.pops"
-	MetricDrops          = "sched.drops"
 	MetricFallbackErrors = "sched.fallback_errors"
 	MetricGenericExecs   = "vm.generic_execs"
 	MetricSpecCompiled   = "vm.specializations"
@@ -135,9 +129,6 @@ type Scheduler struct {
 	// the hot path touches only the pre-resolved handles below.
 	metrics       *obs.Registry
 	mExecutions   *obs.Counter
-	mPushes       *obs.Counter
-	mPops         *obs.Counter
-	mDrops        *obs.Counter
 	mGenericExec  *obs.Counter
 	mSpecialized  *obs.Counter
 	mFallbackErrs *obs.Counter
@@ -186,9 +177,6 @@ func Load(name, src string, backend Backend) (*Scheduler, error) {
 		s.cert = &report.Quiescence
 	}
 	s.mExecutions = s.metrics.Counter(MetricExecutions)
-	s.mPushes = s.metrics.Counter(MetricPushes)
-	s.mPops = s.metrics.Counter(MetricPops)
-	s.mDrops = s.metrics.Counter(MetricDrops)
 	s.mGenericExec = s.metrics.Counter(MetricGenericExecs)
 	s.mSpecialized = s.metrics.Counter(MetricSpecCompiled)
 	s.mFallbackErrs = s.metrics.Counter(MetricFallbackErrors)
@@ -245,7 +233,7 @@ func (s *Scheduler) AdmissionWarnings() int { return s.report.Warnings() }
 //progmp:ignore testonly only bench/ calls it; ROADMAP item 3 drops those calls, then this goes
 func (s *Scheduler) SetSynchronousSpecialization(bool) {}
 
-// Exec runs one scheduler execution against env and updates statistics.
+// Exec runs one scheduler execution against env and counts it.
 // It stamps the program's quiescence certificate on env: the
 // connection checks the stamp before its next snapshot and skips the
 // execution while the certificate holds.
@@ -253,7 +241,6 @@ func (s *Scheduler) SetSynchronousSpecialization(bool) {}
 //progmp:hotpath
 //progmp:deterministic
 func (s *Scheduler) Exec(env *runtime.Env) {
-	before := len(env.Actions)
 	switch s.backend {
 	case BackendInterpreter:
 		s.interp.Exec(env)
@@ -264,16 +251,6 @@ func (s *Scheduler) Exec(env *runtime.Env) {
 	}
 	env.Cert = s.cert
 	s.mExecutions.Add(1)
-	for _, a := range env.Actions[before:] {
-		switch a.Kind {
-		case runtime.ActionPush:
-			s.mPushes.Add(1)
-		case runtime.ActionPop:
-			s.mPops.Add(1)
-		case runtime.ActionDrop:
-			s.mDrops.Add(1)
-		}
-	}
 }
 
 func (s *Scheduler) execVM(env *runtime.Env) {
@@ -392,9 +369,6 @@ func (s *Scheduler) EnableStepMetrics() {
 func (s *Scheduler) Stats() Stats {
 	return Stats{
 		Executions:     s.mExecutions.Value(),
-		Pushes:         s.mPushes.Value(),
-		Pops:           s.mPops.Value(),
-		Drops:          s.mDrops.Value(),
 		GenericExecs:   s.mGenericExec.Value(),
 		FallbackErrors: s.mFallbackErrs.Value(),
 		Steps:          s.mSteps.Value(),

@@ -6,6 +6,7 @@ import (
 
 	"progmp/internal/envtest"
 	"progmp/internal/obs"
+	"progmp/internal/runtime"
 	"progmp/internal/vm"
 )
 
@@ -28,12 +29,20 @@ func TestSchedulerExecAndStats(t *testing.T) {
 		env := envtest.TwoSubflowEnv(3)
 		s.Exec(env)
 		s.Exec(env)
-		st := s.Stats()
-		if st.Executions != 2 {
+		if st := s.Stats(); st.Executions != 2 {
 			t.Errorf("%s: executions = %d, want 2", backend, st.Executions)
 		}
-		if st.Pushes != 2 || st.Pops != 2 {
-			t.Errorf("%s: pushes=%d pops=%d, want 2 and 2", backend, st.Pushes, st.Pops)
+		pushes, pops := 0, 0
+		for _, a := range env.Actions {
+			switch a.Kind {
+			case runtime.ActionPush:
+				pushes++
+			case runtime.ActionPop:
+				pops++
+			}
+		}
+		if pushes != 2 || pops != 2 {
+			t.Errorf("%s: pushes=%d pops=%d, want 2 and 2", backend, pushes, pops)
 		}
 	}
 }

@@ -116,9 +116,6 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 			if p.where != ent.where {
 				t.Fatalf("round %d: %s holds seq %d whose where is %d, want %d", round, ent.name, p.Seq, p.where, ent.where)
 			}
-			if p.MetaAcked {
-				t.Fatalf("round %d: %s holds acknowledged seq %d", round, ent.name, p.Seq)
-			}
 			if c.win.at(p.Seq) != p {
 				t.Fatalf("round %d: %s holds seq %d, which the sender window does not", round, ent.name, p.Seq)
 			}
@@ -129,11 +126,13 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 		}
 	}
 	checkSentCursors(t, c, round)
-	inFlight := make(map[*Packet]bool)
+	inFlight := make(map[int64]bool) // by meta sequence number
 	for _, s := range c.subflows {
 		checkSendWindow(t, s)
 		for seq := s.sent.base; seq < s.sent.end(); seq++ {
-			inFlight[s.sent.at(seq).pkt] = true
+			if rec := s.sent.at(seq); rec.live() {
+				inFlight[rec.metaSeq] = true
+			}
 		}
 	}
 	// A segment may legally vanish from the sender's queues before the
@@ -143,18 +142,15 @@ func checkQueueInvariants(t *testing.T, c *Conn, round int) {
 	receiverHas := func(p *Packet) bool {
 		return p.Seq < c.receiver.ooo.base || c.receiver.ooo.at(p.Seq).received
 	}
-	if end := c.win.base + int64(c.win.len()); end != c.nextSeq {
-		t.Fatalf("round %d: sender window ends at %d, nextSeq is %d", round, end, c.nextSeq)
-	}
-	for seq := c.win.base; seq < c.nextSeq; seq++ {
+	for seq := c.win.base; seq < c.win.end; seq++ {
 		p := c.win.at(seq)
-		if p == nil || p.Seq != seq || p.MetaAcked {
+		if p == nil || p.Seq != seq {
 			t.Fatalf("round %d: sender window holds %+v at seq %d", round, p, seq)
 		}
 		if (p.where != nowhere) != listed[p] {
 			t.Fatalf("round %d: seq %d has where %d but listed = %v", round, seq, p.where, listed[p])
 		}
-		if !listed[p] && !inFlight[p] && !receiverHas(p) {
+		if !listed[p] && !inFlight[seq] && !receiverHas(p) {
 			t.Fatalf("round %d: unacked seq %d reachable from no queue, no in-flight record, and not at receiver",
 				round, p.Seq)
 		}

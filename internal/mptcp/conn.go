@@ -129,9 +129,6 @@ type Conn struct {
 	applied func(env *runtime.Env, refused int) (again bool)
 	regs    [runtime.NumRegisters]int64
 	store   *xstate.Store
-	// destsReleased latches ReleaseDests so teardown paths may call it
-	// from several places without double-releasing store references.
-	destsReleased bool
 
 	subflows []*Subflow
 	receiver *Receiver
@@ -142,13 +139,13 @@ type Conn struct {
 	// keeps that subflow's sent cursor through every insert.
 	sentAsked uint64
 
-	// win holds every packet not yet cumulatively acknowledged, indexed
+	// win owns every packet not yet cumulatively acknowledged, indexed
 	// by sequence number: win.base is the meta sequence number below
-	// which everything is acked, and onAck retires packets as it
-	// advances, so the sender retains O(in-flight + queued) packets.
-	win     ring[*Packet]
-	nextSeq int64
-	rwnd    int64 // latest advertised receive window (bytes)
+	// which everything is acked and win.end the next one to write, and
+	// onAck retires packets as it advances, so the sender retains
+	// O(in-flight + queued) packets.
+	win  sendWindow
+	rwnd int64 // latest advertised receive window (bytes)
 	// Sequence-space window accounting (bytes): ackedOffset is the
 	// stream offset below which everything is cumulatively acked;
 	// maxSentEnd is the end offset of the highest segment ever
@@ -167,15 +164,19 @@ type Conn struct {
 	// Scheduler swap deferred to the execution boundary (see
 	// SetScheduler): applied at the top of the next schedule iteration
 	// so no execution observes a half-installed program. The flag sits
-	// with the other two so the three share a word: Conn must stay
-	// within 632 B, its 640 B size class less the 8 B malloc header.
+	// with the other two, and destsReleased and connID with them, so
+	// all five share a word: Conn must stay within 632 B, its 640 B size
+	// class less the 8 B malloc header.
 	hasPendingSched bool
-	pendingSched    Scheduler
+	// destsReleased latches ReleaseDests so teardown paths may call it
+	// from several places without double-releasing store references.
+	destsReleased bool
+	connID        int32 // the tracer's id for the connection (Instrument)
+	pendingSched  Scheduler
 
 	// Observability (nil when not instrumented; every handle below is
 	// nil-safe, so the uninstrumented data path pays one nil check).
 	tracer  *obs.Tracer
-	connID  int32
 	curExec uint64 // scheduler execution id during schedule(); 0 outside
 
 	metricsReg *obs.Registry
@@ -413,27 +414,23 @@ func (c *Conn) Subflows() []*Subflow { return c.subflows }
 // triggers the scheduler (Fig. 4: packets arrive in Q).
 func (c *Conn) Send(n int, prop int64) {
 	now := c.eng.Now()
-	firstSeq, bytes := c.nextSeq, int64(n)
+	firstSeq, bytes := c.win.end, int64(n)
 	for n > 0 {
 		size := mss
 		if n < size {
 			size = n
 		}
 		n -= size
-		pkt := &Packet{
-			Seq:        c.nextSeq,
-			Size:       size,
-			Offset:     c.bytesQueued,
-			Prop:       prop,
-			EnqueuedAt: now,
-		}
+		pkt := c.win.push()
+		pkt.Size = size
+		pkt.Offset = c.bytesQueued
+		pkt.Prop = prop
+		pkt.EnqueuedAt = now
 		c.bytesQueued += int64(size)
-		c.nextSeq++
-		c.win.pushBack(pkt)
 		c.move(pkt, inQ, true)
 		c.TotalEnqueued++
 	}
-	c.mEnqueued.Add(c.nextSeq - firstSeq)
+	c.mEnqueued.Add(c.win.end - firstSeq)
 	c.trace(obs.EvEnqueue, -1, firstSeq, bytes, 0)
 	c.schedule()
 }
@@ -451,7 +448,7 @@ func (c *Conn) reinjectSegments() int { return c.queues[inRQ].len() }
 // AllAcked reports whether every enqueued byte has been cumulatively
 // acknowledged.
 func (c *Conn) AllAcked() bool {
-	return c.QueuedSegments() == 0 && c.UnackedSegments() == 0 && c.nextSeq > 0
+	return c.QueuedSegments() == 0 && c.UnackedSegments() == 0 && c.win.end > 0
 }
 
 // OnAllAcked registers a callback fired when the send buffer fully
@@ -509,15 +506,15 @@ func (c *Conn) noteTransmitted(pkt *Packet) {
 	}
 }
 
-// inFlightElsewhere reports whether pkt has an un-SACKed
-// transmission on a live subflow other than except.
-func (c *Conn) inFlightElsewhere(pkt *Packet, except *Subflow) bool {
+// inFlightElsewhere reports whether the packet numbered metaSeq has an
+// un-SACKed transmission on a live subflow other than except.
+func (c *Conn) inFlightElsewhere(metaSeq int64, except *Subflow) bool {
 	for _, s := range c.subflows {
 		if s == except || !s.usable() {
 			continue
 		}
 		for seq := s.sent.base; seq < s.sent.end(); seq++ {
-			if s.sent.slot(seq).pkt == pkt {
+			if rec := s.sent.slot(seq); rec.live() && rec.metaSeq == metaSeq {
 				return true
 			}
 		}
@@ -534,10 +531,11 @@ func (c *Conn) returnToSendQ(pkt *Packet) {
 }
 
 // addReinject queues pkt for reinjection (it moves to the back of RQ
-// unless already there or acked) and triggers the scheduler (Fig. 4:
-// loss events).
+// unless already there) and triggers the scheduler (Fig. 4: loss
+// events). A nil pkt is one the cumulative ACK has retired: nothing
+// happens.
 func (c *Conn) addReinject(pkt *Packet) {
-	if pkt.MetaAcked {
+	if pkt == nil {
 		return
 	}
 	if pkt.where != inRQ {
@@ -568,14 +566,15 @@ func (c *Conn) onAck(metaCumAck int64, rwnd int64, s *Subflow) {
 	c.mAcks.Add(1)
 	c.trace(obs.EvAck, int32(s.id), -1, metaCumAck, 0)
 	if metaCumAck > c.win.base {
-		// The window ends at nextSeq, so an ACK beyond it stops there.
+		// The window ends at the next sequence number to write, so an
+		// ACK beyond it stops there.
 		for c.win.len() > 0 && c.win.base < metaCumAck {
-			pkt := c.win.popFront()
-			pkt.MetaAcked = true
+			pkt := c.win.at(c.win.base)
 			if end := pkt.Offset + int64(pkt.Size); end > c.ackedOffset {
 				c.ackedOffset = end
 			}
 			c.move(pkt, nowhere, false)
+			c.win.pop()
 		}
 		if c.AllAcked() && c.onAllAcked != nil {
 			cb := c.onAllAcked
@@ -867,7 +866,7 @@ func (c *Conn) move(pkt *Packet, to place, back bool) {
 }
 
 // pktOf resolves a handle to its packet, nil once acknowledged (or
-// never sent: a forged handle indexes outside the window).
+// never written: a forged handle indexes outside the window).
 func (c *Conn) pktOf(h runtime.PacketHandle) *Packet {
 	return c.win.at(int64(h) - 1)
 }

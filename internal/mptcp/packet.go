@@ -18,7 +18,10 @@ import (
 )
 
 // Packet is one meta-level segment. Segments carry a data sequence
-// number at packet granularity; the size is the payload in bytes.
+// number at packet granularity; the size is the payload in bytes. A
+// Packet lives in its connection's send window (sendWindow) from the
+// write until the cumulative ACK retires it, and its memory is then
+// reused for a later segment.
 type Packet struct {
 	Seq  int64
 	Size int
@@ -34,9 +37,6 @@ type Packet struct {
 	SentCount  int
 	// LastSentAt is the time of the most recent transmission.
 	LastSentAt time.Duration
-	// MetaAcked is set once the cumulative DATA_ACK covers the packet;
-	// acked packets are automatically removed from all queues (§3.1).
-	MetaAcked bool
 
 	// where is the queue holding the packet.
 	where place

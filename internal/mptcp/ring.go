@@ -1,10 +1,10 @@
 package mptcp
 
 // ring is a window [base, base+n) over a dense, forward-moving index:
-// the one store for per-sequence state. The sender's packets, each
-// subflow's send window, both levels of receiver reordering and the
-// delivery-rate samples are all "the element for number i, until
-// everything below it is retired",
+// the one store for per-sequence state. The pages of the sender's
+// packets (sendWindow), each subflow's send window, both levels of
+// receiver reordering and the delivery-rate samples are all "the
+// element for number i, until everything below it is retired",
 // which is what TCP's own windows are. The zero value is an empty
 // window at index 0 and owns no memory until the first store; elements
 // inside the window that were never stored read as the zero T.

@@ -20,20 +20,20 @@ func checkSendWindow(t *testing.T, s *Subflow) {
 	live, lost := 0, 0
 	for seq := s.sent.base; seq < s.sent.end(); seq++ {
 		rec := s.sent.at(seq)
-		if rec.pkt != nil {
+		if rec.live() {
 			live++
 			if rec.lost {
 				lost++
 			}
 		}
-		if rec.queued && (rec.pkt == nil || !rec.lost) {
-			t.Fatalf("subflow %d: sbfSeq %d queued for retransmission (live=%v lost=%v)", s.id, seq, rec.pkt != nil, rec.lost)
+		if rec.queued && (!rec.live() || !rec.lost) {
+			t.Fatalf("subflow %d: sbfSeq %d queued for retransmission (live=%v lost=%v)", s.id, seq, rec.live(), rec.lost)
 		}
 	}
 	if live != s.nOut || lost != s.nLost {
 		t.Fatalf("subflow %d: window holds %d live / %d lost segments, counters say %d / %d", s.id, live, lost, s.nOut, s.nLost)
 	}
-	if s.sent.len() > 0 && s.sent.at(s.sent.base).pkt == nil {
+	if s.sent.len() > 0 && !s.sent.at(s.sent.base).live() {
 		t.Fatalf("subflow %d: window [%d,%d) starts at a SACKed slot", s.id, s.sent.base, s.sent.end())
 	}
 }
@@ -92,7 +92,7 @@ func TestRecycledRecordLeavesRetxQueue(t *testing.T) {
 	s.handleAck(6, 0, conn.rwnd)
 	s.handleAck(5, 0, conn.rwnd)
 	checkSendWindow(t, s)
-	if rec := s.sent.at(fresh); rec.pkt != pkts[8] || rec.sbfRetx || rec.lost {
+	if rec := s.sent.at(fresh); rec.metaSeq != pkts[8].Seq || rec.sbfRetx || rec.lost {
 		t.Fatalf("the ninth segment (sbfSeq %d) was retransmitted as if it were the SACKed one", fresh)
 	}
 	if got := s.Retransmissions - retxBefore; got != 1 {
@@ -131,10 +131,11 @@ func sendAndDrain(t *testing.T, eng *netsim.Engine, conn *Conn, n int) {
 
 // TestSegmentPathAllocs pins the per-segment path — transmit, the
 // path's serialization and arrival events, the receiver, the ACK's way
-// back, SACK processing, RTO re-arm — at the one object a segment is
-// allowed to cost: its Packet. Growth of long-lived containers (the
-// packet index, queue slices, free lists) is amortized and falls below
-// AllocsPerRun's integer average.
+// back, SACK processing, RTO re-arm — at the pages of the send window:
+// a segment costs no object of its own, and a write into a drained
+// window costs the pages it spans. Growth of long-lived containers
+// (the page ring, queue slices, free lists) is amortized and falls
+// below AllocsPerRun's integer average.
 func TestSegmentPathAllocs(t *testing.T) {
 	const mss = 1460
 	t.Run("clean", func(t *testing.T) {
@@ -145,15 +146,16 @@ func TestSegmentPathAllocs(t *testing.T) {
 		}
 		n := testing.AllocsPerRun(500, func() { sendAndDrain(t, eng, conn, mss) })
 		if n > 1 {
-			t.Fatalf("one segment, sent and acknowledged, allocates %.0f objects; want at most 1 (the Packet)", n)
+			t.Fatalf("one segment, sent and acknowledged, allocates %.0f objects; want at most 1 (the page that holds its Packet)", n)
 		}
 	})
 	// With loss the same path also runs loss detection, fast and paced
 	// retransmission, RTO firing and meta-level reinjection; under OLIA
 	// congestion avoidance also runs its coupled increase on every ACK.
+	// A burst of 24 segments spans at most three pages of 16.
 	lossy := func(cc CongestionControl) func(*testing.T) {
 		return func(t *testing.T) {
-			const burst = 24
+			const burst, pages = 24, 3
 			eng, conn := segmentPathConn(t, Config{CC: cc}, 0.01)
 			for i := 0; i < 200; i++ {
 				sendAndDrain(t, eng, conn, burst*mss)
@@ -164,8 +166,8 @@ func TestSegmentPathAllocs(t *testing.T) {
 					checkSendWindow(t, s)
 				}
 			})
-			if n > burst {
-				t.Fatalf("%d segments with 1%% loss allocate %.0f objects; want at most %d (their Packets)", burst, n, burst)
+			if n > pages {
+				t.Fatalf("%d segments with 1%% loss allocate %.0f objects; want at most %d (the pages of their Packets)", burst, n, pages)
 			}
 			var retx, rtos, episodes int64
 			for _, s := range conn.subflows {

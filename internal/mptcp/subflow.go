@@ -10,11 +10,15 @@ import (
 
 // txRecord is one subflow-level segment in its subflow's send window,
 // from its first transmission until it is SACKed. Its sbfSeq is its
-// index in the window and its size is pkt.Size; a SACKed slot is the
-// zero txRecord.
+// index in the window; it names the meta-level segment it carries by
+// sequence number and size, because the segment may be acknowledged
+// through another subflow, and its Packet reused, while this copy is
+// still in flight (Conn.win.at(metaSeq) is nil from then on). A SACKed
+// slot is the zero txRecord.
 type txRecord struct {
-	pkt    *Packet
-	sentAt time.Duration
+	metaSeq int64
+	sentAt  time.Duration
+	size    int32 // payload bytes; 0 only in a SACKed slot
 	// sbfRetx marks subflow-level retransmissions (Karn's algorithm:
 	// no RTT sample from retransmitted segments).
 	sbfRetx bool
@@ -27,6 +31,9 @@ type txRecord struct {
 	// still-full bottleneck queue.
 	queued bool
 }
+
+// live reports whether the slot holds an un-SACKed segment.
+func (r txRecord) live() bool { return r.size != 0 }
 
 // SubflowConfig describes one subflow of a connection.
 type SubflowConfig struct {
@@ -307,11 +314,15 @@ func (s *Subflow) Close() {
 	s.closed = true
 	s.rtoTimer.Stop()
 	for seq, end := s.sent.base, s.sent.end(); seq < end; seq++ {
-		pkt := s.sent.at(seq).pkt
-		if pkt == nil || pkt.MetaAcked {
+		rec := s.sent.at(seq)
+		if !rec.live() {
 			continue
 		}
-		if s.conn.inFlightElsewhere(pkt, s) {
+		pkt := s.conn.win.at(rec.metaSeq)
+		if pkt == nil { // acknowledged through another subflow
+			continue
+		}
+		if s.conn.inFlightElsewhere(rec.metaSeq, s) {
 			s.conn.addReinject(pkt)
 		} else {
 			s.conn.returnToSendQ(pkt)
@@ -336,29 +347,31 @@ func (s *Subflow) transmit(pkt *Packet) bool {
 	}
 	s.conn.noteTransmitted(pkt)
 	now, seq := s.conn.eng.Now(), s.sent.end()
-	s.sent.pushBack(txRecord{pkt: pkt, sentAt: now})
+	rec := txRecord{metaSeq: pkt.Seq, sentAt: now, size: int32(pkt.Size)}
+	s.sent.pushBack(rec)
 	s.nOut++
-	s.sendRecord(seq, pkt)
+	s.sendRecord(seq, &rec)
 	pkt.SentOnMask |= 1 << uint(s.id)
 	pkt.SentCount++
 	pkt.LastSentAt = now
 	return true
 }
 
-// sendRecord puts segment seq, carrying pkt, on the wire (first
-// transmission or subflow-level retransmission) and maintains the
-// subflow's own qdisc accounting; onSerialized undoes it when the
+// sendRecord puts segment seq, as its record rec names it, on the wire
+// (first transmission or subflow-level retransmission) and maintains
+// the subflow's own qdisc accounting; onSerialized undoes it when the
 // packet has left the transmitter.
 //
 //progmp:hotpath
-func (s *Subflow) sendRecord(seq int64, pkt *Packet) {
+func (s *Subflow) sendRecord(seq int64, rec *txRecord) {
+	size := int64(rec.size)
 	s.PktsSent++
-	s.BytesSent += int64(pkt.Size)
-	s.mBytes.Add(int64(pkt.Size))
-	wire := int64(pkt.Size + 40) // 40 bytes of TCP/MPTCP headers
+	s.BytesSent += size
+	s.mBytes.Add(size)
+	wire := size + 40 // 40 bytes of TCP/MPTCP headers
 	accepted := s.link.Fwd.SendMsg(int(wire), netsim.Msg{
 		To: s, Kind: evData, Serialized: evSerialized,
-		A: seq, B: pkt.Seq, C: int64(pkt.Size),
+		A: seq, B: rec.metaSeq, C: size,
 	})
 	if accepted {
 		s.qdiscBytes += wire
@@ -390,7 +403,7 @@ func (s *Subflow) retransmitRecord(seq int64) {
 	rec.sentAt = s.conn.eng.Now()
 	s.Retransmissions++
 	s.mRetx.Add(1)
-	s.sendRecord(seq, rec.pkt)
+	s.sendRecord(seq, rec)
 }
 
 // handleAck processes a SACK for sbfSeq together with the piggybacked
@@ -401,14 +414,14 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 	if s.closed {
 		return
 	}
-	if rec := s.sent.at(sackSbfSeq); rec.pkt != nil {
+	if rec := s.sent.at(sackSbfSeq); rec.live() {
 		// Retire the slot, and the SACKed slots below the oldest live one.
 		*s.sent.slot(sackSbfSeq) = txRecord{}
 		s.nOut--
 		if rec.lost {
 			s.nLost--
 		}
-		for s.sent.len() > 0 && s.sent.slot(s.sent.base).pkt == nil {
+		for s.sent.len() > 0 && !s.sent.slot(s.sent.base).live() {
 			s.sent.popFront()
 		}
 		var rttUS int64 // Karn's rule: no sample from a retransmitted slot
@@ -423,9 +436,9 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 				s.trace(obs.EvCwnd, -1, int64(s.cwnd*1000), 0)
 			}
 		}
-		s.recordDelivered(rec.pkt.Size)
+		s.recordDelivered(int(rec.size))
 		if st := s.conn.store; st != nil {
-			st.RecordAck(s.destID, rttUS, int64(rec.pkt.Size))
+			st.RecordAck(s.destID, rttUS, int64(rec.size))
 		}
 		s.rtoBackoff = 0
 	}
@@ -453,7 +466,7 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 // SACKs above them.
 func (s *Subflow) detectLosses() {
 	for seq, end := s.sent.base, s.sent.end(); seq < end && s.highestSacked-seq >= dupThresh; seq++ {
-		if rec := s.sent.at(seq); rec.pkt != nil && !rec.lost {
+		if rec := s.sent.at(seq); rec.live() && !rec.lost {
 			s.markLost(seq, false)
 		}
 	}
@@ -475,8 +488,8 @@ func (s *Subflow) suspect(rec *txRecord) {
 func (s *Subflow) markLost(seq int64, isRTO bool) {
 	rec := s.sent.slot(seq)
 	s.suspect(rec)
-	pkt := rec.pkt
-	s.trace(obs.EvLoss, pkt.Seq, seq, 0)
+	metaSeq := rec.metaSeq
+	s.trace(obs.EvLoss, metaSeq, seq, 0)
 	if st := s.conn.store; st != nil {
 		st.RecordLoss(s.destID, 1)
 	}
@@ -503,9 +516,7 @@ func (s *Subflow) markLost(seq int64, isRTO bool) {
 	} else {
 		rec.queued = true
 	}
-	if !pkt.MetaAcked {
-		s.conn.addReinject(pkt)
-	}
+	s.conn.addReinject(s.conn.win.at(metaSeq))
 }
 
 // drainRetx sends one paced retransmission: the oldest queued segment.
@@ -558,7 +569,7 @@ func (s *Subflow) onRTO() {
 	oldest := s.sent.base
 	s.RTOs++
 	s.mRTOs.Add(1)
-	s.trace(obs.EvRTO, s.sent.slot(oldest).pkt.Seq, int64(s.rtoBackoff), 0)
+	s.trace(obs.EvRTO, s.sent.slot(oldest).metaSeq, int64(s.rtoBackoff), 0)
 	// An RTO is the strongest path-degradation signal the sender sees;
 	// publish it as a quarantine signal so other connections steering by
 	// XQUAR avoid this destination.
@@ -569,9 +580,10 @@ func (s *Subflow) onRTO() {
 	s.inRecovery = false // force a fresh congestion response
 	s.markLost(oldest, true)
 	for seq, end := oldest+1, s.sent.end(); seq < end; seq++ {
-		if rec := s.sent.slot(seq); rec.pkt != nil && !rec.pkt.MetaAcked {
+		rec := s.sent.slot(seq)
+		if pkt := s.conn.win.at(rec.metaSeq); rec.live() && pkt != nil {
 			s.suspect(rec)
-			s.conn.addReinject(rec.pkt)
+			s.conn.addReinject(pkt)
 		}
 	}
 	s.armRTO()

@@ -39,19 +39,23 @@ func TestSenderRetainsOnlyTheWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkQueueInvariants(t, conn, 0)
-	segments := int(conn.nextSeq)
+	segments := int(conn.win.end)
 	if segments < 30000 || peak < 18 || peak > segments/30 {
 		t.Fatalf("%d segments with a peak window of %d: not the long, shallow stream this test needs", segments, peak)
 	}
 
 	rx := conn.receiver
-	if conn.win.len() != 0 || conn.win.base != conn.nextSeq {
-		t.Errorf("sender window is [%d,+%d) after the final ACK of %d segments", conn.win.base, conn.win.len(), segments)
+	if conn.win.len() != 0 {
+		t.Errorf("sender window is [%d,%d) after the final ACK of %d segments", conn.win.base, conn.win.end, segments)
+	}
+	// A drained window lets go of its packet memory.
+	if n := conn.win.pages.len(); n != 0 || conn.win.spare != nil {
+		t.Errorf("the drained sender window holds %d pages, spare %v", n, conn.win.spare != nil)
 	}
 	if q, qu, rq := conn.queues[inQ].len(), conn.queues[inQU].len(), conn.queues[inRQ].len(); q+qu+rq != 0 {
 		t.Errorf("Q/QU/RQ hold %d/%d/%d packets after the final ACK", q, qu, rq)
 	}
-	if rx.ooo.len() != 0 || rx.ooo.base != conn.nextSeq || rx.oooSegs != 0 || rx.oooBytes != 0 || rx.heldBytes != 0 {
+	if rx.ooo.len() != 0 || rx.ooo.base != conn.win.end || rx.oooSegs != 0 || rx.oooBytes != 0 || rx.heldBytes != 0 {
 		t.Errorf("meta reorder window is [%d,+%d) holding %d segments, %d+%d bytes", rx.ooo.base, rx.ooo.len(), rx.oooSegs, rx.oooBytes, rx.heldBytes)
 	}
 	// A vacated list slot is cleared, so a drained list keeps no
@@ -63,7 +67,7 @@ func TestSenderRetainsOnlyTheWindow(t *testing.T) {
 	}
 	limit := 4 * peak
 	caps := map[string]int{
-		"sender window":       len(conn.win.buf),
+		"sender window":       len(conn.win.pages.buf) * pageSize, // page slots, in packets
 		"Q":                   cap(conn.queues[inQ].pkts),
 		"QU":                  cap(conn.queues[inQU].pkts),
 		"RQ":                  cap(conn.queues[inRQ].pkts),
