@@ -11,7 +11,7 @@
 //
 // Experiments: fig1, fig9, fig9tp, fig10b, fig10c, fig12, fig13,
 // fig14, upcall, memory, receiver, handover, opportunistic, fairness,
-// probing, targetrtt, all.
+// probing, targetrtt, ablations, all.
 package main
 
 import (
@@ -183,6 +183,17 @@ func run(w io.Writer, exp string, seed int64) error {
 			}
 			fmt.Fprintf(w, "%-12s mean %10v   p95 %10v   lte bytes %10d   responses %d\n",
 				r.Scheduler, r.MeanResponse.Round(time.Millisecond), r.P95Response.Round(time.Millisecond), r.LTEBytes, r.Responses)
+		}
+	}
+	if section("ablations", "calling-model ablations: compressed executions (§4.1), TSQ-drain trigger (Fig. 4)") {
+		rs, err := experiments.Ablations(backend, seed)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-22s %12s %10s %12s %10s\n", "design choice", "with fct", "execs", "without fct", "execs")
+		for _, r := range rs {
+			fmt.Fprintf(w, "%-22s %12v %10d %12v %10d\n", r.Choice,
+				r.With.Round(time.Microsecond), r.WithExecs, r.Without.Round(time.Microsecond), r.WithoutExecs)
 		}
 	}
 	if !any {

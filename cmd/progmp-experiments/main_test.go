@@ -17,6 +17,7 @@ var update = flag.Bool("update", false, "rewrite testdata/evaluation.golden from
 var deterministicSections = []string{
 	"fig1", "fig9tp", "fig10b", "fig10c", "fig12", "fig14", "memory",
 	"receiver", "handover", "opportunistic", "fairness", "probing", "targetrtt",
+	"ablations",
 }
 
 // TestEvaluationGolden pins the paper's evaluation: the deterministic

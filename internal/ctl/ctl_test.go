@@ -305,6 +305,13 @@ func TestMalformedAndUnknownRequests(t *testing.T) {
 		!strings.Contains(resp.Error, "unknown conn id") {
 		t.Fatalf("unknown conn response: %+v", resp)
 	}
+	// getreg refuses an index setreg refuses, with setreg's message.
+	const oob = "mptcp: register index 99 out of range [0, 8)"
+	for _, verb := range []string{"getreg", "setreg"} {
+		if resp := roundTrip(`{"verb":"` + verb + `","conn":1,"reg":99}`); resp.OK || resp.Error != oob {
+			t.Fatalf("%s of register 99: %+v, want refusal %q", verb, resp, oob)
+		}
+	}
 	// The session survives all of the above.
 	if resp := roundTrip(`{"id":9,"verb":"ping"}`); !resp.OK {
 		t.Fatalf("ping after errors: %+v", resp)

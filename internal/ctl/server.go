@@ -14,6 +14,7 @@ import (
 	"progmp"
 	"progmp/internal/analysis"
 	"progmp/internal/core"
+	"progmp/internal/mptcp"
 	"progmp/internal/obs"
 )
 
@@ -638,6 +639,9 @@ func (se *session) lookupConn(req Request) (namedConn, error) {
 func (se *session) getReg(req Request) (any, error) {
 	nc, err := se.lookupConn(req)
 	if err != nil {
+		return nil, err
+	}
+	if err := mptcp.CheckRegister(req.Reg); err != nil {
 		return nil, err
 	}
 	res := RegResult{Reg: req.Reg}

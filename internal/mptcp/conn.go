@@ -78,12 +78,10 @@ type Config struct {
 	// MaxSchedIterations bounds compressed executions per trigger
 	// (default 4096). Setting it to 1 disables compressed executions
 	// (ablation of the §4.1 optimization).
-	//progmp:ignore testonly the compressed-executions ablation row of EXPERIMENTS.md sets it to 1 (BenchmarkAblation_CompressedExecutions)
 	MaxSchedIterations int
 	// DisableTSQWake suppresses the TSQ-drain scheduler trigger so
 	// scheduling becomes purely ACK-clocked (ablation of the trigger
 	// model, Fig. 4).
-	//progmp:ignore testonly the TSQ-drain trigger ablation row of EXPERIMENTS.md sets it (BenchmarkAblation_TSQWake)
 	DisableTSQWake bool
 	// Store attaches a cross-connection shared-state store: schedulers
 	// gain the global registers G1..G8 and the per-destination path
@@ -216,9 +214,6 @@ func NewConn(eng *netsim.Engine, cfg Config) *Conn {
 	return c
 }
 
-// Store returns the attached shared-state store (nil when detached).
-func (c *Conn) Store() *xstate.Store { return c.store }
-
 // Engine returns the simulation engine.
 func (c *Conn) Engine() *netsim.Engine { return c.eng }
 
@@ -350,16 +345,24 @@ func (c *Conn) NoteSchedSwap() { c.trace(obs.EvSchedSwap, -1, -1, 2, 0) }
 // with an error (and counted as api.register_oob when a metrics
 // registry is attached).
 func (c *Conn) SetRegister(i int, v int64) error {
-	if i < 0 || i >= runtime.NumRegisters {
+	if err := CheckRegister(i); err != nil {
 		c.mRegOOB.Add(1)
-		return fmt.Errorf("mptcp: register index %d out of range [0, %d)", i, runtime.NumRegisters)
+		return err
 	}
 	c.regs[i] = v
 	c.schedule()
 	return nil
 }
 
-// Register reads a scheduler register.
+// CheckRegister refuses a scheduler register index outside [0, 8).
+func CheckRegister(i int) error {
+	if i < 0 || i >= runtime.NumRegisters {
+		return fmt.Errorf("mptcp: register index %d out of range [0, %d)", i, runtime.NumRegisters)
+	}
+	return nil
+}
+
+// Register reads a scheduler register (0 outside [0, 8)).
 func (c *Conn) Register(i int) int64 {
 	if i < 0 || i >= runtime.NumRegisters {
 		return 0

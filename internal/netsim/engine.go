@@ -325,6 +325,7 @@ func (e *Engine) NextEventAt() (at time.Duration, ok bool) {
 // Run fires events until the queue drains.
 //
 //progmp:deterministic
+//progmp:ignore testonly only bench/ calls it: netsim.path_send_ns drains the engine with it
 func (e *Engine) Run() {
 	for e.Step() {
 	}

@@ -26,7 +26,6 @@ import (
 	"io"
 	"time"
 
-	"progmp/internal/analysis"
 	"progmp/internal/core"
 	"progmp/internal/guard"
 	"progmp/internal/lang"
@@ -59,9 +58,13 @@ const (
 	R1 = iota
 	R2
 	R3
+	//progmp:ignore testonly an iota member: deleting it would renumber R8
 	R4
+	//progmp:ignore testonly an iota member: deleting it would renumber R8
 	R5
+	//progmp:ignore testonly an iota member: deleting it would renumber R8
 	R6
+	//progmp:ignore testonly an iota member: deleting it would renumber R8
 	R7
 	R8
 )
@@ -80,20 +83,6 @@ func CheckScheduler(src string) error {
 	}
 	_, err = types.Check(prog)
 	return err
-}
-
-// AnalysisReport is the static analyzer's verdict on a scheduler
-// program: diagnostics (rule id, severity, position) plus the proven
-// worst-case step bound. See docs/ANALYSIS.md for the rule catalogue.
-type AnalysisReport = analysis.Report
-
-// VetScheduler runs the full static analyzer over a scheduler
-// specification — the same pass that gates LoadScheduler and the
-// control plane's swap verb — and returns the report regardless of
-// whether the program would be admitted. Programs that fail to parse
-// or type-check report those failures as error-severity diagnostics.
-func VetScheduler(src string) *AnalysisReport {
-	return analysis.AnalyzeSource(src, analysis.Options{})
 }
 
 // LoadScheduler compiles a specification on the default back-end (the
@@ -124,16 +113,6 @@ func Disassemble(src string) (string, error) {
 		return "", err
 	}
 	return p.Disassemble(), nil
-}
-
-// FormatScheduler parses a specification and returns it pretty-printed
-// in canonical form.
-func FormatScheduler(src string) (string, error) {
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return prog.Format(), nil
 }
 
 // ---- Simulated network and connections ----
@@ -188,9 +167,6 @@ func (n *Network) At(at time.Duration, fn func()) { n.eng.At(at, fn) }
 
 // Run advances the simulation until the given virtual time.
 func (n *Network) Run(until time.Duration) { n.eng.RunUntil(until) }
-
-// RunAll drains every pending event.
-func (n *Network) RunAll() { n.eng.Run() }
 
 // RunLive advances the simulation like Run, but paced against the wall
 // clock and open to live steering: closures injected through Do from
@@ -427,27 +403,6 @@ func (c *Conn) Subflows() []SubflowStats {
 	return out
 }
 
-// CloseSubflow tears down subflow i (path-manager operation, e.g. a
-// WiFi association loss during handover experiments).
-func (c *Conn) CloseSubflow(i int) error {
-	sbfs := c.inner.Subflows()
-	if i < 0 || i >= len(sbfs) {
-		return fmt.Errorf("progmp: no subflow %d", i)
-	}
-	sbfs[i].Close()
-	return nil
-}
-
-// SetSubflowBackup flips the preference flag of subflow i.
-func (c *Conn) SetSubflowBackup(i int, backup bool) error {
-	sbfs := c.inner.Subflows()
-	if i < 0 || i >= len(sbfs) {
-		return fmt.Errorf("progmp: no subflow %d", i)
-	}
-	sbfs[i].SetBackup(backup)
-	return nil
-}
-
 // PathManager re-exports the path-manager building block.
 type PathManager = mptcp.PathManager
 
@@ -474,9 +429,6 @@ func (c *Conn) Inner() *mptcp.Conn { return c.inner }
 // Safe for concurrent use from any goroutine.
 type SharedStore = xstate.Store
 
-// SharedSnapshot is one immutable epoch of a SharedStore.
-type SharedSnapshot = xstate.Snapshot
-
 // DestStats is the per-destination statistics record of a SharedStore.
 type DestStats = xstate.DestStats
 
@@ -488,10 +440,6 @@ const NumSharedGlobals = runtime.NumGlobals
 // Attach it to connections via ConnConfig.Store; every connection
 // dialed with the same store shares one view.
 func NewSharedStore() *SharedStore { return xstate.NewStore() }
-
-// SharedStore returns the store the connection was dialed with (nil
-// when the connection is isolated).
-func (c *Conn) SharedStore() *SharedStore { return c.inner.Store() }
 
 // ---- Observability ----
 
@@ -505,9 +453,6 @@ type TraceEvent = obs.Event
 
 // Metrics is a registry of named counters, gauges and histograms.
 type Metrics = obs.Registry
-
-// MetricsSnapshot is a point-in-time copy of a registry's values.
-type MetricsSnapshot = obs.Snapshot
 
 // NewTracer allocates a tracer with the given ring capacity (<= 0
 // selects the default of 65536 events).
@@ -535,12 +480,6 @@ func NewMetricsAggregator() *MetricsAggregator { return obs.NewAggregator() }
 // given ring capacity (<= 0 selects the default of 4096 samples).
 func NewMetricsTimeSeries(agg *MetricsAggregator, capacity int) *MetricsTimeSeries {
 	return obs.NewTimeSeries(agg, capacity)
-}
-
-// WriteOpenMetrics renders an aggregator's current state in the
-// OpenMetrics text exposition format (scrapeable by Prometheus).
-func WriteOpenMetrics(w io.Writer, agg *MetricsAggregator) error {
-	return obs.WriteOpenMetrics(w, agg.Aggregate())
 }
 
 // WriteTraceJSONL streams events as one JSON object per line.
@@ -572,16 +511,6 @@ func (c *Conn) Instrument(t *Tracer, m *Metrics) {
 	}
 }
 
-// Tracer returns the connection's tracer (nil when tracing is off).
-func (c *Conn) Tracer() *Tracer { return c.inner.Tracer() }
-
-// Metrics returns the connection's metrics registry (nil when off).
-func (c *Conn) Metrics() *Metrics { return c.inner.Metrics() }
-
-// MetricsReport renders the connection's metrics registry as a
-// proc-style text page ("" when no registry is attached).
-func (c *Conn) MetricsReport() string { return c.inner.Metrics().Render() }
-
 // ---- Scheduler supervision (graceful degradation) ----
 
 // Supervisor wraps a scheduler with panic recovery, strikes on the
@@ -589,16 +518,6 @@ func (c *Conn) MetricsReport() string { return c.inner.Metrics().Render() }
 // degradation to a trusted fallback; see
 // internal/guard and docs/ROBUSTNESS.md.
 type Supervisor = guard.Supervisor
-
-// SupervisorState is the supervision state machine position.
-type SupervisorState = guard.State
-
-// The supervision states.
-const (
-	SupervisorActive      = guard.StateActive
-	SupervisorQuarantined = guard.StateQuarantined
-	SupervisorProbation   = guard.StateProbation
-)
 
 // SchedulerExec is the minimal scheduler execution interface Supervise
 // accepts: loaded ProgMP programs (*Scheduler) and native Go

@@ -24,9 +24,10 @@
 //	eventkind      obs.Event composite literals must set Kind.
 //	metricname     metric names are dot-separated lower_snake.
 //	metrickind     one metric name, one metric kind per package.
-//	testonly       every exported identifier under internal/ has a use
-//	               in the module's non-test code, and every exported
-//	               field of a *Config or *Options type a set there.
+//	testonly       every exported identifier of the root package and
+//	               under internal/ has a use in the module's non-test
+//	               code, and every exported field of a *Config or
+//	               *Options type a set there.
 //
 // The last three migrated here from tools/lint; they now resolve the
 // obs types and Registry methods through go/types, so aliased
@@ -106,7 +107,7 @@ var Analyzers = []*Analyzer{
 	},
 	{
 		Name:      "testonly",
-		Doc:       "exported identifiers under internal/ are used, and config knobs set, by non-test code of the module",
+		Doc:       "exported identifiers of the root package and under internal/ are used, and config knobs set, by non-test code of the module",
 		Run:       runTestonly,
 		SkipTests: true,
 	},

@@ -611,8 +611,8 @@ func runModuleFixture(t *testing.T, files map[string]string, dir string, passes 
 	return suite.Run(pkgs, as)
 }
 
-// TestTestonlyDiagnostics: an exported identifier under internal/ needs
-// a use in the module's non-test code.
+// TestTestonlyDiagnostics: an exported identifier under internal/ or in
+// the module root package needs a use in the module's non-test code.
 func TestTestonlyDiagnostics(t *testing.T) {
 	const lib = `package lib
 
@@ -786,6 +786,39 @@ func (l *limiter) retarget(w time.Duration) { l.cfg.Window = w }
 				files[name] = src
 			}
 			expect(t, runModuleFixture(t, files, "internal/lib", "testonly"), tc.want...)
+		})
+	}
+
+	// The module root package is the API that ships: cmd/, examples/
+	// and internal/ are its callers, and its own _test.go files are
+	// test code.
+	rootCaller := func(pkg string) string {
+		return "package " + pkg + "\n\nimport \"fixmod\"\n\nfunc Use() int { return fixmod.Dial() }\n"
+	}
+	rootCases := []struct {
+		name  string
+		extra map[string]string
+		want  []string
+	}{
+		{"a root export used only by a root _test.go is flagged", nil,
+			[]string{"fixmod.Dial is exported, but no code outside tests uses it"}},
+		{"a root caller in examples/ clears it",
+			map[string]string{"examples/demo/demo.go": rootCaller("main")}, nil},
+		{"a root caller in cmd/ clears it",
+			map[string]string{"cmd/other/other.go": rootCaller("main")}, nil},
+		{"a root caller in internal/ clears it",
+			map[string]string{"internal/use/use.go": rootCaller("use")}, nil},
+	}
+	for _, tc := range rootCases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{
+				"fixmod.go":      "package fixmod\n\n// Dial is the API's entry point.\nfunc Dial() int { return 1 }\n",
+				"fixmod_test.go": "package fixmod\n\nimport \"testing\"\n\nfunc TestDial(t *testing.T) { _ = Dial() }\n",
+			}
+			for name, src := range tc.extra {
+				files[name] = src
+			}
+			expect(t, runModuleFixture(t, files, ".", "testonly"), tc.want...)
 		})
 	}
 }

@@ -11,10 +11,12 @@ import (
 )
 
 // The testonly pass finds the surface nobody ships: an exported
-// function, method, type, var or const declared under the module's
-// internal/ tree that no non-test code of the module uses. Such an
-// identifier is either dead or a test helper living in production
-// code; both are code to delete, unexport or move into a test file.
+// function, method, type, var or const declared in the module's root
+// package (the public API) or under its internal/ tree that no non-test
+// code of the module uses. Such an identifier is either dead or a test
+// helper living in production code; both are code to delete, unexport
+// or move into a test file. The root package's callers are cmd/,
+// examples/ and internal/, and its own _test.go files are test code.
 //
 // Its rules:
 //   - the use index covers the whole module, whatever packages were
@@ -55,7 +57,7 @@ type useIndex struct {
 
 func runTestonly(p *Pass) {
 	s := p.Suite
-	if !strings.HasPrefix(p.Pkg.Path, s.Module+"/internal/") || s.isTestCode(p.Pkg.Path) {
+	if p.Pkg.Path != s.Module && !strings.HasPrefix(p.Pkg.Path, s.Module+"/internal/") || s.isTestCode(p.Pkg.Path) {
 		return
 	}
 	idx, err := s.uses()
