@@ -1,29 +1,25 @@
-// Wall-time benchmarks of the paper's evaluation: per-decision
-// execution cost across back-ends (Fig. 9 top), in-stack execution
+// Wall-time benchmarks of the paper's evaluation: in-stack execution
 // against an up-call (§4.1) and the VM's compile-time design choices.
-// The virtual-time figures are pinned by cmd/progmp-experiments'
-// TestEvaluationGolden instead (DESIGN.md §3 indexes both).
+// Fig. 9 (top), per-decision execution cost across back-ends, is
+// `progmp-experiments -exp fig9`; the virtual-time figures are pinned
+// by cmd/progmp-experiments' TestEvaluationGolden (DESIGN.md §3
+// indexes both).
 package progmp
 
 import (
 	"testing"
 
-	"progmp/internal/core"
 	"progmp/internal/envtest"
 	"progmp/internal/experiments"
-	"progmp/internal/interp"
 	"progmp/internal/lang/types"
-	"progmp/internal/mptcp/sched"
 	"progmp/internal/runtime"
 	"progmp/internal/schedlib"
 	"progmp/internal/vm"
 )
 
-// ---- Fig. 9 (top): per-decision execution time across back-ends ----
-
-// fig9Env builds the measurement environment of the overhead
-// comparison: a populated send queue and available subflows so the
-// default scheduler performs real selection work.
+// fig9Env builds the environment of the ablations, Fig. 9 (top)'s: a
+// populated send queue and available subflows so the default scheduler
+// performs real selection work.
 func fig9Env(subflows int) *runtime.Env {
 	spec := envtest.EnvSpec{}
 	for i := 0; i < subflows; i++ {
@@ -40,54 +36,6 @@ func fig9Env(subflows int) *runtime.Env {
 	return spec.Build()
 }
 
-func benchExec(b *testing.B, s interface{ Exec(*runtime.Env) }, subflows int) {
-	env := fig9Env(subflows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env.Reset()
-		s.Exec(env)
-	}
-}
-
-func BenchmarkFig09_ExecutionOverhead(b *testing.B) {
-	for _, subflows := range []int{2, 4} {
-		sbf := subflows
-		b.Run("native/"+itoa(sbf), func(b *testing.B) {
-			benchExec(b, sched.MinRTT{}, sbf)
-		})
-		b.Run("interpreter/"+itoa(sbf), func(b *testing.B) {
-			info := mustCheck(b, schedlib.MinRTT)
-			benchExec(b, interp.New(info), sbf)
-		})
-		b.Run("compiled/"+itoa(sbf), func(b *testing.B) {
-			benchExec(b, core.MustLoad("minRTT", schedlib.MinRTT, core.BackendCompiled), sbf)
-		})
-		b.Run("vm/"+itoa(sbf), func(b *testing.B) {
-			benchExec(b, core.MustLoad("minRTT", schedlib.MinRTT, core.BackendVM), sbf)
-		})
-		b.Run("vm-raw/"+itoa(sbf), func(b *testing.B) {
-			// The bare bytecode program without the core wrapper's
-			// stats and cache lookups: the closest analogue of the
-			// JIT-compiled code path.
-			info := mustCheck(b, schedlib.MinRTT)
-			p, err := vm.Compile(info, vm.Options{SubflowCount: sbf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			env := fig9Env(sbf)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				env.Reset()
-				if err := p.Exec(env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func mustCheck(b *testing.B, src string) *types.Info {
 	b.Helper()
 	info, err := checkSource(src)
@@ -95,13 +43,6 @@ func mustCheck(b *testing.B, src string) *types.Info {
 		b.Fatal(err)
 	}
 	return info
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return "big"
 }
 
 // ---- §4.1: up-call vs in-stack execution ----

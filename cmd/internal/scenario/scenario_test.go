@@ -67,8 +67,8 @@ func TestDialDefaults(t *testing.T) {
 	if info := conn.SchedulerInfo(); info.Name != "minRTT" || info.Backend != "interpreter" || !info.Supervised {
 		t.Errorf("scheduler info = %+v", info)
 	}
-	if conn.Register(progmp.R1) != 9 {
-		t.Errorf("R1 = %d, want 9", conn.Register(progmp.R1))
+	if v, err := conn.Register(progmp.R1); err != nil || v != 9 {
+		t.Errorf("R1 = %d, %v; want 9", v, err)
 	}
 	sc.Backend = "jit"
 	if _, err := sc.Dial(sc.NewWorld(), nil, nil); err == nil {

@@ -63,14 +63,17 @@ type Facts struct {
 	DeadIfs []DeadIf
 	// bound is the step bound before evaluation, for FuzzStepBound to
 	// evaluate at each environment's size.
+	//progmp:ignore testonly FuzzStepBound and TestStepBoundCorpus evaluate it against the VM's steps
 	bound poly
 }
 
 // DeadIf is one provably dead IF branch.
 type DeadIf struct {
+	//progmp:ignore testonly TestDeadBranchAgreement plants a marker in the dead branch
 	If *lang.IfStmt
 	// DeadThen is true when the condition is always FALSE (THEN branch
 	// dead), false when it is always TRUE (ELSE branch dead).
+	//progmp:ignore testonly TestDeadBranchAgreement reads which branch is dead
 	DeadThen bool
 }
 
@@ -85,7 +88,7 @@ func Analyze(info *types.Info, opts Options) *Report {
 // AnalyzeProgram is Analyze plus the machine-checkable facts.
 func AnalyzeProgram(info *types.Info, opts Options) (*Report, *Facts) {
 	opts = opts.withDefaults()
-	a := &analyzer{info: info, opts: opts, rep: &Report{}, facts: &Facts{}}
+	a := &analyzer{info: info, rep: &Report{}, facts: &Facts{}}
 	bound := a.run()
 	a.facts.bound = bound
 	a.rep.Quiescence = runtime.Certificate{N: a.cert.n, Terms: a.cert.t}

@@ -9,7 +9,6 @@ import (
 // analyzer carries the state of the one walk over the checked program.
 type analyzer struct {
 	info  *types.Info
-	opts  Options
 	rep   *Report
 	facts *Facts
 

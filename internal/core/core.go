@@ -77,20 +77,24 @@ func ParseBackend(name string) (Backend, error) {
 // snapshot view over the scheduler's metrics registry (package obs),
 // which keeps the authoritative counters.
 type Stats struct {
+	//progmp:ignore testonly bench/exec.go reads it (vm.steps_per_decision)
 	Executions int64
 	// GenericExecs counts VM executions that ran the generic program:
 	// more subflows than runtime.MaxSubflows, a specialization that
 	// failed to compile, or a specialized execution that failed and
 	// fell back. Executions - GenericExecs is the specialization hit
 	// count. Always 0 on the non-VM back-ends.
+	//progmp:ignore testonly TestConcurrentExecIsSafe asserts no execution ran the generic program
 	GenericExecs int64
 	// FallbackErrors counts executions where even the generic program
 	// failed (step-budget overrun or verifier-escaping fault); the
 	// execution's actions were discarded. Always 0 on the non-VM
 	// back-ends.
+	//progmp:ignore testonly TestFallbackErrorsObservable asserts it
 	FallbackErrors int64
 	// Steps is the total executed VM instructions, collected only
 	// while step counting is enabled (EnableStepMetrics).
+	//progmp:ignore testonly bench/exec.go reads it (vm.steps_per_decision)
 	Steps int64
 }
 

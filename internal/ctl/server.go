@@ -14,7 +14,6 @@ import (
 	"progmp"
 	"progmp/internal/analysis"
 	"progmp/internal/core"
-	"progmp/internal/mptcp"
 	"progmp/internal/obs"
 )
 
@@ -495,7 +494,8 @@ func connInfo(id int, nc namedConn) ConnInfo {
 		AllAcked:    c.AllAcked(),
 	}
 	for i := progmp.R1; i <= progmp.R8; i++ {
-		info.Registers = append(info.Registers, c.Register(i))
+		v, _ := c.Register(i) // R1..R8 are in range
+		info.Registers = append(info.Registers, v)
 	}
 	for _, sf := range c.Subflows() {
 		info.Subflows = append(info.Subflows, SubflowInfo{
@@ -641,13 +641,10 @@ func (se *session) getReg(req Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := mptcp.CheckRegister(req.Reg); err != nil {
-		return nil, err
-	}
 	res := RegResult{Reg: req.Reg}
-	err = se.onSim(func() error {
-		res.Value = nc.conn.Register(req.Reg)
-		return nil
+	err = se.onSim(func() (err error) {
+		res.Value, err = nc.conn.Register(req.Reg)
+		return err
 	})
 	return res, err
 }

@@ -3,6 +3,7 @@ package ctl_test
 import (
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -82,24 +83,31 @@ func TestGSetReportsItsOwnEpoch(t *testing.T) {
 			default:
 			}
 			st.RecordAck(id, 1000+int64(i%50), 1460)
+			runtime.Gosched()
 		}
 	}()
 	type sample struct {
 		epoch uint64
 		value int64
 	}
+	// The sampler samples before it checks stop, so at least one sample
+	// exists however late it is scheduled, and its last one is taken
+	// after the final gset. Feeder and sampler yield after each round:
+	// on one CPU they would otherwise starve the gset round trips and
+	// sample without bound.
 	sampled := make(chan []sample)
 	go func() {
 		var out []sample
 		for {
+			snap := st.Load()
+			out = append(out, sample{snap.Epoch, snap.Globals[reg]})
+			runtime.Gosched()
 			select {
 			case <-stop:
 				sampled <- out
 				return
 			default:
 			}
-			snap := st.Load()
-			out = append(out, sample{snap.Epoch, snap.Globals[reg]})
 		}
 	}()
 	const rounds = 40

@@ -51,11 +51,12 @@ func Fairness(ccName string, backend core.Backend, seed int64) (FairnessResult, 
 		Rate:       netsim.ConstantRate(2e6),
 		Delay:      10 * time.Millisecond,
 		QueueBytes: 64 << 10,
-		// RED keeps the drop probability equal across the competing
-		// flows — the loss-signal regime RFC 6356's fairness argument
-		// assumes; pure drop-tail would synchronize on the fastest
-		// grower instead.
-		RED: &netsim.REDConfig{MinBytes: 12 << 10, MaxBytes: 56 << 10, MaxP: 0.15},
+		// RED (dropping from 12 KiB of backlog, up to 15 % at 56 KiB)
+		// keeps the drop probability equal across the competing flows —
+		// the loss-signal regime RFC 6356's fairness argument assumes;
+		// pure drop-tail would synchronize on the fastest grower
+		// instead.
+		RED: true,
 	})
 	access := func(name string) mptcp.SubflowSpec {
 		return mptcp.SubflowSpec{Path: netsim.PathConfig{

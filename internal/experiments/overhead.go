@@ -4,16 +4,20 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"progmp/internal/core"
 	"progmp/internal/envtest"
+	"progmp/internal/lang"
+	"progmp/internal/lang/types"
 	"progmp/internal/mptcp"
 	"progmp/internal/mptcp/sched"
 	"progmp/internal/netsim"
 	"progmp/internal/runtime"
 	"progmp/internal/schedlib"
+	"progmp/internal/vm"
 )
 
 // OverheadBackends are the rows of Fig. 9 top: the native reference
@@ -50,6 +54,38 @@ func overheadEnv(subflows int) *runtime.Env {
 	return spec.Build()
 }
 
+// rawVM runs the bare bytecode program, without the core wrapper's
+// stats and specialization cache: the closest analogue of the paper's
+// JIT-compiled code path. It keeps the first execution error.
+type rawVM struct {
+	p   *vm.Program
+	err error
+}
+
+func (r *rawVM) Exec(env *runtime.Env) {
+	if err := r.p.Exec(env); err != nil && r.err == nil {
+		r.err = err
+	}
+}
+
+// rawVMFor compiles the default scheduler to bytecode specialized to
+// the subflow count.
+func rawVMFor(subflows int) (*rawVM, error) {
+	prog, err := lang.Parse(schedlib.MinRTT)
+	if err != nil {
+		return nil, err
+	}
+	info, err := types.Check(prog)
+	if err != nil {
+		return nil, err
+	}
+	p, err := vm.Compile(info, vm.Options{SubflowCount: subflows})
+	if err != nil {
+		return nil, err
+	}
+	return &rawVM{p: p}, nil
+}
+
 // schedulerFor returns the default scheduler on the requested back-end.
 func schedulerFor(backend string) (mptcp.Scheduler, error) {
 	if backend == "native" {
@@ -67,13 +103,20 @@ func schedulerFor(backend string) (mptcp.Scheduler, error) {
 }
 
 // ExecutionOverhead reproduces Fig. 9 top: per-execution times of the
-// default scheduler across back-ends with 2 and 4 subflows.
+// default scheduler across back-ends with 2 and 4 subflows, and of the
+// bare VM program (vm-raw).
 func ExecutionOverhead(iters int) ([]OverheadResult, error) {
 	var out []OverheadResult
 	for _, subflows := range []int{2, 4} {
 		nativeNs := 0.0
-		for _, backend := range OverheadBackends {
-			s, err := schedulerFor(backend)
+		for _, backend := range slices.Concat(OverheadBackends, []string{"vm-raw"}) {
+			var s mptcp.Scheduler
+			var err error
+			if backend == "vm-raw" {
+				s, err = rawVMFor(subflows)
+			} else {
+				s, err = schedulerFor(backend)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -89,6 +132,9 @@ func ExecutionOverhead(iters int) ([]OverheadResult, error) {
 				s.Exec(env)
 			}
 			elapsed := time.Since(start)
+			if raw, ok := s.(*rawVM); ok && raw.err != nil {
+				return nil, fmt.Errorf("experiments: vm-raw with %d subflows: %w", subflows, raw.err)
+			}
 			// The per-iteration cost includes the (identical, small)
 			// snapshot reset; it cancels in the relative comparison.
 			ns := float64(elapsed.Nanoseconds()) / float64(iters)

@@ -29,9 +29,6 @@ type FCTPoint struct {
 	Scheduler string
 	FlowKB    int
 	MeanFCT   time.Duration
-	// Overhead is wire bytes divided by flow bytes (≥ 1).
-	Overhead float64
-	Runs     int
 }
 
 // RedundancyFCT reproduces Fig. 10b: average flow completion time vs
@@ -42,7 +39,6 @@ func RedundancyFCT(backend core.Backend, flowKBs []int, schedulers []string, run
 	for _, scheduler := range schedulers {
 		for _, kb := range flowKBs {
 			var sumFCT time.Duration
-			var sumOverhead float64
 			completed := 0
 			for run := 0; run < runs; run++ {
 				// Uncoupled Reno isolates the scheduling effects: the
@@ -54,13 +50,12 @@ func RedundancyFCT(backend core.Backend, flowKBs []int, schedulers []string, run
 				if err != nil {
 					return nil, err
 				}
-				fct, wire := runFlow(s, kb<<10, false, 120*time.Second)
+				fct, _ := runFlow(s, kb<<10, false, 120*time.Second)
 				if fct == 0 {
 					continue
 				}
 				completed++
 				sumFCT += fct
-				sumOverhead += float64(wire) / float64(kb<<10)
 			}
 			if completed == 0 {
 				return nil, fmt.Errorf("experiments: %s/%dKB never completed", scheduler, kb)
@@ -69,8 +64,6 @@ func RedundancyFCT(backend core.Backend, flowKBs []int, schedulers []string, run
 				Scheduler: scheduler,
 				FlowKB:    kb,
 				MeanFCT:   sumFCT / time.Duration(completed),
-				Overhead:  sumOverhead / float64(completed),
-				Runs:      completed,
 			})
 		}
 	}

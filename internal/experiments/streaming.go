@@ -32,14 +32,6 @@ const (
 // StreamingResult is the outcome of one interactive-streaming run.
 type StreamingResult struct {
 	Variant StreamingVariant
-	// Bucket width of the series.
-	Bucket time.Duration
-	// WiFiTx and LTETx are bytes put on each subflow per bucket.
-	WiFiTx, LTETx []float64
-	// Goodput is in-order delivered bytes per bucket.
-	Goodput []float64
-	// Target is the application bitrate per bucket.
-	Target []float64
 	// WiFiBytes and LTEBytes are wire totals.
 	WiFiBytes, LTEBytes int64
 	// LowPhaseLTEShare is the LTE share of wire bytes during the
@@ -100,7 +92,6 @@ func Streaming(variant StreamingVariant, backend core.Backend, seed int64) (Stre
 				s.Conn.SetRegister(schedlib.RegTarget, int64(r))
 			}
 			s.Conn.Send(r/int(time.Second/streamTickPeriod), 0)
-			rec.Record("target", at, float64(r)/float64(time.Second/streamTickPeriod))
 		})
 	}
 	// Sample per-subflow wire bytes per tick by deltas.
@@ -119,11 +110,6 @@ func Streaming(variant StreamingVariant, backend core.Backend, seed int64) (Stre
 
 	res := StreamingResult{
 		Variant:   variant,
-		Bucket:    500 * time.Millisecond,
-		WiFiTx:    rec.Bucket("wifiTx", 500*time.Millisecond),
-		LTETx:     rec.Bucket("lteTx", 500*time.Millisecond),
-		Goodput:   rec.Bucket("goodput", 500*time.Millisecond),
-		Target:    rec.Bucket("target", 500*time.Millisecond),
 		WiFiBytes: s.Conn.Subflows()[0].BytesSent,
 		LTEBytes:  s.Conn.Subflows()[1].BytesSent,
 	}

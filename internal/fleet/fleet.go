@@ -155,6 +155,7 @@ type ConnSummary struct {
 	// application.
 	Delivered int64
 	// Segments counts in-order delivered segments.
+	//progmp:ignore testonly bench/fleet.go reads it (seg_per_s)
 	Segments int64
 	// Bursts counts transfers started (the final one may still be in
 	// flight at the horizon).
@@ -194,9 +195,11 @@ type Result struct {
 	EvictedDests int64
 	// ConservationViolations collects checker findings when
 	// Config.Conservation is set (nil means every connection clean).
+	//progmp:ignore testonly bench/fleet.go reads it (the conservation oracle)
 	ConservationViolations []string
 	// PerConn holds one summary per connection, indexed by connection
 	// index.
+	//progmp:ignore testonly bench/fleet.go reads it (seg_per_s and the shard-invariance oracle)
 	PerConn []ConnSummary
 }
 
@@ -217,7 +220,7 @@ func Run(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("fleet: shard %d scheduler: %w", i, err)
 		}
-		shards[i] = newShard(i, &cfg, sched)
+		shards[i] = newShard(&cfg, sched)
 		agg.Attach(obs.Labels{Conn: fmt.Sprintf("shard%d", i), Scheduler: cfg.Program}, shards[i].reg)
 	}
 

@@ -356,7 +356,7 @@ func TestWorldStandaloneEqualsFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc, err := buildConn(&cfg, idx, newShard(0, &cfg, sched))
+		fc, err := buildConn(&cfg, idx, newShard(&cfg, sched))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,7 +102,7 @@ func TestExecSamplingIsUnbiased(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := &samplingProbe{inner: inner, perConn: map[*runtime.Env]int64{}}
-	sh := newShard(0, &cfg, probe)
+	sh := newShard(&cfg, probe)
 	probe.execs = sh.reg.Counter("conn.sched_execs")
 	probe.hist = sh.reg.Histogram("conn.sched_exec_ns")
 	for i := 0; i < cfg.Conns; i++ {

@@ -91,7 +91,6 @@ func (w *wheel) advance(ready []int32) []int32 {
 // shard-local observability registry every connection resolves its
 // handles from.
 type shard struct {
-	id    int
 	cfg   *Config
 	sched mptcp.Scheduler
 	conns []*fleetConn
@@ -107,9 +106,8 @@ type shard struct {
 	evicted int64
 }
 
-func newShard(id int, cfg *Config, sched mptcp.Scheduler) *shard {
+func newShard(cfg *Config, sched mptcp.Scheduler) *shard {
 	sh := &shard{
-		id:    id,
 		cfg:   cfg,
 		sched: sched,
 		reg:   obs.NewRegistry(),

@@ -38,10 +38,6 @@ type Fleet struct {
 	cfg      FleetConfig
 	programs map[string]*fleetProgram
 
-	// Cumulative counts (mirrored as metrics when instrumented).
-	Blocks int64
-	Lifts  int64
-
 	blockedCount int64 // programs currently blocked (gauge)
 
 	tracer   *obs.Tracer
@@ -205,7 +201,6 @@ func (f *Fleet) blockLocked(name string, p *fleetProgram) {
 	for sup := range p.sups {
 		sup.FleetBlock()
 	}
-	f.Blocks++
 	f.blockedCount++
 	f.mBlocks.Add(1)
 	f.gBlocked.Set(f.blockedCount)
@@ -236,7 +231,6 @@ func (f *Fleet) lift(name string) {
 		}
 		sup.FleetLift()
 	}
-	f.Lifts++
 	f.blockedCount--
 	f.mLifts.Add(1)
 	f.gBlocked.Set(f.blockedCount)

@@ -101,8 +101,8 @@ func TestFleetBlockAtThreshold(t *testing.T) {
 	if r.fleet.Blocked(rigProgram) {
 		t.Fatal("fleet blocked at K-1 distinct connections")
 	}
-	if r.fleet.Blocks != 0 {
-		t.Fatalf("Blocks = %d before threshold, want 0", r.fleet.Blocks)
+	if got := r.reg.Counter("guard.fleet_blocks").Value(); got != 0 {
+		t.Fatalf("guard.fleet_blocks = %d before threshold, want 0", got)
 	}
 
 	r.quarantineSup(2)
@@ -117,8 +117,8 @@ func TestFleetBlockAtThreshold(t *testing.T) {
 			t.Errorf("sup %d state = %v, want quarantined", i, sup.State())
 		}
 	}
-	if r.fleet.Blocks != 1 {
-		t.Errorf("Blocks = %d, want 1", r.fleet.Blocks)
+	if got := r.reg.Counter("guard.fleet_blocks").Value(); got != 1 {
+		t.Errorf("guard.fleet_blocks = %d, want 1", got)
 	}
 	if bl := events(r.tracer, obs.EvFleetBlock); len(bl) != 1 || bl[0].Site != 3 || bl[0].Aux != 4 {
 		t.Errorf("FLEET_BLOCK events %+v, want one with Site (K) 3 and Aux 4 connections", bl)
@@ -228,8 +228,9 @@ func TestFleetReBlockDoublesWindow(t *testing.T) {
 	if r.fleet.Blocked(rigProgram) {
 		t.Fatal("re-block not lifted after the doubled window")
 	}
-	if r.fleet.Blocks != 2 || r.fleet.Lifts != 2 {
-		t.Errorf("Blocks/Lifts = %d/%d, want 2/2", r.fleet.Blocks, r.fleet.Lifts)
+	blocks, lifts := r.reg.Counter("guard.fleet_blocks").Value(), r.reg.Counter("guard.fleet_lifts").Value()
+	if blocks != 2 || lifts != 2 {
+		t.Errorf("guard.fleet_blocks/lifts = %d/%d, want 2/2", blocks, lifts)
 	}
 }
 

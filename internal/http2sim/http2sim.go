@@ -61,17 +61,14 @@ func (c ContentClass) Prop() int64 {
 
 // Resource is one HTTP/2 stream's payload.
 type Resource struct {
-	StreamID int
-	Name     string
-	Class    ContentClass
-	Size     int
+	Class ContentClass
+	Size  int
 }
 
 // ThirdParty is an external dependency on the critical path: the
 // browser can request it only after all ClassDependency bytes arrived,
 // and the initial page completes only after it is fetched.
 type ThirdParty struct {
-	Name      string
 	FetchTime time.Duration
 }
 
@@ -108,18 +105,18 @@ func (p Page) ClassBytes(c ContentClass) int {
 func DefaultPage() Page {
 	return Page{
 		Resources: []Resource{
-			{StreamID: 1, Name: "html-head", Class: ClassDependency, Size: 12 << 10},
-			{StreamID: 3, Name: "critical-css", Class: ClassRequired, Size: 24 << 10},
-			{StreamID: 5, Name: "app-js", Class: ClassRequired, Size: 64 << 10},
-			{StreamID: 7, Name: "hero-image", Class: ClassRequired, Size: 48 << 10},
-			{StreamID: 9, Name: "fold-image-1", Class: ClassDeferrable, Size: 96 << 10},
-			{StreamID: 11, Name: "fold-image-2", Class: ClassDeferrable, Size: 96 << 10},
-			{StreamID: 13, Name: "fold-image-3", Class: ClassDeferrable, Size: 64 << 10},
-			{StreamID: 15, Name: "analytics-js", Class: ClassDeferrable, Size: 32 << 10},
+			{Class: ClassDependency, Size: 12 << 10}, // HTML head
+			{Class: ClassRequired, Size: 24 << 10},   // critical CSS
+			{Class: ClassRequired, Size: 64 << 10},   // app JS
+			{Class: ClassRequired, Size: 48 << 10},   // hero image
+			{Class: ClassDeferrable, Size: 96 << 10}, // below-the-fold images
+			{Class: ClassDeferrable, Size: 96 << 10},
+			{Class: ClassDeferrable, Size: 64 << 10},
+			{Class: ClassDeferrable, Size: 32 << 10}, // analytics JS
 		},
 		ThirdParty: []ThirdParty{
-			{Name: "cdn-font", FetchTime: 60 * time.Millisecond},
-			{Name: "ad-exchange", FetchTime: 90 * time.Millisecond},
+			{FetchTime: 60 * time.Millisecond}, // web font from a CDN
+			{FetchTime: 90 * time.Millisecond}, // ad exchange
 		},
 	}
 }
@@ -132,9 +129,8 @@ const maxFramePayload = 16 << 10
 
 // Frame is one serialized HTTP/2 DATA frame.
 type Frame struct {
-	StreamID int
-	Class    ContentClass
-	Payload  int
+	Class   ContentClass
+	Payload int
 }
 
 // WireSize is the frame's size on the wire.
@@ -157,7 +153,7 @@ func Serialize(p Page) []Frame {
 					payload = maxFramePayload
 				}
 				remaining -= payload
-				frames = append(frames, Frame{StreamID: res.StreamID, Class: class, Payload: payload})
+				frames = append(frames, Frame{Class: class, Payload: payload})
 			}
 		}
 	}
@@ -184,8 +180,6 @@ type Metrics struct {
 	// DependencyRetrieved is when all dependency-class bytes arrived —
 	// the "time to retrieve all dependency information".
 	DependencyRetrieved time.Duration
-	// ThirdPartyResolved is when the last third-party fetch finished.
-	ThirdPartyResolved time.Duration
 	// InitialPage is when the initial view completed: all required
 	// first-party bytes and all third-party content.
 	InitialPage time.Duration
@@ -232,7 +226,6 @@ func NewBrowser(conn *mptcp.Conn, page Page) *Browser {
 		}
 	}
 	b.m.DependencyRetrieved = -1
-	b.m.ThirdPartyResolved = -1
 	b.m.InitialPage = -1
 	b.m.FullLoad = -1
 	b.tpPending = len(page.ThirdParty)
@@ -271,11 +264,8 @@ func (b *Browser) resolveThirdParty(at time.Duration) {
 		tp := tp
 		eng.At(at+tp.FetchTime, func() {
 			b.tpPending--
-			if b.tpPending == 0 {
-				b.m.ThirdPartyResolved = eng.Now()
-				if b.delivered >= b.requiredEnd && b.m.InitialPage < 0 {
-					b.m.InitialPage = eng.Now()
-				}
+			if b.tpPending == 0 && b.delivered >= b.requiredEnd && b.m.InitialPage < 0 {
+				b.m.InitialPage = eng.Now()
 			}
 		})
 	}

@@ -24,16 +24,33 @@ func TestSerializePriorityOrder(t *testing.T) {
 	}
 }
 
+// TestSerializePreservesBytes walks the frames in transmission order:
+// class by class, each resource of the class in page order is a run of
+// full frames and then one frame holding the rest of its bytes.
 func TestSerializePreservesBytes(t *testing.T) {
 	page := DefaultPage()
-	perStream := make(map[int]int)
-	for _, f := range Serialize(page) {
-		perStream[f.StreamID] += f.Payload
-	}
-	for _, res := range page.Resources {
-		if perStream[res.StreamID] != res.Size {
-			t.Errorf("stream %d: serialized %d bytes, want %d", res.StreamID, perStream[res.StreamID], res.Size)
+	frames := Serialize(page)
+	for _, class := range []ContentClass{ClassDependency, ClassRequired, ClassDeferrable} {
+		for i, res := range page.Resources {
+			if res.Class != class {
+				continue
+			}
+			for remaining := res.Size; remaining > 0; {
+				if len(frames) == 0 {
+					t.Fatalf("resource %d: frames ran out with %d bytes to go", i, remaining)
+				}
+				f := frames[0]
+				frames = frames[1:]
+				want := min(remaining, maxFramePayload)
+				if f.Class != class || f.Payload != want {
+					t.Fatalf("resource %d: frame {%v, %d B}, want {%v, %d B}", i, f.Class, f.Payload, class, want)
+				}
+				remaining -= want
+			}
 		}
+	}
+	if len(frames) > 0 {
+		t.Errorf("%d frames beyond the page's resources", len(frames))
 	}
 }
 
@@ -90,9 +107,6 @@ func TestPageLoadCompletesAndOrdersMilestones(t *testing.T) {
 	if m.DependencyRetrieved > m.InitialPage || m.InitialPage > m.FullLoad {
 		t.Errorf("milestones out of order: deps %v, initial %v, full %v",
 			m.DependencyRetrieved, m.InitialPage, m.FullLoad)
-	}
-	if m.ThirdPartyResolved < m.DependencyRetrieved {
-		t.Errorf("third-party resolution before dependency info arrived")
 	}
 }
 

@@ -135,14 +135,6 @@ type Info struct {
 	Members map[*lang.MemberExpr]*Member
 	// NumSlots is the number of frame slots needed for variables.
 	NumSlots int
-	// RegsRead/RegsWritten record which ProgMP registers the program
-	// touches, for introspection and the API layer.
-	RegsRead    [runtime.NumRegisters]bool
-	RegsWritten [runtime.NumRegisters]bool
-	// GlobalsRead/GlobalsWritten record which shared global registers
-	// the program touches (G1..G8 reads, GSET writes).
-	GlobalsRead    [runtime.NumGlobals]bool
-	GlobalsWritten [runtime.NumGlobals]bool
 }
 
 // TypeOf returns the checked type of e (Invalid if unknown).
@@ -282,8 +274,6 @@ func (c *checker) checkStmt(s lang.Stmt) {
 	case *lang.SetStmt:
 		if s.Reg < 0 || s.Reg >= runtime.NumRegisters {
 			c.errorf(s.SetPos, "register index out of range")
-		} else {
-			c.info.RegsWritten[s.Reg] = true
 		}
 		t := c.checkExpr(s.Value, false)
 		if t != Int && t != Invalid {
@@ -292,8 +282,6 @@ func (c *checker) checkStmt(s lang.Stmt) {
 	case *lang.GSetStmt:
 		if s.Reg < 0 || s.Reg >= runtime.NumGlobals {
 			c.errorf(s.SetPos, "global register index out of range")
-		} else {
-			c.info.GlobalsWritten[s.Reg] = true
 		}
 		t := c.checkExpr(s.Value, false)
 		if t != Int && t != Invalid {
@@ -341,15 +329,7 @@ func (c *checker) typeExpr(e lang.Expr, effectRoot bool) Type {
 		// comparison case is handled in BinaryExpr below.
 		c.errorf(e.Pos, "NULL may only appear in == or != comparisons with packets or subflows")
 		return Invalid
-	case *lang.RegExpr:
-		if e.Index >= 0 && e.Index < runtime.NumRegisters {
-			c.info.RegsRead[e.Index] = true
-		}
-		return Int
-	case *lang.GlobalExpr:
-		if e.Index >= 0 && e.Index < runtime.NumGlobals {
-			c.info.GlobalsRead[e.Index] = true
-		}
+	case *lang.RegExpr, *lang.GlobalExpr:
 		return Int
 	case *lang.Ident:
 		sym := c.lookup(e.Name)

@@ -150,19 +150,6 @@ IF (skb != NULL) { SUBFLOWS.GET(0).PUSH(skb); }`
 	mustCheckOK(t, src)
 }
 
-func TestCheckRegisterTracking(t *testing.T) {
-	info := mustCheckOK(t, `SET(R2, R1 + R3);`)
-	if !info.RegsRead[0] || !info.RegsRead[2] {
-		t.Errorf("RegsRead = %v, want R1 and R3 read", info.RegsRead)
-	}
-	if !info.RegsWritten[1] {
-		t.Errorf("RegsWritten = %v, want R2 written", info.RegsWritten)
-	}
-	if info.RegsRead[1] {
-		t.Errorf("R2 should not be marked read")
-	}
-}
-
 func TestCheckSlotAssignment(t *testing.T) {
 	info := mustCheckOK(t, `VAR a = 1; VAR b = 2; FOREACH (VAR s IN SUBFLOWS) { VAR c = s.RTT; }`)
 	if info.NumSlots != 4 {

@@ -37,13 +37,11 @@ type ChaosScenario struct {
 
 // ChaosResult summarizes one chaos run.
 type ChaosResult struct {
-	Scenario        string
 	Seed            int64
 	DeliveredBytes  int64
 	Segments        int64
 	FCT             time.Duration // flow completion time (0 when incomplete)
-	AllAcked        bool
-	ClosedByManager int // subflows the path manager tore down
+	ClosedByManager int           // subflows the path manager tore down
 	Promotions      int
 }
 
@@ -60,7 +58,7 @@ func RunChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResu
 // runChaos is RunChaos, also returning the connection it ran so tests
 // can inspect the state the soak ended in.
 func runChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResult, *Conn, error) {
-	res := ChaosResult{Scenario: sc.Name, Seed: seed}
+	res := ChaosResult{Seed: seed}
 	if sc.Paths == nil {
 		return res, nil, fmt.Errorf("chaos scenario %q has no paths", sc.Name)
 	}
@@ -102,7 +100,6 @@ func runChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResu
 
 	res.DeliveredBytes = chk.Bytes
 	res.Segments = chk.Segments
-	res.AllAcked = conn.AllAcked()
 	res.ClosedByManager = pm.ClosedByManager
 	res.Promotions = pm.Promotions
 	return res, conn, chk.Check(int64(sendBytes))

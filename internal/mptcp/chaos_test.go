@@ -70,16 +70,15 @@ func TestChaosSubflowDeathUsesPathManager(t *testing.T) {
 }
 
 // TestChaosInjectorsActive asserts the link-level injectors fire: a
-// reorder-scenario run must actually duplicate and reorder packets
-// (guards against a silently disabled fault).
+// reorder-scenario run must conserve bytes, and its paths must actually
+// duplicate and reorder packets (guards against a silently disabled
+// fault). The sink counts both on each path alone, with sends 10 ms
+// apart so that the 5 ms jitter cannot reorder them.
 func TestChaosInjectorsActive(t *testing.T) {
 	eng := netsim.NewEngine(11)
 	conn := NewConn(eng, Config{})
-	var fwd []*netsim.Path
 	for _, spec := range ChaosScenarios["reorder"].Paths() {
-		link := netsim.NewLink(eng, spec.Path)
-		fwd = append(fwd, link.Fwd)
-		if _, err := conn.AddSubflow(SubflowConfig{Name: spec.Path.Name, Link: link}); err != nil {
+		if _, err := conn.AddSubflow(SubflowConfig{Name: spec.Path.Name, Link: netsim.NewLink(eng, spec.Path)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,9 +91,16 @@ func TestChaosInjectorsActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dups, reorders int
-	for _, p := range fwd {
-		dups += p.DuplicatedCount
-		reorders += p.ReorderedCount
+	for _, spec := range ChaosScenarios["reorder"].Paths() {
+		eng := netsim.NewEngine(11)
+		p := netsim.NewPath(eng, spec.Path)
+		sink := &arrivals{seen: map[int64]bool{}}
+		for seq := int64(0); seq < 1000; seq++ {
+			eng.At(time.Duration(seq)*10*time.Millisecond, func() { p.SendMsg(1000, netsim.Msg{To: sink, A: seq}) })
+		}
+		eng.Run()
+		dups += sink.dups
+		reorders += sink.reorders
 	}
 	if dups == 0 {
 		t.Errorf("no packets duplicated on a DupProb=0.03 path")
@@ -102,6 +108,25 @@ func TestChaosInjectorsActive(t *testing.T) {
 	if reorders == 0 {
 		t.Errorf("no packets reordered on a ReorderProb=0.05 path")
 	}
+}
+
+// arrivals is a path's sink: an arrival seen before is a duplicate, and
+// one below the highest seen a reorder.
+type arrivals struct {
+	seen           map[int64]bool
+	high           int64
+	dups, reorders int
+}
+
+func (a *arrivals) HandleEvent(_ uint8, seq, _, _ int64) {
+	switch {
+	case a.seen[seq]:
+		a.dups++
+	case seq < a.high:
+		a.reorders++
+	}
+	a.seen[seq] = true
+	a.high = max(a.high, seq)
 }
 
 func itoa(n int64) string {

@@ -195,8 +195,10 @@ type Conn struct {
 
 	// Stats.
 	SchedulerExecutions int64
-	TotalEnqueued       int64
-	onAllAcked          func()
+	//progmp:ignore testonly bench/transfer.go reads it (the conservation oracle)
+	TotalEnqueued int64
+
+	onAllAcked func()
 }
 
 // NewConn creates a connection with its receiver.
@@ -345,7 +347,7 @@ func (c *Conn) NoteSchedSwap() { c.trace(obs.EvSchedSwap, -1, -1, 2, 0) }
 // with an error (and counted as api.register_oob when a metrics
 // registry is attached).
 func (c *Conn) SetRegister(i int, v int64) error {
-	if err := CheckRegister(i); err != nil {
+	if err := checkRegister(i); err != nil {
 		c.mRegOOB.Add(1)
 		return err
 	}
@@ -354,20 +356,22 @@ func (c *Conn) SetRegister(i int, v int64) error {
 	return nil
 }
 
-// CheckRegister refuses a scheduler register index outside [0, 8).
-func CheckRegister(i int) error {
+// checkRegister refuses a scheduler register index outside [0, 8).
+func checkRegister(i int) error {
 	if i < 0 || i >= runtime.NumRegisters {
 		return fmt.Errorf("mptcp: register index %d out of range [0, %d)", i, runtime.NumRegisters)
 	}
 	return nil
 }
 
-// Register reads a scheduler register (0 outside [0, 8)).
-func (c *Conn) Register(i int) int64 {
-	if i < 0 || i >= runtime.NumRegisters {
-		return 0
+// Register reads a scheduler register. An out-of-range index is
+// refused as SetRegister refuses it.
+func (c *Conn) Register(i int) (int64, error) {
+	if err := checkRegister(i); err != nil {
+		c.mRegOOB.Add(1)
+		return 0, err
 	}
-	return c.regs[i]
+	return c.regs[i], nil
 }
 
 // AddSubflow registers a subflow; the path manager establishes it at

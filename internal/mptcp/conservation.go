@@ -19,8 +19,6 @@ type ConservationChecker struct {
 	// Bytes and Segments count in-order application deliveries.
 	Bytes    int64
 	Segments int64
-	// LastDeliveryAt is the virtual time of the latest delivery.
-	LastDeliveryAt time.Duration
 
 	violations []string
 }
@@ -41,7 +39,6 @@ func NewConservationChecker(conn *Conn) *ConservationChecker {
 		k.next = seq + 1
 		k.Bytes += int64(size)
 		k.Segments++
-		k.LastDeliveryAt = at
 	})
 	return k
 }

@@ -68,6 +68,7 @@ type Receiver struct {
 	// Stats.
 	DeliveredBytes    int64
 	DeliveredSegments int64
+	//progmp:ignore testonly TestScriptDuplicateSuppression and TestRedundantSchedulerDuplicatesThinFlow assert it
 	DuplicateSegments int64
 	// HeldByLegacy counts segments buffered behind a subflow-level gap
 	// by the legacy two-level queueing (§4.2); the optimized receiver

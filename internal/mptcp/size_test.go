@@ -15,11 +15,12 @@ const mallocHeader = 8
 
 // TestStructSizeClasses pins the structs every connection allocates
 // inside the allocator size classes they occupy: Subflow at the top of
-// the 352 B class, Conn in the 640 B class and its runtime.Arena in the
-// 576 B class, each less the malloc header. Fleet bytes_per_conn counts size classes, not
-// fields: one more word on a struct at its class's edge moves every
-// connection up a class (Conn at 640 B took the 704 B class), so growth
-// here must be a deliberate choice.
+// the 352 B class, Conn in the 640 B class less the malloc header, and
+// its runtime.Arena in the 512 B class, the largest that takes no
+// header. Fleet bytes_per_conn counts size classes, not fields: one
+// more word on a struct at its class's edge moves every connection up a
+// class (Conn at 640 B took the 704 B class, an Arena above 512 B the
+// 576 B class), so growth here must be a deliberate choice.
 func TestStructSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(Subflow{}); got > 352 {
 		t.Errorf("Subflow is %d B, above its 352 B size class", got)
@@ -27,16 +28,16 @@ func TestStructSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(Conn{}); got > 640-mallocHeader {
 		t.Errorf("Conn is %d B, above its 640 B size class less the %d B malloc header", got, mallocHeader)
 	}
-	if got := unsafe.Sizeof(runtime.Arena{}); got > 576-mallocHeader {
-		t.Errorf("runtime.Arena is %d B, above its 576 B size class less the %d B malloc header", got, mallocHeader)
+	if got := unsafe.Sizeof(runtime.Arena{}); got > 512 {
+		t.Errorf("runtime.Arena is %d B, above its 512 B size class", got)
 	}
 	// What the allocator charges, header included: the bound above is
 	// only as good as the header it assumes.
 	if got := heapBytesPerObject(t, func() any { return new(Conn) }); got != 640 {
 		t.Errorf("one Conn costs %d B of heap, want its 640 B size class", got)
 	}
-	if got := heapBytesPerObject(t, func() any { return new(runtime.Arena) }); got != 576 {
-		t.Errorf("one runtime.Arena costs %d B of heap, want its 576 B size class", got)
+	if got := heapBytesPerObject(t, func() any { return new(runtime.Arena) }); got != 512 {
+		t.Errorf("one runtime.Arena costs %d B of heap, want its 512 B size class", got)
 	}
 }
 

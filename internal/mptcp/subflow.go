@@ -144,8 +144,10 @@ type Subflow struct {
 	BytesSent       int64
 	PktsSent        int64
 	Retransmissions int64
-	LossEpisodes    int64
-	RTOs            int64
+	//progmp:ignore testonly TestTransferDigestGolden mixes it into its digests
+	LossEpisodes int64
+	//progmp:ignore testonly TestTransferDigestGolden mixes it into its digests
+	RTOs int64
 
 	// Observability handles (nil-safe no-ops when uninstrumented).
 	mBytes *obs.Counter

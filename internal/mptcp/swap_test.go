@@ -133,8 +133,8 @@ func TestSetRegisterOutOfRange(t *testing.T) {
 	if err := conn.SetRegister(0, 42); err != nil {
 		t.Fatalf("in-range SetRegister: %v", err)
 	}
-	if got := conn.Register(0); got != 42 {
-		t.Fatalf("Register(0) = %d, want 42", got)
+	if got, err := conn.Register(0); err != nil || got != 42 {
+		t.Fatalf("Register(0) = %d, %v; want 42", got, err)
 	}
 	for _, i := range []int{-1, 8, 99} {
 		if err := conn.SetRegister(i, 1); err == nil {
@@ -143,5 +143,21 @@ func TestSetRegisterOutOfRange(t *testing.T) {
 	}
 	if got := reg.Counter("api.register_oob").Value(); got != 3 {
 		t.Fatalf("api.register_oob = %d, want 3", got)
+	}
+}
+
+// TestRegisterOutOfRange: reading R99 is refused with SetRegister's
+// error and counted, not answered with a silent 0.
+func TestRegisterOutOfRange(t *testing.T) {
+	_, conn := buildConn(t, 1, Config{}, "minRTT", testNet{rate: 1e6, delay: 5 * time.Millisecond})
+	reg := obs.NewRegistry()
+	conn.Instrument(nil, reg)
+	v, rerr := conn.Register(99)
+	werr := conn.SetRegister(99, 1)
+	if rerr == nil || werr == nil || rerr.Error() != werr.Error() {
+		t.Fatalf("Register(99) = %d, %v; SetRegister(99) error %v; want the same refusal", v, rerr, werr)
+	}
+	if got := reg.Counter("api.register_oob").Value(); got != 2 {
+		t.Fatalf("api.register_oob = %d, want 2 (one read, one write)", got)
 	}
 }

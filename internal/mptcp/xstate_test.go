@@ -175,7 +175,7 @@ func TestScheduleZeroAllocWithStore(t *testing.T) {
 	for i := 0; i < 64; i++ { // warm pools, specialization, scratch
 		conn.Kick()
 	}
-	execs0, r60 := conn.SchedulerExecutions, conn.Register(5)
+	execs0, r60 := conn.SchedulerExecutions, conn.regs[5]
 	const runs = 200
 	if n := testing.AllocsPerRun(runs, conn.Kick); n != 0 {
 		t.Fatalf("store-attached scheduling pass allocates %.1f times per trigger, want 0", n)
@@ -185,7 +185,7 @@ func TestScheduleZeroAllocWithStore(t *testing.T) {
 	if execs < runs+1 {
 		t.Fatalf("%d executions in %d triggers: the measured pass did not execute", execs, runs+1)
 	}
-	if got, want := conn.Register(5)-r60, g1*int64(execs); got != want {
+	if got, want := conn.regs[5]-r60, g1*int64(execs); got != want {
 		t.Fatalf("R6 advanced by %d over %d executions, want %d (G1 = %d each)", got, execs, want, g1)
 	}
 }
@@ -227,7 +227,7 @@ IF (!Q.EMPTY AND !avail.EMPTY) {
 	if got := st.Load().Globals[0]; got != 7 {
 		t.Fatalf("store G1 = %d, want 7 (writer's GSET not published)", got)
 	}
-	if got := c2.Register(0); got != 7 {
+	if got := c2.regs[0]; got != 7 {
 		t.Fatalf("reader R1 = %d, want 7 (shared global not seeded into conn2's environment)", got)
 	}
 }

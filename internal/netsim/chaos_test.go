@@ -54,9 +54,6 @@ func TestFlapTailDropsDuringOutage(t *testing.T) {
 	if p.Send(100, func() {}) {
 		t.Fatal("send during outage must be tail-dropped")
 	}
-	if p.DroppedQueue != 1 {
-		t.Errorf("DroppedQueue = %d, want 1", p.DroppedQueue)
-	}
 }
 
 func TestBlackoutLossUntil(t *testing.T) {
@@ -89,9 +86,6 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	if deliveries != 2 {
 		t.Fatalf("DupProb=1: delivered %d times, want 2", deliveries)
 	}
-	if p.DuplicatedCount != 1 {
-		t.Errorf("DuplicatedCount = %d, want 1", p.DuplicatedCount)
-	}
 }
 
 func TestReorderingOvertakes(t *testing.T) {
@@ -115,9 +109,6 @@ func TestReorderingOvertakes(t *testing.T) {
 	eng.Run()
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
 		t.Fatalf("delivery order %v, want [2 1] (reordered packet overtaken)", order)
-	}
-	if rp.ReorderedCount != 1 {
-		t.Errorf("ReorderedCount = %d, want 1", rp.ReorderedCount)
 	}
 }
 

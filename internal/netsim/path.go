@@ -138,10 +138,10 @@ type PathConfig struct {
 	Next *Path
 	// RED, when set, applies Random Early Detection ahead of the
 	// drop-tail limit: packets drop with a probability ramping from 0
-	// at MinBytes of backlog to MaxP at MaxBytes. RED de-synchronizes
-	// losses across competing flows, the regime coupled congestion
-	// control is analysed in.
-	RED *REDConfig
+	// at 3/16 of QueueBytes of backlog to redMaxP at 7/8 of it. RED
+	// de-synchronizes losses across competing flows, the regime coupled
+	// congestion control is analysed in.
+	RED bool
 	// DupProb delivers each surviving packet a second time, DupDelay
 	// after the first copy (chaos: middlebox or retransmission-race
 	// duplication the receiver must suppress).
@@ -155,12 +155,8 @@ type PathConfig struct {
 	ReorderBy   time.Duration // default 4x the propagation delay
 }
 
-// REDConfig parameterizes Random Early Detection.
-type REDConfig struct {
-	MinBytes int
-	MaxBytes int
-	MaxP     float64
-}
+// redMaxP is RED's drop probability at and above its upper threshold.
+const redMaxP = 0.15
 
 // Path is a unidirectional link with serialization, queueing,
 // propagation, jitter and loss. Concurrent sends serialize FIFO.
@@ -169,15 +165,6 @@ type Path struct {
 	cfg PathConfig
 	// busyUntil is when the transmitter finishes its current backlog.
 	busyUntil time.Duration
-
-	// Stats.
-	SentPackets     int
-	SentBytes       int64
-	DroppedQueue    int
-	DroppedLoss     int
-	DeliveredCount  int
-	DuplicatedCount int
-	ReorderedCount  int
 }
 
 // NewPath builds a path on the engine.
@@ -245,7 +232,6 @@ func (f *flight) HandleEvent(uint8, int64, int64, int64) {
 		f.msg.To = nil
 		f.next, p.eng.flights = p.eng.flights, f
 	}
-	p.DeliveredCount++
 	if p.cfg.Next != nil {
 		p.cfg.Next.SendMsg(size, m)
 		return
@@ -304,21 +290,18 @@ func (p *Path) SendMsg(size int, m Msg) bool {
 	//progmp:ignore hotpath rate curves are pure arithmetic closures captured at path construction
 	rate := p.cfg.Rate(now)
 	if rate <= 0 {
-		p.DroppedQueue++
 		return false
 	}
 	backlog := p.QueuedBytes()
 	if backlog+size > p.cfg.QueueBytes {
-		p.DroppedQueue++
 		return false
 	}
-	if red := p.cfg.RED; red != nil && backlog > red.MinBytes {
-		prob := red.MaxP
-		if backlog < red.MaxBytes {
-			prob = red.MaxP * float64(backlog-red.MinBytes) / float64(red.MaxBytes-red.MinBytes)
+	if minBytes := p.cfg.QueueBytes * 3 / 16; p.cfg.RED && backlog > minBytes {
+		prob := redMaxP
+		if maxBytes := p.cfg.QueueBytes * 7 / 8; backlog < maxBytes {
+			prob = redMaxP * float64(backlog-minBytes) / float64(maxBytes-minBytes)
 		}
 		if p.eng.Rand().Float64() < prob {
-			p.DroppedQueue++
 			return false
 		}
 	}
@@ -331,15 +314,12 @@ func (p *Path) SendMsg(size int, m Msg) bool {
 		txTime = time.Nanosecond
 	}
 	p.busyUntil = start + txTime
-	p.SentPackets++
-	p.SentBytes += int64(size)
 	if m.Serialized != 0 {
 		p.eng.Post(p.busyUntil, m.To, m.Serialized, int64(size), 0, 0)
 		m.Serialized = 0 // the first hop's business only
 	}
 	//progmp:ignore hotpath loss models are small value types or long-lived state machines drawing from the engine's source
 	if p.cfg.Loss.Lost(p.eng) {
-		p.DroppedLoss++
 		return true // consumed link time, but never arrives
 	}
 	delay := p.cfg.Delay
@@ -357,7 +337,6 @@ func (p *Path) SendMsg(size int, m Msg) bool {
 			extra = 4 * delay
 		}
 		arrival += extra
-		p.ReorderedCount++
 	}
 	f := p.eng.flights
 	if f != nil {
@@ -373,7 +352,6 @@ func (p *Path) SendMsg(size int, m Msg) bool {
 		if dupDelay <= 0 {
 			dupDelay = 2 * time.Millisecond
 		}
-		p.DuplicatedCount++
 		f.refs++
 		p.eng.Post(arrival+dupDelay, f, 0, 0, 0, 0)
 	}

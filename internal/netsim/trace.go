@@ -48,27 +48,6 @@ func (r *Recorder) Mean(name string) float64 {
 	return r.Sum(name) / float64(len(ss))
 }
 
-// Bucket aggregates a series into fixed-width time buckets, summing
-// values per bucket — e.g. bytes per interval for throughput plots.
-// The result has one entry per bucket from 0 through the last sample.
-func (r *Recorder) Bucket(name string, width time.Duration) []float64 {
-	ss := r.series[name]
-	if len(ss) == 0 || width <= 0 {
-		return nil
-	}
-	maxAt := time.Duration(0)
-	for _, s := range ss {
-		if s.At > maxAt {
-			maxAt = s.At
-		}
-	}
-	out := make([]float64, int(maxAt/width)+1)
-	for _, s := range ss {
-		out[int(s.At/width)] += s.Value
-	}
-	return out
-}
-
 // Percentile returns the p-quantile (0..1) of a series' values.
 func (r *Recorder) Percentile(name string, p float64) float64 {
 	ss := r.series[name]

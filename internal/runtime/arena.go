@@ -39,7 +39,6 @@ func NewArena(regs *[NumRegisters]int64) *Arena {
 	a.env.UnackedQ = &a.queues[QueueUnacked]
 	a.env.ReinjectQ = &a.queues[QueueReinject]
 	for id := range a.queues {
-		a.queues[id].id = QueueID(id)
 		a.queues[id].gen = 1
 	}
 	return a
@@ -83,7 +82,7 @@ func (a *Arena) BindQueue(id QueueID, src QueueSource, n int, reuse bool) {
 	if id < QueueSend || id > QueueReinject {
 		return
 	}
-	a.queues[id].bind(id, src, n)
+	a.queues[id].bind(src, n)
 }
 
 // BeginExec readies the environment for one execution: the action queue

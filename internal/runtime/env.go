@@ -55,7 +55,6 @@ type SentSource interface {
 // memory, so the steady-state cost of starting an execution is O(1)
 // per queue, not O(packets).
 type Queue struct {
-	id      QueueID
 	n       int // snapshot length
 	src     QueueSource
 	pages   []*viewPage // pages[i>>pageShift] holds position i; nil until touched
@@ -82,8 +81,7 @@ type viewPage struct {
 // bind points the queue at a source of n packets for the next
 // execution and invalidates every view (lazily — no memory is touched
 // here). Pop state is per-execution and is cleared separately by Reset.
-func (q *Queue) bind(id QueueID, src QueueSource, n int) {
-	q.id = id
+func (q *Queue) bind(src QueueSource, n int) {
 	q.src = src
 	q.n = n
 	q.matMark++

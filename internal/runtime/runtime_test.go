@@ -260,9 +260,6 @@ func TestEnvQueueLookupAndDrop(t *testing.T) {
 	if env.Queue(QueueID(9)) != nil {
 		t.Errorf("unknown queue id must be nil")
 	}
-	if env.SendQ.id != QueueSend {
-		t.Errorf("SendQ has the wrong queue id")
-	}
 	env.Drop(env.SendQ.Top())
 	if len(env.Actions) != 1 || env.Actions[0].Kind != ActionDrop {
 		t.Errorf("Drop not recorded: %v", env.Actions)

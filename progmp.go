@@ -341,8 +341,9 @@ func (c *Conn) SchedulerInfo() SchedulerInfo {
 // (and counted as api.register_oob when metrics are attached).
 func (c *Conn) SetRegister(i int, v int64) error { return c.inner.SetRegister(i, v) }
 
-// Register reads scheduler register i.
-func (c *Conn) Register(i int) int64 { return c.inner.Register(i) }
+// Register reads scheduler register i. An out-of-range index is
+// refused as SetRegister refuses it.
+func (c *Conn) Register(i int) (int64, error) { return c.inner.Register(i) }
 
 // Send enqueues n bytes without a scheduling intent.
 func (c *Conn) Send(n int) { c.inner.Send(n, 0) }

@@ -86,8 +86,14 @@ func TestRegisterAPI(t *testing.T) {
 	}
 	conn.SetScheduler(sched)
 	conn.SetRegister(R1, 123456)
-	if got := conn.Register(R1); got != 123456 {
-		t.Errorf("Register(R1) = %d, want 123456", got)
+	if got, err := conn.Register(R1); err != nil || got != 123456 {
+		t.Errorf("Register(R1) = %d, %v; want 123456", got, err)
+	}
+	// R99 does not exist: reading it is refused as writing it is.
+	_, rerr := conn.Register(99)
+	werr := conn.SetRegister(99, 1)
+	if rerr == nil || werr == nil || rerr.Error() != werr.Error() {
+		t.Errorf("Register(99) error %v, SetRegister(99) error %v; want the same refusal", rerr, werr)
 	}
 }
 

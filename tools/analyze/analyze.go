@@ -107,7 +107,7 @@ var Analyzers = []*Analyzer{
 	},
 	{
 		Name:      "testonly",
-		Doc:       "exported identifiers of the root package and under internal/ are used, and config knobs set, by non-test code of the module",
+		Doc:       "exported identifiers of the root package and under internal/ are used, config knobs set and struct fields read by non-test code of the module",
 		Run:       runTestonly,
 		SkipTests: true,
 	},

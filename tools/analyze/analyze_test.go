@@ -696,7 +696,10 @@ func Limit(c LimitConfig) int {
 
 type limiter struct{ cfg LimitConfig }
 
-func (l *limiter) retarget(w time.Duration) { l.cfg.Window = w }
+func (l *limiter) retarget(w time.Duration) int {
+	l.cfg.Window = w
+	return Limit(l.cfg)
+}
 `
 	knobs := func(extra map[string]string) map[string]string {
 		files := map[string]string{
@@ -721,7 +724,7 @@ func (l *limiter) retarget(w time.Duration) { l.cfg.Window = w }
 			[]string{"fixmod/internal/lib.Helper is exported, but no code outside tests uses it"}},
 		{"types, vars and consts are held to the same rule",
 			map[string]string{
-				"internal/lib/extra.go": "package lib\n\n// Box is named only by a test.\ntype Box struct{ n int }\n\n" +
+				"internal/lib/extra.go": "package lib\n\n// Box is named only by a test.\ntype Box struct{}\n\n" +
 					"// Limit is named by Table, so it stands until Table goes.\nconst Limit = 3\n\n// Table is named only by a test.\nvar Table = []int{Limit}\n\n" +
 					"// Kept is named by cmd/kept.\nconst Kept = 1\n",
 				"internal/lib/extra_test.go": "package lib\n\nvar _, _ = Box{}, Table\n",
@@ -819,6 +822,85 @@ func (l *limiter) retarget(w time.Duration) { l.cfg.Window = w }
 				files[name] = src
 			}
 			expect(t, runModuleFixture(t, files, ".", "testonly"), tc.want...)
+		})
+	}
+
+	// State needs a reader in non-test code. Observe is the only reader
+	// of addr (&m.addr), clock (a method call on m.clock) and depth
+	// (promoted through the embedded frame); it only writes hits,
+	// tested and Total. The tagged Name, the blank field and the
+	// embedded frame are exempt.
+	const meter = `package meter
+
+// Meter keeps what it measured.
+type Meter struct {
+	hits   int
+	Total  int
+	tested int
+	addr   int
+	clock  clock
+	frame
+	Name string ` + "`json:\"name\"`" + `
+	_    int
+}
+
+type clock struct{ tick int }
+
+func (c *clock) now() int { return c.tick }
+
+type frame struct{ depth int }
+
+// Observe records one observation.
+func (m *Meter) Observe() int {
+	m.hits++
+	m.tested = 1
+	m.Total += 2
+	p := &m.addr
+	return *p + m.clock.now() + m.depth
+}
+`
+	const meterTest = "package meter\n\nfunc tested(m *Meter) int { return m.tested }\n"
+	reader := "package main\n\nimport \"fixmod/internal/meter\"\n\nfunc main() {\n\tvar m meter.Meter\n\t_ = m.Observe() + m.Total\n}\n"
+	fieldCases := []struct {
+		name  string
+		extra map[string]string
+		want  []string
+	}{
+		{"a field only written, or read only by a _test.go, is reported; &x.F, a method call and a promotion read", nil,
+			[]string{"meter.Meter.hits is a field, but no code outside tests reads it",
+				"meter.Meter.Total is a field, but no code outside tests reads it",
+				"meter.Meter.tested is a field, but no code outside tests reads it"}},
+		{"a read in cmd/ clears a field",
+			map[string]string{"cmd/meter/main.go": reader},
+			[]string{"meter.Meter.hits is a field", "meter.Meter.tested is a field"}},
+		{"a read in examples/ clears a field",
+			map[string]string{"examples/meter/main.go": reader},
+			[]string{"meter.Meter.hits is a field", "meter.Meter.tested is a field"}},
+		{"without its one read, each of those fields is reported, and an untagged Name too",
+			map[string]string{"internal/meter/meter.go": strings.NewReplacer(
+				"p := &m.addr\n\treturn *p + m.clock.now() + m.depth", "return 0",
+				"Name string `json:\"name\"`", "Name string").Replace(meter)},
+			[]string{"meter.Meter.hits is a field", "meter.Meter.Total is a field", "meter.Meter.tested is a field",
+				"meter.Meter.addr is a field", "meter.Meter.clock is a field", "meter.Meter.Name is a field",
+				"meter.frame.depth is a field"}},
+		{"a field suppression keeps it, and a stale one is a finding",
+			map[string]string{"internal/meter/meter.go": strings.NewReplacer(
+				"\thits", "\t//progmp:ignore testonly the fixture keeps it\n\thits",
+				"\taddr", "\t//progmp:ignore testonly Observe reads it\n\taddr").Replace(meter)},
+			[]string{"meter.Meter.Total is a field", "meter.Meter.tested is a field",
+				"//progmp:ignore testonly suppresses nothing"}},
+	}
+	for _, tc := range fieldCases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{
+				"internal/meter/meter.go":      meter,
+				"internal/meter/meter_test.go": meterTest,
+				"cmd/tool/main.go":             "package main\n\nimport \"fixmod/internal/meter\"\n\nfunc main() { _ = new(meter.Meter).Observe() }\n",
+			}
+			for name, src := range tc.extra {
+				files[name] = src
+			}
+			expect(t, runModuleFixture(t, files, "internal/meter", "testonly"), tc.want...)
 		})
 	}
 }

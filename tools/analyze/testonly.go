@@ -41,6 +41,16 @@ import (
 // `if x.F == 0` (or `<= 0`, or `== nil`), as a constructor defaulting
 // its config parameter makes. A field that carries a struct tag is
 // exempt, because reflection decodes it.
+//
+// And it holds state to it: a field, exported or not, of a
+// package-level struct type declared there is reported when no non-test
+// code of the module reads it. Every use of the field is a read but two
+// writes: an assignment, op= or inc/dec target (and a selector on such
+// a target's path), and a composite-literal key. So &x.F, a method call
+// on x.F and a selection promoted through an embedded field read it.
+// Tagged, blank and embedded fields are exempt: reflection decodes a
+// tagged field, and a type embeds another to take on its methods or
+// its encoding, which no selector shows.
 
 // testCodePkgs are the module-relative packages that hold test
 // support only; they are neither reported nor counted as callers.
@@ -50,6 +60,7 @@ var testCodePkgs = []string{"internal/envtest", "internal/semtest"}
 type useIndex struct {
 	used map[string]bool // objKey of every object named outside its own declaration
 	set  map[string]bool // fieldKey of every field set, defaults aside
+	read map[string]bool // fieldKey of every field read
 	// ifaces lists the method sets (name -> signature) of every
 	// interface type the module's code mentions.
 	ifaces []map[string]string
@@ -76,9 +87,18 @@ func runTestonly(p *Pass) {
 				}
 				p.Reportf(id.Pos(), "%s is exported, but no code outside tests uses it", objKey(obj))
 			}
-			for _, f := range knobs(decl) {
-				if obj := p.Pkg.Info.Defs[f.name]; obj != nil && !idx.set[fieldKey(s.Fset, obj)] {
+			for _, f := range fields(decl) {
+				obj := p.Pkg.Info.Defs[f.name]
+				if obj == nil {
+					continue
+				}
+				key := fieldKey(s.Fset, obj)
+				if isKnob(f) && !idx.set[key] {
 					p.Reportf(f.name.Pos(), "%s.%s.%s is exported, but no code outside tests sets it",
+						p.Pkg.Path, f.typ, f.name.Name)
+				}
+				if !idx.read[key] {
+					p.Reportf(f.name.Pos(), "%s.%s.%s is a field, but no code outside tests reads it",
 						p.Pkg.Path, f.typ, f.name.Name)
 				}
 			}
@@ -86,37 +106,43 @@ func runTestonly(p *Pass) {
 	}
 }
 
-// A knob is an exported, untagged field of an exported *Config or
-// *Options struct type.
-type knob struct {
+// A field is a named, untagged, non-blank field of a package-level
+// struct type.
+type field struct {
 	typ  string
 	name *ast.Ident
 }
 
-// knobs returns the knobs decl declares.
-func knobs(decl ast.Decl) []knob {
+// isKnob reports whether f is a knob: an exported field of an exported
+// *Config or *Options type.
+func isKnob(f field) bool {
+	return f.name.IsExported() && ast.IsExported(f.typ) &&
+		(strings.HasSuffix(f.typ, "Config") || strings.HasSuffix(f.typ, "Options"))
+}
+
+// fields returns the fields decl declares.
+func fields(decl ast.Decl) []field {
 	gd, ok := decl.(*ast.GenDecl)
 	if !ok {
 		return nil
 	}
-	var out []knob
+	var out []field
 	for _, spec := range gd.Specs {
 		ts, ok := spec.(*ast.TypeSpec)
-		if !ok || !ts.Name.IsExported() ||
-			!strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") {
+		if !ok {
 			continue
 		}
 		st, ok := ts.Type.(*ast.StructType)
 		if !ok {
 			continue
 		}
-		for _, field := range st.Fields.List {
-			if field.Tag != nil {
+		for _, f := range st.Fields.List {
+			if f.Tag != nil {
 				continue
 			}
-			for _, name := range field.Names {
-				if name.IsExported() {
-					out = append(out, knob{ts.Name.Name, name})
+			for _, name := range f.Names {
+				if name.Name != "_" {
+					out = append(out, field{ts.Name.Name, name})
 				}
 			}
 		}
@@ -154,28 +180,13 @@ func (idx *useIndex) addSets(fset *token.FileSet, info *types.Info, decl ast.Dec
 	// target marks every field on the selector path e writes through,
 	// unless the receiver roots the path.
 	target := func(e ast.Expr) {
-		var fields []types.Object
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.SelectorExpr:
-				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-					fields = append(fields, sel.Obj())
-				}
-				e = x.X
-			default:
-				if id, ok := x.(*ast.Ident); ok && recv != nil && info.Uses[id] == recv {
-					return
-				}
-				for _, f := range fields {
-					mark(f)
-				}
-				return
+		sels, root := writePath(e)
+		if id, ok := root.(*ast.Ident); ok && recv != nil && info.Uses[id] == recv {
+			return
+		}
+		for _, x := range sels {
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				mark(sel.Obj())
 			}
 		}
 	}
@@ -224,6 +235,65 @@ func (idx *useIndex) addSets(fset *token.FileSet, info *types.Info, decl ast.Dec
 		}
 		return true
 	})
+}
+
+// addReads records in idx.read the fields decl reads: every use of a
+// field but a write target's selectors and a composite-literal key.
+func (idx *useIndex) addReads(fset *token.FileSet, info *types.Info, decl ast.Decl) {
+	writes := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		sels, _ := writePath(e)
+		for _, x := range sels {
+			writes[x.Sel] = true
+		}
+	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.KeyValueExpr:
+			if key, ok := n.Key.(*ast.Ident); ok {
+				writes[key] = true
+			}
+		}
+		return true
+	})
+	mark := func(obj types.Object) {
+		if key := fieldKey(fset, obj); key != "" {
+			idx.read[key] = true
+		}
+	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !writes[id] {
+			mark(info.Uses[id])
+		}
+		return true
+	})
+}
+
+// writePath walks the target of a write down through selectors,
+// indexes, dereferences and parentheses, and returns the selectors on
+// the way and the expression at the root.
+func writePath(e ast.Expr) (sels []*ast.SelectorExpr, root ast.Expr) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			sels = append(sels, x)
+			e = x.X
+		default:
+			return sels, e
+		}
+	}
 }
 
 // unsetTest returns the selector cond tests for being unset
@@ -385,7 +455,7 @@ func (s *Suite) uses() (*useIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &useIndex{used: map[string]bool{}, set: map[string]bool{}}
+	idx := &useIndex{used: map[string]bool{}, set: map[string]bool{}, read: map[string]bool{}}
 	ifaces := map[string]map[string]string{} // by the interface's text
 	addIface := func(t types.Type) {
 		it, ok := t.Underlying().(*types.Interface)
@@ -447,6 +517,7 @@ func (s *Suite) uses() (*useIndex, error) {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				idx.addSets(s.Fset, pkg.Info, decl)
+				idx.addReads(s.Fset, pkg.Info, decl)
 				owners := declOwners(pkg.Info, decl)
 				ast.Inspect(decl, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
