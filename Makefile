@@ -30,6 +30,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueueModel -fuzztime 10s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz FuzzSentCursor -fuzztime 10s ./internal/mptcp/
 	$(GO) test -run '^$$' -fuzz FuzzSendWindow -fuzztime 10s ./internal/mptcp/
+	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
 
 cover:
 	$(GO) test -cover ./...

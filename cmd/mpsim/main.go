@@ -67,7 +67,6 @@ import (
 	"time"
 
 	"progmp"
-	"progmp/cmd/internal/scenario"
 	"progmp/internal/ctl"
 	"progmp/internal/fleet"
 	"progmp/internal/mptcp"
@@ -99,15 +98,12 @@ func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 // cli is main with its streams and exit status as values: 0 done, 1
 // the run failed, 2 the command line was refused.
 func cli(args []string, out, errw io.Writer) int {
-	var sc scenario.Scenario
+	var sc Scenario
 	var cm classicMode
 	var fc fleet.Config // the sharded soak's size; runFleet fills in the rest
 	fs := flag.NewFlagSet("mpsim", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	sc.RegisterFlags(fs, 1<<20)
-	fs.BoolVar(&sc.PathMgr, "pathmgr", false, "enable the path manager (failure detection + backup promotion)")
-	fs.IntVar(&sc.Conns, "conns", 1, "number of connections (each with its own scheduler instance and metrics registry)")
-	fs.BoolVar(&sc.XState, "xstate", false, "attach every connection to one cross-connection shared-state store (globals G1..G8, per-destination path stats, gget/gset/deststats ctl verbs)")
+	sc.RegisterFlags(fs)
 	fs.StringVar(&cm.Trace, "trace", "", "write a JSONL decision trace of the run to FILE")
 	fs.BoolVar(&cm.Metrics, "metrics", false, "print the metrics registry after the run")
 	chaos := fs.String("chaos", "", "run a chaos soak instead: scenario name or \"all\" (see -chaos list)")
@@ -232,9 +228,9 @@ func serveMetricsHTTP(addr string, opts ctl.Options, out io.Writer) (stop func()
 // self-contained connection worlds across per-core shards, optional
 // shared-state store and guard supervision, the OpenMetrics
 // exposition served live off the shard loops' aggregated registries.
-func runFleet(sc *scenario.Scenario, out io.Writer, fc fleet.Config, metricsHTTP string) error {
+func runFleet(sc *Scenario, out io.Writer, fc fleet.Config, metricsHTTP string) error {
 	fc.NewScheduler = func() (mptcp.Scheduler, error) {
-		return scenario.LoadScheduler(sc.Scheduler, sc.Backend)
+		return LoadScheduler(sc.Scheduler, sc.Backend)
 	}
 	// Fail fast on a bad scheduler/backend before building 100k worlds.
 	if _, err := fc.NewScheduler(); err != nil {
@@ -280,7 +276,7 @@ func runFleet(sc *scenario.Scenario, out io.Writer, fc fleet.Config, metricsHTTP
 // runChaos soaks the scheduler through one (or every) chaos scenario
 // and verifies conservation: every byte delivered exactly once, in
 // order, fully acknowledged.
-func runChaos(sc *scenario.Scenario, out io.Writer, name string) error {
+func runChaos(sc *Scenario, out io.Writer, name string) error {
 	names := []string{name}
 	if name == "all" {
 		names = progmp.ChaosScenarioNames()
@@ -290,7 +286,7 @@ func runChaos(sc *scenario.Scenario, out io.Writer, name string) error {
 		}
 		return nil
 	}
-	sched, err := scenario.LoadScheduler(sc.Scheduler, sc.Backend)
+	sched, err := LoadScheduler(sc.Scheduler, sc.Backend)
 	if err != nil {
 		return err
 	}
@@ -328,7 +324,7 @@ func writeFile(path string, write func(io.Writer) error) error {
 
 // run is the classic mode: sc.Conns connections of the scenario on one
 // network, driven to the horizon (live under -ctl), then the report.
-func run(sc *scenario.Scenario, out io.Writer, cm classicMode) error {
+func run(sc *Scenario, out io.Writer, cm classicMode) error {
 	w := sc.NewWorld()
 	nw := w.Net
 	// The primary connection carries the run's tracer (the control
@@ -510,7 +506,7 @@ type liveMode struct {
 // and SIGTERM shut the run down gracefully: the server drains (stops
 // accepting, finishes inflight requests, ends subscriptions, flushes
 // the fleet metrics) before the simulation stops.
-func runWithControlPlane(sc *scenario.Scenario, out io.Writer, lm liveMode) error {
+func runWithControlPlane(sc *Scenario, out io.Writer, lm liveMode) error {
 	nw, srv, pace := lm.nw, lm.srv, lm.pace
 	network := ctl.NetworkOf(lm.addr)
 	if network == "unix" {

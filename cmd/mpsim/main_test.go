@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"progmp/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/chaos.golden from this run")
@@ -205,5 +207,82 @@ func TestModeFlagConflicts(t *testing.T) {
 	// flags never trip the check.
 	if status, _, errOut := mpsim("-fleet", "4", "-duration", "50ms", "-guard", "-seed", "3"); status != 0 {
 		t.Errorf("fleet with its own flags: exit %d: %s", status, errOut)
+	}
+}
+
+// tracedRun runs mpsim over two preferred paths (256 KiB, seed 7) with
+// -trace and returns the trace it wrote, read back.
+func tracedRun(t *testing.T, scheduler string) []obs.Event {
+	t.Helper()
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	status, out, errOut := mpsim("-scheduler", scheduler, "-seed", "7", "-send", "262144",
+		"-path", "wifi:3e6:5ms:0:pref", "-path", "lte:8e6:20ms:0:pref", "-trace", trace)
+	if status != 0 {
+		t.Fatalf("exit %d: %s", status, errOut)
+	}
+	wantLines(t, out, "transferred     262144 / 262144 bytes", " events, 0 overwritten)")
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// TestEveryTransmissionAttributable is the acceptance property of the
+// tracing layer: in the trace of a two-path run, every transmitted
+// packet's subflow choice is attributable — through its exec id — to
+// a scheduler execution event, and every segment of the transfer was
+// pushed.
+func TestEveryTransmissionAttributable(t *testing.T) {
+	events := tracedRun(t, "minRTT")
+	execStarts := map[uint64]bool{}
+	for _, ev := range events {
+		if ev.Kind == obs.EvExecStart {
+			execStarts[ev.Exec] = true
+		}
+	}
+	if len(execStarts) == 0 {
+		t.Fatal("no scheduler execution events in the trace")
+	}
+	pushedSeqs := map[int64]bool{}
+	for _, ev := range events {
+		if ev.Kind != obs.EvPush {
+			continue
+		}
+		if ev.Sbf < 0 {
+			t.Fatalf("PUSH of seq %d has no subflow", ev.Seq)
+		}
+		if ev.Exec == 0 {
+			t.Fatalf("PUSH of seq %d on subflow %d is outside any scheduler execution", ev.Seq, ev.Sbf)
+		}
+		if !execStarts[ev.Exec] {
+			t.Fatalf("PUSH of seq %d references unknown execution %d", ev.Seq, ev.Exec)
+		}
+		pushedSeqs[ev.Seq] = true
+	}
+	const mss = 1460
+	for seq := 0; seq < (262144+mss-1)/mss; seq++ {
+		if !pushedSeqs[int64(seq)] {
+			t.Fatalf("segment %d was never pushed (have %d pushed seqs)", seq, len(pushedSeqs))
+		}
+	}
+}
+
+// TestRedundantUsesBothSubflows checks that subflow choice is visible
+// in the trace: the redundant scheduler transmits on both paths.
+func TestRedundantUsesBothSubflows(t *testing.T) {
+	seen := map[int32]bool{}
+	for _, ev := range tracedRun(t, "redundant") {
+		if ev.Kind == obs.EvPush {
+			seen[ev.Sbf] = true
+		}
+	}
+	if !seen[0] || !seen[1] {
+		t.Fatalf("redundant scheduler should push on both subflows, saw %v", seen)
 	}
 }

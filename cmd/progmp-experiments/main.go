@@ -21,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/experiments"
 )
 
@@ -38,7 +37,6 @@ func main() {
 // run writes experiment exp ("all" for every one) at seed to w.
 func run(w io.Writer, exp string, seed int64) error {
 	all := exp == "all"
-	backend := core.BackendVM
 	any := false
 	section := func(id, title string) bool {
 		if !all && exp != id {
@@ -56,7 +54,7 @@ func run(w io.Writer, exp string, seed int64) error {
 		for _, v := range []experiments.StreamingVariant{
 			experiments.StreamingDefault, experiments.StreamingBackup, experiments.StreamingTAP,
 		} {
-			r, err := experiments.Streaming(v, backend, seed)
+			r, err := experiments.Streaming(v, seed)
 			if err != nil {
 				return err
 			}
@@ -79,21 +77,21 @@ func run(w io.Writer, exp string, seed int64) error {
 		fmt.Fprint(w, experiments.FormatParity(rs))
 	}
 	if section("fig10b", "redundancy flavors: FCT vs flow size, 2% loss (Fig. 10b)") {
-		points, err := experiments.RedundancyFCT(backend, []int{8, 16, 32, 64, 128, 256, 512}, experiments.RedundancySchedulers, 16)
+		points, err := experiments.RedundancyFCT([]int{8, 16, 32, 64, 128, 256, 512}, experiments.RedundancySchedulers, 16)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, experiments.FormatFCT(points, experiments.RedundancySchedulers))
 	}
 	if section("fig10c", "redundancy flavors: normalized throughput (Fig. 10c)") {
-		points, err := experiments.RedundancyThroughput(backend, experiments.RedundancySchedulers, seed)
+		points, err := experiments.RedundancyThroughput(experiments.RedundancySchedulers, seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, experiments.FormatThroughput(points))
 	}
 	if section("fig12", "flow-end compensation vs RTT ratio (Fig. 12)") {
-		points, err := experiments.CompensationSweep(backend, []float64{1, 1.5, 2, 3, 4, 6, 8}, 8)
+		points, err := experiments.CompensationSweep([]float64{1, 1.5, 2, 3, 4, 6, 8}, 8)
 		if err != nil {
 			return err
 		}
@@ -101,7 +99,7 @@ func run(w io.Writer, exp string, seed int64) error {
 	}
 	if section("fig14", "HTTP/2-aware scheduling (Fig. 14)") {
 		delays := []time.Duration{0, 20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond, 80 * time.Millisecond}
-		points, err := experiments.HTTP2Sweep(backend, delays, seed)
+		points, err := experiments.HTTP2Sweep(delays, seed)
 		if err != nil {
 			return err
 		}
@@ -126,7 +124,7 @@ func run(w io.Writer, exp string, seed int64) error {
 		}
 	}
 	if section("receiver", "legacy vs optimized receiver (§4.2)") {
-		rs, err := experiments.ReceiverComparison(backend, seed)
+		rs, err := experiments.ReceiverComparison(seed)
 		if err != nil {
 			return err
 		}
@@ -137,7 +135,7 @@ func run(w io.Writer, exp string, seed int64) error {
 	}
 	if section("handover", "WiFi→LTE handover (§5.2)") {
 		for _, sched := range []string{"minRTT", "handoverAware"} {
-			r, err := experiments.Handover(sched, backend, seed)
+			r, err := experiments.Handover(sched, seed)
 			if err != nil {
 				return err
 			}
@@ -147,7 +145,7 @@ func run(w io.Writer, exp string, seed int64) error {
 	}
 	if section("opportunistic", "opportunistic retransmission under receive-window blocking (§3.4)") {
 		for _, sched := range []string{"minRTT", "minRTTOpportunistic"} {
-			r, err := experiments.Opportunistic(sched, backend, seed)
+			r, err := experiments.Opportunistic(sched, seed)
 			if err != nil {
 				return err
 			}
@@ -157,7 +155,7 @@ func run(w io.Writer, exp string, seed int64) error {
 	}
 	if section("fairness", "shared-bottleneck fairness of the coupled congestion controls (§2.1)") {
 		for _, cc := range []string{"reno", "lia", "olia"} {
-			r, err := experiments.Fairness(cc, backend, seed)
+			r, err := experiments.Fairness(cc, seed)
 			if err != nil {
 				return err
 			}
@@ -167,7 +165,7 @@ func run(w io.Writer, exp string, seed int64) error {
 	}
 	if section("probing", "probing for fresh estimates on idle subflows (Table 2)") {
 		for _, sched := range []string{"minRTT", "probingMinRTT"} {
-			r, err := experiments.Probing(sched, backend, seed)
+			r, err := experiments.Probing(sched, seed)
 			if err != nil {
 				return err
 			}
@@ -177,7 +175,7 @@ func run(w io.Writer, exp string, seed int64) error {
 	}
 	if section("targetrtt", "target-RTT preference-aware scheduling (§5.4)") {
 		for _, sched := range []string{"minRTT", "targetRTT"} {
-			r, err := experiments.TargetRTT(sched, backend, seed)
+			r, err := experiments.TargetRTT(sched, seed)
 			if err != nil {
 				return err
 			}
@@ -186,7 +184,7 @@ func run(w io.Writer, exp string, seed int64) error {
 		}
 	}
 	if section("ablations", "calling-model ablations: compressed executions (§4.1), TSQ-drain trigger (Fig. 4)") {
-		rs, err := experiments.Ablations(backend, seed)
+		rs, err := experiments.Ablations(seed)
 		if err != nil {
 			return err
 		}

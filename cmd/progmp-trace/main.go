@@ -1,14 +1,16 @@
-// Command progmp-trace replays an MPTCP transfer scenario with
-// decision tracing enabled and emits the trace, so that every
-// transmitted packet's subflow choice is attributable to the scheduler
-// execution — and the decision site inside the scheduler program — that
-// produced it.
+// Command progmp-trace reads a recorded JSONL decision trace and
+// renders it, so that every transmitted packet's subflow choice is
+// attributable to the scheduler execution — and the decision site
+// inside the scheduler program — that produced it. It reads the file
+// named by its one argument, or stdin without one; `mpsim -trace FILE`
+// records a run and `progmpctl watch` streams a live one.
 //
 // Example:
 //
-//	progmp-trace -scheduler minRTT -send 262144 -format summary
-//	progmp-trace -scheduler redundant -format chrome -o trace.json
-//	progmp-trace -kinds PUSH,DROP -o pushes.jsonl
+//	mpsim -scheduler redundant -send 262144 -trace t.jsonl
+//	progmp-trace -format summary t.jsonl
+//	progmp-trace -format chrome -o trace.json t.jsonl
+//	progmpctl -s /tmp/mpsim.sock watch | progmp-trace -kinds PUSH,DROP
 //
 // Formats:
 //
@@ -22,101 +24,82 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"time"
 
-	"progmp"
-	"progmp/cmd/internal/scenario"
-	"progmp/internal/ctl"
 	"progmp/internal/obs"
 )
 
-// output selects what a replay emits and where.
-type output struct {
-	format  string
-	file    string // "" = stdout
-	kinds   string
-	metrics bool
-	ringCap int
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values: 0 done, 1
+// the trace could not be read or written, 2 the command line was
+// refused.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("progmp-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	format := fs.String("format", "jsonl", "output format: jsonl, chrome, summary")
+	file := fs.String("o", "", "output file (default stdout)")
+	kinds := fs.String("kinds", "", "comma-separated event kinds to keep (e.g. PUSH,DROP); empty keeps all")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: progmp-trace [-format jsonl|chrome|summary] [-kinds K,...] [-o FILE] [TRACE]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 1 {
+		fs.Usage()
+		return 2
+	}
+	if err := render(fs.Arg(0), *format, *kinds, *file, stdin, stdout); err != nil {
+		fmt.Fprintln(stderr, "progmp-trace:", err)
+		return 1
+	}
+	return 0
 }
 
-func main() {
-	var sc scenario.Scenario
-	var o output
-	sc.RegisterFlags(flag.CommandLine, 1<<18)
-	flag.IntVar(&o.ringCap, "cap", 0, "trace ring capacity in events (0 = default 65536)")
-	flag.StringVar(&o.format, "format", "jsonl", "output format: jsonl, chrome, summary")
-	flag.StringVar(&o.file, "o", "", "output file (default stdout)")
-	flag.StringVar(&o.kinds, "kinds", "", "comma-separated event kinds to keep (e.g. PUSH,DROP); empty keeps all")
-	flag.BoolVar(&o.metrics, "metrics", false, "append the metrics registry to stderr")
-	top := flag.Bool("top", false, "live fleet summary of a running control plane instead of a replay (progmp-top mode)")
-	topAddr := flag.String("s", "/tmp/progmp.sock", "-top: control-plane address (Unix socket path or host:port)")
-	topInterval := flag.Duration("interval", time.Second, "-top: refresh interval")
-	topCount := flag.Int("count", 0, "-top: number of refreshes (0 = until interrupted)")
-	flag.Parse()
-
-	var err error
-	if *top {
-		err = runTop(*topAddr, *topInterval, *topCount)
-	} else {
-		err = run(&sc, o)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "progmp-trace:", err)
-		os.Exit(1)
-	}
-}
-
-func run(sc *scenario.Scenario, o output) error {
-	tracer, reg, err := replay(sc, o.ringCap)
-	if err != nil {
-		return err
-	}
-	events := tracer.Events()
-	if o.kinds != "" {
-		events, err = filterKinds(events, o.kinds)
-		if err != nil {
-			return err
-		}
-	}
-	var w io.Writer = os.Stdout
-	if o.file != "" {
-		f, err := os.Create(o.file)
+// render reads the trace (stdin when trace is ""), keeps the listed
+// kinds and writes it in format to file (stdout when file is "").
+func render(trace, format, kinds, file string, stdin io.Reader, stdout io.Writer) error {
+	in := stdin
+	if trace != "" {
+		f, err := os.Open(trace)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		w = f
+		in = f
 	}
-	if err := emit(w, o.format, events, tracer.Dropped()); err != nil {
+	events, err := obs.ReadJSONL(in)
+	if err != nil {
+		if trace != "" {
+			err = fmt.Errorf("%s: %w", trace, err)
+		}
 		return err
 	}
-	if o.metrics {
-		fmt.Fprint(os.Stderr, reg.Render())
+	if kinds != "" {
+		if events, err = filterKinds(events, kinds); err != nil {
+			return err
+		}
 	}
-	return nil
-}
-
-// replay runs the scenario with tracing and metrics attached and
-// returns the instruments after the simulation drains.
-func replay(sc *scenario.Scenario, ringCap int) (*progmp.Tracer, *progmp.Metrics, error) {
-	tracer := progmp.NewTracer(ringCap)
-	reg := progmp.NewMetrics()
-	w := sc.NewWorld()
-	conn, err := sc.Dial(w, tracer, reg)
+	if file == "" {
+		return emit(stdout, format, events)
+	}
+	f, err := os.Create(file)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	w.Net.At(0, func() { conn.SendWithIntent(sc.Send, sc.Prop) })
-	w.Net.Run(sc.Duration)
-	return tracer, reg, nil
+	if err := emit(f, format, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // filterKinds keeps only events whose kind is in the comma-separated
 // list.
-func filterKinds(events []progmp.TraceEvent, kinds string) ([]progmp.TraceEvent, error) {
+func filterKinds(events []obs.Event, kinds string) ([]obs.Event, error) {
 	keep := map[obs.EventKind]bool{}
 	for _, name := range strings.Split(kinds, ",") {
 		name = strings.TrimSpace(name)
@@ -129,7 +112,7 @@ func filterKinds(events []progmp.TraceEvent, kinds string) ([]progmp.TraceEvent,
 		}
 		keep[k] = true
 	}
-	var out []progmp.TraceEvent
+	var out []obs.Event
 	for _, ev := range events {
 		if keep[ev.Kind] {
 			out = append(out, ev)
@@ -138,14 +121,14 @@ func filterKinds(events []progmp.TraceEvent, kinds string) ([]progmp.TraceEvent,
 	return out, nil
 }
 
-func emit(w io.Writer, format string, events []progmp.TraceEvent, dropped uint64) error {
+func emit(w io.Writer, format string, events []obs.Event) error {
 	switch format {
 	case "jsonl":
-		return progmp.WriteTraceJSONL(w, events)
+		return obs.WriteJSONL(w, events)
 	case "chrome":
-		return progmp.WriteChromeTrace(w, events)
+		return obs.WriteChromeTrace(w, events)
 	case "summary":
-		return writeSummary(w, events, dropped)
+		return writeSummary(w, events)
 	default:
 		return fmt.Errorf("unknown format %q", format)
 	}
@@ -153,8 +136,10 @@ func emit(w io.Writer, format string, events []progmp.TraceEvent, dropped uint64
 
 // writeSummary renders per-kind counts, per-subflow pushes and the
 // attribution statistics: how many transmissions trace back to a
-// scheduler execution event retained in the ring.
-func writeSummary(w io.Writer, events []progmp.TraceEvent, dropped uint64) error {
+// scheduler execution event in the trace. A file does not know how
+// many events its recorder's ring overwrote; mpsim prints that count
+// when it writes the file.
+func writeSummary(w io.Writer, events []obs.Event) error {
 	kindCount := map[string]int{}
 	sbfPushes := map[int32]int{}
 	execs := map[uint64]bool{}
@@ -175,7 +160,7 @@ func writeSummary(w io.Writer, events []progmp.TraceEvent, dropped uint64) error
 			attributed++
 		}
 	}
-	fmt.Fprintf(w, "events    %d retained, %d overwritten\n", len(events), dropped)
+	fmt.Fprintf(w, "events %d\n", len(events))
 	names := make([]string, 0, len(kindCount))
 	for name := range kindCount {
 		names = append(names, name)
@@ -212,90 +197,4 @@ func writeSummary(w io.Writer, events []progmp.TraceEvent, dropped uint64) error
 		fmt.Fprintf(w, "quarantined scheduler was admitted with %d analyzer warning(s); run progmp-vet on it\n", admissionWarn)
 	}
 	return nil
-}
-
-// runTop is progmp-top: a live fleet dashboard over a running control
-// plane. Each frame shows the connection table (list verb) and the
-// fleet-aggregated metrics (metrics-agg verb) — totals, hot-path
-// latency quantiles, control-plane self-metrics.
-func runTop(addr string, interval time.Duration, count int) error {
-	network := ctl.NetworkOf(addr)
-	c, err := ctl.Dial(network, addr)
-	if err != nil {
-		return fmt.Errorf("connecting to %s://%s: %w", network, addr, err)
-	}
-	defer c.Close()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	defer signal.Stop(sig)
-	for i := 0; count <= 0 || i < count; i++ {
-		if i > 0 {
-			select {
-			case <-sig:
-				return nil
-			case <-time.After(interval):
-			}
-		}
-		frame, err := topFrame(c)
-		if err != nil {
-			return err
-		}
-		if count != 1 {
-			// Clear and home between refreshes; a single-shot frame
-			// (-count 1) stays pipeable.
-			fmt.Print("\x1b[2J\x1b[H")
-		}
-		fmt.Print(frame)
-	}
-	return nil
-}
-
-// topFrame renders one dashboard frame.
-func topFrame(c *ctl.Client) (string, error) {
-	ping, err := c.Ping()
-	if err != nil {
-		return "", err
-	}
-	list, err := c.List()
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "progmp-top  virtual %v  conns %d\n",
-		(time.Duration(ping.NowUS) * time.Microsecond).Round(time.Millisecond), len(list.Conns))
-	for _, ci := range list.Conns {
-		sched := ci.Scheduler
-		if ci.Supervised {
-			sched += " guarded:" + ci.GuardState
-		}
-		fmt.Fprintf(&b, "  conn %-2d %-10s %-24s queued=%-6d unacked=%-6d allAcked=%v\n",
-			ci.ID, ci.Name, sched, ci.QueuedSegs, ci.UnackedSegs, ci.AllAcked)
-	}
-	// Fleet aggregation is optional server-side; a server without an
-	// aggregator still gets the connection table.
-	agg, err := c.MetricsAgg("json")
-	if err != nil || agg.Snapshot == nil {
-		fmt.Fprintf(&b, "fleet metrics unavailable: no aggregator attached\n")
-		return b.String(), nil
-	}
-	snap := agg.Snapshot
-	fmt.Fprintf(&b, "fleet    %d metric sources\n", agg.NumSources)
-	for _, name := range []string{"conn.sched_execs", "conn.pushes", "conn.reinjects", "conn.drops", "ctl.requests"} {
-		if v, ok := snap.Counters[name]; ok {
-			fmt.Fprintf(&b, "  %-24s %12d\n", name, v)
-		}
-	}
-	// A connection times one scheduler execution in 16, so the two
-	// conn histograms count a sample, not every execution.
-	for _, hist := range []struct{ name, note string }{
-		{"conn.sched_exec_ns", " (1 in 16 sampled)"},
-		{"conn.sched_apply_ns", " (1 in 16 sampled)"},
-		{"ctl.request_ns", ""},
-	} {
-		if h, ok := snap.Hists[hist.name]; ok && h.Count > 0 {
-			fmt.Fprintf(&b, "  %-24s n=%-9d p50=%-7d p99=%-7d p999=%d ns%s\n",
-				hist.name, h.Count, h.P50, h.P99, h.P999, hist.note)
-		}
-	}
-	return b.String(), nil
 }

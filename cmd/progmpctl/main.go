@@ -26,6 +26,9 @@
 //	metrics-agg [json|text]      fleet-wide aggregated metrics (text = OpenMetrics)
 //	drain                        gracefully shut the server down
 //	watch   [kinds...]           stream trace events as JSONL (ctrl-C to stop)
+//	top     [N]                  live dashboard: connections and fleet metrics,
+//	                             refreshed every second N times (0 or absent =
+//	                             until ctrl-C; top 1 prints one pipeable frame)
 //
 // ADDR is a Unix socket path (default /tmp/progmp.sock) or host:port
 // for TCP. -conn selects the target connection from `list` (default 1).
@@ -40,7 +43,8 @@
 //	progmpctl -s /tmp/mpsim.sock list
 //	progmpctl -s /tmp/mpsim.sock setreg R1 4000000
 //	progmpctl -s /tmp/mpsim.sock swap redundant
-//	progmpctl -s /tmp/mpsim.sock watch SCHED_SWAP QUARANTINE
+//	progmpctl -s /tmp/mpsim.sock watch SCHED_SWAP GUARD_QUARANTINE
+//	progmpctl -s /tmp/mpsim.sock top
 package main
 
 import (
@@ -84,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.IntVar(&o.retries, "retries", 0, "attempts for read-only verbs across reconnects (0 = default)")
 	fl.Usage = func() {
 		fmt.Fprintf(stderr, "usage: progmpctl [-s ADDR] [-conn N] <command> [args]\n")
-		fmt.Fprintf(stderr, "commands: ping list schedulers compile swap getreg setreg gget gset deststats send metrics metrics-agg drain watch\n")
+		fmt.Fprintf(stderr, "commands: ping list schedulers compile swap getreg setreg gget gset deststats send metrics metrics-agg drain watch top\n")
 		fl.PrintDefaults()
 	}
 	if err := fl.Parse(args); err != nil {
@@ -311,6 +315,19 @@ func command(o options, args []string, w, stderr io.Writer) error {
 		return nil
 	case "watch":
 		return watch(c, o.connID, rest, w, stderr)
+	case "top":
+		if len(rest) > 1 {
+			return fmt.Errorf("top [N]")
+		}
+		count := 0
+		if len(rest) == 1 {
+			n, err := strconv.Atoi(rest[0])
+			if err != nil || n < 0 {
+				return fmt.Errorf("bad refresh count %q (want N >= 0)", rest[0])
+			}
+			count = n
+		}
+		return top(c, count, w)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
@@ -485,4 +502,89 @@ func watch(rc *ctl.ReClient, connID int, kinds []string, w, stderr io.Writer) er
 			return nil
 		}
 	}
+}
+
+// topInterval is the dashboard's refresh period.
+const topInterval = time.Second
+
+// top is a live fleet dashboard over the control plane: each frame
+// shows the connection table (list verb) and the fleet-aggregated
+// metrics (metrics-agg verb) — totals, hot-path latency quantiles,
+// control-plane self-metrics. It draws count frames, or until
+// interrupted when count is 0. Every verb it calls is read-only, so
+// the client's retries carry it across reconnects.
+func top(c *ctl.ReClient, count int, w io.Writer) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	defer signal.Stop(sig)
+	for i := 0; count == 0 || i < count; i++ {
+		if i > 0 {
+			select {
+			case <-sig:
+				return nil
+			case <-time.After(topInterval):
+			}
+		}
+		frame, err := topFrame(c)
+		if err != nil {
+			return err
+		}
+		if count != 1 {
+			// Clear and home between refreshes; a single frame (top 1)
+			// stays pipeable.
+			fmt.Fprint(w, "\x1b[2J\x1b[H")
+		}
+		fmt.Fprint(w, frame)
+	}
+	return nil
+}
+
+// topFrame renders one dashboard frame.
+func topFrame(c *ctl.ReClient) (string, error) {
+	ping, err := c.Ping()
+	if err != nil {
+		return "", err
+	}
+	list, err := c.List()
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "progmp-top  virtual %v  conns %d\n",
+		(time.Duration(ping.NowUS) * time.Microsecond).Round(time.Millisecond), len(list.Conns))
+	for _, ci := range list.Conns {
+		sched := ci.Scheduler
+		if ci.Supervised {
+			sched += " guarded:" + ci.GuardState
+		}
+		fmt.Fprintf(&b, "  conn %-2d %-10s %-24s queued=%-6d unacked=%-6d allAcked=%v\n",
+			ci.ID, ci.Name, sched, ci.QueuedSegs, ci.UnackedSegs, ci.AllAcked)
+	}
+	// Fleet aggregation is optional server-side; a server without an
+	// aggregator still gets the connection table.
+	agg, err := c.MetricsAgg("json")
+	if err != nil || agg.Snapshot == nil {
+		fmt.Fprintf(&b, "fleet metrics unavailable: no aggregator attached\n")
+		return b.String(), nil
+	}
+	snap := agg.Snapshot
+	fmt.Fprintf(&b, "fleet    %d metric sources\n", agg.NumSources)
+	for _, name := range []string{"conn.sched_execs", "conn.pushes", "conn.reinjects", "conn.drops", "ctl.requests"} {
+		if v, ok := snap.Counters[name]; ok {
+			fmt.Fprintf(&b, "  %-24s %12d\n", name, v)
+		}
+	}
+	// A connection times one scheduler execution in 16, so the two
+	// conn histograms count a sample, not every execution.
+	for _, hist := range []struct{ name, note string }{
+		{"conn.sched_exec_ns", " (1 in 16 sampled)"},
+		{"conn.sched_apply_ns", " (1 in 16 sampled)"},
+		{"ctl.request_ns", ""},
+	} {
+		if h, ok := snap.Hists[hist.name]; ok && h.Count > 0 {
+			fmt.Fprintf(&b, "  %-24s n=%-9d p50=%-7d p99=%-7d p999=%d ns%s\n",
+				hist.name, h.Count, h.P50, h.P99, h.P999, hist.note)
+		}
+	}
+	return b.String(), nil
 }

@@ -71,12 +71,18 @@ func TestVerbsAgainstLiveServer(t *testing.T) {
 		{[]string{"swap", "redundant"}, "conn 1: minRTT -> redundant on vm backend"},
 		{[]string{"list"}, "sched=redundant"},
 		{[]string{"getreg", "2"}, "R3 = 4000000"},
+		{[]string{"top", "1"}, "  conn 1  c1         redundant "},
+		{[]string{"top", "1"}, "fleet metrics unavailable: no aggregator attached"},
 	}
 	for _, st := range steps {
 		code, stdout, stderr := ctlRun(sock, st.args...)
 		if code != 0 || !strings.Contains(stdout, st.want) {
 			t.Fatalf("progmpctl %v: exit %d, stderr %q, stdout:\n%s\nwant a line with %q", st.args, code, stderr, stdout, st.want)
 		}
+	}
+	// One frame is pipeable: no screen-clearing escape before it.
+	if _, stdout, _ := ctlRun(sock, "top", "1"); !strings.HasPrefix(stdout, "progmp-top  virtual ") {
+		t.Fatalf("top 1 does not open with its header:\n%q", stdout)
 	}
 }
 
@@ -93,6 +99,8 @@ func TestUsageAndErrors(t *testing.T) {
 		{[]string{"-s", sock, "setreg", "R9", "1"}, 1, `bad register "R9"`},
 		{[]string{"-s", sock, "swap", "no-such-program"}, 1, "neither a built-in scheduler nor a readable file"},
 		{[]string{"-s", sock, "-conn", "7", "getreg", "R1"}, 1, "unknown conn id 7"},
+		{[]string{"-s", sock, "top", "-1"}, 1, `bad refresh count "-1"`},
+		{[]string{"-s", sock, "top", "1", "2"}, 1, "top [N]"},
 	} {
 		var out, errw bytes.Buffer
 		code := run(tc.args, &out, &errw)

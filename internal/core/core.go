@@ -79,26 +79,19 @@ func ParseBackend(name string) (Backend, error) {
 type Stats struct {
 	//progmp:ignore testonly bench/exec.go reads it (vm.steps_per_decision)
 	Executions int64
-	// GenericExecs counts VM executions that ran the generic program:
-	// more subflows than runtime.MaxSubflows, a specialization that
-	// failed to compile, or a specialized execution that failed and
-	// fell back. Executions - GenericExecs is the specialization hit
-	// count. Always 0 on the non-VM back-ends.
-	//progmp:ignore testonly TestConcurrentExecIsSafe asserts no execution ran the generic program
-	GenericExecs int64
-	// FallbackErrors counts executions where even the generic program
-	// failed (step-budget overrun or verifier-escaping fault); the
-	// execution's actions were discarded. Always 0 on the non-VM
-	// back-ends.
-	//progmp:ignore testonly TestFallbackErrorsObservable asserts it
-	FallbackErrors int64
 	// Steps is the total executed VM instructions, collected only
 	// while step counting is enabled (EnableStepMetrics).
 	//progmp:ignore testonly bench/exec.go reads it (vm.steps_per_decision)
 	Steps int64
 }
 
-// Metric names used by the per-scheduler registry.
+// Metric names used by the per-scheduler registry. vm.generic_execs
+// counts VM executions that ran the generic program: more subflows
+// than runtime.MaxSubflows, a specialization that failed to compile,
+// or a specialized execution that failed and fell back.
+// sched.fallback_errors counts executions where even the generic
+// program failed (step-budget overrun or verifier-escaping fault) and
+// whose actions were discarded. Both stay 0 on the non-VM back-ends.
 const (
 	MetricExecutions     = "sched.executions"
 	MetricFallbackErrors = "sched.fallback_errors"
@@ -372,10 +365,8 @@ func (s *Scheduler) EnableStepMetrics() {
 //progmp:ignore testonly only bench/ reads it (vm.steps_per_decision); ROADMAP item 3 decides its fate
 func (s *Scheduler) Stats() Stats {
 	return Stats{
-		Executions:     s.mExecutions.Value(),
-		GenericExecs:   s.mGenericExec.Value(),
-		FallbackErrors: s.mFallbackErrs.Value(),
-		Steps:          s.mSteps.Value(),
+		Executions: s.mExecutions.Value(),
+		Steps:      s.mSteps.Value(),
 	}
 }
 

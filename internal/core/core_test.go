@@ -106,8 +106,8 @@ func TestConcurrentExecIsSafe(t *testing.T) {
 	if got := s.metrics.Counter(MetricSpecCompiled).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricSpecCompiled, got)
 	}
-	if got := s.Stats().GenericExecs; got != 0 {
-		t.Errorf("GenericExecs = %d, want 0", got)
+	if got := s.metrics.Counter(MetricGenericExecs).Value(); got != 0 {
+		t.Errorf("%s = %d, want 0", MetricGenericExecs, got)
 	}
 }
 
@@ -130,9 +130,8 @@ func TestFallbackErrorsObservable(t *testing.T) {
 	if len(env.Actions) != 0 {
 		t.Errorf("failed execution left %d actions; must have no effects", len(env.Actions))
 	}
-	st := s.Stats()
-	if st.FallbackErrors != 1 {
-		t.Errorf("FallbackErrors = %d, want 1", st.FallbackErrors)
+	if got := s.metrics.Counter(MetricFallbackErrors).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricFallbackErrors, got)
 	}
 	found := false
 	for _, ev := range tracer.Events() {

@@ -10,7 +10,8 @@ import (
 )
 
 // ChaosConfig tunes a ChaosProxy: seeded, wire-level fault injection
-// for the control plane, the ctl analogue of netsim.ChaosSpec for the
+// for the control plane, the ctl analogue of the netsim fault
+// injectors (loss models, FlapRate, duplication, reordering) for the
 // data plane. Each accepted connection rolls a fate from the seeded
 // stream — pass through clean, die abruptly after a random life, stall
 // (the proxy keeps the sockets open but stops forwarding, the shape of

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/mptcp"
 	"progmp/internal/netsim"
 )
@@ -23,7 +22,7 @@ type AblationResult struct {
 // trigger (Fig. 4: against purely ACK-clocked scheduling). minRTT
 // sends 128 KiB at time 0 over two 3 MB/s paths of 5 ms and 20 ms one
 // way.
-func Ablations(backend core.Backend, seed int64) ([]AblationResult, error) {
+func Ablations(seed int64) ([]AblationResult, error) {
 	choices := []struct {
 		name    string
 		without mptcp.Config
@@ -31,13 +30,13 @@ func Ablations(backend core.Backend, seed int64) ([]AblationResult, error) {
 		{"compressed executions", mptcp.Config{MaxSchedIterations: 1}},
 		{"TSQ-drain trigger", mptcp.Config{DisableTSQWake: true}},
 	}
-	with, withExecs, err := ablationTransfer(mptcp.Config{}, backend, seed)
+	with, withExecs, err := ablationTransfer(mptcp.Config{}, seed)
 	if err != nil {
 		return nil, err
 	}
 	var out []AblationResult
 	for _, c := range choices {
-		without, withoutExecs, err := ablationTransfer(c.without, backend, seed)
+		without, withoutExecs, err := ablationTransfer(c.without, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -48,8 +47,8 @@ func Ablations(backend core.Backend, seed int64) ([]AblationResult, error) {
 
 // ablationTransfer runs the ablation transfer under cfg and returns
 // its flow completion time and scheduler executions.
-func ablationTransfer(cfg mptcp.Config, backend core.Backend, seed int64) (time.Duration, int64, error) {
-	s, err := NewScenario(seed, cfg, backend, "minRTT",
+func ablationTransfer(cfg mptcp.Config, seed int64) (time.Duration, int64, error) {
+	s, err := NewScenario(seed, cfg, "minRTT",
 		mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p0", Rate: netsim.ConstantRate(3e6), Delay: 5 * time.Millisecond}},
 		mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p1", Rate: netsim.ConstantRate(3e6), Delay: 20 * time.Millisecond}},
 	)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/mptcp"
 	"progmp/internal/netsim"
 	"progmp/internal/schedlib"
@@ -29,7 +28,7 @@ type CompensationPoint struct {
 // subflows whose RTT ratio is swept; the application signals the end
 // of flow, enabling the Compensating schedulers to retransmit
 // still-in-flight packets across subflows.
-func CompensationSweep(backend core.Backend, ratios []float64, runs int) ([]CompensationPoint, error) {
+func CompensationSweep(ratios []float64, runs int) ([]CompensationPoint, error) {
 	// High path rates and a flow on the order of the aggregate initial
 	// congestion window keep the short flow RTT-dominated — Fig. 11 is
 	// about "the end of a short flow", where the last in-flight
@@ -48,7 +47,7 @@ func CompensationSweep(backend core.Backend, ratios []float64, runs int) ([]Comp
 					{Path: netsim.PathConfig{Name: "fast", Rate: netsim.ConstantRate(8e6), Delay: fastOneWay}},
 					{Path: netsim.PathConfig{Name: "slow", Rate: netsim.ConstantRate(8e6), Delay: time.Duration(float64(fastOneWay) * ratio)}},
 				}
-				s, err := NewScenario(int64(run*37+5), mptcp.Config{}, backend, scheduler, paths...)
+				s, err := NewScenario(int64(run*37+5), mptcp.Config{}, scheduler, paths...)
 				if err != nil {
 					return nil, err
 				}

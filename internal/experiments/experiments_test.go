@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/mptcp"
 )
 
@@ -16,15 +15,15 @@ import (
 //   - TAP keeps the LTE share minimal in the low phase while
 //     sustaining the high phase.
 func TestStreamingShapes(t *testing.T) {
-	def, err := Streaming(StreamingDefault, core.BackendCompiled, 3)
+	def, err := Streaming(StreamingDefault, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bak, err := Streaming(StreamingBackup, core.BackendCompiled, 3)
+	bak, err := Streaming(StreamingBackup, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap, err := Streaming(StreamingTAP, core.BackendCompiled, 3)
+	tap, err := Streaming(StreamingTAP, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestStreamingShapes(t *testing.T) {
 // under 2% loss: every redundancy flavor beats the default scheduler,
 // and RedundantIfNoQ is best overall.
 func TestRedundancyFCTShapes(t *testing.T) {
-	points, err := RedundancyFCT(core.BackendCompiled, []int{16, 64, 256}, RedundancySchedulers, 16)
+	points, err := RedundancyFCT([]int{16, 64, 256}, RedundancySchedulers, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestRedundancyFCTShapes(t *testing.T) {
 // achieve near-maximum bulk throughput while the full redundant
 // scheduler is bounded by a single path.
 func TestRedundancyThroughputShapes(t *testing.T) {
-	points, err := RedundancyThroughput(core.BackendCompiled, RedundancySchedulers, 11)
+	points, err := RedundancyThroughput(RedundancySchedulers, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestRedundancyThroughputShapes(t *testing.T) {
 // and SelectiveCompensation switches behaviour around ratio 2.
 func TestCompensationShapes(t *testing.T) {
 	ratios := []float64{1, 2, 4, 6}
-	points, err := CompensationSweep(core.BackendCompiled, ratios, 4)
+	points, err := CompensationSweep(ratios, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestCompensationShapes(t *testing.T) {
 // far less of the metered LTE subflow.
 func TestHTTP2Shapes(t *testing.T) {
 	delays := []time.Duration{0, 40 * time.Millisecond, 80 * time.Millisecond}
-	points, err := HTTP2Sweep(core.BackendCompiled, delays, 5)
+	points, err := HTTP2Sweep(delays, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +238,11 @@ func TestHTTP2Shapes(t *testing.T) {
 // TestHandoverShapes asserts §5.2: the handover-aware scheduler
 // shortens the delivery interruption after a WiFi collapse.
 func TestHandoverShapes(t *testing.T) {
-	def, err := Handover("minRTT", core.BackendCompiled, 9)
+	def, err := Handover("minRTT", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := Handover("handoverAware", core.BackendCompiled, 9)
+	aware, err := Handover("handoverAware", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +260,11 @@ func TestHandoverShapes(t *testing.T) {
 // TargetRTT scheduler keeps tail latency below the default-with-backup
 // configuration while still preserving preferences outside the spike.
 func TestTargetRTTShapes(t *testing.T) {
-	def, err := TargetRTT("minRTT", core.BackendCompiled, 13)
+	def, err := TargetRTT("minRTT", 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := TargetRTT("targetRTT", core.BackendCompiled, 13)
+	aware, err := TargetRTT("targetRTT", 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +286,7 @@ func TestTargetRTTShapes(t *testing.T) {
 // TestReceiverComparisonShapes asserts §4.2: the optimized receiver
 // delivers no later and holds nothing at the subflow level.
 func TestReceiverComparisonShapes(t *testing.T) {
-	results, err := ReceiverComparison(core.BackendCompiled, 17)
+	results, err := ReceiverComparison(17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +399,11 @@ func TestMemoryFootprints(t *testing.T) {
 // path silently becomes the better one under a thin flow, only the
 // probing scheduler notices and migrates.
 func TestProbingShapes(t *testing.T) {
-	def, err := Probing("minRTT", core.BackendCompiled, 19)
+	def, err := Probing("minRTT", 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := Probing("probingMinRTT", core.BackendCompiled, 19)
+	probe, err := Probing("probingMinRTT", 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,11 +431,11 @@ func TestProbingShapes(t *testing.T) {
 // bulk transfer faster than the plain default, by re-sending
 // window-blocking slow-path packets on the fast subflow.
 func TestOpportunisticRetransmissionShape(t *testing.T) {
-	plain, err := Opportunistic("minRTT", core.BackendCompiled, 33)
+	plain, err := Opportunistic("minRTT", 33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opp, err := Opportunistic("minRTTOpportunistic", core.BackendCompiled, 33)
+	opp, err := Opportunistic("minRTTOpportunistic", 33)
 	if err != nil {
 		t.Fatal(err)
 	}

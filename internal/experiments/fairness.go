@@ -27,7 +27,7 @@ type FairnessResult struct {
 
 // Fairness runs the shared-bottleneck experiment for one
 // congestion-control algorithm.
-func Fairness(ccName string, backend core.Backend, seed int64) (FairnessResult, error) {
+func Fairness(ccName string, seed int64) (FairnessResult, error) {
 	var cc mptcp.CongestionControl
 	switch ccName {
 	case "lia":
@@ -71,7 +71,7 @@ func Fairness(ccName string, backend core.Backend, seed int64) (FairnessResult, 
 		if err != nil {
 			return nil, err
 		}
-		sched, err := core.Load("minRTT", schedlib.MinRTT, backend)
+		sched, err := core.Load("minRTT", schedlib.MinRTT, core.BackendVM)
 		if err != nil {
 			return nil, err
 		}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"testing"
-
-	"progmp/internal/core"
 )
 
 // TestFairnessShapes asserts the coupled-congestion-control story
@@ -13,7 +11,7 @@ import (
 func TestFairnessShapes(t *testing.T) {
 	results := map[string]FairnessResult{}
 	for _, cc := range []string{"reno", "lia", "olia"} {
-		r, err := Fairness(cc, core.BackendCompiled, 29)
+		r, err := Fairness(cc, 29)
 		if err != nil {
 			t.Fatal(err)
 		}

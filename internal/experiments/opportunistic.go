@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/mptcp"
 	"progmp/internal/netsim"
 )
@@ -27,14 +26,14 @@ type OpportunisticResult struct {
 // without opportunistic retransmission the fast subflow starves on
 // window-blocked data, with it the blocking packets are duplicated
 // onto the fast path.
-func Opportunistic(scheduler string, backend core.Backend, seed int64) (OpportunisticResult, error) {
+func Opportunistic(scheduler string, seed int64) (OpportunisticResult, error) {
 	paths := []mptcp.SubflowSpec{
 		{Path: netsim.PathConfig{Name: "fast", Rate: netsim.ConstantRate(4e6), Delay: 5 * time.Millisecond}},
 		{Path: netsim.PathConfig{Name: "slow", Rate: netsim.ConstantRate(4e6), Delay: 120 * time.Millisecond}},
 	}
 	// 32 KiB receive buffer ≈ 22 segments: far below the slow path's
 	// bandwidth-delay product, so window blocking dominates.
-	s, err := NewScenario(seed, mptcp.Config{RcvBuf: 32 << 10}, backend, scheduler, paths...)
+	s, err := NewScenario(seed, mptcp.Config{RcvBuf: 32 << 10}, scheduler, paths...)
 	if err != nil {
 		return OpportunisticResult{}, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/mptcp"
 	"progmp/internal/netsim"
 )
@@ -31,7 +30,7 @@ type ProbingResult struct {
 // estimate for it stays frozen at 30 ms and every request keeps going
 // over A; the probing scheduler refreshes B's estimate with occasional
 // redundant probes and migrates.
-func Probing(scheduler string, backend core.Backend, seed int64) (ProbingResult, error) {
+func Probing(scheduler string, seed int64) (ProbingResult, error) {
 	const improveAt = 2 * time.Second
 	pathBDelay := func(at time.Duration) time.Duration {
 		if at >= improveAt {
@@ -43,7 +42,7 @@ func Probing(scheduler string, backend core.Backend, seed int64) (ProbingResult,
 		{Path: netsim.PathConfig{Name: "a", Rate: netsim.ConstantRate(4e6), Delay: 10 * time.Millisecond}},
 		{Path: netsim.PathConfig{Name: "b", Rate: netsim.ConstantRate(4e6), DelayFn: pathBDelay}},
 	}
-	s, err := NewScenario(seed, mptcp.Config{}, backend, scheduler, paths...)
+	s, err := NewScenario(seed, mptcp.Config{}, scheduler, paths...)
 	if err != nil {
 		return ProbingResult{}, err
 	}

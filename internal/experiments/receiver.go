@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/mptcp"
 	"progmp/internal/netsim"
 )
@@ -28,14 +27,14 @@ type ReceiverResult struct {
 // the decisive pattern: a hole on one subflow is filled via the other,
 // but the legacy receiver still withholds the first subflow's
 // subsequent segments until its own retransmission lands.
-func ReceiverComparison(backend core.Backend, seed int64) ([]ReceiverResult, error) {
+func ReceiverComparison(seed int64) ([]ReceiverResult, error) {
 	const runs = 8
 	var out []ReceiverResult
 	for _, mode := range []mptcp.ReceiverMode{mptcp.ReceiverLegacy, mptcp.ReceiverOptimized} {
 		var meanSum, fctSum time.Duration
 		var held int64
 		for run := int64(0); run < runs; run++ {
-			s, err := NewScenario(seed+run*131, mptcp.Config{ReceiverMode: mode}, backend, "minRTT",
+			s, err := NewScenario(seed+run*131, mptcp.Config{ReceiverMode: mode}, "minRTT",
 				mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p1", Rate: netsim.ConstantRate(2e6), Delay: 10 * time.Millisecond, Loss: netsim.BernoulliLoss{P: 0.03}}},
 				mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p2", Rate: netsim.ConstantRate(2e6), Delay: 25 * time.Millisecond, Loss: netsim.BernoulliLoss{P: 0.03}}},
 			)

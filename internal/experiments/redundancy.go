@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/mptcp"
 	"progmp/internal/netsim"
 )
@@ -34,7 +33,7 @@ type FCTPoint struct {
 // RedundancyFCT reproduces Fig. 10b: average flow completion time vs
 // flow size under 2% loss for the default and the three redundant
 // schedulers, averaged over runs seeds.
-func RedundancyFCT(backend core.Backend, flowKBs []int, schedulers []string, runs int) ([]FCTPoint, error) {
+func RedundancyFCT(flowKBs []int, schedulers []string, runs int) ([]FCTPoint, error) {
 	var out []FCTPoint
 	for _, scheduler := range schedulers {
 		for _, kb := range flowKBs {
@@ -46,7 +45,7 @@ func RedundancyFCT(backend core.Backend, flowKBs []int, schedulers []string, run
 				// aggregate at one TCP's throughput on these equal
 				// disjoint paths (RFC 6356 goal), drowning the
 				// scheduler comparison.
-				s, err := NewScenario(int64(run*101+7), mptcp.Config{CC: mptcp.Reno{}}, backend, scheduler, lossyPaths(0.02)...)
+				s, err := NewScenario(int64(run*101+7), mptcp.Config{CC: mptcp.Reno{}}, scheduler, lossyPaths(0.02)...)
 				if err != nil {
 					return nil, err
 				}
@@ -115,12 +114,12 @@ type ThroughputPoint struct {
 // environment matches the Fig. 10b Mininet setup (2 subflows, 2%
 // loss); the loss keeps congestion windows near the BDP, which is what
 // lets OpportunisticRedundant favour fresh packets under backlog.
-func RedundancyThroughput(backend core.Backend, schedulers []string, seed int64) ([]ThroughputPoint, error) {
+func RedundancyThroughput(schedulers []string, seed int64) ([]ThroughputPoint, error) {
 	paths := lossyPaths(0.02)
 	const duration = 10 * time.Second
 
 	goodput := func(scheduler string, pathSubset []mptcp.SubflowSpec, bursty bool) (float64, error) {
-		s, err := NewScenario(seed, mptcp.Config{CC: mptcp.Reno{}}, backend, scheduler, pathSubset...)
+		s, err := NewScenario(seed, mptcp.Config{CC: mptcp.Reno{}}, scheduler, pathSubset...)
 		if err != nil {
 			return 0, err
 		}

@@ -24,13 +24,14 @@ type Scenario struct {
 }
 
 // NewScenario builds a connection over the given paths with the named
-// schedlib scheduler.
-func NewScenario(seed int64, cfg mptcp.Config, backend core.Backend, scheduler string, paths ...mptcp.SubflowSpec) (*Scenario, error) {
+// schedlib scheduler, loaded on the VM (a trajectory does not depend
+// on the back-end).
+func NewScenario(seed int64, cfg mptcp.Config, scheduler string, paths ...mptcp.SubflowSpec) (*Scenario, error) {
 	src, ok := schedlib.All[scheduler]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scheduler %q", scheduler)
 	}
-	sched, err := core.Load(scheduler, src, backend)
+	sched, err := core.Load(scheduler, src, core.BackendVM)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"progmp/internal/core"
 	"progmp/internal/mptcp"
 	"progmp/internal/netsim"
 	"progmp/internal/schedlib"
@@ -54,7 +53,7 @@ const (
 // Streaming runs the interactive streaming session of Fig. 1/Fig. 13:
 // a 1 MB/s stream that rises to 4 MB/s at t=6 s over fluctuating WiFi
 // (~3 MB/s, 10 ms RTT) and LTE (8 MB/s, 40 ms RTT).
-func Streaming(variant StreamingVariant, backend core.Backend, seed int64) (StreamingResult, error) {
+func Streaming(variant StreamingVariant, seed int64) (StreamingResult, error) {
 	scheduler := "minRTT"
 	lteBackup := false
 	switch variant {
@@ -67,7 +66,7 @@ func Streaming(variant StreamingVariant, backend core.Backend, seed int64) (Stre
 	default:
 		return StreamingResult{}, fmt.Errorf("experiments: unknown streaming variant %q", variant)
 	}
-	s, err := NewScenario(seed, mptcp.Config{}, backend, scheduler, WiFi(), LTE(lteBackup))
+	s, err := NewScenario(seed, mptcp.Config{}, scheduler, WiFi(), LTE(lteBackup))
 	if err != nil {
 		return StreamingResult{}, err
 	}
@@ -176,7 +175,7 @@ type HandoverResult struct {
 // (sensor-based prediction, as in the paper's smooth-handover work).
 // Compared schedulers: the default MinRTT and the HandoverAware
 // scheduler of §5.2.
-func Handover(scheduler string, backend core.Backend, seed int64) (HandoverResult, error) {
+func Handover(scheduler string, seed int64) (HandoverResult, error) {
 	// The collapse happens early so the bulk transfer spans it.
 	wifiDown := 500 * time.Millisecond
 	wifi := mptcp.SubflowSpec{Path: netsim.PathConfig{
@@ -187,7 +186,7 @@ func Handover(scheduler string, backend core.Backend, seed int64) (HandoverResul
 		),
 		Delay: 5 * time.Millisecond,
 	}}
-	s, err := NewScenario(seed, mptcp.Config{}, backend, scheduler, wifi, LTE(false))
+	s, err := NewScenario(seed, mptcp.Config{}, scheduler, wifi, LTE(false))
 	if err != nil {
 		return HandoverResult{}, err
 	}

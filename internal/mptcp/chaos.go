@@ -11,7 +11,8 @@ import (
 
 // Chaos scenario driver: the connection-level half of the fault-
 // injection harness. A ChaosScenario describes a hostile network (the
-// link-level injectors live in netsim's ChaosSpec); RunChaos executes
+// link-level injectors are netsim.PathConfig's loss models, FlapRate
+// and its duplication, reordering and jitter fields); RunChaos executes
 // one seeded soak of a scheduler against it with the path manager and
 // conservation checker attached, so every run asserts the model's core
 // robustness claim — faults make a connection slow, never incorrect.
@@ -105,8 +106,8 @@ func runChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResu
 	return res, conn, chk.Check(int64(sendBytes))
 }
 
-// wifiPath is the chaotic-scenario baseline path: a moderate-rate,
-// moderate-delay link the injectors are layered onto.
+// wifiPath is a clean chaotic-scenario path: a moderate-rate,
+// moderate-delay link with no injector.
 func wifiPath(name string, rate float64, delay time.Duration) netsim.PathConfig {
 	return netsim.PathConfig{Name: name, Rate: netsim.ConstantRate(rate), Delay: delay}
 }
@@ -119,26 +120,26 @@ var ChaosScenarios = map[string]ChaosScenario{
 		Name: "bursty",
 		Desc: "Gilbert-Elliott bursty loss on both paths",
 		Paths: func() []SubflowSpec {
-			spec := func(name string, rate float64, delay time.Duration) SubflowSpec {
-				cs := netsim.ChaosSpec{Burst: &netsim.GilbertElliott{
-					PGood: 0.001, PBad: 0.3, PGoodToBad: 0.02, PBadToGood: 0.2,
+			spec := func(name string) SubflowSpec {
+				return SubflowSpec{Path: netsim.PathConfig{
+					Name: name, Rate: netsim.ConstantRate(2e6), Delay: 10 * time.Millisecond,
+					Loss: &netsim.GilbertElliott{PGood: 0.001, PBad: 0.3, PGoodToBad: 0.02, PBadToGood: 0.2},
 				}}
-				return SubflowSpec{Path: cs.Apply(wifiPath(name, 2e6, 10*time.Millisecond))}
 			}
-			return []SubflowSpec{spec("ge0", 2e6, 10*time.Millisecond), spec("ge1", 2e6, 25*time.Millisecond)}
+			return []SubflowSpec{spec("ge0"), spec("ge1")}
 		},
 	},
 	"flap": {
 		Name: "flap",
 		Desc: "scheduled link flaps on the primary path",
 		Paths: func() []SubflowSpec {
-			flappy := netsim.ChaosSpec{Flap: &netsim.Flap{
+			flap := netsim.Flap{
 				FirstDownAt: 500 * time.Millisecond,
 				DownFor:     400 * time.Millisecond,
 				UpFor:       1600 * time.Millisecond,
-			}}
+			}
 			return []SubflowSpec{
-				{Path: flappy.Apply(wifiPath("flappy", 4e6, 8*time.Millisecond))},
+				{Path: netsim.PathConfig{Name: "flappy", Rate: netsim.FlapRate(netsim.ConstantRate(4e6), flap), Delay: 8 * time.Millisecond}},
 				{Path: wifiPath("steady", 1e6, 30*time.Millisecond)},
 			}
 		},
@@ -149,16 +150,13 @@ var ChaosScenarios = map[string]ChaosScenario{
 		Name: "reorder",
 		Desc: "packet duplication, reordering and jitter on both paths",
 		Paths: func() []SubflowSpec {
-			noisy := netsim.ChaosSpec{
-				DupProb:     0.03,
-				ReorderProb: 0.05,
-				ReorderBy:   20 * time.Millisecond,
-				Jitter:      5 * time.Millisecond,
+			noisy := func(name string, delay time.Duration) SubflowSpec {
+				return SubflowSpec{Path: netsim.PathConfig{
+					Name: name, Rate: netsim.ConstantRate(3e6), Delay: delay,
+					DupProb: 0.03, ReorderProb: 0.05, ReorderBy: 20 * time.Millisecond, Jitter: 5 * time.Millisecond,
+				}}
 			}
-			return []SubflowSpec{
-				{Path: noisy.Apply(wifiPath("noisy0", 3e6, 10*time.Millisecond))},
-				{Path: noisy.Apply(wifiPath("noisy1", 3e6, 20*time.Millisecond))},
-			}
+			return []SubflowSpec{noisy("noisy0", 10*time.Millisecond), noisy("noisy1", 20*time.Millisecond)}
 		},
 	},
 	"sbfdeath": {
@@ -168,9 +166,11 @@ var ChaosScenarios = map[string]ChaosScenario{
 			// The blackout hits while plenty of data is still queued, so
 			// the dying subflow has un-SACKed segments for the path
 			// manager's no-progress detector to observe.
-			dying := netsim.ChaosSpec{Blackout: &netsim.BlackoutLoss{From: 150 * time.Millisecond}}
 			return []SubflowSpec{
-				{Path: dying.Apply(wifiPath("dying", 6e6, 5*time.Millisecond))},
+				{Path: netsim.PathConfig{
+					Name: "dying", Rate: netsim.ConstantRate(6e6), Delay: 5 * time.Millisecond,
+					Loss: netsim.BlackoutLoss{From: 150 * time.Millisecond},
+				}},
 				{Path: wifiPath("survivor", 1e6, 40*time.Millisecond), Backup: true},
 			}
 		},
@@ -184,23 +184,22 @@ var ChaosScenarios = map[string]ChaosScenario{
 		Name: "meltdown",
 		Desc: "bursty loss + flaps + reorder/duplication + subflow death, combined",
 		Paths: func() []SubflowSpec {
-			storm := netsim.ChaosSpec{
-				Burst: &netsim.GilbertElliott{
-					PGood: 0.002, PBad: 0.25, PGoodToBad: 0.01, PBadToGood: 0.3,
-				},
-				Flap: &netsim.Flap{
-					FirstDownAt: time.Second,
-					DownFor:     300 * time.Millisecond,
-					UpFor:       1700 * time.Millisecond,
-				},
-				DupProb:     0.02,
-				ReorderProb: 0.04,
-				Jitter:      4 * time.Millisecond,
+			flap := netsim.Flap{
+				FirstDownAt: time.Second,
+				DownFor:     300 * time.Millisecond,
+				UpFor:       1700 * time.Millisecond,
 			}
-			dying := netsim.ChaosSpec{Blackout: &netsim.BlackoutLoss{From: 2 * time.Second}}
+			storm := netsim.PathConfig{
+				Name: "storm", Rate: netsim.FlapRate(netsim.ConstantRate(3e6), flap), Delay: 12 * time.Millisecond,
+				Loss:    &netsim.GilbertElliott{PGood: 0.002, PBad: 0.25, PGoodToBad: 0.01, PBadToGood: 0.3},
+				DupProb: 0.02, ReorderProb: 0.04, Jitter: 4 * time.Millisecond,
+			}
 			return []SubflowSpec{
-				{Path: storm.Apply(wifiPath("storm", 3e6, 12*time.Millisecond))},
-				{Path: dying.Apply(wifiPath("dying", 4e6, 6*time.Millisecond))},
+				{Path: storm},
+				{Path: netsim.PathConfig{
+					Name: "dying", Rate: netsim.ConstantRate(4e6), Delay: 6 * time.Millisecond,
+					Loss: netsim.BlackoutLoss{From: 2 * time.Second},
+				}},
 				{Path: wifiPath("steady", 800e3, 50*time.Millisecond), Backup: true},
 			}
 		},

@@ -43,76 +43,3 @@ func FlapRate(inner RateFunc, f Flap) RateFunc {
 		return inner(at)
 	}
 }
-
-// AnyLoss combines loss models: a packet is lost when any component
-// reports loss. Every component's Lost is evaluated on every packet so
-// stateful models (Gilbert-Elliott) advance consistently.
-func AnyLoss(models ...LossModel) LossModel { return anyLoss(models) }
-
-type anyLoss []LossModel
-
-func (a anyLoss) Lost(eng *Engine) bool {
-	lost := false
-	for _, m := range a {
-		if m.Lost(eng) {
-			lost = true
-		}
-	}
-	return lost
-}
-
-// ChaosSpec bundles the composable fault injectors for one path. The
-// zero value injects nothing; Apply layers the configured faults onto a
-// base PathConfig. Loss-model fields hold fresh state, so build a new
-// spec (or at least new model values) per run.
-type ChaosSpec struct {
-	// Burst adds Gilbert-Elliott bursty loss.
-	Burst *GilbertElliott
-	// Blackout adds a total loss window (the link keeps serializing).
-	Blackout *BlackoutLoss
-	// Flap schedules hard link outages (rate 0, tail drop).
-	Flap *Flap
-	// DupProb duplicates surviving packets with this probability.
-	DupProb float64
-	// ReorderProb delays surviving packets by ReorderBy with this
-	// probability, letting later packets overtake them.
-	ReorderProb float64
-	ReorderBy   time.Duration
-	// Jitter adds uniform random delivery delay.
-	Jitter time.Duration
-}
-
-// Apply layers the spec's faults onto cfg and returns the result.
-func (s ChaosSpec) Apply(cfg PathConfig) PathConfig {
-	var losses []LossModel
-	if cfg.Loss != nil {
-		losses = append(losses, cfg.Loss)
-	}
-	if s.Burst != nil {
-		losses = append(losses, s.Burst)
-	}
-	if s.Blackout != nil {
-		losses = append(losses, *s.Blackout)
-	}
-	switch len(losses) {
-	case 0:
-	case 1:
-		cfg.Loss = losses[0]
-	default:
-		cfg.Loss = AnyLoss(losses...)
-	}
-	if s.Flap != nil && cfg.Rate != nil {
-		cfg.Rate = FlapRate(cfg.Rate, *s.Flap)
-	}
-	if s.DupProb > 0 {
-		cfg.DupProb = s.DupProb
-	}
-	if s.ReorderProb > 0 {
-		cfg.ReorderProb = s.ReorderProb
-		cfg.ReorderBy = s.ReorderBy
-	}
-	if s.Jitter > 0 {
-		cfg.Jitter = s.Jitter
-	}
-	return cfg
-}

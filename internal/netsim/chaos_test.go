@@ -44,9 +44,8 @@ func TestFlapDownForeverWithoutUp(t *testing.T) {
 
 func TestFlapTailDropsDuringOutage(t *testing.T) {
 	eng := NewEngine(1)
-	cfg := ChaosSpec{Flap: &Flap{FirstDownAt: 10 * time.Millisecond, DownFor: 10 * time.Millisecond}}.
-		Apply(PathConfig{Rate: ConstantRate(1e6), Delay: time.Millisecond})
-	p := NewPath(eng, cfg)
+	flap := Flap{FirstDownAt: 10 * time.Millisecond, DownFor: 10 * time.Millisecond}
+	p := NewPath(eng, PathConfig{Rate: FlapRate(ConstantRate(1e6), flap), Delay: time.Millisecond})
 	if !p.Send(100, func() {}) {
 		t.Fatal("send before outage must be accepted")
 	}
@@ -109,52 +108,5 @@ func TestReorderingOvertakes(t *testing.T) {
 	eng.Run()
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
 		t.Fatalf("delivery order %v, want [2 1] (reordered packet overtaken)", order)
-	}
-}
-
-func TestAnyLossAdvancesAllModels(t *testing.T) {
-	eng := NewEngine(5)
-	ge := &GilbertElliott{PGood: 0, PBad: 1, PGoodToBad: 1, PBadToGood: 0}
-	m := AnyLoss(BernoulliLoss{P: 0}, ge)
-	// First packet: chain transitions good→bad and drops with PBad=1.
-	lost := 0
-	for i := 0; i < 5; i++ {
-		if m.Lost(eng) {
-			lost++
-		}
-	}
-	if lost != 5 {
-		t.Errorf("AnyLoss lost %d of 5, want 5 (GE stuck in bad state)", lost)
-	}
-}
-
-func TestChaosSpecApplyComposes(t *testing.T) {
-	base := PathConfig{Rate: ConstantRate(1e6), Delay: time.Millisecond, Loss: BernoulliLoss{P: 0.5}}
-	spec := ChaosSpec{
-		Burst:       &GilbertElliott{PBad: 1},
-		Blackout:    &BlackoutLoss{From: time.Second},
-		Flap:        &Flap{FirstDownAt: time.Second, DownFor: time.Second},
-		DupProb:     0.1,
-		ReorderProb: 0.2,
-		ReorderBy:   3 * time.Millisecond,
-		Jitter:      time.Millisecond,
-	}
-	cfg := spec.Apply(base)
-	if _, ok := cfg.Loss.(anyLoss); !ok {
-		t.Errorf("composed loss is %T, want anyLoss", cfg.Loss)
-	}
-	if cfg.Rate(1500*time.Millisecond) != 0 {
-		t.Error("flap not applied to rate")
-	}
-	if cfg.DupProb != 0.1 || cfg.ReorderProb != 0.2 || cfg.ReorderBy != 3*time.Millisecond {
-		t.Error("dup/reorder fields not applied")
-	}
-	if cfg.Jitter != time.Millisecond {
-		t.Error("jitter not applied")
-	}
-	// Zero spec leaves the base untouched.
-	clean := ChaosSpec{}.Apply(base)
-	if clean.DupProb != 0 || clean.Loss == nil {
-		t.Error("zero ChaosSpec must be a no-op")
 	}
 }

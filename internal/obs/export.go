@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"time"
 )
 
 // JSONLEvent is the wire form of one event in the JSONL export. Field
@@ -50,6 +53,49 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadJSONL parses a stream WriteJSONL wrote back into events. It
+// refuses a line that is not one JSON record, names an unknown kind or
+// carries a time outside [0, MaxInt64 ns], naming the line. Blank lines
+// are skipped. A record holds whole microseconds, which is all either
+// writer reads, so WriteJSONL(ReadJSONL(b)) reproduces b.
+func ReadJSONL(r io.Reader) ([]Event, error) {
+	var events []Event
+	sc := bufio.NewScanner(r)
+	line := 0
+	for sc.Scan() {
+		line++
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 {
+			continue
+		}
+		var rec JSONLEvent
+		if err := json.Unmarshal(b, &rec); err != nil {
+			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		kind, ok := KindFromString(rec.Ev)
+		if !ok {
+			return nil, fmt.Errorf("line %d: unknown event kind %q", line, rec.Ev)
+		}
+		if rec.AtUS < 0 || rec.AtUS > math.MaxInt64/int64(time.Microsecond) {
+			return nil, fmt.Errorf("line %d: at_us %d out of range", line, rec.AtUS)
+		}
+		events = append(events, Event{
+			At:   time.Duration(rec.AtUS) * time.Microsecond,
+			Kind: kind,
+			Conn: rec.Conn,
+			Exec: rec.Exec,
+			Seq:  rec.Seq,
+			Sbf:  rec.Sbf,
+			Site: rec.Site,
+			Aux:  rec.Aux,
+		})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return events, nil
 }
 
 // chromeEvent is one entry of the Chrome trace_event JSON array

@@ -2,8 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -112,17 +111,12 @@ func TestWriteJSONLGolden(t *testing.T) {
 	if buf.String() != want {
 		t.Fatalf("JSONL mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), want)
 	}
-	parsed, err := ParseJSONL(&buf)
+	parsed, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed) != len(events) {
-		t.Fatalf("parsed %d events, want %d", len(parsed), len(events))
-	}
-	for i, ev := range parsed {
-		if ev != toJSONL(events[i]) {
-			t.Fatalf("event %d round trip mismatch: %+v", i, ev)
-		}
+	if !slices.Equal(parsed, events) {
+		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", parsed, events)
 	}
 }
 
@@ -300,21 +294,5 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	if single.Quantile(1.1) != single.Quantile(1) {
 		t.Fatalf("Quantile(1.1) = %d, want Quantile(1) = %d",
 			single.Quantile(1.1), single.Quantile(1))
-	}
-}
-
-// ParseJSONL decodes a JSONL event stream (the inverse of WriteJSONL),
-// for tooling that filters or summarizes saved traces.
-func ParseJSONL(r io.Reader) ([]JSONLEvent, error) {
-	var out []JSONLEvent
-	dec := json.NewDecoder(r)
-	for {
-		var ev JSONLEvent
-		if err := dec.Decode(&ev); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
 	}
 }

@@ -488,12 +488,6 @@ func WriteTraceJSONL(w io.Writer, events []TraceEvent) error {
 	return obs.WriteJSONL(w, events)
 }
 
-// WriteChromeTrace renders events in Chrome trace_event format for
-// chrome://tracing / Perfetto.
-func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
-	return obs.WriteChromeTrace(w, events)
-}
-
 // Instrument attaches a tracer and/or a metrics registry to the
 // connection. Either may be nil; call it before traffic starts. The
 // registry also receives the simulation engine's event metrics, the
