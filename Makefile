@@ -44,8 +44,10 @@ bench:
 bench-run:
 	bash bench/run.sh
 
-# Regenerate every table and figure of the paper's evaluation into
+# Print every table and figure of the paper's evaluation into
 # results.txt (untracked: its fig9 and up-call rows are wall time).
+# EXPERIMENTS.md's blocks regenerate with
+# `go test ./cmd/progmp-experiments -run TestEvaluationGolden -update`.
 experiments:
 	$(GO) run ./cmd/progmp-experiments -exp all | tee results.txt
 

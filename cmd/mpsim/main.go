@@ -391,7 +391,7 @@ func run(sc *Scenario, out io.Writer, cm classicMode) error {
 	// RunLive.
 	var series *progmp.MetricsTimeSeries
 	if cm.Interval > 0 {
-		series = progmp.NewMetricsTimeSeries(agg, 0)
+		series = progmp.NewMetricsTimeSeries(agg)
 		var tick func()
 		next := cm.Interval
 		tick = func() {

@@ -370,29 +370,29 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// MemoryFootprint estimates the resident bytes of the loaded scheduler
-// program: specification text, bytecode, and compiled structures. The
-// paper reports ~3048 B for the round-robin scheduler program (§4.3).
+// MemoryFootprint counts the bytes of the loaded scheduler program
+// (§4.3): its source text, the instructions of the generic and of every
+// specialized bytecode program, and their spill slots. The
+// interpreter's and the closure compiler's structures are not counted.
 func (s *Scheduler) MemoryFootprint() int {
 	total := len(s.info.Prog.Source)
-	total += s.info.NumSlots * 16
+	count := func(p *vm.Program) {
+		total += len(p.Insns)*int(unsafe.Sizeof(vm.Instr{})) + p.SpillSlots*int(unsafe.Sizeof(int64(0)))
+	}
 	if s.vmProg != nil {
-		total += len(s.vmProg.Insns) * int(unsafe.Sizeof(vm.Instr{}))
-		for i := range s.specialized {
-			if p := s.specialized[i].Load(); p != nil {
-				total += len(p.Insns) * int(unsafe.Sizeof(vm.Instr{}))
-			}
+		count(s.vmProg)
+	}
+	for i := range s.specialized {
+		if p := s.specialized[i].Load(); p != nil {
+			count(p)
 		}
 	}
-	// AST and analysis structures, approximated per statement.
-	total += len(s.info.Prog.Stmts) * 96
-	total += len(s.info.ExprTypes) * 24
 	return total
 }
 
-// InstanceFootprint estimates per-connection bytes of one scheduler
-// instantiation: the register file plus per-instance bookkeeping. The
-// paper reports 328 B per instantiation (§4.3).
+// InstanceFootprint is what a connection allocates for its scheduler
+// instance (§4.3): the register file and the runtime.Arena its
+// snapshots live in.
 func InstanceFootprint() int {
-	return runtime.NumRegisters*8 + 264
+	return int(unsafe.Sizeof([runtime.NumRegisters]int64{}) + unsafe.Sizeof(runtime.Arena{}))
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"progmp/internal/envtest"
 	"progmp/internal/obs"
 	"progmp/internal/runtime"
+	"progmp/internal/schedlib"
 	"progmp/internal/vm"
 )
 
@@ -80,6 +82,32 @@ func TestMemoryFootprint(t *testing.T) {
 	}
 	if InstanceFootprint() <= 0 {
 		t.Errorf("InstanceFootprint must be positive")
+	}
+}
+
+// TestMemoryFootprintCountsLoadedObjects pins §4.3's arithmetic on the
+// corpus's round robin: the source bytes, then 16 B per instruction
+// (TestInstrIs16Bytes) and 8 B per spill slot of the generic program
+// and of each specialization once an execution compiles it. An
+// instance is the connection's register file and its arena.
+func TestMemoryFootprintCountsLoadedObjects(t *testing.T) {
+	src := schedlib.All["roundRobin"]
+	s := MustLoad("roundRobin", src, BackendVM)
+	want := len(src) + 16*len(s.vmProg.Insns) + 8*s.vmProg.SpillSlots
+	if got := s.MemoryFootprint(); got != want {
+		t.Errorf("loaded: MemoryFootprint = %d, want %d", got, want)
+	}
+	s.Exec(envtest.TwoSubflowEnv(1))
+	p := s.specialized[2].Load()
+	if p == nil {
+		t.Fatal("a 2-subflow execution compiled no specialization")
+	}
+	want += 16*len(p.Insns) + 8*p.SpillSlots
+	if got := s.MemoryFootprint(); got != want {
+		t.Errorf("specialized for 2: MemoryFootprint = %d, want %d", got, want)
+	}
+	if got, want := InstanceFootprint(), 8*runtime.NumRegisters+int(unsafe.Sizeof(runtime.Arena{})); got != want {
+		t.Errorf("InstanceFootprint = %d, want %d", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"progmp/internal/mptcp"
@@ -24,7 +23,7 @@ type CompensationPoint struct {
 	wireBytes         float64
 }
 
-// CompensationSweep reproduces Fig. 12: short flows (64 KiB) over two
+// CompensationSweep reproduces Fig. 12: short flows (24 KiB) over two
 // subflows whose RTT ratio is swept; the application signals the end
 // of flow, enabling the Compensating schedulers to retransmit
 // still-in-flight packets across subflows.
@@ -84,34 +83,4 @@ func CompensationSweep(ratios []float64, runs int) ([]CompensationPoint, error) 
 		}
 	}
 	return out, nil
-}
-
-// FormatCompensation renders Fig. 12 (FCT and overhead).
-func FormatCompensation(points []CompensationPoint) string {
-	var ratios []float64
-	seen := map[float64]bool{}
-	byKey := map[string]CompensationPoint{}
-	for _, p := range points {
-		if !seen[p.RTTRatio] {
-			seen[p.RTTRatio] = true
-			ratios = append(ratios, p.RTTRatio)
-		}
-		byKey[fmt.Sprintf("%s/%.2f", p.Scheduler, p.RTTRatio)] = p
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", "rtt ratio")
-	for _, s := range CompensationSchedulers {
-		fmt.Fprintf(&b, " %17s FCT %17s ovh", s, s)
-	}
-	b.WriteString("\n")
-	for _, r := range ratios {
-		fmt.Fprintf(&b, "%-10.1f", r)
-		for _, s := range CompensationSchedulers {
-			p := byKey[fmt.Sprintf("%s/%.2f", s, r)]
-			fmt.Fprintf(&b, " %17.1f ms  %17.2fx   ",
-				float64(p.MeanFCT.Microseconds())/1000, p.OverheadVsDefault)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -27,7 +27,7 @@ func TestStreamingShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatStreaming([]StreamingResult{def, bak, tap}))
+	t.Logf("%+v", []StreamingResult{def, bak, tap})
 
 	if def.LowPhaseLTEShare < 0.10 {
 		t.Errorf("default scheduler LTE share in the 1MB/s phase = %.1f%%, want a substantial leak (paper ≈30%%)",
@@ -59,7 +59,7 @@ func TestRedundancyFCTShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatFCT(points, RedundancySchedulers))
+	t.Logf("%+v", points)
 	mean := map[string]map[int]time.Duration{}
 	for _, p := range points {
 		if mean[p.Scheduler] == nil {
@@ -111,7 +111,7 @@ func TestRedundancyThroughputShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatThroughput(points))
+	t.Logf("%+v", points)
 	get := func(sched, wl string) float64 {
 		for _, p := range points {
 			if p.Scheduler == sched && p.Workload == wl {
@@ -144,7 +144,7 @@ func TestCompensationShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatCompensation(points))
+	t.Logf("%+v", points)
 	get := func(sched string, ratio float64) CompensationPoint {
 		for _, p := range points {
 			if p.Scheduler == sched && p.RTTRatio == ratio {
@@ -194,7 +194,7 @@ func TestHTTP2Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatHTTP2(points))
+	t.Logf("%+v", points)
 	get := func(sched string, extra time.Duration) HTTP2Point {
 		for _, p := range points {
 			if p.Scheduler == sched && p.WiFiExtraDelay == extra {
@@ -321,7 +321,7 @@ func TestOverheadShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatOverhead(results))
+	t.Logf("%+v", results)
 	byKey := map[string]OverheadResult{}
 	for _, r := range results {
 		byKey[r.Backend+"/"+itoa(r.Subflows)] = r
@@ -353,7 +353,7 @@ func TestThroughputParityShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatParity(results))
+	t.Logf("%+v", results)
 	base := results[0].GoodputBps
 	for _, r := range results {
 		diff := r.GoodputBps/base - 1

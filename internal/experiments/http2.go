@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"progmp/internal/http2sim"
@@ -69,20 +68,4 @@ func HTTP2Sweep(extraDelays []time.Duration, seed int64) ([]HTTP2Point, error) {
 		}
 	}
 	return out, nil
-}
-
-// FormatHTTP2 renders Fig. 14.
-func FormatHTTP2(points []HTTP2Point) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %12s %14s %14s %12s %12s\n",
-		"scheduler", "wifi +delay", "deps ms", "initial ms", "full ms", "lte KB")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-12s %12v %14.1f %14.1f %12.1f %12.1f\n",
-			p.Scheduler, p.WiFiExtraDelay,
-			float64(p.DependencyRetrieved.Microseconds())/1000,
-			float64(p.InitialPage.Microseconds())/1000,
-			float64(p.FullLoad.Microseconds())/1000,
-			float64(p.LTEBytes)/1024)
-	}
-	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strings"
 	"time"
 
 	"progmp/internal/core"
@@ -156,16 +155,6 @@ func ExecutionOverhead(iters int) ([]OverheadResult, error) {
 	return out, nil
 }
 
-// FormatOverhead renders Fig. 9 top.
-func FormatOverhead(rs []OverheadResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %10s %12s %12s\n", "backend", "subflows", "ns/exec", "vs native")
-	for _, r := range rs {
-		fmt.Fprintf(&b, "%-14s %10d %12.1f %11.0f%%\n", r.Backend, r.Subflows, r.NsPerOp, r.RelativeToNative*100)
-	}
-	return b.String()
-}
-
 // ThroughputParityResult is one bar of Fig. 9 bottom.
 type ThroughputParityResult struct {
 	Backend    string
@@ -208,16 +197,6 @@ func ThroughputParity(seed int64) ([]ThroughputParityResult, error) {
 		})
 	}
 	return out, nil
-}
-
-// FormatParity renders Fig. 9 bottom.
-func FormatParity(rs []ThroughputParityResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %14s\n", "backend", "goodput MB/s")
-	for _, r := range rs {
-		fmt.Fprintf(&b, "%-14s %14.2f\n", r.Backend, r.GoodputBps/1e6)
-	}
-	return b.String()
 }
 
 // UpcallResult compares in-stack scheduling with a userspace-up-call

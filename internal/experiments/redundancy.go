@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"progmp/internal/mptcp"
@@ -67,36 +66,6 @@ func RedundancyFCT(flowKBs []int, schedulers []string, runs int) ([]FCTPoint, er
 		}
 	}
 	return out, nil
-}
-
-// FormatFCT renders Fig. 10b as a table: rows = flow size, columns =
-// scheduler.
-func FormatFCT(points []FCTPoint, schedulers []string) string {
-	sizes := []int{}
-	seen := map[int]bool{}
-	byKey := map[string]FCTPoint{}
-	for _, p := range points {
-		if !seen[p.FlowKB] {
-			seen[p.FlowKB] = true
-			sizes = append(sizes, p.FlowKB)
-		}
-		byKey[fmt.Sprintf("%s/%d", p.Scheduler, p.FlowKB)] = p
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", "flow KB")
-	for _, s := range schedulers {
-		fmt.Fprintf(&b, " %22s", s)
-	}
-	b.WriteString("\n")
-	for _, kb := range sizes {
-		fmt.Fprintf(&b, "%-10d", kb)
-		for _, s := range schedulers {
-			p := byKey[fmt.Sprintf("%s/%d", s, kb)]
-			fmt.Fprintf(&b, " %18.1f ms ", float64(p.MeanFCT.Microseconds())/1000)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }
 
 // ThroughputPoint is one bar of Fig. 10c: goodput normalized to
@@ -179,14 +148,4 @@ func RedundancyThroughput(schedulers []string, seed int64) ([]ThroughputPoint, e
 		}
 	}
 	return out, nil
-}
-
-// FormatThroughput renders Fig. 10c.
-func FormatThroughput(points []ThroughputPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %-8s %12s %14s\n", "scheduler", "workload", "normalized", "goodput MB/s")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-24s %-8s %12.2f %14.2f\n", p.Scheduler, p.Workload, p.Normalized, p.GoodputBps/1e6)
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"progmp/internal/mptcp"
@@ -138,22 +137,6 @@ func Streaming(variant StreamingVariant, seed int64) (StreamingResult, error) {
 	}
 	res.HighPhaseGoodput = highBytes / (streamDuration - highStart).Seconds()
 	return res, nil
-}
-
-// FormatStreaming renders the per-variant summary row.
-func FormatStreaming(rs []StreamingResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %14s %14s %18s %20s\n",
-		"variant", "wifi MB", "lte MB", "lte share (1MB/s)", "goodput@4MB/s (MB/s)")
-	for _, r := range rs {
-		fmt.Fprintf(&b, "%-10s %14.2f %14.2f %17.1f%% %20.2f\n",
-			r.Variant,
-			float64(r.WiFiBytes)/1e6,
-			float64(r.LTEBytes)/1e6,
-			r.LowPhaseLTEShare*100,
-			r.HighPhaseGoodput/1e6)
-	}
-	return b.String()
 }
 
 // ---- Handover (§5.2) ----

@@ -477,10 +477,10 @@ type MetricsTimeSeries = obs.TimeSeries
 // NewMetricsAggregator returns an empty fleet aggregator.
 func NewMetricsAggregator() *MetricsAggregator { return obs.NewAggregator() }
 
-// NewMetricsTimeSeries creates a time-series recorder over agg with the
-// given ring capacity (<= 0 selects the default of 4096 samples).
-func NewMetricsTimeSeries(agg *MetricsAggregator, capacity int) *MetricsTimeSeries {
-	return obs.NewTimeSeries(agg, capacity)
+// NewMetricsTimeSeries creates a time-series recorder over agg that
+// keeps the most recent obs.DefaultTimeSeriesCapacity samples.
+func NewMetricsTimeSeries(agg *MetricsAggregator) *MetricsTimeSeries {
+	return obs.NewTimeSeries(agg, 0)
 }
 
 // WriteTraceJSONL streams events as one JSON object per line.
