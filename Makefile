@@ -44,8 +44,9 @@ bench:
 bench-run:
 	bash bench/run.sh
 
-# Print every table and figure of the paper's evaluation into
-# results.txt (untracked: its fig9 and up-call rows are wall time).
+# Print every table and figure of the paper's evaluation, with its
+# claim lines, into results.txt (untracked: its fig9 and up-call rows
+# are wall time). Sections that draw randomness run at seeds 1-20.
 # EXPERIMENTS.md's blocks regenerate with
 # `go test ./cmd/progmp-experiments -run TestEvaluationGolden -update`.
 experiments:

@@ -2,39 +2,52 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's evaluation blocks from this run")
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's evaluation blocks from this run (a claim below its floor still fails)")
 
 // experimentsMD is the document whose blocks are the golden.
 var experimentsMD = filepath.Join("..", "..", "EXPERIMENTS.md")
 
 // TestEvaluationGolden pins the paper's evaluation: every section of
-// `progmp-experiments -exp all -seed 7` that is not wall time, byte
-// for byte, against its block in EXPERIMENTS.md. Regenerate with `go
-// test -run TestEvaluationGolden -update`, which rewrites the blocks
-// and nothing else; a change that moves a number says why in
-// CHANGES.md.
+// `progmp-experiments -exp all` that is not wall time, its claim lines
+// included, byte for byte against its block in EXPERIMENTS.md. A claim
+// that holds at fewer runs than its floor fails the section, with or
+// without -update. `go test -run TestEvaluationGolden -update`
+// rewrites the blocks and nothing else; a change that moves a number
+// or a count says why in CHANGES.md.
 func TestEvaluationGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every deterministic experiment")
+		t.Skip("runs every virtual-time experiment at K seeds")
 	}
 	tables := map[string]string{}
 	for _, s := range sections {
 		if s.wall {
 			continue
 		}
-		table, err := s.table(7)
-		if err != nil {
-			t.Fatalf("%s: %v", s.id, err)
-		}
-		tables[s.id] = table
+		t.Run(s.id, func(t *testing.T) {
+			j, err := s.judge(1, K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range j.verdicts {
+				if v.holds < v.floor {
+					t.Errorf("claim %s holds at %d runs, below its floor of %d", v.name, v.holds, v.floor)
+				}
+			}
+			tables[s.id] = j.String()
+		})
+	}
+	if t.Failed() {
+		return
 	}
 	doc, err := os.ReadFile(experimentsMD)
 	if err != nil {
@@ -52,6 +65,33 @@ func TestEvaluationGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, doc) {
 		t.Errorf("evaluation drifted from %s (rerun with -update if intended):\n%s", experimentsMD, firstDiff(doc, got))
+	}
+}
+
+// TestSeedReachesEverySeededSection: a section that runs an ensemble
+// prints another table from another seed, and exactly the virtual-time
+// sections whose experiments draw randomness run one.
+func TestSeedReachesEverySeededSection(t *testing.T) {
+	var ensembles []string
+	for _, s := range sections {
+		if s.wall {
+			continue
+		}
+		one, err1 := s.judge(1, 1)
+		two, err2 := s.judge(2, 1)
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatalf("%s: %v", s.id, err)
+		}
+		if one.seeds == 0 {
+			continue
+		}
+		ensembles = append(ensembles, s.id)
+		if one.String() == two.String() {
+			t.Errorf("%s prints the same table at seeds 1 and 2", s.id)
+		}
+	}
+	if want := []string{"fig10b", "fig10c", "receiver", "fairness", "chaos"}; !slices.Equal(ensembles, want) {
+		t.Errorf("ensemble sections %v, want %v", ensembles, want)
 	}
 }
 
@@ -91,7 +131,7 @@ func splice(doc []byte, tables map[string]string) ([]byte, error) {
 		if end == len(lines) {
 			return nil, fmt.Errorf("line %d: block %q has no %s", i+1, id, endMarker(id))
 		}
-		fmt.Fprintf(&out, "<!-- begin %s: go run ./cmd/progmp-experiments -exp %s -seed 7 -->\n%s%s\n",
+		fmt.Fprintf(&out, "<!-- begin %s: go run ./cmd/progmp-experiments -exp %s -->\n%s%s\n",
 			id, strings.Split(id, "+")[0], table, endMarker(id))
 		i = end
 	}
@@ -146,14 +186,14 @@ func TestSpliceTouchesOnlyBlocks(t *testing.T) {
 	}
 	want := `# title
 text naming <!-- begin a --> mid-line
-<!-- begin a: go run ./cmd/progmp-experiments -exp a -seed 7 -->
+<!-- begin a: go run ./cmd/progmp-experiments -exp a -->
 | x |
 |---|
 | 1 |
 <!-- end a -->
 between
 <!-- end b -->
-<!-- begin b+c: go run ./cmd/progmp-experiments -exp b -seed 7 -->
+<!-- begin b+c: go run ./cmd/progmp-experiments -exp b -->
 | y |
 |---|
 <!-- end b+c -->

@@ -22,7 +22,7 @@ type AblationResult struct {
 // trigger (Fig. 4: against purely ACK-clocked scheduling). minRTT
 // sends 128 KiB at time 0 over two 3 MB/s paths of 5 ms and 20 ms one
 // way.
-func Ablations(seed int64) ([]AblationResult, error) {
+func Ablations() ([]AblationResult, error) {
 	choices := []struct {
 		name    string
 		without mptcp.Config
@@ -30,13 +30,13 @@ func Ablations(seed int64) ([]AblationResult, error) {
 		{"compressed executions", mptcp.Config{MaxSchedIterations: 1}},
 		{"TSQ-drain trigger", mptcp.Config{DisableTSQWake: true}},
 	}
-	with, withExecs, err := ablationTransfer(mptcp.Config{}, seed)
+	with, withExecs, err := ablationTransfer(mptcp.Config{})
 	if err != nil {
 		return nil, err
 	}
 	var out []AblationResult
 	for _, c := range choices {
-		without, withoutExecs, err := ablationTransfer(c.without, seed)
+		without, withoutExecs, err := ablationTransfer(c.without)
 		if err != nil {
 			return nil, err
 		}
@@ -47,8 +47,8 @@ func Ablations(seed int64) ([]AblationResult, error) {
 
 // ablationTransfer runs the ablation transfer under cfg and returns
 // its flow completion time and scheduler executions.
-func ablationTransfer(cfg mptcp.Config, seed int64) (time.Duration, int64, error) {
-	s, err := NewScenario(seed, cfg, "minRTT",
+func ablationTransfer(cfg mptcp.Config) (time.Duration, int64, error) {
+	s, err := NewScenario(noDraws, cfg, "minRTT",
 		mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p0", Rate: netsim.ConstantRate(3e6), Delay: 5 * time.Millisecond}},
 		mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p1", Rate: netsim.ConstantRate(3e6), Delay: 20 * time.Millisecond}},
 	)

@@ -26,8 +26,9 @@ type CompensationPoint struct {
 // CompensationSweep reproduces Fig. 12: short flows (24 KiB) over two
 // subflows whose RTT ratio is swept; the application signals the end
 // of flow, enabling the Compensating schedulers to retransmit
-// still-in-flight packets across subflows.
-func CompensationSweep(ratios []float64, runs int) ([]CompensationPoint, error) {
+// still-in-flight packets across subflows. The paths are lossless at a
+// constant rate, so one flow per cell is the whole measurement.
+func CompensationSweep(ratios []float64) ([]CompensationPoint, error) {
 	// High path rates and a flow on the order of the aggregate initial
 	// congestion window keep the short flow RTT-dominated — Fig. 11 is
 	// about "the end of a short flow", where the last in-flight
@@ -38,35 +39,24 @@ func CompensationSweep(ratios []float64, runs int) ([]CompensationPoint, error) 
 	var out []CompensationPoint
 	for _, scheduler := range CompensationSchedulers {
 		for _, ratio := range ratios {
-			var sumFCT time.Duration
-			var sumWire float64
-			completed := 0
-			for run := 0; run < runs; run++ {
-				paths := []mptcp.SubflowSpec{
-					{Path: netsim.PathConfig{Name: "fast", Rate: netsim.ConstantRate(8e6), Delay: fastOneWay}},
-					{Path: netsim.PathConfig{Name: "slow", Rate: netsim.ConstantRate(8e6), Delay: time.Duration(float64(fastOneWay) * ratio)}},
-				}
-				s, err := NewScenario(int64(run*37+5), mptcp.Config{}, scheduler, paths...)
-				if err != nil {
-					return nil, err
-				}
-				s.Conn.SetRegister(schedlib.RegCompRatio, 20) // selective threshold: ratio 2
-				fct, wire := runFlow(s, flowSize, true, 60*time.Second)
-				if fct == 0 {
-					continue
-				}
-				completed++
-				sumFCT += fct
-				sumWire += float64(wire)
+			paths := []mptcp.SubflowSpec{
+				{Path: netsim.PathConfig{Name: "fast", Rate: netsim.ConstantRate(8e6), Delay: fastOneWay}},
+				{Path: netsim.PathConfig{Name: "slow", Rate: netsim.ConstantRate(8e6), Delay: time.Duration(float64(fastOneWay) * ratio)}},
 			}
-			if completed == 0 {
+			s, err := NewScenario(noDraws, mptcp.Config{}, scheduler, paths...)
+			if err != nil {
+				return nil, err
+			}
+			s.Conn.SetRegister(schedlib.RegCompRatio, 20) // selective threshold: ratio 2
+			fct, wire := runFlow(s, flowSize, true, 60*time.Second)
+			if fct == 0 {
 				return nil, fmt.Errorf("experiments: %s at ratio %.1f never completed", scheduler, ratio)
 			}
 			out = append(out, CompensationPoint{
 				Scheduler: scheduler,
 				RTTRatio:  ratio,
-				MeanFCT:   sumFCT / time.Duration(completed),
-				wireBytes: sumWire / float64(completed),
+				MeanFCT:   fct,
+				wireBytes: float64(wire),
 			})
 		}
 	}

@@ -32,7 +32,7 @@ var HTTP2Schedulers = []string{"minRTT", "http2Aware"}
 // WiFi delay is swept, comparing the default scheduler against the
 // HTTP/2-aware scheduler for dependency retrieval time, initial page
 // time and metered LTE usage.
-func HTTP2Sweep(extraDelays []time.Duration, seed int64) ([]HTTP2Point, error) {
+func HTTP2Sweep(extraDelays []time.Duration) ([]HTTP2Point, error) {
 	var out []HTTP2Point
 	page := http2sim.DefaultPage()
 	for _, scheduler := range HTTP2Schedulers {
@@ -44,7 +44,7 @@ func HTTP2Sweep(extraDelays []time.Duration, seed int64) ([]HTTP2Point, error) {
 				// runs with both subflows active.
 				{Path: netsim.PathConfig{Name: "lte", Rate: netsim.ConstantRate(6e6), Delay: 20 * time.Millisecond}, Backup: scheduler != "minRTT"},
 			}
-			s, err := NewScenario(seed, mptcp.Config{}, scheduler, paths...)
+			s, err := NewScenario(noDraws, mptcp.Config{}, scheduler, paths...)
 			if err != nil {
 				return nil, err
 			}

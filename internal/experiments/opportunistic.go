@@ -26,14 +26,14 @@ type OpportunisticResult struct {
 // without opportunistic retransmission the fast subflow starves on
 // window-blocked data, with it the blocking packets are duplicated
 // onto the fast path.
-func Opportunistic(scheduler string, seed int64) (OpportunisticResult, error) {
+func Opportunistic(scheduler string) (OpportunisticResult, error) {
 	paths := []mptcp.SubflowSpec{
 		{Path: netsim.PathConfig{Name: "fast", Rate: netsim.ConstantRate(4e6), Delay: 5 * time.Millisecond}},
 		{Path: netsim.PathConfig{Name: "slow", Rate: netsim.ConstantRate(4e6), Delay: 120 * time.Millisecond}},
 	}
 	// 32 KiB receive buffer ≈ 22 segments: far below the slow path's
 	// bandwidth-delay product, so window blocking dominates.
-	s, err := NewScenario(seed, mptcp.Config{RcvBuf: 32 << 10}, scheduler, paths...)
+	s, err := NewScenario(noDraws, mptcp.Config{RcvBuf: 32 << 10}, scheduler, paths...)
 	if err != nil {
 		return OpportunisticResult{}, err
 	}

@@ -164,14 +164,14 @@ type ThroughputParityResult struct {
 // ThroughputParity reproduces Fig. 9 bottom: the end-to-end throughput
 // of a saturated transfer must be unchanged across back-ends ("the
 // total throughput remains unchanged throughout all schedulers").
-func ThroughputParity(seed int64) ([]ThroughputParityResult, error) {
+func ThroughputParity() ([]ThroughputParityResult, error) {
 	var out []ThroughputParityResult
 	for _, backend := range OverheadBackends {
 		s, err := schedulerFor(backend)
 		if err != nil {
 			return nil, err
 		}
-		scn, err := NewScenarioWith(seed, mptcp.Config{}, s,
+		scn, err := NewScenarioWith(noDraws, mptcp.Config{}, s,
 			mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p1", Rate: netsim.ConstantRate(4e6), Delay: 10 * time.Millisecond}},
 			mptcp.SubflowSpec{Path: netsim.PathConfig{Name: "p2", Rate: netsim.ConstantRate(4e6), Delay: 15 * time.Millisecond}},
 		)

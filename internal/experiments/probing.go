@@ -30,7 +30,7 @@ type ProbingResult struct {
 // estimate for it stays frozen at 30 ms and every request keeps going
 // over A; the probing scheduler refreshes B's estimate with occasional
 // redundant probes and migrates.
-func Probing(scheduler string, seed int64) (ProbingResult, error) {
+func Probing(scheduler string) (ProbingResult, error) {
 	const improveAt = 2 * time.Second
 	pathBDelay := func(at time.Duration) time.Duration {
 		if at >= improveAt {
@@ -42,7 +42,7 @@ func Probing(scheduler string, seed int64) (ProbingResult, error) {
 		{Path: netsim.PathConfig{Name: "a", Rate: netsim.ConstantRate(4e6), Delay: 10 * time.Millisecond}},
 		{Path: netsim.PathConfig{Name: "b", Rate: netsim.ConstantRate(4e6), DelayFn: pathBDelay}},
 	}
-	s, err := NewScenario(seed, mptcp.Config{}, scheduler, paths...)
+	s, err := NewScenario(noDraws, mptcp.Config{}, scheduler, paths...)
 	if err != nil {
 		return ProbingResult{}, err
 	}

@@ -31,8 +31,9 @@ type FCTPoint struct {
 
 // RedundancyFCT reproduces Fig. 10b: average flow completion time vs
 // flow size under 2% loss for the default and the three redundant
-// schedulers, averaged over runs seeds.
-func RedundancyFCT(flowKBs []int, schedulers []string, runs int) ([]FCTPoint, error) {
+// schedulers, averaged over runs flows. Flow i of the runs at seed s
+// draws its losses from seed s*runs+i, so no two seeds share a flow.
+func RedundancyFCT(flowKBs []int, schedulers []string, runs int, seed int64) ([]FCTPoint, error) {
 	var out []FCTPoint
 	for _, scheduler := range schedulers {
 		for _, kb := range flowKBs {
@@ -44,7 +45,7 @@ func RedundancyFCT(flowKBs []int, schedulers []string, runs int) ([]FCTPoint, er
 				// aggregate at one TCP's throughput on these equal
 				// disjoint paths (RFC 6356 goal), drowning the
 				// scheduler comparison.
-				s, err := NewScenario(int64(run*101+7), mptcp.Config{CC: mptcp.Reno{}}, scheduler, lossyPaths(0.02)...)
+				s, err := NewScenario(seed*int64(runs)+int64(run), mptcp.Config{CC: mptcp.Reno{}}, scheduler, lossyPaths(0.02)...)
 				if err != nil {
 					return nil, err
 				}

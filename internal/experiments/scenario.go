@@ -1,7 +1,8 @@
 // Package experiments contains the per-figure harnesses that
 // regenerate the paper's evaluation: workload generators, parameter
 // sweeps, baselines, and result tables. Each experiment is a pure
-// function of its parameters and a seed, so runs are reproducible.
+// function of its parameters, and of a seed if its paths draw
+// randomness (loss, RED), so runs are reproducible.
 // The mapping from figures/tables to functions is indexed in
 // DESIGN.md; EXPERIMENTS.md records paper-vs-measured outcomes.
 package experiments
@@ -22,6 +23,11 @@ type Scenario struct {
 	Eng  *netsim.Engine
 	Conn *mptcp.Conn
 }
+
+// noDraws seeds the engine of an experiment whose paths draw no
+// randomness (no loss, RED, jitter, reordering or duplication): its
+// trajectory is the same at every seed, so the experiment takes none.
+const noDraws = 0
 
 // NewScenario builds a connection over the given paths with the named
 // schedlib scheduler, loaded on the VM (a trajectory does not depend

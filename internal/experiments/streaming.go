@@ -52,7 +52,7 @@ const (
 // Streaming runs the interactive streaming session of Fig. 1/Fig. 13:
 // a 1 MB/s stream that rises to 4 MB/s at t=6 s over fluctuating WiFi
 // (~3 MB/s, 10 ms RTT) and LTE (8 MB/s, 40 ms RTT).
-func Streaming(variant StreamingVariant, seed int64) (StreamingResult, error) {
+func Streaming(variant StreamingVariant) (StreamingResult, error) {
 	scheduler := "minRTT"
 	lteBackup := false
 	switch variant {
@@ -65,7 +65,7 @@ func Streaming(variant StreamingVariant, seed int64) (StreamingResult, error) {
 	default:
 		return StreamingResult{}, fmt.Errorf("experiments: unknown streaming variant %q", variant)
 	}
-	s, err := NewScenario(seed, mptcp.Config{}, scheduler, WiFi(), LTE(lteBackup))
+	s, err := NewScenario(noDraws, mptcp.Config{}, scheduler, WiFi(), LTE(lteBackup))
 	if err != nil {
 		return StreamingResult{}, err
 	}
@@ -158,7 +158,7 @@ type HandoverResult struct {
 // (sensor-based prediction, as in the paper's smooth-handover work).
 // Compared schedulers: the default MinRTT and the HandoverAware
 // scheduler of §5.2.
-func Handover(scheduler string, seed int64) (HandoverResult, error) {
+func Handover(scheduler string) (HandoverResult, error) {
 	// The collapse happens early so the bulk transfer spans it.
 	wifiDown := 500 * time.Millisecond
 	wifi := mptcp.SubflowSpec{Path: netsim.PathConfig{
@@ -169,7 +169,7 @@ func Handover(scheduler string, seed int64) (HandoverResult, error) {
 		),
 		Delay: 5 * time.Millisecond,
 	}}
-	s, err := NewScenario(seed, mptcp.Config{}, scheduler, wifi, LTE(false))
+	s, err := NewScenario(noDraws, mptcp.Config{}, scheduler, wifi, LTE(false))
 	if err != nil {
 		return HandoverResult{}, err
 	}

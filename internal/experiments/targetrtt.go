@@ -27,7 +27,7 @@ type TargetRTTResult struct {
 // TargetRTT scheduler (bound in R1) keeps latency low by selectively
 // using the non-preferred LTE subflow during the spike; the default
 // scheduler with LTE in backup mode rides out the spike on WiFi.
-func TargetRTT(scheduler string, seed int64) (TargetRTTResult, error) {
+func TargetRTT(scheduler string) (TargetRTTResult, error) {
 	// WiFi RTT: 20 ms normally, 200 ms during [2 s, 6 s).
 	wifiDelay := func(at time.Duration) time.Duration {
 		if at >= 2*time.Second && at < 6*time.Second {
@@ -39,7 +39,7 @@ func TargetRTT(scheduler string, seed int64) (TargetRTTResult, error) {
 		{Path: netsim.PathConfig{Name: "wifi", Rate: netsim.ConstantRate(3e6), DelayFn: wifiDelay}},
 		{Path: netsim.PathConfig{Name: "lte", Rate: netsim.ConstantRate(6e6), Delay: 20 * time.Millisecond}, Backup: true},
 	}
-	s, err := NewScenario(seed, mptcp.Config{}, scheduler, paths...)
+	s, err := NewScenario(noDraws, mptcp.Config{}, scheduler, paths...)
 	if err != nil {
 		return TargetRTTResult{}, err
 	}
