@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSentCursor -fuzztime 10s ./internal/mptcp/
 	$(GO) test -run '^$$' -fuzz FuzzSendWindow -fuzztime 10s ./internal/mptcp/
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzWorldReset -fuzztime 10s ./internal/fleet/
 
 cover:
 	$(GO) test -cover ./...

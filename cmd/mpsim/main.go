@@ -35,7 +35,9 @@
 // concurrent connections partitioned across per-core shards, each
 // shard a batched event loop over self-contained connection worlds,
 // reporting fleet p50/p99 scheduler-decision and delivery latency and
-// steady-state bytes/conn:
+// bytes/conn: the heap the worlds the run keeps resident cost to build,
+// over the connection count — every world with -xstate or -guard, one
+// per shard without (fleet.Result.BytesPerConn):
 //
 //	mpsim -fleet 100000
 //	mpsim -fleet 10000 -shards 4 -xstate -dest-groups 64 -metrics-http :9100

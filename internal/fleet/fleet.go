@@ -29,7 +29,13 @@
 //   - The window comes from coupling. Without a store or a guard no
 //     world can see another, so a shard runs each world to the horizon
 //     in one visit; with either, the worlds advance in lock-step 5 ms
-//     windows (Config.applyDefaults is the one place the rule lives).
+//     windows (Config.applyDefaults is the one place the rule lives:
+//     it derives Config.coupled).
+//   - A shard whose worlds run one at a time holds one world. It builds
+//     it for its first connection and resets it in place for each next
+//     one (Config.recycles), so the heap holds a world per shard, not
+//     per connection, and a world's construction and warm-up are paid
+//     once per shard. A reset world equals a freshly built one.
 //
 // See docs/FLEET.md for the architecture and soak-mode usage.
 package fleet
@@ -111,6 +117,9 @@ type Config struct {
 	//progmp:ignore testonly only bench/ and the fleet tests set it (bench/fleet.go); ROADMAP item 3 retargets the bench
 	Conservation bool
 
+	// coupled reports whether the worlds can see one another, through
+	// the store or the guard. applyDefaults derives it.
+	coupled bool
 	// slice is the shard's service window: how far one visit advances
 	// a world. applyDefaults derives it; in-package tests override it.
 	slice time.Duration
@@ -138,15 +147,24 @@ func (c *Config) applyDefaults() error {
 	if c.Think <= 0 {
 		c.Think = 100 * time.Millisecond
 	}
+	// Worlds couple only through the store and the guard; without
+	// either, the order they run in is invisible.
+	c.coupled = c.Store != nil || c.Guard
 	if c.slice <= 0 {
-		// Worlds couple only through the store and the guard; without
-		// either, the order they run in is invisible.
 		c.slice = 5 * time.Millisecond
-		if c.Store == nil && !c.Guard {
+		if !c.coupled {
 			c.slice = c.Duration
 		}
 	}
 	return nil
+}
+
+// recycles reports whether a shard runs its connections in one world
+// object, reset in place for each: nothing couples the worlds and one
+// visit takes a world to the horizon, so the shard is done with a world
+// before it starts the next.
+func (c *Config) recycles() bool {
+	return !c.coupled && c.slice >= c.Duration
 }
 
 // ConnSummary is one connection's end-of-run accounting.
@@ -178,8 +196,12 @@ type Result struct {
 	Bursts int64
 	// Acked counts connections whose send buffer fully drained.
 	Acked int
-	// BytesPerConn is the steady-state heap cost per connection world
-	// (links, queues, engine, receiver), measured across construction.
+	// BytesPerConn is the heap growth across building the worlds the
+	// run keeps resident, after a full GC on both sides, divided by
+	// Conns. A coupled fleet keeps every world resident, so it is one
+	// world's construction cost (links, queues, engine, receiver); an
+	// uncoupled one keeps one world per shard (Config.recycles), so it
+	// is Shards worlds spread over Conns.
 	BytesPerConn int64
 	// DecisionP50NS/P99NS are fleet quantiles of the scheduler
 	// decision latency (wall ns per execution, conn.sched_exec_ns),
@@ -214,6 +236,7 @@ func Run(cfg Config) (Result, error) {
 		agg = obs.NewAggregator()
 	}
 
+	out := newTally(cfg.Conns, cfg.Conservation)
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
 		sched, err := cfg.NewScheduler()
@@ -221,15 +244,21 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("fleet: shard %d scheduler: %w", i, err)
 		}
 		shards[i] = newShard(&cfg, sched)
+		shards[i].out = out
 		agg.Attach(obs.Labels{Conn: fmt.Sprintf("shard%d", i), Scheduler: cfg.Program}, shards[i].reg)
 	}
 
-	// Steady-state memory: the heap growth across constructing every
-	// connection world, after a full GC on both sides of the build.
+	// Resident memory (Result.BytesPerConn): the heap growth across
+	// building the worlds the run keeps, after a full GC on both sides
+	// of the build. A recycling shard keeps one, its first connection's.
+	resident := cfg.Conns
+	if cfg.recycles() {
+		resident = cfg.Shards
+	}
 	var msBefore, msAfter stdruntime.MemStats
 	stdruntime.GC()
 	stdruntime.ReadMemStats(&msBefore)
-	for i := 0; i < cfg.Conns; i++ {
+	for i := 0; i < resident; i++ {
 		sh := shards[i%cfg.Shards]
 		fc, err := buildConn(&cfg, i, sh)
 		if err != nil {
@@ -253,26 +282,24 @@ func Run(cfg Config) (Result, error) {
 	wg.Wait()
 
 	res := Result{
-		Conns:           cfg.Conns,
-		Shards:          cfg.Shards,
-		VirtualDuration: cfg.Duration,
-		Wall:            time.Since(start),
-		BytesPerConn:    bytesPerConn,
-		PerConn:         make([]ConnSummary, cfg.Conns),
+		Conns:                  cfg.Conns,
+		Shards:                 cfg.Shards,
+		VirtualDuration:        cfg.Duration,
+		Wall:                   time.Since(start),
+		BytesPerConn:           bytesPerConn,
+		PerConn:                out.perConn,
+		ConservationViolations: out.report(),
 	}
 	for _, sh := range shards {
 		res.EvictedDests += sh.evicted
-		for _, fc := range sh.conns {
-			sum := fc.summary()
-			res.PerConn[fc.idx] = sum
-			res.DeliveredBytes += sum.Delivered
-			res.Bursts += int64(sum.Bursts)
-			if sum.Acked {
-				res.Acked++
-			}
+	}
+	for _, sum := range out.perConn {
+		res.DeliveredBytes += sum.Delivered
+		res.Bursts += int64(sum.Bursts)
+		if sum.Acked {
+			res.Acked++
 		}
 	}
-	res.ConservationViolations = collectViolations(shards, cfg.Conns)
 	snap := agg.Aggregate()
 	if h, ok := snap.Hists["conn.sched_exec_ns"]; ok {
 		res.DecisionP50NS, res.DecisionP99NS = h.P50, h.P99
@@ -284,36 +311,50 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// conservation is the slice of the checker's surface the result
-// assembly needs; tests substitute a fake to pin the violation
-// report's ordering without having to manufacture a real violation.
-type conservation interface{ Violations() []string }
+// tally is the run's per-connection outcome, one slot per connection
+// index. Each shard folds its own connections' slots, in whatever order
+// it finishes them, and the report reads the slots in index order: the
+// same fleet reports the same whatever the shard count.
+type tally struct {
+	perConn    []ConnSummary
+	violations [][]string // conservation findings; nil when not checked
+}
 
-// collectViolations flattens every connection's conservation findings
-// in connection-index order. Shards run concurrently and shard
-// membership is an accident of the split, so appending in shard order
-// would make the report depend on the shard count; indexing by fc.idx
-// keeps it byte-identical for the same fleet however it is sharded.
-func collectViolations(shards []*shard, conns int) []string {
-	per := make([][]string, conns)
-	for _, sh := range shards {
-		for _, fc := range sh.conns {
-			if fc.check != nil {
-				per[fc.idx] = fc.check.Violations()
-			}
-		}
+func newTally(conns int, conservation bool) *tally {
+	t := &tally{perConn: make([]ConnSummary, conns)}
+	if conservation {
+		t.violations = make([][]string, conns)
 	}
+	return t
+}
+
+// fold records the world's outcome as its connection's. A shard run
+// outside Run has no tally, and folds into none.
+func (t *tally) fold(fc *fleetConn) {
+	if t == nil {
+		return
+	}
+	t.perConn[fc.idx] = fc.summary()
+	if fc.check != nil {
+		t.violations[fc.idx] = fc.check.Violations()
+	}
+}
+
+// report flattens the conservation findings in connection-index order.
+func (t *tally) report() []string {
 	var out []string
-	for _, v := range per {
+	for _, v := range t.violations {
 		out = append(out, v...)
 	}
 	return out
 }
 
 // fleetConn is one connection world: a private engine, its links, and
-// the burst driver state.
+// the burst driver state. A recycling shard resets it in place for
+// each of its connections (reset).
 type fleetConn struct {
 	idx   int
+	sh    *shard
 	eng   *netsim.Engine
 	conn  *mptcp.Conn
 	check conservation
@@ -321,6 +362,18 @@ type fleetConn struct {
 	burstStart time.Duration
 	bursts     int
 	retired    bool
+
+	// The burst driver, built with the world and kept by its resets:
+	// send, wait for the final ACK, think, repeat until the horizon.
+	startBurst, onAcked func()
+}
+
+// conservation is what the fleet needs of a world's checker
+// (*mptcp.ConservationChecker): its findings, and a fresh start when
+// the world is reset.
+type conservation interface {
+	Violations() []string
+	Reset()
 }
 
 // summary is the connection's end-of-run accounting; it reads only
@@ -346,7 +399,7 @@ func connSeed(fleetSeed int64, idx int) int64 {
 
 // buildConn constructs connection idx's world and files it with its
 // shard's driver state (registry handles, delivery probes, burst
-// schedule). The world depends only on cfg and idx.
+// schedule). The world depends only on cfg and idx; cfg is the shard's.
 //
 // buildConn constructs deterministically from the connection seed
 // alone; the run-loop determinism zone (//progmp:deterministic) starts
@@ -355,28 +408,13 @@ func connSeed(fleetSeed int64, idx int) int64 {
 func buildConn(cfg *Config, idx int, sh *shard) (*fleetConn, error) {
 	eng := netsim.NewEngineCompact(connSeed(cfg.Seed, idx))
 	eng.Instrument(sh.reg)
-	fc := &fleetConn{idx: idx, eng: eng}
-	var loss netsim.LossModel
-	if cfg.LossProb > 0 {
-		loss = netsim.BernoulliLoss{P: cfg.LossProb}
-	}
-	wifiName, lteName := "wifi", "lte"
-	if cfg.DestGroups > 0 {
-		g := idx % cfg.DestGroups
-		wifiName = fmt.Sprintf("wifi.g%d", g)
-		lteName = fmt.Sprintf("lte.g%d", g)
-	}
-	conn, err := mptcp.Dial(eng, mptcp.Config{Store: cfg.Store},
-		mptcp.SubflowSpec{Path: netsim.PathConfig{
-			Name: wifiName, Rate: netsim.ConstantRate(3e6), Delay: 5 * time.Millisecond,
-		}},
-		mptcp.SubflowSpec{Path: netsim.PathConfig{
-			Name: lteName, Rate: netsim.ConstantRate(8e6), Delay: 20 * time.Millisecond, Loss: loss,
-		}, Backup: true})
+	fc := &fleetConn{idx: idx, sh: sh, eng: eng}
+	conn, err := mptcp.Dial(eng, mptcp.Config{Store: cfg.Store}, sh.paths(idx)...)
 	if err != nil {
 		return nil, err
 	}
 	fc.conn = conn
+	conn.SharePages(&sh.pages)
 
 	if cfg.Guard {
 		sup := guard.New(sh.sched, guard.Config{
@@ -399,24 +437,47 @@ func buildConn(cfg *Config, idx int, sh *shard) (*fleetConn, error) {
 		fc.check = mptcp.NewConservationChecker(conn)
 	}
 	conn.Receiver().AddDeliveryHook(func(_ int64, _ int, at time.Duration) {
-		sh.mDelivUS.Observe((at - fc.burstStart).Microseconds())
+		fc.sh.mDelivUS.Observe((at - fc.burstStart).Microseconds())
 	})
 
-	// Burst driver: send, wait for the final ACK, think, repeat until
-	// the horizon. OnAllAcked is one-shot, so each burst re-arms it.
-	var startBurst func()
-	onAcked := func() {
-		if fc.eng.Now()+cfg.Think <= cfg.Duration {
-			fc.eng.After(cfg.Think, startBurst)
+	// OnAllAcked is one-shot, so each burst re-arms it.
+	fc.onAcked = func() {
+		if c := fc.sh.cfg; fc.eng.Now()+c.Think <= c.Duration {
+			fc.eng.After(c.Think, fc.startBurst)
 		}
 	}
-	startBurst = func() {
+	fc.startBurst = func() {
 		fc.burstStart = fc.eng.Now()
 		fc.bursts++
-		fc.conn.OnAllAcked(onAcked)
-		fc.conn.Send(cfg.SendBytes, 0)
+		fc.conn.OnAllAcked(fc.onAcked)
+		fc.conn.Send(fc.sh.cfg.SendBytes, 0)
 	}
-	stagger := time.Duration(idx%997) * cfg.Think / 997
-	eng.At(stagger, startBurst)
+	fc.stagger()
 	return fc, nil
+}
+
+// reset rewires the world in place as connection idx of its shard, the
+// world buildConn builds for idx: the engine reseeded and emptied, the
+// connection redialled over the same paths, the checker and the burst
+// driver started over. It keeps what buildConn wired once — the
+// scheduler, the instrumentation, the hooks and closures — and the
+// memory every layer grew. Only an uncoupled world resets: a guard or a
+// store would carry the old connection's state into the new.
+func (fc *fleetConn) reset(idx int) {
+	fc.eng.Reset(connSeed(fc.sh.cfg.Seed, idx))
+	//progmp:ignore deterministic construction, as buildConn's: the world follows from the seed and the paths alone (TestRecycledFleetEqualsFresh)
+	if err := fc.conn.Reset(fc.sh.paths(idx)...); err != nil {
+		panic(err) // buildConn dialled the same two paths
+	}
+	if fc.check != nil {
+		fc.check.Reset()
+	}
+	fc.idx, fc.burstStart, fc.bursts, fc.retired = idx, 0, 0, false
+	fc.stagger()
+}
+
+// stagger schedules the first burst: connection starts spread across
+// one think period, so a fleet does not start in one herd.
+func (fc *fleetConn) stagger() {
+	fc.eng.At(time.Duration(fc.idx%997)*fc.sh.cfg.Think/997, fc.startBurst)
 }

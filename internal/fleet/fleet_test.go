@@ -227,6 +227,27 @@ func TestFleetSoakSmoke(t *testing.T) {
 	if n := store.NumDests(); n != 0 {
 		t.Fatalf("%d dest records still referenced after the fleet retired", n)
 	}
+
+	// Without the store nothing couples the worlds, so each shard keeps
+	// one (Config.recycles) and BytesPerConn spreads Shards worlds over
+	// the connections, where the coupled fleet kept one per connection.
+	// A shard's world is built first, so it also pays the shard
+	// registry's metrics: allow it four coupled worlds' worth.
+	unc, err := Run(Config{
+		Conns:        200,
+		Shards:       4,
+		Seed:         3,
+		Duration:     600 * time.Millisecond,
+		NewScheduler: vmScheduler(t, "minRTT"),
+		DestGroups:   8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resident := unc.BytesPerConn * int64(unc.Conns); unc.BytesPerConn <= 0 || resident > 4*int64(unc.Shards)*res.BytesPerConn {
+		t.Fatalf("uncoupled fleet: BytesPerConn %d (%d B resident), want one world per shard (%d), the coupled fleet's is %d B",
+			unc.BytesPerConn, resident, unc.Shards, res.BytesPerConn)
+	}
 }
 
 // TestFleetGuardSmoke runs a supervised fleet: a scheduler that
@@ -278,43 +299,57 @@ func TestWheelWrapAround(t *testing.T) {
 	}
 }
 
-// fakeChecker seeds collectViolations with known findings without
-// having to manufacture a real conservation violation.
+// fakeChecker gives a world known conservation findings without
+// having to manufacture a real violation.
 type fakeChecker []string
 
 func (f fakeChecker) Violations() []string { return f }
+func (f fakeChecker) Reset()               {}
 
 // TestViolationReportShardOrderInvariant pins the report's ordering:
-// violations read in connection-index order no matter how the fleet
-// was split across shards. Regression: the report used to be appended
-// in shard-walk order, so the same fleet produced differently-ordered
-// reports at different shard counts.
+// violations read in connection-index order no matter in which order
+// the shards fold their connections. Regression: the report used to be
+// appended in shard-walk order, so the same fleet produced differently-
+// ordered reports at different shard counts.
 func TestViolationReportShardOrderInvariant(t *testing.T) {
 	const n = 6
+	cfg := Config{Conns: n, Shards: 1, NewScheduler: vmScheduler(t, "minRTT")}
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	sched, err := cfg.NewScheduler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newShard(&cfg, sched)
 	conns := make([]*fleetConn, n)
 	var want []string
 	for i := range conns {
+		fc, err := buildConn(&cfg, i, sh)
+		if err != nil {
+			t.Fatal(err)
+		}
 		v := fakeChecker{
 			"conn " + string(rune('0'+i)) + ": first",
 			"conn " + string(rune('0'+i)) + ": second",
 		}
-		conns[i] = &fleetConn{idx: i, check: v}
+		fc.check = v
+		conns[i] = fc
 		want = append(want, v...)
 	}
-	layouts := map[string][]*shard{
-		"1shard": {{conns: conns}},
-		"3shards": func() []*shard {
-			sh := []*shard{{}, {}, {}}
-			for i, fc := range conns {
-				sh[i%3].conns = append(sh[i%3].conns, fc)
-			}
-			return sh
-		}(),
-		"reversed": {{conns: []*fleetConn{conns[5], conns[3], conns[1]}},
-			{conns: []*fleetConn{conns[4], conns[2], conns[0]}}},
+	// The order in which connections are folded: one shard, three
+	// shards finishing in turn, two shards walking backwards.
+	layouts := map[string][]int{
+		"1shard":   {0, 1, 2, 3, 4, 5},
+		"3shards":  {0, 3, 1, 4, 2, 5},
+		"reversed": {5, 3, 1, 4, 2, 0},
 	}
-	for name, shards := range layouts {
-		got := collectViolations(shards, n)
+	for name, order := range layouts {
+		tl := newTally(n, true)
+		for _, i := range order {
+			tl.fold(conns[i])
+		}
+		got := tl.report()
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d violations, want %d", name, len(got), len(want))
 		}

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"fmt"
 	"time"
 
 	"progmp/internal/guard"
 	"progmp/internal/mptcp"
+	"progmp/internal/netsim"
 	"progmp/internal/obs"
 )
 
@@ -12,7 +14,8 @@ import (
 // two). With a coupled fleet's 5 ms slice the wheel spans 1.28 s per
 // wrap; entries further out simply keep their absolute due slice and
 // ride the wrap (classic hashed wheel semantics). An uncoupled fleet's
-// one slice spans the horizon, so every world is due in slice 1.
+// one slice spans the horizon, so every world it holds is due in slice
+// 1; a recycling shard (Config.recycles) holds one and needs no wheel.
 const wheelBuckets = 256
 
 // evictEvery is how many slices pass between shared-store idle sweeps
@@ -93,8 +96,20 @@ func (w *wheel) advance(ready []int32) []int32 {
 type shard struct {
 	cfg   *Config
 	sched mptcp.Scheduler
+	// conns are the worlds the shard keeps: every one of its
+	// connections', or, when it recycles, the one it resets for each.
 	conns []*fleetConn
 	w     wheel
+	out   *tally
+
+	// specs are the two paths of a world, reused for every world the
+	// shard builds or resets: the rate curves and the loss model are
+	// built once, and so is each destination group's pair of names.
+	specs  [2]mptcp.SubflowSpec
+	groups map[int][2]string
+	// pages are the send-window pages the shard's worlds drained, for
+	// their next bursts.
+	pages mptcp.PagePool
 
 	reg      *obs.Registry
 	mDelivUS *obs.Histogram
@@ -113,6 +128,14 @@ func newShard(cfg *Config, sched mptcp.Scheduler) *shard {
 		reg:   obs.NewRegistry(),
 	}
 	sh.w.slice = cfg.slice
+	var loss netsim.LossModel
+	if cfg.LossProb > 0 {
+		loss = netsim.BernoulliLoss{P: cfg.LossProb}
+	}
+	sh.specs = [2]mptcp.SubflowSpec{
+		{Path: netsim.PathConfig{Rate: netsim.ConstantRate(3e6), Delay: 5 * time.Millisecond}},
+		{Path: netsim.PathConfig{Rate: netsim.ConstantRate(8e6), Delay: 20 * time.Millisecond, Loss: loss}, Backup: true},
+	}
 	sh.mDelivUS = sh.reg.Histogram("fleet.delivery_us")
 	sh.mRetired = sh.reg.Counter("fleet.retired")
 	sh.mVisits = sh.reg.Counter("fleet.visits")
@@ -122,6 +145,28 @@ func newShard(cfg *Config, sched mptcp.Scheduler) *shard {
 		sh.fleet.Instrument(nil, sh.reg)
 	}
 	return sh
+}
+
+// paths returns connection idx's subflow specs: WiFi and a backup LTE
+// path that drops at LossProb, named per destination group when
+// DestGroups is set.
+// The specs live in the shard and are rewritten by the next call.
+func (sh *shard) paths(idx int) []mptcp.SubflowSpec {
+	wifi, lte := "wifi", "lte"
+	if n := sh.cfg.DestGroups; n > 0 {
+		g := idx % n
+		names, ok := sh.groups[g]
+		if !ok {
+			if sh.groups == nil {
+				sh.groups = make(map[int][2]string)
+			}
+			names = [2]string{fmt.Sprintf("wifi.g%d", g), fmt.Sprintf("lte.g%d", g)}
+			sh.groups[g] = names
+		}
+		wifi, lte = names[0], names[1]
+	}
+	sh.specs[0].Path.Name, sh.specs[1].Path.Name = wifi, lte
+	return sh.specs[:]
 }
 
 // retire marks a connection done (its engine drained): its shared-
@@ -138,13 +183,53 @@ func (sh *shard) retire(fc *fleetConn) {
 	sh.mRetired.Add(1)
 }
 
-// run drives the shard's connections to the horizon: per slice, pop
-// the due batch off the wheel, advance each engine with one RunUntil
-// (a visit), and re-file each at its next event. When the slice is the
-// horizon, that is one visit per world in connection order.
+// run drives the shard's connections to the horizon and folds each
+// into the tally. A recycling shard holds the one world Run built for
+// it and runs its connections through it in turn; a shard that holds
+// every one of its worlds (a coupled fleet's, or worlds built by hand)
+// runs them on the wheel.
 //
 //progmp:deterministic
 func (sh *shard) run() {
+	if sh.cfg.recycles() && len(sh.conns) == 1 {
+		sh.runInTurn()
+		return
+	}
+	sh.runWheel()
+	for _, fc := range sh.conns {
+		sh.out.fold(fc)
+	}
+}
+
+// runInTurn runs the shard's connections one after another, in index
+// order, each to the horizon in one visit, and folds each as it ends.
+// The shard holds one world, built for its first connection (Run builds
+// it), and resets it for each next one. A world whose first event lies
+// past the horizon is retired unvisited.
+//
+//progmp:deterministic
+func (sh *shard) runInTurn() {
+	cfg, fc := sh.cfg, sh.conns[0]
+	sh.gConns.Set(int64((cfg.Conns - fc.idx + cfg.Shards - 1) / cfg.Shards))
+	for idx := fc.idx; idx < cfg.Conns; idx += cfg.Shards {
+		if idx != fc.idx {
+			fc.reset(idx)
+		}
+		if at, ok := fc.eng.NextEventAt(); ok && at <= cfg.Duration {
+			fc.eng.RunUntil(cfg.Duration)
+			sh.mVisits.Add(1)
+		}
+		sh.retire(fc)
+		sh.out.fold(fc)
+	}
+}
+
+// runWheel drives the shard's worlds, all built, to the horizon: per
+// slice, pop the due batch off the wheel, advance each engine with one
+// RunUntil (a visit), and re-file each at its next event.
+//
+//progmp:deterministic
+func (sh *shard) runWheel() {
 	sh.gConns.Set(int64(len(sh.conns)))
 	horizon, slice := sh.cfg.Duration, sh.cfg.slice
 	for i, fc := range sh.conns {

@@ -117,7 +117,6 @@ func (c *Config) applyDefaults() {
 type Conn struct {
 	eng *netsim.Engine
 	cfg Config
-	cc  CongestionControl
 
 	sched Scheduler
 	// applied is sched's Applied method (guard.Supervisor has one), nil
@@ -207,7 +206,6 @@ func NewConn(eng *netsim.Engine, cfg Config) *Conn {
 	c := &Conn{
 		eng:  eng,
 		cfg:  cfg,
-		cc:   cfg.CC,
 		rwnd: int64(cfg.RcvBuf),
 	}
 	c.arena = runtime.NewArena(&c.regs)
@@ -216,10 +214,18 @@ func NewConn(eng *netsim.Engine, cfg Config) *Conn {
 	return c
 }
 
+// SharePages makes the connection's send window return the pages it
+// drains to pool, and take new ones from it, instead of the allocator.
+// Connections on one goroutine may share a pool; nil (the default)
+// stops sharing.
+func (c *Conn) SharePages(pool *PagePool) { c.win.pool = pool }
+
 // Engine returns the simulation engine.
 func (c *Conn) Engine() *netsim.Engine { return c.eng }
 
 // Receiver returns the peer model.
+//
+//progmp:deterministic
 func (c *Conn) Receiver() *Receiver { return c.receiver }
 
 // Instrument attaches decision tracing and/or a metrics registry to
@@ -383,33 +389,70 @@ func (c *Conn) AddSubflow(cfg SubflowConfig) (*Subflow, error) {
 	if cfg.Link == nil {
 		return nil, fmt.Errorf("mptcp: subflow %q has no link", cfg.Name)
 	}
-	s := &Subflow{
-		id:            len(c.subflows),
-		name:          cfg.Name,
-		conn:          c,
-		link:          cfg.Link,
-		backup:        cfg.Backup,
-		cwnd:          initialCwnd,
-		ssthresh:      1 << 20, // effectively unbounded until first loss
-		highestSacked: -1,
-		destID:        -1,
-	}
-	if c.store != nil {
-		// Destination identity is the subflow name: connections sharing a
-		// path (same name) aggregate their observations into one record.
-		name := cfg.Name
-		if name == "" {
-			name = fmt.Sprintf("sbf%d", s.id)
-		}
-		s.destID = c.store.DestID(name)
-	}
+	s := new(Subflow)
+	c.addSubflow(s, cfg)
+	return s, nil
+}
+
+// addSubflow makes s the next subflow, over cfg, and schedules its
+// establish event.
+func (c *Conn) addSubflow(s *Subflow, cfg SubflowConfig) {
+	s.init(c, len(c.subflows), cfg)
 	c.subflows = append(c.subflows, s)
 	c.receiver.addSubflow()
-	if c.metricsReg != nil {
-		s.instrument(c.metricsReg)
-	}
 	c.eng.Post(cfg.StartAt, s, evEstablish, 0, 0, 0)
-	return s, nil
+}
+
+// Reset rewires the connection in place as the world Dial builds from
+// specs on its engine, which the caller has reset first
+// (netsim.Engine.Reset): the transfer, the registers, the arena, the
+// receiver and every subflow start afresh, and the establish events are
+// scheduled as Dial schedules them, so the trajectory from here is the
+// fresh world's. What the application attached stays — the config, the
+// scheduler (with whatever state it keeps itself), the instrumentation
+// and the delivery hooks; OnAllAcked's one-shot callback does not, nor
+// anything it scheduled on the engine, such as a PathManager's checks —
+// and so does the memory the connection grew: its windows, queues and
+// rings, its subflows and their links, which Reset reconfigures, so it
+// is for connections whose links are their own, as Dial's are. Call it
+// between events, never from inside one. Dial calls it on a fresh
+// connection.
+func (c *Conn) Reset(specs ...SubflowSpec) error {
+	if len(specs) > runtime.MaxSubflows {
+		return fmt.Errorf("mptcp: subflow limit %d reached", runtime.MaxSubflows)
+	}
+	c.ReleaseDests()
+	c.arena.Reset() // and the registers, its register file
+	c.receiver.reset()
+	for i := range c.queues {
+		c.queues[i].reset()
+	}
+	c.win.reset()
+	c.sentAsked, c.rwnd = 0, int64(c.cfg.RcvBuf)
+	c.ackedOffset, c.maxSentEnd, c.bytesQueued = 0, 0, 0
+	c.scheduling, c.schedPending, c.hasPendingSched, c.pendingSched = false, false, false, nil
+	c.destsReleased, c.curExec = false, 0
+	c.SchedulerExecutions, c.TotalEnqueued, c.onAllAcked = 0, 0, nil
+
+	old := c.subflows
+	c.subflows = old[:0]
+	for i, sp := range specs {
+		cfg := SubflowConfig{Name: sp.Path.Name, Backup: sp.Backup, StartAt: sp.StartAt}
+		if i >= len(old) {
+			cfg.Link = netsim.NewLink(c.eng, sp.Path)
+			if _, err := c.AddSubflow(cfg); err != nil {
+				return err
+			}
+			continue
+		}
+		cfg.Link = old[i].link
+		cfg.Link.Reset(sp.Path)
+		c.addSubflow(old[i], cfg)
+	}
+	if len(old) > len(specs) {
+		clear(old[len(specs):]) // the subflows the new world has no use for
+	}
+	return nil
 }
 
 // Subflows returns all subflows (including closed ones; check
@@ -454,6 +497,8 @@ func (c *Conn) reinjectSegments() int { return c.queues[inRQ].len() }
 
 // AllAcked reports whether every enqueued byte has been cumulatively
 // acknowledged.
+//
+//progmp:deterministic
 func (c *Conn) AllAcked() bool {
 	return c.QueuedSegments() == 0 && c.UnackedSegments() == 0 && c.win.end > 0
 }

@@ -43,6 +43,15 @@ func NewConservationChecker(conn *Conn) *ConservationChecker {
 	return k
 }
 
+// Reset starts the checker over for its connection's next world
+// (Conn.Reset): nothing delivered, nothing violated. The violations
+// returned so far stay the caller's.
+//
+//progmp:deterministic
+func (k *ConservationChecker) Reset() {
+	*k = ConservationChecker{conn: k.conn}
+}
+
 func (k *ConservationChecker) violate(format string, args ...any) {
 	if len(k.violations) < maxRecordedViolations {
 		k.violations = append(k.violations, fmt.Sprintf(format, args...))
@@ -52,6 +61,8 @@ func (k *ConservationChecker) violate(format string, args ...any) {
 }
 
 // Violations returns the recorded invariant violations.
+//
+//progmp:deterministic
 func (k *ConservationChecker) Violations() []string { return k.violations }
 
 // Check verifies the post-run invariant: wantBytes delivered exactly

@@ -139,6 +139,14 @@ func runGolden(t *testing.T, g goldenShape) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return driveGolden(t, g, eng, conn)
+}
+
+// driveGolden runs the shape on conn, dialled (or reset) over the
+// shape's paths on eng seeded with the shape's seed, and no scheduler
+// installed.
+func driveGolden(t *testing.T, g goldenShape, eng *netsim.Engine, conn *Conn) uint64 {
+	t.Helper()
 	conn.SetScheduler(core.MustLoad(g.scheduler, schedlib.All[g.scheduler], core.BackendCompiled))
 
 	digest := newFNV()
@@ -189,6 +197,39 @@ func TestTransferDigestGolden(t *testing.T) {
 			digest.mixSubflows(conn)
 			if got := uint64(digest); got != g.want {
 				t.Errorf("%s: chaos digest %#x, want %#x", g.scenario, got, g.want)
+			}
+		})
+	}
+}
+
+// TestResetReproducesGoldenShapes: a connection reset in place reproduces
+// every golden trajectory, as a freshly dialled one does. Each is first
+// cut mid-transfer in another world — four paths, the redundant program
+// (which asks for sent cursors), windows open and packets in the air —
+// then its engine and connection are reset to the shape's seed and
+// paths: two, three or four subflows where there were four.
+func TestResetReproducesGoldenShapes(t *testing.T) {
+	for _, g := range goldenShapes {
+		t.Run(g.name, func(t *testing.T) {
+			eng := netsim.NewEngine(g.seed + 1)
+			conn, err := Dial(eng, g.cfg, fourPaths(eng)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.SetScheduler(core.MustLoad("redundant", schedlib.All["redundant"], core.BackendCompiled))
+			eng.At(0, func() { conn.Send(16<<20, 0) })
+			eng.RunUntil(300 * time.Millisecond)
+			if conn.UnackedSegments() == 0 || conn.sentAsked == 0 {
+				t.Fatalf("the first world was not cut mid-transfer: %d unacked, sent cursors %b", conn.UnackedSegments(), conn.sentAsked)
+			}
+
+			eng.Reset(g.seed)
+			conn.SetScheduler(nil)
+			if err := conn.Reset(g.specs(eng)...); err != nil {
+				t.Fatal(err)
+			}
+			if got := driveGolden(t, g, eng, conn); got != g.want {
+				t.Errorf("%s: reset connection's trajectory digest %#x, want %#x", g.name, got, g.want)
 			}
 		})
 	}

@@ -112,6 +112,12 @@ func (l *packetList) MaterializePacket(i int, v *runtime.PacketView) {
 
 func (l *packetList) len() int { return len(l.pkts) - l.head }
 
+// reset empties the list and keeps its backing array, every slot nil.
+func (l *packetList) reset() {
+	clear(l.pkts)
+	*l = packetList{pkts: l.pkts[:0]}
+}
+
 // all returns the live content (callers must not mutate).
 func (l *packetList) all() []*Packet { return l.pkts[l.head:] }
 

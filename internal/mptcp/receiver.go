@@ -119,7 +119,30 @@ func (r *Receiver) AddDeliveryHook(fn func(seq int64, size int, at time.Duration
 	}
 }
 
-func (r *Receiver) addSubflow() { r.perSbf = append(r.perSbf, ring[rxSeg]{}) }
+// addSubflow opens the next subflow's receive window, in the buffer an
+// earlier world left when there is one.
+func (r *Receiver) addSubflow() {
+	n := len(r.perSbf)
+	if n == cap(r.perSbf) {
+		r.perSbf = append(r.perSbf, ring[rxSeg]{})
+		return
+	}
+	r.perSbf = r.perSbf[:n+1]
+	r.perSbf[n].reset()
+}
+
+// reset returns the receiver to what newReceiver builds, with no
+// subflows, keeping its windows' buffers, its delivery hooks and its
+// metric handles.
+func (r *Receiver) reset() {
+	ooo, perSbf := r.ooo, r.perSbf[:0]
+	ooo.reset()
+	*r = Receiver{
+		conn: r.conn, mode: r.mode, rcvBuf: r.rcvBuf,
+		ooo: ooo, perSbf: perSbf, onDeliver: r.onDeliver,
+		mDelivBytes: r.mDelivBytes, mDelivSegs: r.mDelivSegs, mOOODepth: r.mOOODepth,
+	}
+}
 
 // rwnd is the advertised receive window: buffer minus bytes held in
 // reorder queues (the in-order application consumes immediately).

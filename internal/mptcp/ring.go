@@ -67,6 +67,12 @@ func (r *ring[T]) popFront() T {
 	return v
 }
 
+// reset empties the window back to index 0 and keeps its buffer.
+func (r *ring[T]) reset() {
+	clear(r.buf)
+	r.base, r.n = 0, 0
+}
+
 // grow re-houses the window in the smallest power-of-two buffer with
 // room for need elements.
 func (r *ring[T]) grow(need int) {

@@ -14,11 +14,13 @@ package mptcp
 // A page the cumulative ACK has passed becomes the spare, at most one,
 // which the next page the writes open takes instead of allocating. A
 // drained window lets go of every page, the spare too, so an idle
-// connection holds no packet memory.
+// connection holds no packet memory: the pages go to the garbage
+// collector, or to the pool the connection shares (Conn.SharePages).
 type sendWindow struct {
 	pages     ring[*winPage] // indexed by page number: seq >> pageShift
 	base, end int64
 	spare     *winPage
+	pool      *PagePool
 }
 
 const (
@@ -28,6 +30,37 @@ const (
 
 // winPage holds the packets of pageSize consecutive sequence numbers.
 type winPage [pageSize]Packet
+
+// PagePool holds the send-window pages that drained windows let go of,
+// for the next page any window sharing it opens: a connection's next
+// burst, or the next world a fleet shard recycles, takes one back
+// instead of allocating. A page holds no pointer and push overwrites a
+// packet whole, so nothing of a page's past shows or stays reachable
+// through it. The zero value is an empty pool; it holds at most
+// maxPooledPages, and it is not safe for concurrent use: the
+// connections sharing one run on one goroutine.
+type PagePool struct{ free []*winPage }
+
+// maxPooledPages bounds a pool; pages beyond it go to the collector.
+const maxPooledPages = 64
+
+// get returns a pooled page, or a new one when the pool (or p) is empty.
+func (p *PagePool) get() *winPage {
+	if p == nil || len(p.free) == 0 {
+		return new(winPage)
+	}
+	pg := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	return pg
+}
+
+// put pools pg, or drops it when p is nil or full.
+func (p *PagePool) put(pg *winPage) {
+	if p != nil && len(p.free) < maxPooledPages {
+		//progmp:ignore hotpath amortized: the pool's slice grows once, to at most maxPooledPages
+		p.free = append(p.free, pg)
+	}
+}
 
 func (w *sendWindow) len() int { return int(w.end - w.base) }
 
@@ -48,7 +81,7 @@ func (w *sendWindow) push() *Packet {
 		pg := w.spare
 		w.spare = nil
 		if pg == nil {
-			pg = new(winPage)
+			pg = w.pool.get()
 		}
 		w.pages.pushBack(pg)
 	}
@@ -64,12 +97,29 @@ func (w *sendWindow) pop() {
 	w.base++
 	switch {
 	case w.base == w.end:
-		// Drained: drop the last page and the spare, and leave the page
+		// Drained: free the last page and the spare, and leave the page
 		// ring where the next write opens its page.
-		w.pages.popFront()
+		w.free()
 		w.pages.base = w.base >> pageShift
-		w.spare = nil
 	case w.base&(pageSize-1) == 0:
 		w.spare = w.pages.popFront()
 	}
+}
+
+// free lets go of every page the window holds, the spare too.
+func (w *sendWindow) free() {
+	for w.pages.len() > 0 {
+		w.pool.put(w.pages.popFront())
+	}
+	if w.spare != nil {
+		w.pool.put(w.spare)
+		w.spare = nil
+	}
+}
+
+// reset empties the window back to sequence number 0.
+func (w *sendWindow) reset() {
+	w.free()
+	w.pages.reset()
+	w.base, w.end = 0, 0
 }

@@ -2,6 +2,7 @@ package mptcp
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"progmp/internal/netsim"
@@ -56,21 +57,15 @@ type SubflowSpec struct {
 
 // Dial builds a connection's world on eng: the connection, then per
 // spec — in order — a link and the subflow over it, named after the
-// path. It is the one place a world is wired. The order is part of the
-// determinism contract: NewLink neither draws randomness nor schedules
-// events, AddSubflow schedules the establish event, so equal specs on
-// an equally seeded engine reproduce a trajectory exactly.
+// path. It is the one place a world is wired (Conn.Reset rewires one in
+// place). The order is part of the determinism contract: a link
+// neither draws randomness nor schedules events, the subflow schedules
+// its establish event, so equal specs on an equally seeded engine
+// reproduce a trajectory exactly.
 func Dial(eng *netsim.Engine, cfg Config, specs ...SubflowSpec) (*Conn, error) {
 	conn := NewConn(eng, cfg)
-	for _, sp := range specs {
-		if _, err := conn.AddSubflow(SubflowConfig{
-			Name:    sp.Path.Name,
-			Link:    netsim.NewLink(eng, sp.Path),
-			Backup:  sp.Backup,
-			StartAt: sp.StartAt,
-		}); err != nil {
-			return nil, err
-		}
+	if err := conn.Reset(specs...); err != nil {
+		return nil, err
 	}
 	return conn, nil
 }
@@ -209,17 +204,51 @@ func (s *Subflow) Backup() bool { return s.backup }
 // usable reports whether the subflow can carry data now.
 func (s *Subflow) usable() bool { return s.established && !s.closed }
 
+// init makes s subflow id of c over cfg, as a new Subflow starts. Of
+// what s held before, only the buffers its windows grew survive.
+func (s *Subflow) init(c *Conn, id int, cfg SubflowConfig) {
+	sent, samples := s.sent, s.rate.samples
+	sent.reset()
+	samples.reset()
+	*s = Subflow{
+		id:            id,
+		name:          cfg.Name,
+		conn:          c,
+		link:          cfg.Link,
+		backup:        cfg.Backup,
+		cwnd:          initialCwnd,
+		ssthresh:      1 << 20, // effectively unbounded until first loss
+		sent:          sent,
+		highestSacked: -1,
+		rate:          rateWindowSum{samples: samples},
+		destID:        -1,
+	}
+	if c.store != nil {
+		// Destination identity is the subflow name: connections sharing a
+		// path (same name) aggregate their observations into one record.
+		name := cfg.Name
+		if name == "" {
+			name = fmt.Sprintf("sbf%d", id)
+		}
+		s.destID = c.store.DestID(name)
+	}
+	if c.metricsReg != nil {
+		s.instrument(c.metricsReg)
+	}
+}
+
 // instrument resolves the subflow's metric handles from reg, namespaced
-// by the subflow name (falling back to the numeric id).
+// by the subflow name (falling back to the numeric id). The registry
+// builds each name once (obs.Registry.Join).
 func (s *Subflow) instrument(reg *obs.Registry) {
 	key := s.name
 	if key == "" {
-		key = fmt.Sprintf("%d", s.id)
+		key = strconv.Itoa(s.id)
 	}
-	s.mBytes = reg.Counter("sbf." + key + ".bytes_sent")
-	s.mRetx = reg.Counter("sbf." + key + ".retransmits")
-	s.mRTOs = reg.Counter("sbf." + key + ".rtos")
-	s.mRTT = reg.Histogram("sbf." + key + ".rtt_us")
+	s.mBytes = reg.Counter(reg.Join("sbf.", key, ".bytes_sent"))
+	s.mRetx = reg.Counter(reg.Join("sbf.", key, ".retransmits"))
+	s.mRTOs = reg.Counter(reg.Join("sbf.", key, ".rtos"))
+	s.mRTT = reg.Histogram(reg.Join("sbf.", key, ".rtt_us"))
 }
 
 // trace records a subflow-scoped event through the connection's tracer.
@@ -242,12 +271,18 @@ const maxSynRetries = 6
 //	evData        sbfSeq, metaSeq, payload size   (at the receiver)
 //	evAck         sbfSeq, meta cumulative ACK, receive window
 //	evRTO         —
+//	evSynRetry    the attempt to send
+//	evSyn         when the SYN left, its attempt  (at the receiver)
+//	evSynAck      when the SYN left, its attempt
 const (
 	evEstablish uint8 = iota + 1
 	evSerialized
 	evData
 	evAck
 	evRTO
+	evSynRetry
+	evSyn
+	evSynAck
 )
 
 // HandleEvent dispatches the subflow's typed events.
@@ -266,6 +301,12 @@ func (s *Subflow) HandleEvent(kind uint8, a, b, c int64) {
 		s.handleAck(a, b, c)
 	case evRTO:
 		s.onRTO()
+	case evSynRetry:
+		s.sendSYN(int(a))
+	case evSyn:
+		s.link.Rev.SendMsg(ackSize, netsim.Msg{To: s, Kind: evSynAck, A: a, B: b})
+	case evSynAck:
+		s.onSynAck(time.Duration(a), int(b))
 	}
 }
 
@@ -274,31 +315,41 @@ func (s *Subflow) HandleEvent(kind uint8, a, b, c int64) {
 // retransmitted with exponential backoff.
 func (s *Subflow) establish() { s.sendSYN(0) }
 
+// sendSYN sends the handshake's SYN number attempt. Until the subflow
+// is established rtoTimer is the SYN's retransmission timer, as the
+// kernel's is: it names the latest attempt's retry.
 func (s *Subflow) sendSYN(attempt int) {
 	if s.closed || s.established {
 		return
 	}
-	synAt := s.conn.eng.Now()
-	var retry netsim.Timer
+	now := s.conn.eng.Now()
+	s.rtoTimer = netsim.Timer{}
 	if attempt < maxSynRetries {
-		retry = s.conn.eng.After(synRetryBase<<uint(attempt), func() {
-			s.sendSYN(attempt + 1)
-		})
+		s.rtoTimer = s.conn.eng.Post(now+synRetryBase<<uint(attempt), s, evSynRetry, int64(attempt+1), 0, 0)
 	}
-	s.link.Fwd.Send(ackSize, func() {
-		s.link.Rev.Send(ackSize, func() {
-			if s.closed || s.established {
-				return
-			}
-			retry.Stop()
-			s.established = true
-			rttUS := s.rttSample(s.conn.eng.Now() - synAt)
-			if st := s.conn.store; st != nil {
-				st.RecordRTT(s.destID, rttUS)
-			}
-			s.conn.onSubflowEstablished(s)
-		})
-	})
+	s.link.Fwd.SendMsg(ackSize, netsim.Msg{To: s, Kind: evSyn, A: int64(now), B: int64(attempt)})
+}
+
+// onSynAck completes the handshake with the ACK of the SYN sent at
+// synAt as number attempt. That SYN's retry is stopped if it has not
+// fired: before its deadline it is still the latest, the one rtoTimer
+// names. Once it fired, rtoTimer names a later attempt's retry, which
+// runs on and finds the subflow established.
+func (s *Subflow) onSynAck(synAt time.Duration, attempt int) {
+	if s.closed || s.established {
+		return
+	}
+	now := s.conn.eng.Now()
+	if attempt < maxSynRetries && now < synAt+synRetryBase<<uint(attempt) {
+		s.rtoTimer.Stop()
+	}
+	s.rtoTimer = netsim.Timer{}
+	s.established = true
+	rttUS := s.rttSample(now - synAt)
+	if st := s.conn.store; st != nil {
+		st.RecordRTT(s.destID, rttUS)
+	}
+	s.conn.onSubflowEstablished(s)
 }
 
 // Close tears the subflow down. Outstanding segments that still have a
@@ -314,7 +365,9 @@ func (s *Subflow) Close() {
 		return
 	}
 	s.closed = true
-	s.rtoTimer.Stop()
+	if s.established { // a SYN retry runs on, and finds the subflow closed
+		s.rtoTimer.Stop()
+	}
 	for seq, end := s.sent.base, s.sent.end(); seq < end; seq++ {
 		rec := s.sent.at(seq)
 		if !rec.live() {
@@ -433,7 +486,7 @@ func (s *Subflow) handleAck(sackSbfSeq, metaCumAck int64, rwnd int64) {
 		if !rec.lost {
 			prev := s.cwnd
 			//progmp:ignore hotpath congestion control is pluggable; Reno, LIA (the default) and OLIA are hotpath roots of their own
-			s.conn.cc.OnAck(s.conn, s)
+			s.conn.cfg.CC.OnAck(s.conn, s)
 			if s.cwnd != prev {
 				s.trace(obs.EvCwnd, -1, int64(s.cwnd*1000), 0)
 			}
@@ -504,10 +557,10 @@ func (s *Subflow) markLost(seq int64, isRTO bool) {
 		prev := s.cwnd
 		if isRTO {
 			//progmp:ignore hotpath congestion control is pluggable; Reno, LIA (the default) and OLIA are hotpath roots of their own
-			s.conn.cc.OnRTO(s.conn, s)
+			s.conn.cfg.CC.OnRTO(s.conn, s)
 		} else {
 			//progmp:ignore hotpath congestion control is pluggable; Reno, LIA (the default) and OLIA are hotpath roots of their own
-			s.conn.cc.OnLoss(s.conn, s)
+			s.conn.cfg.CC.OnLoss(s.conn, s)
 		}
 		if s.cwnd != prev {
 			s.trace(obs.EvCwnd, -1, int64(s.cwnd*1000), 0)

@@ -139,6 +139,28 @@ func Mix64(seed uint64) uint64 {
 	return s.Uint64()
 }
 
+// Reset empties the engine for a new world seeded with seed, as the
+// constructor that built it seeds one: the clock returns to zero and
+// every pending event is dropped unfired, its handler cleared so it
+// pins nothing of the old world. The events, the flights of packets
+// that were in the air and the metric handles stay, so a recycled
+// world schedules from its free lists. seq keeps counting: order is
+// relative in (at, seq), so no event moves, and a Timer from before
+// the reset never matches a reused event.
+//
+//progmp:deterministic
+func (e *Engine) Reset(seed int64) {
+	for _, ev := range e.pq[:e.n] {
+		if f, ok := ev.h.(*flight); ok && f.refs > 0 {
+			f.refs, f.msg.To = 0, nil
+			f.next, e.flights = e.flights, f
+		}
+		ev.h = nil
+	}
+	e.n, e.now = 0, 0
+	e.rng.Seed(seed)
+}
+
 // Now returns the current virtual time.
 //
 //progmp:hotpath

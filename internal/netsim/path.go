@@ -169,13 +169,21 @@ type Path struct {
 
 // NewPath builds a path on the engine.
 func NewPath(eng *Engine, cfg PathConfig) *Path {
+	p := &Path{eng: eng}
+	p.reset(cfg)
+	return p
+}
+
+// reset gives the path cfg and an idle transmitter, as NewPath builds
+// it on the same engine.
+func (p *Path) reset(cfg PathConfig) {
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = 256 << 10
 	}
 	if cfg.Loss == nil {
 		cfg.Loss = NoLoss{}
 	}
-	return &Path{eng: eng, cfg: cfg}
+	p.cfg, p.busyUntil = cfg, 0
 }
 
 // QueuedBytes reports the transmit backlog in bytes at the current
@@ -364,12 +372,24 @@ type Link struct {
 	Rev *Path
 }
 
+// ackRate is every link's reverse capacity: a 1 Gb/s ACK path.
+var ackRate = ConstantRate(125e6)
+
 // NewLink builds a symmetric-delay link with the forward config and a
 // high-capacity reverse path for ACK traffic.
 func NewLink(eng *Engine, cfg PathConfig) *Link {
+	l := &Link{Fwd: &Path{eng: eng}, Rev: &Path{eng: eng}}
+	l.Reset(cfg)
+	return l
+}
+
+// Reset reconfigures the link as NewLink builds it from cfg on the same
+// engine, both transmitters idle. The reverse path has cfg's delay and
+// queue but no name and no loss model: ACK loss is modelled only when
+// configured explicitly.
+func (l *Link) Reset(cfg PathConfig) {
 	rev := cfg
-	rev.Name = cfg.Name + "-rev"
-	rev.Loss = nil                 // ACK loss is modelled only when configured explicitly
-	rev.Rate = ConstantRate(125e6) // 1 Gb/s ACK path
-	return &Link{Fwd: NewPath(eng, cfg), Rev: NewPath(eng, rev)}
+	rev.Name, rev.Loss, rev.Rate = "", nil, ackRate
+	l.Fwd.reset(cfg)
+	l.Rev.reset(rev)
 }

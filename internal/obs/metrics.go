@@ -255,10 +255,33 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	names    map[[3]string]string // Join's built names
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
+
+// Join returns prefix+key+suffix, built the first time the registry
+// is asked for it and the same string after: a handle resolved by a
+// composed name (a subflow's, once per connection) allocates the name
+// once per registry. Safe on nil (builds the name).
+func (r *Registry) Join(prefix, key, suffix string) string {
+	if r == nil {
+		return prefix + key + suffix
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := [3]string{prefix, key, suffix}
+	name, ok := r.names[k]
+	if !ok {
+		if r.names == nil {
+			r.names = make(map[[3]string]string)
+		}
+		name = prefix + key + suffix
+		r.names[k] = name
+	}
+	return name
+}
 
 // Counter returns the named counter, creating it if needed. Safe on
 // nil (returns a nil no-op handle).

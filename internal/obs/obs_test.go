@@ -296,3 +296,20 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 			single.Quantile(1.1), single.Quantile(1))
 	}
 }
+
+// TestRegistryJoinBuildsOnce: a registry builds a composed name the
+// first time and hands the same string out after, without allocating;
+// a nil registry still builds it.
+func TestRegistryJoinBuildsOnce(t *testing.T) {
+	reg := NewRegistry()
+	key := strings.Repeat("w", 3)
+	if got := reg.Join("sbf.", key, ".rtos"); got != "sbf.www.rtos" {
+		t.Fatalf("Join = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { reg.Counter(reg.Join("sbf.", key, ".rtos")).Add(1) }); n != 0 {
+		t.Errorf("resolving a joined name allocates %.0f times after the first", n)
+	}
+	if got := (*Registry)(nil).Join("a", "b", "c"); got != "abc" {
+		t.Errorf("nil registry Join = %q", got)
+	}
+}

@@ -44,6 +44,21 @@ func NewArena(regs *[NumRegisters]int64) *Arena {
 	return a
 }
 
+// Reset returns the arena to what NewArena builds over the same
+// register file, which it zeroes: no subflow views, no queue bound, no
+// action, certificate or global left from the executions before. The
+// storage it grew stays; the generation counters keep counting, which
+// invalidates every view as a fresh arena's would be empty.
+func (a *Arena) Reset() {
+	a.env.Reset()
+	a.env.SubflowViews = nil
+	*a.env.Regs = [NumRegisters]int64{}
+	a.globals = [NumGlobals]int64{}
+	for id := range a.queues {
+		a.queues[id].bind(nil, 0)
+	}
+}
+
 // Env returns the arena's environment. The pointer is stable for the
 // arena's lifetime; contents change with every Bind*/BeginExec.
 //

@@ -128,6 +128,36 @@ func TestEnvActionsAndRegisters(t *testing.T) {
 	}
 }
 
+// TestArenaResetEqualsNew: after an execution that bound subflows and
+// queues, popped, pushed, wrote registers and globals and was stamped,
+// a reset arena's environment reads as a new arena's: no views, empty
+// queues, no action or certificate, zero registers and globals.
+func TestArenaResetEqualsNew(t *testing.T) {
+	var regs [NumRegisters]int64
+	a := NewArena(&regs)
+	views := a.BindSubflows(2)
+	a.BindQueue(QueueSend, sliceSource(pkts(3)), 3, false)
+	a.BeginExec()
+	env := a.Env()
+	p := env.SendQ.Top()
+	env.Pop(QueueSend, p)
+	env.Push(views[0], p)
+	env.SetReg(2, 5)
+	env.SetGlobal(1, 6)
+	env.Cert = &Certificate{}
+
+	a.Reset()
+	fresh := NewArena(nil).Env()
+	switch {
+	case env.Cert != nil || len(env.Actions) != 0 || len(env.SubflowViews) != len(fresh.SubflowViews):
+		t.Fatalf("reset env: cert %v, %d actions, %d subflow views", env.Cert, len(env.Actions), len(env.SubflowViews))
+	case env.SendQ.Len() != 0 || env.SendQ.Top() != nil || env.DirtyGlobals() != 0:
+		t.Fatalf("reset send queue holds %d packets, dirty globals %b", env.SendQ.Len(), env.DirtyGlobals())
+	case regs != [NumRegisters]int64{} || *env.Globals != *fresh.Globals:
+		t.Fatalf("reset registers %v, globals %v", regs, *env.Globals)
+	}
+}
+
 func TestSentOnAndWindow(t *testing.T) {
 	sbf := &SubflowView{RWndFreeBytes: 500}
 	sbf.Ints[SbfID] = 3
