@@ -111,7 +111,7 @@ func cli(args []string, out, errw io.Writer) int {
 	chaos := fs.String("chaos", "", "run a chaos soak instead: scenario name or \"all\" (see -chaos list)")
 	fs.StringVar(&cm.Ctl, "ctl", "", "serve the control plane on ADDR (a Unix socket path, or host:port for TCP) and run live")
 	fs.Float64Var(&cm.Pace, "pace", 0, "live pacing with -ctl: virtual seconds per wall second (1 = real time, 0 = real time default, <0 = unpaced)")
-	fs.DurationVar(&cm.Interval, "metrics-interval", 0, "sample aggregated fleet metrics every D of virtual time")
+	fs.DurationVar(&cm.Interval, "metrics-interval", 0, "sample the run's aggregated metrics every D of virtual time (classic mode)")
 	fs.StringVar(&cm.MetricsOut, "metrics-out", "", "write the sampled metrics time-series as JSONL to FILE (implies -metrics-interval 100ms)")
 	fs.StringVar(&cm.MetricsHTTP, "metrics-http", "", "serve the OpenMetrics exposition on host:port")
 	fs.IntVar(&fc.Conns, "fleet", 0, "run a sharded fleet soak with N concurrent connections instead of a single scenario")

@@ -1,10 +1,10 @@
 // Package fleet is the sharded multi-connection runtime: it hosts
 // many MPTCP connections — each a self-contained netsim world — and
 // drives them concurrently from a small set of per-core shards, each
-// shard running a batched event loop (hashed timer wheel + ready
-// batch) over its connection subset. It is the deployment story of
-// the programming model: application-defined schedulers only pay off
-// when one host can run them for a whole fleet of connections, which
+// shard running a batched event loop over its connection subset. It is
+// the deployment story of the programming model: application-defined
+// schedulers only pay off when one host can run them for a whole
+// fleet of connections, which
 // is also the regime where the cross-connection shared state
 // (internal/xstate) and fleet observability (internal/obs Aggregator)
 // built by earlier layers become meaningful.
@@ -22,10 +22,13 @@
 //     happens only through the xstate store's seqlocked table and the
 //     obs Aggregator's atomics, both designed for concurrent readers.
 //   - Shards batch: instead of one goroutine per connection (100k
-//     goroutines, each mostly idle) the wheel files each connection at
-//     the window of its next engine event and the loop services only
-//     the due batch per window, advancing each serviced engine with
-//     one RunUntil call.
+//     goroutines, each mostly idle) a shard keeps each world's next
+//     event time and, per window, visits only the worlds due in it,
+//     advancing each with one RunUntil call.
+//   - The visit order is a rule: in each shard, the due worlds of a
+//     window run in connection-index order, while shards run
+//     concurrently. Coupled worlds therefore see one another's store
+//     writes in that order.
 //   - The window comes from coupling. Without a store or a guard no
 //     world can see another, so a shard runs each world to the horizon
 //     in one visit; with either, the worlds advance in lock-step 5 ms

@@ -27,11 +27,22 @@ func vmScheduler(t *testing.T, name string) func() (mptcp.Scheduler, error) {
 // property: a connection's trajectory depends only on the fleet seed
 // and its index, so the same seeded connection set delivers
 // byte-identically whether 1, 2 or 8 shards drive it.
+//
+// The store case is the one the bench's 1-vs-2-shard oracle relies on
+// for fleet_shared: jointFlow steering by shared records across 32
+// destination groups. It runs at loss 0 because jointFlow's
+// XLOST < R1 + 8 threshold can make a lossy run depend on how the
+// shards interleave their store writes (ROADMAP finding 5: shards share
+// state with no common clock); the store's contents are left out until
+// the window barrier (ROADMAP item 15) orders those writes.
 func TestShardCountInvariance(t *testing.T) {
-	run := func(shards int) Result {
-		res, err := Run(Config{
+	cases := []struct {
+		name  string
+		store bool
+		cfg   Config
+	}{
+		{"uncoupled", false, Config{
 			Conns:        64,
-			Shards:       shards,
 			Seed:         7,
 			Duration:     800 * time.Millisecond,
 			SendBytes:    16 << 10,
@@ -40,31 +51,55 @@ func TestShardCountInvariance(t *testing.T) {
 			NewScheduler: vmScheduler(t, "minRTT"),
 			Program:      "minRTT",
 			Conservation: true,
-		})
-		if err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
-		}
-		if len(res.ConservationViolations) > 0 {
-			t.Fatalf("%d shards: conservation violated: %v", shards, res.ConservationViolations)
-		}
-		if res.DeliveredBytes == 0 {
-			t.Fatalf("%d shards: nothing delivered", shards)
-		}
-		return res
+		}},
+		{"store", true, Config{
+			Conns:        300,
+			Seed:         7,
+			Duration:     time.Second,
+			DestGroups:   32,
+			NewScheduler: vmScheduler(t, "jointFlow"),
+			Program:      "jointFlow",
+			Conservation: true,
+		}},
 	}
-	base := run(1)
-	for _, shards := range []int{2, 8} {
-		got := run(shards)
-		if got.DeliveredBytes != base.DeliveredBytes || got.Bursts != base.Bursts || got.Acked != base.Acked {
-			t.Fatalf("fleet totals diverge: %d shards delivered=%d bursts=%d acked=%d, 1 shard delivered=%d bursts=%d acked=%d",
-				shards, got.DeliveredBytes, got.Bursts, got.Acked, base.DeliveredBytes, base.Bursts, base.Acked)
-		}
-		for i := range base.PerConn {
-			if got.PerConn[i] != base.PerConn[i] {
-				t.Fatalf("conn %d diverges across shard counts: %d shards %+v, 1 shard %+v",
-					i, shards, got.PerConn[i], base.PerConn[i])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(shards int) Result {
+				cfg := tc.cfg
+				cfg.Shards = shards
+				if tc.store {
+					cfg.Store = xstate.NewStore()
+				}
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%d shards: %v", shards, err)
+				}
+				if len(res.ConservationViolations) > 0 {
+					t.Fatalf("%d shards: conservation violated: %v", shards, res.ConservationViolations)
+				}
+				if res.DeliveredBytes == 0 {
+					t.Fatalf("%d shards: nothing delivered", shards)
+				}
+				return res
 			}
-		}
+			base := run(1)
+			for _, shards := range []int{2, 8} {
+				got := run(shards)
+				if got.DeliveredBytes != base.DeliveredBytes || got.Bursts != base.Bursts || got.Acked != base.Acked ||
+					got.Events != base.Events || got.DeliveryP50US != base.DeliveryP50US || got.DeliveryP99US != base.DeliveryP99US {
+					t.Fatalf("fleet totals diverge: %d shards delivered=%d bursts=%d acked=%d events=%d delivery p50/p99=%d/%d us, "+
+						"1 shard delivered=%d bursts=%d acked=%d events=%d delivery p50/p99=%d/%d us",
+						shards, got.DeliveredBytes, got.Bursts, got.Acked, got.Events, got.DeliveryP50US, got.DeliveryP99US,
+						base.DeliveredBytes, base.Bursts, base.Acked, base.Events, base.DeliveryP50US, base.DeliveryP99US)
+				}
+				for i := range base.PerConn {
+					if got.PerConn[i] != base.PerConn[i] {
+						t.Fatalf("conn %d diverges across shard counts: %d shards %+v, 1 shard %+v",
+							i, shards, got.PerConn[i], base.PerConn[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -279,26 +314,6 @@ type panicScheduler struct{}
 
 func (panicScheduler) Exec(env *runtime.Env) { panic("deliberate") }
 
-func TestWheelWrapAround(t *testing.T) {
-	w := &wheel{slice: time.Millisecond}
-	// Due slice beyond one wrap hashes into an occupied bucket but must
-	// not fire until its own slice.
-	w.schedule(1, 3)
-	w.schedule(2, 3+wheelBuckets)
-	var fired []uint64
-	var ready []int32
-	for s := uint64(1); s <= 3+wheelBuckets; s++ {
-		ready = w.advance(ready[:0])
-		for _, c := range ready {
-			fired = append(fired, uint64(c)<<32|s)
-		}
-	}
-	want := []uint64{1<<32 | 3, 2<<32 | (3 + wheelBuckets)}
-	if len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
-		t.Fatalf("wheel fired %x, want %x", fired, want)
-	}
-}
-
 // fakeChecker gives a world known conservation findings without
 // having to manufacture a real violation.
 type fakeChecker []string
@@ -365,7 +380,7 @@ func TestViolationReportShardOrderInvariant(t *testing.T) {
 // TestWorldStandaloneEqualsFleet pins the seam a one-connection replay
 // stands on: a connection's world is a function of (config, index)
 // alone, so connection idx rebuilt by itself with the fleet's own
-// builder and driven by one plain RunUntil — no wheel, no slices, no
+// builder and driven by one plain RunUntil — no windows, no
 // neighbours — ends exactly where the sharded run left it.
 func TestWorldStandaloneEqualsFleet(t *testing.T) {
 	cfg := Config{

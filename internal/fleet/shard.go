@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"progmp/internal/guard"
@@ -9,14 +10,6 @@ import (
 	"progmp/internal/netsim"
 	"progmp/internal/obs"
 )
-
-// wheelBuckets is the hashed timing wheel's bucket count (power of
-// two). With a coupled fleet's 5 ms slice the wheel spans 1.28 s per
-// wrap; entries further out simply keep their absolute due slice and
-// ride the wrap (classic hashed wheel semantics). An uncoupled fleet's
-// one slice spans the horizon, so every world it holds is due in slice
-// 1; a recycling shard (Config.recycles) holds one and needs no wheel.
-const wheelBuckets = 256
 
 // evictEvery is how many slices pass between shared-store idle sweeps
 // per shard; evictIdleEpochs is the staleness bar a destination record
@@ -27,79 +20,15 @@ const (
 	evictIdleEpochs = 1024
 )
 
-// wheelEntry files one connection for service at an absolute slice.
-type wheelEntry struct {
-	conn int32
-	due  uint64
-}
-
-// wheel is a hashed timing wheel over virtual-time slices: bucket
-// cur&mask holds the connections due for service this slice (plus any
-// future-wrap entries, which advance re-files).
-type wheel struct {
-	slice   time.Duration
-	buckets [wheelBuckets][]wheelEntry
-	cur     uint64
-}
-
-// sliceOf maps an event time to the slice that services it (the first
-// slice whose RunUntil deadline is >= at), never earlier than the next
-// slice.
-//
-//progmp:hotpath
-//progmp:deterministic
-func (w *wheel) sliceOf(at time.Duration) uint64 {
-	s := uint64((at + w.slice - 1) / w.slice)
-	if s <= w.cur {
-		s = w.cur + 1
-	}
-	return s
-}
-
-// schedule files conn at absolute slice due.
-//
-//progmp:hotpath
-//progmp:deterministic
-func (w *wheel) schedule(conn int32, due uint64) {
-	b := &w.buckets[due%wheelBuckets]
-	//progmp:ignore hotpath amortized: bucket capacity is retained across wheel wraps
-	*b = append(*b, wheelEntry{conn: conn, due: due})
-}
-
-// advance moves to the next slice and returns the connections due in
-// it. Entries hashed into the bucket for a later wrap are kept (in
-// place, preserving insertion order) for their own slice.
-//
-//progmp:hotpath
-//progmp:deterministic
-func (w *wheel) advance(ready []int32) []int32 {
-	w.cur++
-	b := &w.buckets[w.cur%wheelBuckets]
-	kept := (*b)[:0]
-	for _, e := range *b {
-		if e.due == w.cur {
-			//progmp:ignore hotpath amortized: the caller recycles the ready batch across slices
-			ready = append(ready, e.conn)
-		} else {
-			//progmp:ignore hotpath in-place: kept re-files into the bucket's own storage
-			kept = append(kept, e)
-		}
-	}
-	*b = kept
-	return ready
-}
-
 // shard is one per-core driver: a goroutine-owned subset of the
-// fleet's connections, a timer wheel batching their wakeups, and the
-// shard-local observability registry every connection resolves its
-// handles from.
+// fleet's connections and the shard-local observability registry
+// every connection resolves its handles from.
 type shard struct {
 	cfg   *Config
 	sched mptcp.Scheduler
 	// conns are the worlds the shard keeps: every one of its
 	// connections', or, when it recycles, the one it resets for each.
 	conns []*fleetConn
-	w     wheel
 	out   *tally
 
 	// specs are the two paths of a world, reused for every world the
@@ -127,7 +56,6 @@ func newShard(cfg *Config, sched mptcp.Scheduler) *shard {
 		sched: sched,
 		reg:   obs.NewRegistry(),
 	}
-	sh.w.slice = cfg.slice
 	var loss netsim.LossModel
 	if cfg.LossProb > 0 {
 		loss = netsim.BernoulliLoss{P: cfg.LossProb}
@@ -187,7 +115,7 @@ func (sh *shard) retire(fc *fleetConn) {
 // into the tally. A recycling shard holds the one world Run built for
 // it and runs its connections through it in turn; a shard that holds
 // every one of its worlds (a coupled fleet's, or worlds built by hand)
-// runs them on the wheel.
+// sweeps them window by window.
 //
 //progmp:deterministic
 func (sh *shard) run() {
@@ -195,7 +123,7 @@ func (sh *shard) run() {
 		sh.runInTurn()
 		return
 	}
-	sh.runWheel()
+	sh.runSweep()
 	for _, fc := range sh.conns {
 		sh.out.fold(fc)
 	}
@@ -224,51 +152,56 @@ func (sh *shard) runInTurn() {
 	}
 }
 
-// runWheel drives the shard's worlds, all built, to the horizon: per
-// slice, pop the due batch off the wheel, advance each engine with one
-// RunUntil (a visit), and re-file each at its next event.
+// runSweep drives the shard's worlds, all built, to the horizon in
+// windows of cfg.slice. Each window visits, in connection-index order
+// (the package's visit rule), every world whose next event falls no
+// later than the window's end: it runs the world to the window's end
+// with one RunUntil (a visit) and reads back its next event. A world
+// with no event left, or none inside the horizon, retires and is never
+// due again.
 //
 //progmp:deterministic
-func (sh *shard) runWheel() {
+func (sh *shard) runSweep() {
 	sh.gConns.Set(int64(len(sh.conns)))
 	horizon, slice := sh.cfg.Duration, sh.cfg.slice
+	const never = time.Duration(math.MaxInt64)
+	due := make([]time.Duration, len(sh.conns))
 	for i, fc := range sh.conns {
-		if at, ok := fc.eng.NextEventAt(); ok {
-			sh.w.schedule(int32(i), sh.w.sliceOf(at))
-		} else {
+		at, ok := fc.eng.NextEventAt()
+		if !ok {
+			at = never
 			sh.retire(fc)
 		}
+		due[i] = at
 	}
-	last := uint64((horizon + slice - 1) / slice)
-	var ready []int32
-	for s := uint64(1); s <= last; s++ {
-		now := time.Duration(s) * slice
-		if now > horizon {
-			now = horizon
-		}
-		ready = sh.w.advance(ready[:0])
-		for _, ci := range ready {
-			fc := sh.conns[ci]
+	for w := 1; ; w++ {
+		now := min(time.Duration(w)*slice, horizon)
+		for i, at := range due {
+			if at > now {
+				continue
+			}
+			fc := sh.conns[i]
 			fc.eng.RunUntil(now)
 			sh.mVisits.Add(1)
-			if at, ok := fc.eng.NextEventAt(); ok {
-				if at <= horizon {
-					sh.w.schedule(ci, sh.w.sliceOf(at))
-					continue
-				}
-				// Parked: the next event (a think-time wakeup, a long
-				// RTO) lands past the horizon; the soak never services
-				// it, so the connection is done for accounting.
+			if at, ok := fc.eng.NextEventAt(); ok && at <= horizon {
+				due[i] = at
+				continue
 			}
+			// Done, or parked: the next event (a think-time wakeup, a
+			// long RTO) lands past the horizon; the soak never services
+			// it, so the connection is done for accounting.
+			due[i] = never
 			sh.retire(fc)
 		}
-		if sh.cfg.Store != nil && s%evictEvery == 0 {
+		if sh.cfg.Store != nil && w%evictEvery == 0 {
 			sh.evicted += int64(sh.cfg.Store.EvictIdle(evictIdleEpochs))
 		}
+		if now == horizon {
+			break
+		}
 	}
-	// Horizon reached: every connection still filed on the wheel has
-	// already run past its last in-horizon event; release whatever
-	// store references remain.
+	// Horizon reached: every world still held has already run past its
+	// last in-horizon event; release whatever store references remain.
 	for _, fc := range sh.conns {
 		sh.retire(fc)
 	}
