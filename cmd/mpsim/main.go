@@ -473,9 +473,7 @@ func run(sc *Scenario, out io.Writer, cm classicMode) error {
 			}
 		}
 		for _, d := range dests {
-			fmt.Fprintf(out, "  %-10s srtt=%-8v lost=%-5d quar=%-4d delivered=%d samples=%d\n",
-				d.Name, time.Duration(d.SRTTUS)*time.Microsecond,
-				d.Lost, d.Quarantines, d.Delivered, d.Samples)
+			fmt.Fprintf(out, "  %s\n", d)
 		}
 	}
 	if series != nil {
@@ -489,7 +487,7 @@ func run(sc *Scenario, out io.Writer, cm classicMode) error {
 		}
 	}
 	if cm.Metrics {
-		fmt.Fprint(out, reg.Render())
+		fmt.Fprint(out, reg.Snapshot().Render())
 	}
 	return nil
 }

@@ -55,7 +55,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -250,9 +249,7 @@ func command(o options, args []string, w, stderr io.Writer) error {
 		}
 		fmt.Fprintf(w, "epoch %d, %d destination(s)\n", res.Epoch, len(res.Dests))
 		for _, d := range res.Dests {
-			fmt.Fprintf(w, "  %-10s srtt=%-8v lost=%-5d quar=%-4d delivered=%d samples=%d\n",
-				d.Name, time.Duration(d.SRTTUS)*time.Microsecond,
-				d.Lost, d.Quarantines, d.Delivered, d.Samples)
+			fmt.Fprintf(w, "  %s\n", d)
 		}
 		return nil
 	case "send":
@@ -279,7 +276,7 @@ func command(o options, args []string, w, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		printMetrics(w, snap)
+		fmt.Fprint(w, snap.Render())
 		return nil
 	case "metrics-agg":
 		format := ""
@@ -436,35 +433,6 @@ func printList(w io.Writer, res ctl.ListResult) {
 				sf.Name, state, time.Duration(sf.SRTTUS)*time.Microsecond,
 				sf.Cwnd, sf.BytesSent, sf.PktsSent, sf.Retransmissions, sf.ThroughputBps)
 		}
-	}
-}
-
-func printMetrics(w io.Writer, snap ctl.MetricsResult) {
-	var names []string
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "counter %-40s %d\n", name, snap.Counters[name])
-	}
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "gauge   %-40s %d\n", name, snap.Gauges[name])
-	}
-	names = names[:0]
-	for name := range snap.Hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := snap.Hists[name]
-		fmt.Fprintf(w, "hist    %-40s count=%d mean=%.1f p50=%d p99=%d\n",
-			name, h.Count, h.Mean, h.P50, h.P99)
 	}
 }
 

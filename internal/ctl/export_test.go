@@ -1,6 +1,10 @@
 package ctl
 
-import "time"
+import (
+	"time"
+
+	"progmp"
+)
 
 // ConsecFails returns the current consecutive transport-failure count
 // (zero after any success).
@@ -15,4 +19,38 @@ func (r *ReClient) BreakerOpen() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return time.Now().Before(r.openUntil)
+}
+
+// Limits are the server limits a test shortens; a zero field keeps the
+// limit that ships.
+type Limits struct {
+	ReadIdleTimeout, WriteTimeout time.Duration
+	MaxInflight, SubEvictDrops    int
+}
+
+// With returns o with the limits l.
+func (o Options) With(l Limits) Options {
+	o.readIdleTimeout, o.writeTimeout = l.ReadIdleTimeout, l.WriteTimeout
+	o.maxInflight, o.subEvictDrops = l.MaxInflight, l.SubEvictDrops
+	return o
+}
+
+// RetryPolicy is the retry policy a test tightens; a zero field keeps
+// the policy that ships.
+type RetryPolicy struct {
+	BackoffBase, BackoffMax time.Duration
+	BreakerFails            int
+	BreakerCooldown         time.Duration
+	// Metrics receives the ctl.client.* self-metrics.
+	Metrics *progmp.Metrics
+	// Seed makes the backoff jitter reproducible.
+	Seed int64
+}
+
+// With returns o with the policy p.
+func (o RetryOptions) With(p RetryPolicy) RetryOptions {
+	o.backoffBase, o.backoffMax = p.BackoffBase, p.BackoffMax
+	o.breakerFails, o.breakerCooldown = p.BreakerFails, p.BreakerCooldown
+	o.metrics, o.seed = p.Metrics, p.Seed
+	return o
 }

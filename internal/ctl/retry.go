@@ -39,7 +39,9 @@ const (
 )
 
 // RetryOptions tunes a ReClient. Network and Addr are required; zero
-// values elsewhere select the defaults above.
+// values elsewhere select the defaults above. The unexported policy
+// ships as those defaults, with no client metrics and a time-seeded
+// jitter; tests tighten it.
 type RetryOptions struct {
 	// Network and Addr locate the server, as in Dial.
 	Network string
@@ -53,44 +55,37 @@ type RetryOptions struct {
 	// total across reconnects (non-idempotent verbs always get exactly
 	// one attempt).
 	MaxAttempts int
-	// BackoffBase is the delay before the second attempt; it doubles
-	// per attempt up to BackoffMax, each delay jittered uniformly in
+	// backoffBase is the delay before the second attempt; it doubles
+	// per attempt up to backoffMax, each delay jittered uniformly in
 	// [d/2, 3d/2) so a fleet of clients does not reconnect in lockstep.
-	//progmp:ignore testonly TestReClientReconnect, TestCtlChaosSoak and TestSharedStateVerbsOverReClient need backoffs of a few ms; 50 ms ships
-	BackoffBase time.Duration
-	//progmp:ignore testonly TestReClientReconnect and TestCtlChaosSoak cap the backoff at 50 ms and 20 ms; 2 s ships
-	BackoffMax time.Duration
-	// BreakerFails consecutive transport failures open the circuit:
-	// calls fail fast with ErrCircuitOpen for BreakerCooldown, after
+	backoffBase, backoffMax time.Duration
+	// breakerFails consecutive transport failures open the circuit:
+	// calls fail fast with ErrCircuitOpen for breakerCooldown, after
 	// which one dial probes the server again (half-open).
-	//progmp:ignore testonly TestReClientBreaker opens the breaker at 2 failures and the reconnect tests keep it shut; 5 ships
-	BreakerFails int
-	//progmp:ignore testonly TestReClientBreaker needs a 200 ms cooldown; 2 s ships
-	BreakerCooldown time.Duration
+	breakerFails    int
+	breakerCooldown time.Duration
 
-	// Metrics receives the ctl.client.* self-metrics (nil: none).
-	//progmp:ignore testonly TestReClientBreaker and TestReClientReconnect read the client metrics; progmpctl attaches none
-	Metrics *progmp.Metrics
-	// Seed makes the backoff jitter reproducible (0: time-seeded).
-	//progmp:ignore testonly the ReClient tests seed the jitter to replay a retry sequence; a time seed ships
-	Seed int64
+	// metrics receives the ctl.client.* self-metrics (nil: none).
+	metrics *progmp.Metrics
+	// seed makes the backoff jitter reproducible (0: time-seeded).
+	seed int64
 }
 
 func (o *RetryOptions) applyDefaults() {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = DefaultMaxAttempts
 	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = DefaultBackoffBase
+	if o.backoffBase == 0 {
+		o.backoffBase = DefaultBackoffBase
 	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = DefaultBackoffMax
+	if o.backoffMax == 0 {
+		o.backoffMax = DefaultBackoffMax
 	}
-	if o.BreakerFails == 0 {
-		o.BreakerFails = DefaultBreakerFails
+	if o.breakerFails == 0 {
+		o.breakerFails = DefaultBreakerFails
 	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
+	if o.breakerCooldown == 0 {
+		o.breakerCooldown = DefaultBreakerCooldown
 	}
 }
 
@@ -127,21 +122,21 @@ type ReClient struct {
 // network: the first call dials, and a dead server surfaces there.
 func DialRetry(opts RetryOptions) *ReClient {
 	opts.applyDefaults()
-	seed := opts.Seed
+	seed := opts.seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
 	r := &ReClient{
 		opts:          opts,
 		rng:           rand.New(rand.NewSource(seed)),
-		mDials:        opts.Metrics.Counter("ctl.client.dials"),
-		mDialFails:    opts.Metrics.Counter("ctl.client.dial_fails"),
-		mReconnects:   opts.Metrics.Counter("ctl.client.reconnects"),
-		mCalls:        opts.Metrics.Counter("ctl.client.calls"),
-		mCallFails:    opts.Metrics.Counter("ctl.client.call_fails"),
-		mRetries:      opts.Metrics.Counter("ctl.client.retries"),
-		mBreakerOpens: opts.Metrics.Counter("ctl.client.breaker_opens"),
-		gBreakerOpen:  opts.Metrics.Gauge("ctl.client.breaker_open"),
+		mDials:        opts.metrics.Counter("ctl.client.dials"),
+		mDialFails:    opts.metrics.Counter("ctl.client.dial_fails"),
+		mReconnects:   opts.metrics.Counter("ctl.client.reconnects"),
+		mCalls:        opts.metrics.Counter("ctl.client.calls"),
+		mCallFails:    opts.metrics.Counter("ctl.client.call_fails"),
+		mRetries:      opts.metrics.Counter("ctl.client.retries"),
+		mBreakerOpens: opts.metrics.Counter("ctl.client.breaker_opens"),
+		gBreakerOpen:  opts.metrics.Gauge("ctl.client.breaker_open"),
 	}
 	r.verbs = r.Do
 	return r
@@ -291,8 +286,8 @@ func (r *ReClient) recordFailure() {
 	r.mu.Lock()
 	r.consecFails++
 	opened := false
-	if r.consecFails >= r.opts.BreakerFails && !time.Now().Before(r.openUntil) {
-		r.openUntil = time.Now().Add(r.opts.BreakerCooldown)
+	if r.consecFails >= r.opts.breakerFails && !time.Now().Before(r.openUntil) {
+		r.openUntil = time.Now().Add(r.opts.breakerCooldown)
 		opened = true
 	}
 	r.mu.Unlock()
@@ -303,12 +298,12 @@ func (r *ReClient) recordFailure() {
 }
 
 // backoff returns the jittered exponential delay before attempt i
-// (i >= 1): base·2^(i-1) capped at BackoffMax, jittered uniformly in
+// (i >= 1): base·2^(i-1) capped at backoffMax, jittered uniformly in
 // [d/2, 3d/2).
 func (r *ReClient) backoff(i int) time.Duration {
-	d := r.opts.BackoffBase << (i - 1)
-	if d > r.opts.BackoffMax || d <= 0 {
-		d = r.opts.BackoffMax
+	d := r.opts.backoffBase << (i - 1)
+	if d > r.opts.backoffMax || d <= 0 {
+		d = r.opts.backoffMax
 	}
 	r.mu.Lock()
 	jitter := time.Duration(r.rng.Int63n(int64(d)))

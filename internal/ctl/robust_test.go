@@ -118,13 +118,13 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 }
 
-// With MaxInflight 1 and the simulation loop not yet running, the first
+// With a maxInflight limit of 1 and the simulation loop not yet running, the first
 // request parks inside Network.Do and the second is refused immediately
 // with an overload error instead of queueing behind it.
 func TestOverloadRefusal(t *testing.T) {
 	nw := progmp.NewNetwork(1) // RunLive never starts: Network.Do blocks
 	metrics := progmp.NewMetrics()
-	srv := ctl.NewServer(ctl.Options{Network: nw, Metrics: metrics, MaxInflight: 1})
+	srv := ctl.NewServer(ctl.Options{Network: nw, Metrics: metrics}.With(ctl.Limits{MaxInflight: 1}))
 	sock := filepath.Join(t.TempDir(), "ctl.sock")
 	ln, err := net.Listen("unix", sock)
 	if err != nil {
@@ -262,8 +262,7 @@ func TestDrainGraceful(t *testing.T) {
 // trace event.
 func TestSubscriberEvictionEndToEnd(t *testing.T) {
 	h := startRobustHarness(t, 17, func(o *ctl.Options) {
-		o.SubEvictDrops = 64
-		o.WriteTimeout = 250 * time.Millisecond
+		*o = o.With(ctl.Limits{SubEvictDrops: 64, WriteTimeout: 250 * time.Millisecond})
 	})
 	defer h.teardown()
 
@@ -357,12 +356,13 @@ func TestReClientBreaker(t *testing.T) {
 	metrics := progmp.NewMetrics()
 	rc := ctl.DialRetry(ctl.RetryOptions{
 		Network: "unix", Addr: sock,
-		MaxAttempts:     1, // count failures call by call
+		MaxAttempts: 1, // count failures call by call
+	}.With(ctl.RetryPolicy{
 		BreakerFails:    2,
 		BreakerCooldown: 200 * time.Millisecond,
 		Metrics:         metrics,
 		Seed:            7,
-	})
+	}))
 	defer rc.Close()
 
 	for i := 0; i < 2; i++ {
@@ -421,13 +421,14 @@ func TestReClientReconnect(t *testing.T) {
 	metrics := progmp.NewMetrics()
 	rc := ctl.DialRetry(ctl.RetryOptions{
 		Network: "unix", Addr: h1.sock,
-		MaxAttempts:  4,
+		MaxAttempts: 4,
+	}.With(ctl.RetryPolicy{
 		BackoffBase:  5 * time.Millisecond,
 		BackoffMax:   50 * time.Millisecond,
 		BreakerFails: 1000, // keep the breaker out of this test
 		Metrics:      metrics,
 		Seed:         9,
-	})
+	}))
 	defer rc.Close()
 
 	if _, err := rc.Ping(); err != nil {
@@ -494,9 +495,11 @@ func TestCtlChaosSoak(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 
 			h := startRobustHarness(t, seed, func(o *ctl.Options) {
-				o.ReadIdleTimeout = 1 * time.Second
-				o.WriteTimeout = 500 * time.Millisecond
-				o.SubEvictDrops = 1024
+				*o = o.With(ctl.Limits{
+					ReadIdleTimeout: 1 * time.Second,
+					WriteTimeout:    500 * time.Millisecond,
+					SubEvictDrops:   1024,
+				})
 			})
 			proxy, err := ctl.NewChaosProxy("unix", h.sock, ctl.ChaosConfig{
 				Seed:            seed,
@@ -536,14 +539,15 @@ func TestCtlChaosSoak(t *testing.T) {
 					defer wg.Done()
 					rc := ctl.DialRetry(ctl.RetryOptions{
 						Network: "unix", Addr: proxy.Addr(),
-						CallTimeout:  500 * time.Millisecond,
-						MaxAttempts:  4,
+						CallTimeout: 500 * time.Millisecond,
+						MaxAttempts: 4,
+					}.With(ctl.RetryPolicy{
 						BackoffBase:  2 * time.Millisecond,
 						BackoffMax:   20 * time.Millisecond,
 						BreakerFails: 1 << 30, // completion, not fail-fast, is under test
 						Metrics:      cmetrics,
 						Seed:         seed*10 + int64(w),
-					})
+					}))
 					defer rc.Close()
 					for i := 0; i < 20; i++ {
 						verb := ctl.VerbPing

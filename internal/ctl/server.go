@@ -23,8 +23,7 @@ const maxLine = 4 << 20
 // drainTimeout bounds how long Drain waits for inflight requests.
 const drainTimeout = 5 * time.Second
 
-// The robustness defaults; see Options. Negative option values disable
-// the corresponding limit.
+// The robustness limits a server ships with; see Options.
 const (
 	DefaultReadIdleTimeout = 2 * time.Minute
 	DefaultWriteTimeout    = 10 * time.Second
@@ -38,9 +37,8 @@ const (
 // to. Compile and swap name programs of progmp.Schedulers, the paper's
 // corpus.
 //
-// The remaining knobs harden the server against slow, dead or hostile
-// peers; zero values select the defaults above, negative values disable
-// the limit.
+// The unexported limits harden the server against slow, dead or
+// hostile peers. What ships is the defaults above; tests shorten them.
 type Options struct {
 	Network *progmp.Network
 	Tracer  *progmp.Tracer
@@ -59,37 +57,33 @@ type Options struct {
 	// verbs never round-trip through Network.Do.
 	Store *progmp.SharedStore
 
-	// ReadIdleTimeout disconnects a session that sends nothing for this
+	// readIdleTimeout disconnects a session that sends nothing for this
 	// long. Sessions with an active subscription are exempt — a watch
 	// client legitimately never writes again.
-	//progmp:ignore testonly TestCtlChaosSoak needs a 1 s idle limit; 2 min ships
-	ReadIdleTimeout time.Duration
-	// WriteTimeout bounds every response or event-frame write; a peer
+	readIdleTimeout time.Duration
+	// writeTimeout bounds every response or event-frame write; a peer
 	// that stops reading is disconnected rather than wedging a handler
 	// or pump goroutine forever.
-	//progmp:ignore testonly TestSubscriberEvictionEndToEnd and TestCtlChaosSoak need write limits under 1 s; 10 s ships
-	WriteTimeout time.Duration
-	// MaxInflight bounds concurrently handled requests across all
+	writeTimeout time.Duration
+	// maxInflight bounds concurrently handled requests across all
 	// sessions; beyond it requests are refused with an overload error
 	// (counted as ctl.overloads) instead of queueing without bound.
-	//progmp:ignore testonly TestOverloadRefusal needs a limit of 1; 64 ships
-	MaxInflight int
-	// SubEvictDrops is the consecutive-drop budget before a stalled
-	// subscriber is evicted from the tracer (default
+	maxInflight int
+	// subEvictDrops is the consecutive-drop budget before a stalled
+	// subscriber is evicted from the tracer (0:
 	// obs.DefaultSubscriptionEvictDrops).
-	//progmp:ignore testonly TestSubscriberEvictionEndToEnd and TestCtlChaosSoak evict after 64 and 1024 drops; 1<<20 ships
-	SubEvictDrops int
+	subEvictDrops int
 }
 
 func (o *Options) applyDefaults() {
-	if o.ReadIdleTimeout == 0 {
-		o.ReadIdleTimeout = DefaultReadIdleTimeout
+	if o.readIdleTimeout == 0 {
+		o.readIdleTimeout = DefaultReadIdleTimeout
 	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = DefaultWriteTimeout
+	if o.writeTimeout == 0 {
+		o.writeTimeout = DefaultWriteTimeout
 	}
-	if o.MaxInflight == 0 {
-		o.MaxInflight = DefaultMaxInflight
+	if o.maxInflight == 0 {
+		o.maxInflight = DefaultMaxInflight
 	}
 }
 
@@ -118,7 +112,7 @@ type Server struct {
 	gDraining     *obs.Gauge
 
 	// inflight counts requests currently being handled (all sessions);
-	// it backs both the MaxInflight refusal and the Drain wait.
+	// it backs both the maxInflight refusal and the Drain wait.
 	inflight atomic.Int64
 
 	mu       sync.Mutex
@@ -310,17 +304,13 @@ func (se *session) run() {
 // Sessions with a live subscription are exempt: a watch client
 // legitimately goes quiet forever while event frames stream out.
 func (se *session) armReadDeadline() {
-	d := se.srv.opts.ReadIdleTimeout
-	if d <= 0 {
-		return
-	}
 	se.smu.Lock()
 	streaming := len(se.subs) > 0
 	se.smu.Unlock()
 	if streaming {
 		se.conn.SetReadDeadline(time.Time{})
 	} else {
-		se.conn.SetReadDeadline(time.Now().Add(d))
+		se.conn.SetReadDeadline(time.Now().Add(se.srv.opts.readIdleTimeout))
 	}
 }
 
@@ -360,9 +350,7 @@ func (se *session) write(resp Response) error {
 	buf = append(buf, '\n')
 	se.wmu.Lock()
 	defer se.wmu.Unlock()
-	if d := se.srv.opts.WriteTimeout; d > 0 {
-		se.conn.SetWriteDeadline(time.Now().Add(d))
-	}
+	se.conn.SetWriteDeadline(time.Now().Add(se.srv.opts.writeTimeout))
 	_, err = se.conn.Write(buf)
 	return err
 }
@@ -385,7 +373,7 @@ func (se *session) writeError(id uint64, err error) {
 // goroutine). Three layers of hardening wrap the dispatch: a panic in
 // any handler is recovered and answered as an internal error (counted
 // as ctl.panics) instead of killing the process; requests beyond
-// MaxInflight are refused with an overload error (ctl.overloads); and
+// maxInflight are refused with an overload error (ctl.overloads); and
 // once Drain has begun, only the rows marked always are still
 // answerable.
 func (se *session) handle(req Request) {
@@ -407,7 +395,7 @@ func (se *session) handle(req Request) {
 			se.writeError(req.ID, fmt.Errorf("server draining"))
 			return
 		}
-		if max := srv.opts.MaxInflight; max > 0 && srv.inflight.Load() >= int64(max) {
+		if max := srv.opts.maxInflight; srv.inflight.Load() >= int64(max) {
 			srv.mOverloads.Add(1)
 			se.writeError(req.ID, fmt.Errorf("server overloaded: %d requests inflight", max))
 			return
@@ -763,16 +751,13 @@ func (se *session) subscribe(req Request) (any, error) {
 	if se.srv.opts.Tracer == nil {
 		return nil, fmt.Errorf("tracing not attached")
 	}
-	var kinds map[obs.EventKind]bool
-	if len(req.Kinds) > 0 {
-		kinds = map[obs.EventKind]bool{}
-		for _, name := range req.Kinds {
-			k, ok := obs.KindFromString(name)
-			if !ok {
-				return nil, fmt.Errorf("unknown event kind %q", name)
-			}
-			kinds[k] = true
+	var kinds []obs.EventKind
+	for _, name := range req.Kinds {
+		k, ok := obs.KindFromString(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown event kind %q", name)
 		}
+		kinds = append(kinds, k)
 	}
 	connFilter := int32(-1)
 	if req.Conn != 0 {
@@ -782,7 +767,7 @@ func (se *session) subscribe(req Request) (any, error) {
 		}
 		connFilter = nc.conn.Inner().TraceConnID()
 	}
-	sub := se.srv.opts.Tracer.SubscribeEvict(req.Buf, se.srv.opts.SubEvictDrops)
+	sub := se.srv.opts.Tracer.SubscribeEvict(req.Buf, se.srv.opts.subEvictDrops, kinds, connFilter)
 	se.smu.Lock()
 	var err error
 	if se.subs == nil { // session tearing down
@@ -799,12 +784,6 @@ func (se *session) subscribe(req Request) (any, error) {
 	}
 	return subscribed{SubscribeResult{Sub: req.ID}, func() {
 		for ev := range sub.Events() {
-			if kinds != nil && !kinds[ev.Kind] {
-				continue
-			}
-			if connFilter >= 0 && ev.Conn != connFilter {
-				continue
-			}
 			frame := ev.ToJSONL()
 			if err := se.write(Response{ID: req.ID, OK: true, Event: &frame}); err != nil {
 				// The peer stopped reading (or the write deadline hit):

@@ -275,11 +275,10 @@ func TestSharedStateVerbsOverReClient(t *testing.T) {
 	_, st, sock := startSharedHarness(t)
 	st.SetGlobal(2, 1234)
 
-	rc := ctl.DialRetry(ctl.RetryOptions{
-		Network: "unix", Addr: sock,
+	rc := ctl.DialRetry(ctl.RetryOptions{Network: "unix", Addr: sock}.With(ctl.RetryPolicy{
 		BackoffBase: 5 * time.Millisecond,
 		Seed:        21,
-	})
+	}))
 	defer rc.Close()
 
 	got, err := rc.GGet(2)

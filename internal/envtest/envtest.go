@@ -152,7 +152,7 @@ func TwoSubflowEnv(n int) *runtime.Env {
 }
 
 // RandomEnv generates a random but well-formed environment: up to 5
-// subflows, up to 8 packets per queue, random registers. One
+// subflows with every property set, up to 8 packets per queue. One
 // environment in three is biased toward quiescence: each queue is
 // emptied with probability 1/2 and each congestion window filled with
 // probability 3/4, the states a quiescence certificate speaks about.
@@ -176,6 +176,11 @@ func RandomEnv(rng *rand.Rand) *runtime.Env {
 			TSQ:        rng.Intn(4) == 0,
 			Backup:     rng.Intn(3) == 0,
 			RWndFree:   int64(rng.Intn(1 << 16)),
+			LinkQueued: int64(rng.Intn(64 << 10)),
+			XRTT:       int64(rng.Intn(100000)),
+			XLost:      int64(rng.Intn(16)),
+			XDelivered: int64(rng.Intn(10 << 20)),
+			XQuar:      int64(rng.Intn(3)),
 		})
 	}
 	seq := int64(0)
@@ -230,9 +235,9 @@ func RandomEnv(rng *rand.Rand) *runtime.Env {
 // ---- Random program generation ----
 
 // progGen emits random well-typed scheduler programs for differential
-// testing. Generated programs exercise every member kind, operator, and
-// statement form, while respecting the single-assignment and
-// effect-position rules so they always type-check.
+// testing. Generated programs exercise every member kind, operator,
+// statement form and property, while respecting the single-assignment
+// and effect-position rules so they always type-check.
 type progGen struct {
 	rng     *rand.Rand
 	b       strings.Builder
@@ -259,8 +264,8 @@ func (g *progGen) fresh() string {
 
 func (g *progGen) pick(vals ...string) string { return vals[g.rng.Intn(len(vals))] }
 
-// intExpr produces an int-typed expression. ctx names a lambda
-// parameter in scope typed sbf/pkt ("" when none).
+// intExpr produces an int-typed expression. sbfVar and pktVar name a
+// lambda parameter in scope typed sbf or pkt ("" when none).
 func (g *progGen) intExpr(depth int, sbfVar, pktVar string) string {
 	if depth > 2 || g.rng.Intn(3) == 0 {
 		switch g.rng.Intn(4) {
@@ -273,14 +278,12 @@ func (g *progGen) intExpr(depth int, sbfVar, pktVar string) string {
 			return fmt.Sprintf("R%d", 1+g.rng.Intn(4))
 		case 2:
 			if sbfVar != "" {
-				prop := g.pick("RTT", "RTT_AVG", "RTT_VAR", "CWND", "SKBS_IN_FLIGHT", "QUEUED", "THROUGHPUT", "MSS", "ID", "LOST_SKBS", "RTO")
-				return sbfVar + "." + prop
+				return g.sbfProp(sbfVar)
 			}
 			return fmt.Sprintf("%d", g.rng.Intn(100))
 		default:
 			if pktVar != "" {
-				prop := g.pick("SIZE", "SEQ", "PROP", "SENT_COUNT", "AGE_US")
-				return pktVar + "." + prop
+				return g.pktProp(pktVar)
 			}
 			if vars := g.scope["int"]; len(vars) > 0 {
 				return vars[g.rng.Intn(len(vars))]
@@ -304,6 +307,30 @@ func (g *progGen) intExpr(depth int, sbfVar, pktVar string) string {
 	}
 }
 
+// sbfProp reads a random integer property of runtime's table on the
+// subflow v, pktProp on the packet v.
+func (g *progGen) sbfProp(v string) string {
+	return v + "." + runtime.SubflowIntProp(g.rng.Intn(runtime.NumSubflowIntProps)).String()
+}
+
+func (g *progGen) pktProp(v string) string {
+	return v + "." + runtime.PacketIntProp(g.rng.Intn(runtime.NumPacketIntProps)).String()
+}
+
+// key is an int expression over the subflow sbfVar, or else the packet
+// pktVar, that reads one of its properties: bare half the time, as the
+// paper's schedulers key a MIN (SUBFLOWS.MIN(s => s.RTT)).
+func (g *progGen) key(depth int, sbfVar, pktVar string) string {
+	prop, v := g.pktProp, pktVar
+	if sbfVar != "" {
+		prop, v = g.sbfProp, sbfVar
+	}
+	if g.rng.Intn(2) == 0 {
+		return prop(v)
+	}
+	return fmt.Sprintf("(%s %s %s)", prop(v), g.pick("+", "-", "*"), g.intExpr(depth+1, sbfVar, pktVar))
+}
+
 // boolExpr produces a bool-typed expression.
 func (g *progGen) boolExpr(depth int, sbfVar, pktVar string) string {
 	if depth > 2 || g.rng.Intn(3) == 0 {
@@ -315,10 +342,13 @@ func (g *progGen) boolExpr(depth int, sbfVar, pktVar string) string {
 		case 2:
 			return "SUBFLOWS.EMPTY"
 		case 3:
-			if sbfVar != "" {
-				return sbfVar + "." + g.pick("LOSSY", "TSQ_THROTTLED", "IS_BACKUP")
+			if sbfVar == "" {
+				return "TRUE"
 			}
-			return "TRUE"
+			if g.rng.Intn(4) == 0 {
+				return fmt.Sprintf("%s.HAS_WINDOW_FOR(%s)", sbfVar, g.pktExpr(depth+1))
+			}
+			return sbfVar + "." + runtime.SubflowBoolProp(g.rng.Intn(runtime.NumSubflowBoolProps)).String()
 		default:
 			if pktVar != "" && g.rng.Intn(2) == 0 {
 				v := g.fresh()
@@ -345,9 +375,9 @@ func (g *progGen) sbfExpr(depth int) string {
 	v := g.fresh()
 	switch g.rng.Intn(3) {
 	case 0:
-		return fmt.Sprintf("SUBFLOWS.MIN(%s => %s)", v, g.intExpr(depth+1, v, ""))
+		return fmt.Sprintf("SUBFLOWS.MIN(%s => %s)", v, g.key(depth+1, v, ""))
 	case 1:
-		return fmt.Sprintf("SUBFLOWS.MAX(%s => %s)", v, g.intExpr(depth+1, v, ""))
+		return fmt.Sprintf("SUBFLOWS.MAX(%s => %s)", v, g.key(depth+1, v, ""))
 	default:
 		return fmt.Sprintf("SUBFLOWS.GET(%s)", g.intExpr(depth+1, "", ""))
 	}
@@ -394,7 +424,7 @@ func (g *progGen) pktExpr(depth int) string {
 	q := g.queueExpr(depth + 1)
 	if g.rng.Intn(3) == 0 {
 		v := g.fresh()
-		return fmt.Sprintf("%s.%s(%s => %s)", q, g.pick("MIN", "MAX"), v, g.intExpr(depth+1, "", v))
+		return fmt.Sprintf("%s.%s(%s => %s)", q, g.pick("MIN", "MAX"), v, g.key(depth+1, "", v))
 	}
 	return q + ".TOP"
 }
@@ -434,7 +464,7 @@ func (g *progGen) stmt(depth int) {
 		g.depth++
 		v := g.fresh()
 		g.line(depth, "FOREACH (VAR %s IN %s) {", v, g.sbfListExpr(0))
-		switch g.rng.Intn(4) {
+		switch g.rng.Intn(5) {
 		case 0:
 			g.line(depth+1, "%s.PUSH(%s);", v, g.pktExpr(0))
 		case 1:
@@ -443,8 +473,11 @@ func (g *progGen) stmt(depth int) {
 			q, p := g.fresh(), g.fresh()
 			g.line(depth+1, "VAR %s = %s.FILTER(%s => !%s.SENT_ON(%s));", q, g.queueExpr(0), p, p, v)
 			g.line(depth+1, "IF (!%s.EMPTY) { %s.PUSH(%s.TOP); }", q, v, q)
+		case 3: // push only what the receive window admits
+			q := g.pick("Q", "RQ")
+			g.line(depth+1, "IF (%s.HAS_WINDOW_FOR(%s.TOP)) { %s.PUSH(%s.POP()); }", v, q, v, q)
 		default:
-			g.line(depth+1, "SET(R%d, %s.RTT);", 1+g.rng.Intn(8), v)
+			g.line(depth+1, "SET(R%d, %s);", 1+g.rng.Intn(8), g.key(0, v, ""))
 		}
 		g.line(depth, "}")
 		g.depth--

@@ -52,13 +52,14 @@ type ChaosResult struct {
 // conservation verdict: nil means every byte was delivered exactly
 // once, in order, and fully acknowledged within the horizon.
 func RunChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResult, error) {
-	res, _, err := runChaos(sc, seed, schedFn)
+	res, _, err := runChaos(sc, seed, Config{}, schedFn)
 	return res, err
 }
 
-// runChaos is RunChaos, also returning the connection it ran so tests
-// can inspect the state the soak ended in.
-func runChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResult, *Conn, error) {
+// runChaos is RunChaos on a connection configured by cfg, also
+// returning the connection it ran so tests can inspect the state the
+// soak ended in.
+func runChaos(sc ChaosScenario, seed int64, cfg Config, schedFn func() Scheduler) (ChaosResult, *Conn, error) {
 	res := ChaosResult{Seed: seed}
 	if sc.Paths == nil {
 		return res, nil, fmt.Errorf("chaos scenario %q has no paths", sc.Name)
@@ -79,7 +80,7 @@ func runChaos(sc ChaosScenario, seed int64, schedFn func() Scheduler) (ChaosResu
 		specs = append(specs, spec)
 	}
 	eng := netsim.NewEngine(seed)
-	conn, err := Dial(eng, Config{}, specs...)
+	conn, err := Dial(eng, cfg, specs...)
 	if err != nil {
 		return res, nil, err
 	}

@@ -22,7 +22,7 @@ func TestChaosMatrix(t *testing.T) {
 		sc := ChaosScenarios[name]
 		for _, seed := range chaosSeeds {
 			t.Run(sc.Name+"/"+itoa(seed), func(t *testing.T) {
-				res, conn, err := runChaos(sc, seed, nil)
+				res, conn, err := runChaos(sc, seed, Config{}, nil)
 				if err != nil {
 					t.Fatalf("chaos %s seed %d: %v (result %+v)", sc.Name, seed, err, res)
 				}
@@ -42,7 +42,7 @@ func TestChaosProgMPSchedulers(t *testing.T) {
 	for _, name := range []string{"minRTT", "redundant", "roundRobin"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, conn, err := runChaos(ChaosScenarios["meltdown"], 7, func() Scheduler {
+			res, conn, err := runChaos(ChaosScenarios["meltdown"], 7, Config{}, func() Scheduler {
 				return core.MustLoad(name, schedlib.All[name], core.BackendVM)
 			})
 			if err != nil {

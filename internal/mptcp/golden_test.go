@@ -6,6 +6,7 @@ import (
 
 	"progmp/internal/core"
 	"progmp/internal/netsim"
+	"progmp/internal/runtime"
 	"progmp/internal/schedlib"
 )
 
@@ -106,13 +107,54 @@ func (d *fnv) mix(v uint64) {
 	}
 }
 
-// mixSubflows adds each subflow's transmission counters.
+// countingCC is a congestion control that counts, per subflow id, the
+// loss responses markLost asks of the one it wraps. markLost is their
+// only caller and makes one per episode: OnRTO for an episode an RTO
+// opened, OnLoss for one a SACK opened. So a subflow's RTOs are its
+// OnRTO calls, and its loss episodes its OnRTO and OnLoss calls
+// together. The counts live in the value, so counting allocates
+// nothing.
+type countingCC struct {
+	CongestionControl
+	rtos, losses [runtime.MaxSubflows]int64
+}
+
+func (c *countingCC) OnRTO(conn *Conn, sbf *Subflow) {
+	c.rtos[sbf.id]++
+	c.CongestionControl.OnRTO(conn, sbf)
+}
+
+func (c *countingCC) OnLoss(conn *Conn, sbf *Subflow) {
+	c.losses[sbf.id]++
+	c.CongestionControl.OnLoss(conn, sbf)
+}
+
+// RTOs returns how many RTOs sbf took.
+func (c *countingCC) RTOs(sbf *Subflow) int64 { return c.rtos[sbf.id] }
+
+// LossEpisodes returns how many loss episodes sbf entered.
+func (c *countingCC) LossEpisodes(sbf *Subflow) int64 { return c.rtos[sbf.id] + c.losses[sbf.id] }
+
+// counted returns cfg with its congestion control (LIA when unset)
+// wrapped in a countingCC; countsOf finds the wrapper again on a
+// connection dialled with it.
+func counted(cfg Config) Config {
+	cfg.applyDefaults()
+	cfg.CC = &countingCC{CongestionControl: cfg.CC}
+	return cfg
+}
+
+func countsOf(conn *Conn) *countingCC { return conn.cfg.CC.(*countingCC) }
+
+// mixSubflows adds each subflow's transmission counters. conn was
+// dialled with a counted Config.
 func (d *fnv) mixSubflows(conn *Conn) {
+	cc := countsOf(conn)
 	for _, s := range conn.Subflows() {
 		d.mix(uint64(s.PktsSent))
 		d.mix(uint64(s.Retransmissions))
-		d.mix(uint64(s.RTOs))
-		d.mix(uint64(s.LossEpisodes))
+		d.mix(uint64(cc.RTOs(s)))
+		d.mix(uint64(cc.LossEpisodes(s)))
 	}
 }
 
@@ -135,7 +177,7 @@ func (g goldenShape) feed(eng *netsim.Engine, conn *Conn) int {
 func runGolden(t *testing.T, g goldenShape) uint64 {
 	t.Helper()
 	eng := netsim.NewEngine(g.seed)
-	conn, err := Dial(eng, g.cfg, g.specs(eng)...)
+	conn, err := Dial(eng, counted(g.cfg), g.specs(eng)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +185,12 @@ func runGolden(t *testing.T, g goldenShape) uint64 {
 }
 
 // driveGolden runs the shape on conn, dialled (or reset) over the
-// shape's paths on eng seeded with the shape's seed, and no scheduler
-// installed.
+// shape's paths on eng seeded with the shape's seed, with a counted
+// Config and no scheduler installed.
 func driveGolden(t *testing.T, g goldenShape, eng *netsim.Engine, conn *Conn) uint64 {
 	t.Helper()
+	cc := countsOf(conn)
+	*cc = countingCC{CongestionControl: cc.CongestionControl}
 	conn.SetScheduler(core.MustLoad(g.scheduler, schedlib.All[g.scheduler], core.BackendCompiled))
 
 	digest := newFNV()
@@ -185,7 +229,7 @@ func TestTransferDigestGolden(t *testing.T) {
 	}
 	for _, g := range goldenChaos {
 		t.Run("chaos_"+g.scenario, func(t *testing.T) {
-			res, conn, err := runChaos(ChaosScenarios[g.scenario], 42, nil)
+			res, conn, err := runChaos(ChaosScenarios[g.scenario], 42, counted(Config{}), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +256,7 @@ func TestResetReproducesGoldenShapes(t *testing.T) {
 	for _, g := range goldenShapes {
 		t.Run(g.name, func(t *testing.T) {
 			eng := netsim.NewEngine(g.seed + 1)
-			conn, err := Dial(eng, g.cfg, fourPaths(eng)...)
+			conn, err := Dial(eng, counted(g.cfg), fourPaths(eng)...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -167,12 +167,12 @@ func TestCongestionWindowDynamics(t *testing.T) {
 	}
 
 	// A lossy path must trigger multiplicative decrease episodes.
-	eng2, conn2 := buildConn(t, 5, Config{CC: Reno{}}, "minRTT",
+	eng2, conn2 := buildConn(t, 5, counted(Config{CC: Reno{}}), "minRTT",
 		testNet{rate: 20e6, delay: 10 * time.Millisecond, loss: 0.02},
 	)
 	eng2.After(0, func() { conn2.Send(1<<20, 0) })
 	eng2.RunUntil(30 * time.Second)
-	if conn2.subflows[0].LossEpisodes == 0 {
+	if countsOf(conn2).LossEpisodes(conn2.subflows[0]) == 0 {
 		t.Errorf("no loss episodes on a 2%% loss path")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // subflow the whole time.
 func TestBlackoutRTOBackoffCycle(t *testing.T) {
 	eng := netsim.NewEngine(9)
-	conn := NewConn(eng, Config{})
+	conn := NewConn(eng, counted(Config{}))
 	dark := netsim.NewLink(eng, netsim.PathConfig{
 		Name:  "dark",
 		Rate:  netsim.ConstantRate(4e6),
@@ -49,7 +49,7 @@ func TestBlackoutRTOBackoffCycle(t *testing.T) {
 	var midRTOs int64
 	eng.At(2500*time.Millisecond, func() {
 		midBackoff = darkSbf.rtoBackoff
-		midRTOs = darkSbf.RTOs
+		midRTOs = countsOf(conn).RTOs(darkSbf)
 	})
 	// Well after recovery the first SACK on the dark subflow must have
 	// reset the backoff.

@@ -156,7 +156,7 @@ func TestSegmentPathAllocs(t *testing.T) {
 	lossy := func(cc CongestionControl) func(*testing.T) {
 		return func(t *testing.T) {
 			const burst, pages = 24, 3
-			eng, conn := segmentPathConn(t, Config{CC: cc}, 0.01)
+			eng, conn := segmentPathConn(t, counted(Config{CC: cc}), 0.01)
 			for i := 0; i < 200; i++ {
 				sendAndDrain(t, eng, conn, burst*mss)
 			}
@@ -172,8 +172,8 @@ func TestSegmentPathAllocs(t *testing.T) {
 			var retx, rtos, episodes int64
 			for _, s := range conn.subflows {
 				retx += s.Retransmissions
-				rtos += s.RTOs
-				episodes += s.LossEpisodes
+				rtos += countsOf(conn).RTOs(s)
+				episodes += countsOf(conn).LossEpisodes(s)
 			}
 			if retx == 0 || rtos == 0 || episodes == 0 {
 				t.Fatalf("the lossy case did not exercise recovery: %d retransmissions, %d RTOs, %d episodes", retx, rtos, episodes)

@@ -20,7 +20,7 @@ import (
 func recycledPageRig(t *testing.T) (eng *netsim.Engine, c *Conn, a, b *Subflow) {
 	t.Helper()
 	eng = netsim.NewEngine(1)
-	c, err := Dial(eng, Config{ReceiverMode: ReceiverLegacy},
+	c, err := Dial(eng, counted(Config{ReceiverMode: ReceiverLegacy}),
 		SubflowSpec{Path: goldenPath("a", 10e6, 10*time.Millisecond, 0)},
 		SubflowSpec{Path: netsim.PathConfig{
 			Name: "b", Rate: netsim.ConstantRate(10e6), Delay: 10 * time.Millisecond,
@@ -85,8 +85,8 @@ func TestRecordOutlivesRecycledPage(t *testing.T) {
 		eng, c, _, b := recycledPageRig(t)
 		before := queueSeqs(c)
 		eng.RunUntil(400 * time.Millisecond)
-		if b.RTOs != 1 || b.Retransmissions != 1 {
-			t.Fatalf("b: %d RTOs, %d retransmissions; want the one RTO's", b.RTOs, b.Retransmissions)
+		if rtos := countsOf(c).RTOs(b); rtos != 1 || b.Retransmissions != 1 {
+			t.Fatalf("b: %d RTOs, %d retransmissions; want the one RTO's", rtos, b.Retransmissions)
 		}
 		wantOnWire(t, c, b)
 		untouched(t, c, "after b's RTO", before)
@@ -98,8 +98,9 @@ func TestRecordOutlivesRecycledPage(t *testing.T) {
 			b.transmit(c.win.at(seq))
 		}
 		eng.RunUntil(250 * time.Millisecond)
-		if b.RTOs != 0 || b.Retransmissions != 1 || b.LossEpisodes != 1 {
-			t.Fatalf("b: %d RTOs, %d retransmissions, %d loss episodes; want one fast retransmit", b.RTOs, b.Retransmissions, b.LossEpisodes)
+		cc := countsOf(c)
+		if rtos, episodes := cc.RTOs(b), cc.LossEpisodes(b); rtos != 0 || b.Retransmissions != 1 || episodes != 1 {
+			t.Fatalf("b: %d RTOs, %d retransmissions, %d loss episodes; want one fast retransmit", rtos, b.Retransmissions, episodes)
 		}
 		wantOnWire(t, c, b)
 		untouched(t, c, "after b's fast retransmit", before)

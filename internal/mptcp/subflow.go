@@ -139,10 +139,6 @@ type Subflow struct {
 	BytesSent       int64
 	PktsSent        int64
 	Retransmissions int64
-	//progmp:ignore testonly TestTransferDigestGolden mixes it into its digests
-	LossEpisodes int64
-	//progmp:ignore testonly TestTransferDigestGolden mixes it into its digests
-	RTOs int64
 
 	// Observability handles (nil-safe no-ops when uninstrumented).
 	mBytes *obs.Counter
@@ -552,7 +548,6 @@ func (s *Subflow) markLost(seq int64, isRTO bool) {
 	if !s.inRecovery {
 		s.inRecovery = true
 		s.recoverEnd = s.sent.end()
-		s.LossEpisodes++
 		first = true
 		prev := s.cwnd
 		if isRTO {
@@ -622,7 +617,6 @@ func (s *Subflow) onRTO() {
 		return
 	}
 	oldest := s.sent.base
-	s.RTOs++
 	s.mRTOs.Add(1)
 	s.trace(obs.EvRTO, s.sent.slot(oldest).metaSeq, int64(s.rtoBackoff), 0)
 	// An RTO is the strongest path-degradation signal the sender sees;

@@ -410,10 +410,9 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// Render formats the registry as an aligned proc-style text page,
-// sorted by metric name within each section. Safe on nil.
-func (r *Registry) Render() string {
-	snap := r.Snapshot()
+// Render formats the snapshot as an aligned proc-style text page,
+// sorted by metric name within each section.
+func (snap Snapshot) Render() string {
 	var b strings.Builder
 	writeSection := func(kind string, names []string, line func(string)) {
 		if len(names) == 0 {

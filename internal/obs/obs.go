@@ -168,8 +168,9 @@ func NewTracer(capacity int) *Tracer {
 
 // Record appends ev to the ring, overwriting the oldest event when
 // full. It is safe for concurrent use and allocates nothing. Live
-// subscriptions receive a copy; a subscriber that cannot keep up loses
-// events (counted per subscription) rather than slowing the data path,
+// subscriptions whose filter passes ev receive a copy; a subscriber
+// that cannot keep up loses events (counted per subscription) rather
+// than slowing the data path,
 // and one that loses EvictAfter events in a row without draining a
 // single frame is evicted: its channel closes, and a CTL_SUB_EVICT
 // event is recorded so the stall is attributable in the trace.
@@ -191,6 +192,9 @@ func (t *Tracer) record(ev Event) {
 	t.total++
 	for i := 0; i < len(t.subs); i++ {
 		s := t.subs[i]
+		if s.kinds&(1<<ev.Kind) == 0 || s.conn >= 0 && ev.Conn != s.conn {
+			continue
+		}
 		select {
 		case s.ch <- ev:
 			s.consecDrops = 0
@@ -229,19 +233,26 @@ func (t *Tracer) evictLocked(s *Subscription, at time.Duration) {
 	t.total++
 }
 
-// Subscription is a live feed of events recorded after Subscribe. It
-// decouples consumers from the recording hot path: the tracer never
-// blocks on a subscriber, it drops instead — and evicts subscribers
-// that stop draining entirely (see Record).
+// Subscription is a live feed of the events recorded after
+// SubscribeEvict that pass its filter. It decouples consumers from the
+// recording hot path: the tracer never blocks on a subscriber, it
+// drops instead — and evicts subscribers that stop draining entirely
+// (see Record). Only events the filter passes reach the buffer, so
+// drops and eviction count requested events alone.
 type Subscription struct {
 	t           *Tracer
 	ch          chan Event
 	dropped     atomic.Uint64
 	evicted     atomic.Bool
-	consecDrops int  // guarded by t.mu; reset by any successful send
-	evictAfter  int  // immutable after SubscribeEvict; 0 disables eviction
-	closed      bool // guarded by t.mu
+	kinds       uint64 // bit k set: kind k passes; immutable
+	conn        int32  // the connection that passes, < 0 for every one; immutable
+	consecDrops int    // guarded by t.mu; reset by any successful send
+	evictAfter  int    // immutable after SubscribeEvict; 0 disables eviction
+	closed      bool   // guarded by t.mu
 }
+
+// A Subscription's kind mask has one bit per kind.
+var _ [64 - numEventKinds]struct{}
 
 // DefaultSubscriptionBuffer is the channel depth used when SubscribeEvict is
 // asked for a non-positive buffer.
@@ -259,15 +270,17 @@ const DefaultSubscriptionBuffer = 4096
 // does within a second or two of simulated traffic.
 const DefaultSubscriptionEvictDrops = 1 << 20
 
-// SubscribeEvict attaches a live event feed with the given channel
-// buffer (<= 0 selects DefaultSubscriptionBuffer). After evictAfter
+// SubscribeEvict attaches a live feed of the events of kinds (every
+// kind when kinds is empty) on connection conn (every connection when
+// conn < 0), with the given channel buffer (<= 0 selects
+// DefaultSubscriptionBuffer). After evictAfter
 // consecutive drops the subscription is closed by the tracer (0
 // selects DefaultSubscriptionEvictDrops; a negative value disables eviction entirely
 // for callers that prefer unbounded dropping). The caller must drain
 // Events() promptly or accept drops, and must Close the subscription
 // when done. Safe on nil (returns nil; a nil *Subscription is a no-op
 // whose Events channel is nil).
-func (t *Tracer) SubscribeEvict(buf, evictAfter int) *Subscription {
+func (t *Tracer) SubscribeEvict(buf, evictAfter int, kinds []EventKind, conn int32) *Subscription {
 	if t == nil {
 		return nil
 	}
@@ -279,7 +292,13 @@ func (t *Tracer) SubscribeEvict(buf, evictAfter int) *Subscription {
 	} else if evictAfter < 0 {
 		evictAfter = 0
 	}
-	s := &Subscription{t: t, ch: make(chan Event, buf), evictAfter: evictAfter}
+	s := &Subscription{t: t, ch: make(chan Event, buf), conn: conn, evictAfter: evictAfter}
+	for _, k := range kinds {
+		s.kinds |= 1 << k
+	}
+	if len(kinds) == 0 {
+		s.kinds = ^uint64(0)
+	}
 	t.mu.Lock()
 	t.subs = append(t.subs, s)
 	t.mu.Unlock()

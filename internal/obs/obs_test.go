@@ -168,7 +168,7 @@ func TestRegistryAndRender(t *testing.T) {
 	if hs := snap.Hists["c.hist"]; hs.Count != 4 || hs.Sum != 106 {
 		t.Fatalf("bad hist snapshot: %+v", hs)
 	}
-	out := reg.Render()
+	out := snap.Render()
 	for _, want := range []string{"counter", "a.count", "3", "gauge", "b.gauge", "-2", "histogram", "c.hist", "n=4"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render lacks %q:\n%s", want, out)
@@ -187,7 +187,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	if got := reg.Counter("x").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d", got)
 	}
-	if out := reg.Render(); out != "" {
+	if out := reg.Snapshot().Render(); out != "" {
 		t.Fatalf("nil registry renders %q", out)
 	}
 }

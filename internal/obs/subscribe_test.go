@@ -8,7 +8,7 @@ import (
 func TestSubscriptionReceivesEvents(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Record(Event{Kind: EvPush, Seq: 0}) // pre-subscribe: not delivered
-	sub := tr.SubscribeEvict(8, 0)
+	sub := tr.SubscribeEvict(8, 0, nil, -1)
 	defer sub.Close()
 	for i := 1; i <= 3; i++ {
 		tr.Record(Event{Kind: EvPush, Seq: int64(i)})
@@ -24,9 +24,39 @@ func TestSubscriptionReceivesEvents(t *testing.T) {
 	}
 }
 
+// TestSubscriptionFiltersBeforeBuffering: a subscription's buffer holds
+// only the kinds and connection it asked for, so no other traffic fills
+// it, counts as a drop or evicts it.
+func TestSubscriptionFiltersBeforeBuffering(t *testing.T) {
+	tr := NewTracer(16)
+	sub := tr.SubscribeEvict(8, 3, []EventKind{EvSchedSwap}, 2)
+	defer sub.Close()
+	for i := 0; i < 10000; i++ {
+		tr.Record(Event{Kind: EvPush, Conn: 2, Seq: int64(i)})
+	}
+	tr.Record(Event{Kind: EvSchedSwap, Conn: 1}) // another connection's
+	tr.Record(Event{Kind: EvSchedSwap, Conn: 2, Aux: 1})
+	if sub.Dropped() != 0 || sub.Evicted() {
+		t.Fatalf("Dropped = %d, Evicted = %v; want 0, false", sub.Dropped(), sub.Evicted())
+	}
+	select {
+	case ev := <-sub.Events():
+		if ev.Kind != EvSchedSwap || ev.Conn != 2 || ev.Aux != 1 {
+			t.Fatalf("received %+v, want connection 2's SCHED_SWAP", ev)
+		}
+	default:
+		t.Fatal("the requested event never arrived")
+	}
+	select {
+	case ev := <-sub.Events():
+		t.Fatalf("received %+v besides the requested event", ev)
+	default:
+	}
+}
+
 func TestSubscriptionDropsWhenFull(t *testing.T) {
 	tr := NewTracer(16)
-	sub := tr.SubscribeEvict(2, 0)
+	sub := tr.SubscribeEvict(2, 0, nil, -1)
 	defer sub.Close()
 	for i := 0; i < 10; i++ {
 		tr.Record(Event{Kind: EvAck, Seq: int64(i)})
@@ -42,7 +72,7 @@ func TestSubscriptionDropsWhenFull(t *testing.T) {
 
 func TestSubscriptionCloseStopsDeliveryAndIsIdempotent(t *testing.T) {
 	tr := NewTracer(16)
-	sub := tr.SubscribeEvict(4, 0)
+	sub := tr.SubscribeEvict(4, 0, nil, -1)
 	tr.Record(Event{Kind: EvPush, Seq: 1})
 	sub.Close()
 	sub.Close() // idempotent
@@ -77,7 +107,7 @@ func TestSubscriptionConcurrentRecordAndClose(t *testing.T) {
 		subscribers.Add(1)
 		go func() {
 			defer subscribers.Done()
-			sub := tr.SubscribeEvict(16, 0)
+			sub := tr.SubscribeEvict(16, 0, nil, -1)
 			defer sub.Close()
 			for {
 				select {
@@ -95,7 +125,7 @@ func TestSubscriptionConcurrentRecordAndClose(t *testing.T) {
 
 func TestNilSubscriptionIsNoOp(t *testing.T) {
 	var tr *Tracer
-	sub := tr.SubscribeEvict(8, 0)
+	sub := tr.SubscribeEvict(8, 0, nil, -1)
 	if sub != nil {
 		t.Fatal("nil tracer must hand out a nil subscription")
 	}
@@ -107,7 +137,7 @@ func TestNilSubscriptionIsNoOp(t *testing.T) {
 
 func TestSubscriptionEvictedAfterConsecutiveDrops(t *testing.T) {
 	tr := NewTracer(64)
-	sub := tr.SubscribeEvict(2, 5)
+	sub := tr.SubscribeEvict(2, 5, nil, -1)
 	// Fill the buffer (2 events), then drop 5 in a row: eviction.
 	for i := 0; i < 7; i++ {
 		tr.Record(Event{Kind: EvPush, Seq: int64(i)})
@@ -150,7 +180,7 @@ func TestSubscriptionEvictedAfterConsecutiveDrops(t *testing.T) {
 
 func TestSubscriptionDrainResetsDropRun(t *testing.T) {
 	tr := NewTracer(64)
-	sub := tr.SubscribeEvict(1, 3)
+	sub := tr.SubscribeEvict(1, 3, nil, -1)
 	tr.Record(Event{Kind: EvPush, Seq: 0}) // fills the buffer
 	tr.Record(Event{Kind: EvPush, Seq: 1}) // drop 1
 	tr.Record(Event{Kind: EvPush, Seq: 2}) // drop 2
@@ -169,7 +199,7 @@ func TestSubscriptionDrainResetsDropRun(t *testing.T) {
 
 func TestSubscribeEvictDisabled(t *testing.T) {
 	tr := NewTracer(64)
-	sub := tr.SubscribeEvict(1, -1)
+	sub := tr.SubscribeEvict(1, -1, nil, -1)
 	defer sub.Close()
 	for i := 0; i < DefaultSubscriptionEvictDrops+10; i++ {
 		tr.Record(Event{Kind: EvPush, Seq: int64(i)})

@@ -42,6 +42,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"progmp/internal/obs"
 	"progmp/internal/runtime"
@@ -75,6 +76,13 @@ type DestStats struct {
 	Quarantines int64 `json:"quarantines"`
 	// Samples counts RTT samples merged into SRTTUS.
 	Samples int64 `json:"samples"`
+}
+
+// String formats the record as one aligned line, as mpsim's summary and
+// progmpctl deststats print it.
+func (d DestStats) String() string {
+	return fmt.Sprintf("%-10s srtt=%-8v lost=%-5d quar=%-4d delivered=%d samples=%d",
+		d.Name, time.Duration(d.SRTTUS)*time.Microsecond, d.Lost, d.Quarantines, d.Delivered, d.Samples)
 }
 
 // Snapshot is one epoch of the store, copied out by Store.Load.
