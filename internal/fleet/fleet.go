@@ -39,6 +39,12 @@
 //     one (Config.recycles), so the heap holds a world per shard, not
 //     per connection, and a world's construction and warm-up are paid
 //     once per shard. A reset world equals a freshly built one.
+//   - A world keeps its state; the shard keeps the scratch. Every
+//     world's engine draws free events and flights from the shard's
+//     netsim.Pool, its send window pages from the shard's PagePool, and
+//     its scheduler executions run in an arena the shard's ArenaPool
+//     lends, so the shard holds its worlds' peak work at once instead
+//     of each world its own.
 //
 // See docs/FLEET.md for the architecture and soak-mode usage.
 package fleet
@@ -202,9 +208,10 @@ type Result struct {
 	// BytesPerConn is the heap growth across building the worlds the
 	// run keeps resident, after a full GC on both sides, divided by
 	// Conns. A coupled fleet keeps every world resident, so it is one
-	// world's construction cost (links, queues, engine, receiver); an
-	// uncoupled one keeps one world per shard (Config.recycles), so it
-	// is Shards worlds spread over Conns.
+	// world's construction cost (links, queues, engine, receiver; the
+	// execution arena and the free events, flights and pages are the
+	// shard's); an uncoupled one keeps one world per shard
+	// (Config.recycles), so it is Shards worlds spread over Conns.
 	BytesPerConn int64
 	// DecisionP50NS/P99NS are fleet quantiles of the scheduler
 	// decision latency (wall ns per execution, conn.sched_exec_ns),
@@ -411,6 +418,7 @@ func connSeed(fleetSeed int64, idx int) int64 {
 func buildConn(cfg *Config, idx int, sh *shard) (*fleetConn, error) {
 	eng := netsim.NewEngineCompact(connSeed(cfg.Seed, idx))
 	eng.Instrument(sh.reg)
+	eng.SharePool(&sh.pool)
 	fc := &fleetConn{idx: idx, sh: sh, eng: eng}
 	conn, err := mptcp.Dial(eng, mptcp.Config{Store: cfg.Store}, sh.paths(idx)...)
 	if err != nil {
@@ -418,6 +426,7 @@ func buildConn(cfg *Config, idx int, sh *shard) (*fleetConn, error) {
 	}
 	fc.conn = conn
 	conn.SharePages(&sh.pages)
+	conn.ShareArena(&sh.arenas)
 
 	if cfg.Guard {
 		sup := guard.New(sh.sched, guard.Config{

@@ -13,6 +13,7 @@ import (
 	"progmp/internal/obs"
 	"progmp/internal/runtime"
 	"progmp/internal/schedlib"
+	"progmp/internal/xstate"
 )
 
 // freshFleet runs cfg's fleet as its recycling shards run it — each
@@ -344,5 +345,98 @@ func TestUncoupledFleetHeldHeap(t *testing.T) {
 	if held > limit {
 		t.Errorf("a running fleet of %d connections on %d shards holds %d B, want at most %d B (%d per shard + %d per connection)",
 			conns, shards, held, limit, perShard, perConn)
+	}
+}
+
+// coupledFleet is a store-coupled, one-shard fleet as the fleet_shared
+// workload runs it: jointFlow over 32 destination groups, every world
+// resident and advanced in windows.
+func coupledFleet(t *testing.T, conns int, seed int64) Config {
+	return Config{
+		Conns:        conns,
+		Shards:       1,
+		Seed:         seed,
+		Duration:     time.Second,
+		DestGroups:   32,
+		NewScheduler: vmScheduler(t, "jointFlow"),
+		Program:      "jointFlow",
+		Store:        xstate.NewStore(),
+	}
+}
+
+// TestCoupledFleetAllocsPerWorld pins what a world of a coupled fleet
+// costs the allocator: the mallocs a 2N-connection fleet makes beyond
+// an N-connection one, per added connection. Every world is resident,
+// so each pays its construction (engine, links, subflows, receiver,
+// rings, closures); its scratch — events, flights, send-window pages
+// and the execution arena — comes from the shard, whose pools hold the
+// fleet's peak at once rather than each world's own (95 mallocs per
+// world when every world grew its own).
+func TestCoupledFleetAllocsPerWorld(t *testing.T) {
+	mallocs := func(conns int) uint64 {
+		cfg := coupledFleet(t, conns, 5)
+		var before, after stdruntime.MemStats
+		stdruntime.GC()
+		stdruntime.ReadMemStats(&before)
+		res, err := Run(cfg)
+		stdruntime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DeliveredBytes == 0 {
+			t.Fatal("nothing delivered")
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const n = 400
+	small, large := mallocs(n), mallocs(2*n)
+	perWorld := (float64(large) - float64(small)) / n
+	t.Logf("%d mallocs for %d connections, %d for %d: %.2f per world", small, n, large, 2*n, perWorld)
+	if perWorld > 60 {
+		t.Errorf("%.2f mallocs per added world, want at most 60: worlds grow scratch of their own", perWorld)
+	}
+}
+
+// TestCoupledFleetHeldHeap pins what a coupled fleet of 5000
+// connections holds at the horizon, its shard included: at most 9.5 KB
+// per world (12.1 KB when every world kept its own arena and free
+// lists).
+func TestCoupledFleetHeldHeap(t *testing.T) {
+	const conns, perWorld = 5000, 9728
+	cfg := coupledFleet(t, conns, 9)
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	sched, err := cfg.NewScheduler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newShard(&cfg, sched)
+	var before, after stdruntime.MemStats
+	stdruntime.GC()
+	stdruntime.ReadMemStats(&before)
+	for i := 0; i < conns; i++ {
+		fc, err := buildConn(&cfg, i, sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.conns = append(sh.conns, fc)
+	}
+	sh.run()
+	stdruntime.GC()
+	stdruntime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	var delivered int64
+	for _, fc := range sh.conns {
+		delivered += fc.summary().Delivered
+	}
+	stdruntime.KeepAlive(sh)
+	if delivered == 0 {
+		t.Fatal("nothing delivered")
+	}
+	t.Logf("held %d B at the horizon (%.0f B per world)", held, float64(held)/conns)
+	if held > conns*perWorld {
+		t.Errorf("a coupled fleet of %d worlds holds %d B at the horizon (%.0f B per world), want at most %d B per world",
+			conns, held, float64(held)/conns, perWorld)
 	}
 }

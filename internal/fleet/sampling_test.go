@@ -19,15 +19,15 @@ const sampleEvery = 16
 // executions into timed and untimed by watching the shard's
 // conn.sched_exec_ns histogram: the connection observes it after the
 // apply, so a count that moved between two executions belongs to the
-// earlier one. Connections are told apart by their *runtime.Env.
+// earlier one. Connections are told apart by their register file (Env.Regs).
 type samplingProbe struct {
 	inner mptcp.Scheduler
 	execs *obs.Counter   // the shard's conn.sched_execs
 	hist  *obs.Histogram // the shard's conn.sched_exec_ns
 
-	perConn   map[*runtime.Env]int64 // executions so far, by connection
-	last      *execRecord            // the execution before this one
-	lastCount int64                  // hist count when it ran
+	perConn   map[*[runtime.NumRegisters]int64]int64 // executions so far, by connection (its register file)
+	last      *execRecord                            // the execution before this one
+	lastCount int64                                  // hist count when it ran
 
 	census, censusPushes int64
 	timed                []execRecord
@@ -42,8 +42,8 @@ type execRecord struct {
 
 func (p *samplingProbe) Exec(env *runtime.Env) {
 	p.settle()
-	rec := &execRecord{count: p.execs.Value(), connIdx: p.perConn[env]}
-	p.perConn[env]++
+	rec := &execRecord{count: p.execs.Value(), connIdx: p.perConn[env.Regs]}
+	p.perConn[env.Regs]++
 	p.inner.Exec(env)
 	for _, a := range env.Actions {
 		if a.Kind == runtime.ActionPush {
@@ -101,7 +101,7 @@ func TestExecSamplingIsUnbiased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &samplingProbe{inner: inner, perConn: map[*runtime.Env]int64{}}
+	probe := &samplingProbe{inner: inner, perConn: map[*[runtime.NumRegisters]int64]int64{}}
 	sh := newShard(&cfg, probe)
 	probe.execs = sh.reg.Counter("conn.sched_execs")
 	probe.hist = sh.reg.Histogram("conn.sched_exec_ns")

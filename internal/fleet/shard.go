@@ -36,9 +36,14 @@ type shard struct {
 	// built once, and so is each destination group's pair of names.
 	specs  [2]mptcp.SubflowSpec
 	groups map[int][2]string
-	// pages are the send-window pages the shard's worlds drained, for
-	// their next bursts.
-	pages mptcp.PagePool
+	// The shard's scratch, which its worlds draw from as they take
+	// turns: the events and flights their engines freed (given back
+	// after each visit), the send-window pages their windows drained,
+	// and the arena every scheduler execution runs in. A world keeps
+	// only its state.
+	pool   netsim.Pool
+	pages  mptcp.PagePool
+	arenas mptcp.ArenaPool
 
 	reg      *obs.Registry
 	mDelivUS *obs.Histogram

@@ -193,7 +193,7 @@ func TestAdversarialActionsPreserveInvariants(t *testing.T) {
 		if round%37 == 0 {
 			send(rng.Intn(16*1460) + 1)
 		}
-		env := conn.buildEnv()
+		env := conn.buildEnv(conn.takeArena())
 		checkSkipSent(t, env, round)
 		adversarialExec(env, rng)
 		conn.applyActions(env)

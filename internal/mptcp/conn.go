@@ -124,8 +124,16 @@ type Conn struct {
 	// actions applyActions refused; true asks for another iteration of
 	// the pass, at the same virtual time, on a fresh snapshot.
 	applied func(env *runtime.Env, refused int) (again bool)
-	regs    [runtime.NumRegisters]int64
 	store   *xstate.Store
+
+	// What persists from one execution to the next (§3.1); the snapshot
+	// an execution runs on is scratch, in an arena. regs is the register
+	// file, globals the global file G1..G8 (without a store it persists
+	// here; with one, each execution copies it in from the store), cert
+	// the quiescence certificate the last execution stamped.
+	regs    [runtime.NumRegisters]int64
+	globals [runtime.NumGlobals]int64
+	cert    *runtime.Certificate
 
 	subflows []*Subflow
 	receiver *Receiver
@@ -153,8 +161,12 @@ type Conn struct {
 	bytesQueued int64 // total bytes enqueued so far (next Offset)
 
 	// Snapshot arena (§4.1): recycled environment, subflow views and
-	// lazily-materialized queue views, each queue bound to its list.
-	arena *runtime.Arena
+	// lazily-materialized queue views, each queue bound to its list. A
+	// connection that shares arenas (ShareArena) borrows one from arenas
+	// for each scheduling pass; one that does not builds its own at its
+	// first pass and keeps it in arena.
+	arena  *runtime.Arena
+	arenas *ArenaPool
 
 	scheduling   bool
 	schedPending bool
@@ -176,21 +188,7 @@ type Conn struct {
 	tracer  *obs.Tracer
 	curExec uint64 // scheduler execution id during schedule(); 0 outside
 
-	metricsReg *obs.Registry
-	mExecs     *obs.Counter
-	mPushes    *obs.Counter
-	mPops      *obs.Counter
-	mDrops     *obs.Counter
-	mReinjects *obs.Counter
-	mAcks      *obs.Counter
-	mEnqueued  *obs.Counter
-	mRegOOB    *obs.Counter
-	// Hot-path latency histograms (ns): scheduler execution and action
-	// application, sampled on one execution in 16 of the shared
-	// conn.sched_execs count (timedExec). Timed only when resolved, so
-	// the uninstrumented path pays one nil check and no clock reads.
-	mExecNS  *obs.Histogram
-	mApplyNS *obs.Histogram
+	m *connMetrics
 
 	// Stats.
 	SchedulerExecutions int64
@@ -200,6 +198,22 @@ type Conn struct {
 	onAllAcked func()
 }
 
+// connMetrics are the metric handles a connection resolves from its
+// registry, behind one pointer: they cost an instrumented connection
+// one word and a 96 B object, and an uninstrumented one a word that
+// points at noMetrics, whose handles are all nil (nil-safe no-ops).
+type connMetrics struct {
+	reg                                                           *obs.Registry
+	execs, pushes, pops, drops, reinjects, acks, enqueued, regOOB *obs.Counter
+	// Hot-path latency histograms (ns): scheduler execution and action
+	// application, sampled on one execution in 16 of the shared
+	// conn.sched_execs count (timedExec). Timed only when resolved, so
+	// the uninstrumented path pays one nil check and no clock reads.
+	execNS, applyNS *obs.Histogram
+}
+
+var noMetrics connMetrics
+
 // NewConn creates a connection with its receiver.
 func NewConn(eng *netsim.Engine, cfg Config) *Conn {
 	cfg.applyDefaults()
@@ -207,8 +221,8 @@ func NewConn(eng *netsim.Engine, cfg Config) *Conn {
 		eng:  eng,
 		cfg:  cfg,
 		rwnd: int64(cfg.RcvBuf),
+		m:    &noMetrics,
 	}
-	c.arena = runtime.NewArena(&c.regs)
 	c.receiver = newReceiver(c, cfg.ReceiverMode, cfg.RcvBuf)
 	c.store = cfg.Store
 	return c
@@ -219,6 +233,61 @@ func NewConn(eng *netsim.Engine, cfg Config) *Conn {
 // Connections on one goroutine may share a pool; nil (the default)
 // stops sharing.
 func (c *Conn) SharePages(pool *PagePool) { c.win.pool = pool }
+
+// ArenaPool lends execution arenas to the connections that share it
+// (Conn.ShareArena). An arena is scratch: the snapshot one execution
+// runs on, rebuilt for the next, while what persists between executions
+// stays on each connection. Connections that take turns on one
+// goroutine therefore need one arena between them, and a second only
+// while one's scheduling pass runs inside another's (a guard fleet
+// waking its connections from a quarantine). The zero value is an
+// empty pool; it is not safe for concurrent use.
+type ArenaPool struct{ free []*runtime.Arena }
+
+// get lends an arena, a new one when the pool is empty.
+func (p *ArenaPool) get() *runtime.Arena {
+	if len(p.free) == 0 {
+		return runtime.NewArena(nil)
+	}
+	a := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	return a
+}
+
+// put takes a lent arena back.
+func (p *ArenaPool) put(a *runtime.Arena) { p.free = append(p.free, a) }
+
+// ShareArena makes the connection run its scheduler executions in an
+// arena lent by pool for each scheduling pass, instead of in one of its
+// own. Connections on one goroutine may share a pool; nil (the
+// default) stops sharing. Call it between scheduling passes.
+func (c *Conn) ShareArena(pool *ArenaPool) { c.arena, c.arenas = nil, pool }
+
+// takeArena returns the arena a scheduling pass runs its executions in:
+// one lent by the shared pool, or the connection's own.
+//
+//progmp:hotpath
+func (c *Conn) takeArena() *runtime.Arena {
+	if c.arenas != nil {
+		//progmp:ignore hotpath amortized: the pool allocates only while more passes run at once than ever before
+		return c.arenas.get()
+	}
+	if c.arena == nil {
+		//progmp:ignore hotpath once per connection: its first scheduling pass builds its arena
+		c.arena = runtime.NewArena(nil)
+	}
+	return c.arena
+}
+
+// giveArena ends a pass's use of a: a lent arena goes back to the pool.
+//
+//progmp:hotpath
+func (c *Conn) giveArena(a *runtime.Arena) {
+	if c.arenas != nil {
+		//progmp:ignore hotpath amortized: the pool's slice grows only to the most arenas ever lent at once
+		c.arenas.put(a)
+	}
+}
 
 // Engine returns the simulation engine.
 func (c *Conn) Engine() *netsim.Engine { return c.eng }
@@ -238,18 +307,21 @@ func (c *Conn) Receiver() *Receiver { return c.receiver }
 func (c *Conn) Instrument(t *obs.Tracer, reg *obs.Registry) {
 	c.tracer = t
 	c.connID = t.RegisterConn()
-	c.metricsReg = reg
+	c.m = &noMetrics
 	if reg != nil {
-		c.mExecs = reg.Counter("conn.sched_execs")
-		c.mPushes = reg.Counter("conn.pushes")
-		c.mPops = reg.Counter("conn.pops")
-		c.mDrops = reg.Counter("conn.drops")
-		c.mReinjects = reg.Counter("conn.reinjects")
-		c.mAcks = reg.Counter("conn.acks")
-		c.mEnqueued = reg.Counter("conn.enqueued_segments")
-		c.mRegOOB = reg.Counter("api.register_oob")
-		c.mExecNS = reg.Histogram("conn.sched_exec_ns")
-		c.mApplyNS = reg.Histogram("conn.sched_apply_ns")
+		c.m = &connMetrics{
+			reg:       reg,
+			execs:     reg.Counter("conn.sched_execs"),
+			pushes:    reg.Counter("conn.pushes"),
+			pops:      reg.Counter("conn.pops"),
+			drops:     reg.Counter("conn.drops"),
+			reinjects: reg.Counter("conn.reinjects"),
+			acks:      reg.Counter("conn.acks"),
+			enqueued:  reg.Counter("conn.enqueued_segments"),
+			regOOB:    reg.Counter("api.register_oob"),
+			execNS:    reg.Histogram("conn.sched_exec_ns"),
+			applyNS:   reg.Histogram("conn.sched_apply_ns"),
+		}
 		c.receiver.instrument(reg)
 		for _, s := range c.subflows {
 			s.instrument(reg)
@@ -271,7 +343,7 @@ func (c *Conn) TraceConnID() int32 { return c.connID }
 func (c *Conn) Kick() { c.schedule() }
 
 // Metrics returns the attached metrics registry (nil when off).
-func (c *Conn) Metrics() *obs.Registry { return c.metricsReg }
+func (c *Conn) Metrics() *obs.Registry { return c.m.reg }
 
 // trace records one event with the connection's identity and the
 // current scheduler execution id. The tracing-off cost is this nil
@@ -331,7 +403,7 @@ func (c *Conn) applyPendingSched() {
 // previous program's quiescence certificate goes with it.
 func (c *Conn) install(s Scheduler) {
 	c.sched = s
-	c.arena.Env().Cert = nil
+	c.cert = nil
 	c.applied = nil
 	if h, ok := s.(interface {
 		Applied(*runtime.Env, int) bool
@@ -354,7 +426,7 @@ func (c *Conn) NoteSchedSwap() { c.trace(obs.EvSchedSwap, -1, -1, 2, 0) }
 // registry is attached).
 func (c *Conn) SetRegister(i int, v int64) error {
 	if err := checkRegister(i); err != nil {
-		c.mRegOOB.Add(1)
+		c.m.regOOB.Add(1)
 		return err
 	}
 	c.regs[i] = v
@@ -374,7 +446,7 @@ func checkRegister(i int) error {
 // refused as SetRegister refuses it.
 func (c *Conn) Register(i int) (int64, error) {
 	if err := checkRegister(i); err != nil {
-		c.mRegOOB.Add(1)
+		c.m.regOOB.Add(1)
 		return 0, err
 	}
 	return c.regs[i], nil
@@ -422,7 +494,10 @@ func (c *Conn) Reset(specs ...SubflowSpec) error {
 		return fmt.Errorf("mptcp: subflow limit %d reached", runtime.MaxSubflows)
 	}
 	c.ReleaseDests()
-	c.arena.Reset() // and the registers, its register file
+	c.regs, c.globals, c.cert = [runtime.NumRegisters]int64{}, [runtime.NumGlobals]int64{}, nil
+	if c.arena != nil {
+		c.arena.Reset()
+	}
 	c.receiver.reset()
 	for i := range c.queues {
 		c.queues[i].reset()
@@ -480,7 +555,7 @@ func (c *Conn) Send(n int, prop int64) {
 		c.move(pkt, inQ, true)
 		c.TotalEnqueued++
 	}
-	c.mEnqueued.Add(c.win.end - firstSeq)
+	c.m.enqueued.Add(c.win.end - firstSeq)
 	c.trace(obs.EvEnqueue, -1, firstSeq, bytes, 0)
 	c.schedule()
 }
@@ -592,7 +667,7 @@ func (c *Conn) addReinject(pkt *Packet) {
 	}
 	if pkt.where != inRQ {
 		c.move(pkt, inRQ, true)
-		c.mReinjects.Add(1)
+		c.m.reinjects.Add(1)
 		c.trace(obs.EvReinject, -1, pkt.Seq, 0, 0)
 	}
 	c.schedule()
@@ -615,7 +690,7 @@ func (c *Conn) onSubflowClosed(s *Subflow) {
 // advertised window is refreshed. It then triggers the scheduler.
 func (c *Conn) onAck(metaCumAck int64, rwnd int64, s *Subflow) {
 	c.rwnd = rwnd
-	c.mAcks.Add(1)
+	c.m.acks.Add(1)
 	c.trace(obs.EvAck, int32(s.id), -1, metaCumAck, 0)
 	if metaCumAck > c.win.base {
 		// The window ends at the next sequence number to write, so an
@@ -657,8 +732,10 @@ func (c *Conn) schedule() {
 		return
 	}
 	c.scheduling = true
+	arena := c.takeArena()
 	defer func() {
 		c.scheduling = false
+		c.giveArena(arena)
 		// A swap requested in the final iteration still lands before
 		// the pass returns (the execution boundary).
 		if c.hasPendingSched {
@@ -678,14 +755,14 @@ func (c *Conn) schedule() {
 		// program provably does nothing, so the pass ends here without
 		// a snapshot. A supervised connection runs every execution: its
 		// guard counts them.
-		if cert := c.arena.Env().Cert; cert != nil && c.applied == nil && cert.Holds(c.facts()) {
+		if c.cert != nil && c.applied == nil && c.cert.Holds(c.facts()) {
 			if VerifyQuiescence != nil {
 				//progmp:ignore hotpath test-only: VerifyQuiescence is set by tests alone
-				c.verifyQuiet()
+				c.verifyQuiet(arena)
 			}
 			return
 		}
-		env := c.buildEnv()
+		env := c.buildEnv(arena)
 		if c.tracer != nil {
 			c.curExec = c.tracer.NextExecID()
 			c.trace(obs.EvExecStart, -1, -1, int64(iter), 0)
@@ -693,7 +770,7 @@ func (c *Conn) schedule() {
 		var progress bool
 		var refused int
 		c.SchedulerExecutions++
-		if n := c.mExecs.Inc(); c.mExecNS != nil && timedExec(n) {
+		if n := c.m.execs.Inc(); c.m.execNS != nil && timedExec(n) {
 			// time.Now is allocation-free, so the instrumented hot path
 			// stays 0 allocs/op (benchmark-gated). t1 ends the execution
 			// and starts the apply, so both histograms count alike.
@@ -702,12 +779,13 @@ func (c *Conn) schedule() {
 			t1 := time.Now()
 			progress, refused = c.applyActions(env)
 			t2 := time.Now()
-			c.mExecNS.Observe(int64(t1.Sub(t0)))
-			c.mApplyNS.Observe(int64(t2.Sub(t1)))
+			c.m.execNS.Observe(int64(t1.Sub(t0)))
+			c.m.applyNS.Observe(int64(t2.Sub(t1)))
 		} else {
 			c.sched.Exec(env)
 			progress, refused = c.applyActions(env)
 		}
+		c.cert = env.Cert
 		//progmp:ignore hotpath guard.Supervisor.Applied, allocation-free in steady state (TestSupervisedScheduleZeroAlloc)
 		if c.applied != nil && c.applied(env, refused) {
 			c.schedPending = true
@@ -727,8 +805,9 @@ func (c *Conn) schedule() {
 // queue. The snapshot is allocation-free in steady state: views live in
 // the connection's arena and materialize lazily as the scheduler
 // touches them. The three lists are the three disjoint views, so each
-// queue binds straight from its own list.
-func (c *Conn) buildEnv() *runtime.Env {
+// queue binds straight from its own list. The snapshot is built in a,
+// over the connection's register and global files.
+func (c *Conn) buildEnv(a *runtime.Arena) *runtime.Env {
 	now := c.eng.Now()
 	rwndFree := c.rwndFreeBytes()
 
@@ -740,7 +819,7 @@ func (c *Conn) buildEnv() *runtime.Env {
 			n++
 		}
 	}
-	views := c.arena.BindSubflows(n)
+	views := a.BindSubflows(n)
 	i := 0
 	for _, s := range c.subflows {
 		if !s.usable() {
@@ -776,13 +855,14 @@ func (c *Conn) buildEnv() *runtime.Env {
 		if id == runtime.QueueUnacked {
 			src = (*unackedSource)(c)
 		}
-		c.arena.BindQueue(id, src, l.len(), false)
+		a.BindQueue(id, src, l.len(), false)
 	}
 
-	c.arena.BeginExec()
-	env := c.arena.Env()
+	a.BeginExec()
+	env := a.Env()
+	env.Regs, env.Globals = &c.regs, &c.globals
 	if c.store != nil {
-		// Without a store the arena's global file persists across
+		// Without a store the connection's global file persists across
 		// executions, so globals degrade to connection-local registers.
 		c.copyShared(views, env.Globals)
 	}
@@ -839,7 +919,7 @@ func (c *Conn) applyActions(env *runtime.Env) (progress bool, refused int) {
 			if pkt.where != placeOf(a.Queue) {
 				continue // not in the queue the action names (any more)
 			}
-			c.mPops.Add(1)
+			c.m.pops.Add(1)
 			c.trace(obs.EvPop, -1, pkt.Seq, int64(a.Queue), a.Site)
 		case runtime.ActionPush:
 			sbf := c.sbfOf(a.Subflow)
@@ -854,7 +934,7 @@ func (c *Conn) applyActions(env *runtime.Env) (progress bool, refused int) {
 				if pkt.where != inQU {
 					c.move(pkt, inQU, false)
 				}
-				c.mPushes.Add(1)
+				c.m.pushes.Add(1)
 				c.trace(obs.EvPush, int32(sbf.id), pkt.Seq, int64(pkt.Size), a.Site)
 			}
 		case runtime.ActionDrop:
@@ -875,7 +955,7 @@ func (c *Conn) applyActions(env *runtime.Env) (progress bool, refused int) {
 				continue
 			}
 			progress = true
-			c.mDrops.Add(1)
+			c.m.drops.Add(1)
 			c.trace(obs.EvDrop, -1, pkt.Seq, 0, a.Site)
 		default:
 			refused++

@@ -141,11 +141,16 @@ func (l *packetList) search(seq int64) int {
 // front is at least as long as the live content is compacted instead
 // of grown: the copy moves no more packets than front removals freed
 // slots since head was last 0, so it is amortized O(1) per removal.
+// The first growth goes straight to ringMinCap slots, as a ring's does.
 func (l *packetList) extend() {
 	if len(l.pkts) == cap(l.pkts) && l.head > 0 && l.head >= l.len() {
 		n := copy(l.pkts, l.pkts[l.head:])
 		clear(l.pkts[n:])
 		l.pkts, l.head = l.pkts[:n], 0
+	}
+	if cap(l.pkts) == 0 {
+		//progmp:ignore hotpath once per list: its first slot
+		l.pkts = make([]*Packet, 0, ringMinCap)
 	}
 	//progmp:ignore hotpath amortized: grows only while the live content fills more than half the array, so cap stops at its high-water mark
 	l.pkts = append(l.pkts, nil)

@@ -43,7 +43,7 @@ func popRig(t *testing.T) *Conn {
 // applyExec runs exec as one scheduler execution against c's snapshot
 // and applies its actions, returning applyActions' progress.
 func applyExec(c *Conn, exec func(env *runtime.Env)) bool {
-	env := c.buildEnv()
+	env := c.buildEnv(c.takeArena())
 	exec(env)
 	progress, _ := c.applyActions(env)
 	return progress

@@ -36,10 +36,10 @@ func (c *Conn) facts() runtime.Facts {
 // nothing, restores what the execution wrote, and leaves the execution
 // counts alone, so a run with the check on takes the trajectory of a
 // run without it.
-func (c *Conn) verifyQuiet() {
+func (c *Conn) verifyQuiet(a *runtime.Arena) {
 	facts := c.facts()
 	regs := c.regs
-	env := c.buildEnv()
+	env := c.buildEnv(a)
 	globals := *env.Globals
 	if got := env.Facts(); got != facts {
 		VerifyQuiescence(fmt.Errorf("mptcp: at %v the connection's facts %#x differ from the snapshot's %#x", c.eng.Now(), facts, got))

@@ -36,13 +36,10 @@ type winPage [pageSize]Packet
 // burst, or the next world a fleet shard recycles, takes one back
 // instead of allocating. A page holds no pointer and push overwrites a
 // packet whole, so nothing of a page's past shows or stays reachable
-// through it. The zero value is an empty pool; it holds at most
-// maxPooledPages, and it is not safe for concurrent use: the
-// connections sharing one run on one goroutine.
+// through it. A pool holds no more pages than its windows once held at
+// once. The zero value is an empty pool; it is not safe for concurrent
+// use: the connections sharing one run on one goroutine.
 type PagePool struct{ free []*winPage }
-
-// maxPooledPages bounds a pool; pages beyond it go to the collector.
-const maxPooledPages = 64
 
 // get returns a pooled page, or a new one when the pool (or p) is empty.
 func (p *PagePool) get() *winPage {
@@ -54,10 +51,10 @@ func (p *PagePool) get() *winPage {
 	return pg
 }
 
-// put pools pg, or drops it when p is nil or full.
+// put pools pg, or drops it when p is nil.
 func (p *PagePool) put(pg *winPage) {
-	if p != nil && len(p.free) < maxPooledPages {
-		//progmp:ignore hotpath amortized: the pool's slice grows once, to at most maxPooledPages
+	if p != nil {
+		//progmp:ignore hotpath amortized: the pool's slice grows only to the most pages its windows ever drained at once
 		p.free = append(p.free, pg)
 	}
 }

@@ -228,8 +228,8 @@ func (s *Subflow) init(c *Conn, id int, cfg SubflowConfig) {
 		}
 		s.destID = c.store.DestID(name)
 	}
-	if c.metricsReg != nil {
-		s.instrument(c.metricsReg)
+	if reg := c.m.reg; reg != nil {
+		s.instrument(reg)
 	}
 }
 

@@ -89,6 +89,10 @@ type Engine struct {
 	// flights is the free list of the paths' per-packet records; it is
 	// engine-wide so that paths chained through Next share one.
 	flights *flight
+	// pool, when shared (SharePool), lends events and flights once the
+	// engine's own free lists are empty and takes them back at the end
+	// of every RunUntil.
+	pool *Pool
 
 	// Observability handles (nil-safe no-ops when uninstrumented).
 	mEvents  *obs.Counter
@@ -138,6 +142,72 @@ func Mix64(seed uint64) uint64 {
 	s := splitmix64{state: seed}
 	return s.Uint64()
 }
+
+// Pool is the free events and flights of engines that take turns on
+// one goroutine, such as the worlds of a fleet shard: each engine gives
+// back what it freed when a RunUntil returns, and draws from the pool
+// when its own free lists run dry, so the pool holds the free work of
+// the busiest moment of all its engines together instead of each
+// engine its own peak. The zero value is an empty pool; it is not safe
+// for concurrent use.
+type Pool struct {
+	events  []*event
+	flights *flight
+	// seq is at least every seq an engine giving back to the pool had
+	// handed out. An engine raises its own counter to it before taking
+	// an event, so an event's seq only grows across its engines and a
+	// stale Timer never names a lent event.
+	seq uint64
+}
+
+// event returns a free event for e, from the pool while it has one,
+// after raising e's seq above every seq the pool's events ever carried.
+// The raise moves no event: order within an engine is relative in
+// (at, seq), and every later Post of e takes a larger seq either way.
+func (p *Pool) event(e *Engine) *event {
+	if p == nil || len(p.events) == 0 {
+		//progmp:ignore hotpath amortized: events are allocated only when more are pending than ever before
+		return new(event)
+	}
+	e.seq = max(e.seq, p.seq)
+	ev := p.events[len(p.events)-1]
+	p.events = p.events[:len(p.events)-1]
+	return ev
+}
+
+// flight returns a free flight, from the pool while it has one.
+func (p *Pool) flight() *flight {
+	if p == nil || p.flights == nil {
+		//progmp:ignore hotpath amortized: flights are allocated only when more packets are in the air than ever before
+		return new(flight)
+	}
+	f := p.flights
+	p.flights = f.next
+	return f
+}
+
+// reclaim takes e's free events and flights into the pool.
+func (p *Pool) reclaim(e *Engine) {
+	p.seq = max(p.seq, e.seq)
+	if free := e.pq[e.n:]; len(free) > 0 {
+		p.events = append(p.events, free...)
+		clear(free)
+		e.pq = e.pq[:e.n]
+	}
+	if f := e.flights; f != nil {
+		for f.next != nil {
+			f = f.next
+		}
+		f.next, p.flights = p.flights, e.flights
+		e.flights = nil
+	}
+}
+
+// SharePool makes the engine draw events and flights from p once its
+// own free lists are empty, and give p what it freed at the end of each
+// RunUntil. Engines that run on one goroutine may share a pool; nil
+// (the default) keeps everything the engine allocates its own.
+func (e *Engine) SharePool(p *Pool) { e.pool = p }
 
 // Reset empties the engine for a new world seeded with seed, as the
 // constructor that built it seeds one: the clock returns to zero and
@@ -191,9 +261,8 @@ func (e *Engine) Post(t time.Duration, h Handler, kind uint8, a, b, c int64) Tim
 	if e.n < len(e.pq) {
 		ev = e.pq[e.n]
 	} else {
-		//progmp:ignore hotpath amortized: the free list grows only when more events are pending than ever before
-		ev = new(event)
-		//progmp:ignore hotpath amortized: same growth as the event above
+		ev = e.pool.event(e)
+		//progmp:ignore hotpath amortized: the heap grows only when more events are pending than ever before
 		e.pq = append(e.pq, ev)
 	}
 	*ev = event{at: t, seq: e.seq, h: h, a: a, b: b, c: c, idx: int32(e.n), kind: kind}
@@ -354,7 +423,8 @@ func (e *Engine) Run() {
 }
 
 // RunUntil fires events with timestamps <= deadline and then advances
-// the clock to the deadline.
+// the clock to the deadline. An engine that shares a pool then gives it
+// its free events and flights.
 //
 //progmp:deterministic
 func (e *Engine) RunUntil(deadline time.Duration) {
@@ -367,5 +437,8 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 	}
 	if e.now < deadline {
 		e.now = deadline
+	}
+	if e.pool != nil {
+		e.pool.reclaim(e)
 	}
 }

@@ -117,6 +117,8 @@ type scriptedEngine interface {
 type newUnderTest struct {
 	eng    *Engine
 	timers map[int]Timer
+	// events, when not nil, collects every event the engine scheduled.
+	events map[*event]bool
 }
 
 func (u *newUnderTest) clock() time.Duration { return u.eng.Now() }
@@ -125,6 +127,9 @@ func (u *newUnderTest) schedule(id int, at time.Duration, fn func()) {
 		u.timers[id] = u.eng.At(at, fn)
 	} else {
 		u.timers[id] = u.eng.After(at-u.eng.Now(), fn)
+	}
+	if u.events != nil {
+		u.events[u.timers[id].ev] = true
 	}
 }
 func (u *newUnderTest) stop(id int) { u.timers[id].Stop() }
@@ -172,6 +177,17 @@ func (u *refUnderTest) nextEventAt() (time.Duration, bool) { return u.eng.NextEv
 // themselves schedule, stop and reschedule, so events are recycled
 // while their successors are being created.
 func runEngineScript(eng scriptedEngine, seed int64) []string {
+	op, drain := engineScript(eng, seed)
+	for i := 0; i < 3000; i++ {
+		op()
+	}
+	return drain()
+}
+
+// engineScript is runEngineScript one driver operation at a time, so
+// that scripts over several engines can interleave: op runs the next
+// operation, drain fires what is left and returns the history.
+func engineScript(eng scriptedEngine, seed int64) (op func(), drain func() []string) {
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
 	nextID := 0
@@ -207,7 +223,7 @@ func runEngineScript(eng scriptedEngine, seed int64) []string {
 			}
 		})
 	}
-	for op := 0; op < 3000; op++ {
+	op = func() {
 		switch r := rng.Intn(20); {
 		case r < 9:
 			mutate()
@@ -221,9 +237,12 @@ func runEngineScript(eng scriptedEngine, seed int64) []string {
 			log = append(log, fmt.Sprintf("next %v %v", at, ok))
 		}
 	}
-	for eng.step() {
+	drain = func() []string {
+		for eng.step() {
+		}
+		return append(log, fmt.Sprintf("drained @%v", eng.clock()))
 	}
-	return append(log, fmt.Sprintf("drained @%v", eng.clock()))
+	return op, drain
 }
 
 // TestEngineMatchesReferenceOrder: the typed, recycled engine fires the
@@ -243,6 +262,87 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 				t.Fatalf("seed %d entry %d: got %q, reference %q", seed, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestPooledEnginesMatchReferenceOrder: engines that share a Pool each
+// fire what a reference engine of their own fires, in the same order,
+// when their scripts interleave one driver operation at a time — so
+// RunUntil visits alternate between engines, each giving its free
+// events back to the pool and taking others' — and stale Timers keep
+// naming events that another engine has since taken.
+func TestPooledEnginesMatchReferenceOrder(t *testing.T) {
+	const engines = 4
+	lent := false
+	for seed := int64(1); seed <= 20; seed++ {
+		pool := &Pool{}
+		var ops, refOps [engines]func()
+		var drains, refDrains [engines]func() []string
+		var under [engines]*newUnderTest
+		for i := range under {
+			under[i] = &newUnderTest{eng: NewEngine(1), timers: map[int]Timer{}, events: map[*event]bool{}}
+			under[i].eng.SharePool(pool)
+			script := seed*engines + int64(i)
+			ops[i], drains[i] = engineScript(under[i], script)
+			refOps[i], refDrains[i] = engineScript(&refUnderTest{eng: &refEngine{}, timers: map[int]*refTimer{}, fns: map[int]func(){}}, script)
+		}
+		turns := rand.New(rand.NewSource(-seed))
+		for n := 0; n < engines*3000; n++ {
+			i := turns.Intn(engines)
+			ops[i]()
+			refOps[i]()
+		}
+		for i := range under {
+			got, want := drains[i](), refDrains[i]()
+			if len(got) != len(want) {
+				t.Fatalf("seed %d engine %d: history has %d entries, reference %d", seed, i, len(got), len(want))
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("seed %d engine %d entry %d: got %q, reference %q", seed, i, k, got[k], want[k])
+				}
+			}
+			for ev := range under[i].events {
+				for j := i + 1; j < engines; j++ {
+					lent = lent || under[j].events[ev]
+				}
+			}
+		}
+	}
+	if !lent {
+		t.Fatal("no event passed from one engine to another: the pool was never exercised")
+	}
+}
+
+// TestPooledTimerStaysStale: an event engine A fired and gave back to
+// the pool, taken by engine B, cannot be stopped or moved through A's
+// Timer, although B's own count of schedulings is below A's.
+func TestPooledTimerStaysStale(t *testing.T) {
+	pool := &Pool{}
+	a, b := NewEngine(1), NewEngine(2)
+	a.SharePool(pool)
+	b.SharePool(pool)
+	for i := 0; i < 3; i++ {
+		a.At(time.Duration(i)*time.Microsecond, func() {})
+	}
+	stale := a.At(time.Millisecond, func() {})
+	a.RunUntil(time.Millisecond)
+	fired := 0
+	fresh := b.At(2*time.Millisecond, func() { fired++ })
+	for fresh.ev != stale.ev {
+		// Take the pool's events until B holds the one A's stale
+		// Timer names.
+		fresh = b.At(2*time.Millisecond, func() { fired++ })
+	}
+	stale.Stop()
+	for _, eng := range []*Engine{a, b} {
+		if _, ok := eng.Reschedule(stale, time.Second); ok {
+			t.Fatal("Reschedule through A's stale Timer moved the event B took from the pool")
+		}
+	}
+	b.RunUntil(time.Second)
+	if fired != 4 || b.Now() != time.Second {
+		t.Errorf("B fired %d events by %v, want 4: a stale Timer of A touched B's event", fired, b.Now())
 	}
 }
 

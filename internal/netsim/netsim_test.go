@@ -67,33 +67,58 @@ func TestTimerStop(t *testing.T) {
 // TestEngineResetEqualsNew: a reset engine fires nothing it held, holds
 // no handler of the old world, runs from zero on the new seed's draws
 // as a new engine does, and a Timer from before the reset cannot touch
-// the event that reuses its slot.
+// the event that reuses its slot — also when the engine shares a pool,
+// gives it what the reset freed and takes its next event back from it.
 func TestEngineResetEqualsNew(t *testing.T) {
-	for _, build := range []func(int64) *Engine{NewEngine, NewEngineCompact} {
-		eng := build(1)
-		path := NewPath(eng, PathConfig{Rate: ConstantRate(1e6), Delay: time.Millisecond, DupProb: 0.5})
-		stale := eng.At(time.Second, func() { t.Error("an event of the old world fired") })
-		for i := 0; i < 8; i++ {
-			path.Send(100, func() { t.Error("a packet of the old world arrived") })
+	for _, pooled := range []bool{false, true} {
+		for _, build := range []func(int64) *Engine{NewEngine, NewEngineCompact} {
+			resetEqualsNew(t, build, pooled)
 		}
-		eng.RunUntil(time.Microsecond)
+	}
+}
 
-		eng.Reset(9)
-		for _, ev := range eng.pq {
+func resetEqualsNew(t *testing.T, build func(int64) *Engine, pooled bool) {
+	t.Helper()
+	eng := build(1)
+	var pool *Pool
+	if pooled {
+		pool = &Pool{}
+		eng.SharePool(pool)
+	}
+	path := NewPath(eng, PathConfig{Rate: ConstantRate(1e6), Delay: time.Millisecond, DupProb: 0.5})
+	stale := eng.At(time.Second, func() { t.Error("an event of the old world fired") })
+	for i := 0; i < 8; i++ {
+		path.Send(100, func() { t.Error("a packet of the old world arrived") })
+	}
+	eng.RunUntil(time.Microsecond)
+
+	eng.Reset(9)
+	for _, ev := range eng.pq {
+		if ev.h != nil {
+			t.Fatalf("event at %v still holds its handler after the reset", ev.at)
+		}
+	}
+	if pooled {
+		eng.RunUntil(0) // gives the pool every event and flight the reset freed
+		if eng.n != 0 || len(eng.pq) != 0 || eng.flights != nil || len(pool.events) == 0 || pool.flights == nil {
+			t.Fatalf("after RunUntil the engine keeps %d events (%d pending) and flights %v; the pool holds %d events",
+				len(eng.pq), eng.n, eng.flights != nil, len(pool.events))
+		}
+		for _, ev := range pool.events {
 			if ev.h != nil {
-				t.Fatalf("event at %v still holds its handler after the reset", ev.at)
+				t.Fatalf("pooled event at %v still holds its handler after the reset", ev.at)
 			}
 		}
-		fired := 0
-		eng.At(time.Second, func() { fired++ })
-		stale.Stop()
-		if eng.Now() != 0 || eng.Rand().Int63() != build(9).Rand().Int63() {
-			t.Fatalf("reset engine at %v, or not drawing from seed 9", eng.Now())
-		}
-		eng.Run()
-		if fired != 1 {
-			t.Fatalf("the new world's event fired %d times after a stale Stop", fired)
-		}
+	}
+	fired := 0
+	eng.At(time.Second, func() { fired++ })
+	stale.Stop()
+	if eng.Now() != 0 || eng.Rand().Int63() != build(9).Rand().Int63() {
+		t.Fatalf("reset engine at %v, or not drawing from seed 9", eng.Now())
+	}
+	eng.Run()
+	if fired != 1 {
+		t.Fatalf("the new world's event fired %d times after a stale Stop", fired)
 	}
 }
 

@@ -220,7 +220,7 @@ type Msg struct {
 
 // flight is one packet between a path's transmitter and its arrival at
 // the far end: the handler of its arrival event(s). Flights are
-// recycled through the engine's free list.
+// recycled through the engine's free list (and its Pool, if shared).
 type flight struct {
 	p    *Path
 	next *flight // free-list link
@@ -350,8 +350,7 @@ func (p *Path) SendMsg(size int, m Msg) bool {
 	if f != nil {
 		p.eng.flights = f.next
 	} else {
-		//progmp:ignore hotpath amortized: the free list grows only when more packets are in flight than ever before
-		f = new(flight)
+		f = p.eng.pool.flight()
 	}
 	*f = flight{p: p, msg: m, size: size, refs: 1}
 	p.eng.Post(arrival, f, 0, 0, 0, 0)
