@@ -1,10 +1,6 @@
 package ctl
 
-import (
-	"time"
-
-	"progmp"
-)
+import "time"
 
 // ConsecFails returns the current consecutive transport-failure count
 // (zero after any success).
@@ -41,8 +37,6 @@ type RetryPolicy struct {
 	BackoffBase, BackoffMax time.Duration
 	BreakerFails            int
 	BreakerCooldown         time.Duration
-	// Metrics receives the ctl.client.* self-metrics.
-	Metrics *progmp.Metrics
 	// Seed makes the backoff jitter reproducible.
 	Seed int64
 }
@@ -51,6 +45,6 @@ type RetryPolicy struct {
 func (o RetryOptions) With(p RetryPolicy) RetryOptions {
 	o.backoffBase, o.backoffMax = p.BackoffBase, p.BackoffMax
 	o.breakerFails, o.breakerCooldown = p.BreakerFails, p.BreakerCooldown
-	o.metrics, o.seed = p.Metrics, p.Seed
+	o.seed = p.Seed
 	return o
 }

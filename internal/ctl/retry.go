@@ -8,9 +8,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"progmp"
-	"progmp/internal/obs"
 )
 
 // ErrCircuitOpen reports that the retry layer is failing fast: the
@@ -40,8 +37,7 @@ const (
 
 // RetryOptions tunes a ReClient. Network and Addr are required; zero
 // values elsewhere select the defaults above. The unexported policy
-// ships as those defaults, with no client metrics and a time-seeded
-// jitter; tests tighten it.
+// ships as those defaults, with a time-seeded jitter; tests tighten it.
 type RetryOptions struct {
 	// Network and Addr locate the server, as in Dial.
 	Network string
@@ -65,8 +61,6 @@ type RetryOptions struct {
 	breakerFails    int
 	breakerCooldown time.Duration
 
-	// metrics receives the ctl.client.* self-metrics (nil: none).
-	metrics *progmp.Metrics
 	// seed makes the backoff jitter reproducible (0: time-seeded).
 	seed int64
 }
@@ -107,15 +101,6 @@ type ReClient struct {
 	consecFails int
 	openUntil   time.Time
 	rng         *rand.Rand
-
-	mDials        *obs.Counter
-	mDialFails    *obs.Counter
-	mReconnects   *obs.Counter
-	mCalls        *obs.Counter
-	mCallFails    *obs.Counter
-	mRetries      *obs.Counter
-	mBreakerOpens *obs.Counter
-	gBreakerOpen  *obs.Gauge
 }
 
 // DialRetry creates a reconnecting client. It does not touch the
@@ -127,16 +112,8 @@ func DialRetry(opts RetryOptions) *ReClient {
 		seed = time.Now().UnixNano()
 	}
 	r := &ReClient{
-		opts:          opts,
-		rng:           rand.New(rand.NewSource(seed)),
-		mDials:        opts.metrics.Counter("ctl.client.dials"),
-		mDialFails:    opts.metrics.Counter("ctl.client.dial_fails"),
-		mReconnects:   opts.metrics.Counter("ctl.client.reconnects"),
-		mCalls:        opts.metrics.Counter("ctl.client.calls"),
-		mCallFails:    opts.metrics.Counter("ctl.client.call_fails"),
-		mRetries:      opts.metrics.Counter("ctl.client.retries"),
-		mBreakerOpens: opts.metrics.Counter("ctl.client.breaker_opens"),
-		gBreakerOpen:  opts.metrics.Gauge("ctl.client.breaker_open"),
+		opts: opts,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 	r.verbs = r.Do
 	return r
@@ -185,7 +162,6 @@ func (r *ReClient) Do(req Request) (json.RawMessage, error) {
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			r.mRetries.Add(1)
 			time.Sleep(r.backoff(i))
 		}
 		cl, err := r.client()
@@ -201,11 +177,9 @@ func (r *ReClient) Do(req Request) (json.RawMessage, error) {
 		raw, err := cl.CallTimeout(req, r.timeoutFor(req.Verb))
 		if err == nil {
 			r.noteSuccess()
-			r.mCalls.Add(1)
 			return raw, nil
 		}
 		if transportFailure(err) {
-			r.mCallFails.Add(1)
 			r.noteFailure(cl)
 			lastErr = err
 			continue
@@ -213,7 +187,6 @@ func (r *ReClient) Do(req Request) (json.RawMessage, error) {
 		// The server answered with a protocol error: the connection is
 		// healthy and retrying would repeat the same refusal.
 		r.noteSuccess()
-		r.mCalls.Add(1)
 		return nil, err
 	}
 	return nil, lastErr
@@ -232,18 +205,12 @@ func (r *ReClient) client() (*Client, error) {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("server marked down after %d consecutive failures: %w", r.consecFails, ErrCircuitOpen)
 	}
-	reconnect := r.consecFails > 0
 	r.mu.Unlock()
 
-	r.mDials.Add(1)
 	cl, err := Dial(r.opts.Network, r.opts.Addr)
 	if err != nil {
-		r.mDialFails.Add(1)
 		r.recordFailure()
 		return nil, fmt.Errorf("ctl: dial %s: %v: %w", r.opts.Addr, err, ErrDisconnected)
-	}
-	if reconnect {
-		r.mReconnects.Add(1)
 	}
 	r.mu.Lock()
 	if r.cl != nil {
@@ -264,7 +231,6 @@ func (r *ReClient) noteSuccess() {
 	r.consecFails = 0
 	r.openUntil = time.Time{}
 	r.mu.Unlock()
-	r.gBreakerOpen.Set(0)
 }
 
 // noteFailure drops the failed connection and records the failure.
@@ -285,16 +251,10 @@ func (r *ReClient) noteFailure(failed *Client) {
 func (r *ReClient) recordFailure() {
 	r.mu.Lock()
 	r.consecFails++
-	opened := false
 	if r.consecFails >= r.opts.breakerFails && !time.Now().Before(r.openUntil) {
 		r.openUntil = time.Now().Add(r.opts.breakerCooldown)
-		opened = true
 	}
 	r.mu.Unlock()
-	if opened {
-		r.mBreakerOpens.Add(1)
-		r.gBreakerOpen.Set(1)
-	}
 }
 
 // backoff returns the jittered exponential delay before attempt i

@@ -38,7 +38,9 @@
 //     it for its first connection and resets it in place for each next
 //     one (Config.recycles), so the heap holds a world per shard, not
 //     per connection, and a world's construction and warm-up are paid
-//     once per shard. A reset world equals a freshly built one.
+//     once per shard. A world gets every connection, its first
+//     included, from one reset, so a reset world is a freshly built one
+//     by construction.
 //   - A world keeps its state; the shard keeps the scratch. Every
 //     world's engine draws free events and flights from the shard's
 //     netsim.Pool, its send window pages from the shard's PagePool, and
@@ -260,7 +262,8 @@ func Run(cfg Config) (Result, error) {
 
 	// Resident memory (Result.BytesPerConn): the heap growth across
 	// building the worlds the run keeps, after a full GC on both sides
-	// of the build. A recycling shard keeps one, its first connection's.
+	// of the build. A recycling shard keeps one, built for its first
+	// connection and reset for each next (shard.world).
 	resident := cfg.Conns
 	if cfg.recycles() {
 		resident = cfg.Shards
@@ -338,12 +341,8 @@ func newTally(conns int, conservation bool) *tally {
 	return t
 }
 
-// fold records the world's outcome as its connection's. A shard run
-// outside Run has no tally, and folds into none.
+// fold records the world's outcome as its connection's.
 func (t *tally) fold(fc *fleetConn) {
-	if t == nil {
-		return
-	}
 	t.perConn[fc.idx] = fc.summary()
 	if fc.check != nil {
 		t.violations[fc.idx] = fc.check.Violations()
@@ -360,8 +359,8 @@ func (t *tally) report() []string {
 }
 
 // fleetConn is one connection world: a private engine, its links, and
-// the burst driver state. A recycling shard resets it in place for
-// each of its connections (reset).
+// the state of its bursts. reset gives it its connection: buildConn its
+// first, a recycling shard each next one.
 type fleetConn struct {
 	idx   int
 	sh    *shard
@@ -371,7 +370,6 @@ type fleetConn struct {
 
 	burstStart time.Duration
 	bursts     int
-	retired    bool
 
 	// The burst driver, built with the world and kept by its resets:
 	// send, wait for the final ACK, think, repeat until the horizon.
@@ -407,24 +405,23 @@ func connSeed(fleetSeed int64, idx int) int64 {
 	return int64(netsim.Mix64(uint64(fleetSeed)*0x9e3779b97f4a7c15 + uint64(idx)))
 }
 
-// buildConn constructs connection idx's world and files it with its
-// shard's driver state (registry handles, delivery probes, burst
-// schedule). The world depends only on cfg and idx; cfg is the shard's.
+// buildConn builds a world for the shard and resets it as connection
+// idx's (reset). It wires only what the world keeps from one connection
+// to the next: the engine, the connection, the shard's pools, the
+// scheduler or its guard, the instruments, the checker, the delivery
+// hook and the burst closures. The world depends only on cfg and idx;
+// cfg is the shard's.
 //
 // buildConn constructs deterministically from the connection seed
 // alone; the run-loop determinism zone (//progmp:deterministic) starts
 // at shard.run, and seed reproducibility of construction is covered by
-// TestFleetDeterminism.
+// TestShardCountInvariance and TestWorldStandaloneEqualsFleet.
 func buildConn(cfg *Config, idx int, sh *shard) (*fleetConn, error) {
-	eng := netsim.NewEngineCompact(connSeed(cfg.Seed, idx))
+	eng := netsim.NewEngineCompact(0) // reset seeds it
 	eng.Instrument(sh.reg)
 	eng.SharePool(&sh.pool)
-	fc := &fleetConn{idx: idx, sh: sh, eng: eng}
-	conn, err := mptcp.Dial(eng, mptcp.Config{Store: cfg.Store}, sh.paths(idx)...)
-	if err != nil {
-		return nil, err
-	}
-	fc.conn = conn
+	conn := mptcp.NewConn(eng, mptcp.Config{Store: cfg.Store})
+	fc := &fleetConn{sh: sh, eng: eng, conn: conn}
 	conn.SharePages(&sh.pages)
 	conn.ShareArena(&sh.arenas)
 
@@ -464,32 +461,34 @@ func buildConn(cfg *Config, idx int, sh *shard) (*fleetConn, error) {
 		fc.conn.OnAllAcked(fc.onAcked)
 		fc.conn.Send(fc.sh.cfg.SendBytes, 0)
 	}
-	fc.stagger()
+	if err := fc.reset(idx); err != nil {
+		return nil, err
+	}
 	return fc, nil
 }
 
-// reset rewires the world in place as connection idx of its shard, the
-// world buildConn builds for idx: the engine reseeded and emptied, the
-// connection redialled over the same paths, the checker and the burst
-// driver started over. It keeps what buildConn wired once — the
-// scheduler, the instrumentation, the hooks and closures — and the
-// memory every layer grew. Only an uncoupled world resets: a guard or a
-// store would carry the old connection's state into the new.
-func (fc *fleetConn) reset(idx int) {
-	fc.eng.Reset(connSeed(fc.sh.cfg.Seed, idx))
-	//progmp:ignore deterministic construction, as buildConn's: the world follows from the seed and the paths alone (TestRecycledFleetEqualsFresh)
+// reset makes the world connection idx's: the engine seeded and emptied,
+// the connection dialled over idx's paths (Conn.Reset, which is what
+// Dial does on a fresh Conn), the checker and the burst count started
+// over, the first burst staggered. buildConn resets each world it
+// builds, and a recycling shard resets its one world in place for each
+// next connection, so a recycled world is a fresh one by construction.
+// What buildConn wired stays, and so does the memory every layer grew.
+// Only an uncoupled world is reset for a second connection: a guard or
+// a store would carry the old connection's state into the new.
+func (fc *fleetConn) reset(idx int) error {
+	cfg := fc.sh.cfg
+	fc.eng.Reset(connSeed(cfg.Seed, idx))
+	//progmp:ignore deterministic construction, as Dial's: the world follows from the seed and the paths alone (TestRecycledFleetEqualsFresh)
 	if err := fc.conn.Reset(fc.sh.paths(idx)...); err != nil {
-		panic(err) // buildConn dialled the same two paths
+		return err
 	}
 	if fc.check != nil {
 		fc.check.Reset()
 	}
-	fc.idx, fc.burstStart, fc.bursts, fc.retired = idx, 0, 0, false
-	fc.stagger()
-}
-
-// stagger schedules the first burst: connection starts spread across
-// one think period, so a fleet does not start in one herd.
-func (fc *fleetConn) stagger() {
-	fc.eng.At(time.Duration(fc.idx%997)*fc.sh.cfg.Think/997, fc.startBurst)
+	fc.idx, fc.burstStart, fc.bursts = idx, 0, 0
+	// Connection starts spread across one think period, so a fleet does
+	// not start in one herd.
+	fc.eng.At(time.Duration(idx%997)*cfg.Think/997, fc.startBurst)
+	return nil
 }

@@ -70,10 +70,12 @@ func TestShardCountInvariance(t *testing.T) {
 				if tc.store {
 					cfg.Store = xstate.NewStore()
 				}
+				cfg.Agg = obs.NewAggregator()
 				res, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("%d shards: %v", shards, err)
 				}
+				checkRetiredOnce(t, cfg.Agg, res)
 				if len(res.ConservationViolations) > 0 {
 					t.Fatalf("%d shards: conservation violated: %v", shards, res.ConservationViolations)
 				}
@@ -100,6 +102,24 @@ func TestShardCountInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkRetiredOnce pins that a run retires, and so folds, each of its
+// connections once: the merged fleet.retired counter and the summed
+// fleet.conns gauges both count the fleet's connections, and every
+// connection's tally slot was written (each started a burst). Conns
+// retirements over Conns written slots leave one for each.
+func checkRetiredOnce(t *testing.T, agg *obs.Aggregator, res Result) {
+	t.Helper()
+	snap := agg.Aggregate()
+	if retired, conns := snap.Counters["fleet.retired"], snap.Gauges["fleet.conns"].Sum; retired != int64(res.Conns) || conns != int64(res.Conns) {
+		t.Fatalf("%d shards: fleet.retired = %d, fleet.conns sums to %d, want %d each", res.Shards, retired, conns, res.Conns)
+	}
+	for i, sum := range res.PerConn {
+		if sum.Bursts == 0 {
+			t.Fatalf("%d shards: connection %d never folded into the tally", res.Shards, i)
+		}
 	}
 }
 
@@ -289,6 +309,7 @@ func TestFleetSoakSmoke(t *testing.T) {
 // panics on every execution must quarantine everywhere while the
 // fallback keeps bytes flowing.
 func TestFleetGuardSmoke(t *testing.T) {
+	agg := obs.NewAggregator()
 	res, err := Run(Config{
 		Conns:        8,
 		Shards:       2,
@@ -297,11 +318,13 @@ func TestFleetGuardSmoke(t *testing.T) {
 		NewScheduler: func() (mptcp.Scheduler, error) { return panicScheduler{}, nil },
 		Program:      "panicky",
 		Guard:        true,
+		Agg:          agg,
 		Conservation: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRetiredOnce(t, agg, res)
 	if len(res.ConservationViolations) > 0 {
 		t.Fatalf("conservation violated: %v", res.ConservationViolations)
 	}

@@ -34,6 +34,7 @@ func freshFleet(t *testing.T, cfg Config) (*tally, obs.AggSnapshot) {
 			t.Fatal(err)
 		}
 		sh := newShard(&cfg, sched)
+		sh.out = out
 		agg.Attach(obs.Labels{Conn: fmt.Sprintf("shard%d", s)}, sh.reg)
 		worlds := 0
 		for idx := s; idx < cfg.Conns; idx += cfg.Shards {
@@ -46,7 +47,6 @@ func freshFleet(t *testing.T, cfg Config) (*tally, obs.AggSnapshot) {
 				sh.mVisits.Add(1)
 			}
 			sh.retire(fc)
-			out.fold(fc)
 			worlds++
 		}
 		sh.gConns.Set(int64(worlds))
@@ -412,6 +412,7 @@ func TestCoupledFleetHeldHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := newShard(&cfg, sched)
+	sh.out = newTally(cfg.Conns, cfg.Conservation)
 	var before, after stdruntime.MemStats
 	stdruntime.GC()
 	stdruntime.ReadMemStats(&before)

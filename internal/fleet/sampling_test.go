@@ -103,6 +103,7 @@ func TestExecSamplingIsUnbiased(t *testing.T) {
 	}
 	probe := &samplingProbe{inner: inner, perConn: map[*[runtime.NumRegisters]int64]int64{}}
 	sh := newShard(&cfg, probe)
+	sh.out = newTally(cfg.Conns, cfg.Conservation)
 	probe.execs = sh.reg.Counter("conn.sched_execs")
 	probe.hist = sh.reg.Histogram("conn.sched_exec_ns")
 	for i := 0; i < cfg.Conns; i++ {

@@ -102,92 +102,62 @@ func (sh *shard) paths(idx int) []mptcp.SubflowSpec {
 	return sh.specs[:]
 }
 
-// retire marks a connection done (its engine drained): its shared-
-// store destination references are released so idle sweeps can
-// reclaim the records.
+// retire marks a connection done (its engine drained, or its next
+// event past the horizon) and folds it into the tally: its shared-store
+// destination references are released so idle sweeps can reclaim the
+// records. The run loop retires each connection once.
 //
 //progmp:deterministic
 func (sh *shard) retire(fc *fleetConn) {
-	if fc.retired {
-		return
-	}
-	fc.retired = true
 	fc.conn.ReleaseDests()
 	sh.mRetired.Add(1)
+	sh.out.fold(fc)
 }
 
-// run drives the shard's connections to the horizon and folds each
-// into the tally. A recycling shard holds the one world Run built for
-// it and runs its connections through it in turn; a shard that holds
-// every one of its worlds (a coupled fleet's, or worlds built by hand)
-// sweeps them window by window.
+// world returns the world of the shard's i-th connection, in index
+// order: the shard's own world for it or, when the shard recycles, the
+// shard's one world reset for it. A recycling shard runs one window, so
+// it asks for each connection once, in order, and each reset moves the
+// world on to the next connection.
+func (sh *shard) world(i int) *fleetConn {
+	if i < len(sh.conns) {
+		return sh.conns[i]
+	}
+	fc := sh.conns[0]
+	if err := fc.reset(fc.idx + sh.cfg.Shards); err != nil {
+		panic(err) // buildConn dialled the same two paths
+	}
+	return fc
+}
+
+// run drives the shard's connections to the horizon in windows of
+// cfg.slice; an uncoupled fleet's window is the horizon. Each window
+// visits, in connection-index order (the package's visit rule), every
+// connection whose next event falls no later than the window's end: it
+// runs the world to the window's end with one RunUntil (a visit) and
+// reads back its next event. A connection with no event left, or none
+// inside the horizon, retires and is never due again.
 //
 //progmp:deterministic
 func (sh *shard) run() {
-	if sh.cfg.recycles() && len(sh.conns) == 1 {
-		sh.runInTurn()
-		return
-	}
-	sh.runSweep()
-	for _, fc := range sh.conns {
-		sh.out.fold(fc)
-	}
-}
-
-// runInTurn runs the shard's connections one after another, in index
-// order, each to the horizon in one visit, and folds each as it ends.
-// The shard holds one world, built for its first connection (Run builds
-// it), and resets it for each next one. A world whose first event lies
-// past the horizon is retired unvisited.
-//
-//progmp:deterministic
-func (sh *shard) runInTurn() {
-	cfg, fc := sh.cfg, sh.conns[0]
-	sh.gConns.Set(int64((cfg.Conns - fc.idx + cfg.Shards - 1) / cfg.Shards))
-	for idx := fc.idx; idx < cfg.Conns; idx += cfg.Shards {
-		if idx != fc.idx {
-			fc.reset(idx)
-		}
-		if at, ok := fc.eng.NextEventAt(); ok && at <= cfg.Duration {
-			fc.eng.RunUntil(cfg.Duration)
-			sh.mVisits.Add(1)
-		}
-		sh.retire(fc)
-		sh.out.fold(fc)
-	}
-}
-
-// runSweep drives the shard's worlds, all built, to the horizon in
-// windows of cfg.slice. Each window visits, in connection-index order
-// (the package's visit rule), every world whose next event falls no
-// later than the window's end: it runs the world to the window's end
-// with one RunUntil (a visit) and reads back its next event. A world
-// with no event left, or none inside the horizon, retires and is never
-// due again.
-//
-//progmp:deterministic
-func (sh *shard) runSweep() {
-	sh.gConns.Set(int64(len(sh.conns)))
 	horizon, slice := sh.cfg.Duration, sh.cfg.slice
+	conns := (sh.cfg.Conns - sh.conns[0].idx + sh.cfg.Shards - 1) / sh.cfg.Shards
+	sh.gConns.Set(int64(conns))
 	const never = time.Duration(math.MaxInt64)
-	due := make([]time.Duration, len(sh.conns))
-	for i, fc := range sh.conns {
-		at, ok := fc.eng.NextEventAt()
-		if !ok {
-			at = never
-			sh.retire(fc)
-		}
-		due[i] = at
-	}
+	// Every connection is due in the first window; its world's next
+	// event is read on its turn.
+	due := make([]time.Duration, conns)
 	for w := 1; ; w++ {
 		now := min(time.Duration(w)*slice, horizon)
 		for i, at := range due {
 			if at > now {
 				continue
 			}
-			fc := sh.conns[i]
-			fc.eng.RunUntil(now)
-			sh.mVisits.Add(1)
+			fc := sh.world(i)
+			if at, ok := fc.eng.NextEventAt(); ok && at <= now {
+				fc.eng.RunUntil(now)
+				sh.mVisits.Add(1)
+			}
 			if at, ok := fc.eng.NextEventAt(); ok && at <= horizon {
 				due[i] = at
 				continue
@@ -204,10 +174,5 @@ func (sh *shard) runSweep() {
 		if now == horizon {
 			break
 		}
-	}
-	// Horizon reached: every world still held has already run past its
-	// last in-horizon event; release whatever store references remain.
-	for _, fc := range sh.conns {
-		sh.retire(fc)
 	}
 }

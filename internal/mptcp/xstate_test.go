@@ -48,8 +48,9 @@ func twoPathConn(t *testing.T, eng *netsim.Engine, st *xstate.Store, lteLoss flo
 	wifi := netsim.NewLink(eng, netsim.PathConfig{
 		Name: "wifi", Rate: netsim.ConstantRate(2e6), Delay: 30 * time.Millisecond,
 	})
-	for name, link := range map[string]*netsim.Link{"lte": lte, "wifi": wifi} {
-		if _, err := conn.AddSubflow(SubflowConfig{Name: name, Link: link}); err != nil {
+	// Subflow 0 is lte, subflow 1 wifi, in every run.
+	for _, sbf := range []SubflowConfig{{Name: "lte", Link: lte}, {Name: "wifi", Link: wifi}} {
+		if _, err := conn.AddSubflow(sbf); err != nil {
 			t.Fatal(err)
 		}
 	}
