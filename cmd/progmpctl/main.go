@@ -32,10 +32,9 @@
 //
 // ADDR is a Unix socket path (default /tmp/progmp.sock) or host:port
 // for TCP. -conn selects the target connection from `list` (default 1).
-// Calls are deadline-bounded: each verb has its own deadline, and
-// -timeout, when set, overrides it for every verb. Read-only verbs are
-// retried across reconnects (-retries bounds the attempts); a server
-// that stays down trips a circuit breaker and fails fast.
+// Every call is bounded by its verb's deadline; read-only verbs are
+// retried across reconnects with jittered backoff, the others are
+// attempted once.
 //
 // Example against a live mpsim (second terminal):
 //
@@ -69,11 +68,9 @@ func main() {
 
 // options are progmpctl's flags.
 type options struct {
-	addr    string
-	connID  int
-	force   bool
-	timeout time.Duration
-	retries int
+	addr   string
+	connID int
+	force  bool
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -83,8 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.StringVar(&o.addr, "s", "/tmp/progmp.sock", "server address: Unix socket path or host:port")
 	fl.IntVar(&o.connID, "conn", 1, "target connection id (see list)")
 	fl.BoolVar(&o.force, "force", false, "swap: install despite static-analyzer warnings or a fleet block")
-	fl.DurationVar(&o.timeout, "timeout", 0, "per-call deadline, overriding every verb's own (0 = per-verb deadlines, < 0 = none)")
-	fl.IntVar(&o.retries, "retries", 0, "attempts for read-only verbs across reconnects (0 = default)")
 	fl.Usage = func() {
 		fmt.Fprintf(stderr, "usage: progmpctl [-s ADDR] [-conn N] <command> [args]\n")
 		fmt.Fprintf(stderr, "commands: ping list schedulers compile swap getreg setreg gget gset deststats send metrics metrics-agg drain watch top\n")
@@ -107,15 +102,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // command runs one verb, printing its result to w.
 func command(o options, args []string, w, stderr io.Writer) error {
-	// The reconnecting client: per-verb deadlines, retry of read-only
-	// verbs across reconnects, circuit breaker when the server stays
-	// down. It dials lazily, so connection errors surface on the call.
-	c := ctl.DialRetry(ctl.RetryOptions{
-		Network:     ctl.NetworkOf(o.addr),
-		Addr:        o.addr,
-		CallTimeout: o.timeout,
-		MaxAttempts: o.retries,
-	})
+	// The client dials lazily, so connection errors surface on the call.
+	c := ctl.Dial(o.addr)
 	defer c.Close()
 
 	cmd, rest := args[0], args[1:]
@@ -436,14 +424,10 @@ func printList(w io.Writer, res ctl.ListResult) {
 	}
 }
 
-// watch streams trace events as JSONL until interrupted. Streaming
-// needs the live underlying connection; if it dies mid-watch the stream
-// ends (rerun to resubscribe through a fresh connection).
-func watch(rc *ctl.ReClient, connID int, kinds []string, w, stderr io.Writer) error {
-	c, err := rc.Client()
-	if err != nil {
-		return err
-	}
+// watch streams trace events as JSONL until interrupted. The stream is
+// bound to the connection it was opened on; if that dies mid-watch the
+// stream ends (rerun to resubscribe through a fresh connection).
+func watch(c *ctl.Client, connID int, kinds []string, w, stderr io.Writer) error {
 	stream, err := c.Subscribe(connID, kinds, 0)
 	if err != nil {
 		return err
@@ -481,7 +465,7 @@ const topInterval = time.Second
 // control-plane self-metrics. It draws count frames, or until
 // interrupted when count is 0. Every verb it calls is read-only, so
 // the client's retries carry it across reconnects.
-func top(c *ctl.ReClient, count int, w io.Writer) error {
+func top(c *ctl.Client, count int, w io.Writer) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	defer signal.Stop(sig)
@@ -508,7 +492,7 @@ func top(c *ctl.ReClient, count int, w io.Writer) error {
 }
 
 // topFrame renders one dashboard frame.
-func topFrame(c *ctl.ReClient) (string, error) {
+func topFrame(c *ctl.Client) (string, error) {
 	ping, err := c.Ping()
 	if err != nil {
 		return "", err

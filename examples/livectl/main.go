@@ -70,10 +70,7 @@ func main() {
 	}()
 
 	// ---- The "application" half: steer the stream over the socket.
-	c, err := ctl.Dial("unix", sock)
-	if err != nil {
-		log.Fatal(err)
-	}
+	c := ctl.Dial(sock)
 	defer c.Close()
 
 	swaps, err := c.Subscribe(1, []string{"SCHED_SWAP"}, 0)

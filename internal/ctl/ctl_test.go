@@ -72,10 +72,7 @@ func startHarness(t *testing.T, supervised bool) *harness {
 		nw.RunLive(time.Hour, pace)
 		close(done)
 	}()
-	client, err := ctl.Dial("unix", sock)
-	if err != nil {
-		t.Fatalf("ctl.Dial: %v", err)
-	}
+	client := ctl.Dial(sock)
 	t.Cleanup(func() {
 		client.Close()
 		nw.StopLive()
@@ -325,6 +322,72 @@ func TestMalformedAndUnknownRequests(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown event kind") {
 		t.Fatalf("Subscribe(NOT_A_KIND) error = %v, want unknown event kind", err)
 	}
+}
+
+// A peer cannot make the server allocate or enqueue without bound: a
+// subscription buffer above maxSubscriptionBuffer and a send above
+// maxSendBytes are refused, the refusal leaves the send queue as it
+// was, and the session goes on answering.
+func TestOversizedRequestsRefused(t *testing.T) {
+	h := startHarness(t, false)
+	raw, err := net.Dial("unix", h.sock)
+	if err != nil {
+		t.Fatalf("raw dial: %v", err)
+	}
+	defer raw.Close()
+	rd := bufio.NewReader(raw)
+	roundTrip := func(line string) ctl.Response {
+		t.Helper()
+		if _, err := fmt.Fprintf(raw, "%s\n", line); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		out, err := rd.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		var resp ctl.Response
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatalf("response not JSON: %v (%q)", err, out)
+		}
+		return resp
+	}
+	enqueued := func() int64 {
+		t.Helper()
+		var n int64
+		if err := h.nw.Do(func() { n = h.conn.Inner().TotalEnqueued }); err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		return n
+	}
+
+	line := fmt.Sprintf(`{"id":1,"verb":"subscribe","buf":%d}`, ctl.MaxSubscriptionBuffer+1)
+	if resp := roundTrip(line); resp.OK || !strings.Contains(resp.Error, "exceeds") {
+		t.Fatalf("subscribe with buf %d: %+v, want a refusal", ctl.MaxSubscriptionBuffer+1, resp)
+	}
+	before := enqueued()
+	line = fmt.Sprintf(`{"id":2,"verb":"send","conn":1,"bytes":%d}`, ctl.MaxSendBytes+1)
+	if resp := roundTrip(line); resp.OK || !strings.Contains(resp.Error, "exceeds") {
+		t.Fatalf("send of %d bytes: %+v, want a refusal", ctl.MaxSendBytes+1, resp)
+	}
+	if after := enqueued(); after != before {
+		t.Fatalf("refused send moved the queue: %d segments enqueued, was %d", after, before)
+	}
+	if resp := roundTrip(`{"id":3,"verb":"ping"}`); !resp.OK {
+		t.Fatalf("ping after the refusals: %+v", resp)
+	}
+
+	// The caps themselves are fine.
+	st, err := h.client.Subscribe(1, nil, ctl.MaxSubscriptionBuffer)
+	if err != nil {
+		t.Fatalf("Subscribe at the cap: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("stream.Close: %v", err)
+	}
+	if err := h.client.Send(1, 100_000, 0); err != nil {
+		t.Fatalf("Send after the refusal: %v", err)
+	}
+	h.waitAllAcked()
 }
 
 // TestConcurrentSubscribersDuringTransfer exercises subscription fan-out

@@ -1,21 +1,15 @@
 package ctl
 
-import "time"
+import (
+	"math/rand"
+	"time"
+)
 
-// ConsecFails returns the current consecutive transport-failure count
-// (zero after any success).
-func (r *ReClient) ConsecFails() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.consecFails
-}
-
-// BreakerOpen reports whether calls are currently failing fast.
-func (r *ReClient) BreakerOpen() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return time.Now().Before(r.openUntil)
-}
+// The caps on what one request may ask of the server.
+const (
+	MaxSubscriptionBuffer = maxSubscriptionBuffer
+	MaxSendBytes          = maxSendBytes
+)
 
 // Limits are the server limits a test shortens; a zero field keeps the
 // limit that ships.
@@ -31,20 +25,29 @@ func (o Options) With(l Limits) Options {
 	return o
 }
 
-// RetryPolicy is the retry policy a test tightens; a zero field keeps
+// RetryPolicy is the client policy a test tightens; a zero field keeps
 // the policy that ships.
 type RetryPolicy struct {
+	// CallTimeout bounds every attempt, whatever the verb.
+	CallTimeout             time.Duration
 	BackoffBase, BackoffMax time.Duration
-	BreakerFails            int
-	BreakerCooldown         time.Duration
 	// Seed makes the backoff jitter reproducible.
 	Seed int64
 }
 
-// With returns o with the policy p.
-func (o RetryOptions) With(p RetryPolicy) RetryOptions {
-	o.backoffBase, o.backoffMax = p.BackoffBase, p.BackoffMax
-	o.breakerFails, o.breakerCooldown = p.BreakerFails, p.BreakerCooldown
-	o.seed = p.Seed
-	return o
+// With sets the policy p on c, before its first call, and returns c.
+func (c *Client) With(p RetryPolicy) *Client {
+	if p.CallTimeout != 0 {
+		c.timeout = p.CallTimeout
+	}
+	if p.BackoffBase != 0 {
+		c.backoffBase = p.BackoffBase
+	}
+	if p.BackoffMax != 0 {
+		c.backoffMax = p.BackoffMax
+	}
+	if p.Seed != 0 {
+		c.rng = rand.New(rand.NewSource(p.Seed))
+	}
+	return c
 }

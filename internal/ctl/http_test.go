@@ -63,10 +63,7 @@ func startFleetHarness(t *testing.T) (*ctl.Client, *progmp.MetricsAggregator, st
 		nw.RunLive(time.Hour, pace)
 		close(done)
 	}()
-	client, err := ctl.Dial("unix", sock)
-	if err != nil {
-		t.Fatalf("ctl.Dial: %v", err)
-	}
+	client := ctl.Dial(sock)
 	t.Cleanup(func() {
 		client.Close()
 		nw.StopLive()

@@ -56,14 +56,14 @@ const (
 type verb struct {
 	// serve answers a request; the dispatcher writes what it returns.
 	serve func(*session, Request) (any, error)
-	// idempotent verbs are read-only: the retry layer may replay them
-	// on a fresh connection after a transport failure or timeout.
+	// idempotent verbs are read-only: the client replays them on a
+	// fresh connection after a transport failure or timeout.
 	idempotent bool
 	// always verbs bypass the draining and overload refusals.
 	always bool
-	// timeout bounds one ReClient attempt unless CallTimeout is set
-	// (0: DefaultCallTimeout). Compile and swap run the analyzer and
-	// the code generator, so they get room.
+	// timeout bounds one client attempt (0: defaultCallTimeout).
+	// Compile and swap run the analyzer and the code generator, so
+	// they get room.
 	timeout time.Duration
 }
 

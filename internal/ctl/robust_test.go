@@ -2,7 +2,6 @@ package ctl_test
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -99,10 +98,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	c, err := ctl.Dial("unix", sock)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
+	c := ctl.Dial(sock)
 	defer c.Close()
 
 	if _, err := c.Ping(); err == nil || !strings.Contains(err.Error(), "handler panicked") {
@@ -199,10 +195,7 @@ func TestDrainGraceful(t *testing.T) {
 	h := startRobustHarness(t, 11, nil)
 	defer h.teardown()
 
-	c, err := ctl.Dial("unix", h.sock)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
+	c := ctl.Dial(h.sock)
 	defer c.Close()
 	st, err := c.Subscribe(0, nil, 256)
 	if err != nil {
@@ -282,10 +275,7 @@ func TestSubscriberEvictionEndToEnd(t *testing.T) {
 	}
 
 	// Generate a flood of trace events.
-	c, err := ctl.Dial("unix", h.sock)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
+	c := ctl.Dial(h.sock)
 	defer c.Close()
 	if err := c.Send(1, 2_000_000, 0); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -318,10 +308,7 @@ func TestFleetRefusalOverCtl(t *testing.T) {
 	h := startRobustHarness(t, 11, func(o *ctl.Options) { o.Fleet = fleet })
 	defer h.teardown()
 
-	c, err := ctl.Dial("unix", h.sock)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
+	c := ctl.Dial(h.sock)
 	defer c.Close()
 
 	fleet.Block("redundant")
@@ -348,57 +335,6 @@ func TestFleetRefusalOverCtl(t *testing.T) {
 	}
 }
 
-// The circuit breaker: consecutive dial failures open it, calls then
-// fail fast with ErrCircuitOpen, and a server appearing after the
-// cooldown closes it again.
-func TestReClientBreaker(t *testing.T) {
-	sock := filepath.Join(t.TempDir(), "ctl.sock")
-	rc := ctl.DialRetry(ctl.RetryOptions{
-		Network: "unix", Addr: sock,
-		MaxAttempts: 1, // count failures call by call
-	}.With(ctl.RetryPolicy{
-		BreakerFails:    2,
-		BreakerCooldown: 200 * time.Millisecond,
-		Seed:            7,
-	}))
-	defer rc.Close()
-
-	for i := 0; i < 2; i++ {
-		if _, err := rc.Ping(); err == nil || !errors.Is(err, ctl.ErrDisconnected) {
-			t.Fatalf("Ping %d with no server = %v, want ErrDisconnected", i, err)
-		}
-	}
-	if !rc.BreakerOpen() {
-		t.Fatalf("breaker not open after %d consecutive failures", 2)
-	}
-	if _, err := rc.Ping(); err == nil || !errors.Is(err, ctl.ErrCircuitOpen) {
-		t.Fatalf("Ping with open breaker = %v, want ErrCircuitOpen", err)
-	}
-	// The fast-fail call never dialled: no failure joined the streak,
-	// and the breaker stays open.
-	if !rc.BreakerOpen() || rc.ConsecFails() != 2 {
-		t.Fatalf("after the fast-fail call: breaker open=%v fails=%d, want open and 2", rc.BreakerOpen(), rc.ConsecFails())
-	}
-
-	// Bring a server up; once the cooldown elapses the half-open probe
-	// reconnects and the breaker closes.
-	h := startRobustHarnessAt(t, 3, sock)
-	defer h.teardown()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := rc.Ping(); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never closed after the server came up")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if rc.BreakerOpen() || rc.ConsecFails() != 0 {
-		t.Fatalf("breaker open=%v fails=%d after recovery, want closed and 0", rc.BreakerOpen(), rc.ConsecFails())
-	}
-}
-
 // startRobustHarnessAt is startRobustHarness bound to a caller-chosen
 // socket path (for restart-on-the-same-address tests).
 func startRobustHarnessAt(t *testing.T, seed int64, sock string) *robustHarness {
@@ -413,20 +349,16 @@ func startRobustHarnessAt(t *testing.T, seed int64, sock string) *robustHarness 
 	return h
 }
 
-// A ReClient survives its server restarting: calls fail while it is
+// A Client survives its server restarting: calls fail while it is
 // down, after retrying on a fresh dial, and the next call after it
 // returns dials fresh and is served by the restarted server.
-func TestReClientReconnect(t *testing.T) {
+func TestClientReconnect(t *testing.T) {
 	h1 := startRobustHarness(t, 5, nil)
-	rc := ctl.DialRetry(ctl.RetryOptions{
-		Network: "unix", Addr: h1.sock,
-		MaxAttempts: 4,
-	}.With(ctl.RetryPolicy{
-		BackoffBase:  5 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-		BreakerFails: 1000, // keep the breaker out of this test
-		Seed:         9,
-	}))
+	rc := ctl.Dial(h1.sock).With(ctl.RetryPolicy{
+		BackoffBase: 5 * time.Millisecond,
+		BackoffMax:  50 * time.Millisecond,
+		Seed:        9,
+	})
 	defer rc.Close()
 
 	if _, err := rc.Ping(); err != nil {
@@ -450,7 +382,7 @@ func TestReClientReconnect(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("ReClient never recovered after server restart")
+			t.Fatalf("Client never recovered after server restart")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -458,6 +390,55 @@ func TestReClientReconnect(t *testing.T) {
 	if got := h2.metrics.Counter("ctl.requests").Value(); got < 1 {
 		t.Fatalf("restarted server handled %d requests, want >= 1", got)
 	}
+}
+
+// One Client shared by several goroutines rides out its connection
+// being torn down under them: an in-flight read-only call fails on the
+// closed connection and is replayed on a fresh dial, every request
+// completes, and closing the client at the end leaves no goroutine
+// behind. Run with -race.
+func TestClientSharedAcrossReconnects(t *testing.T) {
+	h := startRobustHarness(t, 13, nil)
+	defer h.teardown()
+	baseline := runtime.NumGoroutine()
+	c := ctl.Dial(h.sock).With(ctl.RetryPolicy{BackoffBase: time.Millisecond, Seed: 13})
+
+	stop := make(chan struct{})
+	closer := make(chan struct{})
+	go func() {
+		defer close(closer)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+				c.Close()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				// A call whose every attempt meets a close fails;
+				// the request itself must still complete.
+				deadline := time.Now().Add(10 * time.Second)
+				for _, err := c.List(); err != nil; _, err = c.List() {
+					if time.Now().After(deadline) {
+						t.Errorf("List %d never completed across reconnects: %v", i, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-closer
+	c.Close()
+	waitGoroutines(t, baseline)
 }
 
 // waitGoroutines polls until the goroutine count returns to (or below)
@@ -482,9 +463,9 @@ func waitGoroutines(t *testing.T, want int) {
 
 // TestCtlChaosSoak composes the data-plane simulation with control-plane
 // chaos: a seeded proxy drops, stalls and slow-reads control
-// connections while ReClient workers hammer idempotent verbs, subscriber
-// churn opens and abandons streams, and a live transfer runs
-// underneath. After teardown the test asserts byte-exact conservation
+// connections while client workers hammer idempotent verbs across
+// reconnects, subscriber churn opens and abandons streams, and a live
+// transfer runs underneath. After teardown the test asserts byte-exact conservation
 // and zero leaked goroutines. Run with -race.
 func TestCtlChaosSoak(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -514,10 +495,7 @@ func TestCtlChaosSoak(t *testing.T) {
 
 			// The control client rides the clean socket: it drives the
 			// transfer and the completion check.
-			direct, err := ctl.Dial("unix", h.sock)
-			if err != nil {
-				t.Fatalf("Dial(direct): %v", err)
-			}
+			direct := ctl.Dial(h.sock)
 			const payload = 3_000_000
 			for i := 0; i < 3; i++ {
 				if err := direct.Send(1, payload/3, 0); err != nil {
@@ -527,34 +505,30 @@ func TestCtlChaosSoak(t *testing.T) {
 
 			var calls, callFails atomic.Int64
 			var wg sync.WaitGroup
-			// ReClient workers: every idempotent request must eventually
+			// Client workers: every idempotent request must eventually
 			// complete through the chaos (reconnecting as needed).
 			for w := 0; w < 3; w++ {
 				w := w
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					rc := ctl.DialRetry(ctl.RetryOptions{
-						Network: "unix", Addr: proxy.Addr(),
+					rc := ctl.Dial(proxy.Addr()).With(ctl.RetryPolicy{
 						CallTimeout: 500 * time.Millisecond,
-						MaxAttempts: 4,
-					}.With(ctl.RetryPolicy{
-						BackoffBase:  2 * time.Millisecond,
-						BackoffMax:   20 * time.Millisecond,
-						BreakerFails: 1 << 30, // completion, not fail-fast, is under test
-						Seed:         seed*10 + int64(w),
-					}))
+						BackoffBase: 2 * time.Millisecond,
+						BackoffMax:  20 * time.Millisecond,
+						Seed:        seed*10 + int64(w),
+					})
 					defer rc.Close()
 					for i := 0; i < 20; i++ {
 						verb := ctl.VerbPing
 						if i%2 == 1 {
 							verb = ctl.VerbList
 						}
-						// Outer loop: chaos can defeat one Do's attempt
+						// Outer loop: chaos can defeat one Call's attempt
 						// budget; the request itself must still complete.
 						deadline := time.Now().Add(15 * time.Second)
 						for {
-							_, err := rc.Do(ctl.Request{Verb: verb})
+							_, err := rc.Call(ctl.Request{Verb: verb})
 							if err == nil {
 								calls.Add(1)
 								break
@@ -577,13 +551,10 @@ func TestCtlChaosSoak(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 6; i++ {
-						cl, err := ctl.Dial("unix", proxy.Addr())
-						if err != nil {
-							continue // proxy may have been told to refuse us
-						}
-						ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-						st, err := cl.SubscribeCtx(ctx, 0, nil, 64)
-						cancel()
+						cl := ctl.Dial(proxy.Addr()).With(ctl.RetryPolicy{CallTimeout: time.Second})
+						// The dial or the acknowledgement may fail
+						// through the proxy's faults.
+						st, err := cl.Subscribe(0, nil, 64)
 						if err == nil {
 							// Read briefly, then abandon or close.
 							drainUntil := time.After(10 * time.Millisecond)
@@ -618,10 +589,7 @@ func TestCtlChaosSoak(t *testing.T) {
 			// the server's read-idle deadline has reaped it by now —
 			// check through a fresh connection.
 			direct.Close()
-			direct, err = ctl.Dial("unix", h.sock)
-			if err != nil {
-				t.Fatalf("Dial(direct, post-soak): %v", err)
-			}
+			direct = ctl.Dial(h.sock)
 			deadline := time.Now().Add(30 * time.Second)
 			for {
 				res, err := direct.List()

@@ -23,6 +23,20 @@ const maxLine = 4 << 20
 // drainTimeout bounds how long Drain waits for inflight requests.
 const drainTimeout = 5 * time.Second
 
+// maxSubscriptionBuffer bounds a subscription's server-side buffer
+// (Request.Buf), allocated whole when the subscription opens at 48 B an
+// event: 2^16 events is 3 MiB, sixteen times
+// obs.DefaultSubscriptionBuffer. Unbounded, one 40-byte request line
+// could ask for gigabytes.
+const maxSubscriptionBuffer = 1 << 16
+
+// maxSendBytes bounds one send (Request.Bytes). The connection cuts the
+// bytes into one 72 B packet per MSS on the simulation goroutine before
+// the verb returns: 1 GiB is about 735k packets, 53 MB, the size of a
+// long bulk transfer. Unbounded, one request could wedge the live run
+// and exhaust memory.
+const maxSendBytes = 1 << 30
+
 // The robustness limits a server ships with; see Options.
 const (
 	DefaultReadIdleTimeout = 2 * time.Minute
@@ -654,6 +668,9 @@ func (se *session) send(req Request) (any, error) {
 	if req.Bytes <= 0 {
 		return nil, fmt.Errorf("send needs bytes > 0")
 	}
+	if req.Bytes > maxSendBytes {
+		return nil, fmt.Errorf("send of %d bytes exceeds %d", req.Bytes, maxSendBytes)
+	}
 	return struct{}{}, se.onSim(func() error {
 		nc.conn.SendWithIntent(req.Bytes, req.Prop)
 		return nil
@@ -750,6 +767,9 @@ type subscribed struct {
 func (se *session) subscribe(req Request) (any, error) {
 	if se.srv.opts.Tracer == nil {
 		return nil, fmt.Errorf("tracing not attached")
+	}
+	if req.Buf > maxSubscriptionBuffer {
+		return nil, fmt.Errorf("subscription buffer %d exceeds %d events", req.Buf, maxSubscriptionBuffer)
 	}
 	var kinds []obs.EventKind
 	for _, name := range req.Kinds {

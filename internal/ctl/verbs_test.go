@@ -11,8 +11,9 @@ import (
 )
 
 // TestVerbTable checks every row against what docs/CONTROL.md promises:
-// which verbs the retry layer replays, which stay answerable while the
-// server drains, and that each verb has a handler and a deadline.
+// which verbs the client replays, which stay answerable while the
+// server drains, that each verb has a handler and a deadline, and that
+// the deadline of a client's attempt is its verb's row's.
 func TestVerbTable(t *testing.T) {
 	want := map[string]struct{ idempotent, always bool }{
 		VerbPing:        {idempotent: true, always: true},
@@ -32,6 +33,7 @@ func TestVerbTable(t *testing.T) {
 		VerbGSet:        {}, // a blind replay could clobber a concurrent scheduler GSET
 		VerbDestStats:   {idempotent: true},
 	}
+	c := Dial("unused")
 	consts := verbConstants(t)
 	if len(consts) != len(want) || len(verbTable) != len(want) {
 		t.Fatalf("%d Verb constants, %d rows, %d expectations: add the row and the expectation with the constant",
@@ -46,12 +48,41 @@ func TestVerbTable(t *testing.T) {
 		switch {
 		case !ok || row.serve == nil:
 			t.Errorf("verb %q has no row with a handler", v)
-		case IdempotentVerb(v) != w.idempotent:
-			t.Errorf("IdempotentVerb(%q) = %v, want %v", v, !w.idempotent, w.idempotent)
+		case row.idempotent != w.idempotent:
+			t.Errorf("verb %q idempotent = %v, want %v", v, row.idempotent, w.idempotent)
 		case row.always != w.always:
 			t.Errorf("verb %q always = %v, want %v", v, row.always, w.always)
 		case (row.timeout > 0) != (v != VerbSubscribe):
 			t.Errorf("verb %q timeout = %v: every verb but subscribe has its own deadline", v, row.timeout)
+		case v != VerbSubscribe && c.timeoutFor(v) != row.timeout:
+			t.Errorf("attempt deadline of %q = %v, want its row's %v", v, c.timeoutFor(v), row.timeout)
+		case v == VerbSubscribe && c.timeoutFor(v) != defaultCallTimeout:
+			t.Errorf("attempt deadline of %q = %v, want defaultCallTimeout %v", v, c.timeoutFor(v), defaultCallTimeout)
+		}
+	}
+}
+
+// TestCallTimeoutOverridesEveryVerb checks the deadline of one attempt:
+// a positive policy CallTimeout bounds every verb alike; without one
+// (zero or negative) each verb keeps its row's deadline, and subscribe,
+// whose row has none, gets defaultCallTimeout. No attempt is unbounded.
+func TestCallTimeoutOverridesEveryVerb(t *testing.T) {
+	for _, tc := range []struct {
+		call time.Duration
+		want map[string]time.Duration
+	}{
+		{5 * time.Second, map[string]time.Duration{VerbPing: 5 * time.Second, VerbCompile: 5 * time.Second, VerbSwap: 5 * time.Second,
+			VerbSubscribe: 5 * time.Second}},
+		{0, map[string]time.Duration{VerbPing: 2 * time.Second, VerbCompile: 10 * time.Second, VerbSwap: 10 * time.Second,
+			VerbSubscribe: defaultCallTimeout}},
+		{-1, map[string]time.Duration{VerbPing: 2 * time.Second, VerbCompile: 10 * time.Second, VerbSwap: 10 * time.Second,
+			VerbSubscribe: defaultCallTimeout}},
+	} {
+		c := Dial("unused").With(RetryPolicy{CallTimeout: tc.call})
+		for verb, want := range tc.want {
+			if got := c.timeoutFor(verb); got != want {
+				t.Errorf("CallTimeout %v: timeoutFor(%q) = %v, want %v", tc.call, verb, got, want)
+			}
 		}
 	}
 }
@@ -85,29 +116,4 @@ func verbConstants(t *testing.T) []string {
 		}
 	}
 	return out
-}
-
-// CallTimeout, when set, bounds every verb; unset, each verb's row
-// decides; negative means no deadline at all.
-func TestCallTimeoutOverridesEveryVerb(t *testing.T) {
-	for _, tc := range []struct {
-		call time.Duration
-		want map[string]time.Duration
-	}{
-		{5 * time.Second, map[string]time.Duration{VerbPing: 5 * time.Second, VerbCompile: 5 * time.Second, VerbSwap: 5 * time.Second}},
-		{0, map[string]time.Duration{VerbPing: 2 * time.Second, VerbCompile: 10 * time.Second, VerbSwap: 10 * time.Second,
-			VerbSubscribe: DefaultCallTimeout}},
-		{-1, map[string]time.Duration{VerbPing: 0, VerbCompile: 0, VerbSwap: 0}},
-	} {
-		r := DialRetry(RetryOptions{Network: "unix", Addr: "unused", CallTimeout: tc.call})
-		for verb, want := range tc.want {
-			got := r.timeoutFor(verb)
-			if want == 0 && got <= 0 {
-				continue // no deadline
-			}
-			if got != want {
-				t.Errorf("CallTimeout %v: timeoutFor(%q) = %v, want %v", tc.call, verb, got, want)
-			}
-		}
-	}
 }

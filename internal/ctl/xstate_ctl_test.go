@@ -50,10 +50,7 @@ func startSharedHarness(t *testing.T) (*ctl.Client, *progmp.SharedStore, string)
 		nw.RunLive(time.Hour, pace)
 		close(done)
 	}()
-	client, err := ctl.Dial("unix", sock)
-	if err != nil {
-		t.Fatalf("ctl.Dial: %v", err)
-	}
+	client := ctl.Dial(sock)
 	t.Cleanup(func() {
 		client.Close()
 		nw.StopLive()
@@ -227,10 +224,7 @@ func TestDestStatsSkipsEvictedSlots(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	c, err := ctl.Dial("unix", sock)
-	if err != nil {
-		t.Fatalf("ctl.Dial: %v", err)
-	}
+	c := ctl.Dial(sock)
 	defer c.Close()
 
 	res, err := c.DestStats()
@@ -265,36 +259,34 @@ func TestSharedStateVerbsWithoutStore(t *testing.T) {
 	}
 }
 
-// The ReClient retry path: a gget issued while the server is still
-// coming up retries across dial failures and lands once the socket
-// exists; gset and deststats then work through the same reconnecting
-// client.
-func TestSharedStateVerbsOverReClient(t *testing.T) {
-	// Harness on its own socket; the ReClient dials lazily, so creating
-	// it first exercises the dial-retry path when the first verbs land.
+// A client that has not dialled yet: its first call (gget) dials, and
+// gset and deststats then work through the same connection.
+func TestSharedStateVerbsOnLazyClient(t *testing.T) {
+	// Harness on its own socket; the client dials lazily, so the first
+	// verb exercises the dial path.
 	_, st, sock := startSharedHarness(t)
 	st.SetGlobal(2, 1234)
 
-	rc := ctl.DialRetry(ctl.RetryOptions{Network: "unix", Addr: sock}.With(ctl.RetryPolicy{
+	rc := ctl.Dial(sock).With(ctl.RetryPolicy{
 		BackoffBase: 5 * time.Millisecond,
 		Seed:        21,
-	}))
+	})
 	defer rc.Close()
 
 	got, err := rc.GGet(2)
 	if err != nil {
-		t.Fatalf("ReClient GGet: %v", err)
+		t.Fatalf("GGet: %v", err)
 	}
 	if got.Value != 1234 {
-		t.Fatalf("ReClient GGet = %+v, want 1234", got)
+		t.Fatalf("GGet = %+v, want 1234", got)
 	}
 	if _, err := rc.GSet(3, 7); err != nil {
-		t.Fatalf("ReClient GSet: %v", err)
+		t.Fatalf("GSet: %v", err)
 	}
 	if v := st.Load().Globals[3]; v != 7 {
-		t.Fatalf("store global 3 = %d after ReClient gset, want 7", v)
+		t.Fatalf("store global 3 = %d after gset, want 7", v)
 	}
 	if _, err := rc.DestStats(); err != nil {
-		t.Fatalf("ReClient DestStats: %v", err)
+		t.Fatalf("DestStats: %v", err)
 	}
 }

@@ -29,6 +29,13 @@ type SubflowSpec struct {
 	TSQThrottled bool    `json:"tsq_throttled"`
 	Backup       bool    `json:"backup"`
 	RWndFree     int64   `json:"rwnd_free"`
+	// The path's link transmit queue in bytes, and the shared-state
+	// store's view of the destination (0 without a store).
+	LinkQueued int64   `json:"link_queued"`
+	XRTTms     float64 `json:"xrtt_ms"`
+	XLost      int64   `json:"xlost"`
+	XDelivered int64   `json:"xdelivered"`
+	XQuar      int64   `json:"xquar"`
 }
 
 // PacketSpec is one packet in a queue.
@@ -90,6 +97,11 @@ func Build(spec Spec) (*runtime.Env, error) {
 		}
 		v.Ints[runtime.SbfLostSkbs] = s.LostSkbs
 		v.Ints[runtime.SbfRTO] = int64(s.RTOms * 1000)
+		v.Ints[runtime.SbfLinkQueued] = s.LinkQueued
+		v.Ints[runtime.SbfXRTT] = int64(s.XRTTms * 1000)
+		v.Ints[runtime.SbfXLost] = s.XLost
+		v.Ints[runtime.SbfXDelivered] = s.XDelivered
+		v.Ints[runtime.SbfXQuar] = s.XQuar
 		v.Bools[runtime.SbfLossy] = s.Lossy
 		v.Bools[runtime.SbfTSQThrottled] = s.TSQThrottled
 		v.Bools[runtime.SbfIsBackup] = s.Backup
